@@ -5,8 +5,11 @@ GO ?= go
 # Per-target fuzzing budget; CI overrides this (short on PRs, long on the
 # scheduled job).
 FUZZTIME ?= 10s
+# The engine benchmark set, shared by bench-engine, bench-gate and
+# bench-baseline so the three cannot drift apart.
+ENGINE_BENCH = BenchmarkEngineWorkers|BenchmarkEngineScheduler|BenchmarkEngineFaults|BenchmarkEngineCheckpoint|BenchmarkComputeBackend|BenchmarkOracleServeDist|BenchmarkRouter
 
-.PHONY: all build test race cover cover-gate cover-baseline bench bench-engine cluster-smoke bench-gate bench-baseline experiments examples fuzz trace-demo crash-demo race-crash serve-demo serve-smoke trace-smoke chaos-smoke clean
+.PHONY: all build test race cover cover-gate cover-baseline bench bench-engine cluster-smoke bench-gate bench-baseline ledger-build experiments examples fuzz trace-demo crash-demo race-crash serve-demo serve-smoke trace-smoke chaos-smoke clean
 
 all: build test
 
@@ -55,7 +58,7 @@ bench:
 # shim's cost, the checkpoint hook's overhead, and the serving path's
 # tracing + resilient-client overhead (client off/on, injector disabled).
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineWorkers|BenchmarkEngineScheduler|BenchmarkEngineFaults|BenchmarkEngineCheckpoint|BenchmarkComputeBackend|BenchmarkOracleServeDist|BenchmarkRouter' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchtime 1x .
 
 # Engine benchmark regression gate: run the engine benchmark set with
 # -benchmem and compare against the committed BENCH_engine.json baseline
@@ -65,13 +68,20 @@ bench-engine:
 # make recipes have no pipefail — a crashed bench run must not feed an
 # empty stream to the gate.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineWorkers|BenchmarkEngineScheduler|BenchmarkEngineFaults|BenchmarkEngineCheckpoint|BenchmarkComputeBackend|BenchmarkOracleServeDist|BenchmarkRouter' -benchmem -benchtime 10x -count 2 . > bench_engine.out
+	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchmem -benchtime 10x -count 2 . > bench_engine.out
 	$(GO) run ./cmd/benchgate -baseline BENCH_engine.json < bench_engine.out
 
 # Rewrite the baseline from a fresh run (commit the result deliberately).
 bench-baseline:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineWorkers|BenchmarkEngineScheduler|BenchmarkEngineFaults|BenchmarkEngineCheckpoint|BenchmarkComputeBackend|BenchmarkOracleServeDist|BenchmarkRouter' -benchmem -benchtime 10x -count 2 . > bench_engine.out
+	$(GO) test -run '^$$' -bench '$(ENGINE_BENCH)' -benchmem -benchtime 10x -count 2 . > bench_engine.out
 	$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -update < bench_engine.out
+
+# The ledger harness (BENCHMARK.json's command) is a nested module that
+# imports repro/internal/...; `go build ./...` here does not reach it, so
+# build, vet and test it explicitly. CI runs this.
+ledger-build:
+	$(GO) build -C benchmark -o /dev/null .
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The full-size experiment sweep (writes the tables EXPERIMENTS.md records).
 experiments:
@@ -139,8 +149,9 @@ cluster-smoke:
 
 # Short fuzzing bursts for the parser, the exact key arithmetic, the
 # reliability shim, the HTTP fault-plan grammar, the checkpoint
-# kill/serialize/resume cycle and the parallel compute kernels
-# (differential vs CONGEST Bellman–Ford).
+# kill/serialize/resume cycle, the checkpoint file reader on arbitrary
+# bytes and the parallel compute kernels (differential vs CONGEST
+# Bellman–Ford).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run xxx -fuzz FuzzCmpCeil -fuzztime $(FUZZTIME) ./internal/key/
@@ -148,6 +159,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReliableLink -fuzztime $(FUZZTIME) ./internal/faults/
 	$(GO) test -run xxx -fuzz FuzzHTTPFaultPlan -fuzztime $(FUZZTIME) ./internal/httpfault/
 	$(GO) test -run xxx -fuzz FuzzCheckpointRoundTrip -fuzztime $(FUZZTIME) .
+	$(GO) test -run xxx -fuzz FuzzCheckpointLoad -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run xxx -fuzz FuzzParallelDijkstra -fuzztime $(FUZZTIME) ./internal/compute/
 
 clean:

@@ -58,7 +58,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,17 +65,12 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/congest"
-	"repro/internal/graph"
 	"repro/internal/httpfault"
 	"repro/internal/obs"
 	"repro/internal/oracle"
@@ -170,15 +164,15 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	}
 	logger := slog.New(trace.LogHandler(handler))
 
-	sched, err := parseScheduler(*schedArg)
+	sched, err := cli.ParseScheduler(*schedArg)
 	if err != nil {
 		return err
 	}
-	g, err := loadGraph(*file, *grid, *n, *m, *maxW, *zero, *seed)
+	g, err := cli.LoadGraph(*file, *grid, *n, *m, *maxW, *zero, *seed)
 	if err != nil {
 		return err
 	}
-	sources, err := parseSources(*srcsArg, g.N())
+	sources, err := cli.ParseSources(*srcsArg, g.N())
 	if err != nil {
 		return err
 	}
@@ -220,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		if err != nil {
 			return err
 		}
-		chromeFile = chromePath(*tracePath)
+		chromeFile = cli.ChromePath(*tracePath)
 		chrome, err := obs.CreateChrome(chromeFile)
 		if err != nil {
 			jsonl.Close()
@@ -345,75 +339,22 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	}
 	srv.Publish(snap)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	// Supervised serve loop: an unexpected server death (listener error,
 	// chaos kill of the accept loop) re-listens on the same bound address
-	// up to -restarts times. Restarts reuse the port, so a written
-	// -addr-file stays valid across them.
-	listenAddr := *addr
-	for attempt := 0; ; attempt++ {
-		ln, err := net.Listen("tcp", listenAddr)
-		if err != nil {
-			return err
-		}
-		bound := ln.Addr().String()
-		listenAddr = bound
-		var lis net.Listener = ln
-		if *chaosHTTP != "" {
-			lis = httpfault.WrapListener(ln, chaosPlan, *chaosKill)
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		errc := make(chan error, 1)
-		go func() { errc <- httpSrv.Serve(lis) }()
-
-		if attempt == 0 {
-			// Readiness gate: the -addr-file contract is "the address in
-			// this file answers". Probe /healthz through the real listener
-			// before writing the file or signalling ready — never publish
-			// an address that is not serving yet.
-			if err := waitHealthy(bound, 10*time.Second); err != nil {
-				httpSrv.Close()
-				return err
-			}
-			if *addrFile != "" {
-				if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-					httpSrv.Close()
-					return err
-				}
-			}
-			logger.Info("serving", "addr", bound)
-			if ready != nil {
-				ready <- bound
-			}
-		} else {
-			logger.Warn("server restarted", "addr", bound, "attempt", attempt)
-		}
-
-		select {
-		case err := <-errc:
-			if attempt >= *restarts {
-				if *restarts > 0 {
-					return fmt.Errorf("server died (%d restarts exhausted): %w", *restarts, err)
-				}
-				return err
-			}
-			logger.Error("http server died, restarting", "err", err, "restartsLeft", *restarts-attempt)
-			continue
-		case <-ctx.Done():
-		}
-		stop()
-		logger.Info("signal received, draining", "max", *drainWait)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("drain: %w", err)
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		break
+	// up to -restarts times. Ready means /healthz answers 200 through the
+	// real listener.
+	cfg := cli.ServeConfig{
+		Addr: *addr, AddrFile: *addrFile, Handler: srv.Handler(),
+		Ready:    func(status int) bool { return status == http.StatusOK },
+		Restarts: *restarts, Drain: *drainWait, Log: logger,
+		Serving: func(bound string) { logger.Info("serving", "addr", bound) },
+		ReadyCh: ready,
+	}
+	if *chaosHTTP != "" {
+		cfg.Wrap = func(ln net.Listener) net.Listener { return httpfault.WrapListener(ln, chaosPlan, *chaosKill) }
+	}
+	if err := cli.Serve(cfg); err != nil {
+		return err
 	}
 	if tracer != nil {
 		logger.Info("trace written",
@@ -421,40 +362,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	}
 	logger.Info("drained, bye")
 	return nil
-}
-
-// waitHealthy polls /healthz through the listener until it answers 200 —
-// the readiness gate behind -addr-file and the test harness's ready
-// channel. Transient connect errors (and chaos-injected kills, when
-// -chaos-http is live) are retried until the deadline.
-func waitHealthy(addr string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	url := "http://" + addr + "/healthz"
-	var lastErr error
-	for {
-		resp, err := http.Get(url)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-			lastErr = fmt.Errorf("status %d", resp.StatusCode)
-		} else {
-			lastErr = err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("healthz readiness gate: %w", lastErr)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// chromePath derives the Chrome trace filename from the span JSONL path:
-// trace.jsonl → trace.chrome.json (apsprun's convention).
-func chromePath(trace string) string {
-	base := strings.TrimSuffix(trace, filepath.Ext(trace))
-	return base + ".chrome.json"
 }
 
 func flagWasSet(fs *flag.FlagSet, name string) bool {
@@ -465,55 +372,4 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 		}
 	})
 	return set
-}
-
-func parseScheduler(arg string) (congest.Scheduler, error) {
-	switch arg {
-	case "active":
-		return congest.SchedulerActive, nil
-	case "dense":
-		return congest.SchedulerDense, nil
-	}
-	return 0, fmt.Errorf("bad -sched %q (want active | dense)", arg)
-}
-
-func parseSources(arg string, n int) ([]int, error) {
-	if arg == "" {
-		all := make([]int, n)
-		for v := range all {
-			all[v] = v
-		}
-		return all, nil
-	}
-	parts := strings.Split(arg, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad source %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func loadGraph(file, grid string, n, m int, maxW int64, zero float64, seed int64) (*graph.Graph, error) {
-	if grid != "" {
-		rows, cols, ok := strings.Cut(grid, "x")
-		r, err1 := strconv.Atoi(rows)
-		c, err2 := strconv.Atoi(cols)
-		if !ok || err1 != nil || err2 != nil || r < 1 || c < 1 {
-			return nil, fmt.Errorf("bad -grid %q (want ROWSxCOLS)", grid)
-		}
-		return graph.Grid(r, c, graph.GenOpts{MaxW: maxW, ZeroFrac: zero, Seed: seed}), nil
-	}
-	if file == "" {
-		return graph.Random(n, m, graph.GenOpts{MaxW: maxW, ZeroFrac: zero, Seed: seed, Directed: true}), nil
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return graph.Decode(f)
 }

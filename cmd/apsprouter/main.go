@@ -36,19 +36,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -142,70 +139,18 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// Supervised serve loop, same shape as apspd's: re-listen on the bound
-	// port after an unexpected server death, so a written -addr-file stays
-	// valid across restarts.
-	listenAddr := *addr
-	for attempt := 0; ; attempt++ {
-		ln, err := net.Listen("tcp", listenAddr)
-		if err != nil {
-			return err
-		}
-		bound := ln.Addr().String()
-		listenAddr = bound
-		httpSrv := &http.Server{Handler: router.Handler()}
-		errc := make(chan error, 1)
-		go func() { errc <- httpSrv.Serve(ln) }()
-
-		if attempt == 0 {
-			// Readiness gate: the -addr-file contract is "the address in this
-			// file answers". The router itself is ready as soon as /healthz
-			// responds — 200 or 503: a degraded cluster verdict still proves
-			// the router is serving, and backends may come up after it.
-			if err := waitServing(bound, 10*time.Second); err != nil {
-				httpSrv.Close()
-				return err
-			}
-			if *addrFile != "" {
-				if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-					httpSrv.Close()
-					return err
-				}
-			}
-			logger.Info("routing", "addr", bound, "shards", len(m.Shards))
-			if ready != nil {
-				ready <- bound
-			}
-		} else {
-			logger.Warn("server restarted", "addr", bound, "attempt", attempt)
-		}
-
-		select {
-		case err := <-errc:
-			if attempt >= *restarts {
-				if *restarts > 0 {
-					return fmt.Errorf("server died (%d restarts exhausted): %w", *restarts, err)
-				}
-				return err
-			}
-			logger.Error("http server died, restarting", "err", err, "restartsLeft", *restarts-attempt)
-			continue
-		case <-ctx.Done():
-		}
-		stop()
-		logger.Info("signal received, draining", "max", *drainWait)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("drain: %w", err)
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		break
+	// Supervised serve loop, shared with apspd. The router itself is ready
+	// as soon as /healthz responds — 200 or 503: a degraded cluster verdict
+	// still proves the router is serving, and backends may come up after it.
+	err = cli.Serve(cli.ServeConfig{
+		Addr: *addr, AddrFile: *addrFile, Handler: router.Handler(),
+		Ready:    func(int) bool { return true },
+		Restarts: *restarts, Drain: *drainWait, Log: logger,
+		Serving: func(bound string) { logger.Info("routing", "addr", bound, "shards", len(m.Shards)) },
+		ReadyCh: ready,
+	})
+	if err != nil {
+		return err
 	}
 	logger.Info("drained, bye")
 	return nil
@@ -283,25 +228,4 @@ func probeBackends(replicaSets [][]string, seed int64, wait time.Duration) (n in
 		}
 	}
 	return n, fp, nil
-}
-
-// waitServing polls /healthz until the router answers at all (any HTTP
-// status): readiness of the router, not of the cluster behind it.
-func waitServing(addr string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	url := "http://" + addr + "/healthz"
-	var lastErr error
-	for {
-		resp, err := http.Get(url)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			return nil
-		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			return fmt.Errorf("healthz readiness gate: %w", lastErr)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }

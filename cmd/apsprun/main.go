@@ -72,7 +72,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -81,6 +80,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/bellman"
 	"repro/internal/checkpoint"
+	"repro/internal/cli"
 	"repro/internal/compute"
 	"repro/internal/congest"
 	"repro/internal/core"
@@ -158,16 +158,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	logger := slog.New(handler)
 
-	sched, err := parseScheduler(*schedArg)
+	sched, err := cli.ParseScheduler(*schedArg)
 	if err != nil {
 		return err
 	}
 
-	g, err := loadGraph(*file, *grid, *n, *m, *maxW, *zero, *seed)
+	g, err := cli.LoadGraph(*file, *grid, *n, *m, *maxW, *zero, *seed)
 	if err != nil {
 		return err
 	}
-	sources, err := parseSources(*srcsArg, g.N())
+	sources, err := cli.ParseSources(*srcsArg, g.N())
 	if err != nil {
 		return err
 	}
@@ -215,7 +215,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			chrome = chromePath(*tracePath)
+			chrome = cli.ChromePath(*tracePath)
 			c, err := obs.CreateChrome(chrome)
 			if err != nil {
 				return err
@@ -600,34 +600,6 @@ func printPhases(stdout io.Writer, rep obs.Report) {
 		total.MaxLinkCongestion, total.MaxNodeSends)
 }
 
-// chromePath derives the Chrome trace filename from the JSONL trace path:
-// trace.jsonl → trace.chrome.json.
-func chromePath(trace string) string {
-	base := strings.TrimSuffix(trace, filepath.Ext(trace))
-	return base + ".chrome.json"
-}
-
-func loadGraph(file, grid string, n, m int, maxW int64, zero float64, seed int64) (*graph.Graph, error) {
-	if grid != "" {
-		rows, cols, ok := strings.Cut(grid, "x")
-		r, err1 := strconv.Atoi(rows)
-		c, err2 := strconv.Atoi(cols)
-		if !ok || err1 != nil || err2 != nil || r < 1 || c < 1 {
-			return nil, fmt.Errorf("bad -grid %q (want ROWSxCOLS)", grid)
-		}
-		return graph.Grid(r, c, graph.GenOpts{MaxW: maxW, ZeroFrac: zero, Seed: seed}), nil
-	}
-	if file == "" {
-		return graph.Random(n, m, graph.GenOpts{MaxW: maxW, ZeroFrac: zero, Seed: seed, Directed: true}), nil
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return graph.Decode(f)
-}
-
 // parseCrashes decodes the -crash flag: comma-separated "v@r" (node v
 // crashes at round r, unrecoverable) or "v@r+k" (restart allowed at round
 // r+k) terms.
@@ -679,34 +651,4 @@ func reportCheckpoint(stdout io.Writer, logger *slog.Logger, keeper *checkpoint.
 	if path != "" {
 		fmt.Fprintf(stdout, "checkpoint: %s (resume with -resume %s)\n", path, path)
 	}
-}
-
-func parseScheduler(arg string) (congest.Scheduler, error) {
-	switch arg {
-	case "active":
-		return congest.SchedulerActive, nil
-	case "dense":
-		return congest.SchedulerDense, nil
-	}
-	return 0, fmt.Errorf("bad -sched %q (want active | dense)", arg)
-}
-
-func parseSources(arg string, n int) ([]int, error) {
-	if arg == "" {
-		all := make([]int, n)
-		for v := range all {
-			all[v] = v
-		}
-		return all, nil
-	}
-	parts := strings.Split(arg, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad source %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

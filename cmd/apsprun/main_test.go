@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
+	"repro/internal/cli"
 	"repro/internal/faults"
 )
 
@@ -34,24 +37,24 @@ func TestParseCrashes(t *testing.T) {
 }
 
 func TestParseSources(t *testing.T) {
-	got, err := parseSources("0, 3,7", 10)
+	got, err := cli.ParseSources("0, 3,7", 10)
 	if err != nil {
 		t.Fatalf("parseSources: %v", err)
 	}
 	if len(got) != 3 || got[0] != 0 || got[1] != 3 || got[2] != 7 {
 		t.Fatalf("got %v", got)
 	}
-	all, err := parseSources("", 4)
+	all, err := cli.ParseSources("", 4)
 	if err != nil || len(all) != 4 || all[3] != 3 {
 		t.Fatalf("empty arg: %v %v", all, err)
 	}
-	if _, err := parseSources("x", 4); err == nil {
+	if _, err := cli.ParseSources("x", 4); err == nil {
 		t.Fatal("bad source accepted")
 	}
 }
 
 func TestLoadGraphGenerated(t *testing.T) {
-	g, err := loadGraph("", "", 12, 36, 5, 0.2, 3)
+	g, err := cli.LoadGraph("", "", 12, 36, 5, 0.2, 3)
 	if err != nil {
 		t.Fatalf("loadGraph: %v", err)
 	}
@@ -61,7 +64,7 @@ func TestLoadGraphGenerated(t *testing.T) {
 }
 
 func TestLoadGraphGrid(t *testing.T) {
-	g, err := loadGraph("", "3x4", 0, 0, 5, 0, 1)
+	g, err := cli.LoadGraph("", "3x4", 0, 0, 5, 0, 1)
 	if err != nil {
 		t.Fatalf("loadGraph: %v", err)
 	}
@@ -69,7 +72,7 @@ func TestLoadGraphGrid(t *testing.T) {
 		t.Fatalf("grid n=%d, want 12", g.N())
 	}
 	for _, bad := range []string{"3", "x4", "3x", "0x4", "axb"} {
-		if _, err := loadGraph("", bad, 0, 0, 5, 0, 1); err == nil {
+		if _, err := cli.LoadGraph("", bad, 0, 0, 5, 0, 1); err == nil {
 			t.Fatalf("bad grid spec %q accepted", bad)
 		}
 	}
@@ -81,14 +84,14 @@ func TestLoadGraphFromFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("n 2 directed\ne 0 1 5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := loadGraph(path, "", 0, 0, 0, 0, 0)
+	g, err := cli.LoadGraph(path, "", 0, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatalf("loadGraph: %v", err)
 	}
 	if g.N() != 2 || g.M() != 1 {
 		t.Fatalf("loaded n=%d m=%d", g.N(), g.M())
 	}
-	if _, err := loadGraph(filepath.Join(dir, "missing.txt"), "", 0, 0, 0, 0, 0); err == nil {
+	if _, err := cli.LoadGraph(filepath.Join(dir, "missing.txt"), "", 0, 0, 0, 0, 0); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -234,5 +237,47 @@ func TestRunStatsJSONAndPhases(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "\"alg\"") && !strings.Contains(string(raw), "\"Alg\"") {
 		t.Fatalf("stats json content unexpected: %s", raw)
+	}
+}
+
+// TestRunCheckpointStopResume drives the kill-and-resume drill through the
+// CLI on the scaling family (whose snapshot is core.List's): a run stopped
+// at a barrier and resumed prints the same summary as a straight run, and
+// a checkpoint file with a corrupt length field is an error, not a panic.
+func TestRunCheckpointStopResume(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	base := []string{"-alg", "scaling", "-n", "30", "-m", "100", "-seed", "4", "-quiet", "-log", "off"}
+	var straight, stopped, resumed bytes.Buffer
+	if err := run(base, &straight, io.Discard); err != nil {
+		t.Fatalf("straight run: %v", err)
+	}
+	if err := run(append([]string{"-checkpoint", ckpt, "-checkpoint-stop", "20"}, base...), &stopped, io.Discard); err != nil {
+		t.Fatalf("checkpoint-stop run: %v", err)
+	}
+	if !strings.Contains(stopped.String(), "stopped at checkpoint at run 0 round 20") ||
+		!strings.Contains(stopped.String(), "resume with -resume "+ckpt) {
+		t.Fatalf("stop report: %s", stopped.String())
+	}
+	if err := run(append([]string{"-resume", ckpt, "-check"}, base...), &resumed, io.Discard); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if resumed.String() != straight.String() {
+		t.Fatalf("resumed run printed\n%s\nstraight run printed\n%s", resumed.String(), straight.String())
+	}
+	if err := run(append([]string{"-resume", ckpt, "-alg", "pipeline"}, base[2:]...), io.Discard, io.Discard); err == nil {
+		t.Fatal("resume under a different -alg accepted")
+	}
+
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyLenAt := len(checkpoint.Magic) + 8 + int(binary.LittleEndian.Uint32(raw[len(checkpoint.Magic)+4:]))
+	binary.LittleEndian.PutUint64(raw[bodyLenAt:], 1<<63)
+	if err := os.WriteFile(ckpt, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append([]string{"-resume", ckpt}, base...), io.Discard, io.Discard); err == nil {
+		t.Fatal("corrupt checkpoint resumed")
 	}
 }

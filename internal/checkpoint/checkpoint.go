@@ -24,7 +24,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/congest"
@@ -117,67 +116,23 @@ func save(path string, meta *Meta, snap *congest.Snapshot) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: marshal meta: %w", err)
 	}
-	size := int64(len(Magic) + 8 + len(mb) + 8 + len(body))
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".ckpt-*")
+	hdr := make([]byte, 0, len(Magic)+8+len(mb)+8)
+	hdr = append(hdr, Magic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, FileVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(mb)))
+	hdr = append(hdr, mb...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(body)))
+	err = WriteAtomic(path, func(f *os.File) error {
+		if _, err := f.Write(hdr); err != nil {
+			return err
+		}
+		_, err := f.Write(body)
+		return err
+	})
 	if err != nil {
-		return 0, fmt.Errorf("checkpoint: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: write %s: %w", path, err)
-	}
-	var hdr [8]byte
-	if _, err := f.WriteString(Magic); err != nil {
-		return 0, fail(err)
-	}
-	binary.LittleEndian.PutUint32(hdr[:4], FileVersion)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(mb)))
-	if _, err := f.Write(hdr[:]); err != nil {
-		return 0, fail(err)
-	}
-	if _, err := f.Write(mb); err != nil {
-		return 0, fail(err)
-	}
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(body)))
-	if _, err := f.Write(hdr[:]); err != nil {
-		return 0, fail(err)
-	}
-	if _, err := f.Write(body); err != nil {
-		return 0, fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return 0, fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return 0, fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("checkpoint: %w", err)
-	}
-	// fsync the parent directory too: the rename above is only durable
-	// once the directory entry is on disk — without this, a power cut can
-	// forget the whole file even though its contents were synced.
-	if err := syncDir(dir); err != nil {
-		return 0, err
-	}
-	return size, nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync dir %s: %w", dir, err)
-	}
-	return nil
+	return int64(len(hdr) + len(body)), nil
 }
 
 // Load reads and validates a checkpoint file.
@@ -187,15 +142,17 @@ func Load(path string) (*Meta, *congest.Snapshot, error) {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	r := raw
-	take := func(n int) ([]byte, error) {
-		if len(r) < n {
+	// Lengths come from the file: compare them unsigned against the bytes
+	// that remain, so a corrupt field can neither go negative nor overrun.
+	take := func(n uint64) ([]byte, error) {
+		if uint64(len(r)) < n {
 			return nil, fmt.Errorf("checkpoint: %s: truncated file", path)
 		}
 		b := r[:n]
 		r = r[n:]
 		return b, nil
 	}
-	magic, err := take(len(Magic))
+	magic, err := take(uint64(len(Magic)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -209,7 +166,7 @@ func Load(path string) (*Meta, *congest.Snapshot, error) {
 	if v := binary.LittleEndian.Uint32(hdr[:4]); v != FileVersion {
 		return nil, nil, fmt.Errorf("checkpoint: %s: unsupported file version %d (want %d)", path, v, FileVersion)
 	}
-	mb, err := take(int(binary.LittleEndian.Uint32(hdr[4:])))
+	mb, err := take(uint64(binary.LittleEndian.Uint32(hdr[4:])))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -221,7 +178,7 @@ func Load(path string) (*Meta, *congest.Snapshot, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	body, err := take(int(binary.LittleEndian.Uint64(lb)))
+	body, err := take(binary.LittleEndian.Uint64(lb))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -328,7 +285,13 @@ func ReadMetaOnly(path string) (*Meta, error) {
 	if v := binary.LittleEndian.Uint32(hdr[len(Magic):]); v != FileVersion {
 		return nil, fmt.Errorf("checkpoint: %s: unsupported file version %d (want %d)", path, v, FileVersion)
 	}
-	mb := make([]byte, binary.LittleEndian.Uint32(hdr[len(Magic)+4:]))
+	metaLen := int64(binary.LittleEndian.Uint32(hdr[len(Magic)+4:]))
+	if st, err := f.Stat(); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	} else if metaLen > st.Size()-int64(len(hdr)) {
+		return nil, fmt.Errorf("checkpoint: %s: truncated metadata", path)
+	}
+	mb := make([]byte, metaLen)
 	if _, err := io.ReadFull(f, mb); err != nil {
 		return nil, fmt.Errorf("checkpoint: %s: truncated metadata", path)
 	}

@@ -26,7 +26,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
@@ -199,79 +198,6 @@ type Result struct {
 	DupDrops     int64 // exact duplicate entries dropped
 }
 
-// sendItem is a lazy heap item: the entry may have moved (schedule grew) or
-// died since it was pushed.
-type sendItem struct {
-	time int64
-	seq  int64
-	e    *entry
-}
-
-type sendHeap []sendItem
-
-func (h sendHeap) Len() int { return len(h) }
-func (h sendHeap) Less(i, j int) bool {
-	return h[i].time < h[j].time || (h[i].time == h[j].time && h[i].seq < h[j].seq)
-}
-func (h sendHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-// The sift code below is container/heap's algorithm verbatim on the
-// concrete type, for two reasons: the stdlib API boxes every pushed
-// sendItem into an interface{} (a heap allocation per schedule() on the
-// engine's zero-alloc round path), and the heap ARRAY — not just the pop
-// order — is serialized by EncodeState, so the element movements must
-// match the historical ones exactly for checkpoint byte-compatibility.
-func (h sendHeap) up(j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		j = i
-	}
-}
-
-func (h sendHeap) down(i, n int) {
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && h.Less(j2, j) {
-			j = j2
-		}
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		i = j
-	}
-}
-
-func (h *sendHeap) push(it sendItem) {
-	*h = append(*h, it)
-	h.up(len(*h) - 1)
-}
-
-func (h *sendHeap) popMin() sendItem {
-	old := *h
-	n := len(old) - 1
-	old.Swap(0, n)
-	old.down(0, n)
-	it := old[n]
-	*h = old[:n]
-	return it
-}
-
-// best is the node's current shortest-path record d*_v[x] with the Step 9
-// tie-break state (d, then l, then parent ID).
-type best struct {
-	d, l   int64
-	parent int
-	e      *entry // the entry carrying flag-d*, nil until first reached
-}
-
 type node struct {
 	id   int
 	opts *Opts
@@ -289,87 +215,28 @@ type node struct {
 	inFrom []int32
 	inWt   []int64
 
-	list    []*entry
-	perSrc  [][]*entry
-	bests   []best
-	pending int // alive entries with needSend
-	h       sendHeap
-	seq     int64
-	cur     int // last round executed
+	// pl is list_v with its send schedule. ModePareto drives it through
+	// Offer; ModePaper's ν-gate and eviction rule (insert below) operate on
+	// the same storage.
+	pl List
 
 	// local counters, merged into res at collection time
-	late, collisions, missed int
-	inv1, inv2               int
-	maxList, maxPer          int
-	inserts, evicts, nuDrops int64
-	dupDrops                 int64
+	inv1, inv2 int
+	dupDrops   int64
 
 	snaps map[int][]int64 // snapshot round -> copy of best distances
 
-	// Steady-state allocation control (see the AllocsPerRun guards in
-	// internal/congest): outgoing payloads are pool-recycled, dropped and
-	// retired entries go through a freelist, and the per-round transient
-	// slices are node-owned scratch reused across rounds.
-	pool     congest.Pool[wire]
-	freeEnts []*entry
-	victims  []*entry
-	requeue  []sendItem
-	gate     entry // scratch for the Step 13 gate key (never inserted)
-}
-
-// newEntry returns a zeroed entry, recycled when one is available.
-func (nd *node) newEntry() *entry {
-	if n := len(nd.freeEnts); n > 0 {
-		z := nd.freeEnts[n-1]
-		nd.freeEnts[n-1] = nil
-		nd.freeEnts = nd.freeEnts[:n-1]
-		*z = entry{}
-		return z
-	}
-	return &entry{}
-}
-
-// recycle returns an entry that never entered the list (a receive-path
-// drop) straight to the freelist.
-func (nd *node) recycle(z *entry) {
-	nd.freeEnts = append(nd.freeEnts, z)
-}
-
-// maybeFree recycles a dead entry once nothing references it: the lazy
-// send heap has dropped its last item for it (heapRefs 0) and it is not
-// a best record's carrier. Callers invoke it after marking dead and
-// after every heapRefs decrement.
-func (nd *node) maybeFree(z *entry) {
-	if z.dead && z.heapRefs == 0 && nd.bests[z.srcIdx].e != z {
-		nd.freeEnts = append(nd.freeEnts, z)
-	}
+	// Outgoing payloads are pool-recycled (see the AllocsPerRun guards in
+	// internal/congest).
+	pool congest.Pool[wire]
+	gate entry // scratch for the Step 13 gate key (never inserted)
 }
 
 func (nd *node) Init(ctx *congest.Context) {
-	k := len(nd.opts.Sources)
-	if p := nd.opts.Prealloc; p > 0 {
-		block := make([]entry, p)
-		nd.freeEnts = make([]*entry, p, 2*p)
-		for i := range block {
-			nd.freeEnts[i] = &block[i]
-		}
-		nd.list = make([]*entry, 0, p)
-		nd.h = make(sendHeap, 0, 2*p)
-		nd.victims = make([]*entry, 0, p)
-		nd.requeue = make([]sendItem, 0, p)
-	}
+	nd.pl.Init(nd.id, nd.gamma, nd.opts.Sources, nd.opts.Prealloc)
+	nd.pl.strict, nd.pl.trace = nd.opts.Strict, nd.opts.Trace
 	if ctx.PayloadReuse() {
 		nd.pool.Prewarm(4)
-	}
-	nd.bests = make([]best, k)
-	nd.perSrc = make([][]*entry, k)
-	if p := nd.opts.Prealloc; p > 0 {
-		for i := range nd.perSrc {
-			nd.perSrc[i] = make([]*entry, 0, p)
-		}
-	}
-	for i := range nd.opts.Sources {
-		nd.bests[i] = best{d: graph.Inf, l: -1, parent: -1}
 	}
 	nd.inFrom, nd.inWt = graph.MinInArcs(ctx.InEdges())
 	for i := range nd.opts.Sources {
@@ -382,97 +249,18 @@ func (nd *node) Init(ctx *congest.Context) {
 				d = s
 			}
 		}
-		if d < 0 {
-			continue
-		}
-		z := &entry{d: d, l: 0, srcIdx: i, parent: nd.id, flagSP: true, needSend: true}
-		z.ceilK = nd.gamma.CeilKappa(d, 0)
-		nd.bests[i] = best{d: d, l: 0, parent: nd.id, e: z}
-		nd.insertAt(z, nd.searchPos(z))
-		nd.schedule(z)
-	}
-}
-
-// schedule pushes an entry's current send time onto the lazy heap.
-func (nd *node) schedule(z *entry) {
-	nd.seq++
-	z.heapRefs++
-	nd.h.push(sendItem{time: z.ceilK + int64(z.idx) + 1, seq: nd.seq, e: z})
-}
-
-// insertAt places z at position p, shifting the tail and fixing indices.
-func (nd *node) insertAt(z *entry, p int) {
-	nd.list = append(nd.list, nil)
-	copy(nd.list[p+1:], nd.list[p:])
-	nd.list[p] = z
-	for i := p; i < len(nd.list); i++ {
-		nd.list[i].idx = i
-	}
-	nd.perSrc[z.srcIdx] = append(nd.perSrc[z.srcIdx], z)
-	if z.needSend {
-		nd.pending++
-	}
-	nd.inserts++
-	if len(nd.list) > nd.maxList {
-		nd.maxList = len(nd.list)
-	}
-	if c := len(nd.perSrc[z.srcIdx]); c > nd.maxPer {
-		nd.maxPer = c
-	}
-}
-
-// removeEntry deletes z from the list and per-source set and marks it dead.
-func (nd *node) removeEntry(z *entry) {
-	p := z.idx
-	nd.list = append(nd.list[:p], nd.list[p+1:]...)
-	for i := p; i < len(nd.list); i++ {
-		nd.list[i].idx = i
-	}
-	ps := nd.perSrc[z.srcIdx]
-	for i, e := range ps {
-		if e == z {
-			ps[i] = ps[len(ps)-1]
-			nd.perSrc[z.srcIdx] = ps[:len(ps)-1]
-			break
+		if d >= 0 {
+			nd.pl.Seed(i, d)
 		}
 	}
-	if z.needSend && !z.dead {
-		nd.pending--
-	}
-	z.dead = true
-	nd.evicts++
-	nd.maybeFree(z)
 }
-
-// searchPos returns the position at which z belongs in the list order.
-func (nd *node) searchPos(z *entry) int {
-	return sort.Search(len(nd.list), func(i int) bool {
-		return z.less(nd.list[i], nd.gamma, nd.opts.Sources) || z.equalKey(nd.list[i])
-	})
-}
-
-// countBefore returns the number of entries for z's source that precede z
-// in the list order (z need not be in the list).
-func (nd *node) countBefore(z *entry) int {
-	c := 0
-	for _, e := range nd.perSrc[z.srcIdx] {
-		if e.less(z, nd.gamma, nd.opts.Sources) {
-			c++
-		}
-	}
-	return c
-}
-
-// nu computes Z.ν: entries for z's source at or below z (inclusive),
-// with z on the list.
-func (nd *node) nu(z *entry) int { return nd.countBefore(z) + 1 }
 
 // insert performs the paper's INSERT procedure: place z in sorted order,
 // then (policy permitting) evict the closest non-SP entry for the same
 // source above z.
 func (nd *node) insert(z *entry, r int) {
-	p := nd.searchPos(z)
-	nd.insertAt(z, p)
+	pl := &nd.pl
+	pl.insertAt(z, pl.searchPos(z))
 	if nd.opts.Audit {
 		// Invariant 1 (Lemma II.12): an entry added in round r satisfies
 		// r < ⌈κ⌉ + pos. Messages processed in engine round r were sent in
@@ -485,7 +273,7 @@ func (nd *node) insert(z *entry, r int) {
 		// Eviction: closest non-SP entry for x strictly above z (policy
 		// permitting; EvictOnlySent skips entries not yet broadcast).
 		var victim *entry
-		for _, e := range nd.perSrc[z.srcIdx] {
+		for _, e := range pl.perSrc[z.srcIdx] {
 			if e == z || e.flagSP || e.idx <= z.idx {
 				continue
 			}
@@ -497,93 +285,20 @@ func (nd *node) insert(z *entry, r int) {
 			}
 		}
 		if victim != nil {
-			if nd.tracing() {
-				nd.trace("v%d EVICT (d=%d l=%d src=%d) sent=%v", nd.id, victim.d, victim.l, nd.opts.Sources[victim.srcIdx], !victim.needSend)
+			if nd.opts.Trace != nil {
+				nd.opts.Trace("v%d EVICT (d=%d l=%d src=%d) sent=%v", nd.id, victim.d, victim.l, nd.opts.Sources[victim.srcIdx], !victim.needSend)
 			}
-			nd.removeEntry(victim)
+			pl.removeEntry(victim)
 		}
 	}
-	nd.schedule(z)
-}
-
-// receivePareto processes an incoming entry under ModePareto: keep exactly
-// the per-source Pareto frontier of (d, l) pairs. A dominated entry is
-// useless for every suffix and hop budget (its extensions are dominated
-// too), so dropping it — and only it — cannot lose any h-hop shortest path.
-func (nd *node) receivePareto(z *entry, r int, from int) {
-	i := z.srcIdx
-	b := &nd.bests[i]
-	if z.d == b.d && z.l == b.l {
-		// Same record as the current shortest-path entry: at most the
-		// tie-break parent (smallest ID, Step 9) improves. The wire content
-		// would be identical, so no new entry is needed.
-		if from < b.parent {
-			b.parent = from
-			if b.e != nil {
-				b.e.parent = from
-			}
-		}
-		nd.recycle(z)
-		return
-	}
-	for _, e := range nd.perSrc[i] {
-		if e.d <= z.d && e.l <= z.l {
-			nd.nuDrops++
-			if nd.tracing() {
-				nd.trace("r%d v%d PARETODROP (d=%d l=%d src=%d)", r, nd.id, z.d, z.l, nd.opts.Sources[i])
-			}
-			nd.recycle(z)
-			return
-		}
-	}
-	if z.d < b.d || (z.d == b.d && z.l < b.l) {
-		if b.e != nil {
-			b.e.flagSP = false
-		}
-		z.flagSP = true
-		*b = best{d: z.d, l: z.l, parent: from, e: z}
-	}
-	z.needSend = true
-	p := nd.searchPos(z)
-	nd.insertAt(z, p)
-	if nd.tracing() {
-		nd.trace("r%d v%d INSERT pareto (d=%d l=%d src=%d) sp=%v", r, nd.id, z.d, z.l, nd.opts.Sources[i], z.flagSP)
-	}
-	// Remove the entries z dominates; they are strictly above z in the
-	// list order (κ(z) ≤ κ(e) with a strict component).
-	nd.victims = nd.victims[:0]
-	for _, e := range nd.perSrc[i] {
-		if e != z && e.d >= z.d && e.l >= z.l {
-			nd.victims = append(nd.victims, e)
-		}
-	}
-	for _, e := range nd.victims {
-		if nd.tracing() {
-			nd.trace("v%d DOMINATED-REMOVE (d=%d l=%d src=%d) sent=%v", nd.id, e.d, e.l, nd.opts.Sources[i], !e.needSend)
-		}
-		nd.removeEntry(e)
-	}
-	nd.schedule(z)
-}
-
-// tracing reports whether Opts.Trace is set. Hot-path callers must check
-// it BEFORE building a trace call: passing integers through the variadic
-// ...interface{} boxes them onto the heap at the call site even when the
-// sink is nil, which would break the steady-state zero-allocation guards.
-func (nd *node) tracing() bool { return nd.opts.Trace != nil }
-
-// trace emits a debug line when Opts.Trace is set.
-func (nd *node) trace(format string, args ...interface{}) {
-	if nd.opts.Trace != nil {
-		nd.opts.Trace(format, args...)
-	}
+	pl.schedule(z)
 }
 
 func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
-	nd.cur = r
 	// Receive (Steps 3–13). The inbox is sorted ascending by sender (an
 	// engine invariant), so the in-arc weight lookup is a merge-join over
 	// the equally-sorted inFrom: the cursor only ever advances.
+	pl := &nd.pl
 	inPos := 0
 	for _, m := range inbox {
 		msg := m.Payload.(*wire)
@@ -613,16 +328,15 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 		if nd.id == nd.opts.Sources[i] {
 			continue // nothing improves the source's own (0,0) record
 		}
-		z := nd.newEntry()
-		z.d, z.l, z.srcIdx, z.parent = d, l, i, m.From
-		z.ceilK = nd.gamma.CeilKappa(d, l)
-
 		if nd.opts.Mode == ModePareto {
-			nd.receivePareto(z, r, m.From)
+			pl.Offer(i, d, l, m.From, r)
 			continue
 		}
 
-		b := &nd.bests[i]
+		z := pl.newEntry()
+		z.d, z.l, z.srcIdx, z.parent = d, l, i, m.From
+		z.ceilK = nd.gamma.CeilKappa(d, l)
+		b := &pl.bests[i]
 		better := d < b.d ||
 			(d == b.d && l < b.l) ||
 			(d == b.d && l == b.l && m.From < b.parent)
@@ -635,15 +349,15 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 			z.needSend = true
 			*b = best{d: d, l: l, parent: m.From, e: z}
 			nd.insert(z, r)
-			if nd.tracing() {
-				nd.trace("r%d v%d INSERT SP (d=%d l=%d src=%d) from %d", r, nd.id, d, l, msg.src, m.From)
+			if nd.opts.Trace != nil {
+				nd.opts.Trace("r%d v%d INSERT SP (d=%d l=%d src=%d) from %d", r, nd.id, d, l, msg.src, m.From)
 			}
 			continue
 		}
 		// Step 13: non-SP entry; insert only if fewer than ν⁻ entries for
 		// x lie below the gate key. Exact duplicates carry no information.
 		dup := false
-		for _, e := range nd.perSrc[i] {
+		for _, e := range pl.perSrc[i] {
 			if e.equalKey(z) {
 				dup = true
 				break
@@ -651,7 +365,7 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 		}
 		if dup {
 			nd.dupDrops++
-			nd.recycle(z)
+			pl.recycle(z)
 			continue
 		}
 		gate := z
@@ -661,18 +375,18 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 			nd.gate = entry{d: msg.d, l: msg.l, srcIdx: i}
 			gate = &nd.gate
 		}
-		if nd.countBefore(gate) < int(msg.nu) {
+		if pl.countBefore(gate) < int(msg.nu) {
 			z.needSend = true
 			nd.insert(z, r)
-			if nd.tracing() {
-				nd.trace("r%d v%d INSERT nonSP (d=%d l=%d src=%d) from %d nu=%d", r, nd.id, d, l, msg.src, m.From, msg.nu)
+			if nd.opts.Trace != nil {
+				nd.opts.Trace("r%d v%d INSERT nonSP (d=%d l=%d src=%d) from %d nu=%d", r, nd.id, d, l, msg.src, m.From, msg.nu)
 			}
 		} else {
-			nd.nuDrops++
-			if nd.tracing() {
-				nd.trace("r%d v%d NUDROP (d=%d l=%d src=%d) from %d nu=%d below=%d", r, nd.id, d, l, msg.src, m.From, msg.nu, nd.countBefore(gate))
+			pl.nuDrops++
+			if nd.opts.Trace != nil {
+				nd.opts.Trace("r%d v%d NUDROP (d=%d l=%d src=%d) from %d nu=%d below=%d", r, nd.id, d, l, msg.src, m.From, msg.nu, pl.countBefore(gate))
 			}
-			nd.recycle(z)
+			pl.recycle(z)
 		}
 	}
 
@@ -681,15 +395,19 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	}
 
 	// Send (Steps 1–2): at most one entry per round, per the schedule.
-	nd.sendPhase(ctx, r)
+	if s, ok := pl.NextSend(r); ok {
+		w := nd.pool.Get(ctx, r)
+		w.d, w.l, w.src, w.sp, w.nu = s.D, s.L, nd.opts.Sources[s.SrcIdx], s.SP, s.Nu
+		ctx.Broadcast(w)
+	}
 
 	for _, sr := range nd.opts.SnapshotRounds {
 		if sr == r {
 			if nd.snaps == nil {
 				nd.snaps = make(map[int][]int64)
 			}
-			row := make([]int64, len(nd.bests))
-			for i, b := range nd.bests {
+			row := make([]int64, len(nd.pl.bests))
+			for i, b := range nd.pl.bests {
 				row[i] = b.d
 			}
 			nd.snaps[sr] = row
@@ -697,82 +415,12 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	}
 }
 
-// sendPhase pops due heap items lazily and sends at most one entry.
-func (nd *node) sendPhase(ctx *congest.Context, r int) {
-	var candidate *entry
-	var candSched int64
-	requeue := nd.requeue[:0] // collected due-but-not-sent items to re-push
-	for nd.h.Len() > 0 && nd.h[0].time <= int64(r) {
-		it := nd.h.popMin()
-		z := it.e
-		z.heapRefs--
-		if z.dead || !z.needSend {
-			nd.maybeFree(z)
-			continue
-		}
-		sched := z.ceilK + int64(z.idx) + 1
-		if sched > int64(r) {
-			nd.schedule(z) // schedule moved into the future; re-arm
-			continue
-		}
-		if nd.opts.Strict && sched < int64(r) {
-			// Missed its equality moment; it may become due again if its
-			// position grows, so keep probing each round.
-			nd.missed++
-			nd.seq++
-			requeue = append(requeue, sendItem{time: int64(r) + 1, seq: nd.seq, e: z})
-			continue
-		}
-		if candidate == nil {
-			candidate, candSched = z, sched
-			continue
-		}
-		// A second due entry this round. It is a schedule collision in the
-		// paper's sense only when both entries hit their equality moment in
-		// this exact round (backlogged overdue entries are counted as late
-		// sends instead).
-		if sched == int64(r) && candSched == int64(r) {
-			nd.collisions++
-		}
-		keep, keepSched := candidate, candSched
-		other := z
-		otherSched := sched
-		// Earliest schedule wins; ties by list order.
-		if otherSched < keepSched || (otherSched == keepSched && other.idx < keep.idx) {
-			keep, keepSched, other = other, otherSched, keep
-		}
-		candidate, candSched = keep, keepSched
-		nd.seq++
-		requeue = append(requeue, sendItem{time: int64(r) + 1, seq: nd.seq, e: other})
-	}
-	for _, it := range requeue {
-		it.e.heapRefs++
-		nd.h.push(it)
-	}
-	nd.requeue = requeue[:0]
-	if candidate == nil {
-		return
-	}
-	if candSched < int64(r) {
-		nd.late++
-	}
-	z := candidate
-	z.needSend = false
-	nd.pending--
-	if nd.tracing() {
-		nd.trace("r%d v%d SEND (d=%d l=%d src=%d) sp=%v nu=%d sched=%d", r, nd.id, z.d, z.l, nd.opts.Sources[z.srcIdx], z.flagSP, nd.nu(z), candSched)
-	}
-	w := nd.pool.Get(ctx, r)
-	w.d, w.l, w.src, w.sp, w.nu = z.d, z.l, nd.opts.Sources[z.srcIdx], z.flagSP, int32(nd.nu(z))
-	ctx.Broadcast(w)
-}
-
 // auditInv2 checks Lemma II.11: per-source entry count ≤ h/γ + 1, i.e.
 // (count−1)² · k ≤ h · Δ, exactly in integers.
 func (nd *node) auditInv2() {
 	h := int64(nd.opts.H)
 	k := int64(len(nd.opts.Sources))
-	for _, ps := range nd.perSrc {
+	for _, ps := range nd.pl.perSrc {
 		c := int64(len(ps)) - 1
 		if c <= 0 {
 			continue
@@ -783,36 +431,18 @@ func (nd *node) auditInv2() {
 	}
 }
 
-func (nd *node) Quiescent() bool {
-	if !nd.opts.Strict {
-		return nd.pending == 0
-	}
-	// Strict: a pending entry can fire later only with a future schedule;
-	// overdue entries re-fire only if their position grows via a receive.
-	for _, z := range nd.list {
-		if z.needSend && z.ceilK+int64(z.idx)+1 > int64(nd.cur) {
-			return false
-		}
-	}
-	return true
-}
+func (nd *node) Quiescent() bool { return nd.pl.Quiescent() }
 
 // NextWake implements congest.Waker. The node acts spontaneously only when
-// its earliest heap item comes due — sends, late sends and requeued
-// collisions are all gated on heap-pop time, so the heap top is exact, and
-// waking on a stale item (dead or re-armed entry) is harmless — or when a
-// snapshot round arrives. Audit mode re-checks Invariant 2 every round, so
-// it keeps dense stepping.
+// the list's earliest heap item comes due or a snapshot round arrives.
+// Audit mode re-checks Invariant 2 every round, so it keeps dense stepping.
 func (nd *node) NextWake() int {
 	if nd.opts.Audit {
-		return nd.cur + 1
+		return nd.pl.cur + 1
 	}
-	next := congest.WakeOnReceive
-	if nd.h.Len() > 0 {
-		next = int(nd.h[0].time)
-	}
+	next := nd.pl.NextWake()
 	for _, sr := range nd.opts.SnapshotRounds { // ascending
-		if sr > nd.cur {
+		if sr > nd.pl.cur {
 			if next == congest.WakeOnReceive || sr < next {
 				next = sr
 			}
@@ -822,7 +452,6 @@ func (nd *node) NextWake() int {
 	return next
 }
 
-// Run executes Algorithm 1 on g.
 // NewNode returns the engine node factory for one run with the given
 // options. Callers must set Sources, H and Delta (Run normalizes them
 // first; stepwise engine drivers — the congest allocation guards and
@@ -855,6 +484,7 @@ func sourceIndex(sources []int) []int32 {
 	return srcOf
 }
 
+// Run executes Algorithm 1 on g.
 func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	if len(opts.Sources) == 0 {
 		return nil, fmt.Errorf("core: no sources")
@@ -906,16 +536,15 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		}
 		opts.MaxRounds = int(mr)
 	}
-	gamma := key.New(k, opts.H, opts.Delta)
 	if opts.Trace != nil {
 		opts.Workers = 1
 	}
 
 	res := &Result{Sources: append([]int(nil), opts.Sources...), Bound: bound, Delta: opts.Delta}
 	nodes := make([]*node, g.N())
-	srcOf := sourceIndex(opts.Sources)
+	mk := NewNode(&opts)
 	stats, err := congest.Run(g, func(v int) congest.Node {
-		nodes[v] = &node{id: v, opts: &opts, gamma: gamma, srcOf: srcOf}
+		nodes[v] = mk(v).(*node)
 		return nodes[v]
 	}, congest.Config{MaxRounds: opts.MaxRounds, Workers: opts.Workers, Scheduler: opts.Scheduler, Observer: opts.Obs, Network: opts.Network, Checkpoint: opts.Checkpoint, Ctx: opts.Ctx})
 	res.Stats = stats
@@ -931,7 +560,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		res.Hops[i] = make([]int64, g.N())
 		res.Parent[i] = make([]int, g.N())
 		for v, nd := range nodes {
-			b := nd.bests[i]
+			b := nd.pl.bests[i]
 			res.Dist[i][v] = b.d
 			res.Hops[i][v] = b.l
 			res.Parent[i][v] = b.parent
@@ -947,7 +576,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 					if row, ok := nd.snaps[sr]; ok {
 						snap[i][v] = row[i]
 					} else {
-						snap[i][v] = nd.bests[i].d // run ended before sr
+						snap[i][v] = nd.pl.bests[i].d // run ended before sr
 					}
 				}
 			}
@@ -955,20 +584,20 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		}
 	}
 	for _, nd := range nodes {
-		res.LateSends += nd.late
-		res.Collisions += nd.collisions
-		res.Missed += nd.missed
+		res.LateSends += nd.pl.late
+		res.Collisions += nd.pl.collisions
+		res.Missed += nd.pl.missed
 		res.Inv1Violations += nd.inv1
 		res.Inv2Violations += nd.inv2
-		if nd.maxList > res.MaxListLen {
-			res.MaxListLen = nd.maxList
+		if nd.pl.maxList > res.MaxListLen {
+			res.MaxListLen = nd.pl.maxList
 		}
-		if nd.maxPer > res.MaxPerSource {
-			res.MaxPerSource = nd.maxPer
+		if nd.pl.maxPer > res.MaxPerSource {
+			res.MaxPerSource = nd.pl.maxPer
 		}
-		res.Inserts += nd.inserts
-		res.Evictions += nd.evicts
-		res.NuDrops += nd.nuDrops
+		res.Inserts += nd.pl.inserts
+		res.Evictions += nd.pl.evicts
+		res.NuDrops += nd.pl.nuDrops
 		res.DupDrops += nd.dupDrops
 	}
 	return res, nil
@@ -982,11 +611,7 @@ func APSP(g *graph.Graph, delta int64, strict bool) (*Result, error) {
 	for v := range sources {
 		sources[v] = v
 	}
-	h := g.N() - 1
-	if h < 1 {
-		h = 1
-	}
-	return Run(g, Opts{Sources: sources, H: h, Delta: delta, Strict: strict})
+	return KSSP(g, sources, delta, strict)
 }
 
 // KSSP runs Algorithm 1 for k given sources with hop bound n−1, realizing

@@ -1,0 +1,431 @@
+package core
+
+import (
+	"sort"
+
+	"repro/internal/congest"
+	"repro/internal/graph"
+	"repro/internal/key"
+)
+
+// sendItem is a lazy heap item: the entry may have moved (schedule grew) or
+// died since it was pushed.
+type sendItem struct {
+	time int64
+	seq  int64
+	e    *entry
+}
+
+type sendHeap []sendItem
+
+func (h sendHeap) Len() int { return len(h) }
+func (h sendHeap) Less(i, j int) bool {
+	return h[i].time < h[j].time || (h[i].time == h[j].time && h[i].seq < h[j].seq)
+}
+func (h sendHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+// The sift code below is container/heap's algorithm verbatim on the
+// concrete type, for two reasons: the stdlib API boxes every pushed
+// sendItem into an interface{} (a heap allocation per schedule() on the
+// engine's zero-alloc round path), and the heap ARRAY — not just the pop
+// order — is serialized by EncodeState, so the element movements must
+// match the historical ones exactly for checkpoint byte-compatibility.
+func (h sendHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.Less(j, i) {
+			break
+		}
+		h.Swap(i, j)
+		j = i
+	}
+}
+
+func (h sendHeap) down(i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.Less(j2, j) {
+			j = j2
+		}
+		if !h.Less(j, i) {
+			break
+		}
+		h.Swap(i, j)
+		i = j
+	}
+}
+
+func (h *sendHeap) push(it sendItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+func (h *sendHeap) popMin() sendItem {
+	old := *h
+	n := len(old) - 1
+	old.Swap(0, n)
+	old.down(0, n)
+	it := old[n]
+	*h = old[:n]
+	return it
+}
+
+// best is the node's current shortest-path record d*_v[x] with the Step 9
+// tie-break state (d, then l, then parent ID).
+type best struct {
+	d, l   int64
+	parent int
+	e      *entry // the entry carrying flag-d*, nil until first reached
+}
+
+// List is list_v of Algorithm 1: one node's entries in (κ, d, x) order
+// with the ⌈κ⌉+pos send schedule, the per-source sets, the shortest-path
+// records and the lazy send heap. It is the one implementation of the
+// pipelined list: this package's node drives it directly (ModePaper's
+// ν-gate and eviction rule operate on the same storage), and every other
+// (h,k)-SSP-shaped protocol — internal/scaling's bit phases — holds one
+// and supplies only its own message format and edge costs.
+//
+// Use: Init once, Seed the origin entries, then per round Offer every
+// extended incoming entry and call NextSend exactly once, last.
+type List struct {
+	id      int
+	gamma   key.Gamma
+	sources []int
+	strict  bool // Opts.Strict
+	// trace is Opts.Trace. Hot-path callers must check it for nil BEFORE
+	// building the call: passing integers through the variadic
+	// ...interface{} boxes them onto the heap at the call site even when
+	// the sink is nil, which would break the zero-allocation guards.
+	trace func(format string, args ...interface{})
+
+	list    []*entry
+	perSrc  [][]*entry
+	bests   []best
+	pending int // alive entries with needSend
+	h       sendHeap
+	seq     int64
+	cur     int // last round executed
+
+	// diagnostics, reported through core.Result
+	late, collisions, missed int
+	maxList, maxPer          int
+	inserts, evicts, nuDrops int64
+
+	// Steady-state allocation control (see the AllocsPerRun guards in
+	// internal/congest): dropped and retired entries go through a freelist,
+	// and the per-round transient slices are scratch reused across rounds.
+	freeEnts []*entry
+	victims  []*entry
+	requeue  []sendItem
+}
+
+// Send is the entry NextSend selected for broadcast this round.
+type Send struct {
+	SrcIdx int   // index into the sources given to Init
+	D, L   int64 // weighted distance and hop length
+	SP     bool  // Z.flag-d*
+	Nu     int32 // Z.ν: entries for the source at or below Z
+}
+
+// Init prepares an empty list for node id over the given sources. A
+// positive prealloc pre-sizes the entry storage for that many concurrent
+// entries: the freelist is stocked with a contiguous block and the list,
+// per-source sets, send heap and scratch slices get matching capacity.
+func (pl *List) Init(id int, gamma key.Gamma, sources []int, prealloc int) {
+	pl.id, pl.gamma, pl.sources = id, gamma, sources
+	k := len(sources)
+	pl.bests = make([]best, k)
+	pl.perSrc = make([][]*entry, k)
+	if p := prealloc; p > 0 {
+		block := make([]entry, p)
+		pl.freeEnts = make([]*entry, p, 2*p)
+		for i := range block {
+			pl.freeEnts[i] = &block[i]
+		}
+		pl.list = make([]*entry, 0, p)
+		pl.h = make(sendHeap, 0, 2*p)
+		pl.victims = make([]*entry, 0, p)
+		pl.requeue = make([]sendItem, 0, p)
+		for i := range pl.perSrc {
+			pl.perSrc[i] = make([]*entry, 0, p)
+		}
+	}
+	for i := range pl.bests {
+		pl.bests[i] = best{d: graph.Inf, l: -1, parent: -1}
+	}
+}
+
+// Seed installs the origin entry (d, 0) for source index i: an already
+// known distance with zero hops, the shortest-path record until beaten.
+func (pl *List) Seed(i int, d int64) {
+	z := &entry{d: d, l: 0, srcIdx: i, parent: pl.id, flagSP: true, needSend: true}
+	z.ceilK = pl.gamma.CeilKappa(d, 0)
+	pl.bests[i] = best{d: d, l: 0, parent: pl.id, e: z}
+	pl.insertAt(z, pl.searchPos(z))
+	pl.schedule(z)
+}
+
+// BestDist returns the current shortest distance for source index i
+// (graph.Inf while none is known).
+func (pl *List) BestDist(i int) int64 { return pl.bests[i].d }
+
+// newEntry returns a zeroed entry, recycled when one is available.
+func (pl *List) newEntry() *entry {
+	if n := len(pl.freeEnts); n > 0 {
+		z := pl.freeEnts[n-1]
+		pl.freeEnts[n-1] = nil
+		pl.freeEnts = pl.freeEnts[:n-1]
+		*z = entry{}
+		return z
+	}
+	return &entry{}
+}
+
+// recycle returns an entry that never entered the list (a receive-path
+// drop) straight to the freelist.
+func (pl *List) recycle(z *entry) {
+	pl.freeEnts = append(pl.freeEnts, z)
+}
+
+// maybeFree recycles a dead entry once nothing references it: the lazy
+// send heap has dropped its last item for it (heapRefs 0) and it is not
+// a best record's carrier. Callers invoke it after marking dead and
+// after every heapRefs decrement.
+func (pl *List) maybeFree(z *entry) {
+	if z.dead && z.heapRefs == 0 && pl.bests[z.srcIdx].e != z {
+		pl.freeEnts = append(pl.freeEnts, z)
+	}
+}
+
+// schedule pushes an entry's current send time onto the lazy heap.
+func (pl *List) schedule(z *entry) {
+	pl.seq++
+	z.heapRefs++
+	pl.h.push(sendItem{time: z.ceilK + int64(z.idx) + 1, seq: pl.seq, e: z})
+}
+
+// insertAt places z at position p, shifting the tail and fixing indices.
+func (pl *List) insertAt(z *entry, p int) {
+	pl.list = append(pl.list, nil)
+	copy(pl.list[p+1:], pl.list[p:])
+	pl.list[p] = z
+	for i := p; i < len(pl.list); i++ {
+		pl.list[i].idx = i
+	}
+	pl.perSrc[z.srcIdx] = append(pl.perSrc[z.srcIdx], z)
+	if z.needSend {
+		pl.pending++
+	}
+	pl.inserts++
+	if len(pl.list) > pl.maxList {
+		pl.maxList = len(pl.list)
+	}
+	if c := len(pl.perSrc[z.srcIdx]); c > pl.maxPer {
+		pl.maxPer = c
+	}
+}
+
+// removeEntry deletes z from the list and per-source set and marks it dead.
+func (pl *List) removeEntry(z *entry) {
+	p := z.idx
+	pl.list = append(pl.list[:p], pl.list[p+1:]...)
+	for i := p; i < len(pl.list); i++ {
+		pl.list[i].idx = i
+	}
+	ps := pl.perSrc[z.srcIdx]
+	for i, e := range ps {
+		if e == z {
+			ps[i] = ps[len(ps)-1]
+			pl.perSrc[z.srcIdx] = ps[:len(ps)-1]
+			break
+		}
+	}
+	if z.needSend && !z.dead {
+		pl.pending--
+	}
+	z.dead = true
+	pl.evicts++
+	pl.maybeFree(z)
+}
+
+// searchPos returns the position at which z belongs in the list order.
+func (pl *List) searchPos(z *entry) int {
+	return sort.Search(len(pl.list), func(i int) bool {
+		return z.less(pl.list[i], pl.gamma, pl.sources) || z.equalKey(pl.list[i])
+	})
+}
+
+// countBefore returns the number of entries for z's source that precede z
+// in the list order (z need not be in the list).
+func (pl *List) countBefore(z *entry) int {
+	c := 0
+	for _, e := range pl.perSrc[z.srcIdx] {
+		if e.less(z, pl.gamma, pl.sources) {
+			c++
+		}
+	}
+	return c
+}
+
+// nu computes Z.ν: entries for z's source at or below z (inclusive),
+// with z on the list.
+func (pl *List) nu(z *entry) int { return pl.countBefore(z) + 1 }
+
+// Offer processes an incoming entry (d, l) for source index i, received
+// from neighbor from in round r, under the Pareto discipline: keep exactly
+// the per-source Pareto frontier of (d, l) pairs. A dominated entry is
+// useless for every suffix and hop budget (its extensions are dominated
+// too), so dropping it — and only it — cannot lose any h-hop shortest path.
+// Callers prune entries beyond the hop bound or the Δ promise first.
+func (pl *List) Offer(i int, d, l int64, from, r int) {
+	b := &pl.bests[i]
+	if d == b.d && l == b.l {
+		// Same record as the current shortest-path entry: at most the
+		// tie-break parent (smallest ID, Step 9) improves. The wire content
+		// would be identical, so no new entry is needed.
+		if from < b.parent {
+			b.parent = from
+			if b.e != nil {
+				b.e.parent = from
+			}
+		}
+		return
+	}
+	for _, e := range pl.perSrc[i] {
+		if e.d <= d && e.l <= l {
+			pl.nuDrops++
+			if pl.trace != nil {
+				pl.trace("r%d v%d PARETODROP (d=%d l=%d src=%d)", r, pl.id, d, l, pl.sources[i])
+			}
+			return
+		}
+	}
+	z := pl.newEntry()
+	z.d, z.l, z.srcIdx, z.parent, z.needSend = d, l, i, from, true
+	z.ceilK = pl.gamma.CeilKappa(d, l)
+	if d < b.d || (d == b.d && l < b.l) {
+		if b.e != nil {
+			b.e.flagSP = false
+		}
+		z.flagSP = true
+		*b = best{d: d, l: l, parent: from, e: z}
+	}
+	pl.insertAt(z, pl.searchPos(z))
+	if pl.trace != nil {
+		pl.trace("r%d v%d INSERT pareto (d=%d l=%d src=%d) sp=%v", r, pl.id, d, l, pl.sources[i], z.flagSP)
+	}
+	// Remove the entries z dominates; they are strictly above z in the
+	// list order (κ(z) ≤ κ(e) with a strict component).
+	pl.victims = pl.victims[:0]
+	for _, e := range pl.perSrc[i] {
+		if e != z && e.d >= d && e.l >= l {
+			pl.victims = append(pl.victims, e)
+		}
+	}
+	for _, e := range pl.victims {
+		if pl.trace != nil {
+			pl.trace("v%d DOMINATED-REMOVE (d=%d l=%d src=%d) sent=%v", pl.id, e.d, e.l, pl.sources[i], !e.needSend)
+		}
+		pl.removeEntry(e)
+	}
+	pl.schedule(z)
+}
+
+// NextSend pops due heap items lazily and selects at most one entry to
+// send in round r (Steps 1–2), marking it sent; the caller broadcasts it
+// in its own wire format.
+func (pl *List) NextSend(r int) (Send, bool) {
+	pl.cur = r
+	var candidate *entry
+	var candSched int64
+	requeue := pl.requeue[:0] // collected due-but-not-sent items to re-push
+	for pl.h.Len() > 0 && pl.h[0].time <= int64(r) {
+		it := pl.h.popMin()
+		z := it.e
+		z.heapRefs--
+		if z.dead || !z.needSend {
+			pl.maybeFree(z)
+			continue
+		}
+		sched := z.ceilK + int64(z.idx) + 1
+		if sched > int64(r) {
+			pl.schedule(z) // schedule moved into the future; re-arm
+			continue
+		}
+		if pl.strict && sched < int64(r) {
+			// Missed its equality moment; it may become due again if its
+			// position grows, so keep probing each round.
+			pl.missed++
+			pl.seq++
+			requeue = append(requeue, sendItem{time: int64(r) + 1, seq: pl.seq, e: z})
+			continue
+		}
+		if candidate == nil {
+			candidate, candSched = z, sched
+			continue
+		}
+		// A second due entry this round. It is a schedule collision in the
+		// paper's sense only when both entries hit their equality moment in
+		// this exact round (backlogged overdue entries are counted as late
+		// sends instead).
+		if sched == int64(r) && candSched == int64(r) {
+			pl.collisions++
+		}
+		other := z
+		// Earliest schedule wins; ties by list order.
+		if sched < candSched || (sched == candSched && z.idx < candidate.idx) {
+			other, candidate, candSched = candidate, z, sched
+		}
+		pl.seq++
+		requeue = append(requeue, sendItem{time: int64(r) + 1, seq: pl.seq, e: other})
+	}
+	for _, it := range requeue {
+		it.e.heapRefs++
+		pl.h.push(it)
+	}
+	pl.requeue = requeue[:0]
+	if candidate == nil {
+		return Send{}, false
+	}
+	if candSched < int64(r) {
+		pl.late++
+	}
+	z := candidate
+	z.needSend = false
+	pl.pending--
+	s := Send{SrcIdx: z.srcIdx, D: z.d, L: z.l, SP: z.flagSP, Nu: int32(pl.nu(z))}
+	if pl.trace != nil {
+		pl.trace("r%d v%d SEND (d=%d l=%d src=%d) sp=%v nu=%d sched=%d", r, pl.id, z.d, z.l, pl.sources[z.srcIdx], z.flagSP, s.Nu, candSched)
+	}
+	return s, true
+}
+
+// Quiescent reports whether no entry can be sent without a further Offer.
+func (pl *List) Quiescent() bool {
+	if !pl.strict {
+		return pl.pending == 0
+	}
+	// Strict: a pending entry can fire later only with a future schedule;
+	// overdue entries re-fire only if their position grows via a receive.
+	for _, z := range pl.list {
+		if z.needSend && z.ceilK+int64(z.idx)+1 > int64(pl.cur) {
+			return false
+		}
+	}
+	return true
+}
+
+// NextWake is the list's half of congest.Waker: the round its earliest
+// heap item comes due, or congest.WakeOnReceive. Sends, late sends and
+// requeued collisions are all gated on heap-pop time, so the heap top is
+// exact, and waking on a stale item (dead or re-armed entry) is harmless.
+func (pl *List) NextWake() int {
+	if pl.h.Len() > 0 {
+		return int(pl.h[0].time)
+	}
+	return congest.WakeOnReceive
+}

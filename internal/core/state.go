@@ -1,15 +1,17 @@
 // Checkpoint support: the pipelined (h,k)-SSP node's side of the
-// congest.Stateful contract. The snapshot captures everything round-
-// crossing — the list in order, the per-source sets in stored order
-// (removal uses swap-deletion, so stored order influences future stored
-// order and must round-trip for bit-exact resume), the shortest-path
-// records, the lazy send heap in heap-array order (a heap array restored
-// verbatim is the same heap), and the diagnostics counters. Derived
-// fields (srcOf, inFrom/inWt, gamma, cached ⌈κ⌉) are rebuilt, not stored.
+// congest.Stateful contract. List.EncodeState captures everything round-
+// crossing in the list — the entries in order, the per-source sets in
+// stored order (removal uses swap-deletion, so stored order influences
+// future stored order and must round-trip for bit-exact resume), the
+// shortest-path records and the lazy send heap in heap-array order (a heap
+// array restored verbatim is the same heap); the node appends the
+// diagnostics counters and E-CONV snapshots. Derived fields (srcOf,
+// inFrom/inWt, gamma, cached ⌈κ⌉) are rebuilt, not stored.
 package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/congest"
 )
@@ -32,14 +34,17 @@ func init() {
 		})
 }
 
-// EncodeState implements congest.Stateful.
-func (nd *node) EncodeState(enc *congest.StateEncoder) {
-	enc.Int(nd.cur)
-	enc.Int64(nd.seq)
-	enc.Int(nd.pending)
+// EncodeState writes the list's round-crossing state; a node holding a
+// List calls it from its own congest.Stateful method. The diagnostics
+// counters are not included (core's node stores them in its historical
+// layout).
+func (pl *List) EncodeState(enc *congest.StateEncoder) {
+	enc.Int(pl.cur)
+	enc.Int64(pl.seq)
+	enc.Int(pl.pending)
 
-	enc.Int(len(nd.list))
-	for _, z := range nd.list {
+	enc.Int(len(pl.list))
+	for _, z := range pl.list {
 		enc.Int64(z.d)
 		enc.Int64(z.l)
 		enc.Int(z.srcIdx)
@@ -48,8 +53,8 @@ func (nd *node) EncodeState(enc *congest.StateEncoder) {
 		enc.Bool(z.needSend)
 	}
 
-	enc.Int(len(nd.perSrc))
-	for _, ps := range nd.perSrc {
+	enc.Int(len(pl.perSrc))
+	for _, ps := range pl.perSrc {
 		idxs := make([]int, len(ps))
 		for i, z := range ps {
 			idxs[i] = z.idx
@@ -57,9 +62,9 @@ func (nd *node) EncodeState(enc *congest.StateEncoder) {
 		enc.Ints(idxs)
 	}
 
-	enc.Int(len(nd.bests))
-	for i := range nd.bests {
-		b := &nd.bests[i]
+	enc.Int(len(pl.bests))
+	for i := range pl.bests {
+		b := &pl.bests[i]
 		enc.Int64(b.d)
 		enc.Int64(b.l)
 		enc.Int(b.parent)
@@ -74,8 +79,8 @@ func (nd *node) EncodeState(enc *congest.StateEncoder) {
 	// the identical heap. Items whose entry has died keep a -1 index and are
 	// re-attached to a shared dead sentinel on decode, so the lazy pop-and-
 	// skip behaviour replays exactly.
-	enc.Int(nd.h.Len())
-	for _, it := range nd.h {
+	enc.Int(pl.h.Len())
+	for _, it := range pl.h {
 		enc.Int64(it.time)
 		enc.Int64(it.seq)
 		ei := -1
@@ -84,17 +89,23 @@ func (nd *node) EncodeState(enc *congest.StateEncoder) {
 		}
 		enc.Int(ei)
 	}
+}
 
-	enc.Int(nd.late)
-	enc.Int(nd.collisions)
-	enc.Int(nd.missed)
+// EncodeState implements congest.Stateful.
+func (nd *node) EncodeState(enc *congest.StateEncoder) {
+	pl := &nd.pl
+	pl.EncodeState(enc)
+
+	enc.Int(pl.late)
+	enc.Int(pl.collisions)
+	enc.Int(pl.missed)
 	enc.Int(nd.inv1)
 	enc.Int(nd.inv2)
-	enc.Int(nd.maxList)
-	enc.Int(nd.maxPer)
-	enc.Int64(nd.inserts)
-	enc.Int64(nd.evicts)
-	enc.Int64(nd.nuDrops)
+	enc.Int(pl.maxList)
+	enc.Int(pl.maxPer)
+	enc.Int64(pl.inserts)
+	enc.Int64(pl.evicts)
+	enc.Int64(pl.nuDrops)
 	enc.Int64(nd.dupDrops)
 
 	enc.Int(len(nd.snaps))
@@ -102,23 +113,19 @@ func (nd *node) EncodeState(enc *congest.StateEncoder) {
 	for r := range nd.snaps {
 		rounds = append(rounds, r)
 	}
-	for i := 1; i < len(rounds); i++ { // insertion sort; snapshot sets are tiny
-		for j := i; j > 0 && rounds[j] < rounds[j-1]; j-- {
-			rounds[j], rounds[j-1] = rounds[j-1], rounds[j]
-		}
-	}
+	sort.Ints(rounds)
 	for _, r := range rounds {
 		enc.Int(r)
 		enc.Int64s(nd.snaps[r])
 	}
 }
 
-// DecodeState implements congest.Stateful: it discards whatever Init
-// built and reconstructs the node from the snapshot.
-func (nd *node) DecodeState(dec *congest.StateDecoder) error {
-	nd.cur = dec.Int()
-	nd.seq = dec.Int64()
-	nd.pending = dec.Int()
+// DecodeState discards whatever Init and Seed built and reconstructs the
+// list from the snapshot.
+func (pl *List) DecodeState(dec *congest.StateDecoder) error {
+	pl.cur = dec.Int()
+	pl.seq = dec.Int64()
+	pl.pending = dec.Int()
 
 	nl := dec.Int()
 	if err := dec.Err(); err != nil {
@@ -130,13 +137,13 @@ func (nd *node) DecodeState(dec *congest.StateDecoder) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if z.srcIdx < 0 || z.srcIdx >= len(nd.opts.Sources) {
+		if z.srcIdx < 0 || z.srcIdx >= len(pl.sources) {
 			return fmt.Errorf("core: entry source index %d out of range", z.srcIdx)
 		}
-		z.ceilK = nd.gamma.CeilKappa(z.d, z.l)
+		z.ceilK = pl.gamma.CeilKappa(z.d, z.l)
 		list[i] = z
 	}
-	nd.list = list
+	pl.list = list
 
 	at := func(i int) (*entry, error) {
 		if i < 0 || i >= len(list) {
@@ -149,10 +156,10 @@ func (nd *node) DecodeState(dec *congest.StateDecoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if k != len(nd.opts.Sources) {
-		return fmt.Errorf("core: snapshot has %d sources, run has %d", k, len(nd.opts.Sources))
+	if k != len(pl.sources) {
+		return fmt.Errorf("core: snapshot has %d sources, run has %d", k, len(pl.sources))
 	}
-	nd.perSrc = make([][]*entry, k)
+	pl.perSrc = make([][]*entry, k)
 	for i := 0; i < k; i++ {
 		idxs := dec.Ints()
 		if err := dec.Err(); err != nil {
@@ -166,7 +173,7 @@ func (nd *node) DecodeState(dec *congest.StateDecoder) error {
 			}
 			ps[j] = z
 		}
-		nd.perSrc[i] = ps
+		pl.perSrc[i] = ps
 	}
 
 	nb := dec.Int()
@@ -176,8 +183,8 @@ func (nd *node) DecodeState(dec *congest.StateDecoder) error {
 	if nb != k {
 		return fmt.Errorf("core: snapshot has %d best records, want %d", nb, k)
 	}
-	nd.bests = make([]best, k)
-	for i := range nd.bests {
+	pl.bests = make([]best, k)
+	for i := range pl.bests {
 		b := best{d: dec.Int64(), l: dec.Int64(), parent: dec.Int()}
 		ei := dec.Int()
 		if err := dec.Err(); err != nil {
@@ -190,7 +197,7 @@ func (nd *node) DecodeState(dec *congest.StateDecoder) error {
 			}
 			b.e = z
 		}
-		nd.bests[i] = b
+		pl.bests[i] = b
 	}
 
 	nh := dec.Int()
@@ -198,7 +205,7 @@ func (nd *node) DecodeState(dec *congest.StateDecoder) error {
 		return err
 	}
 	var deadSentinel *entry
-	nd.h = make(sendHeap, 0, nh)
+	pl.h = make(sendHeap, 0, nh)
 	for i := 0; i < nh; i++ {
 		it := sendItem{time: dec.Int64(), seq: dec.Int64()}
 		ei := dec.Int()
@@ -218,19 +225,28 @@ func (nd *node) DecodeState(dec *congest.StateDecoder) error {
 			it.e = deadSentinel
 		}
 		it.e.heapRefs++
-		nd.h = append(nd.h, it)
+		pl.h = append(pl.h, it)
+	}
+	return dec.Err()
+}
+
+// DecodeState implements congest.Stateful.
+func (nd *node) DecodeState(dec *congest.StateDecoder) error {
+	pl := &nd.pl
+	if err := pl.DecodeState(dec); err != nil {
+		return err
 	}
 
-	nd.late = dec.Int()
-	nd.collisions = dec.Int()
-	nd.missed = dec.Int()
+	pl.late = dec.Int()
+	pl.collisions = dec.Int()
+	pl.missed = dec.Int()
 	nd.inv1 = dec.Int()
 	nd.inv2 = dec.Int()
-	nd.maxList = dec.Int()
-	nd.maxPer = dec.Int()
-	nd.inserts = dec.Int64()
-	nd.evicts = dec.Int64()
-	nd.nuDrops = dec.Int64()
+	pl.maxList = dec.Int()
+	pl.maxPer = dec.Int()
+	pl.inserts = dec.Int64()
+	pl.evicts = dec.Int64()
+	pl.nuDrops = dec.Int64()
 	nd.dupDrops = dec.Int64()
 
 	ns := dec.Int()

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/congest"
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -70,42 +71,10 @@ type snapMeta struct {
 // directory is written, fsynced, renamed into place, and the parent
 // directory is fsynced — after a crash at any instant, path either holds
 // the complete new snapshot or whatever was there before, never a tear.
-func SaveSnapshot(path string, snap *Snapshot) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+func SaveSnapshot(path string, snap *Snapshot) error {
+	err := checkpoint.WriteAtomic(path, func(f *os.File) error { return writeSnapshot(f, snap) })
 	if err != nil {
-		return fmt.Errorf("oracle: creating snapshot temp file: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = writeSnapshot(tmp, snap); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("oracle: syncing snapshot: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("oracle: closing snapshot temp file: %w", err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("oracle: installing snapshot: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("oracle: opening snapshot dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("oracle: syncing snapshot dir: %w", err)
+		return fmt.Errorf("oracle: saving snapshot: %w", err)
 	}
 	return nil
 }
@@ -118,7 +87,7 @@ func writeSnapshot(f *os.File, snap *Snapshot) error {
 	}
 	mj, err := json.Marshal(meta)
 	if err != nil {
-		return fmt.Errorf("oracle: encoding snapshot meta: %w", err)
+		return fmt.Errorf("encoding snapshot meta: %w", err)
 	}
 	sum := fnv.New64a()
 	w := io.MultiWriter(f, sum)
@@ -129,7 +98,7 @@ func writeSnapshot(f *os.File, snap *Snapshot) error {
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(mj)))
 	hdr = append(hdr, mj...)
 	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("oracle: writing snapshot header: %w", err)
+		return fmt.Errorf("writing snapshot header: %w", err)
 	}
 
 	// Column blocks, one buffered row at a time.
@@ -140,7 +109,7 @@ func writeSnapshot(f *os.File, snap *Snapshot) error {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(snap.DistAt(row, v)))
 		}
 		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("oracle: writing distance row %d: %w", row, err)
+			return fmt.Errorf("writing distance row %d: %w", row, err)
 		}
 	}
 	if meta.HasHops {
@@ -150,7 +119,7 @@ func writeSnapshot(f *os.File, snap *Snapshot) error {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(snap.hopAt(row, v))))
 			}
 			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("oracle: writing hop row %d: %w", row, err)
+				return fmt.Errorf("writing hop row %d: %w", row, err)
 			}
 		}
 	}
@@ -161,14 +130,14 @@ func writeSnapshot(f *os.File, snap *Snapshot) error {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(snap.parentAt(row, v))))
 			}
 			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("oracle: writing parent row %d: %w", row, err)
+				return fmt.Errorf("writing parent row %d: %w", row, err)
 			}
 		}
 	}
 	var tail [8]byte
 	binary.LittleEndian.PutUint64(tail[:], sum.Sum64())
 	if _, err := f.Write(tail[:]); err != nil {
-		return fmt.Errorf("oracle: writing snapshot checksum: %w", err)
+		return fmt.Errorf("writing snapshot checksum: %w", err)
 	}
 	return nil
 }

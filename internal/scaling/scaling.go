@@ -28,19 +28,21 @@
 // for O(n^{3/2}·log W) in total — independent of Δ, and better than
 // Theorem I.1(ii)'s 2n√Δ whenever Δ ≫ n·log²W.
 //
-// The per-phase list discipline is the provably-correct Pareto frontier
-// (see internal/core): zero reduced costs are pervasive (every tight edge
-// has slack 0 and possibly bit 0), so this is squarely the zero-weight
-// regime the paper targets.
+// Each phase node holds a core.List — Algorithm 1's κ-ordered list, send
+// schedule and provably-correct Pareto offer rule, used as is: zero
+// reduced costs are pervasive (every tight edge has slack 0 and possibly
+// bit 0), so this is squarely the zero-weight regime the paper targets.
+// This package adds only what Gabow scaling needs on top: the message
+// format, the shifted arc weights, the previous-phase distances and the
+// reduced-cost arithmetic.
 package scaling
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/congest"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/key"
 )
@@ -93,45 +95,12 @@ type phaseMsg struct {
 // Words reports the message size: 4 words, within the CONGEST budget.
 func (phaseMsg) Words() int { return 4 }
 
-// phaseEntry is one Pareto-frontier entry.
-type phaseEntry struct {
-	d, l     int64
-	srcIdx   int
-	parent   int
-	needSend bool
-	dead     bool
-	idx      int
-	ceilK    int64
-}
-
-type phaseItem struct {
-	time int64
-	seq  int64
-	e    *phaseEntry
-}
-
-type phaseHeap []phaseItem
-
-func (h phaseHeap) Len() int { return len(h) }
-func (h phaseHeap) Less(i, j int) bool {
-	return h[i].time < h[j].time || (h[i].time == h[j].time && h[i].seq < h[j].seq)
-}
-func (h phaseHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *phaseHeap) Push(x interface{}) { *h = append(*h, x.(phaseItem)) }
-func (h *phaseHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
 // phaseNode runs one scaling phase: a k-source Pareto-pipelined SSP under
 // per-source reduced costs.
 type phaseNode struct {
 	id      int
 	sources []int
-	srcIdx  map[int]int
+	srcIdx  map[int]int // source node ID -> index; shared by the run's nodes
 	gamma   key.Gamma
 	h       int64
 
@@ -140,82 +109,14 @@ type phaseNode struct {
 	// prev[i] = d_{t+1}(sources[i], id); Inf if unreachable.
 	prev []int64
 
-	list    []*phaseEntry
-	perSrc  [][]*phaseEntry
-	bestD   []int64
-	bestL   []int64
-	pending int
-	hp      phaseHeap
-	seq     int64
-	late    int
+	pl core.List
 }
 
 func (nd *phaseNode) Init(ctx *congest.Context) {
-	k := len(nd.sources)
-	nd.srcIdx = make(map[int]int, k)
-	nd.perSrc = make([][]*phaseEntry, k)
-	nd.bestD = make([]int64, k)
-	nd.bestL = make([]int64, k)
-	for i, s := range nd.sources {
-		nd.srcIdx[s] = i
-		nd.bestD[i] = graph.Inf
-		nd.bestL[i] = -1
-	}
+	nd.pl.Init(nd.id, nd.gamma, nd.sources, 0)
 	if i, ok := nd.srcIdx[nd.id]; ok && nd.prev[i] < graph.Inf {
-		z := &phaseEntry{d: 0, l: 0, srcIdx: i, parent: nd.id, needSend: true}
-		z.ceilK = nd.gamma.CeilKappa(0, 0)
-		nd.bestD[i], nd.bestL[i] = 0, 0
-		nd.insertAt(z, 0)
-		nd.schedule(z)
+		nd.pl.Seed(i, 0)
 	}
-}
-
-func (nd *phaseNode) schedule(z *phaseEntry) {
-	nd.seq++
-	heap.Push(&nd.hp, phaseItem{time: z.ceilK + int64(z.idx) + 1, seq: nd.seq, e: z})
-}
-
-func (nd *phaseNode) insertAt(z *phaseEntry, p int) {
-	nd.list = append(nd.list, nil)
-	copy(nd.list[p+1:], nd.list[p:])
-	nd.list[p] = z
-	for i := p; i < len(nd.list); i++ {
-		nd.list[i].idx = i
-	}
-	nd.perSrc[z.srcIdx] = append(nd.perSrc[z.srcIdx], z)
-	if z.needSend {
-		nd.pending++
-	}
-}
-
-func (nd *phaseNode) remove(z *phaseEntry) {
-	p := z.idx
-	nd.list = append(nd.list[:p], nd.list[p+1:]...)
-	for i := p; i < len(nd.list); i++ {
-		nd.list[i].idx = i
-	}
-	ps := nd.perSrc[z.srcIdx]
-	for i, e := range ps {
-		if e == z {
-			ps[i] = ps[len(ps)-1]
-			nd.perSrc[z.srcIdx] = ps[:len(ps)-1]
-			break
-		}
-	}
-	if z.needSend {
-		nd.pending--
-	}
-	z.dead = true
-}
-
-func (nd *phaseNode) less(a, b *phaseEntry) bool {
-	if c := nd.gamma.Cmp(a.d, a.l, b.d, b.l); c != 0 {
-		return c < 0
-	}
-	if a.d != b.d {
-		return a.d < b.d
-	}
-	return nd.sources[a.srcIdx] < nd.sources[b.srcIdx]
 }
 
 func (nd *phaseNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
@@ -247,87 +148,17 @@ func (nd *phaseNode) Round(ctx *congest.Context, r int, inbox []congest.Message)
 		if l > nd.h || d > nd.h {
 			continue // phase promise: distances ≤ n−1
 		}
-		// Pareto discipline.
-		if d == nd.bestD[i] && l == nd.bestL[i] {
-			continue
-		}
-		dominated := false
-		for _, e := range nd.perSrc[i] {
-			if e.d <= d && e.l <= l {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
-		}
-		z := &phaseEntry{d: d, l: l, srcIdx: i, parent: m.From, needSend: true}
-		z.ceilK = nd.gamma.CeilKappa(d, l)
-		if d < nd.bestD[i] || (d == nd.bestD[i] && l < nd.bestL[i]) {
-			nd.bestD[i], nd.bestL[i] = d, l
-		}
-		p := sort.Search(len(nd.list), func(j int) bool { return !nd.less(nd.list[j], z) })
-		nd.insertAt(z, p)
-		var victims []*phaseEntry
-		for _, e := range nd.perSrc[i] {
-			if e != z && e.d >= d && e.l >= l {
-				victims = append(victims, e)
-			}
-		}
-		for _, e := range victims {
-			nd.remove(e)
-		}
-		nd.schedule(z)
+		nd.pl.Offer(i, d, l, m.From, r)
 	}
-
-	// Send phase: earliest due entry, one per round.
-	var cand *phaseEntry
-	var candSched int64
-	for nd.hp.Len() > 0 && nd.hp[0].time <= int64(r) {
-		it := heap.Pop(&nd.hp).(phaseItem)
-		z := it.e
-		if z.dead || !z.needSend {
-			continue
-		}
-		sched := z.ceilK + int64(z.idx) + 1
-		if sched > int64(r) {
-			nd.schedule(z)
-			continue
-		}
-		if cand == nil || sched < candSched || (sched == candSched && z.idx < cand.idx) {
-			if cand != nil {
-				nd.seq++
-				heap.Push(&nd.hp, phaseItem{time: int64(r) + 1, seq: nd.seq, e: cand})
-			}
-			cand, candSched = z, sched
-		} else {
-			nd.seq++
-			heap.Push(&nd.hp, phaseItem{time: int64(r) + 1, seq: nd.seq, e: z})
-		}
+	if s, ok := nd.pl.NextSend(r); ok {
+		ctx.Broadcast(phaseMsg{src: nd.sources[s.SrcIdx], d: s.D, l: s.L, prevY: nd.prev[s.SrcIdx]})
 	}
-	if cand == nil {
-		return
-	}
-	if candSched < int64(r) {
-		nd.late++
-	}
-	cand.needSend = false
-	nd.pending--
-	i := cand.srcIdx
-	ctx.Broadcast(phaseMsg{src: nd.sources[i], d: cand.d, l: cand.l, prevY: nd.prev[i]})
 }
 
-func (nd *phaseNode) Quiescent() bool { return nd.pending == 0 }
+func (nd *phaseNode) Quiescent() bool { return nd.pl.Quiescent() }
 
-// NextWake implements congest.Waker: sends (and requeued collisions) are
-// gated on heap-pop time exactly as in core, so the heap top is the next
-// spontaneous action; a stale top only costs a harmless early step.
-func (nd *phaseNode) NextWake() int {
-	if nd.hp.Len() > 0 {
-		return int(nd.hp[0].time)
-	}
-	return congest.WakeOnReceive
-}
+// NextWake implements congest.Waker.
+func (nd *phaseNode) NextWake() int { return nd.pl.NextWake() }
 
 // Run computes exact APSP/k-SSP by bit scaling.
 func Run(g *graph.Graph, opts Opts) (*Result, error) {
@@ -348,6 +179,10 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		}
 	}
 	k := len(sources)
+	srcIdx := make(map[int]int, k)
+	for i, s := range sources {
+		srcIdx[s] = i
+	}
 	res := &Result{Sources: append([]int(nil), sources...)}
 
 	// B = number of bit phases. W = 0 still needs one phase to resolve
@@ -367,22 +202,13 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	}
 	gamma := key.New(k, int(h), h) // per-phase promise Δ = n−1
 
-	// prev[i][v] carries d_{t+1}; phase B's scaled weights are all zero, so
-	// start with "reachability distances" of 0/Inf under all-zero weights —
-	// which is exactly what running the first phase with prev ≡ 0 for
-	// reachable... we bootstrap with prev = 0 everywhere and let phase B−1's
-	// hop/distance caps do the work: with w_{B}≡0, d_B(x,v) = 0 iff v is
-	// reachable from x. We compute that bootstrap with a phase run at scale
-	// t = B (all weights 0).
+	// prev[i][v] carries d_{t+1}(sources[i], v). The first phase runs at
+	// scale t = B, where every scaled weight is 0, from prev ≡ 0: it resolves
+	// reachability (d_B = 0 or Inf — unreachable nodes simply never receive
+	// entries), which is the d_{t+1} that phase B−1 needs.
 	prev := make([][]int64, k)
 	for i := range prev {
 		prev[i] = make([]int64, n)
-		// At scale B every weight is 0, and the virtual phase B+1 has
-		// everything at 0 for reachable nodes; seeding with 0 for all is
-		// sound because unreachable nodes simply never receive entries.
-		for v := range prev[i] {
-			prev[i][v] = 0
-		}
 	}
 
 	maxRounds := opts.MaxRounds
@@ -399,7 +225,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		congest.SetPhase(opts.Obs, fmt.Sprintf("bit%d", t))
 		nodes := make([]*phaseNode, n)
 		stats, err := congest.Run(g, func(v int) congest.Node {
-			nd := &phaseNode{id: v, sources: sources, gamma: gamma, h: h}
+			nd := &phaseNode{id: v, sources: sources, srcIdx: srcIdx, gamma: gamma, h: h}
 			nd.scaledW = make(map[int]int64)
 			for _, e := range g.In(v) {
 				w := e.W >> uint(t)
@@ -424,25 +250,17 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		for i := 0; i < k; i++ {
 			out[i] = make([]int64, n)
 			for v := 0; v < n; v++ {
-				if nodes[v].bestD[i] >= graph.Inf || prev[i][v] >= graph.Inf {
+				if d := nodes[v].pl.BestDist(i); d >= graph.Inf || prev[i][v] >= graph.Inf {
 					out[i][v] = graph.Inf
 				} else {
-					out[i][v] = nodes[v].bestD[i] + 2*prev[i][v]
+					out[i][v] = d + 2*prev[i][v]
 				}
 			}
 		}
 		return out, nil
 	}
 
-	// Bootstrap phase at scale = bits (all scaled weights zero): resolves
-	// reachability, d = 0 or Inf.
-	boot, err := runPhase(bits)
-	if err != nil {
-		return nil, err
-	}
-	prev = boot
-
-	for t := bits - 1; t >= 0; t-- {
+	for t := bits; t >= 0; t-- {
 		cur, err := runPhase(t)
 		if err != nil {
 			return nil, err

@@ -1,15 +1,10 @@
-// Checkpoint support: congest.Stateful for the per-bit-phase Pareto
-// pipelined node, mirroring internal/core's scheme — list in order,
-// per-source sets in stored order (swap-deletion makes stored order
-// self-propagating), lazy heap in heap-array order with a dead sentinel
-// for items whose entry has been removed.
+// Checkpoint support: congest.Stateful for the per-bit-phase node. The
+// round-crossing state is exactly core.List's; scaledW and prev are built
+// by Run's node factory from the re-executed earlier phases, so they are
+// in place before DecodeState runs and are not stored.
 package scaling
 
-import (
-	"fmt"
-
-	"repro/internal/congest"
-)
+import "repro/internal/congest"
 
 func init() {
 	congest.RegisterPayloadCodec("scaling.phaseMsg", phaseMsg{},
@@ -27,127 +22,7 @@ func init() {
 }
 
 // EncodeState implements congest.Stateful.
-func (nd *phaseNode) EncodeState(enc *congest.StateEncoder) {
-	enc.Int64(nd.seq)
-	enc.Int(nd.pending)
-	enc.Int(nd.late)
-
-	enc.Int(len(nd.list))
-	for _, z := range nd.list {
-		enc.Int64(z.d)
-		enc.Int64(z.l)
-		enc.Int(z.srcIdx)
-		enc.Int(z.parent)
-		enc.Bool(z.needSend)
-	}
-	enc.Int(len(nd.perSrc))
-	for _, ps := range nd.perSrc {
-		idxs := make([]int, len(ps))
-		for i, z := range ps {
-			idxs[i] = z.idx
-		}
-		enc.Ints(idxs)
-	}
-	enc.Int64s(nd.bestD)
-	enc.Int64s(nd.bestL)
-	enc.Int(nd.hp.Len())
-	for _, it := range nd.hp {
-		enc.Int64(it.time)
-		enc.Int64(it.seq)
-		ei := -1
-		if !it.e.dead {
-			ei = it.e.idx
-		}
-		enc.Int(ei)
-	}
-}
+func (nd *phaseNode) EncodeState(enc *congest.StateEncoder) { nd.pl.EncodeState(enc) }
 
 // DecodeState implements congest.Stateful.
-func (nd *phaseNode) DecodeState(dec *congest.StateDecoder) error {
-	nd.seq = dec.Int64()
-	nd.pending = dec.Int()
-	nd.late = dec.Int()
-
-	nl := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	k := len(nd.sources)
-	list := make([]*phaseEntry, nl)
-	for i := range list {
-		z := &phaseEntry{d: dec.Int64(), l: dec.Int64(), srcIdx: dec.Int(), parent: dec.Int(), needSend: dec.Bool(), idx: i}
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if z.srcIdx < 0 || z.srcIdx >= k {
-			return fmt.Errorf("scaling: entry source index %d out of range", z.srcIdx)
-		}
-		z.ceilK = nd.gamma.CeilKappa(z.d, z.l)
-		list[i] = z
-	}
-	nd.list = list
-
-	at := func(i int) (*phaseEntry, error) {
-		if i < 0 || i >= len(list) {
-			return nil, fmt.Errorf("scaling: entry index %d out of range", i)
-		}
-		return list[i], nil
-	}
-
-	np := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if np != k {
-		return fmt.Errorf("scaling: snapshot has %d sources, run has %d", np, k)
-	}
-	nd.perSrc = make([][]*phaseEntry, k)
-	for i := 0; i < k; i++ {
-		idxs := dec.Ints()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		ps := make([]*phaseEntry, len(idxs))
-		for j, ix := range idxs {
-			z, err := at(ix)
-			if err != nil {
-				return err
-			}
-			ps[j] = z
-		}
-		nd.perSrc[i] = ps
-	}
-	nd.bestD = dec.Int64s()
-	nd.bestL = dec.Int64s()
-	if len(nd.bestD) != k || len(nd.bestL) != k {
-		return fmt.Errorf("scaling: snapshot best arity mismatch (want %d sources)", k)
-	}
-
-	nh := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	var deadSentinel *phaseEntry
-	nd.hp = make(phaseHeap, 0, nh)
-	for i := 0; i < nh; i++ {
-		it := phaseItem{time: dec.Int64(), seq: dec.Int64()}
-		ei := dec.Int()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if ei >= 0 {
-			z, err := at(ei)
-			if err != nil {
-				return err
-			}
-			it.e = z
-		} else {
-			if deadSentinel == nil {
-				deadSentinel = &phaseEntry{dead: true, idx: -1}
-			}
-			it.e = deadSentinel
-		}
-		nd.hp = append(nd.hp, it)
-	}
-	return dec.Err()
-}
+func (nd *phaseNode) DecodeState(dec *congest.StateDecoder) error { return nd.pl.DecodeState(dec) }
