@@ -23,9 +23,10 @@
 // OpenMetrics with trace exemplars via Accept negotiation), /debug/live
 // (SSE heartbeat: QPS, inflight, generation, recompute progress + ETA),
 // /admin/recompute (background rebuild + atomic snapshot swap), and
-// /debug/pprof. The server sheds load with 429 beyond -max-inflight
-// concurrent queries, bounds every request by -deadline, and drains
-// gracefully on SIGINT/SIGTERM (in-flight requests finish; exit code 0).
+// /debug/pprof. The server sheds load with 429 beyond its admission
+// ceiling, bounds every request by a deadline (both oracle.Server's
+// defaults), and drains gracefully on SIGINT/SIGTERM (in-flight requests
+// finish; exit code 0).
 //
 // Observability: -trace writes every sampled request's span tree as JSONL
 // plus a Chrome trace_event file at <base>.chrome.json where serving spans
@@ -77,6 +78,12 @@ import (
 	"repro/internal/trace"
 )
 
+// pathCacheEntries sizes the /path LRU. Like the server's admission
+// ceiling, deadline and batch budget (oracle.Server's defaults), it has
+// one value in use — every ledger number was measured at it — so it is a
+// constant, not a flag.
+const pathCacheEntries = 4096
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "apspd: %v\n", err)
@@ -95,32 +102,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		addr     = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free one)")
 		addrFile = fs.String("addr-file", "", "write the bound address to this file once serving (for scripts)")
 
-		file = fs.String("graph", "", "graph file (empty = generate)")
-		grid = fs.String("grid", "", "ROWSxCOLS: generate a grid graph instead of a random one")
-		n    = fs.Int("n", 64, "nodes (generated graphs)")
-		m    = fs.Int("m", 256, "edges (generated graphs)")
-		maxW = fs.Int64("maxw", 8, "max weight (generated graphs)")
-		zero = fs.Float64("zero", 0.25, "zero-weight fraction (generated graphs)")
-		seed = fs.Int64("seed", 1, "seed (generated graphs)")
-
-		alg       = fs.String("alg", "pipeline", "pipeline | blocker | scaling | shortrange | bellman")
-		backend   = fs.String("backend", "congest", "compute substrate: congest (simulated engine) | parallel (shared-memory internal/compute; production sizes)")
-		srcsArg   = fs.String("sources", "", "comma-separated sources (empty = all)")
 		shardArg  = fs.String("shard", "", "serve shard k/N of the source dimension (cluster mode; excludes -sources)")
-		h         = fs.Int("h", 0, "hop parameter (0 = per-algorithm default)")
-		workers   = fs.Int("workers", 0, "engine worker goroutines per round (0 = automatic)")
-		schedArg  = fs.String("sched", "active", "engine scheduler: active | dense")
-		faultsArg = fs.String("faults", "", "adversarial network plan for the compute phase (faults.Parse syntax)")
-		faultSeed = fs.Int64("fault-seed", 0, "fault PRF seed (when the -faults plan has no seed term)")
 		loadPath  = fs.String("load", "", "resume the compute from this apsprun checkpoint file")
-
-		shardBits   = fs.Uint("shard-bits", 0, "log2 source rows per shard (0 = default)")
-		cacheSize   = fs.Int("cache", 4096, "path cache entries (0 disables)")
-		maxInflight = fs.Int("max-inflight", 0, "concurrent query ceiling before 429 (0 = default)")
-		admitWait   = fs.Duration("admit-wait", 0, "how long a query may wait for an admission slot (0 = default)")
-		deadline    = fs.Duration("deadline", 0, "per-request deadline (0 = default)")
-		batchBudget = fs.Int("batch-budget", 0, "max queries per /batch request (0 = default)")
-		drainWait   = fs.Duration("drain", 10*time.Second, "max time to wait for in-flight requests on shutdown")
+		drainWait = fs.Duration("drain", 10*time.Second, "max time to wait for in-flight requests on shutdown")
 
 		autosaveDir  = fs.String("autosave-dir", "", "persist every published snapshot here and auto-recover the newest valid one at boot (empty = off)")
 		autosaveKeep = fs.Int("autosave-keep", 3, "autosaved generations to keep (older ones are pruned; quarantined files always survive)")
@@ -135,6 +119,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		tracePath   = fs.String("trace", "", "write request span trees here as JSONL, plus a Chrome trace_event file at <base>.chrome.json")
 		traceSample = fs.Int("trace-sample", 1, "head-sample one in N requests (0 = only slow/failed requests are traced)")
 	)
+	rf := cli.RunFlags{N: 64, M: 256}
+	rf.Register(fs, true)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -164,25 +150,18 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	}
 	logger := slog.New(trace.LogHandler(handler))
 
-	sched, err := cli.ParseScheduler(*schedArg)
+	g, desc, err := rf.Resolve()
 	if err != nil {
 		return err
 	}
-	g, err := cli.LoadGraph(*file, *grid, *n, *m, *maxW, *zero, *seed)
-	if err != nil {
-		return err
-	}
-	sources, err := cli.ParseSources(*srcsArg, g.N())
-	if err != nil {
-		return err
-	}
+	sources := desc.Sources
 	// Cluster mode: -shard k/N replaces the explicit source list with the
 	// balanced contiguous range cluster.Range assigns shard k — the same
 	// arithmetic the router's shard map uses, so ownership agrees by
 	// construction. The shard identity is stamped on every response.
 	var shardID string
 	if *shardArg != "" {
-		if *srcsArg != "" {
+		if rf.Sources != "" {
 			return fmt.Errorf("-shard and -sources are mutually exclusive (the shard defines the sources)")
 		}
 		k, nShards, err := cluster.ParseShardID(*shardArg)
@@ -224,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 			SampleEvery:   *traceSample,
 			SlowThreshold: *slow,
 			CaptureErrors: true,
-			Seed:          uint64(*seed),
+			Seed:          uint64(rf.Seed),
 			Sinks:         []trace.Sink{jsonl, trace.NewChrome(chrome)},
 		})
 		engineRec = obs.NewRecorder(chrome)
@@ -247,10 +226,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		engineObs = congest.Tee(engineRec, progress)
 	}
 
+	desc.Engine.Observer = engineObs
 	spec := oracle.ComputeSpec{
-		Alg: *alg, Backend: *backend, Sources: sources, H: *h, Workers: *workers, Sched: sched,
-		Plan: *faultsArg, FaultSeed: *faultSeed,
-		Obs: engineObs,
+		Alg: desc.Alg, Backend: desc.Backend, Sources: sources, H: desc.H, Engine: desc.Engine,
+		Plan: rf.Faults, FaultSeed: rf.FaultSeed,
 	}
 	if *loadPath != "" {
 		if !flagWasSet(fs, "alg") {
@@ -275,7 +254,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		if err != nil {
 			return nil, err
 		}
-		return oracle.Build(g, in, oracle.BuildOpts{ShardBits: *shardBits, Fingerprint: fp})
+		return oracle.Build(g, in, oracle.BuildOpts{Fingerprint: fp})
 	}
 
 	// Boot recovery: the newest valid autosaved snapshot (same graph
@@ -311,8 +290,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 	}
 
 	srv := &oracle.Server{
-		Store: &oracle.Store{}, Cache: oracle.NewPathCache(*cacheSize), Met: met,
-		MaxInflight: *maxInflight, AdmitWait: *admitWait, Deadline: *deadline, BatchBudget: *batchBudget,
+		Store: &oracle.Store{}, Cache: oracle.NewPathCache(pathCacheEntries), Met: met,
 		Log: logger, Tracer: tracer, SlowQuery: *slow, LogEvery: *logEvery, Progress: progress,
 		ShardID: shardID,
 	}

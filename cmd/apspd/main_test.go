@@ -18,6 +18,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 // startDaemon launches run() on a free port and returns the base URL and a
@@ -82,11 +83,7 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	url, errc := startDaemon(t, "-n", "24", "-m", "80", "-seed", "5", "-sources", "0,3,9", "-addr-file", addrFile)
 
-	var h struct {
-		Status string `json:"status"`
-		Gen    uint64 `json:"gen"`
-		K      int    `json:"k"`
-	}
+	var h oracle.Health
 	if status := getJSON(t, url+"/healthz", &h); status != http.StatusOK || h.Status != "ok" || h.Gen != 1 || h.K != 3 {
 		t.Fatalf("healthz: status %d body %+v", status, h)
 	}
@@ -151,10 +148,7 @@ func TestDaemonLoadsCheckpoint(t *testing.T) {
 	}
 
 	url, errc := startDaemon(t, "-graph", graphPath, "-load", ckptPath, "-sources", "0,4,11")
-	var h struct {
-		Alg         string `json:"alg"`
-		Fingerprint string `json:"fingerprint"`
-	}
+	var h oracle.Health
 	if status := getJSON(t, url+"/healthz", &h); status != http.StatusOK {
 		t.Fatalf("healthz status %d", status)
 	}
@@ -209,11 +203,7 @@ func TestDaemonRejectsBadCheckpoint(t *testing.T) {
 func TestDaemonParallelBackend(t *testing.T) {
 	url, errc := startDaemon(t, "-backend", "parallel", "-n", "24", "-m", "80", "-seed", "5", "-sources", "0,3,9")
 
-	var h struct {
-		Status string `json:"status"`
-		Alg    string `json:"alg"`
-		Gen    uint64 `json:"gen"`
-	}
+	var h oracle.Health
 	if status := getJSON(t, url+"/healthz", &h); status != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("healthz: status %d body %+v", status, h)
 	}
@@ -259,10 +249,7 @@ func TestDaemonParallelBackend(t *testing.T) {
 	resp.Body.Close()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		var h2 struct {
-			Gen uint64 `json:"gen"`
-			Alg string `json:"alg"`
-		}
+		var h2 oracle.Health
 		getJSON(t, url+"/healthz", &h2)
 		if h2.Gen > h.Gen {
 			if !strings.HasPrefix(h2.Alg, "parallel/") {
@@ -312,11 +299,7 @@ func TestRunFlagErrors(t *testing.T) {
 func TestDaemonShardMode(t *testing.T) {
 	url, errc := startDaemon(t, "-n", "24", "-m", "80", "-seed", "5", "-shard", "1/3")
 
-	var h struct {
-		Status string `json:"status"`
-		K      int    `json:"k"`
-		Shard  string `json:"shard"`
-	}
+	var h oracle.Health
 	if status := getJSON(t, url+"/healthz", &h); status != http.StatusOK || h.Status != "ok" || h.Shard != "1/3" {
 		t.Fatalf("healthz: status %d body %+v", status, h)
 	}

@@ -10,17 +10,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/oracle"
 )
 
-// healthz / distResp mirror the daemon's JSON bodies for these tests.
-type healthz struct {
-	Status      string `json:"status"`
-	Gen         uint64 `json:"gen"`
-	Alg         string `json:"alg"`
-	K           int    `json:"k"`
-	Recomputing bool   `json:"recomputing"`
-}
-
+// distResp mirrors the daemon's /dist body for these tests.
 type distResp struct {
 	Reachable bool   `json:"reachable"`
 	Dist      *int64 `json:"dist"`
@@ -49,7 +43,7 @@ func TestDaemonAutosaveRecovery(t *testing.T) {
 	// Same graph flags, impossible algorithm: only recovery can serve.
 	base2, errc2 := startDaemon(t, append(gargs, "-autosave-dir", dir, "-alg", "no-such-alg")...)
 	defer stopDaemon(t, errc2)
-	var h healthz
+	var h oracle.Health
 	if status := getJSON(t, base2+"/healthz", &h); status != http.StatusOK {
 		t.Fatalf("healthz status %d", status)
 	}
@@ -82,7 +76,7 @@ func TestDaemonAutosaveQuarantine(t *testing.T) {
 	resp.Body.Close()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		var h healthz
+		var h oracle.Health
 		getJSON(t, base+"/healthz", &h)
 		if h.Gen >= 2 && !h.Recomputing {
 			break
@@ -109,7 +103,7 @@ func TestDaemonAutosaveQuarantine(t *testing.T) {
 
 	base2, errc2 := startDaemon(t, append(gargs, "-autosave-dir", dir, "-alg", "no-such-alg")...)
 	defer stopDaemon(t, errc2)
-	var h healthz
+	var h oracle.Health
 	if status := getJSON(t, base2+"/healthz", &h); status != http.StatusOK || h.Alg != "pipeline" {
 		t.Fatalf("healthz after quarantine = %d %+v", status, h)
 	}

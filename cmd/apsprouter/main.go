@@ -49,6 +49,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 )
 
 func main() {
@@ -72,15 +73,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		mapPath  = fs.String("map", "", "shard map JSON file (internal/cluster format)")
 		backends = fs.String("backends", "", "derive the map from backends: comma-separated shards, each a |-separated replica list")
 
-		attemptTimeout = fs.Duration("attempt-timeout", 0, "per-attempt timeout against a backend (0 = client default)")
-		maxAttempts    = fs.Int("max-attempts", 0, "attempts per backend exchange, first + retries (0 = client default)")
-		hedge          = fs.Duration("hedge", 0, "hedge delay before a second attempt on another replica (0 = p99-derived)")
-		deadline       = fs.Duration("deadline", 0, "end-to-end deadline per routed request (0 = default)")
-		batchBudget    = fs.Int("batch-budget", 0, "max queries per /batch request, pre-split (0 = default)")
-		seed           = fs.Int64("seed", 1, "jitter PRF seed for the per-shard clients")
-		rolloutPoll    = fs.Duration("rollout-poll", 0, "health poll interval while a shard recomputes (0 = default)")
-		rolloutTimeout = fs.Duration("rollout-timeout", 0, "per-shard republish deadline during a rollout (0 = default)")
-		probeWait      = fs.Duration("probe-wait", 10*time.Second, "how long to wait for backends when deriving the map from -backends")
+		seed      = fs.Int64("seed", 1, "jitter PRF seed for the per-shard clients")
+		probeWait = fs.Duration("probe-wait", 10*time.Second, "how long to wait for backends when deriving the map from -backends")
 
 		drainWait = fs.Duration("drain", 10*time.Second, "max time to wait for in-flight requests on shutdown")
 		restarts  = fs.Int("restarts", 0, "supervised restarts: if the HTTP server dies unexpectedly, re-listen and keep serving up to this many times")
@@ -123,18 +117,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		return fmt.Errorf("need -map or -backends")
 	}
 
-	router, err := cluster.NewRouter(cluster.Options{
-		Map:            m,
-		AttemptTimeout: *attemptTimeout,
-		MaxAttempts:    *maxAttempts,
-		HedgeDelay:     *hedge,
-		Seed:           *seed,
-		Deadline:       *deadline,
-		BatchBudget:    *batchBudget,
-		RolloutPoll:    *rolloutPoll,
-		RolloutTimeout: *rolloutTimeout,
-		Log:            logger,
-	})
+	// Retry, hedge, deadline, batch and rollout pacing run at
+	// cluster.Options' defaults (the hedge delay derives from the measured
+	// p99): one value each was ever in use, so they are not flags.
+	router, err := cluster.NewRouter(cluster.Options{Map: m, Seed: *seed, Log: logger})
 	if err != nil {
 		return err
 	}
@@ -186,16 +172,12 @@ func probeBackends(replicaSets [][]string, seed int64, wait time.Duration) (n in
 	cl := client.New(client.Options{AttemptTimeout: 2 * time.Second, MaxAttempts: 1, BreakerTrip: -1, Seed: seed})
 	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()
-	type health struct {
-		N           int    `json:"n"`
-		Fingerprint string `json:"fingerprint"`
-	}
 	for k, reps := range replicaSets {
-		var h health
+		var h oracle.Health
 		var lastErr error
 		for {
 			for _, base := range reps {
-				var probe health
+				var probe oracle.Health
 				resp, err := cl.GetJSON(ctx, base+"/healthz", &probe)
 				if err != nil {
 					lastErr = err

@@ -78,18 +78,13 @@ import (
 	"time"
 
 	"repro/internal/approx"
-	"repro/internal/bellman"
 	"repro/internal/checkpoint"
 	"repro/internal/cli"
-	"repro/internal/compute"
 	"repro/internal/congest"
-	"repro/internal/core"
+	"repro/internal/family"
 	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/hssp"
 	"repro/internal/obs"
-	"repro/internal/scaling"
-	"repro/internal/shortrange"
 )
 
 func main() {
@@ -106,17 +101,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("apsprun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		alg       = fs.String("alg", "pipeline", "pipeline | blocker | scaling | approx | shortrange | bellman")
-		backend   = fs.String("backend", "congest", "compute substrate: congest (simulated engine) | parallel (shared-memory internal/compute)")
-		file      = fs.String("graph", "", "graph file (empty = generate)")
-		grid      = fs.String("grid", "", "ROWSxCOLS: generate a grid graph instead of a random one")
-		n         = fs.Int("n", 32, "nodes (generated graphs)")
-		m         = fs.Int("m", 96, "edges (generated graphs)")
-		maxW      = fs.Int64("maxw", 8, "max weight (generated graphs)")
-		zero      = fs.Float64("zero", 0.25, "zero-weight fraction (generated graphs)")
-		seed      = fs.Int64("seed", 1, "seed (generated graphs)")
-		srcsArg   = fs.String("sources", "", "comma-separated sources (empty = all)")
-		h         = fs.Int("h", 0, "hop parameter (0 = automatic where applicable)")
 		eps       = fs.Float64("eps", 0.5, "target stretch − 1 (approx)")
 		check     = fs.Bool("check", false, "validate against Dijkstra")
 		quiet     = fs.Bool("quiet", false, "suppress the distance matrix")
@@ -127,10 +111,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		statsJSON = fs.String("stats-json", "", "write the aggregate + per-phase stats report (JSON) here")
 		jsonOut   = fs.Bool("json", false, "print the stats report as JSON on stdout (suppresses the human summary)")
 		phases    = fs.Bool("phases", false, "print the per-phase cost breakdown table")
-		workers   = fs.Int("workers", 0, "worker goroutines (0 = automatic)")
-		schedArg  = fs.String("sched", "active", "engine scheduler: active | dense")
-		faultsArg = fs.String("faults", "", `adversarial network plan: "all", or terms like "delay=4,drop=0.2,dup=0.1,reorder" (empty = perfect delivery)`)
-		faultSeed = fs.Int64("fault-seed", 0, "fault PRF seed (used when the -faults plan has no seed term)")
 		ckptPath  = fs.String("checkpoint", "", "write engine checkpoints to this file (atomic; SIGINT/SIGTERM write a final one)")
 		ckptEvery = fs.Int("checkpoint-every", 0, "snapshot every N rounds (0 = only on signal)")
 		ckptStop  = fs.Int("checkpoint-stop", 0, "snapshot at exactly this round of the first engine run, then stop")
@@ -140,6 +120,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		logFmt    = fs.String("log", "text", "status log format on stderr: text | json | off")
 		logLevel  = fs.String("log-level", "info", "status log level: debug | info | warn | error")
 	)
+	rf := cli.RunFlags{N: 32, M: 96}
+	rf.Register(fs, false)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -158,57 +140,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	logger := slog.New(handler)
 
-	sched, err := cli.ParseScheduler(*schedArg)
+	g, spec, err := rf.Resolve()
 	if err != nil {
 		return err
 	}
-
-	g, err := cli.LoadGraph(*file, *grid, *n, *m, *maxW, *zero, *seed)
-	if err != nil {
-		return err
-	}
-	sources, err := cli.ParseSources(*srcsArg, g.N())
-	if err != nil {
-		return err
-	}
-
-	switch *backend {
-	case "congest":
-	case "parallel":
-		// The shared-memory backend has no rounds to fault, checkpoint,
-		// or trace; every engine-only flag is rejected loudly so a script
-		// never silently loses the semantics it asked for.
-		for flagName, set := range map[string]bool{
-			"-alg (only pipeline semantics)": *alg != "pipeline",
-			"-h":                             *h != 0,
-			"-faults":                        *faultsArg != "" && *faultsArg != "none",
-			"-crash":                         *crashArg != "",
-			"-checkpoint":                    *ckptPath != "",
-			"-checkpoint-every":              *ckptEvery > 0,
-			"-checkpoint-stop":               *ckptStop > 0,
-			"-resume":                        *resumeArg != "",
-			"-timeline":                      *timeline,
-			"-listtrace":                     *listTrace,
-			"-trace":                         *tracePath != "",
-			"-metrics":                       *metrics != "",
-			"-stats-json":                    *statsJSON != "",
-			"-json":                          *jsonOut,
-			"-phases":                        *phases,
-		} {
-			if set {
-				return fmt.Errorf("%s needs the congest backend (the parallel backend computes exact unrestricted APSP with no simulated rounds)", flagName)
-			}
-		}
-		return runParallel(stdout, logger, g, sources, *workers, *check, *quiet)
-	default:
-		return fmt.Errorf("unknown -backend %q (want congest | parallel)", *backend)
-	}
+	spec.Eps = *eps
+	sources := spec.Sources
 
 	// Observability: attach a Recorder only when asked for, so the
-	// engine's nil-observer fast path stays in effect otherwise.
+	// engine's nil-observer fast path stays in effect otherwise. The
+	// parallel backend has no rounds to observe: family.Run refuses what
+	// the Spec carries, the sinks are refused here before any is created.
+	wantRec := *tracePath != "" || *metrics != "" || *statsJSON != "" || *jsonOut || *phases
+	if spec.Backend == "parallel" && (wantRec || *timeline) {
+		return fmt.Errorf("-trace, -metrics, -stats-json, -json, -phases and -timeline need the congest backend (the parallel backend has no simulated rounds to observe)")
+	}
 	var rec *obs.Recorder
 	chrome := ""
-	if *tracePath != "" || *metrics != "" || *statsJSON != "" || *jsonOut || *phases {
+	if wantRec {
 		var sinks []obs.Sink
 		if *tracePath != "" {
 			j, err := obs.CreateJSONL(*tracePath)
@@ -232,33 +181,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rec = obs.NewRecorder(sinks...)
 	}
 	var tl congest.Timeline
-	observer := congest.Observer(nil)
 	if rec != nil {
-		observer = rec
+		spec.Engine.Observer = rec
 	}
 	if *timeline {
-		observer = congest.Tee(observer, tl.Observer())
+		spec.Engine.Observer = congest.Tee(spec.Engine.Observer, tl.Observer())
+	}
+	if *listTrace {
+		spec.ListTrace = func(format string, args ...interface{}) {
+			fmt.Fprintf(stderr, format+"\n", args...)
+		}
 	}
 
 	// Adversarial delivery: a non-empty -faults plan swaps the engine's
 	// perfect delivery for the faults.Network reliability shim.
-	var (
-		fnet    *faults.Network
-		network congest.Network
-	)
-	if *faultsArg != "" && *faultsArg != "none" {
-		plan, err := faults.Parse(*faultsArg)
-		if err != nil {
-			return err
-		}
-		if plan.Seed == 0 {
-			plan.Seed = *faultSeed
-		}
-		fnet = faults.New(plan)
-		if rec != nil {
-			fnet.Sink = rec
-		}
-		network = fnet
+	fnet, err := faults.Open(rf.Faults, rf.FaultSeed)
+	if err != nil {
+		return err
 	}
 
 	// Scripted crash-stop faults ride on the faults.Network; injecting
@@ -269,31 +208,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if len(crashes) > 0 {
 		if fnet == nil {
-			fnet = faults.New(faults.Plan{Seed: *faultSeed})
-			if rec != nil {
-				fnet.Sink = rec
-			}
-			network = fnet
+			fnet = faults.New(faults.Plan{Seed: rf.FaultSeed})
 		}
 		fnet.Script = append(fnet.Script, crashes...)
+	}
+	if fnet != nil {
+		if rec != nil {
+			fnet.Sink = rec
+		}
+		spec.Engine.Network = fnet
 	}
 
 	// Checkpoint policy: a Keeper retains the latest snapshot in memory
 	// (the supervisor's restart point) and persists each one to -checkpoint
 	// when set. With Every == 0 the only snapshots are the final one a
 	// signal triggers and the -checkpoint-stop drill.
-	planStr := ""
-	if fnet != nil {
-		planStr = fnet.Plan.String()
-	}
 	var (
 		keeper *checkpoint.Keeper
 		pol    *congest.CheckpointPolicy
 	)
 	if *ckptPath != "" || *ckptEvery > 0 || *ckptStop > 0 || *resumeArg != "" {
 		meta := &checkpoint.Meta{
-			Alg: *alg, N: g.N(), M: g.M(), Graph: checkpoint.Fingerprint(g),
-			Sources: sources, H: *h, Plan: planStr, Sched: sched, Workers: *workers,
+			Alg: spec.Alg, N: g.N(), M: g.M(), Graph: checkpoint.Fingerprint(g),
+			Sources: sources, H: spec.H, Plan: fnet.PlanString(), Sched: spec.Engine.Scheduler, Workers: spec.Engine.Workers,
 		}
 		keeper = &checkpoint.Keeper{Path: *ckptPath, Meta: meta}
 		if fnet != nil {
@@ -305,10 +242,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			keeper.OnSave = rec.CheckpointSave
 		}
 		pol = &congest.CheckpointPolicy{Every: *ckptEvery, AtRound: *ckptStop, Stop: *ckptStop > 0, Sink: keeper.Sink}
+		spec.Engine.Checkpoint = pol
 	}
 	if *resumeArg != "" {
 		loadStart := time.Now()
-		meta, snap, err := checkpoint.Load(*resumeArg)
+		meta, snap, err := family.LoadCheckpoint(*resumeArg, g, &spec)
 		if err != nil {
 			return err
 		}
@@ -318,12 +256,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				bytes = fi.Size()
 			}
 			rec.CheckpointLoad(time.Since(loadStart), bytes)
-		}
-		if meta.Alg != "" && meta.Alg != *alg {
-			return fmt.Errorf("checkpoint %s was taken by -alg %s, not %s", *resumeArg, meta.Alg, *alg)
-		}
-		if err := meta.ValidateAgainst(g, sources, *h, planStr, sched); err != nil {
-			return err
 		}
 		if fnet != nil {
 			fnet.DisarmCrashes(meta.Disarmed)
@@ -337,85 +269,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var (
-		dist      [][]int64
-		stats     congest.Stats
-		extra     string
-		hopUsed   int // 0 = unrestricted semantics (validate vs Dijkstra)
-		approxRes *approx.Result
-	)
-	// runAlg executes one full attempt of the selected algorithm. The
+	spec.Engine.Ctx = ctx
+	// runAlg executes one full attempt of the run description. The
 	// supervisor re-invokes it after a recoverable crash: the policy's
 	// resume point then replays the computation up to the latest snapshot.
-	runAlg := func() error {
-		switch *alg {
-		case "pipeline":
-			hopBound := *h
-			if hopBound == 0 {
-				hopBound = g.N() - 1
-			} else {
-				hopUsed = hopBound
-			}
-			copts := core.Opts{Sources: sources, H: hopBound, Workers: *workers, Scheduler: sched, Obs: observer, Network: network, Checkpoint: pol, Ctx: ctx}
-			if *listTrace {
-				copts.Trace = func(format string, args ...interface{}) {
-					fmt.Fprintf(stderr, format+"\n", args...)
-				}
-			}
-			res, err := core.Run(g, copts)
-			if err != nil {
-				return err
-			}
-			dist, stats = res.Dist, res.Stats
-			extra = fmt.Sprintf("bound=%d late=%d maxList=%d", res.Bound, res.LateSends, res.MaxListLen)
-		case "blocker":
-			res, err := hssp.Run(g, hssp.Opts{Sources: sources, H: *h, Workers: *workers, Scheduler: sched, Obs: observer, Network: network, Checkpoint: pol, Ctx: ctx})
-			if err != nil {
-				return err
-			}
-			dist, stats = res.Dist, res.Stats
-			extra = fmt.Sprintf("h=%d |Q|=%d phases=%v", res.H, len(res.Q), res.PhaseRounds)
-		case "approx":
-			res, err := approx.Run(g, approx.Opts{Sources: sources, Eps: *eps, Workers: *workers, Scheduler: sched, Obs: observer, Network: network, Checkpoint: pol, Ctx: ctx})
-			if err != nil {
-				return err
-			}
-			approxRes, stats = res, res.Stats
-			extra = fmt.Sprintf("scales=%d", res.Scales)
-		case "scaling":
-			res, err := scaling.Run(g, scaling.Opts{Sources: sources, Workers: *workers, Scheduler: sched, Obs: observer, Network: network, Checkpoint: pol, Ctx: ctx})
-			if err != nil {
-				return err
-			}
-			dist, stats = res.Dist, res.Stats
-			extra = fmt.Sprintf("phases=%d", res.Bits+1)
-		case "shortrange":
-			hopBound := *h
-			if hopBound == 0 {
-				hopBound = 8
-			}
-			res, err := shortrange.Run(g, shortrange.Opts{Sources: sources, H: hopBound, Workers: *workers, Scheduler: sched, Obs: observer, Network: network, Checkpoint: pol, Ctx: ctx})
-			if err != nil {
-				return err
-			}
-			dist, stats = res.Dist, res.Stats
-			extra = fmt.Sprintf("snapRound=%d congestion=%d", res.SnapRound, stats.MaxLinkCongestion)
-		case "bellman":
-			hopBound := *h
-			if hopBound == 0 {
-				hopBound = g.N() - 1
-			} else {
-				hopUsed = hopBound
-			}
-			res, err := bellman.Run(g, bellman.Opts{Sources: sources, H: hopBound, Workers: *workers, Scheduler: sched, Obs: observer, Network: network, Checkpoint: pol, Ctx: ctx})
-			if err != nil {
-				return err
-			}
-			dist, stats = res.Dist, res.Stats
-		default:
-			return fmt.Errorf("unknown algorithm %q", *alg)
-		}
-		return nil
+	var (
+		res  family.Result
+		wall time.Duration
+	)
+	runAlg := func() (err error) {
+		start := time.Now()
+		res, err = family.Run(g, spec)
+		wall = time.Since(start)
+		return err
 	}
 
 	var runErr error
@@ -446,101 +312,64 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return runErr
 		}
 	}
-	if *timeline && *alg == "pipeline" {
+	if *timeline && spec.Alg == "pipeline" {
 		fmt.Fprintf(stdout, "activity (peak %d msgs/round): %s\n", tl.Peak(), tl.Sparkline(72))
 	}
-	if approxRes != nil {
+	if res.Approx != nil {
 		if *check {
-			stretch, mism := approx.CheckStretch(g, approxRes)
+			stretch, mism := approx.CheckStretch(g, res.Approx)
 			logger.Info("check", "maxStretch", fmt.Sprintf("%.4f", stretch),
 				"claim", fmt.Sprintf("≤ %.2f", 1+*eps), "mismatches", mism)
 		}
 		if !*quiet && !*jsonOut {
 			for i := range sources {
 				for v := 0; v < g.N(); v++ {
-					fmt.Fprintf(stdout, "approx(%d,%d) = %.3f\n", sources[i], v, approxRes.Value(i, v))
+					fmt.Fprintf(stdout, "approx(%d,%d) = %.3f\n", sources[i], v, res.Approx.Value(i, v))
 				}
 			}
 		}
-		return finish(stdout, logger, rec, fnet, *alg, g, len(sources), stats, extra, *jsonOut, *phases, *statsJSON, *tracePath, chrome, *metrics)
-	}
-
-	if *check {
-		wrong := 0
-		oracle := "Dijkstra"
-		for i, s := range sources {
-			var want []int64
-			if hopUsed > 0 {
-				want = graph.HHopDistances(g, s, hopUsed)
-				oracle = fmt.Sprintf("%d-hop DP", hopUsed)
-			} else {
-				want = graph.Dijkstra(g, s)
+	} else {
+		if *check {
+			wrong := 0
+			oracle := "Dijkstra"
+			for i, s := range sources {
+				var want []int64
+				if res.HopBound > 0 {
+					want = graph.HHopDistances(g, s, res.HopBound)
+					oracle = fmt.Sprintf("%d-hop DP", res.HopBound)
+				} else {
+					want = graph.Dijkstra(g, s)
+				}
+				for v := 0; v < g.N(); v++ {
+					if res.Dist[i][v] != want[v] {
+						wrong++
+					}
+				}
 			}
-			for v := 0; v < g.N(); v++ {
-				if dist[i][v] != want[v] {
-					wrong++
+			logger.Info("check", "oracle", oracle, "wrong", wrong, "of", len(sources)*g.N())
+		}
+		if !*quiet && !*jsonOut {
+			for i, s := range sources {
+				for v := 0; v < g.N(); v++ {
+					d := "inf"
+					if res.Dist[i][v] < graph.Inf {
+						d = strconv.FormatInt(res.Dist[i][v], 10)
+					}
+					fmt.Fprintf(stdout, "d(%d,%d) = %s\n", s, v, d)
 				}
 			}
 		}
-		logger.Info("check", "oracle", oracle, "wrong", wrong, "of", len(sources)*g.N())
 	}
-	if !*quiet && !*jsonOut {
-		printDistances(stdout, sources, dist, g.N())
+	// The cost summary: rounds for the engine, the chosen kernel for the
+	// parallel backend. Distances above print in one format on both, so
+	// outputs diff cleanly across backends.
+	summary := fmt.Sprintf("rounds=%d messages=%d maxCongestion=%d %s",
+		res.Stats.Rounds, res.Stats.Messages, res.Stats.MaxLinkCongestion, res.Detail)
+	if spec.Backend == "parallel" {
+		summary = fmt.Sprintf("%s wall=%s", res.Detail, wall.Round(time.Microsecond))
 	}
-	return finish(stdout, logger, rec, fnet, *alg, g, len(sources), stats, extra, *jsonOut, *phases, *statsJSON, *tracePath, chrome, *metrics)
-}
-
-// runParallel is the -backend parallel body: the shared-memory compute
-// backend on the same graph and sources, printing distances in the exact
-// format of the congest path so outputs diff cleanly across backends. The
-// cost summary reports the chosen kernel instead of rounds.
-func runParallel(stdout io.Writer, logger *slog.Logger, g *graph.Graph, sources []int, workers int, check, quiet bool) error {
-	start := time.Now()
-	res, err := compute.APSP(g, compute.Opts{Sources: sources, Workers: workers})
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start)
-	if check {
-		wrong := 0
-		for i, s := range sources {
-			want := graph.Dijkstra(g, s)
-			for v := 0; v < g.N(); v++ {
-				if res.Dist[i][v] != want[v] {
-					wrong++
-				}
-			}
-		}
-		logger.Info("check", "oracle", "Dijkstra", "wrong", wrong, "of", len(sources)*g.N())
-	}
-	if !quiet {
-		printDistances(stdout, sources, res.Dist, g.N())
-	}
-	fmt.Fprintf(stdout, "kernel=%s workers=%d wall=%s\n", res.Kernel, res.Workers, wall.Round(time.Microsecond))
-	return nil
-}
-
-// printDistances renders one "d(src,v) = dist" line per pair — the shared
-// result format of both backends.
-func printDistances(stdout io.Writer, sources []int, dist [][]int64, n int) {
-	for i, s := range sources {
-		for v := 0; v < n; v++ {
-			d := "inf"
-			if dist[i][v] < graph.Inf {
-				d = strconv.FormatInt(dist[i][v], 10)
-			}
-			fmt.Fprintf(stdout, "d(%d,%d) = %s\n", s, v, d)
-		}
-	}
-}
-
-// finish prints the cost summary, the optional per-phase table and JSON
-// report, and flushes the trace/metrics sinks.
-func finish(stdout io.Writer, logger *slog.Logger, rec *obs.Recorder, fnet *faults.Network, alg string, g *graph.Graph, k int, stats congest.Stats, extra string,
-	jsonOut, phases bool, statsJSON, tracePath, chromePath, metricsPath string) error {
-	if !jsonOut {
-		fmt.Fprintf(stdout, "rounds=%d messages=%d maxCongestion=%d %s\n",
-			stats.Rounds, stats.Messages, stats.MaxLinkCongestion, extra)
+	if !*jsonOut {
+		fmt.Fprintln(stdout, summary)
 		if fnet != nil {
 			p := fnet.Phys()
 			fmt.Fprintf(stdout, "phys: plan=%s sends=%d retransmits=%d dataDrops=%d ackDrops=%d dupDeliveries=%d subRounds=%d\n",
@@ -550,34 +379,35 @@ func finish(stdout io.Writer, logger *slog.Logger, rec *obs.Recorder, fnet *faul
 	if rec == nil {
 		return nil
 	}
-	rep := rec.ReportOf(alg, g.N(), g.M(), k)
-	if phases {
+	// The optional per-phase table and JSON report, then flush the sinks.
+	rep := rec.ReportOf(spec.Alg, g.N(), g.M(), len(sources))
+	if *phases {
 		printPhases(stdout, rep)
 	}
-	if jsonOut {
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
 			return err
 		}
 	}
-	if statsJSON != "" {
+	if *statsJSON != "" {
 		raw, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(statsJSON, append(raw, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(*statsJSON, append(raw, '\n'), 0o644); err != nil {
 			return err
 		}
 	}
 	if err := rec.Close(); err != nil {
 		return err
 	}
-	if tracePath != "" {
-		logger.Info("trace written", "jsonl", tracePath, "chrome", chromePath)
+	if *tracePath != "" {
+		logger.Info("trace written", "jsonl", *tracePath, "chrome", chrome)
 	}
-	if metricsPath != "" {
-		logger.Info("metrics written", "path", metricsPath)
+	if *metrics != "" {
+		logger.Info("metrics written", "path", *metrics)
 	}
 	return nil
 }

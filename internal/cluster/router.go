@@ -505,16 +505,6 @@ type shardHealth struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// backendHealth is the slice of the apspd /healthz body the router reads.
-type backendHealth struct {
-	Status      string `json:"status"`
-	Gen         uint64 `json:"gen"`
-	N           int    `json:"n"`
-	Shard       string `json:"shard"`
-	Fingerprint string `json:"fingerprint"`
-	Recomputing bool   `json:"recomputing"`
-}
-
 // handleHealthz probes every shard concurrently. The cluster is "ok" (200)
 // only when every shard answers, agrees with the map's node count, and —
 // when the map pins a fingerprint — serves that exact graph; anything less
@@ -548,7 +538,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 // probeShard checks one shard's health against the map's expectations.
 func (r *Router) probeShard(ctx context.Context, sc *shardClient) shardHealth {
 	sh := shardHealth{ID: sc.shard.ID, Lo: sc.shard.Lo, Hi: sc.shard.Hi}
-	var bh backendHealth
+	var bh oracle.Health
 	resp, err := sc.query.GetJSON(ctx, sc.base+"/healthz", &bh)
 	if err != nil {
 		sh.Status, sh.Error = "down", err.Error()
@@ -666,7 +656,7 @@ func (r *Router) rolloutShard(sc *shardClient) error {
 func (r *Router) rolloutReplica(sc *shardClient, base string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RolloutTimeout)
 	defer cancel()
-	var pre backendHealth
+	var pre oracle.Health
 	if _, err := sc.admin.GetJSON(ctx, base+"/healthz", &pre); err != nil {
 		return fmt.Errorf("pre-rollout health of %s: %w", base, err)
 	}
@@ -687,7 +677,7 @@ func (r *Router) rolloutReplica(sc *shardClient, base string) error {
 				base, sc.shard.ID, r.opts.RolloutTimeout, pre.Gen)
 		case <-t.C:
 		}
-		var bh backendHealth
+		var bh oracle.Health
 		resp, err := sc.admin.GetJSON(ctx, base+"/healthz", &bh)
 		if err != nil || resp.Status != http.StatusOK {
 			continue // transient probe failure: keep polling until the deadline

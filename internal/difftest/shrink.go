@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/graph"
+	"repro/internal/key"
 )
 
 // FaultInput is a (graph, sources, fault-script) triple — the unit the
@@ -57,6 +58,19 @@ func (in FaultInput) Dump() string {
 	return sb.String()
 }
 
+// parseIntList is the inverse of intList.
+func parseIntList(s string) ([]int, error) {
+	var xs []int
+	for _, p := range strings.Split(s, ",") {
+		x, err := strconv.Atoi(p)
+		if err != nil {
+			return nil, err
+		}
+		xs = append(xs, x)
+	}
+	return xs, nil
+}
+
 func intList(xs []int) string {
 	parts := make([]string, len(xs))
 	for i, x := range xs {
@@ -82,35 +96,15 @@ func ParseFaultInput(s string) (FaultInput, error) {
 	if len(lines) == 0 || lines[0] == "" {
 		return in, fmt.Errorf("difftest: empty fixture")
 	}
-	for _, f := range strings.Fields(lines[0]) {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			return in, fmt.Errorf("difftest: bad header field %q", f)
-		}
-		var err error
-		switch k {
-		case "n":
-			n, err = strconv.Atoi(v)
-		case "directed":
-			directed, err = strconv.ParseBool(v)
-		case "h":
-			in.H, err = strconv.Atoi(v)
-		case "checkpoint":
-			in.Checkpoint, err = strconv.Atoi(v)
-		case "sources":
-			for _, p := range strings.Split(v, ",") {
-				src, serr := strconv.Atoi(p)
-				if serr != nil {
-					return in, fmt.Errorf("difftest: bad source %q", p)
-				}
-				in.Sources = append(in.Sources, src)
-			}
-		default:
-			return in, fmt.Errorf("difftest: unknown header field %q", k)
-		}
-		if err != nil {
-			return in, fmt.Errorf("difftest: bad header field %q: %v", f, err)
-		}
+	err := key.Scan("difftest", "header field", lines[0], "", key.Vocab{
+		"n":          {Set: key.Into(&n, strconv.Atoi)},
+		"directed":   {Set: key.Into(&directed, strconv.ParseBool)},
+		"h":          {Set: key.Into(&in.H, strconv.Atoi)},
+		"checkpoint": {Set: key.Into(&in.Checkpoint, strconv.Atoi)},
+		"sources":    {Set: key.Into(&in.Sources, parseIntList)},
+	})
+	if err != nil {
+		return in, err
 	}
 	if n <= 0 {
 		return in, fmt.Errorf("difftest: fixture has no n")

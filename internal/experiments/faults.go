@@ -35,14 +35,14 @@ func eFaults(cfg Config) (*Table, error) {
 		faults.All(cfg.FaultSeed),          // everything
 	}
 	if cfg.Faults != "" {
-		p, err := faults.Parse(cfg.Faults)
+		nw, err := faults.Open(cfg.Faults, cfg.FaultSeed)
 		if err != nil {
 			return nil, err
 		}
-		if p.Seed == 0 {
-			p.Seed = cfg.FaultSeed
+		plans = plans[:1] // "none": the perfect network under the shim
+		if nw != nil {
+			plans[0] = nw.Plan
 		}
-		plans = []faults.Plan{p}
 	}
 
 	t := &Table{

@@ -1,0 +1,269 @@
+// Package family is the one description of "run protocol family X on
+// graph G under engine environment E": a Spec, one table with a row per
+// family, and Run. cmd/apsprun, cmd/apspd and internal/oracle reach every
+// family through it, so the hop-parameter defaults, the backend refusals
+// and the copy of the engine environment into each family's Opts exist
+// once. Adding a family is: implement it, add one row.
+package family
+
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/approx"
+	"repro/internal/bellman"
+	"repro/internal/checkpoint"
+	"repro/internal/compute"
+	"repro/internal/congest"
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/graph"
+	"repro/internal/hssp"
+	"repro/internal/scaling"
+	"repro/internal/shortrange"
+)
+
+// Spec describes one run.
+type Spec struct {
+	Alg string // the family (see Names)
+	// Backend is "" or "congest" for the simulated engine, "parallel" for
+	// the shared-memory kernels of internal/compute (see runParallel).
+	Backend string
+	Sources []int // nil = every node
+	// H is the raw hop parameter, 0 = the family's default; checkpoint
+	// metadata records this raw value.
+	H   int
+	Eps float64 // target stretch − 1 (approx only)
+	// ListTrace, if set, receives a line per list event (pipeline only).
+	ListTrace func(format string, args ...interface{})
+	// Engine is the engine environment, handed to the family whole:
+	// Workers, Scheduler, Observer, Network, Checkpoint and Ctx reach every
+	// engine run it starts. MaxRounds and MaxWordsPerMessage are not taken
+	// from here — each family passes its own proven bound.
+	Engine congest.Config
+}
+
+// Result is what every family reports. Hops and Parent are nil where the
+// family records none (blocker, scaling: no parents; bellman: no hops).
+type Result struct {
+	Alg     string // the family name, or "parallel/<kernel>"
+	Sources []int
+	Dist    [][]int64
+	Hops    [][]int64
+	Parent  [][]int
+	Stats   congest.Stats
+	Detail  string // the family's own summary ("bound=… late=… maxList=…")
+	// HopBound > 0 says Dist holds HopBound-hop distances (an explicit H
+	// on a family where H is a hop bound): validate against the H-hop DP,
+	// not Dijkstra.
+	HopBound int
+	Approx   *approx.Result // instead of Dist, for the one inexact family
+}
+
+// hopIsBound is the defaultH of families where H bounds the hops: 0 means
+// n−1 (unrestricted) and an explicit H caps the result.
+const hopIsBound = -1
+
+// table is the family set. defaultH is what Spec.H == 0 resolves to:
+// hopIsBound, 0 for a family with its own rule (blocker balances h itself;
+// scaling and approx have none), else the value. exact families yield
+// exact distances, which is what a distance oracle may serve. run is the
+// family's one copy of the engine environment into its Opts, and of its
+// result into res; it sees H resolved and Sources explicit.
+var table = []struct {
+	name     string
+	exact    bool
+	defaultH int
+	run      func(g *graph.Graph, sp Spec, res *Result) error
+}{
+	{"pipeline", true, hopIsBound, runPipeline},
+	{"blocker", true, 0, runBlocker},
+	{"scaling", true, 0, runScaling},
+	{"approx", false, 0, runApprox},
+	{"shortrange", true, 8, runShortrange},
+	{"bellman", true, hopIsBound, runBellman},
+}
+
+func runPipeline(g *graph.Graph, sp Spec, res *Result) error {
+	e := sp.Engine
+	r, err := core.Run(g, core.Opts{Sources: sp.Sources, H: sp.H, Trace: sp.ListTrace,
+		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	if err == nil {
+		res.Dist, res.Hops, res.Parent, res.Stats = r.Dist, r.Hops, r.Parent, r.Stats
+		res.Detail = fmt.Sprintf("bound=%d late=%d maxList=%d", r.Bound, r.LateSends, r.MaxListLen)
+	}
+	return err
+}
+
+func runBlocker(g *graph.Graph, sp Spec, res *Result) error {
+	e := sp.Engine
+	r, err := hssp.Run(g, hssp.Opts{Sources: sp.Sources, H: sp.H,
+		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	if err == nil {
+		res.Dist, res.Stats = r.Dist, r.Stats
+		res.Detail = fmt.Sprintf("h=%d |Q|=%d phases=%v", r.H, len(r.Q), r.PhaseRounds)
+	}
+	return err
+}
+
+func runScaling(g *graph.Graph, sp Spec, res *Result) error {
+	e := sp.Engine
+	r, err := scaling.Run(g, scaling.Opts{Sources: sp.Sources,
+		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	if err == nil {
+		res.Dist, res.Stats = r.Dist, r.Stats
+		res.Detail = fmt.Sprintf("phases=%d", r.Bits+1)
+	}
+	return err
+}
+
+func runApprox(g *graph.Graph, sp Spec, res *Result) error {
+	e := sp.Engine
+	r, err := approx.Run(g, approx.Opts{Sources: sp.Sources, Eps: sp.Eps,
+		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	if err == nil {
+		res.Approx, res.Stats = r, r.Stats
+		res.Detail = fmt.Sprintf("scales=%d", r.Scales)
+	}
+	return err
+}
+
+func runShortrange(g *graph.Graph, sp Spec, res *Result) error {
+	e := sp.Engine
+	r, err := shortrange.Run(g, shortrange.Opts{Sources: sp.Sources, H: sp.H,
+		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	if err == nil {
+		res.Dist, res.Hops, res.Parent, res.Stats = r.Dist, r.Hops, r.Parent, r.Stats
+		res.Detail = fmt.Sprintf("snapRound=%d congestion=%d", r.SnapRound, r.Stats.MaxLinkCongestion)
+	}
+	return err
+}
+
+func runBellman(g *graph.Graph, sp Spec, res *Result) error {
+	e := sp.Engine
+	r, err := bellman.Run(g, bellman.Opts{Sources: sp.Sources, H: sp.H,
+		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	if err == nil {
+		res.Dist, res.Parent, res.Stats = r.Dist, r.Parent, r.Stats
+	}
+	return err
+}
+
+// Names lists the families in table order; exactOnly keeps the exact ones.
+func Names(exactOnly bool) []string {
+	var names []string
+	for _, f := range table {
+		if f.exact || !exactOnly {
+			names = append(names, f.name)
+		}
+	}
+	return names
+}
+
+// Run executes the spec to completion on the backend it names.
+func Run(g *graph.Graph, sp Spec) (Result, error) {
+	var err error
+	if sp.Sources, err = resolveSources(g, sp.Sources); err != nil {
+		return Result{}, err
+	}
+	switch sp.Backend {
+	case "", "congest":
+	case "parallel":
+		return runParallel(g, sp)
+	default:
+		return Result{}, fmt.Errorf("unknown backend %q (want congest | parallel)", sp.Backend)
+	}
+	for _, f := range table {
+		if f.name != sp.Alg {
+			continue
+		}
+		res := Result{Alg: f.name, Sources: sp.Sources}
+		switch {
+		case sp.H != 0:
+			if f.defaultH == hopIsBound {
+				res.HopBound = sp.H
+			}
+		case f.defaultH == hopIsBound:
+			sp.H = g.N() - 1
+		default:
+			sp.H = f.defaultH
+		}
+		if err := f.run(g, sp, &res); err != nil {
+			return Result{}, err
+		}
+		return res, nil
+	}
+	return Result{}, fmt.Errorf("unknown algorithm %q (want %s)", sp.Alg, strings.Join(Names(false), " | "))
+}
+
+// runParallel is Backend "parallel": the same exact unrestricted matrices
+// as the pipeline family, with no rounds — so a spec asking for anything
+// only rounds carry is refused rather than silently losing it.
+// Engine.Observer sees no events, Engine.Ctx is checked once on entry (the
+// kernels are not cancelable), and the result carries zero Stats.
+func runParallel(g *graph.Graph, sp Spec) (Result, error) {
+	const why = "the parallel backend computes unrestricted exact APSP with no simulated rounds"
+	switch e := sp.Engine; {
+	case sp.Alg != "" && sp.Alg != "pipeline":
+		return Result{}, fmt.Errorf("-alg %s needs the congest backend (%s)", sp.Alg, why)
+	case sp.H != 0 && sp.H < g.N()-1:
+		return Result{}, fmt.Errorf("hop bound %d needs the congest backend (%s)", sp.H, why)
+	case e.Network != nil:
+		return Result{}, fmt.Errorf("a fault plan needs the congest backend (%s)", why)
+	case e.Checkpoint != nil:
+		return Result{}, fmt.Errorf("checkpoints are engine snapshots and need the congest backend (%s)", why)
+	case sp.ListTrace != nil:
+		return Result{}, fmt.Errorf("a list trace needs the congest backend (%s)", why)
+	case e.Ctx != nil && e.Ctx.Err() != nil:
+		return Result{}, e.Ctx.Err()
+	}
+	r, err := compute.APSP(g, compute.Opts{Sources: sp.Sources, Workers: sp.Engine.Workers})
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Alg: "parallel/" + string(r.Kernel), Sources: r.Sources, Dist: r.Dist, Hops: r.Hops, Parent: r.Parent,
+		Detail: fmt.Sprintf("kernel=%s workers=%d", r.Kernel, r.Workers)}, nil
+}
+
+// LoadCheckpoint reads a checkpoint file and checks that it was taken by
+// this run description: same family (adopted from the file when sp.Alg is
+// empty), graph, sources, raw hop parameter, fault plan and scheduler.
+// The caller arms its checkpoint policy with the returned snapshot.
+func LoadCheckpoint(path string, g *graph.Graph, sp *Spec) (*checkpoint.Meta, *congest.Snapshot, error) {
+	if sp.Backend == "parallel" {
+		return nil, nil, fmt.Errorf("checkpoints are engine snapshots; resuming %s needs the congest backend", path)
+	}
+	meta, snap, err := checkpoint.Load(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if sp.Alg == "" {
+		sp.Alg = meta.Alg
+	}
+	if meta.Alg != "" && meta.Alg != sp.Alg {
+		return nil, nil, fmt.Errorf("checkpoint %s was taken by -alg %s, not %s", path, meta.Alg, sp.Alg)
+	}
+	if sp.Sources, err = resolveSources(g, sp.Sources); err != nil {
+		return nil, nil, err
+	}
+	fnet, _ := sp.Engine.Network.(*faults.Network)
+	if err := meta.ValidateAgainst(g, sp.Sources, sp.H, fnet.PlanString(), sp.Engine.Scheduler); err != nil {
+		return nil, nil, err
+	}
+	return meta, snap, nil
+}
+
+// resolveSources expands nil to every node and range-checks the rest.
+func resolveSources(g *graph.Graph, sources []int) ([]int, error) {
+	if sources == nil {
+		for v := 0; v < g.N(); v++ {
+			sources = append(sources, v)
+		}
+	}
+	for _, s := range sources {
+		if s < 0 || s >= g.N() {
+			return nil, fmt.Errorf("source %d outside graph (n=%d)", s, g.N())
+		}
+	}
+	return sources, nil
+}

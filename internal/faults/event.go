@@ -3,7 +3,8 @@ package faults
 import (
 	"fmt"
 	"strconv"
-	"strings"
+
+	"repro/internal/key"
 )
 
 // Kind classifies a single explicit fault event.
@@ -78,34 +79,15 @@ func (e Event) String() string {
 // ParseEvent is the inverse of Event.String.
 func ParseEvent(s string) (Event, error) {
 	var e Event
-	seen := map[string]bool{}
-	for _, f := range strings.Fields(s) {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok || seen[k] {
-			return Event{}, fmt.Errorf("faults: bad event field %q in %q", f, s)
-		}
-		seen[k] = true
-		var err error
-		switch k {
-		case "round":
-			e.Round, err = strconv.Atoi(v)
-		case "from":
-			e.From, err = strconv.Atoi(v)
-		case "to":
-			e.To, err = strconv.Atoi(v)
-		case "arg":
-			e.Arg, err = strconv.Atoi(v)
-		case "kind":
-			e.Kind, err = ParseKind(v)
-		default:
-			return Event{}, fmt.Errorf("faults: unknown event field %q in %q", k, s)
-		}
-		if err != nil {
-			return Event{}, err
-		}
-	}
-	if !seen["round"] || !seen["from"] || !seen["to"] || !seen["kind"] {
-		return Event{}, fmt.Errorf("faults: event %q missing round/from/to/kind", s)
+	err := key.Scan("faults", "event field", s, "", key.Vocab{
+		"round": {Need: true, Set: key.Into(&e.Round, strconv.Atoi)},
+		"from":  {Need: true, Set: key.Into(&e.From, strconv.Atoi)},
+		"to":    {Need: true, Set: key.Into(&e.To, strconv.Atoi)},
+		"kind":  {Need: true, Set: key.Into(&e.Kind, ParseKind)},
+		"arg":   {Set: key.Into(&e.Arg, strconv.Atoi)},
+	})
+	if err != nil {
+		return Event{}, err
 	}
 	return e, nil
 }

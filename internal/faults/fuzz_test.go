@@ -36,6 +36,28 @@ func FuzzFaultPlan(f *testing.F) {
 	})
 }
 
+// FuzzFaultEvent checks the event codec from both ends: every event with a
+// named kind survives String → ParseEvent unchanged, and arbitrary text
+// either fails to parse or parses to an event that round-trips.
+func FuzzFaultEvent(f *testing.F) {
+	f.Add(7, 2, 5, 1, 3, "round=7 from=2 to=5 kind=delay arg=3")
+	f.Add(0, 0, 0, 0, 0, "round=1 round=2 from=0 to=1 kind=drop")
+	f.Add(-4, 9, 1, 3, -2, "kind=crash  from=1\tto=0 round=9")
+	f.Fuzz(func(t *testing.T, round, from, to, kind, arg int, s string) {
+		e := Event{Round: round, From: from, To: to, Kind: Kind(uint(kind) % uint(len(kindNames))), Arg: arg}
+		if got, err := ParseEvent(e.String()); err != nil || got != e {
+			t.Fatalf("ParseEvent(%q) = %+v, %v; want %+v", e.String(), got, err, e)
+		}
+		e, err := ParseEvent(s)
+		if err != nil {
+			return
+		}
+		if got, err := ParseEvent(e.String()); err != nil || got != e {
+			t.Fatalf("%q parsed to %+v, whose form %q parses to %+v, %v", s, e, e.String(), got, err)
+		}
+	})
+}
+
 // FuzzReliableLink throws fuzzer-chosen fault plans and traffic shapes at
 // the reliability shim and asserts its whole contract: Send never fails for
 // a satisfiable plan, Collect returns exactly the canonical batch, and no

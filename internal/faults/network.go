@@ -149,6 +149,34 @@ func (nw *Network) DisarmCrashes(idx []int) {
 // barrier error on the first round with traffic.
 func New(plan Plan) *Network { return &Network{Plan: plan} }
 
+// Open is the rule behind every -faults / -fault-seed flag pair: parse the
+// plan text, key its PRF with seed when the text carries no seed term,
+// and build the Network. "" and "none" return nil — perfect delivery with
+// no shim at all, which is not the same run as the zero plan under the
+// shim (New(Plan{})).
+func Open(text string, seed int64) (*Network, error) {
+	if text == "" || text == "none" {
+		return nil, nil
+	}
+	plan, err := Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	if plan.Seed == 0 {
+		plan.Seed = seed
+	}
+	return New(plan), nil
+}
+
+// PlanString is the canonical plan text checkpoint metadata records:
+// Plan.String(), or "" for a nil Network.
+func (nw *Network) PlanString() string {
+	if nw == nil {
+		return ""
+	}
+	return nw.Plan.String()
+}
+
 // Reset implements congest.Network: per-run delivery state is discarded,
 // cumulative physical statistics and the recorded event log survive.
 func (nw *Network) Reset(n int) {

@@ -84,7 +84,8 @@ func All(seed int64) Plan {
 }
 
 // Parse decodes a plan from its textual form: comma-separated terms
-// "delay=N", "drop=P", "dup=P", "reorder" and "seed=N", in any order.
+// "delay=N", "drop=P", "dup=P", "reorder" and "seed=N", in any order,
+// each at most once (a repeated key is an error, not last-wins).
 // The presets "" and "none" give the zero plan and "all" gives All(0).
 // Parse(p.String()) == p for every valid plan (FuzzFaultPlan).
 func Parse(s string) (Plan, error) {
@@ -95,43 +96,15 @@ func Parse(s string) (Plan, error) {
 	case "all":
 		return All(0), nil
 	}
-	for _, term := range strings.Split(s, ",") {
-		term = strings.TrimSpace(term)
-		if term == "reorder" {
-			p.Reorder = true
-			continue
-		}
-		k, v, ok := strings.Cut(term, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("faults: bad plan term %q (want key=value or reorder)", term)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		switch k {
-		case "delay":
-			d, err := strconv.Atoi(v)
-			if err != nil {
-				return Plan{}, fmt.Errorf("faults: bad delay %q: %v", v, err)
-			}
-			p.MaxDelay = d
-		case "seed":
-			sd, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("faults: bad seed %q: %v", v, err)
-			}
-			p.Seed = sd
-		case "drop", "dup":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("faults: bad %s %q: %v", k, v, err)
-			}
-			if k == "drop" {
-				p.Drop = f
-			} else {
-				p.Dup = f
-			}
-		default:
-			return Plan{}, fmt.Errorf("faults: unknown plan key %q", k)
-		}
+	err := key.Scan("faults", "plan term", s, ",", key.Vocab{
+		"delay":   {Set: key.Into(&p.MaxDelay, strconv.Atoi)},
+		"drop":    {Set: key.Into(&p.Drop, key.Float)},
+		"dup":     {Set: key.Into(&p.Dup, key.Float)},
+		"reorder": {Bare: true, Set: func(string) error { p.Reorder = true; return nil }},
+		"seed":    {Set: key.Into(&p.Seed, key.Int64)},
+	})
+	if err != nil {
+		return Plan{}, err
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
@@ -148,10 +121,10 @@ func (p Plan) String() string {
 		terms = append(terms, fmt.Sprintf("delay=%d", p.MaxDelay))
 	}
 	if p.Drop != 0 {
-		terms = append(terms, "drop="+strconv.FormatFloat(p.Drop, 'g', -1, 64))
+		terms = append(terms, "drop="+key.Prob(p.Drop))
 	}
 	if p.Dup != 0 {
-		terms = append(terms, "dup="+strconv.FormatFloat(p.Dup, 'g', -1, 64))
+		terms = append(terms, "dup="+key.Prob(p.Dup))
 	}
 	if p.Reorder {
 		terms = append(terms, "reorder")

@@ -50,11 +50,38 @@ func TestPlanParseErrors(t *testing.T) {
 	bad := []string{
 		"delay", "delay=x", "drop=z", "frobnicate=1", "drop=1", "drop=1.5",
 		"drop=-0.1", "dup=2", "delay=-1", "delay=65", "seed=abc", "drop=NaN",
+		// A repeated key used to win silently: "drop=0.2,drop=0" parsed to
+		// the zero plan and the drill ran fault-free.
+		"drop=0.2,drop=0", "reorder,reorder", "reorder=1",
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", s)
 		}
+	}
+}
+
+// TestOpen pins the -faults / -fault-seed rule: no text means no shim at
+// all, a plan without a seed term takes the flag's seed, one with keeps
+// its own, and the canonical string is what checkpoint metadata records.
+func TestOpen(t *testing.T) {
+	for _, none := range []string{"", "none"} {
+		if nw, err := Open(none, 7); nw != nil || err != nil || nw.PlanString() != "" {
+			t.Fatalf("Open(%q) = %v, %v; want no network", none, nw, err)
+		}
+	}
+	nw, err := Open("drop=0.2, delay=4", 7)
+	if err != nil || nw.Plan != (Plan{Seed: 7, MaxDelay: 4, Drop: 0.2}) || nw.PlanString() != "delay=4,drop=0.2,seed=7" {
+		t.Fatalf("seed defaulted from the flag: %+v, %v", nw, err)
+	}
+	if nw, err = Open("all,seed=3", 7); err == nil {
+		t.Fatalf("preset mixed with terms accepted: %+v", nw.Plan)
+	}
+	if nw, err = Open("dup=0.1,seed=3", 7); err != nil || nw.Plan.Seed != 3 {
+		t.Fatalf("plan's own seed lost: %+v, %v", nw, err)
+	}
+	if _, err = Open("drop=2", 7); err == nil {
+		t.Fatal("invalid plan opened")
 	}
 }
 

@@ -2,9 +2,9 @@ package httpfault
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
+
+	"repro/internal/key"
 )
 
 // Kind classifies a single explicit HTTP fault event.
@@ -76,30 +76,13 @@ func (e Event) String() string {
 // ParseEvent is the inverse of Event.String.
 func ParseEvent(s string) (Event, error) {
 	var e Event
-	seen := map[string]bool{}
-	for _, f := range strings.Fields(s) {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok || seen[k] {
-			return Event{}, fmt.Errorf("httpfault: bad event field %q in %q", f, s)
-		}
-		seen[k] = true
-		var err error
-		switch k {
-		case "req":
-			e.Req, err = strconv.ParseUint(v, 10, 64)
-		case "arg":
-			e.Arg, err = strconv.ParseInt(v, 10, 64)
-		case "kind":
-			e.Kind, err = ParseKind(v)
-		default:
-			return Event{}, fmt.Errorf("httpfault: unknown event field %q in %q", k, s)
-		}
-		if err != nil {
-			return Event{}, err
-		}
-	}
-	if !seen["req"] || !seen["kind"] {
-		return Event{}, fmt.Errorf("httpfault: event %q missing req/kind", s)
+	err := key.Scan("httpfault", "event field", s, "", key.Vocab{
+		"req":  {Need: true, Set: key.Into(&e.Req, key.Uint64)},
+		"kind": {Need: true, Set: key.Into(&e.Kind, ParseKind)},
+		"arg":  {Set: key.Into(&e.Arg, key.Int64)},
+	})
+	if err != nil {
+		return Event{}, err
 	}
 	return e, nil
 }

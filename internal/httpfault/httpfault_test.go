@@ -216,7 +216,7 @@ func TestParseStringRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %q: %+v != %+v", s, p, p2)
 		}
 	}
-	for _, bad := range []string{"delay=abc", "reset=2", "blackhole=-1", "wat=1", "delay=5s", "reorder"} {
+	for _, bad := range []string{"delay=abc", "reset=2", "blackhole=-1", "wat=1", "delay=5s", "reorder", "reset=0.2,reset=0"} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) accepted", bad)
 		}

@@ -26,7 +26,6 @@ package httpfault
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 
@@ -100,8 +99,9 @@ func All(seed int64) Plan {
 
 // Parse decodes a plan from its textual form: comma-separated terms
 // "delay=DUR", "delayp=P", "reset=P", "err500=P", "err503=P",
-// "truncate=P", "blackhole=P" and "seed=N", in any order. The presets ""
-// and "none" give the zero plan and "all" gives All(0).
+// "truncate=P", "blackhole=P" and "seed=N", in any order, each at most
+// once. The presets "" and "none" give the zero plan and "all" gives
+// All(0).
 // Parse(p.String()) == p for every valid plan (FuzzHTTPFaultPlan).
 func Parse(s string) (Plan, error) {
 	var p Plan
@@ -111,48 +111,18 @@ func Parse(s string) (Plan, error) {
 	case "all":
 		return All(0), nil
 	}
-	for _, term := range strings.Split(s, ",") {
-		term = strings.TrimSpace(term)
-		k, v, ok := strings.Cut(term, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("httpfault: bad plan term %q (want key=value)", term)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		switch k {
-		case "delay":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return Plan{}, fmt.Errorf("httpfault: bad delay %q: %v", v, err)
-			}
-			p.MaxDelay = d
-		case "seed":
-			sd, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("httpfault: bad seed %q: %v", v, err)
-			}
-			p.Seed = sd
-		case "delayp", "reset", "err500", "err503", "truncate", "blackhole":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("httpfault: bad %s %q: %v", k, v, err)
-			}
-			switch k {
-			case "delayp":
-				p.DelayP = f
-			case "reset":
-				p.Reset = f
-			case "err500":
-				p.Err500 = f
-			case "err503":
-				p.Err503 = f
-			case "truncate":
-				p.Truncate = f
-			case "blackhole":
-				p.Blackhole = f
-			}
-		default:
-			return Plan{}, fmt.Errorf("httpfault: unknown plan key %q", k)
-		}
+	err := key.Scan("httpfault", "plan term", s, ",", key.Vocab{
+		"delay":     {Set: key.Into(&p.MaxDelay, time.ParseDuration)},
+		"delayp":    {Set: key.Into(&p.DelayP, key.Float)},
+		"reset":     {Set: key.Into(&p.Reset, key.Float)},
+		"err500":    {Set: key.Into(&p.Err500, key.Float)},
+		"err503":    {Set: key.Into(&p.Err503, key.Float)},
+		"truncate":  {Set: key.Into(&p.Truncate, key.Float)},
+		"blackhole": {Set: key.Into(&p.Blackhole, key.Float)},
+		"seed":      {Set: key.Into(&p.Seed, key.Int64)},
+	})
+	if err != nil {
+		return Plan{}, err
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
@@ -170,7 +140,7 @@ func (p Plan) String() string {
 	}
 	prob := func(k string, v float64) {
 		if v != 0 {
-			terms = append(terms, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
+			terms = append(terms, k+"="+key.Prob(v))
 		}
 	}
 	prob("delayp", p.DelayP)

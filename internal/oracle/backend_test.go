@@ -19,7 +19,7 @@ func TestParallelBackendMatchesCongest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("congest backend: %v", err)
 	}
-	par, err := Compute(context.Background(), g, ComputeSpec{Alg: "pipeline", Backend: "parallel", Workers: 4})
+	par, err := Compute(context.Background(), g, ComputeSpec{Alg: "pipeline", Backend: "parallel", Engine: congest.Config{Workers: 4}})
 	if err != nil {
 		t.Fatalf("parallel backend: %v", err)
 	}

@@ -3,47 +3,34 @@ package oracle
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
-	"repro/internal/bellman"
-	"repro/internal/checkpoint"
-	"repro/internal/compute"
 	"repro/internal/congest"
-	"repro/internal/core"
+	"repro/internal/family"
 	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/hssp"
-	"repro/internal/scaling"
-	"repro/internal/shortrange"
 )
 
-// ComputeSpec describes one oracle precomputation: which protocol family
-// to run, over which sources, under which engine configuration. It mirrors
-// cmd/apsprun's flag conventions (H == 0 means the per-algorithm default,
-// nil Sources means all nodes, Plan in faults.Parse syntax) so a checkpoint
-// written by apsprun resumes here unchanged.
+// ComputeSpec describes one oracle precomputation in the terms of
+// internal/family — which protocol family, on which backend, over which
+// sources, under which engine environment — plus the two per-computation
+// inputs the oracle turns into fresh engine hooks on every Compute: the
+// fault plan as text and the snapshot to resume from. A checkpoint written
+// by apsprun resumes here unchanged because both sides validate it through
+// family.LoadCheckpoint.
 type ComputeSpec struct {
-	// Alg is the protocol family: pipeline | blocker | scaling |
-	// shortrange | bellman. (approx is excluded: its result is a stretch
-	// bound, not exact distances, and the oracle contract is exactness.)
-	Alg string
-	// Backend selects the compute substrate. "" and "congest" simulate
-	// the protocol family on the message-passing engine; "parallel" runs
-	// the centralized shared-memory backend (internal/compute), which
-	// produces the same unrestricted exact matrices as the pipeline
-	// family orders of magnitude faster — the production recompute path
-	// at large n. The parallel backend rejects engine-only features:
-	// hop bounds below n-1, fault plans, and checkpoint resume.
+	// Alg, Backend, Sources and H are family.Spec's. Only exact families
+	// are served: approx yields a stretch bound, and the oracle contract
+	// is exactness.
+	Alg     string
 	Backend string
-	// Sources are the query sources (nil = all nodes).
 	Sources []int
-	// H is the raw hop parameter (0 = per-algorithm default, exactly as
-	// apsprun's -h; checkpoint metadata records this raw value).
-	H int
-	// Workers and Sched configure the engine (results are bit-identical
-	// across both, so they are free to differ from the checkpointed run
-	// only in Workers — Sched is validated).
-	Workers int
-	Sched   congest.Scheduler
+	H       int
+	// Engine carries Workers, Scheduler and Observer. Its Network,
+	// Checkpoint and Ctx are per-computation: Compute fills them from
+	// Plan / FaultSeed, Resume and its ctx argument.
+	Engine congest.Config
 	// Plan is an adversarial-delivery plan in faults.Parse syntax
 	// ("" or "none" = perfect delivery); FaultSeed keys the fault PRF when
 	// the plan carries no seed term.
@@ -51,138 +38,46 @@ type ComputeSpec struct {
 	FaultSeed int64
 	// Resume is an engine snapshot to restart from (see LoadCheckpoint).
 	Resume *congest.Snapshot
-	// Obs optionally attaches an engine observer.
-	Obs congest.Observer
 }
 
-// normalize expands the apsprun flag conventions against a concrete graph.
-func (sp *ComputeSpec) normalize(g *graph.Graph) error {
-	if sp.Sources == nil {
-		sp.Sources = make([]int, g.N())
-		for v := range sp.Sources {
-			sp.Sources[v] = v
-		}
-	}
-	for _, s := range sp.Sources {
-		if s < 0 || s >= g.N() {
-			return fmt.Errorf("oracle: source %d outside graph (n=%d)", s, g.N())
-		}
-	}
-	switch sp.Alg {
-	case "pipeline", "blocker", "scaling", "shortrange", "bellman":
-	default:
-		return fmt.Errorf("oracle: unknown algorithm %q (want pipeline | blocker | scaling | shortrange | bellman)", sp.Alg)
-	}
-	return nil
-}
-
-// hopBound resolves the effective hop parameter (apsprun's defaulting).
-func (sp *ComputeSpec) hopBound(g *graph.Graph) int {
-	if sp.H != 0 {
-		return sp.H
-	}
-	switch sp.Alg {
-	case "shortrange":
-		return 8
-	case "blocker", "scaling":
-		return 0 // hssp chooses its own H; scaling has none
-	default: // pipeline, bellman: unrestricted
-		return g.N() - 1
-	}
-}
-
-// network builds the adversarial-delivery shim for the spec's plan
-// ("" or "none" = nil, perfect delivery) and returns the canonical plan
-// string — the form checkpoint metadata records.
-func (sp *ComputeSpec) network() (*faults.Network, string, error) {
-	if sp.Plan == "" || sp.Plan == "none" {
-		return nil, "", nil
-	}
-	plan, err := faults.Parse(sp.Plan)
+// run is the family.Spec of one computation, with a fresh fault network
+// (so its physical counters are this computation's alone) and a fresh
+// checkpoint policy (a policy counts the engine runs it has seen).
+func (sp ComputeSpec) run() (family.Spec, *faults.Network, error) {
+	fnet, err := faults.Open(sp.Plan, sp.FaultSeed)
 	if err != nil {
-		return nil, "", err
+		return family.Spec{}, nil, err
 	}
-	if plan.Seed == 0 {
-		plan.Seed = sp.FaultSeed
-	}
-	fnet := faults.New(plan)
-	return fnet, fnet.Plan.String(), nil
-}
-
-// Compute runs the spec's protocol family to completion and returns the
-// result in BuildInput form, ready for Build. Families without parent
-// records (blocker, scaling) yield distance-only inputs: /dist and /batch
-// serve them, /path reports a typed error.
-func Compute(ctx context.Context, g *graph.Graph, sp ComputeSpec) (BuildInput, error) {
-	switch sp.Backend {
-	case "", "congest":
-	case "parallel":
-		return computeParallel(ctx, g, sp)
-	default:
-		return BuildInput{}, fmt.Errorf("oracle: unknown backend %q (want congest | parallel)", sp.Backend)
-	}
-	if err := sp.normalize(g); err != nil {
-		return BuildInput{}, err
-	}
-	fnet, _, err := sp.network()
-	if err != nil {
-		return BuildInput{}, err
-	}
-	var network congest.Network
+	eng := sp.Engine
 	if fnet != nil {
-		network = fnet
+		eng.Network = fnet
 	}
-	var pol *congest.CheckpointPolicy
 	if sp.Resume != nil {
-		pol = &congest.CheckpointPolicy{Resume: sp.Resume}
+		eng.Checkpoint = &congest.CheckpointPolicy{Resume: sp.Resume}
 	}
-	h := sp.hopBound(g)
+	return family.Spec{Alg: sp.Alg, Backend: sp.Backend, Sources: sp.Sources, H: sp.H, Engine: eng}, fnet, nil
+}
 
-	var in BuildInput
-	switch sp.Alg {
-	case "pipeline":
-		res, err := core.Run(g, core.Opts{Sources: sp.Sources, H: h, Workers: sp.Workers,
-			Scheduler: sp.Sched, Obs: sp.Obs, Network: network, Checkpoint: pol, Ctx: ctx})
-		if err != nil {
-			return BuildInput{}, err
-		}
-		in = BuildInput{Alg: sp.Alg, Sources: res.Sources, Dist: res.Dist,
-			Hops: res.Hops, Parent: res.Parent, Stats: res.Stats}
-	case "blocker":
-		res, err := hssp.Run(g, hssp.Opts{Sources: sp.Sources, H: sp.H, Workers: sp.Workers,
-			Scheduler: sp.Sched, Obs: sp.Obs, Network: network, Checkpoint: pol, Ctx: ctx})
-		if err != nil {
-			return BuildInput{}, err
-		}
-		in = BuildInput{Alg: sp.Alg, Sources: res.Sources, Dist: res.Dist, Stats: res.Stats}
-	case "scaling":
-		res, err := scaling.Run(g, scaling.Opts{Sources: sp.Sources, Workers: sp.Workers,
-			Scheduler: sp.Sched, Obs: sp.Obs, Network: network, Checkpoint: pol, Ctx: ctx})
-		if err != nil {
-			return BuildInput{}, err
-		}
-		in = BuildInput{Alg: sp.Alg, Sources: res.Sources, Dist: res.Dist, Stats: res.Stats}
-	case "shortrange":
-		res, err := shortrange.Run(g, shortrange.Opts{Sources: sp.Sources, H: h, Workers: sp.Workers,
-			Scheduler: sp.Sched, Obs: sp.Obs, Network: network, Checkpoint: pol, Ctx: ctx})
-		if err != nil {
-			return BuildInput{}, err
-		}
-		in = BuildInput{Alg: sp.Alg, Sources: sp.Sources, Dist: res.Dist,
-			Hops: res.Hops, Parent: res.Parent, Stats: res.Stats}
-	case "bellman":
-		res, err := bellman.Run(g, bellman.Opts{Sources: sp.Sources, H: h, Workers: sp.Workers,
-			Scheduler: sp.Sched, Obs: sp.Obs, Network: network, Checkpoint: pol, Ctx: ctx})
-		if err != nil {
-			return BuildInput{}, err
-		}
-		// Bellman–Ford records parents but not hop counts: path queries go
-		// through the walker's nil-Hops mode (distance tightness only).
-		in = BuildInput{Alg: sp.Alg, Sources: sp.Sources, Dist: res.Dist,
-			Parent: res.Parent, Stats: res.Stats}
-	default:
-		return BuildInput{}, fmt.Errorf("oracle: unknown algorithm %q", sp.Alg)
+// Compute runs the spec to completion and returns the result in BuildInput
+// form, ready for Build. Families without parent records (blocker,
+// scaling) yield distance-only inputs: /dist and /batch serve them, /path
+// reports a typed error. Backend "parallel" labels its input
+// "parallel/<kernel>" and carries zero engine Stats.
+func Compute(ctx context.Context, g *graph.Graph, sp ComputeSpec) (BuildInput, error) {
+	if exact := family.Names(true); sp.Backend != "parallel" && !slices.Contains(exact, sp.Alg) {
+		return BuildInput{}, fmt.Errorf("oracle: -alg %q is not an exact family (want %s)", sp.Alg, strings.Join(exact, " | "))
 	}
+	fsp, fnet, err := sp.run()
+	if err != nil {
+		return BuildInput{}, err
+	}
+	fsp.Engine.Ctx = ctx
+	res, err := family.Run(g, fsp)
+	if err != nil {
+		return BuildInput{}, err
+	}
+	in := BuildInput{Alg: res.Alg, Sources: res.Sources, Dist: res.Dist,
+		Hops: res.Hops, Parent: res.Parent, Stats: res.Stats}
 	if fnet != nil {
 		// The shim's physical cost travels with the result: the serving
 		// layer exports it (retransmits, duplicate deliveries) per snapshot.
@@ -192,74 +87,25 @@ func Compute(ctx context.Context, g *graph.Graph, sp ComputeSpec) (BuildInput, e
 	return in, nil
 }
 
-// computeParallel is the Backend == "parallel" path: the centralized
-// shared-memory backend of internal/compute. It computes the same
-// lexicographic (dist, hops) matrices as the unrestricted pipeline family
-// — bit-identical dist and hops, a parent tree valid under the same
-// walker — without simulating any rounds, so the resulting snapshot
-// carries zero engine Stats. Engine-only spec features are rejected
-// rather than silently ignored. The run is not cancelable mid-kernel;
-// ctx is checked once on entry.
-func computeParallel(ctx context.Context, g *graph.Graph, sp ComputeSpec) (BuildInput, error) {
-	if sp.Alg != "" && sp.Alg != "pipeline" {
-		return BuildInput{}, fmt.Errorf("oracle: backend parallel computes unrestricted exact APSP; -alg %s needs the congest backend", sp.Alg)
-	}
-	if sp.Resume != nil {
-		return BuildInput{}, fmt.Errorf("oracle: backend parallel cannot resume an engine checkpoint; use the congest backend")
-	}
-	if sp.Plan != "" && sp.Plan != "none" {
-		return BuildInput{}, fmt.Errorf("oracle: backend parallel has no physical network to fault; use the congest backend")
-	}
-	if sp.H != 0 && sp.H < g.N()-1 {
-		return BuildInput{}, fmt.Errorf("oracle: backend parallel is unrestricted (h >= n-1); hop bound %d needs the congest backend", sp.H)
-	}
-	if err := ctx.Err(); err != nil {
-		return BuildInput{}, err
-	}
-	res, err := compute.APSP(g, compute.Opts{Sources: sp.Sources, Workers: sp.Workers})
-	if err != nil {
-		return BuildInput{}, err
-	}
-	return BuildInput{Alg: "parallel/" + string(res.Kernel), Sources: res.Sources,
-		Dist: res.Dist, Hops: res.Hops, Parent: res.Parent}, nil
-}
-
 // LoadCheckpoint reads an apsprun checkpoint file, validates its metadata
-// against the graph and spec (graph fingerprint, sources, hop parameter,
-// fault plan, scheduler — the same gate apsprun -resume applies), and arms
-// sp.Resume with the snapshot. When the checkpoint names an algorithm it
-// must match sp.Alg; when sp.Alg is empty it is adopted from the
-// checkpoint, so `apspd -load run.ckpt` needs no -alg flag.
+// against the graph and spec (the same gate apsprun -resume applies), and
+// arms sp.Resume with the snapshot. When sp.Alg is empty it is adopted
+// from the checkpoint, so `apspd -load run.ckpt` needs no -alg flag.
 //
 // Checkpoints taken under scripted crash faults (apsprun -crash) carry
 // disarmed-event state the oracle cannot replay and are rejected.
 func LoadCheckpoint(path string, g *graph.Graph, sp *ComputeSpec) error {
-	if sp.Backend == "parallel" {
-		return fmt.Errorf("oracle: checkpoints are engine snapshots; -load needs the congest backend")
-	}
-	meta, snap, err := checkpoint.Load(path)
+	fsp, _, err := sp.run()
 	if err != nil {
 		return err
 	}
-	if sp.Alg == "" {
-		sp.Alg = meta.Alg
-	}
-	if meta.Alg != "" && meta.Alg != sp.Alg {
-		return fmt.Errorf("oracle: checkpoint %s was taken by -alg %s, not %s", path, meta.Alg, sp.Alg)
+	meta, snap, err := family.LoadCheckpoint(path, g, &fsp)
+	if err != nil {
+		return err
 	}
 	if len(meta.Disarmed) > 0 {
 		return fmt.Errorf("oracle: checkpoint %s carries scripted crash-fault state; resume it with apsprun -resume instead", path)
 	}
-	if err := sp.normalize(g); err != nil {
-		return err
-	}
-	_, planStr, err := sp.network()
-	if err != nil {
-		return err
-	}
-	if err := meta.ValidateAgainst(g, sp.Sources, sp.H, planStr, sp.Sched); err != nil {
-		return err
-	}
-	sp.Resume = snap
+	sp.Alg, sp.Sources, sp.Resume = fsp.Alg, fsp.Sources, snap
 	return nil
 }

@@ -195,6 +195,9 @@ func TestComputeSpecDefaults(t *testing.T) {
 	if _, err := Compute(context.Background(), g, ComputeSpec{Alg: "frobnicate"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
+	if _, err := Compute(context.Background(), g, ComputeSpec{Alg: "approx"}); err == nil {
+		t.Fatal("inexact family accepted by the exact-distance oracle")
+	}
 	if _, err := Compute(context.Background(), g, ComputeSpec{Alg: "pipeline", Sources: []int{99}}); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}

@@ -168,7 +168,7 @@ func TestRecomputeFailureServesStale(t *testing.T) {
 	fail = true
 	mu.Unlock()
 	trigger()
-	var h healthResp
+	var h Health
 	if status := getJSON(t, ts.URL+"/healthz", &h); status != http.StatusOK {
 		t.Fatalf("healthz while stale: status %d, want 200 (stale still serves)", status)
 	}

@@ -587,10 +587,12 @@ func (s *Server) batchOne(ctx context.Context, snap *Snapshot, q batchItem) batc
 	return res
 }
 
-// healthResp is the /healthz body. Status "stale" means the snapshot is
-// valid and serving but the most recent recompute failed — degraded, not
-// down; orchestrators should alert, not restart.
-type healthResp struct {
+// Health is the /healthz body — the one declaration the server encodes
+// and every reader (the router's probes and rollout polls, apsprouter's
+// map derivation, tests) decodes into. Status "stale" means the snapshot
+// is valid and serving but the most recent recompute failed — degraded,
+// not down; orchestrators should alert, not restart.
+type Health struct {
 	Status       string `json:"status"` // "ok" | "loading" | "stale"
 	Gen          uint64 `json:"gen"`
 	Alg          string `json:"alg,omitempty"`
@@ -608,14 +610,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.init()
 	snap := s.Store.Current()
 	if snap == nil {
-		writeJSON(w, http.StatusServiceUnavailable, healthResp{Status: "loading", Recomputing: s.recomputing.Load()})
+		writeJSON(w, http.StatusServiceUnavailable, Health{Status: "loading", Recomputing: s.recomputing.Load()})
 		return
 	}
 	w.Header().Set(GenHeader, strconv.FormatUint(snap.Gen(), 10))
 	if s.ShardID != "" {
 		w.Header().Set(ShardHeader, s.ShardID)
 	}
-	resp := healthResp{
+	resp := Health{
 		Status: "ok", Gen: snap.Gen(), Alg: snap.Alg(), N: snap.N(), K: snap.K(),
 		Shard:       s.ShardID,
 		Fingerprint: fmt.Sprintf("%016x", snap.Fingerprint()),

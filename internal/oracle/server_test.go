@@ -289,7 +289,7 @@ func TestServerRecomputeSingleFlight(t *testing.T) {
 	if got := srv.Store.Current().Gen(); got != snap.Gen()+1 {
 		t.Fatalf("published gen %d, want %d", got, snap.Gen()+1)
 	}
-	var h healthResp
+	var h Health
 	if status := getJSON(t, ts.URL+"/healthz", &h); status != http.StatusOK || h.Gen != snap.Gen()+1 {
 		t.Fatalf("healthz after swap: status %d, %+v", status, h)
 	}
@@ -314,7 +314,7 @@ func TestServerMetricsAndHealthz(t *testing.T) {
 	getJSON(t, fmt.Sprintf("%s/path?src=%d&dst=1", ts.URL, snap.Sources()[0]), nil)
 	getJSON(t, fmt.Sprintf("%s/path?src=%d&dst=1", ts.URL, snap.Sources()[0]), nil) // cache hit
 
-	var h healthResp
+	var h Health
 	if status := getJSON(t, ts.URL+"/healthz", &h); status != http.StatusOK {
 		t.Fatalf("healthz status %d", status)
 	}
