@@ -6,12 +6,20 @@
 // Two kernels sit behind one entry point:
 //
 //   - A work-stealing per-source parallel Dijkstra: sources are fanned out
-//     over an atomic counter, each worker owns one 4-ary heap and writes
-//     its dist/hops/parent rows directly into the shared result (rows are
-//     disjoint, so there is no synchronization on the hot path).
+//     over an atomic counter, each worker owns one 4-ary heap and a key
+//     plane, relaxes over a CSR adjacency, and writes its finished
+//     dist/hops/parent rows into the shared result (rows are disjoint, so
+//     there is no synchronization on the hot path).
 //   - A cache-blocked Floyd–Warshall for dense all-pairs workloads, tiled
 //     so the three classic phases run over B×B blocks that fit in cache,
 //     with the independent phase-2/phase-3 tiles spread across workers.
+//
+// Both work on packed keys: one (dist, hops) pair per machine word,
+// dist<<shift | hops, so a relaxation is one add and one compare (key.go
+// has the layout and the rule for when a graph fits it). The choice is
+// made from the graph, never by the caller: a graph whose path weights do
+// not fit beside the hop field runs the wide Dijkstra of dijkstra.go, which
+// keeps dist and hops in separate int64s, and has no Floyd.
 //
 // Both kernels compute lexicographic (distance, hops) minima — exactly the
 // quantity the pipelined CONGEST families of the paper produce — so the
@@ -23,6 +31,7 @@
 package compute
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -34,13 +43,18 @@ type Kernel string
 
 const (
 	// Auto picks a kernel from the graph's density and the source count
-	// (see pick for the heuristic).
+	// (see pick for the measured rule).
 	Auto Kernel = "auto"
 	// Dijkstra forces the work-stealing per-source parallel Dijkstra.
 	Dijkstra Kernel = "dijkstra"
 	// Floyd forces the cache-blocked Floyd–Warshall.
 	Floyd Kernel = "floyd"
 )
+
+// ErrFloydRange reports Kernel: Floyd forced on a graph whose path weights
+// do not fit a packed key beside the hop field (layoutFor). Only the wide
+// Dijkstra runs such a graph; Auto picks it.
+var ErrFloydRange = errors.New("compute: the floyd kernel needs path weights that fit a packed key")
 
 // Opts configures APSP.
 type Opts struct {
@@ -96,17 +110,45 @@ func APSP(g *graph.Graph, opts Opts) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(sources) && len(sources) > 0 {
-		workers = len(sources)
+	maxPath, err := g.MaxPathWeight()
+	if err != nil {
+		return nil, fmt.Errorf("compute: %w", err)
 	}
+	lay, packs := layoutFor(n, maxPath)
 
 	kernel := opts.Kernel
 	if kernel == "" || kernel == Auto {
-		kernel = pick(g, len(sources))
+		kernel = pick(g, len(sources), packs)
 	}
 
 	res := &Result{Sources: sources, Kernel: kernel, Workers: workers}
-	k := len(sources)
+	switch kernel {
+	case Dijkstra:
+		// Sources are the unit of Dijkstra's fan-out; Floyd's tiles
+		// parallelise over n² whatever k is.
+		res.Workers = min(workers, len(sources))
+		res.allocRows(n)
+		if packs {
+			packedDijkstra(g, lay, res)
+		} else {
+			parallelDijkstra(g, res, res.Workers)
+		}
+	case Floyd:
+		if !packs {
+			return nil, fmt.Errorf("%w (n=%d, max weight %d)", ErrFloydRange, n, g.MaxWeight())
+		}
+		res.allocRows(n)
+		blockedFloyd(g, lay, res)
+	default:
+		return nil, fmt.Errorf("compute: unknown kernel %q", kernel)
+	}
+	return res, nil
+}
+
+// allocRows gives the result its len(Sources) rows of n cells, sliced out
+// of one flat backing array per matrix.
+func (res *Result) allocRows(n int) {
+	k := len(res.Sources)
 	distFlat := make([]int64, k*n)
 	hopsFlat := make([]int64, k*n)
 	parFlat := make([]int, k*n)
@@ -118,31 +160,29 @@ func APSP(g *graph.Graph, opts Opts) (*Result, error) {
 		res.Hops[i] = hopsFlat[i*n : (i+1)*n : (i+1)*n]
 		res.Parent[i] = parFlat[i*n : (i+1)*n : (i+1)*n]
 	}
-
-	switch kernel {
-	case Dijkstra:
-		parallelDijkstra(g, res, workers)
-	case Floyd:
-		blockedFloyd(g, res, workers)
-	default:
-		return nil, fmt.Errorf("compute: unknown kernel %q", kernel)
-	}
-	return res, nil
 }
 
-// pick chooses a kernel: blocked Floyd–Warshall costs Θ(n³) regardless of
-// density, per-source Dijkstra costs Θ(k·(m + n log n)). Floyd only wins
-// when most rows are wanted and the arc count approaches n², so it is
-// selected for near-all-sources runs on dense graphs and Dijkstra
-// everywhere else. The thresholds are deliberately conservative: Floyd
-// also allocates Θ(n²) scratch even for few sources.
-func pick(g *graph.Graph, k int) Kernel {
-	n, m := g.N(), g.M()
-	arcs := m
+// pick chooses a kernel. Per-source Dijkstra costs about k·arcs, blocked
+// Floyd–Warshall n³ whatever the density or k, so Floyd wins only when
+// k·arcs is a large enough share of n³. The share is measured (packed
+// kernels, all sources, 2 workers, best of 6 and of 4, seconds at arcs =
+// n²/16, n²/8, n²/4, n²/2, n²; CHANGES.md has the table with the previous
+// kernels beside it):
+//
+//	n =  768  dijkstra 0.08 0.09 0.12 0.17 0.26   floyd 0.23 0.22 0.20 0.19 0.18
+//	n = 1536  dijkstra 0.38 0.50 0.70 1.11 1.82   floyd 1.60 1.49 1.40 1.33 1.29
+//
+// The curves cross at arcs ≈ 0.59·n² and ≈ 0.65·n²: Floyd from k·arcs =
+// 5n³/8 up. Halving k halves Dijkstra's side only, which the product
+// carries: at n = 768, k = n/2 Dijkstra wins at n²/2 (0.09 against 0.18)
+// and still at n² (0.13 against 0.17). A graph that does not pack has no
+// Floyd.
+func pick(g *graph.Graph, k int, packs bool) Kernel {
+	n, arcs := float64(g.N()), float64(g.M())
 	if !g.Directed() {
-		arcs = 2 * m
+		arcs *= 2
 	}
-	if n >= 2 && k*2 >= n && arcs*8 >= n*n {
+	if packs && 8*float64(k)*arcs >= 5*n*n*n {
 		return Floyd
 	}
 	return Dijkstra

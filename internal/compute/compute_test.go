@@ -1,6 +1,10 @@
 package compute_test
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/compute"
@@ -170,33 +174,143 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestAutoKernelPick pins the density heuristic: near-complete all-pairs
-// graphs take the blocked Floyd kernel, sparse or few-source runs take
-// Dijkstra.
+// TestAutoKernelPick pins pick where it was measured (n = 768 and 1536,
+// all sources, 2 workers, interleaved with the previous kernels; the table
+// is on pick and in CHANGES.md): packed Dijkstra and packed Floyd cross at
+// arcs ≈ 0.59·n² and ≈ 0.65·n², so Floyd runs from 8·k·arcs = 5·n³ up.
 func TestAutoKernelPick(t *testing.T) {
-	dense := graph.Random(32, 32*28, graph.GenOpts{Seed: 2, MaxW: 5, Directed: true})
-	sparse := graph.Random(64, 128, graph.GenOpts{Seed: 2, MaxW: 5, Directed: true})
+	dense := func(n, arcs int, maxW int64) *graph.Graph {
+		return graph.Random(n, arcs, graph.GenOpts{Seed: 2, MaxW: maxW, Directed: true})
+	}
+	all := []int(nil)
+	for _, c := range []struct {
+		name    string
+		g       *graph.Graph
+		sources []int
+		want    compute.Kernel
+	}{
+		{"above the crossover, arcs = 3n²/4", dense(64, 64*48, 5), all, compute.Floyd},
+		{"below the crossover, arcs = n²/2", dense(64, 64*32, 5), all, compute.Dijkstra},
+		{"undirected counts both arcs, 2m = 3n²/4", graph.Random(64, 64*24, graph.GenOpts{Seed: 2, MaxW: 5}), all, compute.Floyd},
+		// rebuild_dense: Dijkstra 0.12 s, Floyd 0.20 s.
+		{"ledger dense, n = 768, arcs = n²/4", dense(768, 768*768/4, 64), all, compute.Dijkstra},
+		// rebuild_sparse, one of three shards.
+		{"ledger sparse, n = 1536, m = 4n, k = n/3", dense(1536, 4*1536, 8), allSources(512), compute.Dijkstra},
+		// k = n/2 at arcs = 3n²/4: Dijkstra's side halves, Floyd's does not.
+		{"half the sources", dense(64, 64*48, 5), allSources(32), compute.Dijkstra},
+		{"two sources", dense(64, 64*48, 5), []int{0, 1}, compute.Dijkstra},
+		// Weights up to 2⁴⁸, 63 of them ≥ 2⁵²: no packed key, so no
+		// Floyd, however dense.
+		{"dense, does not pack", dense(64, 64*60, 1<<48), all, compute.Dijkstra},
+	} {
+		res, err := compute.APSP(c.g, compute.Opts{Sources: c.sources})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Kernel != c.want {
+			t.Errorf("%s: picked %s, want %s", c.name, res.Kernel, c.want)
+		}
+	}
+}
 
-	res, err := compute.APSP(dense, compute.Opts{})
-	if err != nil {
-		t.Fatal(err)
+// TestWorkerClamp: sources are the unit of Dijkstra's fan-out only. Floyd
+// closes the whole n×n matrix whatever k is, over tiles, so a one-source
+// run keeps every worker it was given.
+func TestWorkerClamp(t *testing.T) {
+	g := graph.Random(30, 90, graph.GenOpts{Seed: 9, MaxW: 6, Directed: true})
+	for kern, want := range map[compute.Kernel]int{compute.Dijkstra: 1, compute.Floyd: 4} {
+		res, err := compute.APSP(g, compute.Opts{Sources: []int{0}, Kernel: kern, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Workers != want {
+			t.Errorf("%s over one source with Workers: 4 ran on %d, want %d", kern, res.Workers, want)
+		}
 	}
-	if res.Kernel != compute.Floyd {
-		t.Fatalf("dense all-pairs picked %s, want floyd", res.Kernel)
+}
+
+// TestRefusesOverflowingPathSums: each weight is legal, their sum reaches
+// graph.Inf, and d(0,2) used to come back as exactly that — "unreachable"
+// — from every kernel and from the reference they are checked against.
+func TestRefusesOverflowingPathSums(t *testing.T) {
+	g := graph.New(3, true)
+	g.MustAddEdge(0, 1, 1<<60)
+	g.MustAddEdge(1, 2, 1<<60)
+	for _, kern := range []compute.Kernel{compute.Auto, compute.Dijkstra, compute.Floyd} {
+		if _, err := compute.APSP(g, compute.Opts{Kernel: kern}); !errors.Is(err, graph.ErrPathOverflow) {
+			t.Errorf("%s: err = %v, want graph.ErrPathOverflow", kern, err)
+		}
 	}
-	res, err = compute.APSP(sparse, compute.Opts{})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// resultHash is FNV-64a over (dist, hops, parent) as little-endian 64-bit
+// words, cell by cell in row order.
+func resultHash(res *compute.Result) uint64 {
+	h := fnv.New64a()
+	var b [24]byte
+	for i := range res.Dist {
+		for v := range res.Dist[i] {
+			binary.LittleEndian.PutUint64(b[0:], uint64(res.Dist[i][v]))
+			binary.LittleEndian.PutUint64(b[8:], uint64(res.Hops[i][v]))
+			binary.LittleEndian.PutUint64(b[16:], uint64(int64(res.Parent[i][v])))
+			h.Write(b[:])
+		}
 	}
-	if res.Kernel != compute.Dijkstra {
-		t.Fatalf("sparse all-pairs picked %s, want dijkstra", res.Kernel)
+	return h.Sum64()
+}
+
+// TestKernelsPinned holds each packed kernel to the matrices — parents
+// included — of the unpacked kernel it replaced: the hashes were taken
+// from commit 049f08e, whose Floyd kept dist, hops and parent in three
+// planes and whose only Dijkstra was the wide one. n = 150 gives three
+// tile rows with a ragged last one; the zero-heavy weights give ties for
+// the parents to break.
+func TestKernelsPinned(t *testing.T) {
+	g := graph.ZeroHeavy(150, 900, 0.4, graph.GenOpts{Seed: 18, MaxW: 9, Directed: true})
+	for kern, want := range map[compute.Kernel]uint64{
+		compute.Dijkstra: 0x6bd82af2e0c67ce7,
+		compute.Floyd:    0x24c193edf6c9cf59,
+	} {
+		res, err := compute.APSP(g, compute.Opts{Kernel: kern, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultHash(res); got != want {
+			t.Errorf("%s: FNV-64a of (dist, hops, parent) = %#016x, want %#016x", kern, got, want)
+		}
 	}
-	res, err = compute.APSP(dense, compute.Opts{Sources: []int{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kernel != compute.Dijkstra {
-		t.Fatalf("two-source dense picked %s, want dijkstra", res.Kernel)
+}
+
+// TestAllocsIndependentOfSize is the deterministic form of the ledger's
+// compute.alloc_mb_per_op: for a fixed worker count APSP makes the same
+// number of allocations whatever n and k are — flat matrices, one slab of
+// per-worker scratch, one set of goroutines — never one per source, row
+// or tile phase. (The graphs are sparse enough that no Dijkstra heap
+// outgrows the n entries it starts with; growth is the one allocation that
+// follows the input.)
+func TestAllocsIndependentOfSize(t *testing.T) {
+	for _, kern := range []compute.Kernel{compute.Dijkstra, compute.Floyd} {
+		var base float64
+		for _, n := range []int{72, 150} {
+			g := graph.Random(n, 4*n, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.25, Directed: true})
+			for _, sources := range [][]int{allSources(n), allSources(n / 4)} {
+				// The runtime's own occasional allocations only add.
+				allocs := math.Inf(1)
+				for try := 0; try < 3; try++ {
+					allocs = min(allocs, testing.AllocsPerRun(3, func() {
+						if _, err := compute.APSP(g, compute.Opts{Sources: sources, Kernel: kern, Workers: 3}); err != nil {
+							t.Fatal(err)
+						}
+					}))
+				}
+				if base == 0 {
+					base = allocs
+				}
+				if allocs != base {
+					t.Errorf("%s n=%d k=%d: %v allocations, n=72 k=72 made %v", kern, n, len(sources), allocs, base)
+				}
+			}
+		}
 	}
 }
 

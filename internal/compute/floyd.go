@@ -7,157 +7,190 @@ import (
 	"repro/internal/graph"
 )
 
-// blockTile is the Floyd–Warshall tile edge. 64×64 int64 tiles are 32 KiB
-// — three of them (the (i,k), (k,j) and (i,j) panels the inner loop
-// touches) fit in a typical L2 slice, which is the whole point of the
-// blocked formulation.
+// blockTile is the Floyd–Warshall tile edge. A 64×64 tile is 32 KiB of
+// keys and 16 KiB of parents — three of them (the (i,k), (k,j) and (i,j)
+// panels the inner loop touches) fit in a typical L2 slice, which is the
+// whole point of the blocked formulation.
 const blockTile = 64
 
 // blockedFloyd runs cache-blocked Floyd–Warshall over the lexicographic
-// (dist, hops) semiring: path concatenation adds both components, and
-// comparison is lexicographic. Componentwise addition is monotone with
-// respect to that order, so the classic FW induction carries over and the
-// final matrices are the same (dist, hops) minima Dijkstra computes.
+// (dist, hops) semiring, one packed key per cell: path concatenation adds
+// both components, and comparison is lexicographic. Componentwise addition
+// is monotone with respect to that order, so the classic FW induction
+// carries over and the final matrices are the same (dist, hops) minima
+// Dijkstra computes.
 //
 // The tiling is the standard three-phase scheme: for each pivot block kb,
 // (1) the diagonal tile (kb,kb) is closed in place, (2) the pivot row and
 // pivot column panels update against it, (3) every remaining tile updates
 // against its pivot-row and pivot-column panels. Phases 2 and 3 are
-// embarrassingly parallel across tiles and are spread over the workers.
-func blockedFloyd(g *graph.Graph, res *Result, workers int) {
+// embarrassingly parallel across tiles: every worker walks the same phase
+// sequence, claims tiles from the phase's ticket counter, and meets the
+// others at a barrier before the next phase.
+func blockedFloyd(g *graph.Graph, lay keyLayout, res *Result) {
 	n := g.N()
-	dist := make([]int64, n*n)
-	hops := make([]int64, n*n)
+	keys := make([]uint64, n*n)
 	parent := make([]int32, n*n)
-	for i := range dist {
-		dist[i] = graph.Inf
-		hops[i] = -1
-		parent[i] = -1
+	for i := range keys {
+		keys[i], parent[i] = infKey, -1
 	}
 	for v := 0; v < n; v++ {
 		row := v * n
-		dist[row+v], hops[row+v], parent[row+v] = 0, 0, int32(v)
+		keys[row+v], parent[row+v] = 0, int32(v)
 		for _, e := range g.Out(v) {
-			// The candidate is (e.W, 1); an existing entry with equal
-			// dist is necessarily another 1-hop arc, so < suffices.
-			at := row + e.To
-			if e.W < dist[at] {
-				dist[at], hops[at], parent[at] = e.W, 1, int32(v)
+			// Parallel arcs all carry one hop, so the strict compare
+			// keeps the first of the lightest.
+			if k := lay.arc(e.W); k < keys[row+e.To] {
+				keys[row+e.To], parent[row+e.To] = k, int32(v)
 			}
 		}
 	}
 
-	b := blockTile
-	if b > n {
-		b = n
-	}
+	b := min(blockTile, n)
 	nb := (n + b - 1) / b
-	clamp := func(x int) int {
-		if x > n {
-			return n
-		}
-		return x
-	}
 	tile := func(ib, jb, kb int) {
-		floydTile(dist, hops, parent, n,
-			ib*b, clamp((ib+1)*b),
-			jb*b, clamp((jb+1)*b),
-			kb*b, clamp((kb+1)*b))
+		floydTile(keys, parent, n,
+			ib*b, min((ib+1)*b, n),
+			jb*b, min((jb+1)*b, n),
+			kb*b, min((kb+1)*b, n))
 	}
-	for kb := 0; kb < nb; kb++ {
-		tile(kb, kb, kb)
-		runTasks(workers, 2*(nb-1), func(t int) {
-			ob := t / 2
-			if ob >= kb {
-				ob++
+	// Ticket counters: two parallel phases per pivot block, then the rows.
+	next := make([]atomic.Int64, 2*nb+1)
+	bar := newBarrier(res.Workers)
+	spmd(res.Workers, func(w int) {
+		for kb := 0; kb < nb; kb++ {
+			if w == 0 {
+				tile(kb, kb, kb)
 			}
-			if t%2 == 0 {
-				tile(kb, ob, kb) // pivot-row panel
-			} else {
-				tile(ob, kb, kb) // pivot-column panel
+			bar.wait()
+			for t := claim(&next[2*kb]); t < 2*(nb-1); t = claim(&next[2*kb]) {
+				ob := t / 2
+				if ob >= kb {
+					ob++
+				}
+				if t%2 == 0 {
+					tile(kb, ob, kb) // pivot-row panel
+				} else {
+					tile(ob, kb, kb) // pivot-column panel
+				}
 			}
-		})
-		runTasks(workers, (nb-1)*(nb-1), func(t int) {
-			ib, jb := t/(nb-1), t%(nb-1)
-			if ib >= kb {
-				ib++
+			bar.wait()
+			for t := claim(&next[2*kb+1]); t < (nb-1)*(nb-1); t = claim(&next[2*kb+1]) {
+				ib, jb := t/(nb-1), t%(nb-1)
+				if ib >= kb {
+					ib++
+				}
+				if jb >= kb {
+					jb++
+				}
+				tile(ib, jb, kb)
 			}
-			if jb >= kb {
-				jb++
+			bar.wait()
+		}
+		for i := claim(&next[2*nb]); i < len(res.Sources); i = claim(&next[2*nb]) {
+			row := res.Sources[i] * n
+			lay.unpackRow(keys[row:row+n], res.Dist[i], res.Hops[i])
+			for v, p := range parent[row : row+n] {
+				res.Parent[i][v] = int(p)
 			}
-			tile(ib, jb, kb)
-		})
-	}
-
-	runTasks(workers, len(res.Sources), func(i int) {
-		src := res.Sources[i]
-		row := src * n
-		copy(res.Dist[i], dist[row:row+n])
-		copy(res.Hops[i], hops[row:row+n])
-		for v := 0; v < n; v++ {
-			res.Parent[i][v] = int(parent[row+v])
 		}
 	})
 }
 
 // floydTile relaxes the (i,j) tile through pivots [kLo,kHi). The loop
 // nest is k-outer so the (k,j) pivot row streams sequentially and the
-// (i,j) destination row stays hot across j.
-func floydTile(dist, hops []int64, parent []int32, n, iLo, iHi, jLo, jHi, kLo, kHi int) {
+// (i,j) destination row stays hot across j. An unreachable (k,j) needs no
+// test: infKey + x loses the comparison (key.go).
+func floydTile(keys []uint64, parent []int32, n, iLo, iHi, jLo, jHi, kLo, kHi int) {
+	w := jHi - jLo
 	for k := kLo; k < kHi; k++ {
-		krow := k * n
+		kk := keys[k*n+jLo:][:w]
+		kp := parent[k*n+jLo:][:w]
 		for i := iLo; i < iHi; i++ {
-			irow := i * n
-			dik := dist[irow+k]
-			if dik >= graph.Inf || i == k {
+			ik := keys[i*n+k]
+			if ik >= infKey || i == k {
 				continue
 			}
-			lik := hops[irow+k]
-			for j := jLo; j < jHi; j++ {
-				dkj := dist[krow+j]
-				if dkj >= graph.Inf {
-					continue
-				}
-				nd, nl := dik+dkj, lik+hops[krow+j]
-				at := irow + j
-				if nd < dist[at] || (nd == dist[at] && nl < hops[at]) {
-					dist[at], hops[at], parent[at] = nd, nl, parent[krow+j]
-				}
-			}
+			relaxRow(ik, kk, kp, keys[i*n+jLo:][:w], parent[i*n+jLo:][:w])
 		}
 	}
 }
 
-// runTasks runs fn(0..count-1) across up to workers goroutines via a
-// shared atomic counter. Used for the independent FW tile phases and the
-// row extraction; tasks must be mutually independent.
-func runTasks(workers, count int, fn func(int)) {
-	if count == 0 {
-		return
-	}
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 {
-		for t := 0; t < count; t++ {
-			fn(t)
+// relaxRow offers ik + kk[j] to row[j] for every j, copying the pivot
+// row's parent where it wins. The slices have equal lengths; re-slicing
+// them to one length leaves one bounds check a cell instead of four. The
+// body is unrolled by four (measured: a third faster than the plain loop,
+// and faster than check-free variants that advance four slice headers or
+// store unconditionally).
+func relaxRow(ik uint64, kk []uint64, kp []int32, row []uint64, rp []int32) {
+	w := len(row)
+	kk, kp, rp = kk[:w], kp[:w], rp[:w]
+	j := 0
+	for ; j+4 <= w; j += 4 {
+		if c := ik + kk[j]; c < row[j] {
+			row[j], rp[j] = c, kp[j]
 		}
+		if c := ik + kk[j+1]; c < row[j+1] {
+			row[j+1], rp[j+1] = c, kp[j+1]
+		}
+		if c := ik + kk[j+2]; c < row[j+2] {
+			row[j+2], rp[j+2] = c, kp[j+2]
+		}
+		if c := ik + kk[j+3]; c < row[j+3] {
+			row[j+3], rp[j+3] = c, kp[j+3]
+		}
+	}
+	for ; j < w; j++ {
+		if c := ik + kk[j]; c < row[j] {
+			row[j], rp[j] = c, kp[j]
+		}
+	}
+}
+
+// spmd runs body(0), …, body(workers−1) concurrently — body(0) on the
+// calling goroutine — and returns when all have returned.
+func spmd(workers int, body func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			body(w)
+		}(w)
+	}
+	body(0)
+	wg.Wait()
+}
+
+// claim draws the next ticket (0, 1, 2, …) from a shared counter; workers
+// that loop on it until it passes their task count share the tasks.
+func claim(next *atomic.Int64) int { return int(next.Add(1)) - 1 }
+
+// barrier is a reusable rendezvous: wait returns once all n goroutines of
+// the round have called it.
+type barrier struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	n, here int
+	round   int
+}
+
+func newBarrier(n int) *barrier {
+	b := &barrier{n: n}
+	b.cond.L = &b.mu
+	return b
+}
+
+func (b *barrier) wait() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.here++; b.here == b.n {
+		b.here = 0
+		b.round++
+		b.cond.Broadcast()
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= count {
-					return
-				}
-				fn(t)
-			}
-		}()
+	for r := b.round; r == b.round; {
+		b.cond.Wait()
 	}
-	wg.Wait()
 }

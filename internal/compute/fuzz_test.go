@@ -1,6 +1,7 @@
 package compute_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -13,13 +14,18 @@ import (
 // are decoded, capped to a tractable size, and both compute kernels are
 // differentially checked against CONGEST Bellman–Ford — the slow-but-safe
 // baseline that is indifferent to zero weights. Any divergence, panic, or
-// parent matrix the walker rejects is a finding.
+// parent matrix the walker rejects is a finding. The kernels may refuse a
+// decoded graph in exactly two ways: both with graph.ErrPathOverflow when
+// path weights can reach Inf, and Floyd alone with compute.ErrFloydRange
+// when they do not fit a packed key (the wide Dijkstra still runs).
 func FuzzParallelDijkstra(f *testing.F) {
 	f.Add("n 3 directed\ne 0 1 5\ne 1 2 0\n")
 	f.Add("n 1 undirected\n")
 	f.Add("n 4 directed\ne 0 1 0\ne 1 2 0\ne 2 3 0\ne 0 3 1\n")
 	f.Add("n 5 undirected\ne 0 1 3\ne 1 2 4\ne 3 4 2\n")
 	f.Add("n 2 directed\ne 0 1 9\ne 0 1 2\n")
+	f.Add("n 3 directed\ne 0 1 1152921504606846976\ne 1 2 1152921504606846976\n") // 2·2⁶⁰ ≥ Inf
+	f.Add("n 3 directed\ne 0 1 288230376151711744\ne 1 2 5\ne 0 2 6\n")           // 2⁵⁸: too wide to pack
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := graph.Decode(strings.NewReader(input))
 		if err != nil {
@@ -34,12 +40,17 @@ func FuzzParallelDijkstra(f *testing.F) {
 			sources[v] = v
 		}
 		dij, err := compute.APSP(g, compute.Opts{Sources: sources, Kernel: compute.Dijkstra})
+		fw, ferr := compute.APSP(g, compute.Opts{Sources: sources, Kernel: compute.Floyd})
+		if errors.Is(err, graph.ErrPathOverflow) && errors.Is(ferr, graph.ErrPathOverflow) {
+			return
+		}
 		if err != nil {
 			t.Fatalf("dijkstra kernel rejected a decoded graph: %v", err)
 		}
-		fw, err := compute.APSP(g, compute.Opts{Sources: sources, Kernel: compute.Floyd})
-		if err != nil {
-			t.Fatalf("floyd kernel rejected a decoded graph: %v", err)
+		if errors.Is(ferr, compute.ErrFloydRange) {
+			fw = dij // nothing of Floyd's to compare
+		} else if ferr != nil {
+			t.Fatalf("floyd kernel rejected a decoded graph: %v", ferr)
 		}
 		h := n - 1
 		if h < 1 {

@@ -1,0 +1,160 @@
+package compute
+
+import (
+	"sync/atomic"
+
+	"repro/internal/graph"
+)
+
+// csr is the adjacency the packed Dijkstra relaxes over, built once per
+// APSP call: node v's arcs are to[off[v]:off[v+1]] in g.Out(v) order, each
+// with its key increment already shifted (keyLayout.arc). 12 bytes an arc,
+// read front to back.
+type csr struct {
+	off []int
+	to  []int32
+	inc []uint64
+}
+
+func newCSR(g *graph.Graph, lay keyLayout) csr {
+	n := g.N()
+	off := make([]int, n+1)
+	for v := 0; v < n; v++ {
+		off[v+1] = off[v] + len(g.Out(v))
+	}
+	c := csr{off: off, to: make([]int32, off[n]), inc: make([]uint64, off[n])}
+	for v := 0; v < n; v++ {
+		at := off[v]
+		for i, e := range g.Out(v) {
+			c.to[at+i], c.inc[at+i] = int32(e.To), lay.arc(e.W)
+		}
+	}
+	return c
+}
+
+// packedDijkstra is parallelDijkstra on packed keys: the same fan-out of
+// sources over an atomic counter, the same strict-improvement relaxation
+// in the same arc order, and a heap of the same discipline, so each row's
+// parents are those the wide kernel records. A worker relaxes in its own
+// key plane and unpacks it into the result row when the row is finished;
+// parents go to the result directly.
+func packedDijkstra(g *graph.Graph, lay keyLayout, res *Result) {
+	n := g.N()
+	adj := newCSR(g, lay)
+	// One slab each for the workers' key planes and heaps. A heap that
+	// outgrows its n entries (lazy deletion can hold one per relaxation)
+	// reallocates on its own.
+	planes := make([]uint64, res.Workers*n)
+	heapK := make([]uint64, res.Workers*n)
+	heapV := make([]int32, res.Workers*n)
+	var next atomic.Int64
+	spmd(res.Workers, func(w int) {
+		keys := planes[w*n : (w+1)*n]
+		h := keyHeap{k: heapK[w*n : w*n : (w+1)*n], v: heapV[w*n : w*n : (w+1)*n]}
+		for i := claim(&next); i < len(res.Sources); i = claim(&next) {
+			oneSourcePacked(adj, res.Sources[i], keys, res.Parent[i], &h)
+			lay.unpackRow(keys, res.Dist[i], res.Hops[i])
+		}
+	})
+}
+
+// oneSourcePacked is oneSourceDijkstra with (dist, hops) in one word; see
+// there for why lexicographic keys keep Dijkstra's invariant.
+func oneSourcePacked(adj csr, src int, keys []uint64, parent []int, h *keyHeap) {
+	for v := range keys {
+		keys[v] = infKey
+		parent[v] = -1
+	}
+	keys[src], parent[src] = 0, src
+	h.push(0, int32(src))
+	for len(h.k) > 0 {
+		k, v := h.pop()
+		if k != keys[v] {
+			continue // stale entry, already improved
+		}
+		to, inc := adj.to[adj.off[v]:adj.off[v+1]], adj.inc[adj.off[v]:adj.off[v+1]]
+		for a, u := range to {
+			if nk := k + inc[a]; nk < keys[u] {
+				keys[u], parent[u] = nk, int(v)
+				h.push(nk, u)
+			}
+		}
+	}
+}
+
+// keyHeap is heap4 (heap.go) over packed keys: the same 4-ary shape, lazy
+// deletion, and sift rules — sift up while strictly smaller than the
+// parent, sift down to the first smallest child while it is strictly
+// smaller — so equal keys leave in the same order and the two Dijkstras
+// record the same parents. What differs is how, not what: the moving entry
+// is held out and written once rather than swapped level by level, and the
+// smallest of four children is found without branches — the compares are
+// data-dependent coin flips, and mispredicting them was most of a pop.
+type keyHeap struct {
+	k []uint64
+	v []int32
+}
+
+func (h *keyHeap) push(k uint64, v int32) {
+	h.k = append(h.k, k)
+	h.v = append(h.v, v)
+	i := len(h.k) - 1
+	for i > 0 {
+		p := (i - 1) >> 2
+		if k >= h.k[p] {
+			break
+		}
+		h.k[i], h.v[i] = h.k[p], h.v[p]
+		i = p
+	}
+	h.k[i], h.v[i] = k, v
+}
+
+// pop removes and returns the smallest entry.
+func (h *keyHeap) pop() (uint64, int32) {
+	topK, topV := h.k[0], h.v[0]
+	last := len(h.k) - 1
+	k, v := h.k[last], h.v[last]
+	h.k, h.v = h.k[:last], h.v[:last]
+	if last == 0 {
+		return topK, topV
+	}
+	i := 0
+	for {
+		first := i<<2 + 1
+		if first >= last {
+			break
+		}
+		m, mk := first, h.k[first]
+		if first+4 <= last {
+			// All four children: a branch-free tournament. Strict
+			// compares send ties left, to the first smallest.
+			c := h.k[first : first+4 : first+4]
+			l, r := b2i(c[1] < c[0]), b2i(c[3] < c[2])
+			lk, rk := min(c[0], c[1]), min(c[2], c[3])
+			right := b2i(rk < lk)
+			m, mk = first+[2]int{l, 2 + r}[right&1], min(lk, rk)
+		} else {
+			for c := first + 1; c < last; c++ {
+				if h.k[c] < mk {
+					m, mk = c, h.k[c]
+				}
+			}
+		}
+		if mk >= k {
+			break
+		}
+		h.k[i], h.v[i] = mk, h.v[m]
+		i = m
+	}
+	h.k[i], h.v[i] = k, v
+	return topK, topV
+}
+
+// b2i is 1 for true, 0 for false; it compiles to a flag set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -166,6 +166,11 @@ func Run(g *graph.Graph, sp Spec) (Result, error) {
 	if sp.Sources, err = resolveSources(g, sp.Sources); err != nil {
 		return Result{}, err
 	}
+	// Every family sums weights along paths into an int64 with graph.Inf as
+	// "unreachable"; none may be handed a graph where a sum can get there.
+	if _, err := g.MaxPathWeight(); err != nil {
+		return Result{}, err
+	}
 	switch sp.Backend {
 	case "", "congest":
 	case "parallel":

@@ -273,6 +273,23 @@ func TestParallelRefusals(t *testing.T) {
 	}
 }
 
+// TestRefusesOverflowingPathSums: AddEdge bounds one weight, not a sum, so
+// on 0 →(2⁶⁰) 1 →(2⁶⁰) 2 every backend used to report d(0,2) = Inf —
+// "unreachable" — without an error. Run refuses such a graph by name, once,
+// before either backend sees it.
+func TestRefusesOverflowingPathSums(t *testing.T) {
+	g := graph.New(3, true)
+	g.MustAddEdge(0, 1, 1<<60)
+	g.MustAddEdge(1, 2, 1<<60)
+	for _, sp := range []family.Spec{
+		{Alg: "pipeline"}, {Alg: "bellman"}, {Alg: "pipeline", Backend: "parallel"},
+	} {
+		if _, err := family.Run(g, sp); !errors.Is(err, graph.ErrPathOverflow) {
+			t.Errorf("%s/%s: err = %v, want graph.ErrPathOverflow", sp.Alg, sp.Backend, err)
+		}
+	}
+}
+
 // TestLoadCheckpoint: the resume gate adopts the family from the file,
 // hands back a snapshot the same description finishes bit-identically
 // from, and refuses a description the checkpoint was not taken by.

@@ -12,8 +12,10 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -108,6 +110,22 @@ func (g *Graph) AddEdge(u, v int, w int64) error {
 	}
 	g.m++
 	return nil
+}
+
+// ErrPathOverflow reports a graph whose path weights can reach Inf.
+var ErrPathOverflow = errors.New("graph: path weights can reach Inf")
+
+// MaxPathWeight returns the largest weight a shortest path in g can have:
+// (N()−1)·MaxWeight(), n−1 arcs of the heaviest weight. AddEdge bounds one
+// weight by Inf, not a sum of them; when this bound reaches Inf a reachable
+// node's distance could read as "unreachable", and the error wraps
+// ErrPathOverflow. Every entry point that sums weights checks it once.
+func (g *Graph) MaxPathWeight() (int64, error) {
+	hi, lo := bits.Mul64(uint64(g.n-1), uint64(g.maxW))
+	if hi != 0 || lo >= uint64(Inf) {
+		return 0, fmt.Errorf("%w: %d arcs of weight %d", ErrPathOverflow, g.n-1, g.maxW)
+	}
+	return int64(lo), nil
 }
 
 // MustAddEdge is AddEdge but panics on error; for generators and tests.

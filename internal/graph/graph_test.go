@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -43,6 +44,36 @@ func TestAddEdgeRejections(t *testing.T) {
 	}
 	if g.M() != 0 {
 		t.Fatalf("rejected edges must not be added, M=%d", g.M())
+	}
+}
+
+// TestMaxPathWeight: the bound is (n−1)·maxW, and the error starts exactly
+// where a path sum can reach Inf — including products that overflow int64.
+func TestMaxPathWeight(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		maxW int64
+		want int64 // -1: ErrPathOverflow
+	}{
+		{1, 0, 0},
+		{5, 7, 28},
+		{3, (Inf - 1) / 2, Inf - 1},
+		{3, 1 << 60, -1}, // the issue's 0 →(2⁶⁰) 1 →(2⁶⁰) 2
+		{2, Inf - 1, Inf - 1},
+		{1 << 10, Inf - 1, -1}, // overflows int64, not just Inf
+	} {
+		g := New(c.n, true)
+		if c.n > 1 {
+			g.MustAddEdge(0, 1, c.maxW)
+		}
+		got, err := g.MaxPathWeight()
+		if c.want < 0 {
+			if !errors.Is(err, ErrPathOverflow) {
+				t.Errorf("n=%d maxW=%d: err = %v, want ErrPathOverflow", c.n, c.maxW, err)
+			}
+		} else if err != nil || got != c.want {
+			t.Errorf("n=%d maxW=%d: (%d, %v), want %d", c.n, c.maxW, got, err, c.want)
+		}
 	}
 }
 
