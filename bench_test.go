@@ -127,10 +127,6 @@ func BenchmarkDeltaSensitivity(b *testing.B) { benchExperiment(b, "E-DELTA") }
 // recovery (experiment E-CRASH).
 func BenchmarkCrashRecovery(b *testing.B) { benchExperiment(b, "E-CRASH") }
 
-// BenchmarkServeLayer drives the apspd serving layer with the closed-loop
-// load generator (experiment E-SERVE).
-func BenchmarkServeLayer(b *testing.B) { benchExperiment(b, "E-SERVE") }
-
 // BenchmarkChaosResilience runs the serving-layer resilience drill:
 // closed-loop load through the fault injector with the retrying client,
 // plus an abrupt kill + autosave recovery (experiment E-CHAOS).
@@ -141,10 +137,6 @@ func BenchmarkChaosResilience(b *testing.B) { benchExperiment(b, "E-CHAOS") }
 // generation-aware rollout, all differentially validated
 // (experiment E-CLUSTER).
 func BenchmarkClusterResilience(b *testing.B) { benchExperiment(b, "E-CLUSTER") }
-
-// BenchmarkTraceAttribution drives the serving layer with every request
-// traced and aggregates per-span latency attribution (experiment E-TRACE).
-func BenchmarkTraceAttribution(b *testing.B) { benchExperiment(b, "E-TRACE") }
 
 // ---------------------------------------------------------------------------
 // Micro-benchmarks: the substrate's raw cost, with rounds reported as a
@@ -257,14 +249,12 @@ func BenchmarkEngineWorkers8Observed(b *testing.B) {
 	benchEngineWorkers(b, 8, func() congest.Observer { return obs.NewRecorder() })
 }
 
-// BenchmarkComputeBackend* is the CONGEST-vs-centralized crossover pair
-// (ISSUE 8 / ROADMAP item 4): the same saturated all-sources APSP
-// instance through the simulated engine and through internal/compute's
-// two kernels at 8 workers. The committed BENCH_engine.json baseline
-// keeps the gap honest — the parallel backend must stay the fast
-// recompute path (≥5× the engine; measured well above), and its
-// allocation budget is gated like every other entry. E-XOVER reports the
-// same comparison as a table across sizes.
+// BenchmarkComputeBackend* is the CONGEST-vs-centralized pair: the same
+// saturated all-sources APSP instance through the simulated engine and
+// through internal/compute's two kernels at 8 workers. BENCH_engine.json
+// gates each one's allocation budget like every other entry; how much
+// faster the kernels are is a ledger question (sim_apsp's op_ms against
+// rebuild_*'s compute.apsp_s, benchmark/README.md).
 func benchComputeBackend(b *testing.B, run func(g *graph.Graph, sources []int) error) {
 	n := 128
 	g := graph.Random(n, 4*n, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.25, Directed: true})
@@ -337,7 +327,9 @@ func BenchmarkEngineWorkersAdaptive8(b *testing.B) { benchEngineWorkersAdaptive(
 // node is idle — the workload the active-set scheduler exists for. (With all
 // n sources the per-round Pareto-merge work dominates and both schedulers
 // cost the same; sparse activity, not source count, is what the scheduler
-// exploits.)
+// exploits.) One worker: the pair compares schedulers, and the dense one
+// would otherwise fork goroutines in every round on a host with two Ps —
+// 5 allocations a round, and 1.5× slower than on one.
 func benchSchedulerSparse(b *testing.B, s congest.Scheduler) {
 	n := 256
 	g := graph.Random(n, 4*n, graph.GenOpts{Seed: 9, MaxW: 4096, MinW: 1, Directed: true})
@@ -346,7 +338,7 @@ func benchSchedulerSparse(b *testing.B, s congest.Scheduler) {
 	b.ResetTimer()
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: delta, Scheduler: s})
+		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: delta, Scheduler: s, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -375,7 +367,7 @@ func benchSchedulerBusy(b *testing.B, s congest.Scheduler) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Scheduler: s}); err != nil {
+		if _, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Scheduler: s, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -395,7 +387,9 @@ func BenchmarkEngineSchedulerBusyActive(b *testing.B) {
 // the reliability barrier with no faults (pure shim bookkeeping); All pays
 // for retransmits, duplicate suppression and delay queues under the standard
 // chaos plan. Results are asserted bit-identical to the fault-free run, so
-// these double as a conformance gate.
+// these double as a conformance gate. Workers: 1 here and in the checkpoint
+// set below, as in the scheduler pairs: a gated benchmark does not inherit
+// GOMAXPROCS.
 
 func benchEngineFaults(b *testing.B, mk func() congest.Network) {
 	n := 96
@@ -407,7 +401,7 @@ func benchEngineFaults(b *testing.B, mk func() congest.Network) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Network: mk()})
+		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Network: mk(), Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -447,7 +441,7 @@ func benchEngineCheckpoint(b *testing.B, mkPol func() *congest.CheckpointPolicy)
 	var snapBytes int
 	for i := 0; i < b.N; i++ {
 		pol := mkPol()
-		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Checkpoint: pol})
+		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Checkpoint: pol, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -605,6 +599,12 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
+// discardSink prices emitting a trace without pricing any one sink.
+type discardSink struct{}
+
+func (discardSink) Trace([]trace.SpanRecord) error { return nil }
+func (discardSink) Close() error                   { return nil }
+
 // BenchmarkOracleServeDist measures a /dist request end to end through the
 // HTTP handler under three tracing configurations plus the resilience
 // stack. It is the overhead guard for both the tracing instrumentation
@@ -624,9 +624,9 @@ func BenchmarkOracleServeDist(b *testing.B) {
 		{"off", nil},
 		// Head sampling effectively never fires; spans are still created
 		// and discarded at the root — the enabled-but-quiet steady state.
-		{"unsampled", trace.New(trace.Options{SampleEvery: 1 << 30, Seed: 1, Sinks: []trace.Sink{trace.NewAgg()}})},
-		// Every request is recorded and emitted to the in-memory aggregator.
-		{"sampled", trace.New(trace.Options{SampleEvery: 1, Seed: 1, Sinks: []trace.Sink{trace.NewAgg()}})},
+		{"unsampled", trace.New(trace.Options{SampleEvery: 1 << 30, Seed: 1, Sinks: []trace.Sink{discardSink{}}})},
+		// Every request is recorded and emitted.
+		{"sampled", trace.New(trace.Options{SampleEvery: 1, Seed: 1, Sinks: []trace.Sink{discardSink{}}})},
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {

@@ -26,7 +26,7 @@ func TestListIsDeterministicAndComplete(t *testing.T) {
 	if len(ids) < 10 {
 		t.Fatalf("suspiciously few experiments listed: %v", ids)
 	}
-	for _, want := range []string{"E-BIG", "E-XOVER", "SCORECARD"} {
+	for _, want := range []string{"E-BIG", "SCORECARD"} {
 		found := false
 		for _, id := range ids {
 			if id == want {
@@ -49,18 +49,18 @@ func TestListIsDeterministicAndComplete(t *testing.T) {
 func TestSingleExperimentRunsAndPersists(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "tables.json")
 	var out, errOut bytes.Buffer
-	args := []string{"-exp", "E-XOVER", "-small", "-seed", "3", "-workers", "2", "-json", jsonPath}
+	args := []string{"-exp", "E-BIG", "-small", "-seed", "3", "-workers", "2", "-json", jsonPath}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
 	}
-	if !strings.Contains(out.String(), "E-XOVER") || !strings.Contains(out.String(), "speedup") {
+	if !strings.Contains(out.String(), "E-BIG") || !strings.Contains(out.String(), "rounds/n") {
 		t.Fatalf("table output unexpected:\n%s", out.String())
 	}
 	raw, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatalf("json not written: %v", err)
 	}
-	if !strings.Contains(string(raw), "E-XOVER") {
+	if !strings.Contains(string(raw), "E-BIG") {
 		t.Fatalf("json content missing table id: %s", raw)
 	}
 	if !strings.Contains(errOut.String(), jsonPath) {
@@ -68,7 +68,7 @@ func TestSingleExperimentRunsAndPersists(t *testing.T) {
 	}
 	// Markdown mode renders the same table with pipe separators.
 	var mdOut bytes.Buffer
-	if err := run([]string{"-exp", "E-XOVER", "-small", "-md"}, &mdOut, io.Discard); err != nil {
+	if err := run([]string{"-exp", "E-BIG", "-small", "-md"}, &mdOut, io.Discard); err != nil {
 		t.Fatalf("-md: %v", err)
 	}
 	if !strings.Contains(mdOut.String(), "|") {
@@ -83,7 +83,11 @@ func TestFlagErrors(t *testing.T) {
 		{"-bogus"},
 		{"stray"},
 		{"-exp", "E-NOPE"},
-		{"-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir", "x.pprof"), "-exp", "E-XOVER", "-small"},
+		// The wall-clock tables moved to the ledger (benchmark/README.md).
+		{"-exp", "E-SERVE"},
+		{"-exp", "E-TRACE"},
+		{"-exp", "E-XOVER"},
+		{"-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir", "x.pprof"), "-exp", "E-BIG", "-small"},
 	}
 	for _, args := range cases {
 		if err := run(args, io.Discard, io.Discard); err == nil {

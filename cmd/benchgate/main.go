@@ -1,28 +1,29 @@
-// Command benchgate compares `go test -bench` output against a committed
-// baseline and fails on regression. It is the repo's stand-in for
-// benchstat in a network-less build: a small, dependency-free comparator
-// with the semantics CI actually needs.
+// Command benchgate compares the memory columns of `go test -bench
+// -benchmem` output against a committed baseline and fails on regression.
+// It is the repo's stand-in for benchstat in a network-less build: a
+// small, dependency-free comparator with the semantics CI actually needs.
 //
 // Usage:
 //
-//	go test -run '^$' -bench ... -benchmem -count 3 . | benchgate -baseline BENCH_engine.json
-//	go test -run '^$' -bench ... -benchmem -count 3 . | benchgate -baseline BENCH_engine.json -update
+//	go test -run '^$' -bench ... -benchmem -cpu 1 -count 2 . | benchgate -baseline BENCH_engine.json
+//	go test -run '^$' -bench ... -benchmem -cpu 1 -count 2 . | benchgate -baseline BENCH_engine.json -update
 //
-// The baseline records, per benchmark, the best (minimum) ns/op, B/op and
-// allocs/op over the input's -count repetitions, plus a machine
-// fingerprint (goos/goarch/cpu from the bench header). On compare:
+// The baseline records, per benchmark, the minimum B/op and allocs/op over
+// the input's -count repetitions. Both are functions of the code and of
+// GOMAXPROCS (the engine forks per round when it has the Ps), not of the
+// host's speed or load, so with -cpu pinned a row repeats to ±1 allocation
+// anywhere. On compare:
 //
-//   - B/op and allocs/op are gated unconditionally: they are machine-
-//     independent, so exceeding the baseline by more than -threshold
-//     (default 15%) fails. These are the teeth — the flat message plane's
-//     allocation discipline cannot silently erode.
-//   - ns/op is gated only when the current machine's fingerprint matches
-//     the baseline's, and with its own looser -time-threshold (default
-//     30%): wall-clock is at the mercy of scheduler noise even on the
-//     right machine, while alloc counts are deterministic. On a foreign
-//     machine timing differences are reported but do not fail the gate.
-//   - A benchmark present in the baseline but missing from the input
-//     fails: coverage cannot silently disappear.
+//   - A row whose B/op or allocs/op exceeds the baseline by more than
+//     -threshold (default 15%) fails. A zero baseline gates any increase.
+//   - A benchmark present in the baseline but missing from the input (or
+//     run without -benchmem) fails: coverage cannot silently disappear.
+//   - A benchmark not in the baseline is reported as new without failing
+//     (record it with -update).
+//
+// Wall-clock time is deliberately not read: it has one home, the ledger
+// (BENCHMARK.json, benchmark/README.md), whose interleaved two-checkout
+// procedure is what a timing claim needs on a shared host.
 //
 // Exit status 0 when within bounds, 1 on any regression or missing
 // benchmark, 2 on usage/parse errors.
@@ -33,131 +34,102 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// result is one benchmark's best-of-count measurements.
+// result is one benchmark's best-of-count memory measurements.
 type result struct {
-	NsOp     float64 `json:"ns_op"`
-	BOp      int64   `json:"b_op"`
-	AllocsOp int64   `json:"allocs_op"`
-	hasMem   bool
+	BOp      int64 `json:"b_op"`
+	AllocsOp int64 `json:"allocs_op"`
 }
 
-// baseline is the committed BENCH_engine.json document.
+// baseline is the committed BENCH_engine.json document: benchmark name
+// (GOMAXPROCS suffix stripped) → measurements.
 type baseline struct {
-	// Fingerprint identifies the machine the baseline was measured on:
-	// "goos/goarch cpu-model". ns/op is only gated when it matches.
-	Fingerprint string `json:"fingerprint"`
-	// Benchmarks maps the benchmark name (GOMAXPROCS suffix stripped) to
-	// its best-of-count measurements.
 	Benchmarks map[string]*result `json:"benchmarks"`
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Stdin, os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-func run() int {
-	baselinePath := flag.String("baseline", "BENCH_engine.json", "baseline file to compare against (or write with -update)")
-	update := flag.Bool("update", false, "rewrite the baseline from the input instead of comparing")
-	threshold := flag.Float64("threshold", 0.15, "allowed fractional regression for B/op and allocs/op")
-	timeThreshold := flag.Float64("time-threshold", 0.30, "allowed fractional regression for ns/op (same machine only)")
-	flag.Parse()
+func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baselinePath := fs.String("baseline", "BENCH_engine.json", "baseline file to compare against (or write with -update)")
+	update := fs.Bool("update", false, "rewrite the baseline from the input instead of comparing")
+	threshold := fs.Float64("threshold", 0.15, "allowed fractional regression for B/op and allocs/op")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
-	cur, fp, err := parseBench(bufio.NewScanner(os.Stdin))
+	cur, err := parseBench(bufio.NewScanner(stdin))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		fmt.Fprintln(stderr, "benchgate:", err)
 		return 2
 	}
 	if len(cur) == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no benchmark results on stdin")
+		fmt.Fprintln(stderr, "benchgate: no -benchmem results on stdin")
 		return 2
 	}
 
 	if *update {
-		doc := baseline{Fingerprint: fp, Benchmarks: cur}
-		buf, err := json.MarshalIndent(&doc, "", "  ")
+		buf, err := json.MarshalIndent(&baseline{Benchmarks: cur}, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
+			fmt.Fprintln(stderr, "benchgate:", err)
 			return 2
 		}
 		buf = append(buf, '\n')
 		if err := os.WriteFile(*baselinePath, buf, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
+			fmt.Fprintln(stderr, "benchgate:", err)
 			return 2
 		}
-		fmt.Printf("benchgate: wrote %s (%d benchmarks, fingerprint %q)\n", *baselinePath, len(cur), fp)
+		fmt.Fprintf(stdout, "benchgate: wrote %s (%d benchmarks)\n", *baselinePath, len(cur))
 		return 0
 	}
 
 	raw, err := os.ReadFile(*baselinePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		fmt.Fprintln(stderr, "benchgate:", err)
 		return 2
 	}
 	var base baseline
 	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", *baselinePath, err)
+		fmt.Fprintf(stderr, "benchgate: %s: %v\n", *baselinePath, err)
 		return 2
 	}
 
-	sameMachine := fp == base.Fingerprint
-	if !sameMachine {
-		fmt.Printf("benchgate: fingerprint %q != baseline %q: ns/op reported but not gated\n", fp, base.Fingerprint)
-	}
-
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	failed := false
-	for _, name := range names {
+	for _, name := range sortedNames(base.Benchmarks) {
 		b := base.Benchmarks[name]
 		c, ok := cur[name]
 		if !ok {
-			fmt.Printf("FAIL %s: present in baseline but not in input\n", name)
+			fmt.Fprintf(stdout, "FAIL %s: present in baseline but not in input\n", name)
 			failed = true
 			continue
 		}
-		verdict := "ok  "
 		var notes []string
-		if c.hasMem {
-			if over(float64(c.BOp), float64(b.BOp), *threshold) {
-				notes = append(notes, fmt.Sprintf("B/op %d > %d+%.0f%%", c.BOp, b.BOp, *threshold*100))
-			}
-			if over(float64(c.AllocsOp), float64(b.AllocsOp), *threshold) {
-				notes = append(notes, fmt.Sprintf("allocs/op %d > %d+%.0f%%", c.AllocsOp, b.AllocsOp, *threshold*100))
-			}
+		if over(c.BOp, b.BOp, *threshold) {
+			notes = append(notes, fmt.Sprintf("B/op %d > %d+%.0f%%", c.BOp, b.BOp, *threshold*100))
 		}
-		timeNote := ""
-		if over(c.NsOp, b.NsOp, *timeThreshold) {
-			timeNote = fmt.Sprintf("ns/op %.0f > %.0f+%.0f%%", c.NsOp, b.NsOp, *timeThreshold*100)
-			if sameMachine {
-				notes = append(notes, timeNote)
-			}
+		if over(c.AllocsOp, b.AllocsOp, *threshold) {
+			notes = append(notes, fmt.Sprintf("allocs/op %d > %d+%.0f%%", c.AllocsOp, b.AllocsOp, *threshold*100))
 		}
+		line := fmt.Sprintf("%s: B/op %d (base %d) allocs/op %d (base %d)", name, c.BOp, b.BOp, c.AllocsOp, b.AllocsOp)
 		if len(notes) > 0 {
-			verdict = "FAIL"
 			failed = true
+			fmt.Fprintf(stdout, "FAIL %s — %s\n", line, strings.Join(notes, "; "))
+		} else {
+			fmt.Fprintf(stdout, "ok   %s\n", line)
 		}
-		line := fmt.Sprintf("%s %s: ns/op %.0f (base %.0f) B/op %d (base %d) allocs/op %d (base %d)",
-			verdict, name, c.NsOp, b.NsOp, c.BOp, b.BOp, c.AllocsOp, b.AllocsOp)
-		if len(notes) > 0 {
-			line += " — " + strings.Join(notes, "; ")
-		} else if timeNote != "" {
-			line += " — " + timeNote + " (not gated: different machine)"
-		}
-		fmt.Println(line)
 	}
-	for name := range cur {
+	for _, name := range sortedNames(cur) {
 		if _, ok := base.Benchmarks[name]; !ok {
-			fmt.Printf("new  %s: not in baseline (run with -update to record)\n", name)
+			fmt.Fprintf(stdout, "new  %s: not in baseline (run with -update to record)\n", name)
 		}
 	}
 	if failed {
@@ -166,91 +138,73 @@ func run() int {
 	return 0
 }
 
+func sortedNames(m map[string]*result) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // over reports whether cur exceeds base by more than the fractional
 // threshold. A zero base gates any increase (there is no meaningful
 // percentage of zero — and "was allocation-free, now allocates" is
 // exactly the regression the gate exists for).
-func over(cur, base, threshold float64) bool {
+func over(cur, base int64, threshold float64) bool {
 	if base == 0 {
 		return cur > 0
 	}
-	return cur > base*(1+threshold)
+	return float64(cur) > float64(base)*(1+threshold)
 }
 
-// parseBench reads `go test -bench` text output: header lines (goos,
-// goarch, cpu) form the fingerprint; each "Benchmark..." line contributes
-// one measurement, and repetitions (-count > 1) collapse to the minimum
-// per metric. GOMAXPROCS suffixes ("-8") are stripped so baselines
-// transfer across -cpu settings.
-func parseBench(sc *bufio.Scanner) (map[string]*result, string, error) {
+// parseBench reads `go test -bench -benchmem` text output: each
+// "Benchmark..." line that carries both B/op and allocs/op contributes one
+// measurement (every other column, custom metrics included, is skipped),
+// and repetitions (-count > 1) collapse to the minimum per metric.
+// GOMAXPROCS suffixes ("-8") are stripped so one baseline serves any -cpu.
+func parseBench(sc *bufio.Scanner) (map[string]*result, error) {
 	res := make(map[string]*result)
-	var goos, goarch, cpu string
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-			continue
-		case strings.HasPrefix(line, "goarch:"):
-			goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-			continue
-		case strings.HasPrefix(line, "cpu:"):
-			cpu = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			continue
-		case !strings.HasPrefix(line, "Benchmark"):
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
-		f := strings.Fields(line)
-		if len(f) < 4 {
-			continue
-		}
-		name := f[0]
+		name := strings.TrimPrefix(f[0], "Benchmark")
 		if i := strings.LastIndex(name, "-"); i > 0 {
 			if _, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i]
 			}
 		}
-		name = strings.TrimPrefix(name, "Benchmark")
-		one := result{}
-		seen := false
+		one := result{BOp: -1, AllocsOp: -1}
 		for i := 2; i+1 < len(f); i += 2 {
-			v, err := strconv.ParseFloat(f[i], 64)
-			if err != nil {
-				return nil, "", fmt.Errorf("bad value %q in %q", f[i], line)
-			}
+			var dst *int64
 			switch f[i+1] {
-			case "ns/op":
-				one.NsOp = v
-				seen = true
 			case "B/op":
-				one.BOp = int64(v)
-				one.hasMem = true
+				dst = &one.BOp
 			case "allocs/op":
-				one.AllocsOp = int64(v)
-				one.hasMem = true
+				dst = &one.AllocsOp
+			default:
+				continue
 			}
+			v, err := strconv.ParseInt(f[i], 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad value %q in %q", f[i], sc.Text())
+			}
+			*dst = v
 		}
-		if !seen {
+		if one.BOp < 0 || one.AllocsOp < 0 {
 			continue
 		}
 		if prev, ok := res[name]; ok {
-			if one.NsOp < prev.NsOp {
-				prev.NsOp = one.NsOp
-			}
-			if one.hasMem && (!prev.hasMem || one.BOp < prev.BOp) {
-				prev.BOp = one.BOp
-			}
-			if one.hasMem && (!prev.hasMem || one.AllocsOp < prev.AllocsOp) {
-				prev.AllocsOp = one.AllocsOp
-			}
-			prev.hasMem = prev.hasMem || one.hasMem
+			prev.BOp = min(prev.BOp, one.BOp)
+			prev.AllocsOp = min(prev.AllocsOp, one.AllocsOp)
 		} else {
-			c := one
-			res[name] = &c
+			res[name] = &one
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return res, fmt.Sprintf("%s/%s %s", goos, goarch, cpu), nil
+	return res, nil
 }

@@ -16,18 +16,19 @@
 //
 // Both work on packed keys: one (dist, hops) pair per machine word,
 // dist<<shift | hops, so a relaxation is one add and one compare (key.go
-// has the layout and the rule for when a graph fits it). The choice is
-// made from the graph, never by the caller: a graph whose path weights do
-// not fit beside the hop field runs the wide Dijkstra of dijkstra.go, which
-// keeps dist and hops in separate int64s, and has no Floyd.
+// has the layout and the rule for when a graph fits it). There is no
+// second representation: a graph whose path weights do not fit beside the
+// hop field — per-arc weights above ~9·10¹⁰ at n = 1536 — is refused with
+// ErrKeyRange, and the CONGEST families, which keep dist and hops in
+// separate words, still run it.
 //
 // Both kernels compute lexicographic (distance, hops) minima — exactly the
 // quantity the pipelined CONGEST families of the paper produce — so the
 // output is bit-identical to core.Run on dist and hops, and the parent
 // matrix passes the same core.WalkParents tightness validation. The row
 // layout ([][]int64 dist/hops, [][]int parent, one row per source) is the
-// layout oracle.BuildInput consumes, so a compute result feeds oracle.Build
-// without copying.
+// layout oracle.BuildInput names; oracle.Build then copies every row into
+// its own int64/int32/int32 shards.
 package compute
 
 import (
@@ -51,10 +52,9 @@ const (
 	Floyd Kernel = "floyd"
 )
 
-// ErrFloydRange reports Kernel: Floyd forced on a graph whose path weights
-// do not fit a packed key beside the hop field (layoutFor). Only the wide
-// Dijkstra runs such a graph; Auto picks it.
-var ErrFloydRange = errors.New("compute: the floyd kernel needs path weights that fit a packed key")
+// ErrKeyRange reports a graph whose path weights do not fit a packed key
+// beside the hop field (layoutFor), which both kernels need.
+var ErrKeyRange = errors.New("compute: path weights do not fit a packed key (the congest backend still runs this graph)")
 
 // Opts configures APSP.
 type Opts struct {
@@ -114,11 +114,14 @@ func APSP(g *graph.Graph, opts Opts) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compute: %w", err)
 	}
-	lay, packs := layoutFor(n, maxPath)
+	lay, err := layoutFor(n, maxPath)
+	if err != nil {
+		return nil, err
+	}
 
 	kernel := opts.Kernel
 	if kernel == "" || kernel == Auto {
-		kernel = pick(g, len(sources), packs)
+		kernel = pick(g, len(sources))
 	}
 
 	res := &Result{Sources: sources, Kernel: kernel, Workers: workers}
@@ -128,15 +131,8 @@ func APSP(g *graph.Graph, opts Opts) (*Result, error) {
 		// parallelise over n² whatever k is.
 		res.Workers = min(workers, len(sources))
 		res.allocRows(n)
-		if packs {
-			packedDijkstra(g, lay, res)
-		} else {
-			parallelDijkstra(g, res, res.Workers)
-		}
+		packedDijkstra(g, lay, res)
 	case Floyd:
-		if !packs {
-			return nil, fmt.Errorf("%w (n=%d, max weight %d)", ErrFloydRange, n, g.MaxWeight())
-		}
 		res.allocRows(n)
 		blockedFloyd(g, lay, res)
 	default:
@@ -175,14 +171,13 @@ func (res *Result) allocRows(n int) {
 // The curves cross at arcs ≈ 0.59·n² and ≈ 0.65·n²: Floyd from k·arcs =
 // 5n³/8 up. Halving k halves Dijkstra's side only, which the product
 // carries: at n = 768, k = n/2 Dijkstra wins at n²/2 (0.09 against 0.18)
-// and still at n² (0.13 against 0.17). A graph that does not pack has no
-// Floyd.
-func pick(g *graph.Graph, k int, packs bool) Kernel {
+// and still at n² (0.13 against 0.17).
+func pick(g *graph.Graph, k int) Kernel {
 	n, arcs := float64(g.N()), float64(g.M())
 	if !g.Directed() {
 		arcs *= 2
 	}
-	if packs && 8*float64(k)*arcs >= 5*n*n*n {
+	if 8*float64(k)*arcs >= 5*n*n*n {
 		return Floyd
 	}
 	return Dijkstra

@@ -187,7 +187,7 @@ func TestAutoKernelPick(t *testing.T) {
 		name    string
 		g       *graph.Graph
 		sources []int
-		want    compute.Kernel
+		want    compute.Kernel // "": refused with ErrKeyRange
 	}{
 		{"above the crossover, arcs = 3n²/4", dense(64, 64*48, 5), all, compute.Floyd},
 		{"below the crossover, arcs = n²/2", dense(64, 64*32, 5), all, compute.Dijkstra},
@@ -200,10 +200,16 @@ func TestAutoKernelPick(t *testing.T) {
 		{"half the sources", dense(64, 64*48, 5), allSources(32), compute.Dijkstra},
 		{"two sources", dense(64, 64*48, 5), []int{0, 1}, compute.Dijkstra},
 		// Weights up to 2⁴⁸, 63 of them ≥ 2⁵²: no packed key, so no
-		// Floyd, however dense.
-		{"dense, does not pack", dense(64, 64*60, 1<<48), all, compute.Dijkstra},
+		// kernel, however dense.
+		{"dense, does not pack", dense(64, 64*60, 1<<48), all, ""},
 	} {
 		res, err := compute.APSP(c.g, compute.Opts{Sources: c.sources})
+		if c.want == "" {
+			if !errors.Is(err, compute.ErrKeyRange) {
+				t.Errorf("%s: err = %v, want compute.ErrKeyRange", c.name, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

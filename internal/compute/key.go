@@ -1,6 +1,7 @@
 package compute
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/graph"
@@ -23,10 +24,10 @@ type keyLayout struct {
 	shift uint // width of the hop field
 }
 
-// layoutFor sizes the hop field for an n-node graph and reports whether
-// the graph packs: whether every sum a kernel forms stays below infKey
-// with its hop part below 2^shift. maxPath bounds the weight of a simple
-// path, (n−1)·maxW (graph.MaxPathWeight).
+// layoutFor sizes the hop field for an n-node graph and refuses, with
+// ErrKeyRange, a graph that does not pack: one where some sum a kernel
+// forms could reach infKey. maxPath bounds the weight of a simple path,
+// (n−1)·maxW (graph.MaxPathWeight).
 //
 // Every finished entry is the key of a simple path: at most n−1 hops and
 // at most maxPath weight. Dijkstra adds one arc to a finished entry.
@@ -41,9 +42,12 @@ type keyLayout struct {
 // exceeds 3(n−1) < 4n ≤ 2^shift, and no key exceeds
 // 3·(maxPath<<shift | n−1), which stays below infKey when
 // maxPath < 2^(60−shift).
-func layoutFor(n int, maxPath int64) (keyLayout, bool) {
+func layoutFor(n int, maxPath int64) (keyLayout, error) {
 	lay := keyLayout{shift: uint(bits.Len(uint(4*n - 1)))}
-	return lay, maxPath>>(60-lay.shift) == 0
+	if maxPath>>(60-lay.shift) != 0 {
+		return lay, fmt.Errorf("%w: n=%d, (n-1)·max weight = %d, limit 2^%d", ErrKeyRange, n, maxPath, 60-lay.shift)
+	}
+	return lay, nil
 }
 
 // arc is the key increment of one arc of weight w: (w, 1 hop).

@@ -32,12 +32,12 @@ func newCSR(g *graph.Graph, lay keyLayout) csr {
 	return c
 }
 
-// packedDijkstra is parallelDijkstra on packed keys: the same fan-out of
-// sources over an atomic counter, the same strict-improvement relaxation
-// in the same arc order, and a heap of the same discipline, so each row's
-// parents are those the wide kernel records. A worker relaxes in its own
-// key plane and unpacks it into the result row when the row is finished;
-// parents go to the result directly.
+// packedDijkstra fans the sources out over an atomic counter: each worker
+// claims the next unclaimed source (work stealing — a worker that draws
+// cheap rows simply claims more of them), relaxes in its own key plane and
+// unpacks it into the result row when the row is finished; parents go to
+// the result directly. Rows are disjoint and the only shared mutable state
+// is the counter, so the matrices are the same for any worker count.
 func packedDijkstra(g *graph.Graph, lay keyLayout, res *Result) {
 	n := g.N()
 	adj := newCSR(g, lay)
@@ -58,8 +58,14 @@ func packedDijkstra(g *graph.Graph, lay keyLayout, res *Result) {
 	})
 }
 
-// oneSourcePacked is oneSourceDijkstra with (dist, hops) in one word; see
-// there for why lexicographic keys keep Dijkstra's invariant.
+// oneSourcePacked fills one row. Key order is lexicographic (dist, hops)
+// order, which stays monotone under relaxation because weights are
+// non-negative: (d+w, l+1) > (d, l). That makes the computed hops exactly
+// the minimal hop count among minimum-distance paths — the quantity the
+// pipelined CONGEST family records — and every recorded parent tight in
+// both dist and hops. Entries are pushed on strict improvement only, so
+// each reachable node is expanded exactly once (stale heap entries compare
+// unequal and are skipped).
 func oneSourcePacked(adj csr, src int, keys []uint64, parent []int, h *keyHeap) {
 	for v := range keys {
 		keys[v] = infKey
@@ -82,14 +88,19 @@ func oneSourcePacked(adj csr, src int, keys []uint64, parent []int, h *keyHeap) 
 	}
 }
 
-// keyHeap is heap4 (heap.go) over packed keys: the same 4-ary shape, lazy
-// deletion, and sift rules — sift up while strictly smaller than the
-// parent, sift down to the first smallest child while it is strictly
-// smaller — so equal keys leave in the same order and the two Dijkstras
-// record the same parents. What differs is how, not what: the moving entry
-// is held out and written once rather than swapped level by level, and the
-// smallest of four children is found without branches — the compares are
-// data-dependent coin flips, and mispredicting them was most of a pop.
+// keyHeap is a 4-ary min-heap over (key, node) entries: sift-down does one
+// extra compare per level but the tree is half as deep as a binary one,
+// and the four children share a cache line. Entries are never decreased in
+// place — improvements push a fresh entry and stale ones are skipped on
+// pop (lazy deletion), so the heap is two flat slices with no position
+// index. The sift rules decide which of several equal keys leaves first,
+// and with it which tight predecessor a row records as parent
+// (TestKernelsPinned): sift up while strictly smaller than the parent,
+// sift down to the first smallest child while it is strictly smaller. The
+// moving entry is held out and written once rather than swapped level by
+// level, and the smallest of four children is found without branches — the
+// compares are data-dependent coin flips, and mispredicting them was most
+// of a pop.
 type keyHeap struct {
 	k []uint64
 	v []int32

@@ -29,13 +29,13 @@ func zeroHeavyUpTo(n int, maxW int64) *graph.Graph {
 	return g
 }
 
-func sameCells(t *testing.T, what string, a, b *Result, parents bool) {
+func sameCells(t *testing.T, what string, a, b *Result) {
 	t.Helper()
 	for i := range a.Dist {
 		for v := range a.Dist[i] {
-			if a.Dist[i][v] != b.Dist[i][v] || a.Hops[i][v] != b.Hops[i][v] || (parents && a.Parent[i][v] != b.Parent[i][v]) {
-				t.Fatalf("%s differ at (%d,%d): (%d,%d,%d) vs (%d,%d,%d)", what, i, v,
-					a.Dist[i][v], a.Hops[i][v], a.Parent[i][v], b.Dist[i][v], b.Hops[i][v], b.Parent[i][v])
+			if a.Dist[i][v] != b.Dist[i][v] || a.Hops[i][v] != b.Hops[i][v] {
+				t.Fatalf("%s differ at (%d,%d): (%d,%d) vs (%d,%d)", what, i, v,
+					a.Dist[i][v], a.Hops[i][v], b.Dist[i][v], b.Hops[i][v])
 			}
 		}
 	}
@@ -61,10 +61,12 @@ func walkAll(t *testing.T, what string, g *graph.Graph, res *Result) {
 	}
 }
 
-// TestRepresentationBoundaries runs both representations on either side of
-// the two limits the layout has: the hop field gains a bit between n = 64
-// and n = 65, and a graph stops packing one unit of weight above the
-// largest maxW that fits beside it.
+// TestRepresentationBoundaries sits on either side of the two limits the
+// layout has: the hop field gains a bit between n = 64 and n = 65, and a
+// graph stops packing one unit of weight above the largest maxW that fits
+// beside it. On the packing side both kernels answer as core.Run does and
+// record parents the walker accepts; one unit above, APSP refuses the
+// graph by name whichever kernel is asked for.
 func TestRepresentationBoundaries(t *testing.T) {
 	for _, n := range []int{63, 64, 65} {
 		lay, _ := layoutFor(n, 0)
@@ -75,51 +77,26 @@ func TestRepresentationBoundaries(t *testing.T) {
 		for _, maxW := range []int64{fits, fits + 1} {
 			for shape, g := range map[string]*graph.Graph{"zero-path": zeroPath(n, maxW), "zero-heavy": zeroHeavyUpTo(n, maxW)} {
 				name := fmt.Sprintf("n=%d/maxW=%d/%s", n, maxW, shape)
-				maxPath, err := g.MaxPathWeight()
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				lay, packs := layoutFor(n, maxPath)
-				if packs != (maxW == fits) {
-					t.Fatalf("%s: packs = %v", name, packs)
-				}
-
-				wide := &Result{Sources: allNodes(n), Workers: 2}
-				wide.allocRows(n)
-				parallelDijkstra(g, wide, wide.Workers)
-				walkAll(t, name+" wide", g, wide)
-				ref, err := core.Run(g, core.Opts{Sources: wide.Sources, H: n - 1})
-				if err != nil {
-					t.Fatalf("%s: core.Run: %v", name, err)
-				}
-				sameCells(t, name+": wide dijkstra and core.Run", wide, &Result{Dist: ref.Dist, Hops: ref.Hops}, false)
-
-				auto, err := APSP(g, Opts{})
-				if err != nil {
-					t.Fatalf("%s: auto: %v", name, err)
-				}
-				if auto.Kernel != Dijkstra {
-					t.Fatalf("%s: auto picked %s", name, auto.Kernel)
-				}
-				sameCells(t, name+": wide dijkstra and APSP", wide, auto, true)
-
-				fw, err := APSP(g, Opts{Kernel: Floyd})
-				if !packs {
-					if !errors.Is(err, ErrFloydRange) {
-						t.Fatalf("%s: forced floyd on a graph that does not pack: err = %v", name, err)
+				if maxW > fits {
+					for _, kern := range []Kernel{Auto, Dijkstra, Floyd} {
+						if _, err := APSP(g, Opts{Kernel: kern}); !errors.Is(err, ErrKeyRange) {
+							t.Fatalf("%s: %s on a graph that does not pack: err = %v, want ErrKeyRange", name, kern, err)
+						}
 					}
 					continue
 				}
+				ref, err := core.Run(g, core.Opts{Sources: allNodes(n), H: n - 1})
 				if err != nil {
-					t.Fatalf("%s: floyd: %v", name, err)
+					t.Fatalf("%s: core.Run: %v", name, err)
 				}
-				sameCells(t, name+": wide dijkstra and floyd", wide, fw, false)
-				walkAll(t, name+" floyd", g, fw)
-
-				packed := &Result{Sources: wide.Sources, Workers: 2}
-				packed.allocRows(n)
-				packedDijkstra(g, lay, packed)
-				sameCells(t, name+": wide and packed dijkstra", wide, packed, true)
+				for _, kern := range []Kernel{Dijkstra, Floyd} {
+					res, err := APSP(g, Opts{Kernel: kern, Workers: 2})
+					if err != nil {
+						t.Fatalf("%s: %s: %v", name, kern, err)
+					}
+					sameCells(t, fmt.Sprintf("%s: %s and core.Run", name, kern), res, &Result{Dist: ref.Dist, Hops: ref.Hops})
+					walkAll(t, fmt.Sprintf("%s %s", name, kern), g, res)
+				}
 			}
 		}
 	}

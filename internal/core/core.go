@@ -190,8 +190,13 @@ type Result struct {
 	Snapshots map[int][][]int64
 
 	// List behaviour.
-	MaxListLen   int   // max |list_v| observed (paper: ≤ γΔ + k)
-	MaxPerSource int   // max entries for one source at one node (paper: ≤ h/γ + 1)
+	MaxListLen int // max |list_v| observed (paper: ≤ γΔ + k)
+	// MaxPerSource is the most entries one node held for one source
+	// (paper: ≤ h/γ + 1). Under ModePareto the frontier at rest holds at
+	// most min(h,Δ)+1; this is sampled as a newcomer joins, before the
+	// entries it dominates leave, so it reads up to min(h,Δ)+2. The sample
+	// point is part of the checkpoint format (state.go).
+	MaxPerSource int
 	Inserts      int64 // total list insertions
 	Evictions    int64 // entries removed by the INSERT eviction rule
 	NuDrops      int64 // non-SP entries rejected by the Step 13 counting rule

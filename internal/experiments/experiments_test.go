@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"A-LIST", "A-LIT", "A-ZERO", "E-APX", "E-BIG", "E-BLK", "E-CHAOS", "E-CLUSTER", "E-CONV", "E-CRASH", "E-CSSSP", "E-DELTA", "E-FAULTS", "E-INV", "E-KSSP", "E-SCALE", "E-SCHED", "E-SERVE", "E-SR", "E-STEP1", "E-T11", "E-T1213", "E-TRACE", "E-XOVER", "F1", "SCORECARD", "T1-approx", "T1-exact"}
+	want := []string{"A-LIST", "A-LIT", "A-ZERO", "E-APX", "E-BIG", "E-BLK", "E-CHAOS", "E-CLUSTER", "E-CONV", "E-CRASH", "E-CSSSP", "E-DELTA", "E-FAULTS", "E-INV", "E-KSSP", "E-SCALE", "E-SCHED", "E-SR", "E-STEP1", "E-T11", "E-T1213", "F1", "SCORECARD", "T1-approx", "T1-exact"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v, want %v", got, want)
@@ -53,6 +54,99 @@ func TestEachExperimentSmall(t *testing.T) {
 				t.Fatalf("%s: formatted output missing ID", id)
 			}
 		})
+	}
+}
+
+// column returns the cells under one header, top to bottom.
+func column(t *testing.T, tab *Table, header string) []string {
+	t.Helper()
+	for i, h := range tab.Headers {
+		if h == header {
+			col := make([]string, len(tab.Rows))
+			for r, row := range tab.Rows {
+				col[r] = row[i]
+			}
+			return col
+		}
+	}
+	t.Fatalf("%s: no column %q in %q", tab.ID, header, tab.Headers)
+	return nil
+}
+
+// TestPaperClaimsPinned turns what the tables exist to show into
+// assertions: the scorecard's verdict per claim, and the bound each
+// theorem's table measures against, read from the table's own columns. A
+// change to the list, the schedule or a protocol family that moves a
+// verdict or breaks a bound fails here, not in a printout.
+func TestPaperClaimsPinned(t *testing.T) {
+	run := func(id string) *Table {
+		tab, err := Run(id, Config{Small: true, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		return tab
+	}
+
+	card := run("SCORECARD")
+	claims, verdicts := column(t, card, "claim"), column(t, card, "verdict")
+	want := [][2]string{
+		{"Thm I.1 correctness", "CONFIRMED*"},
+		{"Thm I.1 rounds", "CONFIRMED"},
+		{"Lemma II.12 (Inv 1)", "CONFIRMED"},
+		{"Lemma II.11 (Inv 2)", "CONFIRMED"},
+		{"Alg 1 INSERT eviction", "REFUTED"},
+		{"Thm I.1(ii) APSP", "CONFIRMED"},
+		{"Lemma II.15 dilation", "CONFIRMED"},
+		{"Lemma II.15 congestion", "CONFIRMED"},
+		{"Lemma III.4 (CSSSP)", "CONFIRMED*"},
+		{"Def III.1 coverage", "CONFIRMED"},
+		{"Lemma III.8 (Alg 4)", "CONFIRMED"},
+		{"Thms I.2/I.3 (Alg 3)", "CONFIRMED"},
+		{"Thm I.5 (approx)", "CONFIRMED"},
+		{"Sec. V future work", "IMPLEMENTED"},
+	}
+	if len(claims) != len(want) {
+		t.Fatalf("SCORECARD has %d rows, want %d: %q", len(claims), len(want), claims)
+	}
+	for i, w := range want {
+		if claims[i] != w[0] || verdicts[i] != w[1] {
+			t.Errorf("SCORECARD row %d: %q is %s, want %q %s", i, claims[i], verdicts[i], w[0], w[1])
+		}
+	}
+
+	for _, c := range []struct {
+		id   string
+		rows int
+		zero []string    // columns that read 0 in every row
+		le   [][2]string // column pairs, left ≤ right in every row
+	}{
+		{"E-T11", 9, nil, [][2]string{{"rounds", "bound"}}},
+		{"E-INV", 6, []string{"inv1 viol"}, [][2]string{{"maxPerSrc", "min(h,Δ)+2"}}},
+		{"E-SR", 6, []string{"snap viol"}, nil},
+		{"E-CSSSP", 4, []string{"violations"}, [][2]string{{"rounds", "2√(2khΔ)+k+2h"}}},
+		{"E-BLK", 4, nil, [][2]string{{"|Q|", "(n ln n)/h"}, {"upd/pick", "k+h-1"}}},
+	} {
+		tab := run(c.id)
+		if len(tab.Rows) != c.rows {
+			t.Errorf("%s has %d rows, want %d", c.id, len(tab.Rows), c.rows)
+		}
+		for _, h := range c.zero {
+			for r, cell := range column(t, tab, h) {
+				if cell != "0" {
+					t.Errorf("%s row %d: %s = %s, want 0", c.id, r, h, cell)
+				}
+			}
+		}
+		for _, pair := range c.le {
+			lo, hi := column(t, tab, pair[0]), column(t, tab, pair[1])
+			for r := range lo {
+				a, aerr := strconv.ParseFloat(lo[r], 64)
+				b, berr := strconv.ParseFloat(hi[r], 64)
+				if aerr != nil || berr != nil || a > b {
+					t.Errorf("%s row %d: %s = %s exceeds %s = %s", c.id, r, pair[0], lo[r], pair[1], hi[r])
+				}
+			}
+		}
 	}
 }
 

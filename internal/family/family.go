@@ -203,9 +203,11 @@ func Run(g *graph.Graph, sp Spec) (Result, error) {
 
 // runParallel is Backend "parallel": the same exact unrestricted matrices
 // as the pipeline family, with no rounds — so a spec asking for anything
-// only rounds carry is refused rather than silently losing it.
-// Engine.Observer sees no events, Engine.Ctx is checked once on entry (the
-// kernels are not cancelable), and the result carries zero Stats.
+// only rounds carry is refused rather than silently losing it, and so is a
+// graph whose path weights do not fit the kernels' packed key
+// (compute.ErrKeyRange; the congest backend runs it). Engine.Observer sees
+// no events, Engine.Ctx is checked once on entry (the kernels are not
+// cancelable), and the result carries zero Stats.
 func runParallel(g *graph.Graph, sp Spec) (Result, error) {
 	const why = "the parallel backend computes unrestricted exact APSP with no simulated rounds"
 	switch e := sp.Engine; {

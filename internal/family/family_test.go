@@ -12,6 +12,7 @@ import (
 	"repro/internal/bellman"
 	"repro/internal/blocker"
 	"repro/internal/checkpoint"
+	"repro/internal/compute"
 	"repro/internal/congest"
 	"repro/internal/cssp"
 	"repro/internal/family"
@@ -287,6 +288,26 @@ func TestRefusesOverflowingPathSums(t *testing.T) {
 		if _, err := family.Run(g, sp); !errors.Is(err, graph.ErrPathOverflow) {
 			t.Errorf("%s/%s: err = %v, want graph.ErrPathOverflow", sp.Alg, sp.Backend, err)
 		}
+	}
+}
+
+// TestParallelRefusesUnpackableWeights: one arc of 2⁵⁸ leaves no room for a
+// hop field beside the distance, so the parallel backend refuses the graph
+// by name; the pipeline family keeps dist and hops apart and solves it.
+func TestParallelRefusesUnpackableWeights(t *testing.T) {
+	g := graph.New(3, true)
+	g.MustAddEdge(0, 1, 1<<58)
+	g.MustAddEdge(1, 2, 5)
+	g.MustAddEdge(0, 2, 6)
+	if _, err := family.Run(g, family.Spec{Alg: "pipeline", Backend: "parallel"}); !errors.Is(err, compute.ErrKeyRange) {
+		t.Errorf("parallel: err = %v, want compute.ErrKeyRange", err)
+	}
+	res, err := family.Run(g, family.Spec{Alg: "pipeline"})
+	if err != nil {
+		t.Fatalf("congest: %v", err)
+	}
+	if want := graph.APSP(g); !reflect.DeepEqual(res.Dist, want) {
+		t.Errorf("congest: dist = %v, want %v", res.Dist, want)
 	}
 }
 

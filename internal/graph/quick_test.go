@@ -3,7 +3,8 @@ package graph
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/quickcheck"
 )
 
 // Property: for every generated graph and source, h-hop distances are
@@ -28,9 +29,7 @@ func TestQuickHHopSandwich(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	quickcheck.Check(t, f, 60)
 }
 
 // Property: triangle inequality on APSP output.
@@ -50,9 +49,7 @@ func TestQuickTriangleInequality(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
+	quickcheck.Check(t, f, 25)
 }
 
 // Property: every edge respects d(u,v) <= w(u,v), and d is 0 on the diagonal.
@@ -75,9 +72,7 @@ func TestQuickEdgeRelaxed(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+	quickcheck.Check(t, f, 40)
 }
 
 // Property: undirected graphs have symmetric distance matrices.
@@ -94,9 +89,7 @@ func TestQuickUndirectedSymmetric(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+	quickcheck.Check(t, f, 40)
 }
 
 // Property: generators with a fixed seed are pure functions.

@@ -111,21 +111,50 @@ func TestScriptedFaults(t *testing.T) {
 	}
 }
 
+// cancelOnClose is the body of a request the test knows will be
+// blackholed. RoundTrip closes a request's body once it has settled and
+// counted the request's fate — before it starts waiting on the context —
+// so Close is the moment to give up on the request.
+type cancelOnClose struct{ cancel context.CancelFunc }
+
+func (cancelOnClose) Read([]byte) (int, error) { return 0, io.EOF }
+func (c cancelOnClose) Close() error           { c.cancel(); return nil }
+
+// drive sends n requests through tr, one after another, to a real
+// listener. None carries a deadline, so nothing the transport counts
+// depends on how fast the host is: an injected delay runs out on its own,
+// and a blackholed request, which only its context ends, is cancelled by
+// its own body (cancelOnClose).
+func drive(t *testing.T, tr *Transport, n int) {
+	t.Helper()
+	ts, c := newBackend(t, tr)
+	for i := uint64(0); i < uint64(n); i++ {
+		f := tr.Plan.planFate(i)
+		if tr.Script != nil {
+			f = scriptFate(tr.Script, i)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, "GET", ts.URL, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.blackhole {
+			req.Body = cancelOnClose{cancel}
+		}
+		if resp, err := c.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		cancel()
+	}
+}
+
 // TestPlanDeterminism: the same plan over the same request order injects
 // the same faults, and recording freezes a replayable script.
 func TestPlanDeterminism(t *testing.T) {
 	run := func() (Stats, []Event) {
 		tr := &Transport{Plan: All(7), Record: true}
-		ts, c := newBackend(t, tr)
-		for i := 0; i < 200; i++ {
-			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL, nil)
-			if resp, err := c.Do(req); err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			cancel()
-		}
+		drive(t, tr, 200)
 		return tr.Snapshot(), tr.Recorded()
 	}
 	s1, ev1 := run()
@@ -145,24 +174,14 @@ func TestPlanDeterminism(t *testing.T) {
 		t.Fatalf("requests = %d, want 200", s1.Requests)
 	}
 	// All(7) at 200 requests must actually exercise the fault space.
-	if s1.Delays == 0 || s1.ResetsPre+s1.ResetsPost == 0 || s1.Err500s == 0 || s1.Err503s == 0 {
+	if s1.Delays == 0 || s1.ResetsPre+s1.ResetsPost == 0 || s1.Err500s == 0 || s1.Err503s == 0 || s1.Blackholes == 0 {
 		t.Fatalf("chaos plan injected too little: %+v", s1)
 	}
 
 	// Replaying the frozen script reproduces the same fault assignment.
 	tr := &Transport{Script: ev1}
-	ts, c := newBackend(t, tr)
-	for i := 0; i < 200; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL, nil)
-		if resp, err := c.Do(req); err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		cancel()
-	}
-	sr := tr.Snapshot()
-	if sr.ResetsPre != s1.ResetsPre || sr.Err500s != s1.Err500s || sr.Truncations != s1.Truncations || sr.Blackholes != s1.Blackholes {
+	drive(t, tr, 200)
+	if sr := tr.Snapshot(); sr != s1 {
 		t.Fatalf("script replay diverged: %+v vs %+v", sr, s1)
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"math"
 	"math/big"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/quickcheck"
 )
 
 func TestPerfectSquareGamma(t *testing.T) {
@@ -124,9 +125,7 @@ func TestQuickCmpAgainstBigFloat(t *testing.T) {
 		want := exactCmp(num, den, int64(d1), int64(l1), int64(d2), int64(l2))
 		return got == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
+	quickcheck.Check(t, f, 2000)
 }
 
 func TestQuickCeilAgainstBigFloat(t *testing.T) {
@@ -148,9 +147,7 @@ func TestQuickCeilAgainstBigFloat(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
+	quickcheck.Check(t, f, 2000)
 }
 
 func TestBigFallbackPath(t *testing.T) {

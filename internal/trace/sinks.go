@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -134,74 +133,3 @@ func (c *Chrome) Trace(spans []SpanRecord) error {
 
 // Close implements Sink; the destination obs.Chrome owns the file.
 func (c *Chrome) Close() error { return nil }
-
-// Agg aggregates span durations by span name — the per-span
-// latency-attribution table behind the E-SERVE experiment: where inside
-// the serving path did the time go, across every traced request.
-type Agg struct {
-	mu     sync.Mutex
-	byName map[string]*AggRow
-}
-
-// AggRow is one span name's accumulated timing.
-type AggRow struct {
-	Name    string
-	Count   int64
-	TotalUS int64
-	MaxUS   int64
-	Errs    int64
-}
-
-// AvgUS is the mean span duration in microseconds.
-func (r *AggRow) AvgUS() float64 {
-	if r.Count == 0 {
-		return 0
-	}
-	return float64(r.TotalUS) / float64(r.Count)
-}
-
-// NewAgg returns an empty aggregator.
-func NewAgg() *Agg { return &Agg{byName: make(map[string]*AggRow)} }
-
-// Trace implements Sink.
-func (a *Agg) Trace(spans []SpanRecord) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, s := range spans {
-		r, ok := a.byName[s.Name]
-		if !ok {
-			r = &AggRow{Name: s.Name}
-			a.byName[s.Name] = r
-		}
-		r.Count++
-		r.TotalUS += s.DurUS
-		if s.DurUS > r.MaxUS {
-			r.MaxUS = s.DurUS
-		}
-		if s.Err != "" {
-			r.Errs++
-		}
-	}
-	return nil
-}
-
-// Close implements Sink.
-func (a *Agg) Close() error { return nil }
-
-// Rows returns the aggregation sorted by total time descending — the
-// attribution order an operator wants.
-func (a *Agg) Rows() []AggRow {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]AggRow, 0, len(a.byName))
-	for _, r := range a.byName {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TotalUS != out[j].TotalUS {
-			return out[i].TotalUS > out[j].TotalUS
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}

@@ -361,38 +361,6 @@ func TestChromeSinkSharesTimeline(t *testing.T) {
 	}
 }
 
-func TestAggSink(t *testing.T) {
-	agg := NewAgg()
-	tr := New(Options{SampleEvery: 1, Seed: 5, Sinks: []Sink{agg}})
-	for i := 0; i < 3; i++ {
-		ctx, root := tr.StartRequest(context.Background(), "serve.path", "")
-		_, walk := Start(ctx, "walk")
-		if i == 0 {
-			walk.Error(errors.New("broken"))
-		}
-		walk.End()
-		root.End()
-	}
-	rows := agg.Rows()
-	if len(rows) != 2 {
-		t.Fatalf("agg rows %d, want 2", len(rows))
-	}
-	byName := map[string]AggRow{}
-	for _, r := range rows {
-		byName[r.Name] = r
-	}
-	walk := byName["walk"]
-	if walk.Count != 3 || walk.Errs != 1 || walk.TotalUS <= 0 || walk.MaxUS <= 0 {
-		t.Fatalf("walk row %+v", walk)
-	}
-	if walk.AvgUS() <= 0 {
-		t.Fatalf("walk avg %f", walk.AvgUS())
-	}
-	if rows[0].TotalUS < rows[1].TotalUS {
-		t.Fatal("agg rows not sorted by total time descending")
-	}
-}
-
 func TestUnclosedSpansFlaggedAtEmit(t *testing.T) {
 	tr, sink := newTestTracer(t, Options{SampleEvery: 1, Seed: 1})
 	_, root := tr.StartRequest(context.Background(), "req", "")
