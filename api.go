@@ -64,7 +64,11 @@ func WriteGraph(w io.Writer, g *Graph) error { return graph.Encode(w, g) }
 // ---------------------------------------------------------------------------
 // The paper's primary contribution: the pipelined Algorithm 1.
 
-// PipelineOpts configures a pipelined (h,k)-SSP run (Algorithm 1).
+// PipelineOpts configures a pipelined (h,k)-SSP run (Algorithm 1). Like
+// every Opts type below it carries the engine environment — workers,
+// scheduler, observer, fault network, checkpoint policy, context, round
+// budget — as the one field Engine (a congest.Config); its zero value is
+// the default engine.
 type PipelineOpts = core.Opts
 
 // PipelineResult reports distances, hop counts, parents and the measured

@@ -223,7 +223,7 @@ func benchEngineWorkers(b *testing.B, workers int, mkObs func() congest.Observer
 		if mkObs != nil {
 			o = mkObs()
 		}
-		if _, err := core.Run(g, core.Opts{Sources: sources, H: g.N() - 1, Delta: delta, Workers: workers, Obs: o}); err != nil {
+		if _, err := core.Run(g, core.Opts{Sources: sources, H: g.N() - 1, Delta: delta, Engine: congest.Config{Workers: workers, Observer: o}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func benchComputeBackend(b *testing.B, run func(g *graph.Graph, sources []int) e
 
 func BenchmarkComputeBackendEngine8(b *testing.B) {
 	benchComputeBackend(b, func(g *graph.Graph, sources []int) error {
-		_, err := core.Run(g, core.Opts{Sources: sources, H: g.N() - 1, Workers: 8})
+		_, err := core.Run(g, core.Opts{Sources: sources, H: g.N() - 1, Engine: congest.Config{Workers: 8}})
 		return err
 	})
 }
@@ -305,7 +305,7 @@ func benchEngineWorkersAdaptive(b *testing.B, workers int) {
 	sources := []int{0, 64, 128, 192}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: delta, Scheduler: congest.SchedulerActive, Workers: workers}); err != nil {
+		if _, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: delta, Engine: congest.Config{Scheduler: congest.SchedulerActive, Workers: workers}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -338,7 +338,7 @@ func benchSchedulerSparse(b *testing.B, s congest.Scheduler) {
 	b.ResetTimer()
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: delta, Scheduler: s, Workers: 1})
+		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: delta, Engine: congest.Config{Scheduler: s, Workers: 1}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -367,7 +367,7 @@ func benchSchedulerBusy(b *testing.B, s congest.Scheduler) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Scheduler: s, Workers: 1}); err != nil {
+		if _, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Engine: congest.Config{Scheduler: s, Workers: 1}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -401,7 +401,7 @@ func benchEngineFaults(b *testing.B, mk func() congest.Network) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Network: mk(), Workers: 1})
+		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Engine: congest.Config{Network: mk(), Workers: 1}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -441,7 +441,7 @@ func benchEngineCheckpoint(b *testing.B, mkPol func() *congest.CheckpointPolicy)
 	var snapBytes int
 	for i := 0; i < b.N; i++ {
 		pol := mkPol()
-		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Checkpoint: pol, Workers: 1})
+		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: 1, Engine: congest.Config{Checkpoint: pol, Workers: 1}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -129,7 +129,7 @@ func sweepCheckpointConformance(t *testing.T, in difftestInstance, probes []ckpt
 func TestCheckpointConformanceCore(t *testing.T) {
 	sweepCheckpointConformance(t, ckptInstance(3), singleRunProbes,
 		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Scheduler: sched, Network: net, Checkpoint: pol})
+			res, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -142,7 +142,7 @@ func TestCheckpointConformancePosweight(t *testing.T) {
 	in.G = graph.Random(20, 60, graph.GenOpts{Seed: 4, MaxW: 6, MinW: 1, Directed: true})
 	sweepCheckpointConformance(t, in, singleRunProbes,
 		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := posweight.Run(in.G, posweight.Opts{Sources: in.Sources, Scheduler: sched, Network: net, Checkpoint: pol})
+			res, err := posweight.Run(in.G, posweight.Opts{Sources: in.Sources, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -164,7 +164,7 @@ func TestCheckpointConformanceUnweighted(t *testing.T) {
 func TestCheckpointConformanceBellman(t *testing.T) {
 	sweepCheckpointConformance(t, ckptInstance(6), singleRunProbes,
 		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H, Scheduler: sched, Network: net, Checkpoint: pol})
+			res, err := bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -175,7 +175,7 @@ func TestCheckpointConformanceBellman(t *testing.T) {
 func TestCheckpointConformanceShortRange(t *testing.T) {
 	sweepCheckpointConformance(t, ckptInstance(7), singleRunProbes,
 		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := shortrange.Run(in.G, shortrange.Opts{Sources: in.Sources, H: in.H, Scheduler: sched, Network: net, Checkpoint: pol})
+			res, err := shortrange.Run(in.G, shortrange.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -186,7 +186,7 @@ func TestCheckpointConformanceShortRange(t *testing.T) {
 func TestCheckpointConformanceScaling(t *testing.T) {
 	sweepCheckpointConformance(t, ckptInstance(8), multiRunProbes,
 		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := scaling.Run(in.G, scaling.Opts{Sources: in.Sources, Scheduler: sched, Network: net, Checkpoint: pol})
+			res, err := scaling.Run(in.G, scaling.Opts{Sources: in.Sources, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -203,7 +203,7 @@ func TestCheckpointConformanceBlockerAPSP(t *testing.T) {
 	in.G = graph.Random(14, 42, graph.GenOpts{Seed: 9, MaxW: 6, ZeroFrac: 0.2, Directed: true})
 	sweepCheckpointConformance(t, in, multiRunProbes,
 		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := hssp.Run(in.G, hssp.Opts{Sources: in.Sources, Scheduler: sched, Network: net, Checkpoint: pol})
+			res, err := hssp.Run(in.G, hssp.Opts{Sources: in.Sources, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -216,7 +216,7 @@ func TestCheckpointConformanceApprox(t *testing.T) {
 	in.G = graph.Random(14, 42, graph.GenOpts{Seed: 10, MaxW: 6, ZeroFrac: 0.2, Directed: true})
 	sweepCheckpointConformance(t, in, multiRunProbes,
 		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := approx.Run(in.G, approx.Opts{Sources: in.Sources, Eps: 0.5, Scheduler: sched, Network: net, Checkpoint: pol})
+			res, err := approx.Run(in.G, approx.Opts{Sources: in.Sources, Eps: 0.5, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -233,7 +233,7 @@ func TestCheckpointObserverSplice(t *testing.T) {
 	for _, sched := range []congest.Scheduler{congest.SchedulerDense, congest.SchedulerActive} {
 		run := func(pol *congest.CheckpointPolicy) *streamRecorder {
 			rec := &streamRecorder{}
-			_, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Scheduler: sched, Obs: rec, Checkpoint: pol})
+			_, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Observer: rec, Checkpoint: pol}})
 			if pol != nil && pol.Stop {
 				if !errors.Is(err, congest.ErrCheckpointStop) {
 					t.Fatalf("sched=%v: want ErrCheckpointStop, got %v", sched, err)
@@ -273,7 +273,7 @@ func TestCheckpointResumeUnderChaos(t *testing.T) {
 	in := ckptInstance(12)
 	plan := faults.All(5)
 	snapAt := func(pol *congest.CheckpointPolicy, k *checkpoint.Keeper) *congest.Snapshot {
-		_, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Network: faults.New(plan), Checkpoint: pol})
+		_, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Network: faults.New(plan), Checkpoint: pol}})
 		if !errors.Is(err, congest.ErrCheckpointStop) {
 			t.Fatalf("want ErrCheckpointStop, got %v", err)
 		}
@@ -353,7 +353,7 @@ func TestCheckpointSupervisedRestart(t *testing.T) {
 	pol := &congest.CheckpointPolicy{Every: 1, Sink: k.Sink}
 	var res *core.Result
 	restarts, err := checkpoint.Supervise(pol, k, 3, func() error {
-		r, ferr := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Network: net, Checkpoint: pol})
+		r, ferr := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Network: net, Checkpoint: pol}})
 		if ferr == nil {
 			res = r
 		}
@@ -382,7 +382,7 @@ func TestCheckpointUnrecoverableCrash(t *testing.T) {
 	k := &checkpoint.Keeper{}
 	pol := &congest.CheckpointPolicy{Every: 1, Sink: k.Sink}
 	restarts, err := checkpoint.Supervise(pol, k, 3, func() error {
-		_, ferr := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Network: net, Checkpoint: pol})
+		_, ferr := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Network: net, Checkpoint: pol}})
 		return ferr
 	})
 	var ce *congest.CrashError
@@ -409,7 +409,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 	k := &checkpoint.Keeper{Path: path, Meta: meta}
 	_, err = core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H,
-		Checkpoint: &congest.CheckpointPolicy{AtRound: 3, Stop: true, Sink: k.Sink}})
+		Engine: congest.Config{Checkpoint: &congest.CheckpointPolicy{AtRound: 3, Stop: true, Sink: k.Sink}}})
 	if !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("want ErrCheckpointStop, got %v", err)
 	}
@@ -435,7 +435,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatalf("ReadMetaOnly returned %+v", probe)
 	}
 	res, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H,
-		Checkpoint: &congest.CheckpointPolicy{Resume: snap}})
+		Engine: congest.Config{Checkpoint: &congest.CheckpointPolicy{Resume: snap}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			return faults.New(*plan)
 		}
 		run := func(net congest.Network, pol *congest.CheckpointPolicy) (*bellman.Result, error) {
-			return bellman.Run(g, bellman.Opts{Sources: sources, H: 5, Scheduler: sched, Network: net, Checkpoint: pol})
+			return bellman.Run(g, bellman.Opts{Sources: sources, H: 5, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
 		}
 		base, err := run(netOf(), nil)
 		if err != nil {

@@ -143,7 +143,7 @@ func TestDaemonLoadsCheckpoint(t *testing.T) {
 	}
 	keeper := &checkpoint.Keeper{Path: ckptPath, Meta: meta}
 	pol := &congest.CheckpointPolicy{AtRound: 5, Stop: true, Sink: keeper.Sink}
-	if _, err := core.Run(g, core.Opts{Sources: sources, H: g.N() - 1, Checkpoint: pol}); !errors.Is(err, congest.ErrCheckpointStop) {
+	if _, err := core.Run(g, core.Opts{Sources: sources, H: g.N() - 1, Engine: congest.Config{Checkpoint: pol}}); !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("checkpoint drill: %v", err)
 	}
 
@@ -185,7 +185,7 @@ func TestDaemonRejectsBadCheckpoint(t *testing.T) {
 	}
 	keeper := &checkpoint.Keeper{Path: ckptPath, Meta: meta}
 	pol := &congest.CheckpointPolicy{AtRound: 3, Stop: true, Sink: keeper.Sink}
-	if _, err := core.Run(g, core.Opts{Sources: []int{0}, H: g.N() - 1, Checkpoint: pol}); !errors.Is(err, congest.ErrCheckpointStop) {
+	if _, err := core.Run(g, core.Opts{Sources: []int{0}, H: g.N() - 1, Engine: congest.Config{Checkpoint: pol}}); !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("checkpoint drill: %v", err)
 	}
 	// Different seed → different graph → fingerprint mismatch.

@@ -104,7 +104,7 @@ func sweepFaultConformance(t *testing.T, space difftest.Space,
 func TestFaultConformanceCore(t *testing.T) {
 	sweepFaultConformance(t, difftest.Space{SeedsPerSize: 3},
 		func(in difftest.Instance, sched congest.Scheduler, net congest.Network) (interface{}, congest.Stats, error) {
-			res, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Scheduler: sched, Network: net})
+			res, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Network: net}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -115,7 +115,7 @@ func TestFaultConformanceCore(t *testing.T) {
 func TestFaultConformancePosweight(t *testing.T) {
 	sweepFaultConformance(t, difftest.Space{SeedsPerSize: 3, ZeroFrac: -1},
 		func(in difftest.Instance, sched congest.Scheduler, net congest.Network) (interface{}, congest.Stats, error) {
-			res, err := posweight.Run(in.G, posweight.Opts{Sources: in.Sources, Scheduler: sched, Network: net})
+			res, err := posweight.Run(in.G, posweight.Opts{Sources: in.Sources, Engine: congest.Config{Scheduler: sched, Network: net}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -142,7 +142,7 @@ func TestFaultConformanceUnweighted(t *testing.T) {
 func TestFaultConformanceBellman(t *testing.T) {
 	sweepFaultConformance(t, difftest.Space{SeedsPerSize: 3},
 		func(in difftest.Instance, sched congest.Scheduler, net congest.Network) (interface{}, congest.Stats, error) {
-			res, err := bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H, Scheduler: sched, Network: net})
+			res, err := bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Network: net}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -153,7 +153,7 @@ func TestFaultConformanceBellman(t *testing.T) {
 func TestFaultConformanceShortRange(t *testing.T) {
 	sweepFaultConformance(t, difftest.Space{SeedsPerSize: 3},
 		func(in difftest.Instance, sched congest.Scheduler, net congest.Network) (interface{}, congest.Stats, error) {
-			res, err := shortrange.Run(in.G, shortrange.Opts{Sources: in.Sources, H: in.H, Scheduler: sched, Network: net})
+			res, err := shortrange.Run(in.G, shortrange.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Network: net}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -164,7 +164,7 @@ func TestFaultConformanceShortRange(t *testing.T) {
 func TestFaultConformanceScaling(t *testing.T) {
 	sweepFaultConformance(t, difftest.Space{SeedsPerSize: 2},
 		func(in difftest.Instance, sched congest.Scheduler, net congest.Network) (interface{}, congest.Stats, error) {
-			res, err := scaling.Run(in.G, scaling.Opts{Sources: in.Sources, Scheduler: sched, Network: net})
+			res, err := scaling.Run(in.G, scaling.Opts{Sources: in.Sources, Engine: congest.Config{Scheduler: sched, Network: net}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -183,7 +183,7 @@ func TestFaultConformanceScaling(t *testing.T) {
 func TestFaultConformanceBlockerAPSP(t *testing.T) {
 	sweepFaultConformance(t, difftest.Space{SeedsPerSize: 2},
 		func(in difftest.Instance, sched congest.Scheduler, net congest.Network) (interface{}, congest.Stats, error) {
-			res, err := hssp.Run(in.G, hssp.Opts{Sources: in.Sources, Scheduler: sched, Network: net})
+			res, err := hssp.Run(in.G, hssp.Opts{Sources: in.Sources, Engine: congest.Config{Scheduler: sched, Network: net}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -194,7 +194,7 @@ func TestFaultConformanceBlockerAPSP(t *testing.T) {
 func TestFaultConformanceApprox(t *testing.T) {
 	sweepFaultConformance(t, difftest.Space{SeedsPerSize: 2},
 		func(in difftest.Instance, sched congest.Scheduler, net congest.Network) (interface{}, congest.Stats, error) {
-			res, err := approx.Run(in.G, approx.Opts{Sources: in.Sources, Eps: 0.5, Scheduler: sched, Network: net})
+			res, err := approx.Run(in.G, approx.Opts{Sources: in.Sources, Eps: 0.5, Engine: congest.Config{Scheduler: sched, Network: net}})
 			if err != nil {
 				return nil, congest.Stats{}, err
 			}
@@ -211,7 +211,7 @@ func TestFaultConformanceObserverStream(t *testing.T) {
 	g := graph.Random(32, 128, graph.GenOpts{Seed: 11, MaxW: 8, ZeroFrac: 0.2, Directed: true})
 	run := func(s congest.Scheduler, net congest.Network) (*hssp.Result, *streamRecorder) {
 		rec := &streamRecorder{}
-		res, err := hssp.Run(g, hssp.Opts{Scheduler: s, Obs: rec, Network: net})
+		res, err := hssp.Run(g, hssp.Opts{Engine: congest.Config{Scheduler: s, Observer: rec, Network: net}})
 		if err != nil {
 			t.Fatalf("scheduler %d: %v", s, err)
 		}
@@ -269,7 +269,7 @@ func TestDeliveryOrderInvariant(t *testing.T) {
 	script := []faults.Event{{Round: 2, From: 1, To: 3, Kind: faults.DelayEvent, Arg: 3}}
 
 	run := func(net congest.Network) *bellman.Result {
-		res, err := bellman.Run(g, bellman.Opts{Sources: []int{0}, H: 3, Network: net})
+		res, err := bellman.Run(g, bellman.Opts{Sources: []int{0}, H: 3, Engine: congest.Config{Network: net}})
 		if err != nil {
 			t.Fatal(err)
 		}

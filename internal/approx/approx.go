@@ -24,7 +24,6 @@
 package approx
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -41,22 +40,11 @@ type Opts struct {
 	// Eps is the target stretch 1+Eps. Must be positive; the theorem's
 	// analysis needs Eps > 3/n.
 	Eps float64
-	// Obs, if set, receives the engine events of every phase (see
-	// congest.Observer). Run annotates the phase boundaries via
-	// congest.SetPhase with the names "zero" and "scale<i>" — the same
-	// keys as Result.PhaseRounds.
-	Obs congest.Observer
-	// Workers and Scheduler are passed to the engine of every phase.
-	Workers   int
-	Scheduler congest.Scheduler
-	// Network, if set, replaces the engine's perfect delivery with a
-	// pluggable substrate in every phase (see congest.Config.Network);
-	// internal/faults provides the adversarial one.
-	Network congest.Network
-	// Checkpoint and Ctx are passed to the engine of every phase (see
-	// congest.Config.Checkpoint and congest.Config.Ctx).
-	Checkpoint *congest.CheckpointPolicy
-	Ctx        context.Context
+	// Engine is the engine environment, handed whole to the engine run of
+	// every phase (MaxRounds == 0 = the engine's default). Run annotates the
+	// phase boundaries on its Observer via congest.SetPhase with the names
+	// "zero" and "scale<i>" — the same keys as Result.PhaseRounds.
+	Engine congest.Config
 }
 
 // Result reports approximate distances.
@@ -111,8 +99,8 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	}
 
 	// Step 1: zero-weight reachability.
-	congest.SetPhase(opts.Obs, "zero")
-	reach, zr, err := unweighted.ZeroReach(g, sources, congest.Config{Workers: opts.Workers, Scheduler: opts.Scheduler, Observer: opts.Obs, Network: opts.Network, Checkpoint: opts.Checkpoint, Ctx: opts.Ctx})
+	congest.SetPhase(opts.Engine.Observer, "zero")
+	reach, zr, err := unweighted.ZeroReach(g, sources, opts.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("approx: zero reachability: %w", err)
 	}
@@ -154,8 +142,8 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		// per-hop round-up slack.
 		depth := (2*lim)/rho + int64(n)
 		gs := gp.Transform(func(w int64) int64 { return (w + rho - 1) / rho })
-		congest.SetPhase(opts.Obs, fmt.Sprintf("scale%d", scale))
-		pr, err := posweight.Run(gs, posweight.Opts{Sources: sources, MaxDist: depth, Workers: opts.Workers, Scheduler: opts.Scheduler, Obs: opts.Obs, Network: opts.Network, Checkpoint: opts.Checkpoint, Ctx: opts.Ctx})
+		congest.SetPhase(opts.Engine.Observer, fmt.Sprintf("scale%d", scale))
+		pr, err := posweight.Run(gs, posweight.Opts{Sources: sources, MaxDist: depth, Engine: opts.Engine})
 		if err != nil {
 			return nil, fmt.Errorf("approx: scale %d: %w", scale, err)
 		}

@@ -13,7 +13,6 @@
 package bellman
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/congest"
@@ -40,20 +39,9 @@ type Opts struct {
 	// for source i instead of the default (0 at the source, Inf elsewhere).
 	// Used for extension-style computations.
 	Seed [][]int64
-	// MaxRounds, Workers and Scheduler are passed to the engine.
-	MaxRounds int
-	Workers   int
-	Scheduler congest.Scheduler
-	// Obs, if set, receives engine events (see congest.Observer).
-	Obs congest.Observer
-	// Network, if set, replaces the engine's perfect delivery with a
-	// pluggable substrate (see congest.Config.Network); internal/faults
-	// provides the adversarial one.
-	Network congest.Network
-	// Checkpoint and Ctx are passed to the engine (see
-	// congest.Config.Checkpoint and congest.Config.Ctx).
-	Checkpoint *congest.CheckpointPolicy
-	Ctx        context.Context
+	// Engine is the engine environment, handed to congest.Run whole
+	// (MaxRounds == 0 = the engine's default).
+	Engine congest.Config
 }
 
 // Result is the outcome of a run.
@@ -278,7 +266,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	stats, err := congest.Run(g, func(v int) congest.Node {
 		nodes[v] = &node{id: v, opts: &opts, srcOf: srcOf}
 		return nodes[v]
-	}, congest.Config{MaxRounds: opts.MaxRounds, Workers: opts.Workers, Scheduler: opts.Scheduler, Observer: opts.Obs, Network: opts.Network, Checkpoint: opts.Checkpoint, Ctx: opts.Ctx})
+	}, opts.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -299,24 +287,14 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 }
 
 // FullSSSP computes unrestricted single-source shortest paths from src
-// (hop bound n−1, sufficient for any simple path). cfg carries the engine
-// knobs (Workers, Scheduler, Observer); the zero value is fine.
+// (hop bound n−1, sufficient for any simple path). cfg is the engine
+// environment; the zero value is fine.
 func FullSSSP(g *graph.Graph, src int, cfg congest.Config) (*Result, error) {
 	h := g.N() - 1
 	if h < 1 {
 		h = 1
 	}
-	return Run(g, Opts{
-		Sources:    []int{src},
-		H:          h,
-		MaxRounds:  cfg.MaxRounds,
-		Workers:    cfg.Workers,
-		Scheduler:  cfg.Scheduler,
-		Obs:        cfg.Observer,
-		Network:    cfg.Network,
-		Checkpoint: cfg.Checkpoint,
-		Ctx:        cfg.Ctx,
-	})
+	return Run(g, Opts{Sources: []int{src}, H: h, Engine: cfg})
 }
 
 // FullReverseSSSP computes distances TO dst from every node by running

@@ -76,12 +76,10 @@ type Options struct {
 	BreakerCooloff time.Duration
 	// HedgeDelay, when positive, launches a second (hedged) attempt if
 	// the first has not answered within the delay; 0 derives the delay
-	// from the observed attempt-latency quantile (HedgeQuantile, default
-	// p99, floored at MinHedgeDelay). Hedging is off until Disable is
-	// unset... set MaxHedges to enable.
-	HedgeDelay    time.Duration
-	HedgeQuantile float64
-	MinHedgeDelay time.Duration
+	// from the observed attempt-latency quantile (DefaultHedgeQuantile,
+	// floored at DefaultMinHedgeDelay). MaxHedges == 0 disables hedging
+	// whatever the delay.
+	HedgeDelay time.Duration
 	// MaxHedges is the number of extra attempts a hedge may add per
 	// attempt round (0 disables hedging; 1 is the standard tail-latency
 	// hedge).
@@ -162,12 +160,6 @@ func New(opts Options) *Client {
 	}
 	if opts.BreakerCooloff <= 0 {
 		opts.BreakerCooloff = DefaultBreakerCooloff
-	}
-	if opts.HedgeQuantile <= 0 || opts.HedgeQuantile >= 1 {
-		opts.HedgeQuantile = DefaultHedgeQuantile
-	}
-	if opts.MinHedgeDelay <= 0 {
-		opts.MinHedgeDelay = DefaultMinHedgeDelay
 	}
 	return &Client{
 		opts:     opts,
@@ -369,15 +361,15 @@ func (c *Client) hedgedAttempt(ctx context.Context, method, url, contentType str
 }
 
 // hedgeDelay resolves the hedge trigger: the explicit option, or the
-// observed attempt-latency quantile floored at MinHedgeDelay.
+// observed attempt-latency quantile floored at DefaultMinHedgeDelay.
 func (c *Client) hedgeDelay() time.Duration {
 	if c.opts.HedgeDelay > 0 {
 		return c.opts.HedgeDelay
 	}
-	if q := c.lat.quantile(c.opts.HedgeQuantile); q > c.opts.MinHedgeDelay {
+	if q := c.lat.quantile(DefaultHedgeQuantile); q > DefaultMinHedgeDelay {
 		return q
 	}
-	return c.opts.MinHedgeDelay
+	return DefaultMinHedgeDelay
 }
 
 // attempt is one complete HTTP exchange: build the request (fresh body

@@ -28,7 +28,7 @@
 // matrix passes the same core.WalkParents tightness validation. The row
 // layout ([][]int64 dist/hops, [][]int parent, one row per source) is the
 // layout oracle.BuildInput names; oracle.Build then copies every row into
-// its own int64/int32/int32 shards.
+// its own flat int64/int32/int32 columns.
 package compute
 
 import (

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/compute"
+	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -115,7 +116,7 @@ func TestBitIdenticalToPipeline(t *testing.T) {
 		if h < 1 {
 			h = 1
 		}
-		ref, err := core.Run(g, core.Opts{Sources: allSources(n), H: h, Workers: 2})
+		ref, err := core.Run(g, core.Opts{Sources: allSources(n), H: h, Engine: congest.Config{Workers: 2}})
 		if err != nil {
 			t.Fatalf("%s: core.Run: %v", name, err)
 		}

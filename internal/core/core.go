@@ -24,7 +24,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/congest"
@@ -128,26 +127,16 @@ type Opts struct {
 	// steady-state allocation guards rely on this; the default 0 keeps
 	// memory proportional to actual demand.
 	Prealloc int
-	// MaxRounds, Workers and Scheduler are passed to the engine. MaxRounds
-	// defaults to a slack multiple of the paper bound.
-	MaxRounds int
-	Workers   int
-	Scheduler congest.Scheduler
+	// Engine is the engine environment, handed to congest.Run whole.
+	// MaxRounds == 0 means a slack multiple of the paper bound.
+	Engine congest.Config
 	// Trace, if set, receives a line per list event (insert, drop, evict,
-	// send); a debugging aid. Forces Workers=1 so lines are ordered.
+	// send); a debugging aid. Forces Engine.Workers=1 so lines are ordered.
 	Trace func(format string, args ...interface{})
-	// Obs, if set, receives engine events (see congest.Observer); attach a
-	// congest.Timeline via Timeline.Observer(), or an obs.Recorder for
-	// phase-attributed traces and metrics.
+	// Obs is a second spelling of Engine.Observer; Run tees the two. It
+	// exists for benchmark/sim.go, which names it in a keyed literal, and
+	// goes with the benchmark-archetype follow-up of ROADMAP 7(c).
 	Obs congest.Observer
-	// Network, if set, replaces the engine's perfect delivery with a
-	// pluggable substrate (see congest.Config.Network); internal/faults
-	// provides the adversarial one.
-	Network congest.Network
-	// Checkpoint and Ctx are passed to the engine (see
-	// congest.Config.Checkpoint and congest.Config.Ctx).
-	Checkpoint *congest.CheckpointPolicy
-	Ctx        context.Context
 	// SnapshotRounds, if non-empty, records each node's best distances at
 	// the end of the given rounds (ascending), exposing the algorithm's
 	// anytime behaviour (experiment E-CONV). Rounds after quiescence
@@ -534,15 +523,19 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	}
 	k := len(opts.Sources)
 	bound := key.Bound(k, opts.H, opts.Delta)
-	if opts.MaxRounds == 0 {
+	cfg := opts.Engine
+	if opts.Obs != nil { // benchmark/sim.go still says Obs (ROADMAP 7c)
+		cfg.Observer = congest.Tee(cfg.Observer, opts.Obs)
+	}
+	if cfg.MaxRounds == 0 {
 		mr := 16*bound + 1024
 		if mr > int64(1<<30) {
 			mr = 1 << 30
 		}
-		opts.MaxRounds = int(mr)
+		cfg.MaxRounds = int(mr)
 	}
 	if opts.Trace != nil {
-		opts.Workers = 1
+		cfg.Workers = 1
 	}
 
 	res := &Result{Sources: append([]int(nil), opts.Sources...), Bound: bound, Delta: opts.Delta}
@@ -551,7 +544,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	stats, err := congest.Run(g, func(v int) congest.Node {
 		nodes[v] = mk(v).(*node)
 		return nodes[v]
-	}, congest.Config{MaxRounds: opts.MaxRounds, Workers: opts.Workers, Scheduler: opts.Scheduler, Observer: opts.Obs, Network: opts.Network, Checkpoint: opts.Checkpoint, Ctx: opts.Ctx})
+	}, cfg)
 	res.Stats = stats
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/quickcheck"
 )
@@ -104,7 +105,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	h := 9
 	delta := graph.HHopDelta(g, sources, h)
 	run := func(workers int) *Result {
-		res, err := Run(g, Opts{Sources: sources, H: h, Delta: delta, Workers: workers})
+		res, err := Run(g, Opts{Sources: sources, H: h, Delta: delta, Engine: congest.Config{Workers: workers}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -129,7 +130,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 // The MaxRounds guard must fire as an error, not hang, when set too low.
 func TestMaxRoundsGuard(t *testing.T) {
 	g := graph.Random(20, 60, graph.GenOpts{Seed: 1, MaxW: 5, Directed: true})
-	_, err := Run(g, Opts{Sources: []int{0}, H: 10, MaxRounds: 2})
+	_, err := Run(g, Opts{Sources: []int{0}, H: 10, Engine: congest.Config{MaxRounds: 2}})
 	if err == nil {
 		t.Fatal("MaxRounds=2 did not error")
 	}

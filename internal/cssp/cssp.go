@@ -85,7 +85,7 @@ func build(g *graph.Graph, sources []int, h int, delta int64, useBF bool, cfg co
 		err error
 	)
 	if useBF {
-		bf, bfErr := bellman.Run(g, bellman.Opts{Sources: sources, H: 2 * h, MaxRounds: cfg.MaxRounds, Workers: cfg.Workers, Scheduler: cfg.Scheduler, Obs: cfg.Observer, Network: cfg.Network, Checkpoint: cfg.Checkpoint, Ctx: cfg.Ctx})
+		bf, bfErr := bellman.Run(g, bellman.Opts{Sources: sources, H: 2 * h, Engine: cfg})
 		if bfErr != nil {
 			return nil, fmt.Errorf("cssp: Bellman-Ford run: %w", bfErr)
 		}
@@ -105,7 +105,7 @@ func build(g *graph.Graph, sources []int, h int, delta int64, useBF bool, cfg co
 		res.Stats.Rounds *= 2
 		res.Stats.Messages *= 2
 	} else {
-		res, err = core.Run(g, core.Opts{Sources: sources, H: 2 * h, Delta: delta, MaxRounds: cfg.MaxRounds, Workers: cfg.Workers, Scheduler: cfg.Scheduler, Obs: cfg.Observer, Network: cfg.Network, Checkpoint: cfg.Checkpoint, Ctx: cfg.Ctx})
+		res, err = core.Run(g, core.Opts{Sources: sources, H: 2 * h, Delta: delta, Engine: cfg})
 		if err != nil {
 			return nil, fmt.Errorf("cssp: Algorithm 1 run: %w", err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bellman"
+	"repro/internal/congest"
 	"repro/internal/faults"
 	"repro/internal/graph"
 )
@@ -134,7 +135,7 @@ func bellmanDiverges(in FaultInput) bool {
 	nw := faults.New(faults.Plan{})
 	nw.Unreliable = true
 	nw.Script = in.Events
-	dirty, err := bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H, Network: nw})
+	dirty, err := bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Network: nw}})
 	if err != nil {
 		return true // faults broke the run outright: also a divergence
 	}
@@ -189,7 +190,7 @@ func seedDivergence(t *testing.T) (FaultInput, int64) {
 		in := FaultInput{G: g, Sources: []int{0}, H: 4}
 		nw := faults.New(faults.Plan{Seed: seed, MaxDelay: 2, Drop: 0.3, Dup: 0.1, Reorder: true})
 		nw.Unreliable = true
-		if _, err := bellman.Run(g, bellman.Opts{Sources: in.Sources, H: in.H, Network: nw}); err != nil {
+		if _, err := bellman.Run(g, bellman.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Network: nw}}); err != nil {
 			continue
 		}
 		in.Events = nw.Recorded()

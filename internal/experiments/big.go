@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/compute"
+	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -40,7 +41,7 @@ func eBig(cfg Config) (*Table, error) {
 		for v := range sources {
 			sources[v] = v
 		}
-		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: delta, Workers: cfg.Workers})
+		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: delta, Engine: congest.Config{Workers: cfg.Workers}})
 		if err != nil {
 			return nil, err
 		}

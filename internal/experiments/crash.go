@@ -32,7 +32,7 @@ func eCrash(cfg Config) (*Table, error) {
 	h := n - 1
 
 	run := func(net congest.Network, pol *congest.CheckpointPolicy) (*core.Result, error) {
-		return core.Run(g, core.Opts{Sources: sources, H: h, Workers: cfg.Workers, Network: net, Checkpoint: pol})
+		return core.Run(g, core.Opts{Sources: sources, H: h, Engine: congest.Config{Workers: cfg.Workers, Network: net, Checkpoint: pol}})
 	}
 	base, err := run(nil, nil)
 	if err != nil {

@@ -52,7 +52,7 @@ func eFaults(cfg Config) (*Table, error) {
 	}
 
 	run := func(net congest.Network) ([][]int64, congest.Stats, error) {
-		res, err := hssp.Run(g, hssp.Opts{Sources: []int{0, 1, 2}, Workers: cfg.Workers, Network: net})
+		res, err := hssp.Run(g, hssp.Opts{Sources: []int{0, 1, 2}, Engine: congest.Config{Workers: cfg.Workers, Network: net}})
 		if err != nil {
 			return nil, congest.Stats{}, err
 		}

@@ -1,9 +1,9 @@
 // Package family is the one description of "run protocol family X on
 // graph G under engine environment E": a Spec, one table with a row per
 // family, and Run. cmd/apsprun, cmd/apspd and internal/oracle reach every
-// family through it, so the hop-parameter defaults, the backend refusals
-// and the copy of the engine environment into each family's Opts exist
-// once. Adding a family is: implement it, add one row.
+// family through it, so the hop-parameter defaults and the backend refusals
+// exist once and the engine environment goes down as one value
+// (Opts.Engine). Adding a family is: implement it, add one row.
 package family
 
 import (
@@ -39,7 +39,8 @@ type Spec struct {
 	// Engine is the engine environment, handed to the family whole:
 	// Workers, Scheduler, Observer, Network, Checkpoint and Ctx reach every
 	// engine run it starts. MaxRounds and MaxWordsPerMessage are not taken
-	// from here — each family passes its own proven bound.
+	// from here — Run clears them, so each family runs under its own proven
+	// bound and the engine's default bandwidth.
 	Engine congest.Config
 }
 
@@ -67,9 +68,9 @@ const hopIsBound = -1
 // table is the family set. defaultH is what Spec.H == 0 resolves to:
 // hopIsBound, 0 for a family with its own rule (blocker balances h itself;
 // scaling and approx have none), else the value. exact families yield
-// exact distances, which is what a distance oracle may serve. run is the
-// family's one copy of the engine environment into its Opts, and of its
-// result into res; it sees H resolved and Sources explicit.
+// exact distances, which is what a distance oracle may serve. run hands
+// sp.Engine to the family and maps its result into res; it sees H resolved
+// and Sources explicit.
 var table = []struct {
 	name     string
 	exact    bool
@@ -85,9 +86,7 @@ var table = []struct {
 }
 
 func runPipeline(g *graph.Graph, sp Spec, res *Result) error {
-	e := sp.Engine
-	r, err := core.Run(g, core.Opts{Sources: sp.Sources, H: sp.H, Trace: sp.ListTrace,
-		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	r, err := core.Run(g, core.Opts{Sources: sp.Sources, H: sp.H, Trace: sp.ListTrace, Engine: sp.Engine})
 	if err == nil {
 		res.Dist, res.Hops, res.Parent, res.Stats = r.Dist, r.Hops, r.Parent, r.Stats
 		res.Detail = fmt.Sprintf("bound=%d late=%d maxList=%d", r.Bound, r.LateSends, r.MaxListLen)
@@ -96,9 +95,7 @@ func runPipeline(g *graph.Graph, sp Spec, res *Result) error {
 }
 
 func runBlocker(g *graph.Graph, sp Spec, res *Result) error {
-	e := sp.Engine
-	r, err := hssp.Run(g, hssp.Opts{Sources: sp.Sources, H: sp.H,
-		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	r, err := hssp.Run(g, hssp.Opts{Sources: sp.Sources, H: sp.H, Engine: sp.Engine})
 	if err == nil {
 		res.Dist, res.Stats = r.Dist, r.Stats
 		res.Detail = fmt.Sprintf("h=%d |Q|=%d phases=%v", r.H, len(r.Q), r.PhaseRounds)
@@ -107,9 +104,7 @@ func runBlocker(g *graph.Graph, sp Spec, res *Result) error {
 }
 
 func runScaling(g *graph.Graph, sp Spec, res *Result) error {
-	e := sp.Engine
-	r, err := scaling.Run(g, scaling.Opts{Sources: sp.Sources,
-		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	r, err := scaling.Run(g, scaling.Opts{Sources: sp.Sources, Engine: sp.Engine})
 	if err == nil {
 		res.Dist, res.Stats = r.Dist, r.Stats
 		res.Detail = fmt.Sprintf("phases=%d", r.Bits+1)
@@ -118,9 +113,7 @@ func runScaling(g *graph.Graph, sp Spec, res *Result) error {
 }
 
 func runApprox(g *graph.Graph, sp Spec, res *Result) error {
-	e := sp.Engine
-	r, err := approx.Run(g, approx.Opts{Sources: sp.Sources, Eps: sp.Eps,
-		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	r, err := approx.Run(g, approx.Opts{Sources: sp.Sources, Eps: sp.Eps, Engine: sp.Engine})
 	if err == nil {
 		res.Approx, res.Stats = r, r.Stats
 		res.Detail = fmt.Sprintf("scales=%d", r.Scales)
@@ -129,9 +122,7 @@ func runApprox(g *graph.Graph, sp Spec, res *Result) error {
 }
 
 func runShortrange(g *graph.Graph, sp Spec, res *Result) error {
-	e := sp.Engine
-	r, err := shortrange.Run(g, shortrange.Opts{Sources: sp.Sources, H: sp.H,
-		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	r, err := shortrange.Run(g, shortrange.Opts{Sources: sp.Sources, H: sp.H, Engine: sp.Engine})
 	if err == nil {
 		res.Dist, res.Hops, res.Parent, res.Stats = r.Dist, r.Hops, r.Parent, r.Stats
 		res.Detail = fmt.Sprintf("snapRound=%d congestion=%d", r.SnapRound, r.Stats.MaxLinkCongestion)
@@ -140,9 +131,7 @@ func runShortrange(g *graph.Graph, sp Spec, res *Result) error {
 }
 
 func runBellman(g *graph.Graph, sp Spec, res *Result) error {
-	e := sp.Engine
-	r, err := bellman.Run(g, bellman.Opts{Sources: sp.Sources, H: sp.H,
-		Workers: e.Workers, Scheduler: e.Scheduler, Obs: e.Observer, Network: e.Network, Checkpoint: e.Checkpoint, Ctx: e.Ctx})
+	r, err := bellman.Run(g, bellman.Opts{Sources: sp.Sources, H: sp.H, Engine: sp.Engine})
 	if err == nil {
 		res.Dist, res.Parent, res.Stats = r.Dist, r.Parent, r.Stats
 	}
@@ -193,6 +182,7 @@ func Run(g *graph.Graph, sp Spec) (Result, error) {
 		default:
 			sp.H = f.defaultH
 		}
+		sp.Engine.MaxRounds, sp.Engine.MaxWordsPerMessage = 0, 0
 		if err := f.run(g, sp, &res); err != nil {
 			return Result{}, err
 		}

@@ -8,16 +8,22 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/approx"
 	"repro/internal/bcast"
 	"repro/internal/bellman"
 	"repro/internal/blocker"
 	"repro/internal/checkpoint"
 	"repro/internal/compute"
 	"repro/internal/congest"
+	"repro/internal/core"
 	"repro/internal/cssp"
 	"repro/internal/family"
 	"repro/internal/faults"
 	"repro/internal/graph"
+	"repro/internal/hssp"
+	"repro/internal/posweight"
+	"repro/internal/scaling"
+	"repro/internal/shortrange"
 	"repro/internal/unweighted"
 )
 
@@ -212,6 +218,66 @@ func TestNoEntryDropsAnEngineHook(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEngineEnvironmentIsOneField keeps the seven family Opts collapsed:
+// the engine environment is the one field Engine congest.Config, handed on
+// whole, so no Opts may grow a field of an engine type (or one named like
+// Config's two ints) beside it. The exception is Obs on core and hssp,
+// which benchmark/sim.go names in keyed literals (ROADMAP 7c); both must
+// still reach every engine run next to Engine.Observer.
+func TestEngineEnvironmentIsOneField(t *testing.T) {
+	engineType := map[reflect.Type]bool{
+		reflect.TypeOf(congest.Config{}):                 true,
+		reflect.TypeOf(congest.SchedulerDense):           true,
+		reflect.TypeOf((*congest.Observer)(nil)).Elem():  true,
+		reflect.TypeOf((*congest.Network)(nil)).Elem():   true,
+		reflect.TypeOf((*congest.CheckpointPolicy)(nil)): true,
+		reflect.TypeOf((*context.Context)(nil)).Elem():   true,
+	}
+	for _, c := range []struct {
+		opts interface{}
+		want []string
+	}{
+		{core.Opts{}, []string{"Engine", "Obs"}},
+		{hssp.Opts{}, []string{"Engine", "Obs"}},
+		{posweight.Opts{}, []string{"Engine"}},
+		{shortrange.Opts{}, []string{"Engine"}},
+		{bellman.Opts{}, []string{"Engine"}},
+		{scaling.Opts{}, []string{"Engine"}},
+		{approx.Opts{}, []string{"Engine"}},
+	} {
+		typ := reflect.TypeOf(c.opts)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); engineType[f.Type] || f.Name == "MaxRounds" || f.Name == "Workers" {
+				got = append(got, f.Name)
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%v: engine-environment fields %v, want %v", typ, got, c.want)
+		}
+	}
+
+	g := graph.Grid(3, 4, graph.GenOpts{MaxW: 6, ZeroFrac: 0.25, Seed: 5})
+	for name, run := range map[string]func(engine, obs congest.Observer) error{
+		"core": func(engine, obs congest.Observer) error {
+			_, err := core.Run(g, core.Opts{Sources: []int{0, 5}, H: 3, Engine: congest.Config{Observer: engine}, Obs: obs})
+			return err
+		},
+		"hssp": func(engine, obs congest.Observer) error {
+			_, err := hssp.Run(g, hssp.Opts{Sources: []int{0, 5}, H: 2, Engine: congest.Config{Observer: engine}, Obs: obs})
+			return err
+		},
+	} {
+		engine, obs := &probe{cancelAt: -1}, &probe{cancelAt: -1}
+		if err := run(engine, obs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if engine.runStarts == 0 || obs.runStarts != engine.runStarts {
+			t.Errorf("%s: Engine.Observer saw %d engine runs, Obs %d", name, engine.runStarts, obs.runStarts)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 func TestGoldenPhysStats(t *testing.T) {
 	g := graph.Random(16, 48, graph.GenOpts{Seed: 3, MaxW: 5, Directed: true})
 	nw := New(All(42))
-	res, err := bellman.Run(g, bellman.Opts{Sources: []int{0, 1}, H: 4, Network: nw})
+	res, err := bellman.Run(g, bellman.Opts{Sources: []int{0, 1}, H: 4, Engine: congest.Config{Network: nw}})
 	if err != nil {
 		t.Fatal(err)
 	}

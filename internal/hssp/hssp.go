@@ -16,7 +16,6 @@
 package hssp
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -38,24 +37,17 @@ type Opts struct {
 	// Delta, if known, bounds the 2h-hop shortest-path distances for the
 	// CSSSP phase (0 = derive a safe bound).
 	Delta int64
-	// Workers and Scheduler are passed to the engine of every phase.
-	Workers   int
-	Scheduler congest.Scheduler
-	// Obs, if set, receives the engine events of every phase
-	// (see congest.Observer). Run annotates the phase boundaries via
-	// congest.SetPhase with the names "cssp", "blocker", "sssp" and
-	// "broadcast" — the same keys as Result.PhaseRounds — so a
-	// phase-attributing observer (obs.Recorder) produces a breakdown that
-	// sums exactly to Result.Stats.
+	// Engine is the engine environment, handed whole to every engine run
+	// of every phase (MaxRounds == 0 = each sub-protocol's own bound). Run
+	// annotates the phase boundaries on its Observer via congest.SetPhase
+	// with the names "cssp", "blocker", "sssp" and "broadcast" — the same
+	// keys as Result.PhaseRounds — so a phase-attributing observer
+	// (obs.Recorder) produces a breakdown that sums exactly to Result.Stats.
+	Engine congest.Config
+	// Obs is a second spelling of Engine.Observer; Run tees the two. It
+	// exists for benchmark/sim.go, which names it in a keyed literal, and
+	// goes with the benchmark-archetype follow-up of ROADMAP 7(c).
 	Obs congest.Observer
-	// Network, if set, replaces the engine's perfect delivery with a
-	// pluggable substrate in every phase (see congest.Config.Network);
-	// internal/faults provides the adversarial one.
-	Network congest.Network
-	// Checkpoint and Ctx are passed to the engine of every phase (see
-	// congest.Config.Checkpoint and congest.Config.Ctx).
-	Checkpoint *congest.CheckpointPolicy
-	Ctx        context.Context
 }
 
 // Result reports exact (unrestricted) shortest-path distances.
@@ -125,10 +117,13 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		h = 1
 	}
 	res := &Result{Sources: append([]int(nil), sources...), H: h, PhaseRounds: make(map[string]int)}
-	engineCfg := congest.Config{Workers: opts.Workers, Scheduler: opts.Scheduler, Observer: opts.Obs, Network: opts.Network, Checkpoint: opts.Checkpoint, Ctx: opts.Ctx}
+	engineCfg := opts.Engine
+	if opts.Obs != nil { // benchmark/sim.go still says Obs (ROADMAP 7c)
+		engineCfg.Observer = congest.Tee(engineCfg.Observer, opts.Obs)
+	}
 
 	// Step 1: CSSSP.
-	congest.SetPhase(opts.Obs, "cssp")
+	congest.SetPhase(engineCfg.Observer, "cssp")
 	coll, err := cssp.Build(g, sources, h, opts.Delta, engineCfg)
 	if err != nil {
 		return nil, fmt.Errorf("hssp: step 1: %w", err)
@@ -137,7 +132,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	res.PhaseRounds["cssp"] = coll.Stats.Rounds
 
 	// Step 2: blocker set.
-	congest.SetPhase(opts.Obs, "blocker")
+	congest.SetPhase(engineCfg.Observer, "blocker")
 	blk, err := blocker.Compute(g, coll, engineCfg)
 	if err != nil {
 		return nil, fmt.Errorf("hssp: step 2: %w", err)
@@ -147,7 +142,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	res.Q = blk.Q
 
 	// Step 3: per-blocker forward and reverse SSSP, sequentially.
-	congest.SetPhase(opts.Obs, "sssp")
+	congest.SetPhase(engineCfg.Observer, "sssp")
 	q := len(blk.Q)
 	fromC := make([][]int64, q) // fromC[j][v] = δ(c_j, v), known at v
 	toC := make([][]int64, q)   // toC[j][u] = δ(u, c_j), known at u
@@ -171,7 +166,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	// Step 4: broadcast δ(x, c) for every source x, blocker c. The value
 	// δ(x,c) lives at node x after the reverse run; gather all pairs to a
 	// BFS-tree root and broadcast them.
-	congest.SetPhase(opts.Obs, "broadcast")
+	congest.SetPhase(engineCfg.Observer, "broadcast")
 	tree, st, err := bcast.BuildTree(g, 0, engineCfg)
 	res.Stats.Add(st)
 	res.PhaseRounds["broadcast"] += st.Rounds

@@ -19,7 +19,7 @@ import (
 func TestPhaseSumsEqualAggregate(t *testing.T) {
 	g := graph.Random(64, 300, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.2, Directed: true})
 	rec := obs.NewRecorder()
-	res, err := hssp.Run(g, hssp.Opts{H: 4, Obs: rec})
+	res, err := hssp.Run(g, hssp.Opts{H: 4, Engine: congest.Config{Observer: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPhaseSumsEqualAggregate(t *testing.T) {
 func TestReportOf(t *testing.T) {
 	g := graph.Grid(4, 4, graph.GenOpts{Seed: 1, MaxW: 3})
 	rec := obs.NewRecorder()
-	res, err := hssp.Run(g, hssp.Opts{H: 2, Obs: rec})
+	res, err := hssp.Run(g, hssp.Opts{H: 2, Engine: congest.Config{Observer: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func runWithSinks(t *testing.T, sinks ...obs.Sink) *obs.Recorder {
 	t.Helper()
 	g := graph.Random(24, 90, graph.GenOpts{Seed: 3, MaxW: 5, Directed: true})
 	rec := obs.NewRecorder(sinks...)
-	if _, err := hssp.Run(g, hssp.Opts{H: 3, Obs: rec}); err != nil {
+	if _, err := hssp.Run(g, hssp.Opts{H: 3, Engine: congest.Config{Observer: rec}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
@@ -223,7 +223,7 @@ func TestTeeForwardsPhase(t *testing.T) {
 	rec := obs.NewRecorder()
 	var rounds int
 	tee := congest.Tee(rec, roundCounter{&rounds})
-	if _, err := hssp.Run(g, hssp.Opts{H: 2, Obs: tee}); err != nil {
+	if _, err := hssp.Run(g, hssp.Opts{H: 2, Engine: congest.Config{Observer: tee}}); err != nil {
 		t.Fatal(err)
 	}
 	if rounds == 0 {

@@ -39,7 +39,7 @@ func TestDifferentialAllFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compute(%s): %v", fam.alg, err)
 			}
-			snap, err := Build(g, in, BuildOpts{ShardBits: 1})
+			snap, err := Build(g, in, BuildOpts{})
 			if err != nil {
 				t.Fatalf("Build(%s): %v", fam.alg, err)
 			}

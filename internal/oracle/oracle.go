@@ -5,14 +5,14 @@
 // query from the stored distance and parent matrices — and this package
 // serves those answers over HTTP at memory speed.
 //
-// The stored form is an immutable, source-sharded column store: the k
-// source rows are split into fixed-size shards, each holding its rows'
-// distances (flat int64), hop counts and parent pointers (flat int32) in
-// row-major order. A Snapshot is never mutated after Build; the serving
-// Store swaps whole snapshots through one atomic pointer, so queries take
-// no lock, see exactly one generation end-to-end, and a background
-// recompute can publish a replacement with zero failed or mixed-generation
-// queries (the hot-swap gate in swap_test.go holds the receipt).
+// The stored form is an immutable column store: three flat row-major
+// columns over the k source rows — distances (int64), hop counts and
+// parent pointers (int32) — indexed row·n+v. A Snapshot is never mutated
+// after Build; the serving Store swaps whole snapshots through one atomic
+// pointer, so queries take no lock, see exactly one generation end-to-end,
+// and a background recompute can publish a replacement with zero failed or
+// mixed-generation queries (the hot-swap gate in swap_test.go holds the
+// receipt).
 //
 // Path queries lazily materialize the recorded path by the hardened
 // core.WalkParents walker (shared error taxonomy with ReconstructPath),
@@ -29,11 +29,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/graph"
 )
-
-// DefaultShardBits is the default log2 of rows per shard: 64 source rows
-// per shard keeps a shard's distance block (64·n int64) L2-resident for
-// the n this repository targets while bounding build parallelism grain.
-const DefaultShardBits = 6
 
 // BuildInput is a computed result in matrix form, the common denominator
 // of every protocol family's Result struct. Hops and Parent are optional
@@ -58,37 +53,29 @@ type BuildInput struct {
 	Phys *faults.PhysStats
 }
 
-// shard holds a contiguous block of source rows, row-major.
-type shard struct {
-	dist   []int64
-	hops   []int32 // nil when hops are not recorded
-	parent []int32 // nil when parents are not recorded
-}
-
 // Snapshot is one immutable, queryable generation of the oracle.
 type Snapshot struct {
-	gen       uint64 // assigned by Store.Publish; 0 until published
-	alg       string
-	n         int
-	sources   []int
-	srcRow    map[int]int
-	shardBits uint
-	shards    []shard
-	g         *graph.Graph
-	stats     congest.Stats
-	phys      *faults.PhysStats
-	fp        uint64 // graph fingerprint (checkpoint.Fingerprint)
+	gen     uint64 // assigned by Store.Publish; 0 until published
+	alg     string
+	n       int
+	sources []int
+	srcRow  map[int]int
+	dist    []int64 // dist[row*n+v]
+	hops    []int32 // same indexing; nil when hops are not recorded
+	parent  []int32 // same indexing; nil when parents are not recorded
+	g       *graph.Graph
+	stats   congest.Stats
+	phys    *faults.PhysStats
+	fp      uint64 // graph fingerprint (checkpoint.Fingerprint)
 }
 
 // BuildOpts tunes snapshot construction.
 type BuildOpts struct {
-	// ShardBits is the log2 of source rows per shard (0 = DefaultShardBits).
-	ShardBits uint
 	// Fingerprint pins the graph identity (informative; /healthz reports it).
 	Fingerprint uint64
 }
 
-// Build repacks a computed result into the sharded column store. The
+// Build repacks a computed result into the column store. The
 // input is validated like untrusted data: shape mismatches and
 // out-of-range parents are errors, not panics — snapshots can be built
 // from deserialized files.
@@ -106,10 +93,6 @@ func Build(g *graph.Graph, in BuildInput, opts BuildOpts) (*Snapshot, error) {
 	if in.Parent != nil && len(in.Parent) != k {
 		return nil, fmt.Errorf("oracle: %d sources but %d parent rows", k, len(in.Parent))
 	}
-	bits := opts.ShardBits
-	if bits == 0 {
-		bits = DefaultShardBits
-	}
 	srcRow := make(map[int]int, k)
 	for i, s := range in.Sources {
 		if s < 0 || s >= n {
@@ -121,53 +104,48 @@ func Build(g *graph.Graph, in BuildInput, opts BuildOpts) (*Snapshot, error) {
 		srcRow[s] = i
 	}
 
-	rowsPer := 1 << bits
-	nShards := (k + rowsPer - 1) / rowsPer
 	snap := &Snapshot{
-		alg:       in.Alg,
-		n:         n,
-		sources:   append([]int(nil), in.Sources...),
-		srcRow:    srcRow,
-		shardBits: bits,
-		shards:    make([]shard, nShards),
-		g:         g,
-		stats:     in.Stats,
-		phys:      in.Phys,
-		fp:        opts.Fingerprint,
+		alg:     in.Alg,
+		n:       n,
+		sources: append([]int(nil), in.Sources...),
+		srcRow:  srcRow,
+		dist:    make([]int64, k*n),
+		g:       g,
+		stats:   in.Stats,
+		phys:    in.Phys,
+		fp:      opts.Fingerprint,
+	}
+	if in.Hops != nil {
+		snap.hops = make([]int32, k*n)
+	}
+	if in.Parent != nil {
+		snap.parent = make([]int32, k*n)
 	}
 
-	// Repack shard-parallel: each shard copies (and range-checks) its own
-	// rows, so building a large snapshot scales with cores.
+	// Repack in parallel by row range: each goroutine copies (and
+	// range-checks) buildRows rows, so building a large snapshot scales
+	// with cores.
+	const buildRows = 64
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	for si := 0; si < nShards; si++ {
+	for lo := 0; lo < k; lo += buildRows {
 		wg.Add(1)
-		go func(si int) {
+		go func(lo int) {
 			defer wg.Done()
-			lo := si * rowsPer
-			hi := lo + rowsPer
+			hi := lo + buildRows
 			if hi > k {
 				hi = k
 			}
-			rows := hi - lo
-			sh := shard{dist: make([]int64, rows*n)}
-			if in.Hops != nil {
-				sh.hops = make([]int32, rows*n)
-			}
-			if in.Parent != nil {
-				sh.parent = make([]int32, rows*n)
-			}
-			for r := 0; r < rows; r++ {
-				i := lo + r
+			for i := lo; i < hi; i++ {
 				if len(in.Dist[i]) != n {
 					fail(&mu, &firstErr, fmt.Errorf("oracle: distance row %d has %d entries, want %d", i, len(in.Dist[i]), n))
 					return
 				}
-				copy(sh.dist[r*n:(r+1)*n], in.Dist[i])
-				if sh.hops != nil {
+				copy(snap.dist[i*n:(i+1)*n], in.Dist[i])
+				if snap.hops != nil {
 					if len(in.Hops[i]) != n {
 						fail(&mu, &firstErr, fmt.Errorf("oracle: hop row %d has %d entries, want %d", i, len(in.Hops[i]), n))
 						return
@@ -177,10 +155,10 @@ func Build(g *graph.Graph, in BuildInput, opts BuildOpts) (*Snapshot, error) {
 							fail(&mu, &firstErr, fmt.Errorf("oracle: hop count %d at (%d,%d) out of range", h, i, v))
 							return
 						}
-						sh.hops[r*n+v] = int32(h)
+						snap.hops[i*n+v] = int32(h)
 					}
 				}
-				if sh.parent != nil {
+				if snap.parent != nil {
 					if len(in.Parent[i]) != n {
 						fail(&mu, &firstErr, fmt.Errorf("oracle: parent row %d has %d entries, want %d", i, len(in.Parent[i]), n))
 						return
@@ -190,12 +168,11 @@ func Build(g *graph.Graph, in BuildInput, opts BuildOpts) (*Snapshot, error) {
 							fail(&mu, &firstErr, fmt.Errorf("oracle: parent %d at (%d,%d) outside graph", p, i, v))
 							return
 						}
-						sh.parent[r*n+v] = int32(p)
+						snap.parent[i*n+v] = int32(p)
 					}
 				}
 			}
-			snap.shards[si] = sh
-		}(si)
+		}(lo)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -247,28 +224,19 @@ func (s *Snapshot) Row(src int) (int, bool) {
 }
 
 // DistAt returns the stored distance for (row, v). The hot path of the
-// whole subsystem: two shifts, one map-free bounds setup and one load.
-func (s *Snapshot) DistAt(row, v int) int64 {
-	sh := &s.shards[row>>s.shardBits]
-	return sh.dist[(row&(1<<s.shardBits-1))*s.n+v]
-}
+// whole subsystem: one multiply-add and one load.
+func (s *Snapshot) DistAt(row, v int) int64 { return s.dist[row*s.n+v] }
 
 // HasPaths reports whether parent pointers were recorded.
-func (s *Snapshot) HasPaths() bool { return len(s.shards) > 0 && s.shards[0].parent != nil }
+func (s *Snapshot) HasPaths() bool { return s.parent != nil }
 
 // HasHops reports whether hop counts were recorded.
-func (s *Snapshot) HasHops() bool { return len(s.shards) > 0 && s.shards[0].hops != nil }
+func (s *Snapshot) HasHops() bool { return s.hops != nil }
 
 // hopAt / parentAt read the int32 columns (only called when recorded).
-func (s *Snapshot) hopAt(row, v int) int64 {
-	sh := &s.shards[row>>s.shardBits]
-	return int64(sh.hops[(row&(1<<s.shardBits-1))*s.n+v])
-}
+func (s *Snapshot) hopAt(row, v int) int64 { return int64(s.hops[row*s.n+v]) }
 
-func (s *Snapshot) parentAt(row, v int) int {
-	sh := &s.shards[row>>s.shardBits]
-	return int(sh.parent[(row&(1<<s.shardBits-1))*s.n+v])
-}
+func (s *Snapshot) parentAt(row, v int) int { return int(s.parent[row*s.n+v]) }
 
 // Path materializes the recorded path from row's source to v through the
 // hardened shared walker: identical path and error semantics to

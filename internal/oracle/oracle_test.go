@@ -11,7 +11,7 @@ import (
 
 // testInput computes a pipeline result on a small random graph and wraps
 // it as a BuildInput.
-func testInput(t *testing.T, n, m int, seed int64, sources []int) (*graph.Graph, *core.Result, BuildInput) {
+func testInput(t testing.TB, n, m int, seed int64, sources []int) (*graph.Graph, *core.Result, BuildInput) {
 	t.Helper()
 	g := graph.Random(n, m, graph.GenOpts{MaxW: 8, ZeroFrac: 0.25, Seed: seed, Directed: true})
 	res, err := core.Run(g, core.Opts{Sources: sources, H: g.N() - 1})
@@ -23,10 +23,8 @@ func testInput(t *testing.T, n, m int, seed int64, sources []int) (*graph.Graph,
 }
 
 func TestBuildRoundTrip(t *testing.T) {
-	// Sources chosen to straddle a shard boundary at ShardBits=1 (2 rows
-	// per shard, 5 rows → 3 shards, last one ragged).
 	g, res, in := testInput(t, 24, 72, 3, []int{0, 3, 7, 11, 23})
-	snap, err := Build(g, in, BuildOpts{ShardBits: 1})
+	snap, err := Build(g, in, BuildOpts{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -116,7 +114,7 @@ func TestStorePublishGenerations(t *testing.T) {
 
 func TestSnapshotPathMatchesReconstruct(t *testing.T) {
 	g, res, in := testInput(t, 20, 60, 9, []int{0, 5, 13})
-	snap, err := Build(g, in, BuildOpts{ShardBits: 1})
+	snap, err := Build(g, in, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

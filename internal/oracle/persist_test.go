@@ -1,7 +1,9 @@
 package oracle
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -12,7 +14,7 @@ import (
 )
 
 // saveLoadPair builds a snapshot, saves it, and loads it back.
-func saveLoadPair(t *testing.T, in BuildInput, g *graph.Graph, fp uint64) (*Snapshot, *Snapshot, string) {
+func saveLoadPair(t testing.TB, in BuildInput, g *graph.Graph, fp uint64) (*Snapshot, *Snapshot, string) {
 	t.Helper()
 	snap, err := Build(g, in, BuildOpts{Fingerprint: fp})
 	if err != nil {
@@ -30,7 +32,7 @@ func saveLoadPair(t *testing.T, in BuildInput, g *graph.Graph, fp uint64) (*Snap
 	return snap, got, path
 }
 
-func assertSameAnswers(t *testing.T, want, got *Snapshot) {
+func assertSameAnswers(t testing.TB, want, got *Snapshot) {
 	t.Helper()
 	if got.Alg() != want.Alg() || got.N() != want.N() || got.K() != want.K() ||
 		got.Fingerprint() != want.Fingerprint() ||
@@ -124,6 +126,67 @@ func TestSnapshotBitFlipSweep(t *testing.T) {
 			t.Fatalf("bit flip at byte %d: err = %v, want ErrCorruptSnapshot", off, lerr)
 		}
 	}
+}
+
+// FuzzLoadSnapshot feeds arbitrary bytes to the reader that runs at boot
+// over whatever the disk kept. Seeds: a saved snapshot with hops and
+// parents, a distance-only one, and a truncation and a bit flip of each.
+// The bytes as given must either be refused with a typed error or answer
+// exactly like the snapshot that was saved. The same bytes with the
+// trailing checksum recomputed get past the checksum into the meta and
+// column parsing, where a different-but-valid snapshot is legitimate: there
+// the property is a typed error or a snapshot every cell of which can be
+// read and walked without a panic.
+func FuzzLoadSnapshot(f *testing.F) {
+	g, _, in := testInput(f, 8, 24, 3, []int{0, 5})
+	full, _, fullPath := saveLoadPair(f, in, g, 7)
+	in.Hops, in.Parent = nil, nil
+	distOnly, _, distPath := saveLoadPair(f, in, g, 7)
+	for _, p := range []string{fullPath, distPath} {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		flip := append([]byte(nil), raw...)
+		flip[len(flip)/3] ^= 0x10
+		f.Add(raw)
+		f.Add(raw[:len(raw)/2])
+		f.Add(flip)
+	}
+	path := filepath.Join(f.TempDir(), "fuzz.snap")
+	load := func(t *testing.T, data []byte) *Snapshot {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := LoadSnapshot(path, g, 7)
+		if err != nil && !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("untyped load error: %v", err)
+		}
+		return snap
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got := load(t, data); got != nil {
+			want := distOnly
+			if got.HasPaths() {
+				want = full
+			}
+			assertSameAnswers(t, want, got)
+		}
+		if len(data) < 8 {
+			return
+		}
+		sum := fnv.New64a()
+		sum.Write(data[:len(data)-8])
+		resealed := binary.LittleEndian.AppendUint64(append([]byte(nil), data[:len(data)-8]...), sum.Sum64())
+		if got := load(t, resealed); got != nil {
+			for row := 0; row < got.K(); row++ {
+				for v := 0; v < got.N(); v++ {
+					_ = got.DistAt(row, v)
+					_, _ = got.Path(row, v)
+				}
+			}
+		}
+	})
 }
 
 func TestSnapshotFingerprintMismatch(t *testing.T) {

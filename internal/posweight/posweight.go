@@ -20,7 +20,6 @@
 package posweight
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -48,21 +47,9 @@ type Opts struct {
 	// (send s in round r only if d(s) + pos(s) == r). The default lenient
 	// rule also sends overdue entries (one per round) and counts them.
 	Strict bool
-	// MaxRounds bounds the engine (0 = a generous default).
-	MaxRounds int
-	// Workers and Scheduler are passed to the engine.
-	Workers   int
-	Scheduler congest.Scheduler
-	// Obs, if set, receives engine events (see congest.Observer).
-	Obs congest.Observer
-	// Network, if set, replaces the engine's perfect delivery with a
-	// pluggable substrate (see congest.Config.Network); internal/faults
-	// provides the adversarial one.
-	Network congest.Network
-	// Checkpoint and Ctx are passed to the engine (see
-	// congest.Config.Checkpoint and congest.Config.Ctx).
-	Checkpoint *congest.CheckpointPolicy
-	Ctx        context.Context
+	// Engine is the engine environment, handed to congest.Run whole
+	// (MaxRounds == 0 = the engine's generous default).
+	Engine congest.Config
 }
 
 // Result is the outcome of a run.
@@ -261,7 +248,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	stats, err := congest.Run(g, func(v int) congest.Node {
 		nodes[v] = &node{id: v, opts: &opts}
 		return nodes[v]
-	}, congest.Config{MaxRounds: opts.MaxRounds, Workers: opts.Workers, Scheduler: opts.Scheduler, Observer: opts.Obs, Network: opts.Network, Checkpoint: opts.Checkpoint, Ctx: opts.Ctx})
+	}, opts.Engine)
 	if err != nil {
 		return nil, err
 	}

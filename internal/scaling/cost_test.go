@@ -45,7 +45,7 @@ func TestScalingCostPinned(t *testing.T) {
 			t.Fatalf("%s: max weight %d below 2^14", c.name, c.g.MaxWeight())
 		}
 		for _, sched := range []congest.Scheduler{congest.SchedulerActive, congest.SchedulerDense} {
-			res, err := Run(c.g, Opts{Sources: c.sources, Scheduler: sched})
+			res, err := Run(c.g, Opts{Sources: c.sources, Engine: congest.Config{Scheduler: sched}})
 			if err != nil {
 				t.Fatalf("%s sched %d: %v", c.name, sched, err)
 			}

@@ -38,7 +38,6 @@
 package scaling
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/congest"
@@ -51,23 +50,11 @@ import (
 type Opts struct {
 	// Sources is the source set (nil = all nodes).
 	Sources []int
-	// MaxRounds, Workers and Scheduler are passed to the engine (per
-	// phase).
-	MaxRounds int
-	Workers   int
-	Scheduler congest.Scheduler
-	// Obs, if set, receives the engine events of every bit phase (see
-	// congest.Observer); phases are annotated "bit<t>" via
-	// congest.SetPhase, most significant first.
-	Obs congest.Observer
-	// Network, if set, replaces the engine's perfect delivery with a
-	// pluggable substrate in every bit phase (see congest.Config.Network);
-	// internal/faults provides the adversarial one.
-	Network congest.Network
-	// Checkpoint and Ctx are passed to the engine in every bit phase (see
-	// congest.Config.Checkpoint and congest.Config.Ctx).
-	Checkpoint *congest.CheckpointPolicy
-	Ctx        context.Context
+	// Engine is the engine environment, handed whole to the congest.Run of
+	// every bit phase. MaxRounds == 0 means a slack multiple of the
+	// per-phase paper bound. Its Observer sees the phases annotated
+	// "bit<t>" via congest.SetPhase, most significant first.
+	Engine congest.Config
 }
 
 // Result reports exact distances and per-phase costs.
@@ -211,18 +198,18 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		prev[i] = make([]int64, n)
 	}
 
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
+	cfg := opts.Engine
+	if cfg.MaxRounds == 0 {
 		b := key.Bound(k, int(h), h)
 		mr := 16*b + 4096
 		if mr > 1<<30 {
 			mr = 1 << 30
 		}
-		maxRounds = int(mr)
+		cfg.MaxRounds = int(mr)
 	}
 
 	runPhase := func(t int) ([][]int64, error) {
-		congest.SetPhase(opts.Obs, fmt.Sprintf("bit%d", t))
+		congest.SetPhase(cfg.Observer, fmt.Sprintf("bit%d", t))
 		nodes := make([]*phaseNode, n)
 		stats, err := congest.Run(g, func(v int) congest.Node {
 			nd := &phaseNode{id: v, sources: sources, srcIdx: srcIdx, gamma: gamma, h: h}
@@ -239,7 +226,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 			}
 			nodes[v] = nd
 			return nd
-		}, congest.Config{MaxRounds: maxRounds, Workers: opts.Workers, Scheduler: opts.Scheduler, Observer: opts.Obs, Network: opts.Network, Checkpoint: opts.Checkpoint, Ctx: opts.Ctx})
+		}, cfg)
 		res.Stats.Add(stats)
 		res.PhaseRounds = append(res.PhaseRounds, stats.Rounds)
 		if err != nil {

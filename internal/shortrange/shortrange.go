@@ -18,7 +18,6 @@
 package shortrange
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -61,20 +60,9 @@ type Opts struct {
 	Delays []int64
 	// Strict selects the literal equality-only send rule.
 	Strict bool
-	// MaxRounds, Workers and Scheduler are passed to the engine.
-	MaxRounds int
-	Workers   int
-	Scheduler congest.Scheduler
-	// Obs, if set, receives engine events (see congest.Observer).
-	Obs congest.Observer
-	// Network, if set, replaces the engine's perfect delivery with a
-	// pluggable substrate (see congest.Config.Network); internal/faults
-	// provides the adversarial one.
-	Network congest.Network
-	// Checkpoint and Ctx are passed to the engine (see
-	// congest.Config.Checkpoint and congest.Config.Ctx).
-	Checkpoint *congest.CheckpointPolicy
-	Ctx        context.Context
+	// Engine is the engine environment, handed to congest.Run whole.
+	// MaxRounds == 0 means a slack multiple of the snapshot round.
+	Engine congest.Config
 }
 
 // Result reports distances and measured behaviour.
@@ -314,14 +302,15 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 			snapAt = gamma.CeilKappa(opts.Delta, int64(opts.H)) + d
 		}
 	}
-	if opts.MaxRounds == 0 {
-		opts.MaxRounds = int(32*snapAt) + 64*g.N() + 1024
+	cfg := opts.Engine
+	if cfg.MaxRounds == 0 {
+		cfg.MaxRounds = int(32*snapAt) + 64*g.N() + 1024
 	}
 	nodes := make([]*node, g.N())
 	stats, err := congest.Run(g, func(v int) congest.Node {
 		nodes[v] = &node{id: v, opts: &opts, gamma: gamma, snapAt: snapAt}
 		return nodes[v]
-	}, congest.Config{MaxRounds: opts.MaxRounds, Workers: opts.Workers, Scheduler: opts.Scheduler, Observer: opts.Obs, Network: opts.Network, Checkpoint: opts.Checkpoint, Ctx: opts.Ctx})
+	}, cfg)
 	if err != nil {
 		return nil, err
 	}

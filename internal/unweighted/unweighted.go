@@ -21,16 +21,7 @@ import (
 // the zero value is fine.
 func KSource(g *graph.Graph, sources []int, cfg congest.Config) (*posweight.Result, error) {
 	unit := g.Transform(func(int64) int64 { return 1 })
-	return posweight.Run(unit, posweight.Opts{
-		Sources:    sources,
-		MaxRounds:  cfg.MaxRounds,
-		Workers:    cfg.Workers,
-		Scheduler:  cfg.Scheduler,
-		Obs:        cfg.Observer,
-		Network:    cfg.Network,
-		Checkpoint: cfg.Checkpoint,
-		Ctx:        cfg.Ctx,
-	})
+	return posweight.Run(unit, posweight.Opts{Sources: sources, Engine: cfg})
 }
 
 // APSP computes all-pairs hop distances.

@@ -56,7 +56,7 @@ func TestSchedulerEquivalenceCore(t *testing.T) {
 					return core.Run(in.G, core.Opts{
 						Sources: in.Sources, H: in.H, Strict: strict,
 						SnapshotRounds: []int{2, 5},
-						Scheduler:      s,
+						Engine:         congest.Config{Scheduler: s},
 					})
 				}
 				d, derr := mk(congest.SchedulerDense)
@@ -89,7 +89,7 @@ func TestSchedulerEquivalencePosweight(t *testing.T) {
 		t.Run(fmt.Sprintf("strict=%v", strict), func(t *testing.T) {
 			difftest.Search(t, difftest.Space{SeedsPerSize: 8, ZeroFrac: -1}, func(in difftest.Instance) error {
 				mk := func(s congest.Scheduler) (*posweight.Result, error) {
-					return posweight.Run(in.G, posweight.Opts{Sources: in.Sources, Strict: strict, Scheduler: s})
+					return posweight.Run(in.G, posweight.Opts{Sources: in.Sources, Strict: strict, Engine: congest.Config{Scheduler: s}})
 				}
 				d, derr := mk(congest.SchedulerDense)
 				a, aerr := mk(congest.SchedulerActive)
@@ -126,7 +126,7 @@ func TestSchedulerEquivalencePosweight(t *testing.T) {
 func TestSchedulerEquivalenceShortRange(t *testing.T) {
 	difftest.Search(t, difftest.Space{SeedsPerSize: 8}, func(in difftest.Instance) error {
 		mk := func(s congest.Scheduler) (*shortrange.Result, error) {
-			return shortrange.Run(in.G, shortrange.Opts{Sources: in.Sources, H: in.H, Scheduler: s})
+			return shortrange.Run(in.G, shortrange.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: s}})
 		}
 		d, derr := mk(congest.SchedulerDense)
 		a, aerr := mk(congest.SchedulerActive)
@@ -146,7 +146,7 @@ func TestSchedulerEquivalenceShortRange(t *testing.T) {
 func TestSchedulerEquivalenceBellman(t *testing.T) {
 	difftest.Search(t, difftest.Space{SeedsPerSize: 8}, func(in difftest.Instance) error {
 		mk := func(s congest.Scheduler) (*bellman.Result, error) {
-			return bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H, Scheduler: s})
+			return bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: s}})
 		}
 		d, derr := mk(congest.SchedulerDense)
 		a, aerr := mk(congest.SchedulerActive)
@@ -166,7 +166,7 @@ func TestSchedulerEquivalenceBellman(t *testing.T) {
 func TestSchedulerEquivalenceScaling(t *testing.T) {
 	difftest.Search(t, difftest.Space{SeedsPerSize: 6}, func(in difftest.Instance) error {
 		mk := func(s congest.Scheduler) (*scaling.Result, error) {
-			return scaling.Run(in.G, scaling.Opts{Sources: in.Sources, Scheduler: s})
+			return scaling.Run(in.G, scaling.Opts{Sources: in.Sources, Engine: congest.Config{Scheduler: s}})
 		}
 		d, derr := mk(congest.SchedulerDense)
 		a, aerr := mk(congest.SchedulerActive)
@@ -215,7 +215,7 @@ func TestSchedulerEquivalenceObserverStreamBlockerAPSP(t *testing.T) {
 	g := graph.Random(64, 256, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.2, Directed: true})
 	run := func(s congest.Scheduler) (*hssp.Result, *streamRecorder) {
 		rec := &streamRecorder{}
-		res, err := hssp.Run(g, hssp.Opts{Scheduler: s, Obs: rec})
+		res, err := hssp.Run(g, hssp.Opts{Engine: congest.Config{Scheduler: s, Observer: rec}})
 		if err != nil {
 			t.Fatalf("scheduler %d: %v", s, err)
 		}
