@@ -75,26 +75,11 @@ type PipelineOpts = core.Opts
 // schedule/list behaviour of an Algorithm 1 run.
 type PipelineResult = core.Result
 
-// Mode selects the list discipline of Algorithm 1: ModePareto (default,
-// provably correct) or ModePaper (the paper's literal ν-gate and eviction
-// machinery, for experiments).
-type Mode = core.Mode
-
-// EvictPolicy selects the ModePaper eviction variant.
-type EvictPolicy = core.EvictPolicy
-
-// Algorithm 1 modes and paper-mode eviction policies.
-const (
-	ModePareto = core.ModePareto
-	ModePaper  = core.ModePaper
-
-	EvictOnlySent     = core.EvictOnlySent
-	EvictAllInserts   = core.EvictAllInserts
-	EvictNonSPInserts = core.EvictNonSPInserts
-)
-
 // PipelinedHKSSP computes h-hop shortest paths from k sources
-// (Theorem I.1(i): 2√(khΔ) + k + h rounds).
+// (Theorem I.1(i): 2√(khΔ) + k + h rounds). The list discipline is the
+// Pareto frontier; the paper's literal ν-gate and eviction rules lose
+// distances and are not reachable from this package (internal/core's
+// RunLiteral serves the ablation experiments).
 func PipelinedHKSSP(g *Graph, opts PipelineOpts) (*PipelineResult, error) {
 	return core.Run(g, opts)
 }
@@ -103,13 +88,13 @@ func PipelinedHKSSP(g *Graph, opts PipelineOpts) (*PipelineResult, error) {
 // algorithm (Theorem I.1(ii): 2n√Δ + 2n rounds). delta is the promised
 // bound on shortest-path distances (0 derives a safe bound).
 func PipelinedAPSP(g *Graph, delta int64) (*PipelineResult, error) {
-	return core.APSP(g, delta, false)
+	return core.APSP(g, delta)
 }
 
 // PipelinedKSSP computes shortest paths from the given sources
 // (Theorem I.1(iii)).
 func PipelinedKSSP(g *Graph, sources []int, delta int64) (*PipelineResult, error) {
-	return core.KSSP(g, sources, delta, false)
+	return core.KSSP(g, sources, delta)
 }
 
 // ReconstructPath rebuilds the recorded shortest path from res.Sources[i]

@@ -148,7 +148,7 @@ func benchPipelinedAPSP(b *testing.B, n int) {
 	b.ResetTimer()
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res, err := core.APSP(g, delta, false)
+		res, err := core.APSP(g, delta)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -55,7 +55,7 @@ var (
 	// add later engine runs of multi-phase pipelines (the resume
 	// re-executes the earlier phases deterministically first).
 	singleRunProbes = []ckptProbe{{0, 1}, {0, 2}, {0, 5}}
-	multiRunProbes  = []ckptProbe{{0, 1}, {0, 2}, {0, 5}, {2, 1}, {2, 2}}
+	multiRunProbes  = []ckptProbe{{0, 1}, {0, 2}, {0, 5}, {1, 1}, {1, 3}, {2, 1}, {2, 2}}
 )
 
 // sweepCheckpointConformance runs the kill/restore matrix for one protocol:

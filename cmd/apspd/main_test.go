@@ -270,7 +270,7 @@ func TestDaemonParallelBackend(t *testing.T) {
 func TestRunFlagErrors(t *testing.T) {
 	cases := [][]string{
 		{"-bogus"},
-		{"-sched", "warp"},
+		{"-sched", "dense"}, // the dense engine is a test reference, not a flag
 		{"-grid", "3by4"},
 		{"-sources", "0,x"},
 		{"-alg", "frobnicate"},

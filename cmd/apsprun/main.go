@@ -19,7 +19,7 @@
 //	apsprun -alg approx -eps 0.25 -n 32 -m 96 -json
 //	apsprun -alg shortrange -graph g.txt -sources 0 -h 8
 //	apsprun -alg bellman -n 32 -m 96 -h 6 -sources 0,1,2 -check
-//	apsprun -alg pipeline -n 256 -m 1024 -sched dense -workers 4
+//	apsprun -alg pipeline -n 256 -m 1024 -workers 4
 //	apsprun -alg blocker -n 48 -m 160 -faults all -fault-seed 7 -check
 //	apsprun -backend parallel -n 1024 -m 8192 -quiet
 //
@@ -31,9 +31,8 @@
 // no rounds, faults, or checkpoints; flags that configure those are
 // rejected rather than ignored.
 //
-// -sched selects the engine scheduler (active-set by default; dense steps
-// every node every round) and -workers the per-round goroutine count; both
-// leave results and CONGEST costs bit-identical.
+// -workers sets the per-round goroutine count; it leaves results and
+// CONGEST costs bit-identical.
 //
 // -faults runs the engine over an adversarial physical network (see
 // internal/faults): "all" for the standard chaos plan, or a custom plan

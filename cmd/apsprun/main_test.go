@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cli"
 	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 func TestParseCrashes(t *testing.T) {
@@ -187,7 +190,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-bogus"},
 		{"stray"},
 		{"-alg", "escher"},
-		{"-sched", "lazy"},
+		{"-sched", "dense"}, // the dense engine is a test reference, not a flag
 		{"-log", "yaml"},
 		{"-log-level", "loud"},
 		{"-backend", "gpu"},
@@ -279,5 +282,54 @@ func TestRunCheckpointStopResume(t *testing.T) {
 	}
 	if err := run(append([]string{"-resume", ckpt}, base...), io.Discard, io.Discard); err == nil {
 		t.Fatal("corrupt checkpoint resumed")
+	}
+}
+
+// TestRunMetricsMatchReportAfterRestart: a run that crashed and restarted
+// from a checkpoint re-executes rounds, and the -metrics dump must not
+// count them twice — its run, round and message counters are the ones
+// -stats-json reports.
+func TestRunMetricsMatchReportAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	prom, stats := filepath.Join(dir, "m.prom"), filepath.Join(dir, "s.json")
+	args := []string{"-alg", "pipeline", "-n", "48", "-m", "160", "-quiet", "-log", "off",
+		"-crash", "3@10+1", "-checkpoint-every", "8", "-metrics", prom, "-stats-json", stats}
+	if err := run(args, io.Discard, io.Discard); err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	var rep obs.Report
+	raw, err := os.ReadFile(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("stats json: %v", err)
+	}
+	dump, err := os.ReadFile(prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Phases) != 1 || rep.Runs != 1 {
+		t.Fatalf("report has %d phases, %d runs; want the one engine run of -alg pipeline", len(rep.Phases), rep.Runs)
+	}
+	main := rep.Phases[0]
+	for _, want := range []string{
+		fmt.Sprintf("congest_runs_total %d\n", rep.Runs),
+		fmt.Sprintf("congest_phase_rounds_total{phase=\"main\"} %d\n", main.RoundsExecuted),
+		fmt.Sprintf("congest_phase_messages_total{phase=\"main\"} %d\n", main.Stats.Messages),
+	} {
+		if !strings.Contains(string(dump), want) {
+			t.Errorf("metrics dump lacks %q (report: %d runs, %d rounds executed, %d messages)\n%s",
+				want, rep.Runs, main.RoundsExecuted, main.Stats.Messages, dump)
+		}
+	}
+	// The restart did happen: the histogram, which counts executed rounds,
+	// saw the re-executed ones too.
+	var executed int
+	if _, tail, ok := strings.Cut(string(dump), "congest_round_messages_count "); ok {
+		fmt.Sscan(tail, &executed)
+	}
+	if executed <= main.RoundsExecuted {
+		t.Errorf("histogram counted %d rounds, report %d: no round was re-executed, the drill tested nothing", executed, main.RoundsExecuted)
 	}
 }

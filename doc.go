@@ -36,9 +36,9 @@
 // found (see internal/core and EXPERIMENTS.md): the INSERT eviction can
 // discard a due-but-unsent entry that uniquely carries a downstream h-hop
 // shortest path, and the Step 13 ν-gate can reject such an entry outright.
-// The default ModePareto discipline — keep exactly the per-source Pareto
-// frontier of (distance, hops) — retains the paper's keys and schedule,
-// is provably correct, and is what all composite algorithms use; the
-// paper-literal machinery remains available as ModePaper for the bound
-// and ablation experiments.
+// The Pareto discipline — keep exactly the per-source Pareto frontier of
+// (distance, hops) — retains the paper's keys and schedule, is provably
+// correct, and is the only one this package runs; the paper-literal rules
+// survive as internal/core.RunLiteral, which only the ablation experiments
+// (A-LIT, SCORECARD) and the counterexample tests call.
 package apsp

@@ -25,7 +25,6 @@ type RunFlags struct {
 
 	Alg, Backend, Sources string
 	H, Workers            int
-	Sched                 string
 	Faults                string
 	FaultSeed             int64
 }
@@ -46,7 +45,6 @@ func (f *RunFlags) Register(fs *flag.FlagSet, exactOnly bool) {
 	fs.StringVar(&f.Sources, "sources", "", "comma-separated sources (empty = all)")
 	fs.IntVar(&f.H, "h", 0, "hop parameter (0 = per-algorithm default)")
 	fs.IntVar(&f.Workers, "workers", 0, "engine worker goroutines per round (0 = automatic)")
-	fs.StringVar(&f.Sched, "sched", "active", "engine scheduler: active | dense")
 	fs.StringVar(&f.Faults, "faults", "", `adversarial network plan: "all", or terms like "delay=4,drop=0.2,dup=0.1,reorder" (empty = perfect delivery)`)
 	fs.Int64Var(&f.FaultSeed, "fault-seed", 0, "fault PRF seed (used when the -faults plan has no seed term)")
 }
@@ -55,10 +53,6 @@ func (f *RunFlags) Register(fs *flag.FlagSet, exactOnly bool) {
 // fault plan stays text (Faults, FaultSeed): each binary opens its own
 // network with faults.Open, once per computation.
 func (f *RunFlags) Resolve() (*graph.Graph, family.Spec, error) {
-	sched, err := ParseScheduler(f.Sched)
-	if err != nil {
-		return nil, family.Spec{}, err
-	}
 	g, err := LoadGraph(f.Graph, f.Grid, f.N, f.M, f.MaxW, f.Zero, f.Seed)
 	if err != nil {
 		return nil, family.Spec{}, err
@@ -68,7 +62,7 @@ func (f *RunFlags) Resolve() (*graph.Graph, family.Spec, error) {
 		return nil, family.Spec{}, err
 	}
 	return g, family.Spec{Alg: f.Alg, Backend: f.Backend, Sources: sources, H: f.H,
-		Engine: congest.Config{Workers: f.Workers, Scheduler: sched}}, nil
+		Engine: congest.Config{Workers: f.Workers}}, nil
 }
 
 // ChromePath derives the Chrome trace filename from the JSONL trace path:
@@ -76,17 +70,6 @@ func (f *RunFlags) Resolve() (*graph.Graph, family.Spec, error) {
 func ChromePath(trace string) string {
 	base := strings.TrimSuffix(trace, filepath.Ext(trace))
 	return base + ".chrome.json"
-}
-
-// ParseScheduler decodes a -sched flag value.
-func ParseScheduler(arg string) (congest.Scheduler, error) {
-	switch arg {
-	case "active":
-		return congest.SchedulerActive, nil
-	case "dense":
-		return congest.SchedulerDense, nil
-	}
-	return 0, fmt.Errorf("bad -sched %q (want active | dense)", arg)
 }
 
 // ParseSources decodes a -sources flag value: comma-separated node IDs,

@@ -41,20 +41,20 @@ func TestRunFlags(t *testing.T) {
 	}
 
 	rf, _ = parse(false, "-grid", "3x4", "-alg", "bellman", "-backend", "parallel", "-sources", "0,5", "-h", "6",
-		"-workers", "3", "-sched", "dense", "-faults", "drop=0.2", "-fault-seed", "7")
+		"-workers", "3", "-faults", "drop=0.2", "-fault-seed", "7")
 	g, spec, err = rf.Resolve()
 	if err != nil || g.N() != 12 {
 		t.Fatalf("grid: n=%d err=%v", g.N(), err)
 	}
 	if spec.Alg != "bellman" || spec.Backend != "parallel" || len(spec.Sources) != 2 || spec.Sources[1] != 5 || spec.H != 6 ||
-		spec.Engine.Workers != 3 || spec.Engine.Scheduler != congest.SchedulerDense {
+		spec.Engine.Workers != 3 || spec.Engine.Scheduler != congest.SchedulerActive {
 		t.Fatalf("resolved spec: %+v", spec)
 	}
 	if rf.Faults != "drop=0.2" || rf.FaultSeed != 7 {
 		t.Fatalf("fault plan text: %q seed %d", rf.Faults, rf.FaultSeed)
 	}
 
-	for _, bad := range [][]string{{"-sched", "lazy"}, {"-grid", "3xx"}, {"-sources", "0,bad"}, {"-graph", "/nonexistent/g.txt"}} {
+	for _, bad := range [][]string{{"-grid", "3xx"}, {"-sources", "0,bad"}, {"-graph", "/nonexistent/g.txt"}} {
 		rf, _ := parse(false, bad...)
 		if _, _, err := rf.Resolve(); err == nil {
 			t.Errorf("Resolve(%v) succeeded, want error", bad)

@@ -119,8 +119,12 @@ func TestServeRestartsOnTheSamePort(t *testing.T) {
 	addr := <-ready
 	die <- struct{}{} // first server dies; one restart in the budget
 	deadline := time.Now().Add(5 * time.Second)
+	// Dial afresh each time: a kept-alive connection to the dead server
+	// still answers, and would end this wait before the restart listens.
+	// The timeout covers a dial the dying listener accepted and dropped.
+	fresh := &http.Client{Timeout: time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
 	for {
-		if resp, err := http.Get("http://" + addr + "/healthz"); err == nil {
+		if resp, err := fresh.Get("http://" + addr + "/healthz"); err == nil {
 			resp.Body.Close()
 			break
 		}

@@ -5,11 +5,24 @@
 // Every node v maintains list_v of path entries Z = (κ, d, l, x) ordered by
 // (κ, d, x), where κ = d·γ + l and γ = √(kh/Δ). Unusually — and this is the
 // algorithm's innovation — list_v may hold several entries per source,
-// including entries known not to be shortest, governed by the Z.ν counting
-// rule (Step 13) and the INSERT eviction rule. An entry at position pos is
+// including entries known not to be shortest. An entry at position pos is
 // sent in round ⌈κ⌉ + pos. The paper proves (Theorem I.1) that all h-hop
 // shortest path distances from k sources arrive within
 // 2√(khΔ) + k + h rounds.
+//
+// Which entries a node keeps: the paper governs that with the Z.ν counting
+// rule (Step 13) and the INSERT eviction rule, and the literal readings of
+// both lose h-hop distances on small instances (counterexample_test.go).
+// Run therefore keeps, per source, the Pareto frontier of (distance, hops)
+// pairs (List.Offer): an incoming entry is dropped iff some retained entry
+// has both smaller-or-equal distance and smaller-or-equal hop count, and an
+// inserted entry removes the entries it dominates. Dominated entries are
+// useless for every suffix and hop budget, so this is correct by
+// construction, with the paper's keys and send schedule unchanged. Its
+// per-source list size (≤ min(h,Δ)+1) can exceed the paper's Invariant 2
+// bound h/γ+1 — that gap is precisely where the paper's machinery loses
+// needed entries. The literal rules live in literal.go behind RunLiteral,
+// for the ablation experiments and the counterexample tests only.
 //
 // The send schedule: the paper states the rule as equality,
 // "send Z when ⌈Z.κ + pos(Z)⌉ = r". Because pos(Z) can grow by more than
@@ -31,57 +44,6 @@ import (
 	"repro/internal/key"
 )
 
-// EvictPolicy selects when the INSERT procedure's eviction rule (remove the
-// closest non-SP entry above the inserted one; paper Observation II.3) is
-// applied. The paper's text applies it to every insertion, but doing so is
-// demonstrably incorrect on small instances this repository found: an
-// insertion can evict a due-but-unsent non-SP entry that is the unique
-// carrier of a downstream node's h-hop shortest path (see
-// TestPaperModeCounterexampleEviction). The default therefore only evicts
-// entries whose information has already been broadcast; the literal policy
-// is kept for the ablation experiment A-LIT.
-type EvictPolicy int
-
-const (
-	// EvictOnlySent applies the rule on every insertion but only evicts
-	// entries that have already been sent (information already shared with
-	// all neighbors, so discarding the local copy cannot lose paths).
-	// Default.
-	EvictOnlySent EvictPolicy = iota
-	// EvictAllInserts applies the eviction rule on every insertion — the
-	// literal reading of the paper's INSERT procedure. Incorrect; kept for
-	// the ablation.
-	EvictAllInserts
-	// EvictNonSPInserts applies the eviction rule only on Step 13 (non-SP)
-	// insertions. Still incorrect (a non-SP insert can evict an unsent
-	// carrier); kept for the ablation.
-	EvictNonSPInserts
-)
-
-// Mode selects the list-maintenance discipline.
-type Mode int
-
-const (
-	// ModePareto (default) keeps, per source, the Pareto frontier of
-	// (distance, hops) pairs: an incoming entry is dropped iff some retained
-	// entry has both smaller-or-equal distance and smaller-or-equal hop
-	// count, and an inserted entry removes the entries it dominates.
-	// Dominated entries are useless for every suffix and hop budget, so
-	// this discipline is correct by construction for exact h-hop shortest
-	// paths; it retains the paper's keys and send schedule unchanged. Its
-	// per-source list size (≤ min(h,Δ)+1) can exceed the paper's
-	// Invariant 2 bound h/γ+1 — that gap is precisely where the paper's
-	// machinery loses needed entries (see ModePaper).
-	ModePareto Mode = iota
-	// ModePaper reproduces the paper's Step 13 ν-counting insertion gate
-	// and the INSERT eviction rule, with the EvictPolicy and gate-key knobs
-	// below. The literal readings are demonstrably incorrect on small
-	// instances (see counterexample_test.go); this mode exists to
-	// reproduce and measure the paper's accounting, including exactly that
-	// failure.
-	ModePaper
-)
-
 // Opts configures an Algorithm 1 run.
 type Opts struct {
 	// Sources is the source set S (the k of (h,k)-SSP). Required.
@@ -101,22 +63,13 @@ type Opts struct {
 	// then bound seed+extension distances; the auto bound accounts for the
 	// largest finite seed.
 	Seed [][]int64
-	// Mode selects the list discipline (see Mode).
-	Mode Mode
 	// Strict selects the paper's literal equality-only send rule.
 	Strict bool
-	// Evict selects the INSERT eviction policy in ModePaper (see
-	// EvictPolicy).
-	Evict EvictPolicy
-	// GateByUpdatedKey switches the Step 13 insertion gate to count the
-	// receiver's entries below the *updated* key Z.κ (one literal reading
-	// of the paper's text). The default counts entries below the *sender's*
-	// key Z⁻.κ; gating on the updated key demonstrably drops essential
-	// entries (see TestPaperModeCounterexampleGateKey). Only meaningful in
-	// ModePaper.
-	GateByUpdatedKey bool
-	// Audit enables per-insert Invariant 1 and per-round Invariant 2
-	// verification (costs time; violations are counted in the Result).
+	// Audit enables per-round Invariant 2 verification and, under
+	// RunLiteral, per-insert Invariant 1 verification (costs time;
+	// violations are counted in the Result). Run's Pareto inserts are not
+	// audited for Invariant 1 and never were: Inv1Violations reads 0 there
+	// by construction.
 	Audit bool
 	// Prealloc, when positive, pre-sizes each node's entry storage for that
 	// many concurrent entries at Init: the freelist is stocked with a
@@ -170,7 +123,7 @@ type Result struct {
 	Missed     int // strict mode: due entries that could not be sent in their round
 
 	// Invariant audit (populated when Opts.Audit).
-	Inv1Violations int // inserts with r ≥ ⌈κ⌉ + pos (Lemma II.12)
+	Inv1Violations int // RunLiteral inserts with r ≥ ⌈κ⌉ + pos (Lemma II.12)
 	Inv2Violations int // per-source list count exceeding h/γ + 1 (Lemma II.11)
 
 	// Snapshots[r][i][v]: best distance for Sources[i] at node v at the end
@@ -181,16 +134,27 @@ type Result struct {
 	// List behaviour.
 	MaxListLen int // max |list_v| observed (paper: ≤ γΔ + k)
 	// MaxPerSource is the most entries one node held for one source
-	// (paper: ≤ h/γ + 1). Under ModePareto the frontier at rest holds at
+	// (paper: ≤ h/γ + 1). Under Run the Pareto frontier at rest holds at
 	// most min(h,Δ)+1; this is sampled as a newcomer joins, before the
 	// entries it dominates leave, so it reads up to min(h,Δ)+2. The sample
 	// point is part of the checkpoint format (state.go).
 	MaxPerSource int
 	Inserts      int64 // total list insertions
-	Evictions    int64 // entries removed by the INSERT eviction rule
-	NuDrops      int64 // non-SP entries rejected by the Step 13 counting rule
-	DupDrops     int64 // exact duplicate entries dropped
+	Evictions    int64 // entries removed: dominated (Run), INSERT eviction rule (RunLiteral)
+	NuDrops      int64 // entries refused: dominated (Run), Step 13 counting rule (RunLiteral)
+	DupDrops     int64 // exact duplicate entries dropped (RunLiteral)
 }
+
+// wire is the message payload M = (Z, Z.flag-d*, Z.ν) of Step 2.
+type wire struct {
+	d, l int64
+	src  int // source node ID (not index: IDs are what travel on the wire)
+	sp   bool
+	nu   int32 // Z.ν: entries for x at or below Z on the sender's list
+}
+
+// Words reports the CONGEST size: d, l, src, ν and the flag packed with ν.
+func (wire) Words() int { return 4 }
 
 type node struct {
 	id   int
@@ -209,26 +173,23 @@ type node struct {
 	inFrom []int32
 	inWt   []int64
 
-	// pl is list_v with its send schedule. ModePareto drives it through
-	// Offer; ModePaper's ν-gate and eviction rule (insert below) operate on
-	// the same storage.
+	// pl is list_v with its send schedule, driven the way every List
+	// holder drives it: Offer per extended message, then one NextSend.
 	pl List
 
-	// local counters, merged into res at collection time
+	// audit counters, merged into res at collection time
 	inv1, inv2 int
-	dupDrops   int64
 
 	snaps map[int][]int64 // snapshot round -> copy of best distances
 
 	// Outgoing payloads are pool-recycled (see the AllocsPerRun guards in
 	// internal/congest).
 	pool congest.Pool[wire]
-	gate entry // scratch for the Step 13 gate key (never inserted)
 }
 
 func (nd *node) Init(ctx *congest.Context) {
 	nd.pl.Init(nd.id, nd.gamma, nd.opts.Sources, nd.opts.Prealloc)
-	nd.pl.strict, nd.pl.trace = nd.opts.Strict, nd.opts.Trace
+	nd.pl.Configure(nd.opts.Strict, nd.opts.Trace)
 	if ctx.PayloadReuse() {
 		nd.pool.Prewarm(4)
 	}
@@ -249,160 +210,71 @@ func (nd *node) Init(ctx *congest.Context) {
 	}
 }
 
-// insert performs the paper's INSERT procedure: place z in sorted order,
-// then (policy permitting) evict the closest non-SP entry for the same
-// source above z.
-func (nd *node) insert(z *entry, r int) {
-	pl := &nd.pl
-	pl.insertAt(z, pl.searchPos(z))
-	if nd.opts.Audit {
-		// Invariant 1 (Lemma II.12): an entry added in round r satisfies
-		// r < ⌈κ⌉ + pos. Messages processed in engine round r were sent in
-		// round r−1, which is the paper's "added in round r−1".
-		if int64(r-1) >= z.ceilK+int64(z.idx)+1 {
-			nd.inv1++
-		}
+// extend resolves one received message against this node (Steps 3–8): the
+// sender's entry extended over the arc it crossed, as (source index, d, l).
+// ok is false for a message that carries nothing to offer — no arc from
+// the sender, beyond the hop budget, or about this node's own source.
+// inPos is the merge-join cursor over inFrom; it only ever advances.
+func (nd *node) extend(ctx *congest.Context, m congest.Message, inPos *int) (i int, d, l int64, ok bool) {
+	p := *inPos
+	for p < len(nd.inFrom) && int(nd.inFrom[p]) < m.From {
+		p++
 	}
-	if nd.opts.Evict != EvictNonSPInserts || !z.flagSP {
-		// Eviction: closest non-SP entry for x strictly above z (policy
-		// permitting; EvictOnlySent skips entries not yet broadcast).
-		var victim *entry
-		for _, e := range pl.perSrc[z.srcIdx] {
-			if e == z || e.flagSP || e.idx <= z.idx {
-				continue
-			}
-			if nd.opts.Evict == EvictOnlySent && e.needSend {
-				continue
-			}
-			if victim == nil || e.idx < victim.idx {
-				victim = e
-			}
-		}
-		if victim != nil {
-			if nd.opts.Trace != nil {
-				nd.opts.Trace("v%d EVICT (d=%d l=%d src=%d) sent=%v", nd.id, victim.d, victim.l, nd.opts.Sources[victim.srcIdx], !victim.needSend)
-			}
-			pl.removeEntry(victim)
-		}
+	*inPos = p
+	if p == len(nd.inFrom) || int(nd.inFrom[p]) != m.From {
+		return 0, 0, 0, false // link without an arc into this node
 	}
-	pl.schedule(z)
+	msg := m.Payload.(*wire)
+	if msg.src < 0 || msg.src >= len(nd.srcOf) || nd.srcOf[msg.src] < 0 {
+		ctx.Failf("entry for unknown source %d", msg.src)
+		return 0, 0, 0, false
+	}
+	i = int(nd.srcOf[msg.src])
+	d, l = msg.d+nd.inWt[p], msg.l+1
+	if l > int64(nd.opts.H) {
+		return 0, 0, 0, false // beyond the hop budget: cannot be an h-hop path
+	}
+	if nd.id == nd.opts.Sources[i] {
+		return 0, 0, 0, false // nothing improves the source's own (0,0) record
+	}
+	return i, d, l, true
 }
 
 func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
-	// Receive (Steps 3–13). The inbox is sorted ascending by sender (an
-	// engine invariant), so the in-arc weight lookup is a merge-join over
-	// the equally-sorted inFrom: the cursor only ever advances.
-	pl := &nd.pl
 	inPos := 0
 	for _, m := range inbox {
-		msg := m.Payload.(*wire)
-		for inPos < len(nd.inFrom) && int(nd.inFrom[inPos]) < m.From {
-			inPos++
-		}
-		if inPos == len(nd.inFrom) || int(nd.inFrom[inPos]) != m.From {
-			continue // link without an arc into this node
-		}
-		w := nd.inWt[inPos]
-		if msg.src < 0 || msg.src >= len(nd.srcOf) || nd.srcOf[msg.src] < 0 {
-			ctx.Failf("entry for unknown source %d", msg.src)
-			return
-		}
-		i := int(nd.srcOf[msg.src])
-		d := msg.d + w
-		l := msg.l + 1
-		if l > int64(nd.opts.H) {
-			continue // beyond the hop budget: cannot be an h-hop path
-		}
-		if nd.opts.Mode == ModePareto && d > nd.opts.Delta {
+		i, d, l, ok := nd.extend(ctx, m, &inPos)
+		if !ok || d > nd.opts.Delta {
 			// Under the Δ promise, every prefix of a useful path weighs at
 			// most Δ (weights are non-negative), so heavier entries are
 			// dead weight; pruning them keeps the frontier ≤ min(h,Δ)+1.
 			continue
 		}
-		if nd.id == nd.opts.Sources[i] {
-			continue // nothing improves the source's own (0,0) record
-		}
-		if nd.opts.Mode == ModePareto {
-			pl.Offer(i, d, l, m.From, r)
-			continue
-		}
-
-		z := pl.newEntry()
-		z.d, z.l, z.srcIdx, z.parent = d, l, i, m.From
-		z.ceilK = nd.gamma.CeilKappa(d, l)
-		b := &pl.bests[i]
-		better := d < b.d ||
-			(d == b.d && l < b.l) ||
-			(d == b.d && l == b.l && m.From < b.parent)
-		if better {
-			// Step 9–11: z is the new shortest-path entry.
-			if b.e != nil {
-				b.e.flagSP = false
-			}
-			z.flagSP = true
-			z.needSend = true
-			*b = best{d: d, l: l, parent: m.From, e: z}
-			nd.insert(z, r)
-			if nd.opts.Trace != nil {
-				nd.opts.Trace("r%d v%d INSERT SP (d=%d l=%d src=%d) from %d", r, nd.id, d, l, msg.src, m.From)
-			}
-			continue
-		}
-		// Step 13: non-SP entry; insert only if fewer than ν⁻ entries for
-		// x lie below the gate key. Exact duplicates carry no information.
-		dup := false
-		for _, e := range pl.perSrc[i] {
-			if e.equalKey(z) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			nd.dupDrops++
-			pl.recycle(z)
-			continue
-		}
-		gate := z
-		if !nd.opts.GateByUpdatedKey {
-			// Count entries below the sender's key κ(Z⁻) instead of the
-			// updated κ(Z); see Opts.GateByUpdatedKey.
-			nd.gate = entry{d: msg.d, l: msg.l, srcIdx: i}
-			gate = &nd.gate
-		}
-		if pl.countBefore(gate) < int(msg.nu) {
-			z.needSend = true
-			nd.insert(z, r)
-			if nd.opts.Trace != nil {
-				nd.opts.Trace("r%d v%d INSERT nonSP (d=%d l=%d src=%d) from %d nu=%d", r, nd.id, d, l, msg.src, m.From, msg.nu)
-			}
-		} else {
-			pl.nuDrops++
-			if nd.opts.Trace != nil {
-				nd.opts.Trace("r%d v%d NUDROP (d=%d l=%d src=%d) from %d nu=%d below=%d", r, nd.id, d, l, msg.src, m.From, msg.nu, pl.countBefore(gate))
-			}
-			pl.recycle(z)
-		}
+		nd.pl.Offer(i, d, l, m.From, r)
 	}
+	nd.finish(ctx, r)
+}
 
+// finish is the round after the receive loop: the Invariant 2 audit, the
+// one send (Steps 1–2: at most one entry per round, per the schedule) and
+// the E-CONV snapshot.
+func (nd *node) finish(ctx *congest.Context, r int) {
 	if nd.opts.Audit {
 		nd.auditInv2()
 	}
-
-	// Send (Steps 1–2): at most one entry per round, per the schedule.
-	if s, ok := pl.NextSend(r); ok {
+	if s, ok := nd.pl.NextSend(r); ok {
 		w := nd.pool.Get(ctx, r)
 		w.d, w.l, w.src, w.sp, w.nu = s.D, s.L, nd.opts.Sources[s.SrcIdx], s.SP, s.Nu
 		ctx.Broadcast(w)
 	}
-
 	for _, sr := range nd.opts.SnapshotRounds {
 		if sr == r {
 			if nd.snaps == nil {
 				nd.snaps = make(map[int][]int64)
 			}
-			row := make([]int64, len(nd.pl.bests))
-			for i, b := range nd.pl.bests {
-				row[i] = b.d
+			row := make([]int64, len(nd.opts.Sources))
+			for i := range row {
+				row[i] = nd.pl.BestDist(i)
 			}
 			nd.snaps[sr] = row
 		}
@@ -414,8 +286,8 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 func (nd *node) auditInv2() {
 	h := int64(nd.opts.H)
 	k := int64(len(nd.opts.Sources))
-	for _, ps := range nd.pl.perSrc {
-		c := int64(len(ps)) - 1
+	for i := range nd.opts.Sources {
+		c := int64(nd.pl.PerSource(i)) - 1
 		if c <= 0 {
 			continue
 		}
@@ -432,11 +304,11 @@ func (nd *node) Quiescent() bool { return nd.pl.Quiescent() }
 // Audit mode re-checks Invariant 2 every round, so it keeps dense stepping.
 func (nd *node) NextWake() int {
 	if nd.opts.Audit {
-		return nd.pl.cur + 1
+		return nd.pl.Round() + 1
 	}
 	next := nd.pl.NextWake()
 	for _, sr := range nd.opts.SnapshotRounds { // ascending
-		if sr > nd.pl.cur {
+		if sr > nd.pl.Round() {
 			if next == congest.WakeOnReceive || sr < next {
 				next = sr
 			}
@@ -480,6 +352,13 @@ func sourceIndex(sources []int) []int32 {
 
 // Run executes Algorithm 1 on g.
 func Run(g *graph.Graph, opts Opts) (*Result, error) {
+	return run(g, opts, func(nd *node) congest.Node { return nd })
+}
+
+// run validates opts, steps one engine run over the nodes wrap returns and
+// collects the Result. wrap is where RunLiteral substitutes its receive
+// rules; the list, schedule, counters and checkpoint state stay the node's.
+func run(g *graph.Graph, opts Opts, wrap func(*node) congest.Node) (*Result, error) {
 	if len(opts.Sources) == 0 {
 		return nil, fmt.Errorf("core: no sources")
 	}
@@ -543,7 +422,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	mk := NewNode(&opts)
 	stats, err := congest.Run(g, func(v int) congest.Node {
 		nodes[v] = mk(v).(*node)
-		return nodes[v]
+		return wrap(nodes[v])
 	}, cfg)
 	res.Stats = stats
 	if err != nil {
@@ -558,10 +437,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		res.Hops[i] = make([]int64, g.N())
 		res.Parent[i] = make([]int, g.N())
 		for v, nd := range nodes {
-			b := nd.pl.bests[i]
-			res.Dist[i][v] = b.d
-			res.Hops[i][v] = b.l
-			res.Parent[i][v] = b.parent
+			res.Dist[i][v], res.Hops[i][v], res.Parent[i][v] = nd.pl.Best(i)
 		}
 	}
 	if len(opts.SnapshotRounds) > 0 {
@@ -574,7 +450,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 					if row, ok := nd.snaps[sr]; ok {
 						snap[i][v] = row[i]
 					} else {
-						snap[i][v] = nd.pl.bests[i].d // run ended before sr
+						snap[i][v] = nd.pl.BestDist(i) // run ended before sr
 					}
 				}
 			}
@@ -582,21 +458,18 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		}
 	}
 	for _, nd := range nodes {
-		res.LateSends += nd.pl.late
-		res.Collisions += nd.pl.collisions
-		res.Missed += nd.pl.missed
+		c := &nd.pl.Counters
+		res.LateSends += c.Late
+		res.Collisions += c.Collisions
+		res.Missed += c.Missed
 		res.Inv1Violations += nd.inv1
 		res.Inv2Violations += nd.inv2
-		if nd.pl.maxList > res.MaxListLen {
-			res.MaxListLen = nd.pl.maxList
-		}
-		if nd.pl.maxPer > res.MaxPerSource {
-			res.MaxPerSource = nd.pl.maxPer
-		}
-		res.Inserts += nd.pl.inserts
-		res.Evictions += nd.pl.evicts
-		res.NuDrops += nd.pl.nuDrops
-		res.DupDrops += nd.dupDrops
+		res.MaxListLen = max(res.MaxListLen, c.MaxList)
+		res.MaxPerSource = max(res.MaxPerSource, c.MaxPer)
+		res.Inserts += c.Inserts
+		res.Evictions += c.Evicts
+		res.NuDrops += c.NuDrops
+		res.DupDrops += c.DupDrops
 	}
 	return res, nil
 }
@@ -604,20 +477,20 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 // APSP runs Algorithm 1 with every node a source and hop bound n−1
 // (sufficient for any shortest path), realizing Theorem I.1(ii):
 // APSP in 2n√Δ + 2n rounds for shortest-path distances at most Δ.
-func APSP(g *graph.Graph, delta int64, strict bool) (*Result, error) {
+func APSP(g *graph.Graph, delta int64) (*Result, error) {
 	sources := make([]int, g.N())
 	for v := range sources {
 		sources[v] = v
 	}
-	return KSSP(g, sources, delta, strict)
+	return KSSP(g, sources, delta)
 }
 
 // KSSP runs Algorithm 1 for k given sources with hop bound n−1, realizing
 // Theorem I.1(iii).
-func KSSP(g *graph.Graph, sources []int, delta int64, strict bool) (*Result, error) {
+func KSSP(g *graph.Graph, sources []int, delta int64) (*Result, error) {
 	h := g.N() - 1
 	if h < 1 {
 		h = 1
 	}
-	return Run(g, Opts{Sources: sources, H: h, Delta: delta, Strict: strict})
+	return Run(g, Opts{Sources: sources, H: h, Delta: delta})
 }

@@ -81,7 +81,7 @@ func TestAPSPMatchesDijkstra(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := graph.Random(20, 60, graph.GenOpts{Seed: seed, MaxW: 6, ZeroFrac: 0.35, Directed: seed%2 == 1})
 		delta := graph.Delta(g)
-		res, err := APSP(g, delta, false)
+		res, err := APSP(g, delta)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -123,7 +123,7 @@ func TestAPSPRoundsNearBound(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := graph.Random(24, 72, graph.GenOpts{Seed: seed, MaxW: 4, ZeroFrac: 0.25, Directed: false})
 		delta := graph.Delta(g)
-		res, err := APSP(g, delta, false)
+		res, err := APSP(g, delta)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -146,10 +146,8 @@ func TestPaperModeAPSPRegime(t *testing.T) {
 		g := graph.Random(20, 60, graph.GenOpts{Seed: seed, MaxW: 5, ZeroFrac: 0.3, Directed: seed%2 == 0})
 		delta := graph.Delta(g)
 		sources := allSources(g.N())
-		res, err := Run(g, Opts{
-			Sources: sources, H: g.N() - 1, Delta: delta, Audit: true,
-			Mode: ModePaper, Evict: EvictAllInserts, GateByUpdatedKey: true,
-		})
+		res, err := RunLiteral(g, Opts{Sources: sources, H: g.N() - 1, Delta: delta, Audit: true},
+			Literal{Evict: EvictAllInserts, GateByUpdatedKey: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

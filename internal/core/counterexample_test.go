@@ -11,7 +11,7 @@ import (
 // INSERT eviction rule and of the Step 13 ν-gate lose entries that are the
 // unique carriers of some node's h-hop shortest path. Both instances were
 // found by the randomized shrink search in debug_test.go and verified by
-// hand (the traces are in EXPERIMENTS.md). ModePareto is correct on both.
+// hand (the traces are in EXPERIMENTS.md). Run (Pareto) is correct on both.
 
 // instanceEvict is the 8-node instance where a new shortest-path entry
 // (d=4,l=4) at node 7 evicts the due-but-unsent non-SP entry (d=7,l=2) —
@@ -46,8 +46,8 @@ func instanceGate() (*graph.Graph, []int, int, int64) {
 
 func TestPaperModeCounterexampleEviction(t *testing.T) {
 	g, sources, h, delta, victim, want := instanceEvict()
-	res, err := Run(g, Opts{Sources: sources, H: h, Delta: delta,
-		Mode: ModePaper, Evict: EvictAllInserts, GateByUpdatedKey: true})
+	res, err := RunLiteral(g, Opts{Sources: sources, H: h, Delta: delta},
+		Literal{Evict: EvictAllInserts, GateByUpdatedKey: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -61,8 +61,8 @@ func TestPaperModeCounterexampleNonSPEvict(t *testing.T) {
 	g, sources, h, delta := instanceGate()
 	// Even the gentler eviction (applied only on non-SP insertions) loses
 	// node 5's shortest path from source 6, whichever gate key is used.
-	res, err := Run(g, Opts{Sources: sources, H: h, Delta: delta,
-		Mode: ModePaper, Evict: EvictNonSPInserts})
+	res, err := RunLiteral(g, Opts{Sources: sources, H: h, Delta: delta},
+		Literal{Evict: EvictNonSPInserts})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -93,8 +93,8 @@ func TestPaperModeCounterexampleGateKey(t *testing.T) {
 	g, sources, h, delta := instanceGateKey()
 	// Isolate the gate: EvictOnlySent never discards unshared information,
 	// so the remaining loss is attributable to the updated-key gate alone.
-	res, err := Run(g, Opts{Sources: sources, H: h, Delta: delta,
-		Mode: ModePaper, Evict: EvictOnlySent, GateByUpdatedKey: true})
+	res, err := RunLiteral(g, Opts{Sources: sources, H: h, Delta: delta},
+		Literal{Evict: EvictOnlySent, GateByUpdatedKey: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -103,6 +103,15 @@ func TestPaperModeCounterexampleGateKey(t *testing.T) {
 		t.Fatalf("the updated-key gate unexpectedly produced the correct distance — counterexample no longer reproduces")
 	}
 	t.Logf("updated-key gate: dist[0][6] = %d, truth %d (reproduced the loss)", res.Dist[0][6], want[6])
+	// Control: the same run gated on the sender's key keeps the entry, so
+	// the two gate keys are really two rules.
+	ctl, err := RunLiteral(g, Opts{Sources: sources, H: h, Delta: delta}, Literal{Evict: EvictOnlySent})
+	if err != nil {
+		t.Fatalf("RunLiteral: %v", err)
+	}
+	if ctl.Dist[0][6] != want[6] {
+		t.Fatalf("sender-key gate: dist[0][6] = %d, want %d — the gate keys no longer differ here", ctl.Dist[0][6], want[6])
+	}
 }
 
 func TestParetoModeFixesBothCounterexamples(t *testing.T) {
@@ -142,12 +151,12 @@ func TestPaperModeVariantsOnRandomGraphs(t *testing.T) {
 	// underestimates (fabricated paths).
 	type variant struct {
 		name string
-		opts Opts
+		lit  Literal
 	}
 	variants := []variant{
-		{"literal", Opts{Mode: ModePaper, Evict: EvictAllInserts, GateByUpdatedKey: true}},
-		{"senderGate", Opts{Mode: ModePaper, Evict: EvictAllInserts}},
-		{"nonSPEvict", Opts{Mode: ModePaper, Evict: EvictNonSPInserts}},
+		{"literal", Literal{Evict: EvictAllInserts, GateByUpdatedKey: true}},
+		{"senderGate", Literal{Evict: EvictAllInserts}},
+		{"nonSPEvict", Literal{Evict: EvictNonSPInserts}},
 	}
 	for _, vr := range variants {
 		wrong, total := 0, 0
@@ -156,9 +165,7 @@ func TestPaperModeVariantsOnRandomGraphs(t *testing.T) {
 			sources := []int{0, 4, 8}
 			h := 4
 			delta := graph.HHopDelta(g, sources, h)
-			opts := vr.opts
-			opts.Sources, opts.H, opts.Delta = sources, h, delta
-			res, err := Run(g, opts)
+			res, err := RunLiteral(g, Opts{Sources: sources, H: h, Delta: delta}, vr.lit)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", vr.name, seed, err)
 			}

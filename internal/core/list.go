@@ -1,12 +1,50 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/key"
 )
+
+// entry is one element Z of list_v (paper Table II): a path record
+// (κ, d, l, x) with κ = d·γ + l represented implicitly by (d, l) and
+// compared exactly through key.Gamma.
+type entry struct {
+	d, l   int64 // weighted distance and hop length of the path
+	srcIdx int   // index of source x in Opts.Sources
+	parent int   // the neighbor the entry arrived from (source itself at origin)
+
+	flagSP   bool // Z.flag-d*: currently the shortest-path entry for x at v
+	needSend bool // scheduled but not yet sent
+	dead     bool // removed from the list (heap entries are lazy)
+
+	idx      int   // current position in the list (0-based; pos = idx+1)
+	ceilK    int64 // cached ⌈κ⌉ = ⌈d·γ⌉ + l
+	heapRefs int32 // live sendItems pointing here; recycling waits for 0
+}
+
+// less is the total list order (κ, d, x): keys ascending, ties by distance,
+// then by source label (paper Sec. II-A: "ordered by key value κ, with ties
+// first resolved by the value of d, and then by the label of the source
+// vertex").
+func (z *entry) less(o *entry, g key.Gamma, sources []int) bool {
+	if c := g.Cmp(z.d, z.l, o.d, o.l); c != 0 {
+		return c < 0
+	}
+	if z.d != o.d {
+		return z.d < o.d
+	}
+	return sources[z.srcIdx] < sources[o.srcIdx]
+}
+
+// equalKey reports whether two entries occupy the same position in the
+// total order: identical (d, l, x) (κ is a function of d and l).
+func (z *entry) equalKey(o *entry) bool {
+	return z.d == o.d && z.l == o.l && z.srcIdx == o.srcIdx
+}
 
 // sendItem is a lazy heap item: the entry may have moved (schedule grew) or
 // died since it was pushed.
@@ -84,10 +122,11 @@ type best struct {
 // List is list_v of Algorithm 1: one node's entries in (κ, d, x) order
 // with the ⌈κ⌉+pos send schedule, the per-source sets, the shortest-path
 // records and the lazy send heap. It is the one implementation of the
-// pipelined list: this package's node drives it directly (ModePaper's
-// ν-gate and eviction rule operate on the same storage), and every other
-// (h,k)-SSP-shaped protocol — internal/scaling's bit phases — holds one
-// and supplies only its own message format and edge costs.
+// pipelined list: this package's node and every other (h,k)-SSP-shaped
+// protocol — internal/scaling's bit phases — hold one, drive it through
+// the exported methods and supply only their own message format and edge
+// costs. Entries are reachable from this file and from literal.go only
+// (the paper's literal receive rules, which RunLiteral alone installs).
 //
 // Use: Init once, Seed the origin entries, then per round Offer every
 // extended incoming entry and call NextSend exactly once, last.
@@ -110,10 +149,7 @@ type List struct {
 	seq     int64
 	cur     int // last round executed
 
-	// diagnostics, reported through core.Result
-	late, collisions, missed int
-	maxList, maxPer          int
-	inserts, evicts, nuDrops int64
+	Counters
 
 	// Steady-state allocation control (see the AllocsPerRun guards in
 	// internal/congest): dropped and retired entries go through a freelist,
@@ -121,6 +157,14 @@ type List struct {
 	freeEnts []*entry
 	victims  []*entry
 	requeue  []sendItem
+}
+
+// Counters is the list's diagnostics, reported through core.Result.
+type Counters struct {
+	Late, Collisions, Missed int // see Result.LateSends, Collisions, Missed
+	MaxList, MaxPer          int
+	Inserts, Evicts          int64
+	NuDrops, DupDrops        int64 // entries refused: dominated / ν-gated, exact duplicates (literal rules only)
 }
 
 // Send is the entry NextSend selected for broadcast this round.
@@ -159,6 +203,12 @@ func (pl *List) Init(id int, gamma key.Gamma, sources []int, prealloc int) {
 	}
 }
 
+// Configure selects the strict send rule (Opts.Strict) and the list-event
+// trace sink (Opts.Trace); both default off.
+func (pl *List) Configure(strict bool, trace func(format string, args ...interface{})) {
+	pl.strict, pl.trace = strict, trace
+}
+
 // Seed installs the origin entry (d, 0) for source index i: an already
 // known distance with zero hops, the shortest-path record until beaten.
 func (pl *List) Seed(i int, d int64) {
@@ -172,6 +222,19 @@ func (pl *List) Seed(i int, d int64) {
 // BestDist returns the current shortest distance for source index i
 // (graph.Inf while none is known).
 func (pl *List) BestDist(i int) int64 { return pl.bests[i].d }
+
+// Best returns the shortest-path record for source index i: distance, hop
+// count and parent (graph.Inf, -1, -1 while none is known).
+func (pl *List) Best(i int) (d, l int64, parent int) {
+	b := &pl.bests[i]
+	return b.d, b.l, b.parent
+}
+
+// PerSource returns how many entries the list holds for source index i.
+func (pl *List) PerSource(i int) int { return len(pl.perSrc[i]) }
+
+// Round returns the last round NextSend ran for.
+func (pl *List) Round() int { return pl.cur }
 
 // newEntry returns a zeroed entry, recycled when one is available.
 func (pl *List) newEntry() *entry {
@@ -220,12 +283,12 @@ func (pl *List) insertAt(z *entry, p int) {
 	if z.needSend {
 		pl.pending++
 	}
-	pl.inserts++
-	if len(pl.list) > pl.maxList {
-		pl.maxList = len(pl.list)
+	pl.Inserts++
+	if len(pl.list) > pl.MaxList {
+		pl.MaxList = len(pl.list)
 	}
-	if c := len(pl.perSrc[z.srcIdx]); c > pl.maxPer {
-		pl.maxPer = c
+	if c := len(pl.perSrc[z.srcIdx]); c > pl.MaxPer {
+		pl.MaxPer = c
 	}
 }
 
@@ -248,7 +311,7 @@ func (pl *List) removeEntry(z *entry) {
 		pl.pending--
 	}
 	z.dead = true
-	pl.evicts++
+	pl.Evicts++
 	pl.maybeFree(z)
 }
 
@@ -297,7 +360,7 @@ func (pl *List) Offer(i int, d, l int64, from, r int) {
 	}
 	for _, e := range pl.perSrc[i] {
 		if e.d <= d && e.l <= l {
-			pl.nuDrops++
+			pl.NuDrops++
 			if pl.trace != nil {
 				pl.trace("r%d v%d PARETODROP (d=%d l=%d src=%d)", r, pl.id, d, l, pl.sources[i])
 			}
@@ -359,7 +422,7 @@ func (pl *List) NextSend(r int) (Send, bool) {
 		if pl.strict && sched < int64(r) {
 			// Missed its equality moment; it may become due again if its
 			// position grows, so keep probing each round.
-			pl.missed++
+			pl.Missed++
 			pl.seq++
 			requeue = append(requeue, sendItem{time: int64(r) + 1, seq: pl.seq, e: z})
 			continue
@@ -373,7 +436,7 @@ func (pl *List) NextSend(r int) (Send, bool) {
 		// this exact round (backlogged overdue entries are counted as late
 		// sends instead).
 		if sched == int64(r) && candSched == int64(r) {
-			pl.collisions++
+			pl.Collisions++
 		}
 		other := z
 		// Earliest schedule wins; ties by list order.
@@ -392,7 +455,7 @@ func (pl *List) NextSend(r int) (Send, bool) {
 		return Send{}, false
 	}
 	if candSched < int64(r) {
-		pl.late++
+		pl.Late++
 	}
 	z := candidate
 	z.needSend = false
@@ -428,4 +491,174 @@ func (pl *List) NextWake() int {
 		return int(pl.h[0].time)
 	}
 	return congest.WakeOnReceive
+}
+
+// EncodeState writes the list's round-crossing state; a node holding a
+// List calls it from its own congest.Stateful method: the entries in
+// order, the per-source sets in stored order (removal uses swap-deletion,
+// so stored order influences future stored order and must round-trip for
+// bit-exact resume), the shortest-path records and the lazy send heap in
+// heap-array order. The cached ⌈κ⌉ is rebuilt, not stored; Counters are
+// not included (core's node stores them in its historical layout).
+func (pl *List) EncodeState(enc *congest.StateEncoder) {
+	enc.Int(pl.cur)
+	enc.Int64(pl.seq)
+	enc.Int(pl.pending)
+
+	enc.Int(len(pl.list))
+	for _, z := range pl.list {
+		enc.Int64(z.d)
+		enc.Int64(z.l)
+		enc.Int(z.srcIdx)
+		enc.Int(z.parent)
+		enc.Bool(z.flagSP)
+		enc.Bool(z.needSend)
+	}
+
+	enc.Int(len(pl.perSrc))
+	for _, ps := range pl.perSrc {
+		idxs := make([]int, len(ps))
+		for i, z := range ps {
+			idxs[i] = z.idx
+		}
+		enc.Ints(idxs)
+	}
+
+	enc.Int(len(pl.bests))
+	for i := range pl.bests {
+		b := &pl.bests[i]
+		enc.Int64(b.d)
+		enc.Int64(b.l)
+		enc.Int(b.parent)
+		ei := -1
+		if b.e != nil && !b.e.dead {
+			ei = b.e.idx
+		}
+		enc.Int(ei)
+	}
+
+	// Lazy heap, in heap-array order: restoring the array verbatim restores
+	// the identical heap. Items whose entry has died keep a -1 index and are
+	// re-attached to a shared dead sentinel on decode, so the lazy pop-and-
+	// skip behaviour replays exactly.
+	enc.Int(pl.h.Len())
+	for _, it := range pl.h {
+		enc.Int64(it.time)
+		enc.Int64(it.seq)
+		ei := -1
+		if !it.e.dead {
+			ei = it.e.idx
+		}
+		enc.Int(ei)
+	}
+}
+
+// DecodeState discards whatever Init and Seed built and reconstructs the
+// list from the snapshot.
+func (pl *List) DecodeState(dec *congest.StateDecoder) error {
+	pl.cur = dec.Int()
+	pl.seq = dec.Int64()
+	pl.pending = dec.Int()
+
+	nl := dec.Int()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	list := make([]*entry, nl)
+	for i := range list {
+		z := &entry{d: dec.Int64(), l: dec.Int64(), srcIdx: dec.Int(), parent: dec.Int(), flagSP: dec.Bool(), needSend: dec.Bool(), idx: i}
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		if z.srcIdx < 0 || z.srcIdx >= len(pl.sources) {
+			return fmt.Errorf("core: entry source index %d out of range", z.srcIdx)
+		}
+		z.ceilK = pl.gamma.CeilKappa(z.d, z.l)
+		list[i] = z
+	}
+	pl.list = list
+
+	at := func(i int) (*entry, error) {
+		if i < 0 || i >= len(list) {
+			return nil, fmt.Errorf("core: entry index %d out of range", i)
+		}
+		return list[i], nil
+	}
+
+	k := dec.Int()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if k != len(pl.sources) {
+		return fmt.Errorf("core: snapshot has %d sources, run has %d", k, len(pl.sources))
+	}
+	pl.perSrc = make([][]*entry, k)
+	for i := 0; i < k; i++ {
+		idxs := dec.Ints()
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		ps := make([]*entry, len(idxs))
+		for j, ix := range idxs {
+			z, err := at(ix)
+			if err != nil {
+				return err
+			}
+			ps[j] = z
+		}
+		pl.perSrc[i] = ps
+	}
+
+	nb := dec.Int()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if nb != k {
+		return fmt.Errorf("core: snapshot has %d best records, want %d", nb, k)
+	}
+	pl.bests = make([]best, k)
+	for i := range pl.bests {
+		b := best{d: dec.Int64(), l: dec.Int64(), parent: dec.Int()}
+		ei := dec.Int()
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		if ei >= 0 {
+			z, err := at(ei)
+			if err != nil {
+				return err
+			}
+			b.e = z
+		}
+		pl.bests[i] = b
+	}
+
+	nh := dec.Int()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	var deadSentinel *entry
+	pl.h = make(sendHeap, 0, nh)
+	for i := 0; i < nh; i++ {
+		it := sendItem{time: dec.Int64(), seq: dec.Int64()}
+		ei := dec.Int()
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		if ei >= 0 {
+			z, err := at(ei)
+			if err != nil {
+				return err
+			}
+			it.e = z
+		} else {
+			if deadSentinel == nil {
+				deadSentinel = &entry{dead: true, idx: -1}
+			}
+			it.e = deadSentinel
+		}
+		it.e.heapRefs++
+		pl.h = append(pl.h, it)
+	}
+	return dec.Err()
 }

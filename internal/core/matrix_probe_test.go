@@ -35,8 +35,8 @@ func TestProbeMatrix(t *testing.T) {
 	for _, in := range instances {
 		for _, ev := range []EvictPolicy{EvictOnlySent, EvictAllInserts, EvictNonSPInserts} {
 			for _, upd := range []bool{false, true} {
-				res, err := Run(in.g, Opts{Sources: in.sources, H: in.h, Delta: in.delta,
-					Mode: ModePaper, Evict: ev, GateByUpdatedKey: upd})
+				res, err := RunLiteral(in.g, Opts{Sources: in.sources, H: in.h, Delta: in.delta},
+					Literal{Evict: ev, GateByUpdatedKey: upd})
 				if err != nil {
 					t.Fatalf("%s: %v", in.name, err)
 				}

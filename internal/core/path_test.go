@@ -9,7 +9,7 @@ import (
 func TestReconstructPathUnrestricted(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := graph.Random(20, 60, graph.GenOpts{Seed: seed, MaxW: 6, ZeroFrac: 0.3, Directed: true})
-		res, err := APSP(g, graph.Delta(g), false)
+		res, err := APSP(g, graph.Delta(g))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -1,7 +1,9 @@
 package cssp
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/congest"
@@ -154,5 +156,51 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Build(g, nil, 2, 0, congest.Config{}); err == nil {
 		t.Fatal("no sources accepted")
+	}
+}
+
+// TestReselectionCheckpointResume kills Build inside the parent
+// re-selection run (engine run 1) — during the announcements, at the
+// initial validity check and while invalidations cascade — and resumes
+// from the serialized snapshot: the collection must equal the
+// uninterrupted one.
+func TestReselectionCheckpointResume(t *testing.T) {
+	fired := 0
+	for seed := int64(0); seed < 4; seed++ {
+		g := graph.ZeroHeavy(20, 60, 0.5, graph.GenOpts{Seed: seed, MaxW: 5, Directed: true})
+		sources := []int{0, 5, 10, 15}
+		want, err := Build(g, sources, 3, 0, congest.Config{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for round := 1; round <= len(sources)+3; round++ {
+			var snap *congest.Snapshot
+			pol := &congest.CheckpointPolicy{AtRound: round, Run: 1, Stop: true,
+				Sink: func(s *congest.Snapshot) error { snap = s; return nil }}
+			if _, err := Build(g, sources, 3, 0, congest.Config{Checkpoint: pol}); err == nil {
+				continue // re-selection was over before this round
+			} else if !errors.Is(err, congest.ErrCheckpointStop) {
+				t.Fatalf("seed %d round %d: kill: %v", seed, round, err)
+			}
+			fired++
+			b, err := snap.MarshalBinary()
+			if err != nil {
+				t.Fatalf("seed %d round %d: marshal: %v", seed, round, err)
+			}
+			restored := &congest.Snapshot{}
+			if err := restored.UnmarshalBinary(b); err != nil {
+				t.Fatalf("seed %d round %d: unmarshal: %v", seed, round, err)
+			}
+			got, err := Build(g, sources, 3, 0, congest.Config{Checkpoint: &congest.CheckpointPolicy{Resume: restored}})
+			if err != nil {
+				t.Fatalf("seed %d round %d: resume: %v", seed, round, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d: resumed collection differs from the uninterrupted one", seed, round)
+			}
+		}
+	}
+	if fired < 16 {
+		t.Fatalf("only %d kill points fired; the probe no longer reaches the re-selection run", fired)
 	}
 }

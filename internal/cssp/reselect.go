@@ -95,7 +95,7 @@ func (nd *reselNode) recheck(i int) {
 
 func (nd *reselNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	nd.cur = r
-	touched := make(map[int]bool)
+	var touched []int // sources that lost an announcer, in inbox order (a map would reorder invQ run to run)
 	for _, m := range inbox {
 		msg := m.Payload.(reselMsg)
 		i := msg.src
@@ -108,7 +108,7 @@ func (nd *reselNode) Round(ctx *congest.Context, r int, inbox []congest.Message)
 			nd.nb[i][m.From] = nbVal{d: msg.d, l: msg.l}
 		case kindInvalid:
 			delete(nd.nb[i], m.From)
-			touched[i] = true
+			touched = append(touched, i)
 		}
 	}
 	if r <= nd.k {
@@ -126,7 +126,7 @@ func (nd *reselNode) Round(ctx *congest.Context, r int, inbox []congest.Message)
 			nd.recheck(i)
 		}
 	}
-	for i := range touched {
+	for _, i := range touched { // a repeated recheck is a no-op
 		nd.recheck(i)
 	}
 	if len(nd.invQ) > 0 {

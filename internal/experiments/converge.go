@@ -30,7 +30,7 @@ func eConv(cfg Config) (*Table, error) {
 	delta := graph.Delta(g)
 
 	// First run to learn the total rounds, second run with snapshots.
-	probe, err := core.APSP(g, delta, false)
+	probe, err := core.APSP(g, delta)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func eDelta(cfg Config) (*Table, error) {
 	truth := graph.Delta(g)
 	want := graph.APSP(g)
 	run := func(label string, delta int64) error {
-		res, err := core.APSP(g, delta, false)
+		res, err := core.APSP(g, delta)
 		if err != nil {
 			return err
 		}

@@ -35,7 +35,7 @@ func t1Exact(cfg Config) (*Table, error) {
 		g := graph.Random(n, 3*n, graph.GenOpts{Seed: cfg.Seed, MaxW: 8, ZeroFrac: 0.25, Directed: true})
 		delta := graph.Delta(g)
 
-		a1, err := core.APSP(g, delta, false)
+		a1, err := core.APSP(g, delta)
 		if err != nil {
 			return nil, fmt.Errorf("Alg1 n=%d: %w", n, err)
 		}
@@ -133,7 +133,7 @@ func eT1213(cfg Config) (*Table, error) {
 		minW := w / 4
 		g := graph.Random(n, 3*n, graph.GenOpts{Seed: cfg.Seed + int64(w), MinW: minW, MaxW: w, ZeroFrac: 0.1, Directed: true})
 		delta := graph.Delta(g)
-		a1, err := core.APSP(g, delta, false)
+		a1, err := core.APSP(g, delta)
 		if err != nil {
 			return nil, err
 		}

@@ -125,6 +125,7 @@ func TestPaperClaimsPinned(t *testing.T) {
 		{"E-SR", 6, []string{"snap viol"}, nil},
 		{"E-CSSSP", 4, []string{"violations"}, [][2]string{{"rounds", "2√(2khΔ)+k+2h"}}},
 		{"E-BLK", 4, nil, [][2]string{{"|Q|", "(n ln n)/h"}, {"upd/pick", "k+h-1"}}},
+		{"A-LIT", 5, []string{"underestimates"}, nil},
 	} {
 		tab := run(c.id)
 		if len(tab.Rows) != c.rows {
@@ -147,6 +148,17 @@ func TestPaperClaimsPinned(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// The refuted reading stays refuted and the repair stays exact: Pareto
+	// loses nothing, the literal gate + eviction loses something.
+	lit := run("A-LIT")
+	variants, wrong := column(t, lit, "variant"), column(t, lit, "wrong pairs")
+	if variants[0] != "pareto (default)" || wrong[0] != "0" {
+		t.Errorf("A-LIT row 0: %q has %s wrong pairs, want pareto with 0", variants[0], wrong[0])
+	}
+	if n, err := strconv.Atoi(wrong[1]); variants[1] != "literal gate+evict" || err != nil || n <= 0 {
+		t.Errorf("A-LIT row 1: %q has %s wrong pairs, want the literal reading with > 0", variants[1], wrong[1])
 	}
 }
 

@@ -36,7 +36,7 @@ func eKSSP(cfg Config) (*Table, error) {
 		for i := 0; i < k; i++ {
 			sources = append(sources, (i*n)/k)
 		}
-		a1, err := core.KSSP(g, sources, delta, false)
+		a1, err := core.KSSP(g, sources, delta)
 		if err != nil {
 			return nil, err
 		}

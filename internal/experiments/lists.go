@@ -64,8 +64,8 @@ func eInv(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// aLit measures the paper-literal machinery (ModePaper variants) against
-// the Pareto discipline: how often each variant loses a distance, and that
+// aLit measures the paper-literal machinery (core.RunLiteral's four
+// readings) against the Pareto discipline of core.Run: how often each variant loses a distance, and that
 // in the APSP regime (h = n−1) the literal machinery is correct and meets
 // its bound.
 func aLit(cfg Config) (*Table, error) {
@@ -79,18 +79,19 @@ func aLit(cfg Config) (*Table, error) {
 		Title:   "Ablation: paper-literal list rules vs Pareto (h-hop regime, h=4)",
 		Headers: []string{"variant", "wrong pairs", "checked pairs", "underestimates"},
 	}
-	type variant struct {
-		name string
-		mode core.Mode
-		ev   core.EvictPolicy
-		upd  bool
+	type runFn func(*graph.Graph, core.Opts) (*core.Result, error)
+	literal := func(lit core.Literal) runFn {
+		return func(g *graph.Graph, o core.Opts) (*core.Result, error) { return core.RunLiteral(g, o, lit) }
 	}
-	variants := []variant{
-		{"pareto (default)", core.ModePareto, 0, false},
-		{"literal gate+evict", core.ModePaper, core.EvictAllInserts, true},
-		{"sender gate, evict all", core.ModePaper, core.EvictAllInserts, false},
-		{"sender gate, evict nonSP", core.ModePaper, core.EvictNonSPInserts, false},
-		{"sender gate, evict sent-only", core.ModePaper, core.EvictOnlySent, false},
+	variants := []struct {
+		name string
+		run  runFn
+	}{
+		{"pareto (default)", core.Run},
+		{"literal gate+evict", literal(core.Literal{Evict: core.EvictAllInserts, GateByUpdatedKey: true})},
+		{"sender gate, evict all", literal(core.Literal{Evict: core.EvictAllInserts})},
+		{"sender gate, evict nonSP", literal(core.Literal{Evict: core.EvictNonSPInserts})},
+		{"sender gate, evict sent-only", literal(core.Literal{Evict: core.EvictOnlySent})},
 	}
 	for _, vr := range variants {
 		wrong, under, total := 0, 0, 0
@@ -102,8 +103,7 @@ func aLit(cfg Config) (*Table, error) {
 			if delta == 0 {
 				delta = 1
 			}
-			res, err := core.Run(g, core.Opts{Sources: sources, H: h, Delta: delta,
-				Mode: vr.mode, Evict: vr.ev, GateByUpdatedKey: vr.upd})
+			res, err := vr.run(g, core.Opts{Sources: sources, H: h, Delta: delta})
 			if err != nil {
 				return nil, fmt.Errorf("%s trial %d: %w", vr.name, trial, err)
 			}
@@ -165,7 +165,7 @@ func aZero(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		a1, err := core.APSP(g, graph.Delta(g), false)
+		a1, err := core.APSP(g, graph.Delta(g))
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +198,7 @@ func aList(cfg Config) (*Table, error) {
 			sources[v] = v
 		}
 		delta := graph.Delta(g)
-		a1, err := core.APSP(g, delta, false)
+		a1, err := core.APSP(g, delta)
 		if err != nil {
 			return nil, err
 		}

@@ -33,7 +33,7 @@ func eScale(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		a1, err := core.APSP(g, delta, false)
+		a1, err := core.APSP(g, delta)
 		if err != nil {
 			return nil, err
 		}

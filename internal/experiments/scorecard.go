@@ -81,8 +81,8 @@ func scorecard(cfg Config) (*Table, error) {
 	for v := range srcA {
 		srcA[v] = v
 	}
-	resA, err := core.Run(gA, core.Opts{Sources: srcA, H: gA.N() - 1, Delta: deltaA, Audit: true,
-		Mode: core.ModePaper, Evict: core.EvictAllInserts, GateByUpdatedKey: true})
+	resA, err := core.RunLiteral(gA, core.Opts{Sources: srcA, H: gA.N() - 1, Delta: deltaA, Audit: true},
+		core.Literal{Evict: core.EvictAllInserts, GateByUpdatedKey: true})
 	if err != nil {
 		return nil, err
 	}
@@ -211,8 +211,8 @@ func paperLiteralLoses() bool {
 	} {
 		g.MustAddEdge(int(e[0]), int(e[1]), e[2])
 	}
-	res, err := core.Run(g, core.Opts{Sources: []int{0}, H: 4, Delta: 7,
-		Mode: core.ModePaper, Evict: core.EvictAllInserts, GateByUpdatedKey: true})
+	res, err := core.RunLiteral(g, core.Opts{Sources: []int{0}, H: 4, Delta: 7},
+		core.Literal{Evict: core.EvictAllInserts, GateByUpdatedKey: true})
 	if err != nil {
 		return false
 	}

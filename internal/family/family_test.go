@@ -190,18 +190,14 @@ func TestNoEntryDropsAnEngineHook(t *testing.T) {
 				// The policy numbers the runs it is handed to, so stopping at
 				// run k works for every k the observer counted only if no run
 				// up to k missed the policy — and the snapshot it takes there
-				// records the scheduler that run was given. (cssp's
-				// re-selection nodes cannot be snapshotted; the engine's
-				// refusal proves as well that the policy reached that run.)
+				// records the scheduler that run was given.
 				p, cfg := newProbe(k, -1)
 				err := e.run(cfg)
-				if err == nil || !strings.Contains(err.Error(), "does not implement Stateful") {
-					if !errors.Is(err, congest.ErrCheckpointStop) || p.snap == nil || p.snap.RunIdx != k || p.runStarts != k+1 {
-						t.Fatalf("stop at engine run %d of %d: err = %v after %d runs — Checkpoint was dropped on the way to some run", k, runs, err, p.runStarts)
-					}
-					if p.snap.Sched != congest.SchedulerDense {
-						t.Fatalf("engine run %d snapshotted under scheduler %d — Scheduler was dropped", k, p.snap.Sched)
-					}
+				if !errors.Is(err, congest.ErrCheckpointStop) || p.snap == nil || p.snap.RunIdx != k || p.runStarts != k+1 {
+					t.Fatalf("stop at engine run %d of %d: err = %v after %d runs — Checkpoint was dropped on the way to some run", k, runs, err, p.runStarts)
+				}
+				if p.snap.Sched != congest.SchedulerDense {
+					t.Fatalf("engine run %d snapshotted under scheduler %d — Scheduler was dropped", k, p.snap.Sched)
 				}
 				// A context cancelled as run k starts (k = 0: before round 1
 				// of the whole entry) lets no further round complete.

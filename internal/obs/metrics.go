@@ -10,43 +10,32 @@ import (
 // histogram (Prometheus "le" convention; +Inf is implicit).
 var metricsBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}
 
-type phaseMetrics struct {
-	name     string
-	rounds   int
-	messages int64
-	wallUS   int64
-	maxLink  int
-	maxNode  int
-
-	// Physical-delivery counters (adversarial network runs only).
-	physSends   int64 // data sends incl. retransmits and dup copies
-	physRetrans int64
-	physDrops   int64 // data + ack drops
-	physSubs    int64 // simulated physical sub-rounds
-}
-
-// Metrics accumulates the event stream into phase-labelled aggregates and,
-// on Close, writes them in the Prometheus text exposition format (via the
-// shared Registry encoder) — a plain metrics dump that node_exporter-style
-// tooling (or grep) can consume.
+// Metrics writes, on Close, a Prometheus text dump (via the shared Registry
+// encoder) that node_exporter-style tooling (or grep) can consume. The
+// run, round, message, wall-time, congestion and physical-delivery series
+// are the Recorder's own accounting (the numbers -stats-json reports, which
+// survive a checkpoint restore), handed over by Recorder.Close; from the
+// event stream the sink keeps only what the Recorder does not — the
+// per-round node peak, the per-round message histogram and the checkpoint
+// totals — and those count every executed event, re-executions included.
 type Metrics struct {
 	w      io.Writer
 	closer io.Closer
 
-	order  []*phaseMetrics
-	byName map[string]*phaseMetrics
-	runs   int
+	runs   int               // Recorder.Close: engine runs
+	phases []*PhaseBreakdown // Recorder.Close: per-phase accounting, first-use order
+
+	maxNode map[string]int // phase -> peak single-node sends in one round
 
 	bucketRaw []int64 // per-bucket (non-cumulative) round message counts
 	msgInf    int64   // rounds above the last bucket bound
 	msgSum    int64
-	msgCount  int64
 
 	// Checkpoint persistence totals (checkpoint_save / checkpoint_load
 	// events; zero on runs without a checkpoint policy).
-	ckptSaves, ckptLoads       int64
-	ckptSaveUS, ckptLoadUS     int64
-	ckptSaveBytes, ckptLoadRaw int64
+	ckptSaves, ckptLoads   int64
+	ckptSaveUS, ckptLoadUS int64
+	ckptSaveBytes          int64
 }
 
 // NewMetrics wraps an io.Writer. If w is also an io.Closer it is closed by
@@ -54,7 +43,7 @@ type Metrics struct {
 func NewMetrics(w io.Writer) *Metrics {
 	m := &Metrics{
 		w:         w,
-		byName:    make(map[string]*phaseMetrics),
+		maxNode:   make(map[string]int),
 		bucketRaw: make([]int64, len(metricsBuckets)),
 	}
 	if cl, ok := w.(io.Closer); ok {
@@ -73,39 +62,11 @@ func CreateMetrics(path string) (*Metrics, error) {
 	return NewMetrics(f), nil
 }
 
-// physAny reports whether any phase saw physical-delivery traffic (the
-// phys series are omitted entirely on fault-free runs).
-func physAny(order []*phaseMetrics) bool {
-	for _, p := range order {
-		if p.physSends > 0 || p.physSubs > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *Metrics) phase(name string) *phaseMetrics {
-	p, ok := m.byName[name]
-	if !ok {
-		p = &phaseMetrics{name: name}
-		m.byName[name] = p
-		m.order = append(m.order, p)
-	}
-	return p
-}
-
 // Emit implements Sink.
 func (m *Metrics) Emit(e Event) error {
-	p := m.phase(e.Phase)
 	switch e.Kind {
-	case "run_start":
-		m.runs++
 	case "round":
-		p.rounds++
-		p.messages += int64(e.Sent)
-		p.wallUS += e.RoundUS
 		m.msgSum += int64(e.Sent)
-		m.msgCount++
 		placed := false
 		for i, le := range metricsBuckets {
 			if float64(e.Sent) <= le {
@@ -118,13 +79,7 @@ func (m *Metrics) Emit(e Event) error {
 			m.msgInf++
 		}
 	case "node_sends":
-		if e.Msgs > p.maxNode {
-			p.maxNode = e.Msgs
-		}
-	case "link_peak":
-		if e.Load > p.maxLink {
-			p.maxLink = e.Load
-		}
+		m.maxNode[e.Phase] = max(m.maxNode[e.Phase], e.Msgs)
 	case "checkpoint_save":
 		m.ckptSaves++
 		m.ckptSaveUS += e.CkptDurUS
@@ -132,72 +87,58 @@ func (m *Metrics) Emit(e Event) error {
 	case "checkpoint_load":
 		m.ckptLoads++
 		m.ckptLoadUS += e.CkptDurUS
-		m.ckptLoadRaw += e.CkptBytes
-	case "phys_round":
-		if e.Phys != nil {
-			p.physSends += e.Phys.DataSends + e.Phys.Retransmits + e.Phys.DupCopies
-			p.physRetrans += e.Phys.Retransmits
-			p.physDrops += e.Phys.DataDrops + e.Phys.AckDrops
-			p.physSubs += e.Phys.SubRounds
-		}
 	}
 	return nil
 }
 
-// Close implements Sink: folds the accumulated aggregates into a Registry
-// and writes it.
+// Close implements Sink: folds the accounting into a Registry and writes
+// it.
 func (m *Metrics) Close() error {
 	reg := NewRegistry()
 	reg.Counter("congest_runs_total", "engine runs observed").Add(float64(m.runs))
-	for _, p := range m.order {
-		reg.Counter("congest_phase_rounds_total",
-			"rounds executed per phase (incl. quiescing rounds)", L("phase", p.name)).Add(float64(p.rounds))
-	}
-	for _, p := range m.order {
-		reg.Counter("congest_phase_messages_total", "messages sent per phase",
-			L("phase", p.name)).Add(float64(p.messages))
-	}
-	for _, p := range m.order {
-		reg.Counter("congest_phase_wall_seconds_total", "wall-clock round time per phase",
-			L("phase", p.name)).Add(float64(p.wallUS) / 1e6)
-	}
-	for _, p := range m.order {
-		reg.Gauge("congest_phase_max_link_congestion", "peak per-link congestion seen in a phase",
-			L("phase", p.name)).Set(float64(p.maxLink))
-	}
-	for _, p := range m.order {
-		reg.Gauge("congest_phase_max_node_sends", "peak single-node sends in one round per phase",
-			L("phase", p.name)).Set(float64(p.maxNode))
-	}
-	if physAny(m.order) {
-		for _, p := range m.order {
-			reg.Counter("congest_phase_phys_sends_total",
-				"physical transmissions per phase (incl. retransmits and duplicates)",
-				L("phase", p.name)).Add(float64(p.physSends))
+	perPhase := func(gauge bool, name, help string, val func(p *PhaseBreakdown) float64) {
+		for _, p := range m.phases {
+			if gauge {
+				reg.Gauge(name, help, L("phase", p.Phase)).Set(val(p))
+			} else {
+				reg.Counter(name, help, L("phase", p.Phase)).Add(val(p))
+			}
 		}
-		for _, p := range m.order {
-			reg.Counter("congest_phase_phys_retransmits_total", "retransmissions per phase",
-				L("phase", p.name)).Add(float64(p.physRetrans))
-		}
-		for _, p := range m.order {
-			reg.Counter("congest_phase_phys_drops_total",
-				"adversary-dropped transmissions per phase (data + ack)",
-				L("phase", p.name)).Add(float64(p.physDrops))
-		}
-		for _, p := range m.order {
-			reg.Counter("congest_phase_phys_subrounds_total",
-				"simulated physical sub-rounds per phase",
-				L("phase", p.name)).Add(float64(p.physSubs))
-		}
+	}
+	perPhase(false, "congest_phase_rounds_total", "rounds executed per phase (incl. quiescing rounds)",
+		func(p *PhaseBreakdown) float64 { return float64(p.RoundsExecuted) })
+	perPhase(false, "congest_phase_messages_total", "messages sent per phase",
+		func(p *PhaseBreakdown) float64 { return float64(p.Stats.Messages) })
+	perPhase(false, "congest_phase_wall_seconds_total", "wall-clock round time per phase",
+		func(p *PhaseBreakdown) float64 { return p.Wall.Seconds() })
+	perPhase(true, "congest_phase_max_link_congestion", "peak per-link congestion seen in a phase",
+		func(p *PhaseBreakdown) float64 { return float64(p.Stats.MaxLinkCongestion) })
+	perPhase(true, "congest_phase_max_node_sends", "peak single-node sends in one round per phase (over every executed round, re-executions after a restart included)",
+		func(p *PhaseBreakdown) float64 { return float64(m.maxNode[p.Phase]) })
+	phys := false
+	for _, p := range m.phases {
+		phys = phys || p.Phys.DataSends+p.Phys.Retransmits+p.Phys.DupCopies > 0 || p.Phys.SubRounds > 0
+	}
+	if phys { // the phys series are omitted entirely on fault-free runs
+		perPhase(false, "congest_phase_phys_sends_total", "physical transmissions per phase (incl. retransmits and duplicates)",
+			func(p *PhaseBreakdown) float64 {
+				return float64(p.Phys.DataSends + p.Phys.Retransmits + p.Phys.DupCopies)
+			})
+		perPhase(false, "congest_phase_phys_retransmits_total", "retransmissions per phase",
+			func(p *PhaseBreakdown) float64 { return float64(p.Phys.Retransmits) })
+		perPhase(false, "congest_phase_phys_drops_total", "adversary-dropped transmissions per phase (data + ack)",
+			func(p *PhaseBreakdown) float64 { return float64(p.Phys.DataDrops + p.Phys.AckDrops) })
+		perPhase(false, "congest_phase_phys_subrounds_total", "simulated physical sub-rounds per phase",
+			func(p *PhaseBreakdown) float64 { return float64(p.Phys.SubRounds) })
 	}
 	if m.ckptSaves > 0 || m.ckptLoads > 0 {
-		reg.Counter("congest_checkpoint_writes_total", "engine snapshots persisted to disk").Add(float64(m.ckptSaves))
+		reg.Counter("congest_checkpoint_writes_total", "engine snapshots persisted to disk (every write, restarts included)").Add(float64(m.ckptSaves))
 		reg.Counter("congest_checkpoint_write_seconds_total", "wall-clock time spent persisting snapshots").Add(float64(m.ckptSaveUS) / 1e6)
 		reg.Counter("congest_checkpoint_write_bytes_total", "serialized snapshot bytes written").Add(float64(m.ckptSaveBytes))
 		reg.Counter("congest_checkpoint_loads_total", "engine snapshots restored from disk").Add(float64(m.ckptLoads))
 		reg.Counter("congest_checkpoint_load_seconds_total", "wall-clock time spent restoring snapshots").Add(float64(m.ckptLoadUS) / 1e6)
 	}
-	h := reg.Histogram("congest_round_messages", "per-round message counts", metricsBuckets)
+	h := reg.Histogram("congest_round_messages", "per-round message counts (every executed round, re-executions after a restart included)", metricsBuckets)
 	h.restore(m.bucketRaw, m.msgInf, float64(m.msgSum))
 
 	err := reg.Write(m.w)

@@ -323,6 +323,9 @@ func (r *Recorder) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, s := range r.sinks {
+		if m, ok := s.(*Metrics); ok {
+			m.runs, m.phases = r.runs, r.order // the dump's accounting is the recorder's, not a second count
+		}
 		if err := s.Close(); err != nil && r.err == nil {
 			r.err = fmt.Errorf("obs: sink close: %w", err)
 		}

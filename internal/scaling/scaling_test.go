@@ -89,7 +89,7 @@ func TestScalingBeatsPipelineAtLargeWeights(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scaling: %v", err)
 	}
-	a1, err := core.APSP(g, delta, false)
+	a1, err := core.APSP(g, delta)
 	if err != nil {
 		t.Fatalf("core: %v", err)
 	}

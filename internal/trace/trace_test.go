@@ -438,3 +438,36 @@ func TestConcurrentRequests(t *testing.T) {
 		ids[spans[0].TraceID] = true
 	}
 }
+
+// FuzzParseTraceparent: no header panics the parser; whatever it accepts
+// has lower-hex IDs of the W3C lengths, and re-encoding the parsed triple
+// parses back to the same triple.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range []string{
+		"",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		" 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00 ",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0g",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, pid, sampled, ok := ParseTraceparent(h)
+		if !ok {
+			if tid != "" || pid != "" || sampled {
+				t.Fatalf("rejected %q but returned (%q, %q, %v)", h, tid, pid, sampled)
+			}
+			return
+		}
+		if len(tid) != 32 || len(pid) != 16 || !isLowerHex(tid) || !isLowerHex(pid) {
+			t.Fatalf("accepted %q with IDs (%q, %q)", h, tid, pid)
+		}
+		tid2, pid2, sampled2, ok2 := ParseTraceparent(FormatTraceparent(tid, pid, sampled))
+		if !ok2 || tid2 != tid || pid2 != pid || sampled2 != sampled {
+			t.Fatalf("%q parsed to (%q, %q, %v), re-encoded to (%q, %q, %v, ok=%v)", h, tid, pid, sampled, tid2, pid2, sampled2, ok2)
+		}
+	})
+}
