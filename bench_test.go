@@ -17,6 +17,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	fam "repro/internal/family"
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/httpfault"
@@ -504,7 +505,7 @@ func benchOracle(b *testing.B) (*oracle.Snapshot, *oracle.Server, http.Handler) 
 			sources[s] = s
 			dist[s], parent[s] = graph.DijkstraTree(g, s)
 		}
-		snap, err := oracle.Build(g, oracle.BuildInput{Alg: "bench", Sources: sources, Dist: dist, Parent: parent}, oracle.BuildOpts{})
+		snap, err := oracle.Build(g, oracle.BuildInput{Alg: "bench", Matrix: fam.FromRows(sources, g.N(), dist, nil, parent)}, oracle.BuildOpts{})
 		if err != nil {
 			panic(err)
 		}
@@ -740,7 +741,7 @@ func benchRouter(b *testing.B) (http.Handler, int) {
 				dist = append(dist, d)
 				parent = append(parent, p)
 			}
-			snap, err := oracle.Build(g, oracle.BuildInput{Alg: "bench", Sources: sources, Dist: dist, Parent: parent},
+			snap, err := oracle.Build(g, oracle.BuildInput{Alg: "bench", Matrix: fam.FromRows(sources, g.N(), dist, nil, parent)},
 				oracle.BuildOpts{Fingerprint: fp})
 			if err != nil {
 				panic(err)

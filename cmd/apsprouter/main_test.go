@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
+	"repro/internal/family"
 	"repro/internal/graph"
 	"repro/internal/oracle"
 )
@@ -37,7 +38,7 @@ func testBackends(t *testing.T, n, nShards int) (*graph.Graph, []string) {
 			dist = append(dist, d)
 			parent = append(parent, p)
 		}
-		snap, err := oracle.Build(g, oracle.BuildInput{Alg: "dijkstra", Sources: sources, Dist: dist, Parent: parent},
+		snap, err := oracle.Build(g, oracle.BuildInput{Alg: "dijkstra", Matrix: family.FromRows(sources, g.N(), dist, nil, parent)},
 			oracle.BuildOpts{Fingerprint: checkpoint.Fingerprint(g)})
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +216,7 @@ func TestRouterRefusesMixedGraphBackends(t *testing.T) {
 		d, p := graph.DijkstraTree(gB, s)
 		sources, dist, parent = append(sources, s), append(dist, d), append(parent, p)
 	}
-	snap, err := oracle.Build(gB, oracle.BuildInput{Alg: "dijkstra", Sources: sources, Dist: dist, Parent: parent},
+	snap, err := oracle.Build(gB, oracle.BuildInput{Alg: "dijkstra", Matrix: family.FromRows(sources, gB.N(), dist, nil, parent)},
 		oracle.BuildOpts{Fingerprint: checkpoint.Fingerprint(gB)})
 	if err != nil {
 		t.Fatal(err)

@@ -339,8 +339,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 				} else {
 					want = graph.Dijkstra(g, s)
 				}
-				for v := 0; v < g.N(); v++ {
-					if res.Dist[i][v] != want[v] {
+				for v, d := range res.Dist[i*res.N : (i+1)*res.N] {
+					if d != want[v] {
 						wrong++
 					}
 				}
@@ -349,10 +349,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if !*quiet && !*jsonOut {
 			for i, s := range sources {
-				for v := 0; v < g.N(); v++ {
+				for v, dist := range res.Dist[i*res.N : (i+1)*res.N] {
 					d := "inf"
-					if res.Dist[i][v] < graph.Inf {
-						d = strconv.FormatInt(res.Dist[i][v], 10)
+					if dist < graph.Inf {
+						d = strconv.FormatInt(dist, 10)
 					}
 					fmt.Fprintf(stdout, "d(%d,%d) = %s\n", s, v, d)
 				}

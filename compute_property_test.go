@@ -60,20 +60,21 @@ func checkComputeProperty(g *graph.Graph, sources []int, h int) error {
 
 	for i, src := range sources {
 		for v := 0; v < n; v++ {
-			if dij.Dist[i][v] != eng.Dist[i][v] {
-				return fmt.Errorf("dist(%d->%d): dijkstra %d, engine %d", src, v, dij.Dist[i][v], eng.Dist[i][v])
+			c := i*n + v
+			if dij.Dist[c] != eng.Dist[i][v] {
+				return fmt.Errorf("dist(%d->%d): dijkstra %d, engine %d", src, v, dij.Dist[c], eng.Dist[i][v])
 			}
-			if fw.Dist[i][v] != eng.Dist[i][v] {
-				return fmt.Errorf("dist(%d->%d): floyd %d, engine %d", src, v, fw.Dist[i][v], eng.Dist[i][v])
+			if fw.Dist[c] != eng.Dist[i][v] {
+				return fmt.Errorf("dist(%d->%d): floyd %d, engine %d", src, v, fw.Dist[c], eng.Dist[i][v])
 			}
 			if bf.Dist[i][v] != eng.Dist[i][v] {
 				return fmt.Errorf("dist(%d->%d): bellman-ford %d, engine %d", src, v, bf.Dist[i][v], eng.Dist[i][v])
 			}
-			if dij.Hops[i][v] != eng.Hops[i][v] {
-				return fmt.Errorf("hops(%d->%d): dijkstra %d, engine %d", src, v, dij.Hops[i][v], eng.Hops[i][v])
+			if int64(dij.Hops[c]) != eng.Hops[i][v] {
+				return fmt.Errorf("hops(%d->%d): dijkstra %d, engine %d", src, v, dij.Hops[c], eng.Hops[i][v])
 			}
-			if fw.Hops[i][v] != eng.Hops[i][v] {
-				return fmt.Errorf("hops(%d->%d): floyd %d, engine %d", src, v, fw.Hops[i][v], eng.Hops[i][v])
+			if int64(fw.Hops[c]) != eng.Hops[i][v] {
+				return fmt.Errorf("hops(%d->%d): floyd %d, engine %d", src, v, fw.Hops[c], eng.Hops[i][v])
 			}
 		}
 	}
@@ -85,13 +86,13 @@ func checkComputeProperty(g *graph.Graph, sources []int, h int) error {
 		res := res
 		pv := core.PathView{
 			Sources: res.Sources,
-			Dist:    func(i, v int) int64 { return res.Dist[i][v] },
-			Hops:    func(i, v int) int64 { return res.Hops[i][v] },
-			Parent:  func(i, v int) int { return res.Parent[i][v] },
+			Dist:    func(i, v int) int64 { return res.Dist[i*n+v] },
+			Hops:    func(i, v int) int64 { return int64(res.Hops[i*n+v]) },
+			Parent:  func(i, v int) int { return int(res.Parent[i*n+v]) },
 		}
 		for i := range sources {
 			for v := 0; v < n; v++ {
-				if res.Dist[i][v] >= graph.Inf {
+				if res.Dist[i*n+v] >= graph.Inf {
 					continue
 				}
 				if _, err := core.WalkParents(g, pv, i, v); err != nil {

@@ -18,11 +18,12 @@ import (
 
 // Defaults for the Router knobs (applied when the field is zero).
 const (
-	DefaultDeadline       = 5 * time.Second
 	DefaultBatchBudget    = 4096
 	DefaultRolloutPoll    = 50 * time.Millisecond
 	DefaultRolloutTimeout = 5 * time.Minute
 	maxBatchBytes         = 4 << 20
+	// deadline bounds one routed request end to end, scatter included.
+	deadline = 5 * time.Second
 	// retryAfterSecs is stamped on every refusal the router synthesizes
 	// (mixed generations, rollout conflict) — same drain-time contract as
 	// the backend's shed responses.
@@ -45,8 +46,6 @@ type Options struct {
 	MaxAttempts    int
 	HedgeDelay     time.Duration
 	Seed           int64
-	// Deadline bounds one routed request end to end, scatter included.
-	Deadline time.Duration
 	// BatchBudget caps the queries in one /batch, pre-split.
 	BatchBudget int
 	// RolloutPoll and RolloutTimeout pace the shard-by-shard recompute
@@ -119,9 +118,6 @@ func NewRouter(opts Options) (*Router, error) {
 	}
 	if err := opts.Map.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Deadline <= 0 {
-		opts.Deadline = DefaultDeadline
 	}
 	if opts.BatchBudget <= 0 {
 		opts.BatchBudget = DefaultBatchBudget
@@ -212,7 +208,7 @@ func (r *Router) forward(kind string) http.HandlerFunc {
 			writeErr(w, http.StatusNotFound, "source %d outside cluster map (n=%d)", src, r.opts.Map.N)
 			return
 		}
-		ctx, cancel := context.WithTimeout(req.Context(), r.opts.Deadline)
+		ctx, cancel := context.WithTimeout(req.Context(), deadline)
 		defer cancel()
 		resp, err := sc.query.GetJSON(ctx, sc.base+"/"+kind+"?"+req.URL.RawQuery, nil)
 		if err != nil {
@@ -344,7 +340,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		sb.queries = append(sb.queries, raw)
 	}
 
-	ctx, cancel := context.WithTimeout(req.Context(), r.opts.Deadline)
+	ctx, cancel := context.WithTimeout(req.Context(), deadline)
 	defer cancel()
 
 	// Scatter, gather, and chase generation agreement: if the gathered
@@ -511,7 +507,7 @@ type shardHealth struct {
 // is "degraded" (503). A router in front of the wrong backends must fail
 // its readiness check, not serve wrong answers.
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	ctx, cancel := context.WithTimeout(req.Context(), r.opts.Deadline)
+	ctx, cancel := context.WithTimeout(req.Context(), deadline)
 	defer cancel()
 	resp := clusterHealth{Status: "ok", N: r.opts.Map.N, Rollout: r.rolling.Load(), Shards: make([]shardHealth, len(r.shards))}
 	var wg sync.WaitGroup

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/family"
 	"repro/internal/graph"
 	"repro/internal/oracle"
 )
@@ -42,7 +43,7 @@ func buildShardSnapE(g *graph.Graph, k, nShards int) (*oracle.Snapshot, error) {
 		dist = append(dist, d)
 		parent = append(parent, p)
 	}
-	return oracle.Build(g, oracle.BuildInput{Alg: "dijkstra", Sources: sources, Dist: dist, Parent: parent},
+	return oracle.Build(g, oracle.BuildInput{Alg: "dijkstra", Matrix: family.FromRows(sources, g.N(), dist, nil, parent)},
 		oracle.BuildOpts{Fingerprint: checkpoint.Fingerprint(g)})
 }
 

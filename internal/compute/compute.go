@@ -25,10 +25,10 @@
 // Both kernels compute lexicographic (distance, hops) minima — exactly the
 // quantity the pipelined CONGEST families of the paper produce — so the
 // output is bit-identical to core.Run on dist and hops, and the parent
-// matrix passes the same core.WalkParents tightness validation. The row
-// layout ([][]int64 dist/hops, [][]int parent, one row per source) is the
-// layout oracle.BuildInput names; oracle.Build then copies every row into
-// its own flat int64/int32/int32 columns.
+// matrix passes the same core.WalkParents tightness validation. The kernels
+// write straight into a Matrix, the store layout oracle.Build adopts and
+// oracle snapshots are saved from and loaded into, so a computed row is
+// never copied on its way to being served.
 package compute
 
 import (
@@ -66,18 +66,29 @@ type Opts struct {
 	Kernel Kernel
 }
 
-// Result holds the computed matrices in the oracle.BuildInput row layout:
-// row i describes shortest paths from Sources[i]. Unreachable entries are
-// (graph.Inf, -1, -1); the source's own entry is (0, 0, src). Dist and
-// Hops are bit-identical to the CONGEST pipeline family (lexicographic
-// (distance, hops) minima); Parent is a valid shortest-path tree under
-// core.WalkParents tightness but not necessarily the same tree the
-// distributed run records (tie-broken paths may differ).
-type Result struct {
+// Matrix is the store layout of a computed answer, declared once for every
+// layer that holds one: the kernels fill it, family.Result and
+// oracle.BuildInput carry it, oracle.Build adopts it and snapshot files
+// hold its columns byte for byte. Row i describes shortest paths from
+// Sources[i]; cell (i, v) of every column is at index i·N+v. Hops and
+// Parent are nil when not recorded, and an unreachable cell is
+// (graph.Inf, -1, -1).
+type Matrix struct {
 	Sources []int
-	Dist    [][]int64
-	Hops    [][]int64
-	Parent  [][]int
+	N       int
+	Dist    []int64
+	Hops    []int32
+	Parent  []int32
+}
+
+// Result is the computed Matrix with all three columns. The source's own
+// entry is (0, 0, src). Dist and Hops are bit-identical to the CONGEST
+// pipeline family (lexicographic (distance, hops) minima); Parent is a
+// valid shortest-path tree under core.WalkParents tightness but not
+// necessarily the same tree the distributed run records (tie-broken paths
+// may differ).
+type Result struct {
+	Matrix
 	// Kernel records the kernel that actually ran (never Auto).
 	Kernel Kernel
 	// Workers records the worker count actually used.
@@ -124,38 +135,23 @@ func APSP(g *graph.Graph, opts Opts) (*Result, error) {
 		kernel = pick(g, len(sources))
 	}
 
-	res := &Result{Sources: sources, Kernel: kernel, Workers: workers}
+	var run func(*graph.Graph, keyLayout, *Result)
 	switch kernel {
 	case Dijkstra:
 		// Sources are the unit of Dijkstra's fan-out; Floyd's tiles
 		// parallelise over n² whatever k is.
-		res.Workers = min(workers, len(sources))
-		res.allocRows(n)
-		packedDijkstra(g, lay, res)
+		workers = min(workers, len(sources))
+		run = packedDijkstra
 	case Floyd:
-		res.allocRows(n)
-		blockedFloyd(g, lay, res)
+		run = blockedFloyd
 	default:
 		return nil, fmt.Errorf("compute: unknown kernel %q", kernel)
 	}
+	cells := len(sources) * n
+	res := &Result{Kernel: kernel, Workers: workers, Matrix: Matrix{Sources: sources, N: n,
+		Dist: make([]int64, cells), Hops: make([]int32, cells), Parent: make([]int32, cells)}}
+	run(g, lay, res)
 	return res, nil
-}
-
-// allocRows gives the result its len(Sources) rows of n cells, sliced out
-// of one flat backing array per matrix.
-func (res *Result) allocRows(n int) {
-	k := len(res.Sources)
-	distFlat := make([]int64, k*n)
-	hopsFlat := make([]int64, k*n)
-	parFlat := make([]int, k*n)
-	res.Dist = make([][]int64, k)
-	res.Hops = make([][]int64, k)
-	res.Parent = make([][]int, k)
-	for i := 0; i < k; i++ {
-		res.Dist[i] = distFlat[i*n : (i+1)*n : (i+1)*n]
-		res.Hops[i] = hopsFlat[i*n : (i+1)*n : (i+1)*n]
-		res.Parent[i] = parFlat[i*n : (i+1)*n : (i+1)*n]
-	}
 }
 
 // pick chooses a kernel. Per-source Dijkstra costs about k·arcs, blocked

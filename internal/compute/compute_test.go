@@ -64,23 +64,23 @@ func checkAgainstSequential(t *testing.T, g *graph.Graph, res *compute.Result) {
 	n := g.N()
 	pv := core.PathView{
 		Sources: res.Sources,
-		Dist:    func(i, v int) int64 { return res.Dist[i][v] },
-		Hops:    func(i, v int) int64 { return res.Hops[i][v] },
-		Parent:  func(i, v int) int { return res.Parent[i][v] },
+		Dist:    func(i, v int) int64 { return res.Dist[i*n+v] },
+		Hops:    func(i, v int) int64 { return int64(res.Hops[i*n+v]) },
+		Parent:  func(i, v int) int { return int(res.Parent[i*n+v]) },
 	}
 	for i, src := range res.Sources {
 		wantD := graph.Dijkstra(g, src)
 		_, wantH := graph.HHopDistHops(g, src, n)
 		for v := 0; v < n; v++ {
-			if res.Dist[i][v] != wantD[v] {
-				t.Fatalf("kernel %s: dist[%d][%d] = %d, want %d", res.Kernel, src, v, res.Dist[i][v], wantD[v])
+			if res.Dist[i*n+v] != wantD[v] {
+				t.Fatalf("kernel %s: dist[%d][%d] = %d, want %d", res.Kernel, src, v, res.Dist[i*n+v], wantD[v])
 			}
-			if res.Hops[i][v] != int64(wantH[v]) {
-				t.Fatalf("kernel %s: hops[%d][%d] = %d, want %d", res.Kernel, src, v, res.Hops[i][v], wantH[v])
+			if int(res.Hops[i*n+v]) != wantH[v] {
+				t.Fatalf("kernel %s: hops[%d][%d] = %d, want %d", res.Kernel, src, v, res.Hops[i*n+v], wantH[v])
 			}
 			if wantD[v] >= graph.Inf {
-				if res.Parent[i][v] != -1 {
-					t.Fatalf("kernel %s: unreachable (%d,%d) has parent %d", res.Kernel, src, v, res.Parent[i][v])
+				if res.Parent[i*n+v] != -1 {
+					t.Fatalf("kernel %s: unreachable (%d,%d) has parent %d", res.Kernel, src, v, res.Parent[i*n+v])
 				}
 				continue
 			}
@@ -127,11 +127,11 @@ func TestBitIdenticalToPipeline(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				for v := 0; v < n; v++ {
-					if res.Dist[i][v] != ref.Dist[i][v] {
-						t.Fatalf("%s/%s: dist[%d][%d] = %d, pipeline %d", name, kern, i, v, res.Dist[i][v], ref.Dist[i][v])
+					if res.Dist[i*n+v] != ref.Dist[i][v] {
+						t.Fatalf("%s/%s: dist[%d][%d] = %d, pipeline %d", name, kern, i, v, res.Dist[i*n+v], ref.Dist[i][v])
 					}
-					if res.Hops[i][v] != ref.Hops[i][v] {
-						t.Fatalf("%s/%s: hops[%d][%d] = %d, pipeline %d", name, kern, i, v, res.Hops[i][v], ref.Hops[i][v])
+					if int64(res.Hops[i*n+v]) != ref.Hops[i][v] {
+						t.Fatalf("%s/%s: hops[%d][%d] = %d, pipeline %d", name, kern, i, v, res.Hops[i*n+v], ref.Hops[i][v])
 					}
 				}
 			}
@@ -147,12 +147,13 @@ func TestSourceSubset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kern, err)
 		}
-		if len(res.Dist) != len(srcs) {
-			t.Fatalf("%s: %d rows, want %d", kern, len(res.Dist), len(srcs))
+		n := g.N()
+		if len(res.Dist) != len(srcs)*n {
+			t.Fatalf("%s: %d cells, want %d rows of %d", kern, len(res.Dist), len(srcs), n)
 		}
 		checkAgainstSequential(t, g, res)
-		for v := 0; v < g.N(); v++ {
-			if res.Dist[0][v] != res.Dist[3][v] {
+		for v := 0; v < n; v++ {
+			if res.Dist[v] != res.Dist[3*n+v] {
 				t.Fatalf("%s: duplicate source rows differ at %d", kern, v)
 			}
 		}
@@ -251,17 +252,16 @@ func TestRefusesOverflowingPathSums(t *testing.T) {
 }
 
 // resultHash is FNV-64a over (dist, hops, parent) as little-endian 64-bit
-// words, cell by cell in row order.
+// words, cell by cell in row order: the int32 columns widen back to the
+// 24-byte record the hashes were first taken over.
 func resultHash(res *compute.Result) uint64 {
 	h := fnv.New64a()
 	var b [24]byte
-	for i := range res.Dist {
-		for v := range res.Dist[i] {
-			binary.LittleEndian.PutUint64(b[0:], uint64(res.Dist[i][v]))
-			binary.LittleEndian.PutUint64(b[8:], uint64(res.Hops[i][v]))
-			binary.LittleEndian.PutUint64(b[16:], uint64(int64(res.Parent[i][v])))
-			h.Write(b[:])
-		}
+	for c, d := range res.Dist {
+		binary.LittleEndian.PutUint64(b[0:], uint64(d))
+		binary.LittleEndian.PutUint64(b[8:], uint64(int64(res.Hops[c])))
+		binary.LittleEndian.PutUint64(b[16:], uint64(int64(res.Parent[c])))
+		h.Write(b[:])
 	}
 	return h.Sum64()
 }
@@ -335,11 +335,9 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range base.Dist {
-				for v := range base.Dist[i] {
-					if base.Dist[i][v] != got.Dist[i][v] || base.Hops[i][v] != got.Hops[i][v] || base.Parent[i][v] != got.Parent[i][v] {
-						t.Fatalf("%s: workers=%d diverges at (%d,%d)", kern, w, i, v)
-					}
+			for c := range base.Dist {
+				if base.Dist[c] != got.Dist[c] || base.Hops[c] != got.Hops[c] || base.Parent[c] != got.Parent[c] {
+					t.Fatalf("%s: workers=%d diverges at (%d,%d)", kern, w, c/g.N(), c%g.N())
 				}
 			}
 		}

@@ -88,11 +88,9 @@ func blockedFloyd(g *graph.Graph, lay keyLayout, res *Result) {
 			bar.wait()
 		}
 		for i := claim(&next[2*nb]); i < len(res.Sources); i = claim(&next[2*nb]) {
-			row := res.Sources[i] * n
-			lay.unpackRow(keys[row:row+n], res.Dist[i], res.Hops[i])
-			for v, p := range parent[row : row+n] {
-				res.Parent[i][v] = int(p)
-			}
+			row, lo, hi := res.Sources[i]*n, i*n, (i+1)*n
+			lay.unpackRow(keys[row:row+n], res.Dist[lo:hi], res.Hops[lo:hi])
+			copy(res.Parent[lo:hi], parent[row:row+n])
 		}
 	})
 }

@@ -62,17 +62,18 @@ func FuzzParallelDijkstra(f *testing.F) {
 		}
 		for i := 0; i < n; i++ {
 			for v := 0; v < n; v++ {
-				if dij.Dist[i][v] != bf.Dist[i][v] {
+				c := i*n + v
+				if dij.Dist[c] != bf.Dist[i][v] {
 					t.Fatalf("dist(%d->%d): dijkstra %d, bellman-ford %d\ngraph:\n%s",
-						i, v, dij.Dist[i][v], bf.Dist[i][v], input)
+						i, v, dij.Dist[c], bf.Dist[i][v], input)
 				}
-				if fw.Dist[i][v] != bf.Dist[i][v] {
+				if fw.Dist[c] != bf.Dist[i][v] {
 					t.Fatalf("dist(%d->%d): floyd %d, bellman-ford %d\ngraph:\n%s",
-						i, v, fw.Dist[i][v], bf.Dist[i][v], input)
+						i, v, fw.Dist[c], bf.Dist[i][v], input)
 				}
-				if dij.Hops[i][v] != fw.Hops[i][v] {
+				if dij.Hops[c] != fw.Hops[c] {
 					t.Fatalf("hops(%d->%d): dijkstra %d, floyd %d\ngraph:\n%s",
-						i, v, dij.Hops[i][v], fw.Hops[i][v], input)
+						i, v, dij.Hops[c], fw.Hops[c], input)
 				}
 			}
 		}

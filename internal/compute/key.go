@@ -53,15 +53,15 @@ func layoutFor(n int, maxPath int64) (keyLayout, error) {
 // arc is the key increment of one arc of weight w: (w, 1 hop).
 func (lay keyLayout) arc(w int64) uint64 { return uint64(w)<<lay.shift | 1 }
 
-// unpackRow writes a finished key row into the result's layout:
-// unreachable entries become (graph.Inf, -1).
-func (lay keyLayout) unpackRow(keys []uint64, dist, hops []int64) {
+// unpackRow writes a finished key row into a Matrix row: unreachable
+// entries become (graph.Inf, -1).
+func (lay keyLayout) unpackRow(keys []uint64, dist []int64, hops []int32) {
 	mask := uint64(1)<<lay.shift - 1
 	for v, k := range keys {
 		if k >= infKey {
 			dist[v], hops[v] = graph.Inf, -1
 		} else {
-			dist[v], hops[v] = int64(k>>lay.shift), int64(k&mask)
+			dist[v], hops[v] = int64(k>>lay.shift), int32(k&mask)
 		}
 	}
 }

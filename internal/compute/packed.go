@@ -52,8 +52,9 @@ func packedDijkstra(g *graph.Graph, lay keyLayout, res *Result) {
 		keys := planes[w*n : (w+1)*n]
 		h := keyHeap{k: heapK[w*n : w*n : (w+1)*n], v: heapV[w*n : w*n : (w+1)*n]}
 		for i := claim(&next); i < len(res.Sources); i = claim(&next) {
-			oneSourcePacked(adj, res.Sources[i], keys, res.Parent[i], &h)
-			lay.unpackRow(keys, res.Dist[i], res.Hops[i])
+			lo, hi := i*n, (i+1)*n
+			oneSourcePacked(adj, res.Sources[i], keys, res.Parent[lo:hi], &h)
+			lay.unpackRow(keys, res.Dist[lo:hi], res.Hops[lo:hi])
 		}
 	})
 }
@@ -66,12 +67,12 @@ func packedDijkstra(g *graph.Graph, lay keyLayout, res *Result) {
 // both dist and hops. Entries are pushed on strict improvement only, so
 // each reachable node is expanded exactly once (stale heap entries compare
 // unequal and are skipped).
-func oneSourcePacked(adj csr, src int, keys []uint64, parent []int, h *keyHeap) {
+func oneSourcePacked(adj csr, src int, keys []uint64, parent []int32, h *keyHeap) {
 	for v := range keys {
 		keys[v] = infKey
 		parent[v] = -1
 	}
-	keys[src], parent[src] = 0, src
+	keys[src], parent[src] = 0, int32(src)
 	h.push(0, int32(src))
 	for len(h.k) > 0 {
 		k, v := h.pop()
@@ -81,7 +82,7 @@ func oneSourcePacked(adj csr, src int, keys []uint64, parent []int, h *keyHeap) 
 		to, inc := adj.to[adj.off[v]:adj.off[v+1]], adj.inc[adj.off[v]:adj.off[v+1]]
 		for a, u := range to {
 			if nk := k + inc[a]; nk < keys[u] {
-				keys[u], parent[u] = nk, int(v)
+				keys[u], parent[u] = nk, v
 				h.push(nk, u)
 			}
 		}

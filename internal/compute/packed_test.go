@@ -29,13 +29,15 @@ func zeroHeavyUpTo(n int, maxW int64) *graph.Graph {
 	return g
 }
 
-func sameCells(t *testing.T, what string, a, b *Result) {
+// sameCells compares a kernel's (dist, hops) with core.Run's rows.
+func sameCells(t *testing.T, what string, a *Result, b *core.Result) {
 	t.Helper()
-	for i := range a.Dist {
-		for v := range a.Dist[i] {
-			if a.Dist[i][v] != b.Dist[i][v] || a.Hops[i][v] != b.Hops[i][v] {
+	for i := range b.Dist {
+		for v := range b.Dist[i] {
+			c := i*a.N + v
+			if a.Dist[c] != b.Dist[i][v] || int64(a.Hops[c]) != b.Hops[i][v] {
 				t.Fatalf("%s differ at (%d,%d): (%d,%d) vs (%d,%d)", what, i, v,
-					a.Dist[i][v], a.Hops[i][v], b.Dist[i][v], b.Hops[i][v])
+					a.Dist[c], a.Hops[c], b.Dist[i][v], b.Hops[i][v])
 			}
 		}
 	}
@@ -45,13 +47,13 @@ func walkAll(t *testing.T, what string, g *graph.Graph, res *Result) {
 	t.Helper()
 	pv := core.PathView{
 		Sources: res.Sources,
-		Dist:    func(i, v int) int64 { return res.Dist[i][v] },
-		Hops:    func(i, v int) int64 { return res.Hops[i][v] },
-		Parent:  func(i, v int) int { return res.Parent[i][v] },
+		Dist:    func(i, v int) int64 { return res.Dist[i*res.N+v] },
+		Hops:    func(i, v int) int64 { return int64(res.Hops[i*res.N+v]) },
+		Parent:  func(i, v int) int { return int(res.Parent[i*res.N+v]) },
 	}
 	for i := range res.Sources {
-		for v := range res.Dist[i] {
-			if res.Dist[i][v] >= graph.Inf {
+		for v := 0; v < res.N; v++ {
+			if res.Dist[i*res.N+v] >= graph.Inf {
 				continue
 			}
 			if _, err := core.WalkParents(g, pv, i, v); err != nil {
@@ -94,7 +96,7 @@ func TestRepresentationBoundaries(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %s: %v", name, kern, err)
 					}
-					sameCells(t, fmt.Sprintf("%s: %s and core.Run", name, kern), res, &Result{Dist: ref.Dist, Hops: ref.Hops})
+					sameCells(t, fmt.Sprintf("%s: %s and core.Run", name, kern), res, ref)
 					walkAll(t, fmt.Sprintf("%s %s", name, kern), g, res)
 				}
 			}

@@ -140,10 +140,11 @@ func SSSPOracle(in Instance, dist [][]int64) error {
 	if err != nil {
 		return fmt.Errorf("reference backend: %v", err)
 	}
+	n := in.G.N()
 	for i, s := range in.Sources {
-		for v := 0; v < in.G.N(); v++ {
-			if dist[i][v] != ref.Dist[i][v] {
-				return fmt.Errorf("dist[src %d][%d] = %d, want %d", s, v, dist[i][v], ref.Dist[i][v])
+		for v := 0; v < n; v++ {
+			if dist[i][v] != ref.Dist[i*n+v] {
+				return fmt.Errorf("dist[src %d][%d] = %d, want %d", s, v, dist[i][v], ref.Dist[i*n+v])
 			}
 		}
 	}

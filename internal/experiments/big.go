@@ -54,10 +54,10 @@ func eBig(cfg Config) (*Table, error) {
 		}
 		for s := 0; s < n; s++ {
 			for v := 0; v < n; v++ {
-				if res.Dist[s][v] != want.Dist[s][v] {
+				if res.Dist[s][v] != want.Dist[s*n+v] {
 					return nil, fmt.Errorf("n=%d: wrong distance at (%d,%d)", n, s, v)
 				}
-				if res.Hops[s][v] != want.Hops[s][v] {
+				if res.Hops[s][v] != int64(want.Hops[s*n+v]) {
 					return nil, fmt.Errorf("n=%d: wrong hop count at (%d,%d)", n, s, v)
 				}
 			}

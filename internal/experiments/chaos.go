@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/family"
 	"repro/internal/graph"
 	"repro/internal/httpfault"
 	"repro/internal/oracle"
@@ -62,7 +63,7 @@ func eChaos(cfg Config) (*Table, error) {
 		sources[i] = src
 		dist[i], parent[i] = graph.DijkstraTree(g, src)
 	}
-	snap, err := oracle.Build(g, oracle.BuildInput{Alg: "dijkstra", Sources: sources, Dist: dist, Parent: parent}, oracle.BuildOpts{})
+	snap, err := oracle.Build(g, oracle.BuildInput{Alg: "dijkstra", Matrix: family.FromRows(sources, g.N(), dist, nil, parent)}, oracle.BuildOpts{})
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
+	"repro/internal/family"
 	"repro/internal/graph"
 	"repro/internal/httpfault"
 	"repro/internal/oracle"
@@ -206,7 +207,7 @@ func expShardSnap(g *graph.Graph, k, nShards int) (*oracle.Snapshot, error) {
 		dist = append(dist, d)
 		parent = append(parent, p)
 	}
-	return oracle.Build(g, oracle.BuildInput{Alg: "dijkstra", Sources: sources, Dist: dist, Parent: parent},
+	return oracle.Build(g, oracle.BuildInput{Alg: "dijkstra", Matrix: family.FromRows(sources, g.N(), dist, nil, parent)},
 		oracle.BuildOpts{Fingerprint: checkpoint.Fingerprint(g)})
 }
 

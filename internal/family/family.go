@@ -44,16 +44,14 @@ type Spec struct {
 	Engine congest.Config
 }
 
-// Result is what every family reports. Hops and Parent are nil where the
-// family records none (blocker, scaling: no parents; bellman: no hops).
+// Result is what every family reports, its matrices in the store layout
+// the oracle adopts. Hops and Parent are nil where the family records none
+// (blocker, scaling: no parents; bellman: no hops).
 type Result struct {
-	Alg     string // the family name, or "parallel/<kernel>"
-	Sources []int
-	Dist    [][]int64
-	Hops    [][]int64
-	Parent  [][]int
-	Stats   congest.Stats
-	Detail  string // the family's own summary ("bound=… late=… maxList=…")
+	Alg string // the family name, or "parallel/<kernel>"
+	compute.Matrix
+	Stats  congest.Stats
+	Detail string // the family's own summary ("bound=… late=… maxList=…")
 	// HopBound > 0 says Dist holds HopBound-hop distances (an explicit H
 	// on a family where H is a hop bound): validate against the H-hop DP,
 	// not Dijkstra.
@@ -88,7 +86,7 @@ var table = []struct {
 func runPipeline(g *graph.Graph, sp Spec, res *Result) error {
 	r, err := core.Run(g, core.Opts{Sources: sp.Sources, H: sp.H, Trace: sp.ListTrace, Engine: sp.Engine})
 	if err == nil {
-		res.Dist, res.Hops, res.Parent, res.Stats = r.Dist, r.Hops, r.Parent, r.Stats
+		res.Matrix, res.Stats = FromRows(sp.Sources, g.N(), r.Dist, r.Hops, r.Parent), r.Stats
 		res.Detail = fmt.Sprintf("bound=%d late=%d maxList=%d", r.Bound, r.LateSends, r.MaxListLen)
 	}
 	return err
@@ -97,7 +95,7 @@ func runPipeline(g *graph.Graph, sp Spec, res *Result) error {
 func runBlocker(g *graph.Graph, sp Spec, res *Result) error {
 	r, err := hssp.Run(g, hssp.Opts{Sources: sp.Sources, H: sp.H, Engine: sp.Engine})
 	if err == nil {
-		res.Dist, res.Stats = r.Dist, r.Stats
+		res.Matrix, res.Stats = FromRows(sp.Sources, g.N(), r.Dist, nil, nil), r.Stats
 		res.Detail = fmt.Sprintf("h=%d |Q|=%d phases=%v", r.H, len(r.Q), r.PhaseRounds)
 	}
 	return err
@@ -106,7 +104,7 @@ func runBlocker(g *graph.Graph, sp Spec, res *Result) error {
 func runScaling(g *graph.Graph, sp Spec, res *Result) error {
 	r, err := scaling.Run(g, scaling.Opts{Sources: sp.Sources, Engine: sp.Engine})
 	if err == nil {
-		res.Dist, res.Stats = r.Dist, r.Stats
+		res.Matrix, res.Stats = FromRows(sp.Sources, g.N(), r.Dist, nil, nil), r.Stats
 		res.Detail = fmt.Sprintf("phases=%d", r.Bits+1)
 	}
 	return err
@@ -124,7 +122,7 @@ func runApprox(g *graph.Graph, sp Spec, res *Result) error {
 func runShortrange(g *graph.Graph, sp Spec, res *Result) error {
 	r, err := shortrange.Run(g, shortrange.Opts{Sources: sp.Sources, H: sp.H, Engine: sp.Engine})
 	if err == nil {
-		res.Dist, res.Hops, res.Parent, res.Stats = r.Dist, r.Hops, r.Parent, r.Stats
+		res.Matrix, res.Stats = FromRows(sp.Sources, g.N(), r.Dist, r.Hops, r.Parent), r.Stats
 		res.Detail = fmt.Sprintf("snapRound=%d congestion=%d", r.SnapRound, r.Stats.MaxLinkCongestion)
 	}
 	return err
@@ -133,7 +131,7 @@ func runShortrange(g *graph.Graph, sp Spec, res *Result) error {
 func runBellman(g *graph.Graph, sp Spec, res *Result) error {
 	r, err := bellman.Run(g, bellman.Opts{Sources: sp.Sources, H: sp.H, Engine: sp.Engine})
 	if err == nil {
-		res.Dist, res.Parent, res.Stats = r.Dist, r.Parent, r.Stats
+		res.Matrix, res.Stats = FromRows(sp.Sources, g.N(), r.Dist, nil, r.Parent), r.Stats
 	}
 	return err
 }
@@ -171,7 +169,7 @@ func Run(g *graph.Graph, sp Spec) (Result, error) {
 		if f.name != sp.Alg {
 			continue
 		}
-		res := Result{Alg: f.name, Sources: sp.Sources}
+		res := Result{Alg: f.name, Matrix: compute.Matrix{Sources: sp.Sources, N: g.N()}}
 		switch {
 		case sp.H != 0:
 			if f.defaultH == hopIsBound {
@@ -218,8 +216,31 @@ func runParallel(g *graph.Graph, sp Spec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Alg: "parallel/" + string(r.Kernel), Sources: r.Sources, Dist: r.Dist, Hops: r.Hops, Parent: r.Parent,
+	return Result{Alg: "parallel/" + string(r.Kernel), Matrix: r.Matrix,
 		Detail: fmt.Sprintf("kernel=%s workers=%d", r.Kernel, r.Workers)}, nil
+}
+
+// FromRows converts a CONGEST family's per-source rows into the store
+// layout — the one copy a row-shaped result makes on its way to the oracle
+// (the parallel backend's kernels write the layout directly and make none).
+// A nil row set gives a nil column; a row of the wrong length gives a column
+// of the wrong length, which oracle.Build refuses.
+func FromRows(sources []int, n int, dist, hops [][]int64, parent [][]int) compute.Matrix {
+	return compute.Matrix{Sources: sources, N: n, Dist: flatten[int64](dist, n),
+		Hops: flatten[int32](hops, n), Parent: flatten[int32](parent, n)}
+}
+
+func flatten[D int64 | int32, S int64 | int](rows [][]S, n int) []D {
+	if rows == nil {
+		return nil
+	}
+	col := make([]D, 0, len(rows)*n)
+	for _, row := range rows {
+		for _, x := range row {
+			col = append(col, D(x))
+		}
+	}
+	return col
 }
 
 // LoadCheckpoint reads a checkpoint file and checks that it was taken by

@@ -300,8 +300,8 @@ func TestHopDefaults(t *testing.T) {
 		for i, s := range res.Sources {
 			want := graph.Dijkstra(g, s)
 			for v := range want {
-				if res.Dist[i][v] != want[v] {
-					t.Fatalf("%s default h: d(%d,%d) = %d, Dijkstra %d", alg, s, v, res.Dist[i][v], want[v])
+				if res.Dist[i*res.N+v] != want[v] {
+					t.Fatalf("%s default h: d(%d,%d) = %d, Dijkstra %d", alg, s, v, res.Dist[i*res.N+v], want[v])
 				}
 			}
 		}
@@ -368,8 +368,8 @@ func TestParallelRefusesUnpackableWeights(t *testing.T) {
 	if err != nil {
 		t.Fatalf("congest: %v", err)
 	}
-	if want := graph.APSP(g); !reflect.DeepEqual(res.Dist, want) {
-		t.Errorf("congest: dist = %v, want %v", res.Dist, want)
+	if want := family.FromRows(res.Sources, g.N(), graph.APSP(g), nil, nil); !reflect.DeepEqual(res.Dist, want.Dist) {
+		t.Errorf("congest: dist = %v, want %v", res.Dist, want.Dist)
 	}
 }
 

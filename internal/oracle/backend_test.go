@@ -26,14 +26,13 @@ func TestParallelBackendMatchesCongest(t *testing.T) {
 	if !strings.HasPrefix(par.Alg, "parallel/") {
 		t.Fatalf("parallel backend labeled %q", par.Alg)
 	}
-	for i := range engine.Dist {
-		for v := range engine.Dist[i] {
-			if par.Dist[i][v] != engine.Dist[i][v] {
-				t.Fatalf("dist(%d,%d): parallel %d, engine %d", i, v, par.Dist[i][v], engine.Dist[i][v])
-			}
-			if par.Hops[i][v] != engine.Hops[i][v] {
-				t.Fatalf("hops(%d,%d): parallel %d, engine %d", i, v, par.Hops[i][v], engine.Hops[i][v])
-			}
+	n := g.N()
+	for c := range engine.Dist {
+		if par.Dist[c] != engine.Dist[c] {
+			t.Fatalf("dist(%d,%d): parallel %d, engine %d", c/n, c%n, par.Dist[c], engine.Dist[c])
+		}
+		if par.Hops[c] != engine.Hops[c] {
+			t.Fatalf("hops(%d,%d): parallel %d, engine %d", c/n, c%n, par.Hops[c], engine.Hops[c])
 		}
 	}
 	snap, err := Build(g, par, BuildOpts{})

@@ -76,8 +76,7 @@ func Compute(ctx context.Context, g *graph.Graph, sp ComputeSpec) (BuildInput, e
 	if err != nil {
 		return BuildInput{}, err
 	}
-	in := BuildInput{Alg: res.Alg, Sources: res.Sources, Dist: res.Dist,
-		Hops: res.Hops, Parent: res.Parent, Stats: res.Stats}
+	in := BuildInput{Alg: res.Alg, Matrix: res.Matrix, Stats: res.Stats}
 	if fnet != nil {
 		// The shim's physical cost travels with the result: the serving
 		// layer exports it (retransmits, duplicate deliveries) per snapshot.

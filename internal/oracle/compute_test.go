@@ -68,13 +68,13 @@ func TestCheckpointToOracleHandoff(t *testing.T) {
 	}
 	for i := range sources {
 		for v := 0; v < g.N(); v++ {
-			if snap.DistAt(i, v) != fresh.Dist[i][v] {
+			if snap.DistAt(i, v) != fresh.Dist[i*g.N()+v] {
 				t.Fatalf("resumed oracle dist(%d,%d) = %d, uninterrupted %d",
-					i, v, snap.DistAt(i, v), fresh.Dist[i][v])
+					i, v, snap.DistAt(i, v), fresh.Dist[i*g.N()+v])
 			}
-			if snap.parentAt(i, v) != fresh.Parent[i][v] {
+			if snap.parentAt(i, v) != int(fresh.Parent[i*g.N()+v]) {
 				t.Fatalf("resumed oracle parent(%d,%d) = %d, uninterrupted %d",
-					i, v, snap.parentAt(i, v), fresh.Parent[i][v])
+					i, v, snap.parentAt(i, v), fresh.Parent[i*g.N()+v])
 			}
 		}
 	}
@@ -144,11 +144,9 @@ func TestComputeUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sources {
-		for v := 0; v < g.N(); v++ {
-			if clean.Dist[i][v] != faulty.Dist[i][v] {
-				t.Fatalf("faults changed dist(%d,%d): %d vs %d", i, v, clean.Dist[i][v], faulty.Dist[i][v])
-			}
+	for c := range clean.Dist {
+		if clean.Dist[c] != faulty.Dist[c] {
+			t.Fatalf("faults changed dist(%d,%d): %d vs %d", c/g.N(), c%g.N(), clean.Dist[c], faulty.Dist[c])
 		}
 	}
 }

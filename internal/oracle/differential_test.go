@@ -51,8 +51,8 @@ func TestDifferentialAllFamilies(t *testing.T) {
 			// Distances: byte-equal to the in-memory matrix, every pair.
 			for i := range in.Sources {
 				for v := 0; v < g.N(); v++ {
-					if got := snap.DistAt(i, v); got != in.Dist[i][v] {
-						t.Fatalf("%s DistAt(%d,%d) = %d, in-memory %d", fam.alg, i, v, got, in.Dist[i][v])
+					if got := snap.DistAt(i, v); got != in.Dist[i*in.N+v] {
+						t.Fatalf("%s DistAt(%d,%d) = %d, in-memory %d", fam.alg, i, v, got, in.Dist[i*in.N+v])
 					}
 				}
 			}
@@ -68,11 +68,11 @@ func TestDifferentialAllFamilies(t *testing.T) {
 			// the in-memory matrices — same nodes or same typed error kind.
 			pv := core.PathView{
 				Sources: in.Sources,
-				Dist:    func(i, v int) int64 { return in.Dist[i][v] },
-				Parent:  func(i, v int) int { return in.Parent[i][v] },
+				Dist:    func(i, v int) int64 { return in.Dist[i*in.N+v] },
+				Parent:  func(i, v int) int { return int(in.Parent[i*in.N+v]) },
 			}
 			if in.Hops != nil {
-				pv.Hops = func(i, v int) int64 { return in.Hops[i][v] }
+				pv.Hops = func(i, v int) int64 { return int64(in.Hops[i*in.N+v]) }
 			}
 			for i := range in.Sources {
 				for v := 0; v < g.N(); v++ {
@@ -125,8 +125,8 @@ func TestDifferentialExactFamiliesVsReference(t *testing.T) {
 		}
 		for i, s := range sources {
 			for v := 0; v < g.N(); v++ {
-				if got := snap.DistAt(i, v); got != ref.Dist[i][v] {
-					t.Fatalf("%s dist(%d,%d) = %d, reference %d", alg, s, v, got, ref.Dist[i][v])
+				if got := snap.DistAt(i, v); got != ref.Dist[i*ref.N+v] {
+					t.Fatalf("%s dist(%d,%d) = %d, reference %d", alg, s, v, got, ref.Dist[i*ref.N+v])
 				}
 			}
 		}

@@ -5,9 +5,12 @@
 // query from the stored distance and parent matrices — and this package
 // serves those answers over HTTP at memory speed.
 //
-// The stored form is an immutable column store: three flat row-major
-// columns over the k source rows — distances (int64), hop counts and
-// parent pointers (int32) — indexed row·n+v. A Snapshot is never mutated
+// The stored form is an immutable column store, compute.Matrix: three flat
+// row-major columns over the k source rows — distances (int64), hop counts
+// and parent pointers (int32) — indexed row·n+v. It is the layout the
+// parallel backend's kernels write and the snapshot file holds, so Build
+// validates and adopts a computed matrix rather than copying it, and a
+// saved snapshot decodes straight into it. A Snapshot is never mutated
 // after Build; the serving Store swaps whole snapshots through one atomic
 // pointer, so queries take no lock, see exactly one generation end-to-end,
 // and a background recompute can publish a replacement with zero failed or
@@ -21,31 +24,23 @@ package oracle
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/compute"
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/graph"
 )
 
-// BuildInput is a computed result in matrix form, the common denominator
-// of every protocol family's Result struct. Hops and Parent are optional
-// (nil disables path serving; hops additionally gate hop validation).
+// BuildInput is a computed result: the store-layout Matrix every family
+// reports (family.Result carries the same one) plus where it came from.
+// Hops and Parent are optional (nil Parent disables path serving; Hops
+// additionally gate hop validation).
 type BuildInput struct {
 	// Alg names the protocol family that produced the matrices.
 	Alg string
-	// Sources[i] is the source node of row i.
-	Sources []int
-	// Dist[i][v] is the distance from Sources[i] to v (graph.Inf if
-	// unreachable).
-	Dist [][]int64
-	// Hops[i][v] is the hop count of the recorded path (optional).
-	Hops [][]int64
-	// Parent[i][v] is the predecessor of v on the recorded path
-	// (optional; -1 = none).
-	Parent [][]int
+	compute.Matrix
 	// Stats is the CONGEST cost paid to compute the matrices.
 	Stats congest.Stats
 	// Phys is the delivery shim's physical cost when the computation ran
@@ -55,18 +50,14 @@ type BuildInput struct {
 
 // Snapshot is one immutable, queryable generation of the oracle.
 type Snapshot struct {
-	gen     uint64 // assigned by Store.Publish; 0 until published
-	alg     string
-	n       int
-	sources []int
-	srcRow  map[int]int
-	dist    []int64 // dist[row*n+v]
-	hops    []int32 // same indexing; nil when hops are not recorded
-	parent  []int32 // same indexing; nil when parents are not recorded
-	g       *graph.Graph
-	stats   congest.Stats
-	phys    *faults.PhysStats
-	fp      uint64 // graph fingerprint (checkpoint.Fingerprint)
+	gen    uint64 // assigned by Store.Publish; 0 until published
+	alg    string
+	m      compute.Matrix // adopted from BuildInput, never written
+	srcRow map[int]int
+	g      *graph.Graph
+	stats  congest.Stats
+	phys   *faults.PhysStats
+	fp     uint64 // graph fingerprint (checkpoint.Fingerprint)
 }
 
 // BuildOpts tunes snapshot construction.
@@ -75,23 +66,27 @@ type BuildOpts struct {
 	Fingerprint uint64
 }
 
-// Build repacks a computed result into the column store. The
-// input is validated like untrusted data: shape mismatches and
-// out-of-range parents are errors, not panics — snapshots can be built
-// from deserialized files.
+// Build adopts a computed Matrix as the column store: the snapshot serves
+// in's slices themselves, so the caller must not write to them afterwards.
+// The input is validated like untrusted data — snapshots are also built
+// from files — so a wrong shape, a duplicate or out-of-range source and an
+// out-of-range hop count or parent are errors, not panics.
 func Build(g *graph.Graph, in BuildInput, opts BuildOpts) (*Snapshot, error) {
 	n, k := g.N(), len(in.Sources)
 	if k == 0 {
 		return nil, fmt.Errorf("oracle: no sources")
 	}
-	if len(in.Dist) != k {
-		return nil, fmt.Errorf("oracle: %d sources but %d distance rows", k, len(in.Dist))
+	if in.N != n {
+		return nil, fmt.Errorf("oracle: matrix rows of %d cells, graph has n=%d", in.N, n)
 	}
-	if in.Hops != nil && len(in.Hops) != k {
-		return nil, fmt.Errorf("oracle: %d sources but %d hop rows", k, len(in.Hops))
+	if len(in.Dist) != k*n {
+		return nil, fmt.Errorf("oracle: distance column has %d cells, want %d sources × %d", len(in.Dist), k, n)
 	}
-	if in.Parent != nil && len(in.Parent) != k {
-		return nil, fmt.Errorf("oracle: %d sources but %d parent rows", k, len(in.Parent))
+	if in.Hops != nil && len(in.Hops) != k*n {
+		return nil, fmt.Errorf("oracle: hop column has %d cells, want %d sources × %d", len(in.Hops), k, n)
+	}
+	if in.Parent != nil && len(in.Parent) != k*n {
+		return nil, fmt.Errorf("oracle: parent column has %d cells, want %d sources × %d", len(in.Parent), k, n)
 	}
 	srcRow := make(map[int]int, k)
 	for i, s := range in.Sources {
@@ -103,90 +98,18 @@ func Build(g *graph.Graph, in BuildInput, opts BuildOpts) (*Snapshot, error) {
 		}
 		srcRow[s] = i
 	}
-
-	snap := &Snapshot{
-		alg:     in.Alg,
-		n:       n,
-		sources: append([]int(nil), in.Sources...),
-		srcRow:  srcRow,
-		dist:    make([]int64, k*n),
-		g:       g,
-		stats:   in.Stats,
-		phys:    in.Phys,
-		fp:      opts.Fingerprint,
+	for c, h := range in.Hops {
+		if h < -1 || int(h) > n {
+			return nil, fmt.Errorf("oracle: hop count %d at (%d,%d) out of range", h, c/n, c%n)
+		}
 	}
-	if in.Hops != nil {
-		snap.hops = make([]int32, k*n)
+	for c, p := range in.Parent {
+		if p < -1 || int(p) >= n {
+			return nil, fmt.Errorf("oracle: parent %d at (%d,%d) outside graph", p, c/n, c%n)
+		}
 	}
-	if in.Parent != nil {
-		snap.parent = make([]int32, k*n)
-	}
-
-	// Repack in parallel by row range: each goroutine copies (and
-	// range-checks) buildRows rows, so building a large snapshot scales
-	// with cores.
-	const buildRows = 64
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for lo := 0; lo < k; lo += buildRows {
-		wg.Add(1)
-		go func(lo int) {
-			defer wg.Done()
-			hi := lo + buildRows
-			if hi > k {
-				hi = k
-			}
-			for i := lo; i < hi; i++ {
-				if len(in.Dist[i]) != n {
-					fail(&mu, &firstErr, fmt.Errorf("oracle: distance row %d has %d entries, want %d", i, len(in.Dist[i]), n))
-					return
-				}
-				copy(snap.dist[i*n:(i+1)*n], in.Dist[i])
-				if snap.hops != nil {
-					if len(in.Hops[i]) != n {
-						fail(&mu, &firstErr, fmt.Errorf("oracle: hop row %d has %d entries, want %d", i, len(in.Hops[i]), n))
-						return
-					}
-					for v, h := range in.Hops[i] {
-						if h < -1 || h > int64(n) {
-							fail(&mu, &firstErr, fmt.Errorf("oracle: hop count %d at (%d,%d) out of range", h, i, v))
-							return
-						}
-						snap.hops[i*n+v] = int32(h)
-					}
-				}
-				if snap.parent != nil {
-					if len(in.Parent[i]) != n {
-						fail(&mu, &firstErr, fmt.Errorf("oracle: parent row %d has %d entries, want %d", i, len(in.Parent[i]), n))
-						return
-					}
-					for v, p := range in.Parent[i] {
-						if p < -1 || p >= n {
-							fail(&mu, &firstErr, fmt.Errorf("oracle: parent %d at (%d,%d) outside graph", p, i, v))
-							return
-						}
-						snap.parent[i*n+v] = int32(p)
-					}
-				}
-			}
-		}(lo)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return snap, nil
-}
-
-func fail(mu *sync.Mutex, dst *error, err error) {
-	mu.Lock()
-	if *dst == nil {
-		*dst = err
-	}
-	mu.Unlock()
+	return &Snapshot{alg: in.Alg, m: in.Matrix, srcRow: srcRow, g: g,
+		stats: in.Stats, phys: in.Phys, fp: opts.Fingerprint}, nil
 }
 
 // Gen is the generation assigned at publish time (0 = unpublished).
@@ -196,13 +119,13 @@ func (s *Snapshot) Gen() uint64 { return s.gen }
 func (s *Snapshot) Alg() string { return s.alg }
 
 // N is the number of nodes; K the number of source rows.
-func (s *Snapshot) N() int { return s.n }
+func (s *Snapshot) N() int { return s.m.N }
 
 // K is the number of source rows.
-func (s *Snapshot) K() int { return len(s.sources) }
+func (s *Snapshot) K() int { return len(s.m.Sources) }
 
 // Sources returns the source node per row (callers must not mutate).
-func (s *Snapshot) Sources() []int { return s.sources }
+func (s *Snapshot) Sources() []int { return s.m.Sources }
 
 // Stats is the CONGEST cost paid to compute the snapshot.
 func (s *Snapshot) Stats() congest.Stats { return s.stats }
@@ -225,18 +148,18 @@ func (s *Snapshot) Row(src int) (int, bool) {
 
 // DistAt returns the stored distance for (row, v). The hot path of the
 // whole subsystem: one multiply-add and one load.
-func (s *Snapshot) DistAt(row, v int) int64 { return s.dist[row*s.n+v] }
+func (s *Snapshot) DistAt(row, v int) int64 { return s.m.Dist[row*s.m.N+v] }
 
 // HasPaths reports whether parent pointers were recorded.
-func (s *Snapshot) HasPaths() bool { return s.parent != nil }
+func (s *Snapshot) HasPaths() bool { return s.m.Parent != nil }
 
 // HasHops reports whether hop counts were recorded.
-func (s *Snapshot) HasHops() bool { return s.hops != nil }
+func (s *Snapshot) HasHops() bool { return s.m.Hops != nil }
 
 // hopAt / parentAt read the int32 columns (only called when recorded).
-func (s *Snapshot) hopAt(row, v int) int64 { return int64(s.hops[row*s.n+v]) }
+func (s *Snapshot) hopAt(row, v int) int64 { return int64(s.m.Hops[row*s.m.N+v]) }
 
-func (s *Snapshot) parentAt(row, v int) int { return int(s.parent[row*s.n+v]) }
+func (s *Snapshot) parentAt(row, v int) int { return int(s.m.Parent[row*s.m.N+v]) }
 
 // Path materializes the recorded path from row's source to v through the
 // hardened shared walker: identical path and error semantics to
@@ -249,7 +172,7 @@ func (s *Snapshot) Path(row, v int) ([]int, error) {
 			Detail: fmt.Sprintf("%s snapshot records no parent pointers", s.alg)}
 	}
 	pv := core.PathView{
-		Sources: s.sources,
+		Sources: s.m.Sources,
 		Dist:    s.DistAt,
 		Parent:  s.parentAt,
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/family"
 	"repro/internal/graph"
 )
 
@@ -18,8 +19,8 @@ func testInput(t testing.TB, n, m int, seed int64, sources []int) (*graph.Graph,
 	if err != nil {
 		t.Fatalf("core.Run: %v", err)
 	}
-	return g, res, BuildInput{Alg: "pipeline", Sources: res.Sources, Dist: res.Dist,
-		Hops: res.Hops, Parent: res.Parent, Stats: res.Stats}
+	return g, res, BuildInput{Alg: "pipeline", Stats: res.Stats,
+		Matrix: family.FromRows(res.Sources, g.N(), res.Dist, res.Hops, res.Parent)}
 }
 
 func TestBuildRoundTrip(t *testing.T) {
@@ -60,14 +61,16 @@ func TestBuildRejectsCorruptInput(t *testing.T) {
 		mutate func(*BuildInput)
 	}{
 		{"no sources", func(in *BuildInput) { in.Sources = nil }},
-		{"row count mismatch", func(in *BuildInput) { in.Dist = in.Dist[:1] }},
-		{"short dist row", func(in *BuildInput) { in.Dist[1] = in.Dist[1][:3] }},
-		{"short hop row", func(in *BuildInput) { in.Hops[0] = in.Hops[0][:3] }},
-		{"short parent row", func(in *BuildInput) { in.Parent[0] = in.Parent[0][:3] }},
+		{"row count mismatch", func(in *BuildInput) { in.Dist = in.Dist[:in.N] }},
+		{"row width mismatch", func(in *BuildInput) { in.N-- }},
+		// A ragged row reaches Build as a column of the wrong length.
+		{"short dist row", func(in *BuildInput) { in.Dist = in.Dist[:len(in.Dist)-3] }},
+		{"short hop row", func(in *BuildInput) { in.Hops = in.Hops[:len(in.Hops)-3] }},
+		{"short parent row", func(in *BuildInput) { in.Parent = in.Parent[:len(in.Parent)-3] }},
 		{"source outside graph", func(in *BuildInput) { in.Sources[0] = 99 }},
 		{"duplicate source", func(in *BuildInput) { in.Sources[1] = in.Sources[0] }},
-		{"parent outside graph", func(in *BuildInput) { in.Parent[1][2] = 77 }},
-		{"hop outside range", func(in *BuildInput) { in.Hops[1][2] = 1 << 40 }},
+		{"parent outside graph", func(in *BuildInput) { in.Parent[in.N+2] = int32(in.N) }},
+		{"hop outside range", func(in *BuildInput) { in.Hops[in.N+2] = int32(in.N) + 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/compute"
 	"repro/internal/congest"
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -80,9 +81,10 @@ func SaveSnapshot(path string, snap *Snapshot) error {
 }
 
 func writeSnapshot(f *os.File, snap *Snapshot) error {
+	m := snap.m
 	meta := snapMeta{
-		Alg: snap.alg, N: snap.n, K: snap.K(), Sources: snap.sources,
-		Fingerprint: snap.fp, HasHops: snap.HasHops(), HasPaths: snap.HasPaths(),
+		Alg: snap.alg, N: m.N, K: len(m.Sources), Sources: m.Sources,
+		Fingerprint: snap.fp, HasHops: m.Hops != nil, HasPaths: m.Parent != nil,
 		Stats: snap.stats, Phys: snap.phys,
 	}
 	mj, err := json.Marshal(meta)
@@ -101,36 +103,30 @@ func writeSnapshot(f *os.File, snap *Snapshot) error {
 		return fmt.Errorf("writing snapshot header: %w", err)
 	}
 
-	// Column blocks, one buffered row at a time.
-	buf := make([]byte, 0, snap.n*8)
-	for row := 0; row < meta.K; row++ {
+	// The columns as they lie in memory, one buffered row at a time; an
+	// absent column is empty and writes nothing.
+	n := m.N
+	buf := make([]byte, 0, n*8)
+	for lo := 0; lo < len(m.Dist); lo += n {
 		buf = buf[:0]
-		for v := 0; v < snap.n; v++ {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(snap.DistAt(row, v)))
+		for _, d := range m.Dist[lo : lo+n] {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(d))
 		}
 		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("writing distance row %d: %w", row, err)
+			return fmt.Errorf("writing distance row %d: %w", lo/n, err)
 		}
 	}
-	if meta.HasHops {
-		for row := 0; row < meta.K; row++ {
+	for _, col := range []struct {
+		what  string
+		cells []int32
+	}{{"hop", m.Hops}, {"parent", m.Parent}} {
+		for lo := 0; lo < len(col.cells); lo += n {
 			buf = buf[:0]
-			for v := 0; v < snap.n; v++ {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(snap.hopAt(row, v))))
+			for _, x := range col.cells[lo : lo+n] {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
 			}
 			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("writing hop row %d: %w", row, err)
-			}
-		}
-	}
-	if meta.HasPaths {
-		for row := 0; row < meta.K; row++ {
-			buf = buf[:0]
-			for v := 0; v < snap.n; v++ {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(snap.parentAt(row, v))))
-			}
-			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("writing parent row %d: %w", row, err)
+				return fmt.Errorf("writing %s row %d: %w", col.what, lo/n, err)
 			}
 		}
 	}
@@ -202,38 +198,19 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 		return nil, corrupt("column bytes %d, want %d", len(cols), want)
 	}
 
-	in := BuildInput{
-		Alg: meta.Alg, Sources: meta.Sources, Stats: meta.Stats, Phys: meta.Phys,
-		Dist: make([][]int64, meta.K),
+	// Each column decodes once, into the layout Build adopts.
+	in := BuildInput{Alg: meta.Alg, Stats: meta.Stats, Phys: meta.Phys,
+		Matrix: compute.Matrix{Sources: meta.Sources, N: meta.N, Dist: make([]int64, cells)}}
+	for c := range in.Dist {
+		in.Dist[c] = int64(binary.LittleEndian.Uint64(cols[c*8:]))
 	}
-	flatDist := make([]int64, cells)
-	for i := range flatDist {
-		flatDist[i] = int64(binary.LittleEndian.Uint64(cols[i*8:]))
-	}
-	for r := 0; r < meta.K; r++ {
-		in.Dist[r] = flatDist[r*meta.N : (r+1)*meta.N]
-	}
-	off := cells * 8
+	cols = cols[cells*8:]
 	if meta.HasHops {
-		flat := make([]int64, cells)
-		for i := range flat {
-			flat[i] = int64(int32(binary.LittleEndian.Uint32(cols[off+i*4:])))
-		}
-		in.Hops = make([][]int64, meta.K)
-		for r := 0; r < meta.K; r++ {
-			in.Hops[r] = flat[r*meta.N : (r+1)*meta.N]
-		}
-		off += cells * 4
+		in.Hops = decodeInt32s(cols[:cells*4])
+		cols = cols[cells*4:]
 	}
 	if meta.HasPaths {
-		flat := make([]int, cells)
-		for i := range flat {
-			flat[i] = int(int32(binary.LittleEndian.Uint32(cols[off+i*4:])))
-		}
-		in.Parent = make([][]int, meta.K)
-		for r := 0; r < meta.K; r++ {
-			in.Parent[r] = flat[r*meta.N : (r+1)*meta.N]
-		}
+		in.Parent = decodeInt32s(cols)
 	}
 	snap, err := Build(g, in, BuildOpts{Fingerprint: meta.Fingerprint})
 	if err != nil {
@@ -242,6 +219,15 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 		return nil, corrupt("revalidation failed: %v", err)
 	}
 	return snap, nil
+}
+
+// decodeInt32s decodes a little-endian int32 column.
+func decodeInt32s(b []byte) []int32 {
+	col := make([]int32, len(b)/4)
+	for c := range col {
+		col[c] = int32(binary.LittleEndian.Uint32(b[c*4:]))
+	}
+	return col
 }
 
 // SaveToDir saves snap under dir with a name that sorts newest-first by

@@ -1,15 +1,19 @@
 package oracle
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/graph"
 )
 
@@ -314,6 +318,65 @@ func TestSaveSnapshotLeavesNoTempDebris(t *testing.T) {
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp-") {
 			t.Fatalf("temp debris left behind: %s", e.Name())
+		}
+	}
+}
+
+// TestSnapshotFormatCompat holds the file format and the answers to files
+// written before Build adopted the kernels' columns, when it still copied
+// [][] rows into its own: testdata/compat/oracle-v1.snap (parallel backend,
+// hops and parents) and oracle-v1-blocker.snap (distance only). Each must
+// load, answer every cell as a fresh computation of the same spec does,
+// and re-save byte for byte — as must the fresh snapshot itself.
+func TestSnapshotFormatCompat(t *testing.T) {
+	g := graph.Random(24, 80, graph.GenOpts{MaxW: 8, ZeroFrac: 0.25, Seed: 28, Directed: true})
+	fp := checkpoint.Fingerprint(g)
+	sources := []int{0, 5, 11, 17, 23}
+	for file, sp := range map[string]ComputeSpec{
+		"oracle-v1.snap":         {Alg: "pipeline", Backend: "parallel", Sources: sources},
+		"oracle-v1-blocker.snap": {Alg: "blocker", Sources: sources, H: 3},
+	} {
+		path := filepath.Join("..", "..", "testdata", "compat", file)
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadSnapshot(path, g, fp)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		in, err := Compute(context.Background(), g, sp)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		fresh, err := Build(g, in, BuildOpts{Fingerprint: fp})
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if loaded.Alg() != fresh.Alg() || loaded.Stats() != fresh.Stats() ||
+			loaded.HasHops() != fresh.HasHops() || loaded.HasPaths() != fresh.HasPaths() ||
+			!slices.Equal(loaded.Sources(), fresh.Sources()) {
+			t.Fatalf("%s: identity %s %+v hops=%v paths=%v, fresh %s %+v hops=%v paths=%v", file,
+				loaded.Alg(), loaded.Stats(), loaded.HasHops(), loaded.HasPaths(),
+				fresh.Alg(), fresh.Stats(), fresh.HasHops(), fresh.HasPaths())
+		}
+		for row := 0; row < fresh.K(); row++ {
+			for v := 0; v < fresh.N(); v++ {
+				if loaded.DistAt(row, v) != fresh.DistAt(row, v) ||
+					fresh.HasHops() && loaded.hopAt(row, v) != fresh.hopAt(row, v) ||
+					fresh.HasPaths() && loaded.parentAt(row, v) != fresh.parentAt(row, v) {
+					t.Fatalf("%s: cell (%d,%d) differs from a fresh computation", file, row, v)
+				}
+			}
+		}
+		for name, snap := range map[string]*Snapshot{"loaded": loaded, "fresh": fresh} {
+			out := filepath.Join(t.TempDir(), file)
+			if err := SaveSnapshot(out, snap); err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := os.ReadFile(out); !bytes.Equal(again, whole) {
+				t.Errorf("%s: the %s snapshot saves %d bytes that differ from the file's %d", file, name, len(again), len(whole))
+			}
 		}
 	}
 }

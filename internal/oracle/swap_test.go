@@ -38,8 +38,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// wantByGen[gen][row][v] is the only acceptable answer for that gen.
-	wantByGen := map[uint64][][]int64{snapA.Gen(): inA.Dist}
+	// wantByGen[gen][row·16+v] is the only acceptable answer for that gen.
+	wantByGen := map[uint64][]int64{snapA.Gen(): inA.Dist}
 
 	const queries = 10_000
 	const workers = 32
@@ -87,7 +87,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 					report("query %d answered from unpublished generation %d", q, dr.Gen)
 					continue
 				}
-				wantD := want[row][v]
+				wantD := want[row*16+v]
 				switch {
 				case wantD >= graph.Inf:
 					if dr.Reachable {
