@@ -27,15 +27,14 @@ type breakerState struct {
 // otherwise multiply load exactly when the server can least afford it —
 // while the half-open probe discovers recovery without a thundering herd.
 type breakerSet struct {
-	trip    int // consecutive failures that open the circuit (<0 = disabled)
-	cooloff time.Duration
+	trip int // consecutive failures that open the circuit (<0 = disabled)
 
 	mu sync.Mutex
 	m  map[string]*breakerState
 }
 
-func newBreakerSet(trip int, cooloff time.Duration) *breakerSet {
-	return &breakerSet{trip: trip, cooloff: cooloff, m: make(map[string]*breakerState)}
+func newBreakerSet(trip int) *breakerSet {
+	return &breakerSet{trip: trip, m: make(map[string]*breakerState)}
 }
 
 // allow decides admission for one Do against the endpoint's circuit.
@@ -81,14 +80,14 @@ func (b *breakerSet) report(key string, ok bool, cell *statCell) {
 	if st.open {
 		// A failed probe (or a straggler) re-arms the open window.
 		st.probing = false
-		st.until = time.Now().Add(b.cooloff)
+		st.until = time.Now().Add(breakerCooloff)
 		return
 	}
 	st.fails++
 	if st.fails >= b.trip {
 		st.open = true
 		st.probing = false
-		st.until = time.Now().Add(b.cooloff)
+		st.until = time.Now().Add(breakerCooloff)
 		if cell != nil {
 			cell.breakerOpens.Add(1)
 		}

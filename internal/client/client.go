@@ -42,9 +42,11 @@ const (
 	DefaultMaxBackoff     = 250 * time.Millisecond
 	DefaultCapRetryAfter  = 1 * time.Second
 	DefaultBreakerTrip    = 8
-	DefaultBreakerCooloff = 100 * time.Millisecond
 	DefaultHedgeQuantile  = 0.99
 	DefaultMinHedgeDelay  = 1 * time.Millisecond
+	// breakerCooloff is how long an open breaker fails fast before it
+	// lets one probe through.
+	breakerCooloff = 100 * time.Millisecond
 )
 
 // Options configures a Client.
@@ -70,10 +72,9 @@ type Options struct {
 	// BreakerTrip is the consecutive-failure count that opens an
 	// endpoint's circuit breaker (<= -1 disables the breaker; 0 means the
 	// default). While open, Do fails fast with ErrBreakerOpen; after
-	// BreakerCooloff one probe is let through (half-open) and its outcome
+	// breakerCooloff one probe is let through (half-open) and its outcome
 	// closes or re-opens the circuit.
-	BreakerTrip    int
-	BreakerCooloff time.Duration
+	BreakerTrip int
 	// HedgeDelay, when positive, launches a second (hedged) attempt if
 	// the first has not answered within the delay; 0 derives the delay
 	// from the observed attempt-latency quantile (DefaultHedgeQuantile,
@@ -158,12 +159,9 @@ func New(opts Options) *Client {
 	if opts.BreakerTrip == 0 {
 		opts.BreakerTrip = DefaultBreakerTrip
 	}
-	if opts.BreakerCooloff <= 0 {
-		opts.BreakerCooloff = DefaultBreakerCooloff
-	}
 	return &Client{
 		opts:     opts,
-		breakers: newBreakerSet(opts.BreakerTrip, opts.BreakerCooloff),
+		breakers: newBreakerSet(opts.BreakerTrip),
 		lat:      newLatWindow(256),
 	}
 }

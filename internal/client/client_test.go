@@ -185,7 +185,6 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	opts := fastOpts(&httpfault.Transport{Script: []httpfault.Event{}})
 	opts.MaxAttempts = 2
 	opts.BreakerTrip = 3
-	opts.BreakerCooloff = 20 * time.Millisecond
 	c := New(opts)
 	url := srv.URL + "/dist"
 
@@ -213,7 +212,7 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	}
 	// After the cooloff the half-open probe discovers the recovery.
 	broken.Store(false)
-	time.Sleep(30 * time.Millisecond)
+	time.Sleep(breakerCooloff + 10*time.Millisecond)
 	if _, err := c.Do(context.Background(), http.MethodGet, url, "", nil); err != nil {
 		t.Fatalf("probe Do after recovery: %v", err)
 	}

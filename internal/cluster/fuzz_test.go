@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -81,9 +83,9 @@ func (h hostHandlers) RoundTrip(req *http.Request) (*http.Response, error) {
 // FuzzBatchBody posts arbitrary /batch bodies, in process, to a backend
 // serving every source and to a router over two shard backends it reaches
 // through hostHandlers. Neither handler may panic or answer with a status
-// its /batch path does not produce, and every 200 must decode to one result
-// per query in query order: a query that parses carries its own src and dst
-// back, one that does not is a 400 entry.
+// its /batch path does not produce. A body that does not decode as a whole
+// is refused; every 200 must decode to one result per query in query order,
+// each carrying its own query's src and dst back.
 func FuzzBatchBody(f *testing.F) {
 	const n = 12
 	g := graph.Random(n, 4*n, graph.GenOpts{Seed: 5, MaxW: 8, ZeroFrac: 0.25, Directed: true})
@@ -139,10 +141,8 @@ func FuzzBatchBody(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var env struct {
-			Queries []json.RawMessage `json:"queries"`
-		}
-		parsed := json.NewDecoder(bytes.NewReader(body)).Decode(&env) == nil
+		var batch oracle.Batch
+		parsed := json.NewDecoder(bytes.NewReader(body)).Decode(&batch) == nil
 		for _, tg := range targets {
 			rec := httptest.NewRecorder()
 			tg.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)))
@@ -157,25 +157,92 @@ func FuzzBatchBody(f *testing.F) {
 			}
 			var resp struct {
 				Results []struct {
-					Src, Dst, Status int
+					Src, Dst int
 				} `json:"results"`
 			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 				t.Fatalf("%s: 200 body does not decode: %v\n%s", tg.name, err, rec.Body.Bytes())
 			}
-			if len(resp.Results) != len(env.Queries) {
-				t.Fatalf("%s: %d results for %d queries", tg.name, len(resp.Results), len(env.Queries))
+			if len(resp.Results) != len(batch.Queries) {
+				t.Fatalf("%s: %d results for %d queries", tg.name, len(resp.Results), len(batch.Queries))
 			}
-			for i, raw := range env.Queries {
-				var q struct{ Src, Dst int }
-				got := resp.Results[i]
-				if err := json.Unmarshal(raw, &q); err != nil {
-					if got.Status != http.StatusBadRequest {
-						t.Fatalf("%s: unparseable query %d (%s) answered %+v, want a 400 entry", tg.name, i, raw, got)
-					}
-				} else if got.Src != q.Src || got.Dst != q.Dst {
+			for i, q := range batch.Queries {
+				if got := resp.Results[i]; got.Src != q.Src || got.Dst != q.Dst {
 					t.Fatalf("%s: result %d is for (%d,%d), query asked (%d,%d)", tg.name, i, got.Src, got.Dst, q.Src, q.Dst)
 				}
+			}
+		}
+	})
+}
+
+// FuzzShardHeaders feeds arbitrary X-Apsp-Generation and X-Apsp-Shard
+// values from a backend into the router, the one place it parses bytes it
+// did not write outside a body. A generation that is not a decimal uint64
+// must count as no generation, never as a wrong one: the router's tracked
+// generation only moves up, to exactly the value it parsed, its gauge
+// follows it, the /dist answer is relayed with that generation, and the
+// shard header is relayed untouched.
+func FuzzShardHeaders(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"1", "0/1"}, {"", ""}, {"007", "1/2"}, {"-3", "x"}, {"18446744073709551615", "0/1"},
+		{"18446744073709551616", "0/1"}, {"+2", "0/1\r\nX: y"}, {"1e3", ""}, {" 4", "0/1"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	var gen, shard string
+	backend := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(oracle.GenHeader, gen)
+		w.Header().Set(oracle.ShardHeader, shard)
+		switch r.URL.Path {
+		case "/dist":
+			oracle.WriteJSON(w, http.StatusOK, oracle.Answer{Reachable: true})
+		case "/batch":
+			w.Write([]byte(`{"gen":1,"results":[{"src":0,"dst":0,"reachable":true,"dist":0}]}`))
+		default:
+			oracle.WriteJSON(w, http.StatusOK, oracle.Health{Status: "ok", N: 1})
+		}
+	})
+	m, err := NewContiguous(1, "", [][]string{{"http://apsp-shard-0:80"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	router, err := NewRouter(Options{Map: m, Inner: hostHandlers{"apsp-shard-0:80": backend}, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := router.Handler()
+	sc := router.shards[0]
+	f.Fuzz(func(t *testing.T, g, s string) {
+		gen, shard = g, s
+		parsed, err := strconv.ParseUint(g, 10, 64)
+		if err != nil {
+			parsed = 0
+		}
+		for _, req := range []*http.Request{
+			httptest.NewRequest(http.MethodGet, "/dist?src=0&dst=0", nil),
+			httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(`{"queries":[{"src":0,"dst":0}]}`)),
+			httptest.NewRequest(http.MethodGet, "/healthz", nil),
+		} {
+			before := sc.lastGen.Load()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s with gen %q shard %q: status %d %s", req.URL, g, s, rec.Code, rec.Body.Bytes())
+			}
+			if want := max(before, parsed); sc.lastGen.Load() != want {
+				t.Fatalf("%s with gen %q: tracked generation %d -> %d, want %d", req.URL, g, before, sc.lastGen.Load(), want)
+			}
+			if got := router.met.shardGen[0].Value(); got != float64(sc.lastGen.Load()) {
+				t.Fatalf("%s with gen %q: gauge %v, tracked %d", req.URL, g, got, sc.lastGen.Load())
+			}
+			if req.URL.Path != "/dist" {
+				continue
+			}
+			if got := rec.Header().Get(oracle.GenHeader); got != strconv.FormatUint(parsed, 10) {
+				t.Fatalf("/dist with gen %q relayed gen %q, want %d", g, got, parsed)
+			}
+			if got := rec.Header().Get(oracle.ShardHeader); got != s {
+				t.Fatalf("/dist relayed shard %q, backend said %q", got, s)
 			}
 		}
 	})

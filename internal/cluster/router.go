@@ -18,16 +18,10 @@ import (
 
 // Defaults for the Router knobs (applied when the field is zero).
 const (
-	DefaultBatchBudget    = 4096
 	DefaultRolloutPoll    = 50 * time.Millisecond
 	DefaultRolloutTimeout = 5 * time.Minute
-	maxBatchBytes         = 4 << 20
 	// deadline bounds one routed request end to end, scatter included.
 	deadline = 5 * time.Second
-	// retryAfterSecs is stamped on every refusal the router synthesizes
-	// (mixed generations, rollout conflict) — same drain-time contract as
-	// the backend's shed responses.
-	retryAfterSecs = "1"
 )
 
 // Options configures a Router.
@@ -46,8 +40,6 @@ type Options struct {
 	MaxAttempts    int
 	HedgeDelay     time.Duration
 	Seed           int64
-	// BatchBudget caps the queries in one /batch, pre-split.
-	BatchBudget int
 	// RolloutPoll and RolloutTimeout pace the shard-by-shard recompute
 	// drain: after triggering a shard the router polls its /healthz every
 	// RolloutPoll until the generation advances, giving up (and aborting
@@ -73,23 +65,6 @@ type shardClient struct {
 	// lastGen is the highest generation seen in any response header from
 	// this shard; 0 until the first contact.
 	lastGen atomic.Uint64
-}
-
-func (sc *shardClient) noteGen(h http.Header) uint64 {
-	v := h.Get(oracle.GenHeader)
-	if v == "" {
-		return 0
-	}
-	gen, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0
-	}
-	for {
-		old := sc.lastGen.Load()
-		if gen <= old || sc.lastGen.CompareAndSwap(old, gen) {
-			return gen
-		}
-	}
 }
 
 // Router is the scatter-gather front-end over a shard map: it serves the
@@ -118,9 +93,6 @@ func NewRouter(opts Options) (*Router, error) {
 	}
 	if err := opts.Map.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.BatchBudget <= 0 {
-		opts.BatchBudget = DefaultBatchBudget
 	}
 	if opts.RolloutPoll <= 0 {
 		opts.RolloutPoll = DefaultRolloutPoll
@@ -187,7 +159,8 @@ func (r *Router) logAt(level slog.Level, msg string, attrs ...slog.Attr) {
 // forward routes a single-source query (/dist or /path) to the shard
 // owning src, verbatim query string and all, and relays the backend's
 // answer — status, body, and the generation/shard headers the cluster
-// contract rides on.
+// contract rides on. A query string that does not parse is refused here,
+// through the backend's own reader, without a hop.
 func (r *Router) forward(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		qc, lat := r.met.Query(kind)
@@ -195,17 +168,15 @@ func (r *Router) forward(kind string) http.HandlerFunc {
 		start := time.Now()
 		defer func() { lat.Observe(time.Since(start).Seconds()) }()
 
-		src, err := strconv.Atoi(req.URL.Query().Get("src"))
-		if err != nil {
+		q, status := oracle.ReadQuery(w, req, kind)
+		if status != 0 {
 			r.met.Errors.Inc()
-			writeErr(w, http.StatusBadRequest, "bad or missing src: %v", err)
 			return
 		}
-		sc := r.shardClientFor(src)
+		sc := r.shardClientFor(q.Src)
 		if sc == nil {
-			r.met.Unrouted.Inc()
 			r.met.Errors.Inc()
-			writeErr(w, http.StatusNotFound, "source %d outside cluster map (n=%d)", src, r.opts.Map.N)
+			r.unrouted(q).WriteError(w)
 			return
 		}
 		ctx, cancel := context.WithTimeout(req.Context(), deadline)
@@ -214,11 +185,10 @@ func (r *Router) forward(kind string) http.HandlerFunc {
 		if err != nil {
 			r.met.ShardFailures.Inc()
 			r.met.Errors.Inc()
-			writeErrRetry(w, http.StatusBadGateway, "shard %d unavailable: %v", sc.shard.ID, err)
+			oracle.WriteRetry(w, http.StatusBadGateway, "shard %d unavailable: %v", sc.shard.ID, err)
 			return
 		}
-		gen := sc.noteGen(resp.Header)
-		r.met.shardGen[sc.shard.ID].Set(float64(sc.lastGen.Load()))
+		gen := r.noteGen(sc, resp.Header)
 		if resp.Status >= 400 {
 			r.met.Errors.Inc()
 		}
@@ -238,6 +208,31 @@ func relayHeaders(w http.ResponseWriter, h http.Header) {
 	}
 }
 
+// unrouted is the answer to a query whose source no shard owns.
+func (r *Router) unrouted(q oracle.Query) oracle.Answer {
+	r.met.Unrouted.Inc()
+	return q.Fail(http.StatusNotFound, "source %d outside cluster map (n=%d)", q.Src, r.opts.Map.N)
+}
+
+// noteGen folds the generation a shard's response header reports into the
+// shard's tracked generation, which only moves up, and into its gauge. It
+// returns the reported generation: 0 when the header is missing or is not
+// a decimal uint64.
+func (r *Router) noteGen(sc *shardClient, h http.Header) uint64 {
+	gen, err := strconv.ParseUint(h.Get(oracle.GenHeader), 10, 64)
+	if err != nil {
+		return 0
+	}
+	for {
+		old := sc.lastGen.Load()
+		if gen <= old || sc.lastGen.CompareAndSwap(old, gen) {
+			break
+		}
+	}
+	r.met.shardGen[sc.shard.ID].Set(float64(sc.lastGen.Load()))
+	return gen
+}
+
 func (r *Router) shardClientFor(src int) *shardClient {
 	s := r.opts.Map.ShardFor(src)
 	if s == nil {
@@ -251,19 +246,6 @@ func (r *Router) shardClientFor(src int) *shardClient {
 	return nil
 }
 
-// batchEnvelope is the /batch request with each query kept as raw JSON:
-// the router needs only src (to route) and dst (to label error entries);
-// everything else passes through to the owning backend untouched, so the
-// router never lags the backend's query schema.
-type batchEnvelope struct {
-	Queries []json.RawMessage `json:"queries"`
-}
-
-type batchRoute struct {
-	Src int `json:"src"`
-	Dst int `json:"dst"`
-}
-
 // shardBatchResp is the slice of a backend /batch answer the router needs:
 // the generation and the per-query results, kept raw for reassembly.
 type shardBatchResp struct {
@@ -271,23 +253,13 @@ type shardBatchResp struct {
 	Results []json.RawMessage `json:"results"`
 }
 
-// batchErrEntry mirrors the backend's per-query error result shape, so a
-// shard-level failure degrades into the same per-query errors a client
-// already handles (the BatchPartialError contract, lifted to shards).
-type batchErrEntry struct {
-	Src    int    `json:"src"`
-	Dst    int    `json:"dst"`
-	Error  string `json:"error"`
-	Status int    `json:"status"`
-}
-
 // subBatch is the per-shard slice of one /batch: which original indexes
-// went to the shard, and the raw queries to send. lastGen records the
+// went to the shard, and the queries to send. lastGen records the
 // generation of its most recent successful answer (0 = failed).
 type subBatch struct {
 	sc      *shardClient
 	indexes []int
-	queries []json.RawMessage
+	queries []oracle.Query
 	lastGen uint64
 }
 
@@ -297,38 +269,21 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	defer func() { lat.Observe(time.Since(start).Seconds()) }()
 
-	var env batchEnvelope
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBatchBytes))
-	if err := dec.Decode(&env); err != nil {
+	// The backend's limits and decoder: a batch the router accepts is one
+	// each backend accepts.
+	queries, status := oracle.ReadBatch(w, req)
+	if status != 0 {
 		r.met.Errors.Inc()
-		writeErr(w, http.StatusBadRequest, "bad batch body: %v", err)
-		return
-	}
-	if len(env.Queries) == 0 {
-		r.met.Errors.Inc()
-		writeErr(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(env.Queries) > r.opts.BatchBudget {
-		r.met.Errors.Inc()
-		writeErr(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds budget %d", len(env.Queries), r.opts.BatchBudget)
 		return
 	}
 
-	// Split by owning shard; queries no shard owns get their 404 entry
-	// directly (the backend would answer the same for an unknown source).
-	results := make([]json.RawMessage, len(env.Queries))
+	// Split by owning shard; queries no shard owns get their entry here.
+	results := make([]json.RawMessage, len(queries))
 	subs := map[int]*subBatch{}
-	for i, raw := range env.Queries {
-		var q batchRoute
-		if err := json.Unmarshal(raw, &q); err != nil {
-			results[i] = errEntry(0, 0, http.StatusBadRequest, "unparseable query: %v", err)
-			continue
-		}
+	for i, q := range queries {
 		sc := r.shardClientFor(q.Src)
 		if sc == nil {
-			r.met.Unrouted.Inc()
-			results[i] = errEntry(q.Src, q.Dst, http.StatusNotFound, "source %d outside cluster map (n=%d)", q.Src, r.opts.Map.N)
+			results[i] = entry(r.unrouted(q))
 			continue
 		}
 		sb := subs[sc.shard.ID]
@@ -337,7 +292,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			subs[sc.shard.ID] = sb
 		}
 		sb.indexes = append(sb.indexes, i)
-		sb.queries = append(sb.queries, raw)
+		sb.queries = append(sb.queries, q)
 	}
 
 	ctx, cancel := context.WithTimeout(req.Context(), deadline)
@@ -358,7 +313,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		}
 		retry := map[int]*subBatch{}
 		for id, sb := range subs {
-			if sb.gen() != 0 && sb.gen() < maxGen {
+			if sb.lastGen != 0 && sb.lastGen < maxGen {
 				r.met.GenRetries.Inc()
 				retry[id] = sb
 			}
@@ -370,7 +325,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		// 502 entries, which don't claim a generation).
 		gens = map[uint64]bool{}
 		for _, sb := range subs {
-			if g := sb.gen(); g != 0 {
+			if g := sb.lastGen; g != 0 {
 				gens[g] = true
 			}
 		}
@@ -378,7 +333,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			r.met.MixedGenRefusals.Inc()
 			r.met.Errors.Inc()
 			r.logAt(slog.LevelWarn, "refusing mixed-generation batch", slog.Uint64("max_gen", maxGen))
-			writeErrRetry(w, http.StatusServiceUnavailable,
+			oracle.WriteRetry(w, http.StatusServiceUnavailable,
 				"cluster generations disagree even after retry (rollout in progress), retry later")
 			return
 		}
@@ -407,9 +362,6 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	buf.WriteString("]}\n")
 	_, _ = w.Write(buf.Bytes())
 }
-
-// gen reads the generation of the sub-batch's last answer (0 = failed).
-func (sb *subBatch) gen() uint64 { return sb.lastGen }
 
 // scatter posts every sub-batch concurrently, writes each answer's raw
 // results (or synthesized error entries) into the request-order slots, and
@@ -441,14 +393,14 @@ func (r *Router) scatter(ctx context.Context, subs map[int]*subBatch, results []
 // failure every slot gets a 502 error entry — the batch still answers.
 func (r *Router) scatterOne(ctx context.Context, sb *subBatch, results []json.RawMessage) (uint64, bool) {
 	sb.lastGen = 0
-	body, _ := json.Marshal(batchEnvelope{Queries: sb.queries})
+	body, _ := json.Marshal(oracle.Batch{Queries: sb.queries})
 	var sr shardBatchResp
 	resp, err := sb.sc.query.PostJSON(ctx, sb.sc.base+"/batch", body, nil)
 	if err == nil && resp.Status == http.StatusOK {
 		err = json.Unmarshal(resp.Body, &sr)
 	}
 	if err != nil || resp.Status != http.StatusOK || len(sr.Results) != len(sb.indexes) {
-		reason := "shard unavailable"
+		var reason string
 		switch {
 		case err != nil:
 			reason = err.Error()
@@ -461,14 +413,11 @@ func (r *Router) scatterOne(ctx context.Context, sb *subBatch, results []json.Ra
 		r.logAt(slog.LevelWarn, "batch shard failed",
 			slog.Int("shard", sb.sc.shard.ID), slog.String("err", reason))
 		for j, i := range sb.indexes {
-			var q batchRoute
-			_ = json.Unmarshal(sb.queries[j], &q)
-			results[i] = errEntry(q.Src, q.Dst, http.StatusBadGateway, "shard %d: %s", sb.sc.shard.ID, reason)
+			results[i] = entry(sb.queries[j].Fail(http.StatusBadGateway, "shard %d: %s", sb.sc.shard.ID, reason))
 		}
 		return 0, false
 	}
-	sb.sc.noteGen(resp.Header)
-	r.met.shardGen[sb.sc.shard.ID].Set(float64(sb.sc.lastGen.Load()))
+	r.noteGen(sb.sc, resp.Header)
 	sb.lastGen = sr.Gen
 	for j, i := range sb.indexes {
 		results[i] = sr.Results[j]
@@ -476,8 +425,10 @@ func (r *Router) scatterOne(ctx context.Context, sb *subBatch, results []json.Ra
 	return sr.Gen, true
 }
 
-func errEntry(src, dst, status int, format string, args ...any) json.RawMessage {
-	raw, _ := json.Marshal(batchErrEntry{Src: src, Dst: dst, Status: status, Error: fmt.Sprintf(format, args...)})
+// entry encodes a /batch result the router writes itself, in the
+// backend's own Answer shape.
+func entry(a oracle.Answer) json.RawMessage {
+	raw, _ := json.Marshal(a)
 	return raw
 }
 
@@ -528,7 +479,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 			status = http.StatusServiceUnavailable
 		}
 	}
-	writeJSON(w, status, resp)
+	oracle.WriteJSON(w, status, resp)
 }
 
 // probeShard checks one shard's health against the map's expectations.
@@ -544,8 +495,7 @@ func (r *Router) probeShard(ctx context.Context, sc *shardClient) shardHealth {
 		sh.Status, sh.Error = "down", fmt.Sprintf("healthz answered HTTP %d", resp.Status)
 		return sh
 	}
-	sc.noteGen(resp.Header)
-	r.met.shardGen[sc.shard.ID].Set(float64(sc.lastGen.Load()))
+	r.noteGen(sc, resp.Header)
 	sh.Status, sh.Gen, sh.Shard, sh.Fingerprint = bh.Status, bh.Gen, bh.Shard, bh.Fingerprint
 	switch {
 	case bh.N != 0 && bh.N != r.opts.Map.N:
@@ -609,13 +559,13 @@ func (r *Router) syncClientStats() {
 func (r *Router) handleRecompute(w http.ResponseWriter, req *http.Request) {
 	if !r.rolling.CompareAndSwap(false, true) {
 		r.met.Errors.Inc()
-		writeErrRetry(w, http.StatusConflict, "rollout already running")
+		oracle.WriteRetry(w, http.StatusConflict, "rollout already running")
 		return
 	}
 	r.met.Rollouts.Inc()
 	r.met.RolloutActive.Set(1)
 	go r.rollout()
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "rollout started"})
+	oracle.WriteJSON(w, http.StatusAccepted, map[string]string{"status": "rollout started"})
 }
 
 func (r *Router) rollout() {
@@ -682,30 +632,10 @@ func (r *Router) rolloutReplica(sc *shardClient, base string) error {
 			return fmt.Errorf("%s (shard %d) recompute failed (serving stale gen %d)", base, sc.shard.ID, bh.Gen)
 		}
 		if bh.Gen > pre.Gen && !bh.Recomputing {
-			sc.noteGen(resp.Header)
-			r.met.shardGen[sc.shard.ID].Set(float64(sc.lastGen.Load()))
+			r.noteGen(sc, resp.Header)
 			r.logAt(slog.LevelInfo, "replica rolled",
 				slog.Int("shard", sc.shard.ID), slog.String("replica", base), slog.Uint64("gen", bh.Gen))
 			return nil
 		}
 	}
-}
-
-type errResp struct {
-	Error string `json:"error"`
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errResp{Error: fmt.Sprintf(format, args...)})
-}
-
-func writeErrRetry(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Retry-After", retryAfterSecs)
-	writeErr(w, status, format, args...)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

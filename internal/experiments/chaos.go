@@ -147,10 +147,7 @@ func chaosClientOpts(rt http.RoundTripper, seed int64) client.Options {
 // client. Returns (ok, wrong): transport-level failure is (false, false),
 // a 200 disagreeing with the matrices is (true, true).
 func chaosQuery(c *client.Client, base string, snap *oracle.Snapshot, src, row, dst int) (bool, bool) {
-	var resp struct {
-		Reachable bool   `json:"reachable"`
-		Dist      *int64 `json:"dist"`
-	}
+	var resp oracle.Answer
 	r, err := c.GetJSON(context.Background(), fmt.Sprintf("%s/dist?src=%d&dst=%d", base, src, dst), &resp)
 	if err != nil {
 		return false, false
@@ -183,7 +180,7 @@ func chaosStream(snap *oracle.Snapshot, seed int64, worker int) func() (src, row
 // keyed PRF over the injector's admission index, and with one worker that
 // index order is the retry-expanded query order.
 func chaosSerial(snap *oracle.Snapshot, plan httpfault.Plan, queries int, seed int64) (*chaosResult, error) {
-	srv := &oracle.Server{Store: &oracle.Store{}, Cache: oracle.NewPathCache(4096), Met: oracle.NewMetrics(), MaxInflight: 64}
+	srv := &oracle.Server{Store: &oracle.Store{}, Cache: oracle.NewPathCache(4096), Met: oracle.NewMetrics()}
 	srv.Publish(snap)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -226,8 +223,7 @@ func chaosCrash(g *graph.Graph, snap *oracle.Snapshot, queries, workers int, see
 
 	newServer := func() *oracle.Server {
 		return &oracle.Server{
-			Store: &oracle.Store{}, Cache: oracle.NewPathCache(4096),
-			Met: oracle.NewMetrics(), MaxInflight: 256,
+			Store: &oracle.Store{}, Cache: oracle.NewPathCache(4096), Met: oracle.NewMetrics(),
 			AfterPublish: func(s *oracle.Snapshot) { oracle.SaveToDir(dir, s) },
 		}
 	}

@@ -293,8 +293,7 @@ func (cl *expCluster) startBackend(g *graph.Graph, k int, dir string) (*expBacke
 
 func (cl *expCluster) newShardServer(g *graph.Graph, k int, dir string) *oracle.Server {
 	return &oracle.Server{
-		Store: &oracle.Store{}, Cache: oracle.NewPathCache(4096),
-		Met: oracle.NewMetrics(), MaxInflight: 256,
+		Store: &oracle.Store{}, Cache: oracle.NewPathCache(4096), Met: oracle.NewMetrics(),
 		ShardID: cluster.FormatShardID(k, cl.nShards),
 		Recompute: func(ctx context.Context) (*oracle.Snapshot, error) {
 			return expShardSnap(g, k, cl.nShards)
@@ -444,10 +443,7 @@ func (l *clusterLoad) dist(base string, src, dst int) {
 	if resp.StatusCode != http.StatusOK {
 		return
 	}
-	var d struct {
-		Reachable bool   `json:"reachable"`
-		Dist      *int64 `json:"dist"`
-	}
+	var d oracle.Answer
 	if json.Unmarshal(body, &d) != nil {
 		l.wrong.Add(1)
 		return
@@ -464,15 +460,11 @@ func (l *clusterLoad) dist(base string, src, dst int) {
 // mismatched 200 payload is wrong.
 func (l *clusterLoad) batch(base string, next func() (int, int), size int) {
 	l.total.Add(1)
-	type q struct {
-		Src int `json:"src"`
-		Dst int `json:"dst"`
-	}
-	qs := make([]q, size)
+	qs := make([]oracle.Query, size)
 	for i := range qs {
 		qs[i].Src, qs[i].Dst = next()
 	}
-	body, _ := json.Marshal(map[string]any{"queries": qs})
+	body, _ := json.Marshal(oracle.Batch{Queries: qs})
 	resp, err := l.httpc.Post(base+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return
@@ -487,14 +479,8 @@ func (l *clusterLoad) batch(base string, next func() (int, int), size int) {
 		return
 	}
 	var out struct {
-		Gen     uint64 `json:"gen"`
-		Results []struct {
-			Src       int    `json:"src"`
-			Dst       int    `json:"dst"`
-			Reachable bool   `json:"reachable"`
-			Dist      *int64 `json:"dist"`
-			Error     string `json:"error"`
-		} `json:"results"`
+		Gen     uint64          `json:"gen"`
+		Results []oracle.Answer `json:"results"`
 	}
 	if json.Unmarshal(raw, &out) != nil || len(out.Results) != size || out.Gen == 0 {
 		l.wrong.Add(1)

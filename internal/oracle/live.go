@@ -68,14 +68,14 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	s.init()
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteErr(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	interval := time.Second
 	if v := r.URL.Query().Get("interval"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
-			writeErr(w, http.StatusBadRequest, "bad interval %q", v)
+			WriteErr(w, http.StatusBadRequest, "bad interval %q", v)
 			return
 		}
 		if d < 50*time.Millisecond {
@@ -86,7 +86,7 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	limit := 0
 	if v := r.URL.Query().Get("n"); v != "" {
 		if _, err := fmt.Sscanf(v, "%d", &limit); err != nil || limit < 0 {
-			writeErr(w, http.StatusBadRequest, "bad n %q", v)
+			WriteErr(w, http.StatusBadRequest, "bad n %q", v)
 			return
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -34,29 +35,36 @@ func fillSlots(t *testing.T, srv *Server, n int) func() {
 	}
 }
 
+// The slot counts at which the ladder's two rungs start: 192 and 231 of 256.
+var (
+	cacheRung    = int(math.Ceil(degradeCacheAt * maxInflight))
+	distOnlyRung = int(math.Ceil(degradeDistOnlyAt * maxInflight))
+)
+
 func TestDegradeLadderLevels(t *testing.T) {
-	_, srv, _ := newTestServer(t, func(s *Server) { s.MaxInflight = 10 })
+	_, srv, _ := newTestServer(t, nil)
 	cases := []struct {
 		occupied, want int
 	}{
-		{0, degradeNone}, {5, degradeNone}, {7, degradeNone},
-		{8, degradeNoCacheInsert}, {9, degradeDistOnly}, {10, degradeDistOnly},
+		{0, degradeNone}, {maxInflight / 2, degradeNone}, {cacheRung - 1, degradeNone},
+		{cacheRung, degradeNoCacheInsert}, {distOnlyRung - 1, degradeNoCacheInsert},
+		{distOnlyRung, degradeDistOnly}, {maxInflight, degradeDistOnly},
 	}
 	for _, c := range cases {
 		release := fillSlots(t, srv, c.occupied)
 		if got := srv.degradeLevel(); got != c.want {
-			t.Errorf("degradeLevel at %d/10 = %d, want %d", c.occupied, got, c.want)
+			t.Errorf("degradeLevel at %d/%d = %d, want %d", c.occupied, maxInflight, got, c.want)
 		}
 		release()
 	}
 }
 
 func TestDegradeDistOnlyRefusesPaths(t *testing.T) {
-	ts, srv, snap := newTestServer(t, func(s *Server) { s.MaxInflight = 10 })
+	ts, srv, snap := newTestServer(t, nil)
 	src := snap.Sources()[0]
-	// Occupy 8 of 10: the query itself takes a 9th slot, so at handler
-	// time occupancy is 9/10 >= 0.9 — dist-only.
-	release := fillSlots(t, srv, 8)
+	// Occupy one slot short of the dist-only rung: the query itself takes
+	// the last one, so at handler time the server is dist-only.
+	release := fillSlots(t, srv, distOnlyRung-1)
 	defer release()
 
 	resp, err := http.Get(fmt.Sprintf("%s/path?src=%d&dst=1", ts.URL, src))
@@ -82,10 +90,10 @@ func TestDegradeDistOnlyRefusesPaths(t *testing.T) {
 	}
 
 	// Batch path items degrade per-item; dist items still answer.
-	body, _ := json.Marshal(batchReq{Queries: []batchItem{
+	body := batchBody([]Query{
 		{Kind: "dist", Src: src, Dst: 1},
 		{Kind: "path", Src: src, Dst: 1},
-	}})
+	})
 	bresp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +112,7 @@ func TestDegradeDistOnlyRefusesPaths(t *testing.T) {
 }
 
 func TestDegradeStopsCacheInserts(t *testing.T) {
-	_, srv, snap := newTestServer(t, func(s *Server) { s.MaxInflight = 10 })
+	_, srv, snap := newTestServer(t, nil)
 	row, dst := 0, -1
 	for v := 0; v < snap.N(); v++ { // any reachable target will do
 		if v != snap.Sources()[row] && snap.DistAt(row, v) < 1<<60 {
@@ -115,8 +123,8 @@ func TestDegradeStopsCacheInserts(t *testing.T) {
 	if dst < 0 {
 		t.Fatal("no reachable target from row 0")
 	}
-	// At rung 1 (8/10 occupied) a path walk must not populate the cache.
-	release := fillSlots(t, srv, 8)
+	// At rung 1 a path walk must not populate the cache.
+	release := fillSlots(t, srv, cacheRung)
 	if _, err := srv.lookupPath(context.Background(), snap, row, dst); err != nil {
 		t.Fatalf("lookupPath: %v", err)
 	}
@@ -206,11 +214,11 @@ func TestRecomputeFailureServesStale(t *testing.T) {
 func TestBatchClientDisconnect(t *testing.T) {
 	_, srv, snap := newTestServer(t, nil)
 	src := snap.Sources()[0]
-	var items []batchItem
+	var items []Query
 	for i := 0; i < 600; i++ { // two deadline-check segments
-		items = append(items, batchItem{Kind: "dist", Src: src, Dst: i % snap.N()})
+		items = append(items, Query{Kind: "dist", Src: src, Dst: i % snap.N()})
 	}
-	body, _ := json.Marshal(batchReq{Queries: items})
+	body := batchBody(items)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client is already gone when the handler starts
@@ -233,14 +241,18 @@ func TestBatchClientDisconnect(t *testing.T) {
 }
 
 func TestBatchDeadlineExceeded(t *testing.T) {
-	_, srv, snap := newTestServer(t, func(s *Server) { s.Deadline = time.Nanosecond })
+	_, srv, snap := newTestServer(t, nil)
 	src := snap.Sources()[0]
-	var items []batchItem
+	var items []Query
 	for i := 0; i < 600; i++ {
-		items = append(items, batchItem{Kind: "dist", Src: src, Dst: i % snap.N()})
+		items = append(items, Query{Kind: "dist", Src: src, Dst: i % snap.N()})
 	}
-	body, _ := json.Marshal(batchReq{Queries: items})
-	req := httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body))
+	body := batchBody(items)
+	// A request whose deadline has already passed: the server's own
+	// deadline only ever shortens it.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusGatewayTimeout {
@@ -258,6 +270,34 @@ func TestBatchDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestQueryAppliesDeadline: every admitted query runs under the server's
+// own deadline — a request that arrives with none, or with a later one,
+// reaches the handler bounded by deadline from the moment it was admitted.
+func TestQueryAppliesDeadline(t *testing.T) {
+	_, srv, _ := newTestServer(t, nil)
+	later, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"none": context.Background(), "an hour": later} {
+		var dl time.Time
+		var ok bool
+		start := time.Now()
+		h := srv.query("batch", func(w http.ResponseWriter, r *http.Request, _ *Snapshot) int {
+			dl, ok = r.Context().Deadline()
+			return http.StatusOK
+		})
+		h(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/batch", nil).WithContext(ctx))
+		end := time.Now()
+		if !ok {
+			t.Fatalf("request with %s deadline: handler ran without one", name)
+		}
+		// Admission happened between start and end, so the deadline lies
+		// between start+deadline and end+deadline.
+		if dl.Before(start.Add(deadline)) || dl.After(end.Add(deadline)) {
+			t.Fatalf("request with %s deadline: handler deadline %v after start, want %v", name, dl.Sub(start), deadline)
+		}
+	}
+}
+
 func TestBatchPartialErrorUnwraps(t *testing.T) {
 	e := &BatchPartialError{Done: 3, Total: 10, Cause: context.DeadlineExceeded}
 	if !errors.Is(e, context.DeadlineExceeded) {
@@ -268,26 +308,23 @@ func TestBatchPartialErrorUnwraps(t *testing.T) {
 	}
 }
 
-// TestAdmissionSaturation hammers a MaxInflight=1 server with concurrent
-// requests (run under -race in CI). Invariants, independent of timing:
+// TestAdmissionSaturation hammers a server with one free admission slot
+// with concurrent requests (run under -race in CI). Invariants,
+// independent of timing:
 // every request is answered exactly once, as either a 200 or a 429; every
 // 429 carries Retry-After; and the shed metric counts the 429s exactly —
 // no request is both shed and answered, none vanishes.
 func TestAdmissionSaturation(t *testing.T) {
-	ts, srv, snap := newTestServer(t, func(s *Server) {
-		s.MaxInflight = 1
-		s.AdmitWait = time.Microsecond
-		s.DegradeCacheAt = -1 // isolate admission: no ladder interference
-		s.DegradeDistOnlyAt = -1
-	})
+	ts, srv, snap := newTestServer(t, nil)
+	defer fillSlots(t, srv, maxInflight-1)()
 	src := snap.Sources()[0]
-	// Path batches are slow enough (no cache) to hold the only slot.
-	srv.Cache = nil
-	var items []batchItem
-	for i := 0; i < 512; i++ {
-		items = append(items, batchItem{Kind: "path", Src: src, Dst: i % snap.N()})
+	// A full budget of dist lookups holds the slot for a while; with one
+	// slot left the ladder is at dist-only, which leaves them alone.
+	var items []Query
+	for i := 0; i < batchBudget; i++ {
+		items = append(items, Query{Kind: "dist", Src: src, Dst: i % snap.N()})
 	}
-	body, _ := json.Marshal(batchReq{Queries: items})
+	body := batchBody(items)
 
 	const workers, perWorker = 8, 6
 	var ok200, shed429, other atomic64

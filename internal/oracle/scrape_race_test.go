@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -46,18 +45,18 @@ func TestServerScrapeUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Store: &Store{}, Cache: NewPathCache(128), Met: NewMetrics(), MaxInflight: 64}
+	srv := &Server{Store: &Store{}, Cache: NewPathCache(128), Met: NewMetrics()}
 	srv.Publish(snap)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	src := snap.Sources()[0]
-	var queries []batchItem
+	var queries []Query
 	for v := 0; v < snap.N(); v++ {
-		queries = append(queries, batchItem{Kind: "dist", Src: src, Dst: v})
-		queries = append(queries, batchItem{Kind: "path", Src: src, Dst: v})
+		queries = append(queries, Query{Kind: "dist", Src: src, Dst: v})
+		queries = append(queries, Query{Kind: "path", Src: src, Dst: v})
 	}
-	body, _ := json.Marshal(batchReq{Queries: queries})
+	body := batchBody(queries)
 
 	const (
 		batchWorkers = 4

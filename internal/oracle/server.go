@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -21,20 +20,28 @@ import (
 	"repro/internal/trace"
 )
 
-// Defaults for the Server knobs (applied when the field is zero).
+// The serving limits. They are constants, not options: no caller ever ran
+// a server with other values. The cluster router holds a /batch to the
+// same limits by reading it through ReadBatch.
 const (
-	DefaultMaxInflight = 256
-	DefaultAdmitWait   = 5 * time.Millisecond
-	DefaultDeadline    = 2 * time.Second
-	DefaultBatchBudget = 4096
-	maxBatchBytes      = 4 << 20
-
-	// Degradation ladder defaults (fractions of MaxInflight occupancy).
-	DefaultDegradeCacheAt    = 0.75
-	DefaultDegradeDistOnlyAt = 0.9
-	// shedRetryAfter is the Retry-After (seconds) stamped on every shed or
+	// maxInflight query requests execute at once; a request that cannot
+	// get a slot within admitWait is shed with 429.
+	maxInflight = 256
+	admitWait   = 5 * time.Millisecond
+	// deadline bounds one admitted query request.
+	deadline = 2 * time.Second
+	// batchBudget caps the queries in one /batch, maxBatchBytes its body.
+	batchBudget   = 4096
+	maxBatchBytes = 4 << 20
+	// The degradation ladder, as fractions of maxInflight occupancy: at
+	// degradeCacheAt the path cache stops admitting entries (lookups still
+	// hit); at degradeDistOnlyAt path queries are refused with 503 +
+	// Retry-After so the cheap dist lookups keep their latency.
+	degradeCacheAt    = 0.75
+	degradeDistOnlyAt = 0.9
+	// retryAfter is the Retry-After (seconds) stamped on every shed or
 	// degraded refusal, sized to the admission queue's drain time.
-	shedRetryAfter = "1"
+	retryAfter = "1"
 	// statusClientClosed mirrors nginx's 499: the client vanished before
 	// the answer existed, so no bytes reach the wire — the status only
 	// feeds metrics and logs.
@@ -60,11 +67,11 @@ const (
 // degradeLevel reads the ladder rung from the current admission-slot
 // occupancy. One channel-length read: cheap enough for every query.
 func (s *Server) degradeLevel() int {
-	occ := float64(len(s.sem)) / float64(s.MaxInflight)
+	occ := float64(len(s.sem)) / maxInflight
 	switch {
-	case s.DegradeDistOnlyAt > 0 && occ >= s.DegradeDistOnlyAt:
+	case occ >= degradeDistOnlyAt:
 		return degradeDistOnly
-	case s.DegradeCacheAt > 0 && occ >= s.DegradeCacheAt:
+	case occ >= degradeCacheAt:
 		return degradeNoCacheInsert
 	}
 	return degradeNone
@@ -82,20 +89,15 @@ func (s *Server) degradeLevel() int {
 //	POST /admin/recompute     background recompute + atomic snapshot swap
 //	GET  /debug/pprof/...     runtime profiles
 //
-// Admission control: at most MaxInflight query requests execute at once;
-// a request that cannot get a slot within AdmitWait is shed with 429.
-// Every admitted query runs under a Deadline-bounded context and reads the
-// snapshot pointer exactly once — a /batch of 10k lookups is answered
+// Admission control: at most maxInflight query requests execute at once;
+// a request that cannot get a slot within admitWait is shed with 429.
+// Every admitted query runs under a deadline-bounded context and reads the
+// snapshot pointer exactly once — a /batch of 4096 lookups is answered
 // entirely from one generation even if a swap lands mid-request.
 type Server struct {
 	Store *Store
 	Cache *PathCache
 	Met   *Metrics
-
-	MaxInflight int
-	AdmitWait   time.Duration
-	Deadline    time.Duration
-	BatchBudget int
 
 	// Recompute, when set, is invoked by POST /admin/recompute (in a
 	// background goroutine, single-flight) to build a replacement
@@ -107,14 +109,6 @@ type Server struct {
 	// daemon's autosave hook). Called synchronously after the swap; a slow
 	// hook delays the Publish caller, never queries.
 	AfterPublish func(*Snapshot)
-	// DegradeCacheAt and DegradeDistOnlyAt are the load-shedding ladder
-	// thresholds, as fractions of MaxInflight occupancy: at DegradeCacheAt
-	// the path cache stops admitting new entries (lookups still hit); at
-	// DegradeDistOnlyAt path queries are refused with 503 + Retry-After so
-	// the cheap dist lookups keep their latency. 0 = defaults (0.75 and
-	// 0.9); negative disables that rung.
-	DegradeCacheAt    float64
-	DegradeDistOnlyAt float64
 	// Log receives operational and per-query records (nil = silent). Wrap
 	// the handler with trace.LogHandler so records carry trace IDs.
 	Log *slog.Logger
@@ -145,28 +139,10 @@ type Server struct {
 
 func (s *Server) init() {
 	s.initOnce.Do(func() {
-		if s.MaxInflight <= 0 {
-			s.MaxInflight = DefaultMaxInflight
-		}
-		if s.AdmitWait <= 0 {
-			s.AdmitWait = DefaultAdmitWait
-		}
-		if s.Deadline <= 0 {
-			s.Deadline = DefaultDeadline
-		}
-		if s.BatchBudget <= 0 {
-			s.BatchBudget = DefaultBatchBudget
-		}
-		if s.DegradeCacheAt == 0 {
-			s.DegradeCacheAt = DefaultDegradeCacheAt
-		}
-		if s.DegradeDistOnlyAt == 0 {
-			s.DegradeDistOnlyAt = DefaultDegradeDistOnlyAt
-		}
 		if s.Met == nil {
 			s.Met = NewMetrics()
 		}
-		s.sem = make(chan struct{}, s.MaxInflight)
+		s.sem = make(chan struct{}, maxInflight)
 	})
 }
 
@@ -201,8 +177,8 @@ func (s *Server) Publish(snap *Snapshot) uint64 {
 func (s *Server) Handler() http.Handler {
 	s.init()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /dist", s.query("dist", s.handleDist))
-	mux.HandleFunc("GET /path", s.query("path", s.handlePath))
+	mux.HandleFunc("GET /dist", s.query("dist", s.handleOne("dist")))
+	mux.HandleFunc("GET /path", s.query("path", s.handleOne("path")))
 	mux.HandleFunc("POST /batch", s.query("batch", s.handleBatch))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -235,11 +211,11 @@ func (s *Server) query(kind string, h func(http.ResponseWriter, *http.Request, *
 		select {
 		case s.sem <- struct{}{}:
 		default:
-			// No free slot: wait up to AdmitWait before shedding. The
+			// No free slot: wait up to admitWait before shedding. The
 			// admit span only exists on this contended path — uncontended
 			// admission is one channel send and leaves no span.
 			admit := root.Child("admit")
-			t := time.NewTimer(s.AdmitWait)
+			t := time.NewTimer(admitWait)
 			select {
 			case s.sem <- struct{}{}:
 				t.Stop()
@@ -249,7 +225,7 @@ func (s *Server) query(kind string, h func(http.ResponseWriter, *http.Request, *
 				admit.End()
 				root.Error(errors.New("shed: admission queue full"))
 				root.End()
-				writeErrRetry(w, http.StatusTooManyRequests, "overloaded, retry later")
+				WriteRetry(w, http.StatusTooManyRequests, "overloaded, retry later")
 				return
 			case <-r.Context().Done():
 				t.Stop()
@@ -257,7 +233,7 @@ func (s *Server) query(kind string, h func(http.ResponseWriter, *http.Request, *
 				admit.End()
 				root.Error(errors.New("shed: client gave up in admission queue"))
 				root.End()
-				writeErrRetry(w, http.StatusTooManyRequests, "client gave up in admission queue")
+				WriteRetry(w, http.StatusTooManyRequests, "client gave up in admission queue")
 				return
 			}
 		}
@@ -281,29 +257,31 @@ func (s *Server) query(kind string, h func(http.ResponseWriter, *http.Request, *
 			s.logQuery(ctx, kind, status, dur)
 		}()
 
-		dctx, cancel := context.WithTimeout(ctx, s.Deadline)
+		dctx, cancel := context.WithTimeout(ctx, deadline)
 		defer cancel()
 		snap := s.Store.Current() // the request's one and only pointer read
 		if snap == nil {
 			s.Met.Errors.Inc()
 			root.Error(errors.New("no snapshot published yet"))
-			status = writeErr(w, http.StatusServiceUnavailable, "no snapshot published yet")
+			status = WriteErr(w, http.StatusServiceUnavailable, "no snapshot published yet")
 			return
 		}
 		root.SetInt("gen", int64(snap.Gen()))
-		// The generation/shard headers are the cluster contract: a router
-		// learns which generation answered without parsing the body (the
-		// headers are set before the handler writes, so they reach the wire
-		// on every status).
-		w.Header().Set(GenHeader, strconv.FormatUint(snap.Gen(), 10))
-		if s.ShardID != "" {
-			w.Header().Set(ShardHeader, s.ShardID)
-		}
+		s.stamp(w, snap) // before the handler writes: on every status
 		status = h(w, r.WithContext(dctx), snap)
 		if status >= 400 {
 			s.Met.Errors.Inc()
 			root.Error(fmt.Errorf("HTTP %d", status))
 		}
+	}
+}
+
+// stamp sets the generation and shard headers, the cluster contract: a
+// router learns which generation answered without parsing the body.
+func (s *Server) stamp(w http.ResponseWriter, snap *Snapshot) {
+	w.Header().Set(GenHeader, strconv.FormatUint(snap.Gen(), 10))
+	if s.ShardID != "" {
+		w.Header().Set(ShardHeader, s.ShardID)
 	}
 }
 
@@ -327,89 +305,72 @@ func (s *Server) logQuery(ctx context.Context, kind string, status int, dur time
 	}
 }
 
-// distResp is the /dist answer; Dist is omitted when unreachable.
-type distResp struct {
-	Src       int    `json:"src"`
-	Dst       int    `json:"dst"`
-	Reachable bool   `json:"reachable"`
-	Dist      *int64 `json:"dist,omitempty"`
-	Gen       uint64 `json:"gen"`
+// handleOne serves GET /dist and GET /path: the query string's Query,
+// answered by the path every /batch entry takes and encoded in the
+// endpoint's own shape.
+func (s *Server) handleOne(kind string) func(http.ResponseWriter, *http.Request, *Snapshot) int {
+	return func(w http.ResponseWriter, r *http.Request, snap *Snapshot) int {
+		q, status := ReadQuery(w, r, kind)
+		if status != 0 {
+			return status
+		}
+		a := s.answer(r.Context(), snap, q)
+		switch {
+		case a.Status != 0:
+			return a.WriteError(w)
+		case kind == "path":
+			return WriteJSON(w, http.StatusOK, pathResp{Src: a.Src, Dst: a.Dst, Dist: *a.Dist, Hops: len(a.Path) - 1, Path: a.Path, Gen: snap.Gen()})
+		}
+		return WriteJSON(w, http.StatusOK, distResp{Src: a.Src, Dst: a.Dst, Reachable: a.Reachable, Dist: a.Dist, Gen: snap.Gen()})
+	}
 }
 
-// pathResp is the /path answer; Hops is the edge count of Path.
-type pathResp struct {
-	Src  int    `json:"src"`
-	Dst  int    `json:"dst"`
-	Dist int64  `json:"dist"`
-	Hops int    `json:"hops"`
-	Path []int  `json:"path"`
-	Gen  uint64 `json:"gen"`
-}
-
-// resolve parses src/dst query params and maps src to its snapshot row.
-// On failure it writes the error response and returns (-1, -1, status).
-func resolve(w http.ResponseWriter, r *http.Request, snap *Snapshot) (row, dst, status int) {
-	src, err := strconv.Atoi(r.URL.Query().Get("src"))
-	if err != nil {
-		return -1, -1, writeErr(w, http.StatusBadRequest, "bad or missing src: %v", err)
-	}
-	dst, err = strconv.Atoi(r.URL.Query().Get("dst"))
-	if err != nil {
-		return -1, -1, writeErr(w, http.StatusBadRequest, "bad or missing dst: %v", err)
-	}
-	row, ok := snap.Row(src)
+// answer is the one answer path: GET /dist, GET /path and every /batch
+// entry are decided here — which source row, which target, whether the
+// snapshot has paths, whether load still allows a walk. When ctx carries
+// a span the lookup and the path walk get children (/batch passes a
+// spanless context: its segment is the tracing granularity).
+func (s *Server) answer(ctx context.Context, snap *Snapshot, q Query) Answer {
+	row, ok := snap.Row(q.Src)
 	if !ok {
-		return -1, -1, writeErr(w, http.StatusNotFound, "source %d not in snapshot (k=%d of n=%d)", src, snap.K(), snap.N())
+		return q.Fail(http.StatusNotFound, "source %d not in snapshot (k=%d of n=%d)", q.Src, snap.K(), snap.N())
 	}
-	if dst < 0 || dst >= snap.N() {
-		return -1, -1, writeErr(w, http.StatusBadRequest, "dst %d outside graph (n=%d)", dst, snap.N())
+	if q.Dst < 0 || q.Dst >= snap.N() {
+		return q.Fail(http.StatusBadRequest, "dst %d outside graph (n=%d)", q.Dst, snap.N())
 	}
-	return row, dst, 0
-}
-
-func (s *Server) handleDist(w http.ResponseWriter, r *http.Request, snap *Snapshot) int {
-	row, dst, status := resolve(w, r, snap)
-	if status != 0 {
-		return status
+	a := Answer{Src: q.Src, Dst: q.Dst}
+	switch q.Kind {
+	case "", "dist":
+		sp := trace.FromContext(ctx).Child("lookup")
+		d := snap.DistAt(row, q.Dst)
+		sp.End()
+		if d < graph.Inf {
+			a.Reachable, a.Dist = true, &d
+		}
+	case "path":
+		if !snap.HasPaths() {
+			return q.Fail(http.StatusNotImplemented, "%s snapshots record no parent pointers; only dist queries are served", snap.Alg())
+		}
+		if s.degradeLevel() >= degradeDistOnly {
+			s.Met.DegradedPaths.Inc()
+			return q.Fail(http.StatusServiceUnavailable, "degraded to dist-only under load, retry later")
+		}
+		path, err := s.lookupPath(ctx, snap, row, q.Dst)
+		if err != nil {
+			return q.Fail(pathStatus(err), "%v", err)
+		}
+		d := snap.DistAt(row, q.Dst)
+		a.Reachable, a.Dist, a.Path = true, &d, path
+	default:
+		return q.Fail(http.StatusBadRequest, "unknown query kind %q", q.Kind)
 	}
-	_, sp := trace.Start(r.Context(), "lookup")
-	d := snap.DistAt(row, dst)
-	sp.End()
-	resp := distResp{Src: snap.Sources()[row], Dst: dst, Gen: snap.Gen()}
-	if d < graph.Inf {
-		resp.Reachable = true
-		resp.Dist = &d
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handlePath(w http.ResponseWriter, r *http.Request, snap *Snapshot) int {
-	row, dst, status := resolve(w, r, snap)
-	if status != 0 {
-		return status
-	}
-	if !snap.HasPaths() {
-		return writeErr(w, http.StatusNotImplemented, "%s snapshots record no parent pointers; only /dist is served", snap.Alg())
-	}
-	if s.degradeLevel() >= degradeDistOnly {
-		s.Met.DegradedPaths.Inc()
-		return writeErrRetry(w, http.StatusServiceUnavailable, "degraded to dist-only under load, retry later")
-	}
-	path, err := s.lookupPath(r.Context(), snap, row, dst)
-	if err != nil {
-		return writeErr(w, pathStatus(err), "%v", err)
-	}
-	return writeJSON(w, http.StatusOK, pathResp{
-		Src: snap.Sources()[row], Dst: dst,
-		Dist: snap.DistAt(row, dst), Hops: len(path) - 1, Path: path, Gen: snap.Gen(),
-	})
+	return a
 }
 
 // lookupPath consults the LRU before walking; walker errors are cached
 // alongside successes (both are deterministic for a given generation).
 // When the context carries a span, the cache probe and the parent walk
-// each get a child (batch queries pass a spanless context — the segment
-// span is their granularity).
+// each get a child.
 func (s *Server) lookupPath(ctx context.Context, snap *Snapshot, row, dst int) ([]int, error) {
 	parent := trace.FromContext(ctx)
 	if s.Cache != nil {
@@ -454,32 +415,10 @@ func pathStatus(err error) int {
 	}
 }
 
-// batchReq / batchItem are the /batch request body.
-type batchReq struct {
-	Queries []batchItem `json:"queries"`
-}
-
-type batchItem struct {
-	Kind string `json:"kind,omitempty"` // "dist" (default) | "path"
-	Src  int    `json:"src"`
-	Dst  int    `json:"dst"`
-}
-
-// batchResult is one per-query answer; Error/Status are set instead of the
-// payload fields when the query failed.
-type batchResult struct {
-	Src       int    `json:"src"`
-	Dst       int    `json:"dst"`
-	Reachable bool   `json:"reachable"`
-	Dist      *int64 `json:"dist,omitempty"`
-	Path      []int  `json:"path,omitempty"`
-	Error     string `json:"error,omitempty"`
-	Status    int    `json:"status,omitempty"`
-}
-
+// batchResp is the /batch answer: one Answer per query, in query order.
 type batchResp struct {
-	Gen     uint64        `json:"gen"`
-	Results []batchResult `json:"results"`
+	Gen     uint64   `json:"gen"`
+	Results []Answer `json:"results"`
 }
 
 // BatchPartialError reports a /batch cut off after Done of Total queries.
@@ -500,27 +439,20 @@ func (e *BatchPartialError) Error() string {
 func (e *BatchPartialError) Unwrap() error { return e.Cause }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, snap *Snapshot) int {
-	var req batchReq
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes))
-	if err := dec.Decode(&req); err != nil {
-		return writeErr(w, http.StatusBadRequest, "bad batch body: %v", err)
-	}
-	if len(req.Queries) == 0 {
-		return writeErr(w, http.StatusBadRequest, "empty batch")
-	}
-	if len(req.Queries) > s.BatchBudget {
-		return writeErr(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds budget %d", len(req.Queries), s.BatchBudget)
+	queries, status := ReadBatch(w, r)
+	if status != 0 {
+		return status
 	}
 	ctx := r.Context()
 	sp := trace.FromContext(ctx)
-	sp.SetInt("queries", int64(len(req.Queries)))
+	sp.SetInt("queries", int64(len(queries)))
 	// Individual queries run without spans: a 10k-query batch traced per
 	// query would blow the span budget and drown the tree. The 256-query
 	// segment is the tracing granularity.
 	qctx := trace.ContextWith(ctx, nil)
-	resp := batchResp{Gen: snap.Gen(), Results: make([]batchResult, len(req.Queries))}
+	resp := batchResp{Gen: snap.Gen(), Results: make([]Answer, len(queries))}
 	var seg *trace.Span
-	for qi, q := range req.Queries {
+	for qi, q := range queries {
 		// The deadline AND the client's own context are checked between
 		// queries, so a huge path batch neither holds its admission slot
 		// past the request budget nor keeps burning CPU for a client that
@@ -529,62 +461,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, snap *Snaps
 			seg.End()
 			if err := ctx.Err(); err != nil {
 				seg = nil
-				perr := &BatchPartialError{Done: qi, Total: len(req.Queries), Cause: err}
+				perr := &BatchPartialError{Done: qi, Total: len(queries), Cause: err}
 				if errors.Is(err, context.DeadlineExceeded) {
 					s.Met.DeadlineExceeded.Inc()
-					return writeErr(w, http.StatusGatewayTimeout, "%v", perr)
+					return WriteErr(w, http.StatusGatewayTimeout, "%v", perr)
 				}
 				// Client disconnect: the write below is a no-op on a dead
 				// connection; the status records the abandonment.
-				return writeErr(w, statusClientClosed, "%v", perr)
+				return WriteErr(w, statusClientClosed, "%v", perr)
 			}
 			seg = sp.Child("batch.segment")
 			seg.SetInt("offset", int64(qi))
 		}
-		resp.Results[qi] = s.batchOne(qctx, snap, q)
+		resp.Results[qi] = s.answer(qctx, snap, q)
 	}
 	seg.End()
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) batchOne(ctx context.Context, snap *Snapshot, q batchItem) batchResult {
-	res := batchResult{Src: q.Src, Dst: q.Dst}
-	fail := func(status int, format string, args ...any) batchResult {
-		res.Error = fmt.Sprintf(format, args...)
-		res.Status = status
-		return res
-	}
-	row, ok := snap.Row(q.Src)
-	if !ok {
-		return fail(http.StatusNotFound, "source %d not in snapshot", q.Src)
-	}
-	if q.Dst < 0 || q.Dst >= snap.N() {
-		return fail(http.StatusBadRequest, "dst %d outside graph (n=%d)", q.Dst, snap.N())
-	}
-	switch q.Kind {
-	case "", "dist":
-		if d := snap.DistAt(row, q.Dst); d < graph.Inf {
-			res.Reachable = true
-			res.Dist = &d
-		}
-	case "path":
-		if !snap.HasPaths() {
-			return fail(http.StatusNotImplemented, "%s snapshots record no parent pointers", snap.Alg())
-		}
-		if s.degradeLevel() >= degradeDistOnly {
-			s.Met.DegradedPaths.Inc()
-			return fail(http.StatusServiceUnavailable, "degraded to dist-only under load, retry later")
-		}
-		path, err := s.lookupPath(ctx, snap, row, q.Dst)
-		if err != nil {
-			return fail(pathStatus(err), "%v", err)
-		}
-		d := snap.DistAt(row, q.Dst)
-		res.Reachable, res.Dist, res.Path = true, &d, path
-	default:
-		return fail(http.StatusBadRequest, "unknown query kind %q", q.Kind)
-	}
-	return res
+	return WriteJSON(w, http.StatusOK, resp)
 }
 
 // Health is the /healthz body — the one declaration the server encodes
@@ -610,13 +502,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.init()
 	snap := s.Store.Current()
 	if snap == nil {
-		writeJSON(w, http.StatusServiceUnavailable, Health{Status: "loading", Recomputing: s.recomputing.Load()})
+		WriteJSON(w, http.StatusServiceUnavailable, Health{Status: "loading", Recomputing: s.recomputing.Load()})
 		return
 	}
-	w.Header().Set(GenHeader, strconv.FormatUint(snap.Gen(), 10))
-	if s.ShardID != "" {
-		w.Header().Set(ShardHeader, s.ShardID)
-	}
+	s.stamp(w, snap)
 	resp := Health{
 		Status: "ok", Gen: snap.Gen(), Alg: snap.Alg(), N: snap.N(), K: snap.K(),
 		Shard:       s.ShardID,
@@ -630,7 +519,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	// Stale is still 200: the answers served are correct, just older than
 	// requested. Only a missing snapshot is unready.
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -657,11 +546,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 	s.init()
 	if s.Recompute == nil {
-		writeErr(w, http.StatusNotImplemented, "server has no recompute source (started from a static load)")
+		WriteErr(w, http.StatusNotImplemented, "server has no recompute source (started from a static load)")
 		return
 	}
 	if !s.recomputing.CompareAndSwap(false, true) {
-		writeErr(w, http.StatusConflict, "recompute already running")
+		WriteErr(w, http.StatusConflict, "recompute already running")
 		return
 	}
 	// The recompute trace outlives the HTTP request: its root span is born
@@ -701,30 +590,5 @@ func (s *Server) handleRecompute(w http.ResponseWriter, r *http.Request) {
 		s.logAt(rctx, slog.LevelInfo, "recompute finished",
 			slog.Uint64("gen", gen), slog.Duration("dur", time.Since(start)))
 	}()
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "recompute started"})
-}
-
-type errResp struct {
-	Error string `json:"error"`
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) int {
-	return writeJSON(w, status, errResp{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeErrRetry is writeErr plus a Retry-After header — every shed and
-// degraded refusal tells the client when to come back, so a well-behaved
-// retry loop (internal/client honors the header) backs off in step with
-// the server's load instead of hammering it.
-func writeErrRetry(w http.ResponseWriter, status int, format string, args ...any) int {
-	w.Header().Set("Retry-After", shedRetryAfter)
-	return writeErr(w, status, format, args...)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-	return status
+	WriteJSON(w, http.StatusAccepted, map[string]string{"status": "recompute started"})
 }

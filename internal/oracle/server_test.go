@@ -35,6 +35,12 @@ func newTestServer(t *testing.T, tweak func(*Server)) (*httptest.Server, *Server
 	return ts, srv, snap
 }
 
+// batchBody is the POST /batch body asking qs.
+func batchBody(qs []Query) []byte {
+	body, _ := json.Marshal(Batch{Queries: qs})
+	return body
+}
+
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -154,21 +160,21 @@ func TestServerNoSnapshot503(t *testing.T) {
 }
 
 func TestServerBatch(t *testing.T) {
-	ts, _, snap := newTestServer(t, func(s *Server) { s.BatchBudget = 64 })
+	ts, _, snap := newTestServer(t, nil)
 	src := snap.Sources()[0]
 	row, _ := snap.Row(src)
 
-	var queries []batchItem
+	var queries []Query
 	for v := 0; v < snap.N(); v++ {
-		queries = append(queries, batchItem{Kind: "dist", Src: src, Dst: v})
-		queries = append(queries, batchItem{Kind: "path", Src: src, Dst: v})
+		queries = append(queries, Query{Kind: "dist", Src: src, Dst: v})
+		queries = append(queries, Query{Kind: "path", Src: src, Dst: v})
 	}
 	queries = append(queries,
-		batchItem{Kind: "dist", Src: -5, Dst: 0},     // unknown source → per-item 404
-		batchItem{Kind: "dist", Src: src, Dst: 9999}, // bad dst → per-item 400
-		batchItem{Kind: "warp", Src: src, Dst: 0},    // unknown kind → per-item 400
+		Query{Kind: "dist", Src: -5, Dst: 0},     // unknown source → per-item 404
+		Query{Kind: "dist", Src: src, Dst: 9999}, // bad dst → per-item 400
+		Query{Kind: "warp", Src: src, Dst: 0},    // unknown kind → per-item 400
 	)
-	body, _ := json.Marshal(batchReq{Queries: queries})
+	body := batchBody(queries)
 	resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +214,7 @@ func TestServerBatch(t *testing.T) {
 	}
 
 	// Over-budget and malformed batches are refused whole.
-	big, _ := json.Marshal(batchReq{Queries: make([]batchItem, 65)})
+	big := batchBody(make([]Query, batchBudget+1))
 	if resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(big)); err != nil {
 		t.Fatal(err)
 	} else {
@@ -231,14 +237,10 @@ func TestServerBatch(t *testing.T) {
 
 func TestServerAdmissionShedding(t *testing.T) {
 	block := make(chan struct{})
-	ts, srv, _ := newTestServer(t, func(s *Server) {
-		s.MaxInflight = 2
-		s.AdmitWait = time.Millisecond
-	})
-	// Occupy both slots directly (the handler path would race the test).
-	srv.sem <- struct{}{}
-	srv.sem <- struct{}{}
-	defer func() { close(block); <-srv.sem; <-srv.sem }()
+	ts, srv, _ := newTestServer(t, nil)
+	// Occupy every slot directly (the handler path would race the test).
+	release := fillSlots(t, srv, maxInflight)
+	defer func() { close(block); release() }()
 
 	if status := getJSON(t, ts.URL+"/dist?src=0&dst=1", nil); status != http.StatusTooManyRequests {
 		t.Fatalf("saturated server status %d, want 429", status)

@@ -32,8 +32,9 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := &Server{Store: &Store{}, Cache: NewPathCache(256), Met: NewMetrics(),
-		MaxInflight: 1024} // high ceiling: this gate must see zero sheds
+	// 32 workers stay far below the admission ceiling: this gate must see
+	// zero sheds.
+	srv := &Server{Store: &Store{}, Cache: NewPathCache(256), Met: NewMetrics()}
 	srv.Publish(snapA)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -190,11 +190,11 @@ func TestServerErrorTracedAndCounted(t *testing.T) {
 func TestServerBatchSegmentSpans(t *testing.T) {
 	ts, _, snap, sink := tracedServer(t, nil)
 	src := snap.Sources()[0]
-	var queries []batchItem
+	var queries []Query
 	for v := 0; v < snap.N(); v++ {
-		queries = append(queries, batchItem{Kind: "dist", Src: src, Dst: v})
+		queries = append(queries, Query{Kind: "dist", Src: src, Dst: v})
 	}
-	body, _ := json.Marshal(batchReq{Queries: queries})
+	body := batchBody(queries)
 	resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
