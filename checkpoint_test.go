@@ -14,6 +14,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/hssp"
+	"repro/internal/obs"
 	"repro/internal/posweight"
 	"repro/internal/scaling"
 	"repro/internal/shortrange"
@@ -261,6 +262,37 @@ func TestCheckpointObserverSplice(t *testing.T) {
 		if !reflect.DeepEqual(sends, baseRec.sends) {
 			t.Fatalf("sched=%v: NodeSends splice diverges", sched)
 		}
+	}
+}
+
+// TestCheckpointTeeCarriesObserverState: a Recorder behind a congest.Tee
+// checkpoints and restores like a bare one — the snapshot carries its
+// state, and the resumed Recorder counts the executed rounds of an
+// uninterrupted run.
+func TestCheckpointTeeCarriesObserverState(t *testing.T) {
+	in := ckptInstance(11)
+	executed := func(pol *congest.CheckpointPolicy) int {
+		rec := obs.NewRecorder()
+		_, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H,
+			Engine: congest.Config{Observer: congest.Tee(rec, &streamRecorder{}), Checkpoint: pol}})
+		if err != nil && !errors.Is(err, congest.ErrCheckpointStop) {
+			t.Fatal(err)
+		}
+		rounds := 0
+		for _, p := range rec.Breakdown() {
+			rounds += p.RoundsExecuted
+		}
+		return rounds
+	}
+	base := executed(nil)
+	k := &checkpoint.Keeper{}
+	executed(&congest.CheckpointPolicy{AtRound: 4, Stop: true, Sink: k.Sink})
+	snap, _ := k.Latest()
+	if snap == nil || len(snap.Obs) == 0 {
+		t.Fatal("a snapshot taken through a Tee carries no observer state")
+	}
+	if got := executed(&congest.CheckpointPolicy{Resume: snap}); got != base {
+		t.Fatalf("resumed Recorder counts %d executed rounds, uninterrupted run %d", got, base)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/congest"
 )
 
 // TestCheckpointTornWriteSweep truncates a known-good checkpoint at every
@@ -40,4 +41,82 @@ func TestCheckpointTornWriteSweep(t *testing.T) {
 	if _, _, err := checkpoint.Load(torn); err == nil {
 		t.Fatal("trailing garbage byte loaded silently")
 	}
+}
+
+// stateBlobs lists s's node blobs, then its Net and Obs blobs when present.
+func stateBlobs(s *congest.Snapshot) []*[]byte {
+	bs := make([]*[]byte, 0, len(s.Nodes)+2)
+	for i := range s.Nodes {
+		bs = append(bs, &s.Nodes[i])
+	}
+	for _, b := range []*[]byte{&s.Net, &s.Obs} {
+		if *b != nil {
+			bs = append(bs, b)
+		}
+	}
+	return bs
+}
+
+// loadCompat loads every compat fixture's snapshot.
+func loadCompat(tb testing.TB, cases []compatCase) []*congest.Snapshot {
+	snaps := make([]*congest.Snapshot, len(cases))
+	for i, c := range cases {
+		_, snap, err := checkpoint.Load(compatPath(c))
+		if err != nil {
+			tb.Fatalf("%s: %v", c.name, err)
+		}
+		snaps[i] = snap
+	}
+	return snaps
+}
+
+// TestCheckpointTornStateSweep cuts every node, Net and Obs blob of every
+// compat fixture at every byte and resumes from the result: the node-state
+// decoders must refuse each cut with an error — no panic, and no run that
+// resumes. The container sweep above never reaches them: Load parses node
+// states only as opaque blobs.
+func TestCheckpointTornStateSweep(t *testing.T) {
+	cases := compatCases()
+	cuts := 0
+	for i, snap := range loadCompat(t, cases) {
+		c := cases[i]
+		for bi, b := range stateBlobs(snap) {
+			whole := *b
+			for cut := 0; cut < len(whole); cut++ {
+				*b = whole[:cut]
+				if _, _, err := c.exec(&congest.CheckpointPolicy{Resume: snap}, c.sched); err == nil {
+					t.Fatalf("%s: blob %d cut at byte %d of %d resumed silently", c.name, bi, cut, len(whole))
+				}
+				cuts++
+			}
+			*b = whole
+		}
+	}
+	t.Logf("%d cuts refused", cuts)
+}
+
+// FuzzResumeState replaces one node, Net or Obs blob of a compat fixture
+// with arbitrary bytes and resumes for at most one round (the policy stops
+// at the next barrier). Whatever the bytes, the engine must refuse them
+// with an error or run that round — never panic.
+func FuzzResumeState(f *testing.F) {
+	cases := compatCases()
+	snaps := loadCompat(f, cases)
+	for i, snap := range snaps {
+		for bi, b := range stateBlobs(snap) {
+			f.Add(uint8(i), uint16(bi), *b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, fix uint8, blob uint16, data []byte) {
+		i := int(fix) % len(cases)
+		snap := *snaps[i]
+		snap.Nodes = append([][]byte(nil), snap.Nodes...)
+		bs := stateBlobs(&snap)
+		*bs[int(blob)%len(bs)] = data
+		// Refused, stopped at the next barrier or finished: all fine.
+		cases[i].exec(&congest.CheckpointPolicy{
+			Resume: &snap, Run: snap.RunIdx, AtRound: snap.Round + 1, Stop: true,
+			Sink: func(*congest.Snapshot) error { return nil },
+		}, cases[i].sched)
+	})
 }

@@ -7,103 +7,52 @@ package bcast
 import "repro/internal/congest"
 
 func init() {
-	congest.RegisterPayloadCodec("bcast.Vec", Vec(nil),
-		func(enc *congest.StateEncoder, p congest.Payload) {
-			enc.Int64s(p.(Vec))
-		},
-		func(dec *congest.StateDecoder) (congest.Payload, error) {
-			return Vec(dec.Int64s()), dec.Err()
-		})
+	congest.RegisterPayloadCodec("bcast.Vec", walkVec)
 }
 
-func encodeVecs(enc *congest.StateEncoder, vs []Vec) {
-	enc.Int(len(vs))
-	for _, v := range vs {
-		enc.Int64s(v)
+func walkVec(c *congest.Codec, v *Vec) { c.Int64s((*[]int64)(v)) }
+
+func walkVecs(c *congest.Codec, vs *[]Vec) {
+	for i := range congest.Slice(c, vs) {
+		walkVec(c, &(*vs)[i])
 	}
 }
 
-func decodeVecs(dec *congest.StateDecoder) []Vec {
-	n := dec.Int()
-	if dec.Err() != nil {
-		return nil
-	}
-	vs := make([]Vec, 0, n)
-	for i := 0; i < n; i++ {
-		vs = append(vs, Vec(dec.Int64s()))
-	}
-	return vs
+// State implements congest.Stateful.
+func (t *treeNode) State(c *congest.Codec) error {
+	c.Int(&t.dist)
+	c.Int(&t.parent)
+	c.Bool(&t.fresh)
+	return nil
 }
 
-// EncodeState implements congest.Stateful.
-func (t *treeNode) EncodeState(enc *congest.StateEncoder) {
-	enc.Int(t.dist)
-	enc.Int(t.parent)
-	enc.Bool(t.fresh)
+// State implements congest.Stateful.
+func (c *claimNode) State(cd *congest.Codec) error {
+	cd.Ints(&c.children)
+	cd.Bool(&c.sent)
+	return nil
 }
 
-// DecodeState implements congest.Stateful.
-func (t *treeNode) DecodeState(dec *congest.StateDecoder) error {
-	t.dist = dec.Int()
-	t.parent = dec.Int()
-	t.fresh = dec.Bool()
-	return dec.Err()
+// State implements congest.Stateful.
+func (a *aggNode) State(c *congest.Codec) error {
+	c.Int64(&a.val)
+	c.Int64(&a.arg)
+	c.Int(&a.pending)
+	c.Bool(&a.sent)
+	return nil
 }
 
-// EncodeState implements congest.Stateful.
-func (c *claimNode) EncodeState(enc *congest.StateEncoder) {
-	enc.Ints(c.children)
-	enc.Bool(c.sent)
+// State implements congest.Stateful.
+func (p *pipeNode) State(c *congest.Codec) error {
+	c.Int(&p.sentI)
+	walkVecs(c, &p.queue)
+	walkVecs(c, &p.got)
+	return nil
 }
 
-// DecodeState implements congest.Stateful.
-func (c *claimNode) DecodeState(dec *congest.StateDecoder) error {
-	c.children = dec.Ints()
-	c.sent = dec.Bool()
-	return dec.Err()
-}
-
-// EncodeState implements congest.Stateful.
-func (a *aggNode) EncodeState(enc *congest.StateEncoder) {
-	enc.Int64(a.val)
-	enc.Int64(a.arg)
-	enc.Int(a.pending)
-	enc.Bool(a.sent)
-}
-
-// DecodeState implements congest.Stateful.
-func (a *aggNode) DecodeState(dec *congest.StateDecoder) error {
-	a.val = dec.Int64()
-	a.arg = dec.Int64()
-	a.pending = dec.Int()
-	a.sent = dec.Bool()
-	return dec.Err()
-}
-
-// EncodeState implements congest.Stateful.
-func (p *pipeNode) EncodeState(enc *congest.StateEncoder) {
-	enc.Int(p.sentI)
-	encodeVecs(enc, p.queue)
-	encodeVecs(enc, p.got)
-}
-
-// DecodeState implements congest.Stateful.
-func (p *pipeNode) DecodeState(dec *congest.StateDecoder) error {
-	p.sentI = dec.Int()
-	p.queue = decodeVecs(dec)
-	p.got = decodeVecs(dec)
-	return dec.Err()
-}
-
-// EncodeState implements congest.Stateful.
-func (gn *gatherNode) EncodeState(enc *congest.StateEncoder) {
-	encodeVecs(enc, gn.queue)
-	encodeVecs(enc, gn.got)
-}
-
-// DecodeState implements congest.Stateful.
-func (gn *gatherNode) DecodeState(dec *congest.StateDecoder) error {
-	gn.queue = decodeVecs(dec)
-	gn.got = decodeVecs(dec)
-	return dec.Err()
+// State implements congest.Stateful.
+func (gn *gatherNode) State(c *congest.Codec) error {
+	walkVecs(c, &gn.queue)
+	walkVecs(c, &gn.got)
+	return nil
 }

@@ -15,41 +15,25 @@ func init() {
 	// keeping both identical is what keeps old checkpoint files loading
 	// (the registry keys on the concrete type only in the encode
 	// direction, and the name only in the decode direction).
-	congest.RegisterPayloadCodec("bellman.estimate", &estimate{},
-		func(enc *congest.StateEncoder, p congest.Payload) {
-			m := p.(*estimate)
-			enc.Int(m.src)
-			enc.Int64(m.d)
-		},
-		func(dec *congest.StateDecoder) (congest.Payload, error) {
-			m := &estimate{src: dec.Int(), d: dec.Int64()}
-			return m, dec.Err()
-		})
+	congest.RegisterPayloadCodec("bellman.estimate", func(c *congest.Codec, m **estimate) {
+		if *m == nil {
+			*m = &estimate{}
+		}
+		c.Int(&(*m).src)
+		c.Int64(&(*m).d)
+	})
 }
 
-// EncodeState implements congest.Stateful.
-func (nd *node) EncodeState(enc *congest.StateEncoder) {
-	enc.Int(nd.cur)
-	enc.Int(nd.snapBlock)
-	enc.Int64s(nd.dist)
-	enc.Int64s(nd.snap)
-	enc.Int64s(nd.lastSent)
-	enc.Ints(nd.parent)
-}
-
-// DecodeState implements congest.Stateful.
-func (nd *node) DecodeState(dec *congest.StateDecoder) error {
-	nd.cur = dec.Int()
-	nd.snapBlock = dec.Int()
-	nd.dist = dec.Int64s()
-	nd.snap = dec.Int64s()
-	nd.lastSent = dec.Int64s()
-	nd.parent = dec.Ints()
-	if err := dec.Err(); err != nil {
-		return err
-	}
+// State implements congest.Stateful.
+func (nd *node) State(c *congest.Codec) error {
+	c.Int(&nd.cur)
+	c.Int(&nd.snapBlock)
+	c.Int64s(&nd.dist)
+	c.Int64s(&nd.snap)
+	c.Int64s(&nd.lastSent)
+	c.Ints(&nd.parent)
 	k := len(nd.opts.Sources)
-	if len(nd.dist) != k || len(nd.snap) != k || len(nd.lastSent) != k || len(nd.parent) != k {
+	if c.Decoding() && c.Err() == nil && (len(nd.dist) != k || len(nd.snap) != k || len(nd.lastSent) != k || len(nd.parent) != k) {
 		return fmt.Errorf("bellman: snapshot arity mismatch (want %d sources)", k)
 	}
 	return nil

@@ -1,158 +1,74 @@
 // Checkpoint support: congest.Stateful for the blocker-phase node kinds.
-// The per-neighbor FIFO queues are maps, so they are encoded in sorted
+// The per-neighbor FIFO queues are maps, so they are walked in sorted
 // neighbor order; the collection, children lists and the chosen blocker
 // are configuration rebuilt by Compute's phase drivers.
 package blocker
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/congest"
 )
 
 func init() {
-	congest.RegisterPayloadCodec("blocker.msg", msg{},
-		func(enc *congest.StateEncoder, p congest.Payload) {
-			m := p.(msg)
-			enc.Int(m.kind)
-			enc.Int(m.tree)
-			enc.Int64(m.val)
-		},
-		func(dec *congest.StateDecoder) (congest.Payload, error) {
-			m := msg{kind: dec.Int(), tree: dec.Int(), val: dec.Int64()}
-			return m, dec.Err()
-		})
+	congest.RegisterPayloadCodec("blocker.msg", walkMsg)
 }
 
-func (qn *queueNode) encodeQueues(enc *congest.StateEncoder) {
-	tos := make([]int, 0, len(qn.q))
-	for to := range qn.q {
-		tos = append(tos, to)
-	}
-	sort.Ints(tos)
-	enc.Int(len(tos))
-	for _, to := range tos {
-		enc.Int(to)
-		items := qn.q[to]
-		enc.Int(len(items))
-		for _, m := range items {
-			enc.Int(m.kind)
-			enc.Int(m.tree)
-			enc.Int64(m.val)
+func walkMsg(c *congest.Codec, m *msg) {
+	c.Int(&m.kind)
+	c.Int(&m.tree)
+	c.Int64(&m.val)
+}
+
+// queues walks the per-neighbor FIFO queues.
+func (qn *queueNode) queues(c *congest.Codec) {
+	congest.Map(c, &qn.q, func(to *int, items *[]msg) {
+		c.Int(to)
+		for i := range congest.Slice(c, items) {
+			walkMsg(c, &(*items)[i])
 		}
-	}
+	})
 }
 
-func (qn *queueNode) decodeQueues(dec *congest.StateDecoder) error {
-	qn.q = nil
-	nt := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
+// State implements congest.Stateful.
+func (nd *claimNode) State(c *congest.Codec) error {
+	nd.queues(c)
+	for i := range congest.Slice(c, &nd.children) {
+		c.Ints(&nd.children[i])
 	}
-	for i := 0; i < nt; i++ {
-		to := dec.Int()
-		ni := dec.Int()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		for j := 0; j < ni; j++ {
-			qn.enqueue(to, msg{kind: dec.Int(), tree: dec.Int(), val: dec.Int64()})
-		}
-	}
-	return dec.Err()
-}
-
-func encodeIntLists(enc *congest.StateEncoder, ls [][]int) {
-	enc.Int(len(ls))
-	for _, l := range ls {
-		enc.Ints(l)
-	}
-}
-
-func decodeIntLists(dec *congest.StateDecoder) [][]int {
-	n := dec.Int()
-	if dec.Err() != nil {
-		return nil
-	}
-	ls := make([][]int, n)
-	for i := range ls {
-		ls[i] = dec.Ints()
-	}
-	return ls
-}
-
-// EncodeState implements congest.Stateful.
-func (nd *claimNode) EncodeState(enc *congest.StateEncoder) {
-	nd.encodeQueues(enc)
-	encodeIntLists(enc, nd.children)
-	enc.Bool(nd.started)
-}
-
-// DecodeState implements congest.Stateful.
-func (nd *claimNode) DecodeState(dec *congest.StateDecoder) error {
-	if err := nd.decodeQueues(dec); err != nil {
-		return err
-	}
-	nd.children = decodeIntLists(dec)
-	nd.started = dec.Bool()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if len(nd.children) != len(nd.coll.Sources) {
+	c.Bool(&nd.started)
+	if c.Decoding() && c.Err() == nil && len(nd.children) != len(nd.coll.Sources) {
 		return fmt.Errorf("blocker: snapshot has %d trees, want %d", len(nd.children), len(nd.coll.Sources))
 	}
 	return nil
 }
 
-// EncodeState implements congest.Stateful.
-func (nd *scoreNode) EncodeState(enc *congest.StateEncoder) {
-	nd.encodeQueues(enc)
-	enc.Int64s(nd.score)
-	enc.Ints(nd.pending)
-	enc.Bools(nd.reported)
-}
-
-// DecodeState implements congest.Stateful.
-func (nd *scoreNode) DecodeState(dec *congest.StateDecoder) error {
-	if err := nd.decodeQueues(dec); err != nil {
-		return err
-	}
-	nd.score = dec.Int64s()
-	nd.pending = dec.Ints()
-	nd.reported = dec.Bools()
-	if err := dec.Err(); err != nil {
-		return err
-	}
+// State implements congest.Stateful.
+func (nd *scoreNode) State(c *congest.Codec) error {
+	nd.queues(c)
+	c.Int64s(&nd.score)
+	c.Ints(&nd.pending)
+	c.Bools(&nd.reported)
 	k := len(nd.coll.Sources)
-	if len(nd.score) != k || len(nd.pending) != k || len(nd.reported) != k {
+	if c.Decoding() && c.Err() == nil && (len(nd.score) != k || len(nd.pending) != k || len(nd.reported) != k) {
 		return fmt.Errorf("blocker: snapshot score arity mismatch (want %d trees)", k)
 	}
 	return nil
 }
 
-// EncodeState implements congest.Stateful.
-func (nd *updateNode) EncodeState(enc *congest.StateEncoder) {
-	nd.encodeQueues(enc)
-	enc.Int64s(nd.score)
-	enc.Int64s(nd.cScore)
-}
-
-// DecodeState implements congest.Stateful. The score slice is shared with
-// Compute's cross-phase accounting array, so it is updated in place.
-func (nd *updateNode) DecodeState(dec *congest.StateDecoder) error {
-	if err := nd.decodeQueues(dec); err != nil {
-		return err
+// State implements congest.Stateful. The score slice is shared with
+// Compute's cross-phase accounting array, so decoding copies into it in
+// place.
+func (nd *updateNode) State(c *congest.Codec) error {
+	nd.queues(c)
+	score := nd.score
+	c.Int64s(&score)
+	c.Int64s(&nd.cScore)
+	if c.Decoding() && c.Err() == nil {
+		if len(score) != len(nd.score) {
+			return fmt.Errorf("blocker: snapshot score arity mismatch (want %d trees)", len(nd.score))
+		}
+		copy(nd.score, score)
 	}
-	score := dec.Int64s()
-	cScore := dec.Int64s()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if len(score) != len(nd.score) {
-		return fmt.Errorf("blocker: snapshot score arity mismatch (want %d trees)", len(nd.score))
-	}
-	copy(nd.score, score)
-	nd.cScore = cScore
 	return nil
 }

@@ -96,10 +96,23 @@ func Tee(os ...Observer) Observer {
 	case 1:
 		return kept[0]
 	}
+	for _, o := range kept {
+		if st, ok := o.(Stateful); ok {
+			return stateTee{kept, st}
+		}
+	}
 	return kept
 }
 
 type tee []Observer
+
+// stateTee is a Tee with a member that has checkpoint state: by the rule
+// CurrentPhase uses, the tee's state is its first such member's, so a
+// Recorder behind a Tee survives a checkpoint.
+type stateTee struct {
+	tee
+	Stateful
+}
 
 func (t tee) RunStart(n int) {
 	for _, o := range t {

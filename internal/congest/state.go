@@ -2,13 +2,13 @@
 // running engine taken at a round barrier, sufficient for bit-exact resume.
 //
 // The engine state that matters at a barrier is small and explicit: the
-// per-node protocol state (encoded by the nodes themselves via Stateful),
+// per-node protocol state (walked by the nodes themselves via Stateful),
 // the inboxes staged for the next round, the logical Stats and congestion
 // counters, the active-set scheduler's wake requests, and — when a
 // delivery substrate or a phase-attributing observer is installed — their
-// opaque state via Snapshotter. Everything is written through the
-// deterministic StateEncoder byte stream, so two snapshots of identical
-// logical states are byte-identical, and a snapshot round-trips through
+// opaque state, also via Stateful. Every layout is one Codec walk that
+// both encodes and decodes it, so two snapshots of identical logical
+// states are byte-identical, and a snapshot round-trips through
 // MarshalBinary across processes.
 //
 // Multi-phase algorithms run many engines in sequence. A CheckpointPolicy
@@ -22,7 +22,6 @@ package congest
 import (
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -33,303 +32,6 @@ import (
 // state, so cross-version restore is out of scope by policy (see
 // DESIGN.md, "Crash faults & checkpointing").
 const SnapshotVersion = 1
-
-// StateEncoder writes the deterministic byte stream snapshots are made of:
-// zigzag varints for integers, length-prefixed strings, one byte per bool.
-// The zero value is ready to use.
-type StateEncoder struct {
-	buf []byte
-}
-
-// Bytes returns the encoded stream.
-func (e *StateEncoder) Bytes() []byte { return e.buf }
-
-// Uint64 appends an unsigned varint.
-func (e *StateEncoder) Uint64(x uint64) {
-	for x >= 0x80 {
-		e.buf = append(e.buf, byte(x)|0x80)
-		x >>= 7
-	}
-	e.buf = append(e.buf, byte(x))
-}
-
-// Int64 appends a signed (zigzag) varint.
-func (e *StateEncoder) Int64(x int64) {
-	e.Uint64(uint64(x)<<1 ^ uint64(x>>63))
-}
-
-// Int appends a signed varint.
-func (e *StateEncoder) Int(x int) { e.Int64(int64(x)) }
-
-// Bool appends one byte.
-func (e *StateEncoder) Bool(b bool) {
-	if b {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-
-// Float64 appends the IEEE-754 bits of x as a fixed-width little-endian
-// word (varints would not round-trip NaN payloads deterministically).
-func (e *StateEncoder) Float64(x float64) {
-	bits := math.Float64bits(x)
-	for i := 0; i < 8; i++ {
-		e.buf = append(e.buf, byte(bits>>(8*i)))
-	}
-}
-
-// String appends a length-prefixed string.
-func (e *StateEncoder) String(s string) {
-	e.Uint64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// Blob appends a length-prefixed byte slice.
-func (e *StateEncoder) Blob(b []byte) {
-	e.Uint64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// Ints appends a length-prefixed []int.
-func (e *StateEncoder) Ints(xs []int) {
-	e.Uint64(uint64(len(xs)))
-	for _, x := range xs {
-		e.Int(x)
-	}
-}
-
-// Int64s appends a length-prefixed []int64.
-func (e *StateEncoder) Int64s(xs []int64) {
-	e.Uint64(uint64(len(xs)))
-	for _, x := range xs {
-		e.Int64(x)
-	}
-}
-
-// Bools appends a length-prefixed []bool.
-func (e *StateEncoder) Bools(xs []bool) {
-	e.Uint64(uint64(len(xs)))
-	for _, x := range xs {
-		e.Bool(x)
-	}
-}
-
-// StateDecoder reads a StateEncoder stream. Errors latch: after the first
-// malformed read every subsequent read returns a zero value, and Err
-// reports the failure — callers check once at the end. Every
-// length-prefixed read validates the announced length against the bytes
-// remaining, so a corrupted (or fuzzed) stream cannot force a huge
-// allocation.
-type StateDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewStateDecoder returns a decoder over data.
-func NewStateDecoder(data []byte) *StateDecoder {
-	return &StateDecoder{buf: data}
-}
-
-// Err reports the first decoding failure, or nil.
-func (d *StateDecoder) Err() error { return d.err }
-
-// Len reports the number of unread bytes.
-func (d *StateDecoder) Len() int { return len(d.buf) - d.off }
-
-func (d *StateDecoder) fail(format string, args ...interface{}) {
-	if d.err == nil {
-		d.err = fmt.Errorf("congest: decode: "+format, args...)
-	}
-}
-
-// Uint64 reads an unsigned varint.
-func (d *StateDecoder) Uint64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	var x uint64
-	var shift uint
-	for {
-		if d.off >= len(d.buf) {
-			d.fail("truncated varint at offset %d", d.off)
-			return 0
-		}
-		b := d.buf[d.off]
-		d.off++
-		if shift == 63 && b > 1 {
-			d.fail("varint overflow at offset %d", d.off)
-			return 0
-		}
-		x |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return x
-		}
-		shift += 7
-		if shift > 63 {
-			d.fail("varint too long at offset %d", d.off)
-			return 0
-		}
-	}
-}
-
-// Int64 reads a signed (zigzag) varint.
-func (d *StateDecoder) Int64() int64 {
-	u := d.Uint64()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// Int reads a signed varint and checks it fits an int.
-func (d *StateDecoder) Int() int {
-	x := d.Int64()
-	if int64(int(x)) != x {
-		d.fail("value %d overflows int", x)
-		return 0
-	}
-	return int(x)
-}
-
-// Bool reads one byte.
-func (d *StateDecoder) Bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.buf) {
-		d.fail("truncated bool at offset %d", d.off)
-		return false
-	}
-	b := d.buf[d.off]
-	d.off++
-	if b > 1 {
-		d.fail("bad bool byte %d at offset %d", b, d.off-1)
-		return false
-	}
-	return b == 1
-}
-
-// Float64 reads the fixed-width IEEE-754 word Float64 wrote.
-func (d *StateDecoder) Float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.Len() < 8 {
-		d.fail("truncated float64 at offset %d", d.off)
-		return 0
-	}
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits |= uint64(d.buf[d.off+i]) << (8 * i)
-	}
-	d.off += 8
-	return math.Float64frombits(bits)
-}
-
-// count reads a length prefix and validates it against the remaining bytes
-// assuming each element costs at least minBytes.
-func (d *StateDecoder) count(minBytes int) int {
-	n := d.Uint64()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(d.Len())/uint64(minBytes) {
-		d.fail("length %d exceeds %d remaining bytes", n, d.Len())
-		return 0
-	}
-	return int(n)
-}
-
-// String reads a length-prefixed string.
-func (d *StateDecoder) String() string {
-	n := d.count(1)
-	if d.err != nil {
-		return ""
-	}
-	if d.Len() < n {
-		d.fail("truncated string of length %d at offset %d", n, d.off)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// Blob reads a length-prefixed byte slice (copied out of the stream).
-func (d *StateDecoder) Blob() []byte {
-	n := d.count(1)
-	if d.err != nil {
-		return nil
-	}
-	if d.Len() < n {
-		d.fail("truncated blob of length %d at offset %d", n, d.off)
-		return nil
-	}
-	b := append([]byte(nil), d.buf[d.off:d.off+n]...)
-	d.off += n
-	return b
-}
-
-// Ints reads a length-prefixed []int (nil when empty).
-func (d *StateDecoder) Ints() []int {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = d.Int()
-	}
-	return xs
-}
-
-// Int64s reads a length-prefixed []int64 (nil when empty).
-func (d *StateDecoder) Int64s() []int64 {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	xs := make([]int64, n)
-	for i := range xs {
-		xs[i] = d.Int64()
-	}
-	return xs
-}
-
-// Bools reads a length-prefixed []bool (nil when empty).
-func (d *StateDecoder) Bools() []bool {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	xs := make([]bool, n)
-	for i := range xs {
-		xs[i] = d.Bool()
-	}
-	return xs
-}
-
-// Stateful is implemented by protocol nodes that support checkpointing.
-// EncodeState writes the node's dynamic state; DecodeState restores it
-// into a node freshly built by the protocol's mk function (so structural,
-// input-derived state — the graph view, source index maps, schedule
-// parameters — is already in place and only round-evolving state is
-// serialized). Encode and Decode must be exact inverses: the conformance
-// gate asserts bit-exact equality of a resumed run against an
-// uninterrupted one.
-type Stateful interface {
-	EncodeState(*StateEncoder)
-	DecodeState(*StateDecoder) error
-}
-
-// Snapshotter is implemented by Networks and Observers whose state must
-// survive a checkpoint (internal/faults.Network: per-link seq/ACK state,
-// queued deliveries, the PRF cursor; internal/obs.Recorder: per-phase
-// counters). Implementations that do not offer it are skipped: a snapshot
-// then captures no state for them, and restore leaves them untouched.
-type Snapshotter interface {
-	SnapshotState(*StateEncoder) error
-	RestoreState(*StateDecoder) error
-}
 
 // Crasher is implemented by Networks that script crash-stop node faults
 // (internal/faults with CrashEvent entries). CrashDue reports a crash
@@ -500,128 +202,63 @@ type Snapshot struct {
 	// WakeAt is the active-set scheduler's pending wake round per node
 	// (0 = none); nil under the dense scheduler.
 	WakeAt []int
-	// Net and Obs are the opaque Snapshotter states of the delivery
+	// Net and Obs are the opaque Stateful states of the delivery
 	// substrate and the observer (nil when absent or not snapshotting).
 	Net []byte
 	Obs []byte
 }
 
 // MarshalBinary encodes the snapshot as one deterministic byte stream.
-func (s *Snapshot) MarshalBinary() ([]byte, error) {
-	enc := &StateEncoder{}
-	enc.Int(s.Version)
-	enc.Int(int(s.Sched))
-	enc.Int(s.N)
-	enc.Int(s.RunIdx)
-	enc.Int(s.Round)
-	enc.Int(s.Stats.Rounds)
-	enc.Int64(s.Stats.Messages)
-	enc.Int(s.Stats.MaxWords)
-	enc.Int(s.Stats.MaxLinkCongestion)
-	enc.Int(s.Stats.MaxNodeSends)
-	enc.Ints(s.NodeSends)
-	enc.Uint64(uint64(len(s.LinkLoad)))
-	for _, row := range s.LinkLoad {
-		enc.Uint64(uint64(len(row)))
-		for _, x := range row {
-			enc.Int64(int64(x))
-		}
-	}
-	enc.Bools(s.Quiescent)
-	enc.Int(s.Inflight)
-	blobs := func(bs [][]byte) {
-		enc.Uint64(uint64(len(bs)))
-		for _, b := range bs {
-			enc.Blob(b)
-		}
-	}
-	blobs(s.Nodes)
-	blobs(s.Inbox)
-	enc.Bool(s.WakeAt != nil)
-	enc.Ints(s.WakeAt)
-	enc.Blob(s.Net)
-	enc.Blob(s.Obs)
-	return enc.Bytes(), nil
-}
+func (s *Snapshot) MarshalBinary() ([]byte, error) { return encode(s.walk) }
 
 // UnmarshalBinary decodes a MarshalBinary stream.
-func (s *Snapshot) UnmarshalBinary(data []byte) error {
-	dec := NewStateDecoder(data)
-	s.Version = dec.Int()
-	if dec.Err() == nil && s.Version != SnapshotVersion {
+func (s *Snapshot) UnmarshalBinary(data []byte) error { return decode(data, s.walk) }
+
+func (s *Snapshot) walk(c *Codec) error {
+	c.Int(&s.Version)
+	if c.dec && c.err == nil && s.Version != SnapshotVersion {
 		return fmt.Errorf("congest: snapshot version %d, want %d", s.Version, SnapshotVersion)
 	}
-	s.Sched = Scheduler(dec.Int())
-	s.N = dec.Int()
-	s.RunIdx = dec.Int()
-	s.Round = dec.Int()
-	s.Stats.Rounds = dec.Int()
-	s.Stats.Messages = dec.Int64()
-	s.Stats.MaxWords = dec.Int()
-	s.Stats.MaxLinkCongestion = dec.Int()
-	s.Stats.MaxNodeSends = dec.Int()
-	s.NodeSends = dec.Ints()
-	nl := dec.count(1)
-	s.LinkLoad = nil
-	for i := 0; i < nl && dec.Err() == nil; i++ {
-		nr := dec.count(1)
-		row := make([]int32, nr)
-		for j := range row {
-			row[j] = int32(dec.Int64())
+	Varint(c, &s.Sched)
+	c.Int(&s.N)
+	c.Int(&s.RunIdx)
+	c.Int(&s.Round)
+	c.Stats(&s.Stats)
+	c.Ints(&s.NodeSends)
+	for i := range uslice(c, &s.LinkLoad) {
+		for j := range uslice(c, &s.LinkLoad[i]) {
+			Varint(c, &s.LinkLoad[i][j])
 		}
-		s.LinkLoad = append(s.LinkLoad, row)
 	}
-	s.Quiescent = dec.Bools()
-	s.Inflight = dec.Int()
-	blobs := func() [][]byte {
-		n := dec.count(1)
-		if dec.Err() != nil || n == 0 {
-			return nil
+	c.Bools(&s.Quiescent)
+	c.Int(&s.Inflight)
+	for _, blobs := range []*[][]byte{&s.Nodes, &s.Inbox} {
+		for i := range uslice(c, blobs) {
+			c.Blob(&(*blobs)[i])
 		}
-		bs := make([][]byte, n)
-		for i := range bs {
-			b := dec.Blob()
-			if len(b) > 0 {
-				bs[i] = b
-			}
-		}
-		return bs
 	}
-	s.Nodes = blobs()
-	s.Inbox = blobs()
-	hasWake := dec.Bool()
-	s.WakeAt = dec.Ints()
-	if hasWake && s.WakeAt == nil && dec.Err() == nil {
+	// WakeAt distinguishes nil (dense scheduler) from empty.
+	hasWake := s.WakeAt != nil
+	c.Bool(&hasWake)
+	c.Ints(&s.WakeAt)
+	if c.dec && !hasWake {
+		s.WakeAt = nil
+	} else if c.dec && s.WakeAt == nil {
 		s.WakeAt = []int{}
 	}
-	if !hasWake {
-		s.WakeAt = nil
-	}
-	s.Net = dec.Blob()
-	if len(s.Net) == 0 {
-		s.Net = nil
-	}
-	s.Obs = dec.Blob()
-	if len(s.Obs) == 0 {
-		s.Obs = nil
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if dec.Len() != 0 {
-		return fmt.Errorf("congest: snapshot has %d trailing bytes", dec.Len())
-	}
+	c.Blob(&s.Net)
+	c.Blob(&s.Obs)
 	return nil
 }
 
-// Payload codec registry. Protocol packages register a codec per payload
+// Payload codec registry. Protocol packages register a walk per payload
 // type in an init function; the engine uses them to serialize in-flight
 // messages (inboxes, the fault network's queues) by name, so a snapshot
-// taken in one process restores in another.
+// taken in one process restores in another. The concrete type selects the
+// codec when encoding, the name when decoding.
 type payloadCodec struct {
 	name string
-	enc  func(*StateEncoder, Payload)
-	dec  func(*StateDecoder) (Payload, error)
+	walk func(*Codec, *Payload)
 }
 
 var payloadCodecs = struct {
@@ -633,65 +270,66 @@ var payloadCodecs = struct {
 	byType: make(map[reflect.Type]*payloadCodec),
 }
 
-// RegisterPayloadCodec registers a payload codec under a unique name.
-// prototype fixes the concrete payload type the codec handles (payloads of
-// that exact dynamic type are encoded with enc). Registration typically
-// happens in the protocol package's init; duplicate names or types panic.
-func RegisterPayloadCodec(name string, prototype Payload, enc func(*StateEncoder, Payload), dec func(*StateDecoder) (Payload, error)) {
+// RegisterPayloadCodec registers walk under a unique name as the codec of
+// payload type T (payloads of exactly that dynamic type). Decoding hands
+// walk a zero T to fill; a pointer T allocates it there. Registration
+// typically happens in the protocol package's init; duplicate names or
+// types panic.
+func RegisterPayloadCodec[T Payload](name string, walk func(*Codec, *T)) {
 	payloadCodecs.Lock()
 	defer payloadCodecs.Unlock()
-	t := reflect.TypeOf(prototype)
+	t := reflect.TypeOf((*T)(nil)).Elem()
 	if _, dup := payloadCodecs.byName[name]; dup {
 		panic(fmt.Sprintf("congest: payload codec %q registered twice", name))
 	}
 	if _, dup := payloadCodecs.byType[t]; dup {
 		panic(fmt.Sprintf("congest: payload type %v registered twice", t))
 	}
-	c := &payloadCodec{name: name, enc: enc, dec: dec}
-	payloadCodecs.byName[name] = c
-	payloadCodecs.byType[t] = c
+	pc := &payloadCodec{name: name, walk: func(c *Codec, p *Payload) {
+		var x T
+		if !c.dec {
+			x = (*p).(T)
+		}
+		walk(c, &x)
+		if c.dec {
+			*p = x
+		}
+	}}
+	payloadCodecs.byName[name] = pc
+	payloadCodecs.byType[t] = pc
 }
 
-// EncodeMessage serializes one in-flight message using the registered
-// codec for its payload type.
-func EncodeMessage(enc *StateEncoder, m Message) error {
-	payloadCodecs.RLock()
-	c := payloadCodecs.byType[reflect.TypeOf(m.Payload)]
-	payloadCodecs.RUnlock()
-	if c == nil {
-		return fmt.Errorf("congest: no payload codec registered for %T", m.Payload)
+// Message walks one in-flight message: its endpoints, the registered
+// codec's name and the payload through that codec.
+func (c *Codec) Message(m *Message) {
+	c.Int(&m.From)
+	c.Int(&m.To)
+	var pc *payloadCodec
+	var name string
+	if !c.dec {
+		payloadCodecs.RLock()
+		pc = payloadCodecs.byType[reflect.TypeOf(m.Payload)]
+		payloadCodecs.RUnlock()
+		if pc == nil {
+			c.Fail(fmt.Errorf("congest: no payload codec registered for %T", m.Payload))
+			return
+		}
+		name = pc.name
 	}
-	enc.Int(m.From)
-	enc.Int(m.To)
-	enc.String(c.name)
-	c.enc(enc, m.Payload)
-	return nil
-}
-
-// DecodeMessage is the inverse of EncodeMessage.
-func DecodeMessage(dec *StateDecoder) (Message, error) {
-	var m Message
-	m.From = dec.Int()
-	m.To = dec.Int()
-	name := dec.String()
-	if err := dec.Err(); err != nil {
-		return Message{}, err
+	c.String(&name)
+	if c.dec {
+		if c.err != nil {
+			return
+		}
+		payloadCodecs.RLock()
+		pc = payloadCodecs.byName[name]
+		payloadCodecs.RUnlock()
+		if pc == nil {
+			c.Fail(fmt.Errorf("congest: no payload codec registered under %q", name))
+			return
+		}
 	}
-	payloadCodecs.RLock()
-	c := payloadCodecs.byName[name]
-	payloadCodecs.RUnlock()
-	if c == nil {
-		return Message{}, fmt.Errorf("congest: no payload codec registered under %q", name)
-	}
-	p, err := c.dec(dec)
-	if err != nil {
-		return Message{}, err
-	}
-	if err := dec.Err(); err != nil {
-		return Message{}, err
-	}
-	m.Payload = p
-	return m, nil
+	pc.walk(c, &m.Payload)
 }
 
 // snapshot captures the engine at the top of round r (before round-r
@@ -723,38 +361,42 @@ func (e *engine) snapshot(r, runIdx int) (*Snapshot, error) {
 		if !ok {
 			return nil, fmt.Errorf("congest: checkpoint: node %d (%T) does not implement Stateful", v, e.nodes[v])
 		}
-		enc := &StateEncoder{}
-		st.EncodeState(enc)
-		s.Nodes[v] = enc.Bytes()
-		if inbox := e.inboxOf(v); len(inbox) > 0 {
-			enc := &StateEncoder{}
-			enc.Int(len(inbox))
-			for _, m := range inbox {
-				if err := EncodeMessage(enc, m); err != nil {
-					return nil, fmt.Errorf("congest: checkpoint: inbox of node %d: %w", v, err)
-				}
+		var err error
+		if s.Nodes[v], err = Marshal(st); err != nil {
+			return nil, fmt.Errorf("congest: checkpoint: node %d state: %w", v, err)
+		}
+		if msgs := inbox(e.inboxOf(v)); len(msgs) > 0 {
+			if s.Inbox[v], err = encode(msgs.State); err != nil {
+				return nil, fmt.Errorf("congest: checkpoint: inbox of node %d: %w", v, err)
 			}
-			s.Inbox[v] = enc.Bytes()
 		}
 	}
 	if e.cfg.Scheduler != SchedulerDense {
 		s.WakeAt = append([]int(nil), e.wakeAt...)
 	}
-	if sn, ok := e.net.(Snapshotter); ok {
-		enc := &StateEncoder{}
-		if err := sn.SnapshotState(enc); err != nil {
+	var err error
+	if st, ok := e.net.(Stateful); ok {
+		if s.Net, err = Marshal(st); err != nil {
 			return nil, fmt.Errorf("congest: checkpoint: network state: %w", err)
 		}
-		s.Net = enc.Bytes()
 	}
-	if sn, ok := e.obs.(Snapshotter); ok {
-		enc := &StateEncoder{}
-		if err := sn.SnapshotState(enc); err != nil {
+	if st, ok := e.obs.(Stateful); ok {
+		if s.Obs, err = Marshal(st); err != nil {
 			return nil, fmt.Errorf("congest: checkpoint: observer state: %w", err)
 		}
-		s.Obs = enc.Bytes()
 	}
 	return s, nil
+}
+
+// inbox is one node's staged messages, the layout of a Snapshot.Inbox
+// entry.
+type inbox []Message
+
+func (in *inbox) State(c *Codec) error {
+	for i := range Slice(c, in) {
+		c.Message(&(*in)[i])
+	}
+	return nil
 }
 
 // restore loads a snapshot into a freshly initialized engine (mk and Init
@@ -783,15 +425,8 @@ func (e *engine) restore(s *Snapshot) error {
 		if !ok {
 			return fmt.Errorf("node %d (%T) does not implement Stateful", v, e.nodes[v])
 		}
-		dec := NewStateDecoder(s.Nodes[v])
-		if err := st.DecodeState(dec); err != nil {
+		if err := Unmarshal(s.Nodes[v], st); err != nil {
 			return fmt.Errorf("node %d state: %w", v, err)
-		}
-		if err := dec.Err(); err != nil {
-			return fmt.Errorf("node %d state: %w", v, err)
-		}
-		if dec.Len() != 0 {
-			return fmt.Errorf("node %d state has %d trailing bytes", v, dec.Len())
 		}
 		lo, hi := e.sendOff[v], e.sendOff[v+1]
 		if len(s.LinkLoad[v]) != int(hi-lo) {
@@ -820,21 +455,16 @@ func (e *engine) restore(s *Snapshot) error {
 	e.recvCur = e.recvCur[:0]
 	for v := 0; v < n; v++ {
 		if v < len(s.Inbox) && len(s.Inbox[v]) > 0 {
-			dec := NewStateDecoder(s.Inbox[v])
-			cnt := dec.Int()
+			var msgs inbox
+			if err := decode(s.Inbox[v], msgs.State); err != nil {
+				return fmt.Errorf("inbox of node %d: %w", v, err)
+			}
 			start := len(e.recvCur)
-			for i := 0; i < cnt; i++ {
-				m, err := DecodeMessage(dec)
-				if err != nil {
-					return fmt.Errorf("inbox of node %d: %w", v, err)
-				}
-				if m.To != v {
-					return fmt.Errorf("inbox of node %d holds a message for %d", v, m.To)
+			for _, m := range msgs {
+				if m.To != v || m.From < 0 || m.From >= n {
+					return fmt.Errorf("inbox of node %d holds a message %d→%d", v, m.From, m.To)
 				}
 				e.recvCur = append(e.recvCur, m)
-			}
-			if err := dec.Err(); err != nil {
-				return fmt.Errorf("inbox of node %d: %w", v, err)
 			}
 			if len(e.recvCur) > start {
 				e.inEnd[v] = int32(len(e.recvCur))
@@ -876,32 +506,19 @@ func (e *engine) restore(s *Snapshot) error {
 			}
 		}
 	}
-	if s.Net != nil {
-		sn, ok := e.net.(Snapshotter)
-		if !ok {
-			return fmt.Errorf("snapshot carries network state but the engine's network (%T) cannot restore it", e.net)
-		}
-		dec := NewStateDecoder(s.Net)
-		if err := sn.RestoreState(dec); err != nil {
-			return fmt.Errorf("network state: %w", err)
-		}
-		if err := dec.Err(); err != nil {
-			return fmt.Errorf("network state: %w", err)
-		}
-	} else if e.net != nil {
-		if _, ok := e.net.(Snapshotter); ok {
+	if st, ok := e.net.(Stateful); ok != (s.Net != nil) {
+		if ok {
 			return fmt.Errorf("engine has a snapshotting network but the snapshot carries no network state")
 		}
+		return fmt.Errorf("snapshot carries network state but the engine's network (%T) cannot restore it", e.net)
+	} else if ok {
+		if err := Unmarshal(s.Net, st); err != nil {
+			return fmt.Errorf("network state: %w", err)
+		}
 	}
-	if s.Obs != nil {
-		if sn, ok := e.obs.(Snapshotter); ok {
-			dec := NewStateDecoder(s.Obs)
-			if err := sn.RestoreState(dec); err != nil {
-				return fmt.Errorf("observer state: %w", err)
-			}
-			if err := dec.Err(); err != nil {
-				return fmt.Errorf("observer state: %w", err)
-			}
+	if st, ok := e.obs.(Stateful); ok && s.Obs != nil {
+		if err := Unmarshal(s.Obs, st); err != nil {
+			return fmt.Errorf("observer state: %w", err)
 		}
 	}
 	return nil

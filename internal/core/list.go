@@ -66,7 +66,7 @@ func (h sendHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 // concrete type, for two reasons: the stdlib API boxes every pushed
 // sendItem into an interface{} (a heap allocation per schedule() on the
 // engine's zero-alloc round path), and the heap ARRAY — not just the pop
-// order — is serialized by EncodeState, so the element movements must
+// order — is serialized by State, so the element movements must
 // match the historical ones exactly for checkpoint byte-compatibility.
 func (h sendHeap) up(j int) {
 	for j > 0 {
@@ -493,172 +493,129 @@ func (pl *List) NextWake() int {
 	return congest.WakeOnReceive
 }
 
-// EncodeState writes the list's round-crossing state; a node holding a
-// List calls it from its own congest.Stateful method: the entries in
-// order, the per-source sets in stored order (removal uses swap-deletion,
-// so stored order influences future stored order and must round-trip for
-// bit-exact resume), the shortest-path records and the lazy send heap in
-// heap-array order. The cached ⌈κ⌉ is rebuilt, not stored; Counters are
-// not included (core's node stores them in its historical layout).
-func (pl *List) EncodeState(enc *congest.StateEncoder) {
-	enc.Int(pl.cur)
-	enc.Int64(pl.seq)
-	enc.Int(pl.pending)
+// State walks the list's round-crossing state; a node holding a List
+// calls it from its own congest.Stateful method: the entries in order, the
+// per-source sets in stored order (removal uses swap-deletion, so stored
+// order influences future stored order and must round-trip for bit-exact
+// resume), the shortest-path records and the lazy send heap in heap-array
+// order. Entry pointers travel as list indices (-1: none, or dead). The
+// cached ⌈κ⌉ is rebuilt, not stored; Counters are not included (core's
+// node stores them in its historical layout). Decoding discards whatever
+// Init and Seed built.
+func (pl *List) State(c *congest.Codec) error {
+	dec := c.Decoding()
+	c.Int(&pl.cur)
+	c.Int64(&pl.seq)
+	c.Int(&pl.pending)
 
-	enc.Int(len(pl.list))
-	for _, z := range pl.list {
-		enc.Int64(z.d)
-		enc.Int64(z.l)
-		enc.Int(z.srcIdx)
-		enc.Int(z.parent)
-		enc.Bool(z.flagSP)
-		enc.Bool(z.needSend)
-	}
-
-	enc.Int(len(pl.perSrc))
-	for _, ps := range pl.perSrc {
-		idxs := make([]int, len(ps))
-		for i, z := range ps {
-			idxs[i] = z.idx
+	for i := range congest.Slice(c, &pl.list) {
+		if dec {
+			pl.list[i] = &entry{}
 		}
-		enc.Ints(idxs)
+		z := pl.list[i]
+		c.Int64(&z.d)
+		c.Int64(&z.l)
+		c.Int(&z.srcIdx)
+		c.Int(&z.parent)
+		c.Bool(&z.flagSP)
+		c.Bool(&z.needSend)
+	}
+	if err := c.Err(); err != nil {
+		return err
+	}
+	if dec {
+		for i, z := range pl.list {
+			if z.srcIdx < 0 || z.srcIdx >= len(pl.sources) {
+				return fmt.Errorf("core: entry source index %d out of range", z.srcIdx)
+			}
+			if z.d < 0 || z.l < 0 {
+				return fmt.Errorf("core: entry (d=%d, l=%d) is negative", z.d, z.l)
+			}
+			z.idx = i
+			z.ceilK = pl.gamma.CeilKappa(z.d, z.l)
+		}
 	}
 
-	enc.Int(len(pl.bests))
+	// at resolves a decoded list index; ref walks an entry pointer as its
+	// index, decoding any negative index to none.
+	at := func(i int) *entry {
+		if i < 0 || i >= len(pl.list) {
+			c.Fail(fmt.Errorf("core: entry index %d out of range", i))
+			return nil
+		}
+		return pl.list[i]
+	}
+	ref := func(zp **entry, none *entry) {
+		i := -1
+		if z := *zp; z != nil && !z.dead {
+			i = z.idx
+		}
+		c.Int(&i)
+		if dec && c.Err() == nil {
+			*zp = none
+			if i >= 0 {
+				*zp = at(i)
+			}
+		}
+	}
+
+	k := len(pl.perSrc)
+	c.Len(&k)
+	if dec && c.Err() == nil {
+		if k != len(pl.sources) {
+			return fmt.Errorf("core: snapshot has %d sources, run has %d", k, len(pl.sources))
+		}
+		pl.perSrc = make([][]*entry, k)
+	}
+	for i, ps := range pl.perSrc {
+		idxs := make([]int, len(ps))
+		for j, z := range ps {
+			idxs[j] = z.idx
+		}
+		c.Ints(&idxs)
+		if dec {
+			pl.perSrc[i] = make([]*entry, len(idxs))
+			for j, ix := range idxs {
+				pl.perSrc[i][j] = at(ix)
+			}
+		}
+		if err := c.Err(); err != nil {
+			return err
+		}
+	}
+
+	nb := len(pl.bests)
+	c.Len(&nb)
+	if dec && c.Err() == nil {
+		if nb != k {
+			return fmt.Errorf("core: snapshot has %d best records, want %d", nb, k)
+		}
+		pl.bests = make([]best, k)
+	}
 	for i := range pl.bests {
 		b := &pl.bests[i]
-		enc.Int64(b.d)
-		enc.Int64(b.l)
-		enc.Int(b.parent)
-		ei := -1
-		if b.e != nil && !b.e.dead {
-			ei = b.e.idx
-		}
-		enc.Int(ei)
+		c.Int64(&b.d)
+		c.Int64(&b.l)
+		c.Int(&b.parent)
+		ref(&b.e, nil)
 	}
 
 	// Lazy heap, in heap-array order: restoring the array verbatim restores
 	// the identical heap. Items whose entry has died keep a -1 index and are
 	// re-attached to a shared dead sentinel on decode, so the lazy pop-and-
 	// skip behaviour replays exactly.
-	enc.Int(pl.h.Len())
-	for _, it := range pl.h {
-		enc.Int64(it.time)
-		enc.Int64(it.seq)
-		ei := -1
-		if !it.e.dead {
-			ei = it.e.idx
+	var dead *entry
+	if dec {
+		dead = &entry{dead: true, idx: -1}
+	}
+	for i := range congest.Slice(c, &pl.h) {
+		it := &pl.h[i]
+		c.Int64(&it.time)
+		c.Int64(&it.seq)
+		ref(&it.e, dead)
+		if dec && it.e != nil {
+			it.e.heapRefs++
 		}
-		enc.Int(ei)
 	}
-}
-
-// DecodeState discards whatever Init and Seed built and reconstructs the
-// list from the snapshot.
-func (pl *List) DecodeState(dec *congest.StateDecoder) error {
-	pl.cur = dec.Int()
-	pl.seq = dec.Int64()
-	pl.pending = dec.Int()
-
-	nl := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	list := make([]*entry, nl)
-	for i := range list {
-		z := &entry{d: dec.Int64(), l: dec.Int64(), srcIdx: dec.Int(), parent: dec.Int(), flagSP: dec.Bool(), needSend: dec.Bool(), idx: i}
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if z.srcIdx < 0 || z.srcIdx >= len(pl.sources) {
-			return fmt.Errorf("core: entry source index %d out of range", z.srcIdx)
-		}
-		z.ceilK = pl.gamma.CeilKappa(z.d, z.l)
-		list[i] = z
-	}
-	pl.list = list
-
-	at := func(i int) (*entry, error) {
-		if i < 0 || i >= len(list) {
-			return nil, fmt.Errorf("core: entry index %d out of range", i)
-		}
-		return list[i], nil
-	}
-
-	k := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if k != len(pl.sources) {
-		return fmt.Errorf("core: snapshot has %d sources, run has %d", k, len(pl.sources))
-	}
-	pl.perSrc = make([][]*entry, k)
-	for i := 0; i < k; i++ {
-		idxs := dec.Ints()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		ps := make([]*entry, len(idxs))
-		for j, ix := range idxs {
-			z, err := at(ix)
-			if err != nil {
-				return err
-			}
-			ps[j] = z
-		}
-		pl.perSrc[i] = ps
-	}
-
-	nb := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if nb != k {
-		return fmt.Errorf("core: snapshot has %d best records, want %d", nb, k)
-	}
-	pl.bests = make([]best, k)
-	for i := range pl.bests {
-		b := best{d: dec.Int64(), l: dec.Int64(), parent: dec.Int()}
-		ei := dec.Int()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if ei >= 0 {
-			z, err := at(ei)
-			if err != nil {
-				return err
-			}
-			b.e = z
-		}
-		pl.bests[i] = b
-	}
-
-	nh := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	var deadSentinel *entry
-	pl.h = make(sendHeap, 0, nh)
-	for i := 0; i < nh; i++ {
-		it := sendItem{time: dec.Int64(), seq: dec.Int64()}
-		ei := dec.Int()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if ei >= 0 {
-			z, err := at(ei)
-			if err != nil {
-				return err
-			}
-			it.e = z
-		} else {
-			if deadSentinel == nil {
-				deadSentinel = &entry{dead: true, idx: -1}
-			}
-			it.e = deadSentinel
-		}
-		it.e.heapRefs++
-		pl.h = append(pl.h, it)
-	}
-	return dec.Err()
+	return c.Err()
 }

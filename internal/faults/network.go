@@ -192,7 +192,7 @@ func (nw *Network) Reset(n int) {
 }
 
 func (nw *Network) linkFor(from, to int) *link {
-	k := uint64(uint32(from))<<32 | uint64(uint32(to))
+	k := linkKey(from, to)
 	l := nw.links[k]
 	if l == nil {
 		l = &link{from: from, to: to}
@@ -516,3 +516,7 @@ func (nw *Network) barrier(r int, batch []congest.Message, delta *PhysStats) err
 	}
 	return nil
 }
+
+// linkKey is the links map key of the directed link from→to; ascending
+// keys order links by (from, to).
+func linkKey(from, to int) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }

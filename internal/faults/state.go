@@ -1,11 +1,11 @@
-// Checkpoint support: the Network's snapshotting side of the
-// congest.Snapshotter contract. A snapshot is taken at a round barrier,
-// where the reliability shim's per-round scratch (outstanding windows,
-// in-air flights, acceptance logs) is provably empty; what must survive is
-// the state that carries meaning across rounds — per-link sequence
-// numbers, cumulative ACK and delivery frontiers, holdback buffers, the
-// queued (delayed) logical deliveries, the PRF flight cursor, and the
-// cumulative physical statistics and recorded event log.
+// Checkpoint support: the Network's side of the congest.Stateful
+// contract. A snapshot is taken at a round barrier, where the reliability
+// shim's per-round scratch (outstanding windows, in-air flights,
+// acceptance logs) is provably empty; what must survive is the state that
+// carries meaning across rounds — per-link sequence numbers, cumulative
+// ACK and delivery frontiers, holdback buffers, the queued (delayed)
+// logical deliveries, the PRF flight cursor, and the cumulative physical
+// statistics and recorded event log.
 //
 // The fired-crash bookkeeping is deliberately NOT part of the snapshot:
 // see Network.fired.
@@ -13,190 +13,97 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/congest"
 )
 
-func encodeEvent(enc *congest.StateEncoder, e Event) {
-	enc.Int(e.Round)
-	enc.Int(e.From)
-	enc.Int(e.To)
-	enc.Int(int(e.Kind))
-	enc.Int(e.Arg)
-}
-
-func decodeEvent(dec *congest.StateDecoder) Event {
-	var e Event
-	e.Round = dec.Int()
-	e.From = dec.Int()
-	e.To = dec.Int()
-	e.Kind = Kind(dec.Int())
-	e.Arg = dec.Int()
-	return e
-}
-
-// SnapshotState implements congest.Snapshotter.
-func (nw *Network) SnapshotState(enc *congest.StateEncoder) error {
-	enc.Int(nw.n)
-	enc.Bool(nw.Unreliable)
-
-	// Links, in sorted (from, to) key order so the stream is deterministic.
-	keys := make([]uint64, 0, len(nw.links))
-	for k := range nw.links {
-		keys = append(keys, k)
+// State implements congest.Stateful. A restoring Network must be
+// configured identically to the snapshotted one (same Plan, Script,
+// Unreliable mode); only the dynamic state is restored.
+func (nw *Network) State(c *congest.Codec) error {
+	n, unreliable := nw.n, nw.Unreliable
+	c.Int(&n)
+	c.Bool(&unreliable)
+	if c.Decoding() && c.Err() == nil {
+		if n != nw.n {
+			return fmt.Errorf("faults: snapshot is for n=%d, network has n=%d", n, nw.n)
+		}
+		if unreliable != nw.Unreliable {
+			return fmt.Errorf("faults: snapshot Unreliable=%v, network has %v", unreliable, nw.Unreliable)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	enc.Int(len(keys))
-	for _, k := range keys {
-		l := nw.links[k]
+
+	congest.Map(c, &nw.links, func(k *uint64, lp **link) {
+		if *lp == nil {
+			*lp = &link{}
+		}
+		l := *lp
 		if len(l.out) != 0 || len(l.got) != 0 {
-			return fmt.Errorf("faults: snapshot of link %d→%d mid-barrier (outstanding window)", l.from, l.to)
+			c.Fail(fmt.Errorf("faults: snapshot of link %d→%d mid-barrier (outstanding window)", l.from, l.to))
+			return
 		}
-		enc.Int(l.from)
-		enc.Int(l.to)
-		enc.Int64(l.nextSeq)
-		enc.Int64(l.ackedTo)
-		enc.Int64(l.delivered)
-		seqs := make([]int64, 0, len(l.hold))
-		for s := range l.hold {
-			seqs = append(seqs, s)
+		c.Int(&l.from)
+		c.Int(&l.to)
+		if c.Decoding() && (!nw.node(l.from) || !nw.node(l.to)) {
+			c.Fail(fmt.Errorf("faults: snapshot link %d→%d outside n=%d", l.from, l.to, nw.n))
+			return
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		enc.Int(len(seqs))
-		for _, s := range seqs {
-			enc.Int64(s)
-			if err := congest.EncodeMessage(enc, l.hold[s]); err != nil {
-				return err
-			}
-		}
-	}
+		*k = linkKey(l.from, l.to)
+		c.Int64(&l.nextSeq)
+		c.Int64(&l.ackedTo)
+		c.Int64(&l.delivered)
+		congest.Map(c, &l.hold, func(seq *int64, m *congest.Message) {
+			c.Int64(seq)
+			nw.message(c, m)
+		})
+	})
 
 	// Queued logical deliveries, in due-round order.
-	dues := make([]int, 0, len(nw.ready))
-	for r := range nw.ready {
-		dues = append(dues, r)
-	}
-	sort.Ints(dues)
-	enc.Int(len(dues))
-	for _, r := range dues {
-		q := nw.ready[r]
-		enc.Int(r)
-		enc.Int(len(q))
-		for _, x := range q {
-			if err := congest.EncodeMessage(enc, x.m); err != nil {
-				return err
-			}
-			enc.Uint64(x.key)
+	congest.Map(c, &nw.ready, func(r *int, q *[]queued) {
+		c.Int(r)
+		for i := range congest.Slice(c, q) {
+			nw.message(c, &(*q)[i].m)
+			c.Uint64(&(*q)[i].key)
 		}
-	}
+	})
 
-	enc.Int(nw.pending)
-	enc.Int64(nw.flightCtr)
+	c.Int(&nw.pending)
+	c.Int64(&nw.flightCtr)
 
 	// Cumulative physical statistics and the recorded event log: a resumed
 	// run re-executes earlier phases (re-accumulating their physical cost
 	// identically), then this snapshot resets both to the original values,
 	// replacing the re-executed prefix with itself plus the skipped rounds.
-	enc.Int64(nw.phys.DataSends)
-	enc.Int64(nw.phys.Retransmits)
-	enc.Int64(nw.phys.DupCopies)
-	enc.Int64(nw.phys.DupDeliveries)
-	enc.Int64(nw.phys.DataDrops)
-	enc.Int64(nw.phys.AckDrops)
-	enc.Int64(nw.phys.AckSends)
-	enc.Int64(nw.phys.Delivered)
-	enc.Int64(nw.phys.Dropped)
-	enc.Int64(nw.phys.SubRounds)
-	enc.Int64s(nw.phys.DelayHist)
-	enc.Int(len(nw.recorded))
-	for _, e := range nw.recorded {
-		encodeEvent(enc, e)
+	nw.phys.Walk(c)
+	for i := range congest.Slice(c, &nw.recorded) {
+		e := &nw.recorded[i]
+		c.Int(&e.Round)
+		c.Int(&e.From)
+		c.Int(&e.To)
+		congest.Varint(c, &e.Kind)
+		c.Int(&e.Arg)
 	}
 	return nil
 }
 
-// RestoreState implements congest.Snapshotter. The Network must be
-// configured identically to the snapshotted one (same Plan, Script,
-// Unreliable mode); only the dynamic state is restored.
-func (nw *Network) RestoreState(dec *congest.StateDecoder) error {
-	n := dec.Int()
-	unreliable := dec.Bool()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if n != nw.n {
-		return fmt.Errorf("faults: snapshot is for n=%d, network has n=%d", n, nw.n)
-	}
-	if unreliable != nw.Unreliable {
-		return fmt.Errorf("faults: snapshot Unreliable=%v, network has %v", unreliable, nw.Unreliable)
-	}
+// node reports whether v is a node of this network.
+func (nw *Network) node(v int) bool { return v >= 0 && v < nw.n }
 
-	nw.links = make(map[uint64]*link)
-	nl := dec.Int()
-	for i := 0; i < nl; i++ {
-		from := dec.Int()
-		to := dec.Int()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		l := nw.linkFor(from, to)
-		l.nextSeq = dec.Int64()
-		l.ackedTo = dec.Int64()
-		l.delivered = dec.Int64()
-		nh := dec.Int()
-		for j := 0; j < nh; j++ {
-			seq := dec.Int64()
-			m, err := congest.DecodeMessage(dec)
-			if err != nil {
-				return err
-			}
-			if l.hold == nil {
-				l.hold = make(map[int64]congest.Message)
-			}
-			l.hold[seq] = m
-		}
+// message walks one queued or held message; decoding checks that both
+// endpoints are nodes of this network.
+func (nw *Network) message(c *congest.Codec, m *congest.Message) {
+	c.Message(m)
+	if c.Decoding() && (!nw.node(m.From) || !nw.node(m.To)) {
+		c.Fail(fmt.Errorf("faults: snapshot message %d→%d outside n=%d", m.From, m.To, nw.n))
 	}
+}
 
-	nw.ready = make(map[int][]queued)
-	nd := dec.Int()
-	for i := 0; i < nd; i++ {
-		r := dec.Int()
-		nq := dec.Int()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		q := make([]queued, 0, nq)
-		for j := 0; j < nq; j++ {
-			m, err := congest.DecodeMessage(dec)
-			if err != nil {
-				return err
-			}
-			q = append(q, queued{m: m, key: dec.Uint64()})
-		}
-		nw.ready[r] = q
+// Walk walks the counters through a checkpoint codec (the Network's state
+// and obs.Recorder's per-phase accounting both carry them).
+func (s *PhysStats) Walk(c *congest.Codec) {
+	for _, x := range []*int64{&s.DataSends, &s.Retransmits, &s.DupCopies, &s.DupDeliveries,
+		&s.DataDrops, &s.AckDrops, &s.AckSends, &s.Delivered, &s.Dropped, &s.SubRounds} {
+		c.Int64(x)
 	}
-
-	nw.pending = dec.Int()
-	nw.flightCtr = dec.Int64()
-
-	nw.phys = PhysStats{
-		DataSends:     dec.Int64(),
-		Retransmits:   dec.Int64(),
-		DupCopies:     dec.Int64(),
-		DupDeliveries: dec.Int64(),
-		DataDrops:     dec.Int64(),
-		AckDrops:      dec.Int64(),
-		AckSends:      dec.Int64(),
-		Delivered:     dec.Int64(),
-		Dropped:       dec.Int64(),
-		SubRounds:     dec.Int64(),
-		DelayHist:     dec.Int64s(),
-	}
-	nw.recorded = nw.recorded[:0]
-	ne := dec.Int()
-	for i := 0; i < ne; i++ {
-		nw.recorded = append(nw.recorded, decodeEvent(dec))
-	}
-	return dec.Err()
+	c.Int64s(&s.DelayHist)
 }

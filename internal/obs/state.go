@@ -1,4 +1,4 @@
-// Checkpoint support: the Recorder's side of the congest.Snapshotter
+// Checkpoint support: the Recorder's side of the congest.Stateful
 // contract, so phase-attributed accounting survives an engine
 // checkpoint/restore bit-exactly. The snapshot covers the accounting
 // state (per-phase breakdowns, totals, run and round counters, current
@@ -9,10 +9,8 @@ package obs
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/congest"
-	"repro/internal/faults"
 )
 
 // CurrentPhase implements congest.PhaseTracker: it reports the phase a
@@ -27,118 +25,45 @@ func (r *Recorder) CurrentPhase() string {
 	return r.cur.Phase
 }
 
-func encodeStats(enc *congest.StateEncoder, s congest.Stats) {
-	enc.Int(s.Rounds)
-	enc.Int64(s.Messages)
-	enc.Int(s.MaxWords)
-	enc.Int(s.MaxLinkCongestion)
-	enc.Int(s.MaxNodeSends)
-}
-
-func decodeStats(dec *congest.StateDecoder) congest.Stats {
-	return congest.Stats{
-		Rounds:            dec.Int(),
-		Messages:          dec.Int64(),
-		MaxWords:          dec.Int(),
-		MaxLinkCongestion: dec.Int(),
-		MaxNodeSends:      dec.Int(),
-	}
-}
-
-func encodePhys(enc *congest.StateEncoder, p *faults.PhysStats) {
-	enc.Int64(p.DataSends)
-	enc.Int64(p.Retransmits)
-	enc.Int64(p.DupCopies)
-	enc.Int64(p.DupDeliveries)
-	enc.Int64(p.DataDrops)
-	enc.Int64(p.AckDrops)
-	enc.Int64(p.AckSends)
-	enc.Int64(p.Delivered)
-	enc.Int64(p.Dropped)
-	enc.Int64(p.SubRounds)
-	enc.Int64s(p.DelayHist)
-}
-
-func decodePhys(dec *congest.StateDecoder) faults.PhysStats {
-	return faults.PhysStats{
-		DataSends:     dec.Int64(),
-		Retransmits:   dec.Int64(),
-		DupCopies:     dec.Int64(),
-		DupDeliveries: dec.Int64(),
-		DataDrops:     dec.Int64(),
-		AckDrops:      dec.Int64(),
-		AckSends:      dec.Int64(),
-		Delivered:     dec.Int64(),
-		Dropped:       dec.Int64(),
-		SubRounds:     dec.Int64(),
-		DelayHist:     dec.Int64s(),
-	}
-}
-
-// SnapshotState implements congest.Snapshotter.
-func (r *Recorder) SnapshotState(enc *congest.StateEncoder) error {
+// State implements congest.Stateful. Decoding replaces the accounting
+// state with the snapshot's, discarding whatever the Recorder accumulated
+// while deterministically re-executing the rounds the snapshot already
+// covers. Sinks and start time are untouched.
+func (r *Recorder) State(c *congest.Codec) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	enc.Int(r.runs)
-	enc.Int(r.globalRound)
-	enc.Int(r.runBase)
+	c.Int(&r.runs)
+	c.Int(&r.globalRound)
+	c.Int(&r.runBase)
 	cur := ""
 	if r.cur != nil {
 		cur = r.cur.Phase
 	}
-	enc.String(cur)
-	encodeStats(enc, r.total)
-	enc.Bool(r.physSeen)
-	encodePhys(enc, &r.phys)
-	enc.Int(len(r.order))
+	c.String(&cur)
+	c.Stats(&r.total)
+	c.Bool(&r.physSeen)
+	r.phys.Walk(c)
+	for i := range congest.Slice(c, &r.order) {
+		if r.order[i] == nil {
+			r.order[i] = &PhaseBreakdown{}
+		}
+		p := r.order[i]
+		c.String(&p.Phase)
+		c.Stats(&p.Stats)
+		c.Int(&p.Runs)
+		c.Int(&p.RoundsExecuted)
+		congest.Varint(c, &p.Wall)
+		p.Phys.Walk(c)
+	}
+	if !c.Decoding() || c.Err() != nil {
+		return nil
+	}
+	r.byName = make(map[string]*PhaseBreakdown, len(r.order))
 	for _, p := range r.order {
-		enc.String(p.Phase)
-		encodeStats(enc, p.Stats)
-		enc.Int(p.Runs)
-		enc.Int(p.RoundsExecuted)
-		enc.Int64(int64(p.Wall))
-		encodePhys(enc, &p.Phys)
-	}
-	return nil
-}
-
-// RestoreState implements congest.Snapshotter: it replaces the
-// accounting state with the snapshot's, discarding whatever the Recorder
-// accumulated while deterministically re-executing the rounds the
-// snapshot already covers. Sinks and start time are untouched.
-func (r *Recorder) RestoreState(dec *congest.StateDecoder) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.runs = dec.Int()
-	r.globalRound = dec.Int()
-	r.runBase = dec.Int()
-	cur := dec.String()
-	r.total = decodeStats(dec)
-	r.physSeen = dec.Bool()
-	r.phys = decodePhys(dec)
-	np := dec.Int()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	r.byName = make(map[string]*PhaseBreakdown, np)
-	r.order = r.order[:0]
-	for i := 0; i < np; i++ {
-		p := &PhaseBreakdown{
-			Phase:          dec.String(),
-			Stats:          decodeStats(dec),
-			Runs:           dec.Int(),
-			RoundsExecuted: dec.Int(),
-			Wall:           time.Duration(dec.Int64()),
-		}
-		p.Phys = decodePhys(dec)
-		if err := dec.Err(); err != nil {
-			return err
-		}
 		if _, dup := r.byName[p.Phase]; dup {
 			return fmt.Errorf("obs: snapshot has duplicate phase %q", p.Phase)
 		}
 		r.byName[p.Phase] = p
-		r.order = append(r.order, p)
 	}
 	r.cur = nil
 	if cur != "" {
@@ -148,5 +73,5 @@ func (r *Recorder) RestoreState(dec *congest.StateDecoder) error {
 		}
 		r.cur = p
 	}
-	return dec.Err()
+	return nil
 }

@@ -11,40 +11,23 @@ import (
 )
 
 func init() {
-	congest.RegisterPayloadCodec("posweight.estimate", estimate{},
-		func(enc *congest.StateEncoder, p congest.Payload) {
-			m := p.(estimate)
-			enc.Int(m.src)
-			enc.Int64(m.d)
-		},
-		func(dec *congest.StateDecoder) (congest.Payload, error) {
-			m := estimate{src: dec.Int(), d: dec.Int64()}
-			return m, dec.Err()
-		})
+	congest.RegisterPayloadCodec("posweight.estimate", func(c *congest.Codec, m *estimate) {
+		c.Int(&m.src)
+		c.Int64(&m.d)
+	})
 }
 
-// EncodeState implements congest.Stateful.
-func (nd *node) EncodeState(enc *congest.StateEncoder) {
-	enc.Int(nd.curRound)
-	enc.Int(nd.late)
-	enc.Int(nd.missed)
-	enc.Int64s(nd.dist)
-	enc.Ints(nd.parent)
-	enc.Bools(nd.needSend)
-	enc.Ints(nd.list)
-}
-
-// DecodeState implements congest.Stateful.
-func (nd *node) DecodeState(dec *congest.StateDecoder) error {
-	nd.curRound = dec.Int()
-	nd.late = dec.Int()
-	nd.missed = dec.Int()
-	nd.dist = dec.Int64s()
-	nd.parent = dec.Ints()
-	nd.needSend = dec.Bools()
-	nd.list = dec.Ints()
-	if err := dec.Err(); err != nil {
-		return err
+// State implements congest.Stateful.
+func (nd *node) State(c *congest.Codec) error {
+	c.Int(&nd.curRound)
+	c.Int(&nd.late)
+	c.Int(&nd.missed)
+	c.Int64s(&nd.dist)
+	c.Ints(&nd.parent)
+	c.Bools(&nd.needSend)
+	c.Ints(&nd.list)
+	if !c.Decoding() || c.Err() != nil {
+		return nil
 	}
 	k := len(nd.opts.Sources)
 	if len(nd.dist) != k || len(nd.parent) != k || len(nd.needSend) != k {

@@ -10,46 +10,25 @@ import (
 )
 
 func init() {
-	congest.RegisterPayloadCodec("shortrange.estimate", estimate{},
-		func(enc *congest.StateEncoder, p congest.Payload) {
-			m := p.(estimate)
-			enc.Int(m.src)
-			enc.Int64(m.d)
-			enc.Int64(m.l)
-		},
-		func(dec *congest.StateDecoder) (congest.Payload, error) {
-			m := estimate{src: dec.Int(), d: dec.Int64(), l: dec.Int64()}
-			return m, dec.Err()
-		})
+	congest.RegisterPayloadCodec("shortrange.estimate", func(c *congest.Codec, m *estimate) {
+		c.Int(&m.src)
+		c.Int64(&m.d)
+		c.Int64(&m.l)
+	})
 }
 
-// EncodeState implements congest.Stateful.
-func (nd *node) EncodeState(enc *congest.StateEncoder) {
-	enc.Int(nd.cur)
-	enc.Int(nd.late)
-	enc.Int(nd.missed)
-	enc.Int64s(nd.dist)
-	enc.Int64s(nd.hops)
-	enc.Ints(nd.parent)
-	enc.Bools(nd.needSend)
-	enc.Int64s(nd.snap)
-}
-
-// DecodeState implements congest.Stateful.
-func (nd *node) DecodeState(dec *congest.StateDecoder) error {
-	nd.cur = dec.Int()
-	nd.late = dec.Int()
-	nd.missed = dec.Int()
-	nd.dist = dec.Int64s()
-	nd.hops = dec.Int64s()
-	nd.parent = dec.Ints()
-	nd.needSend = dec.Bools()
-	nd.snap = dec.Int64s()
-	if err := dec.Err(); err != nil {
-		return err
-	}
+// State implements congest.Stateful.
+func (nd *node) State(c *congest.Codec) error {
+	c.Int(&nd.cur)
+	c.Int(&nd.late)
+	c.Int(&nd.missed)
+	c.Int64s(&nd.dist)
+	c.Int64s(&nd.hops)
+	c.Ints(&nd.parent)
+	c.Bools(&nd.needSend)
+	c.Int64s(&nd.snap)
 	k := len(nd.opts.Sources)
-	if len(nd.dist) != k || len(nd.hops) != k || len(nd.parent) != k || len(nd.needSend) != k || len(nd.snap) != k {
+	if c.Decoding() && c.Err() == nil && (len(nd.dist) != k || len(nd.hops) != k || len(nd.parent) != k || len(nd.needSend) != k || len(nd.snap) != k) {
 		return fmt.Errorf("shortrange: snapshot arity mismatch (want %d sources)", k)
 	}
 	return nil
