@@ -303,17 +303,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		// Autosave every published generation (boot and recompute alike):
 		// atomic write + fsync, prune old generations. Failures degrade
 		// durability, never serving — they log and move on.
-		srv.AfterPublish = func(sn *oracle.Snapshot) {
-			path, err := oracle.SaveToDir(*autosaveDir, sn)
-			if err != nil {
-				logger.Error("autosave failed", "err", err, "gen", sn.Gen())
-				return
-			}
-			if err := oracle.Prune(*autosaveDir, *autosaveKeep); err != nil {
-				logger.Warn("autosave prune", "err", err)
-			}
-			logger.Info("autosaved snapshot", "path", path, "gen", sn.Gen())
-		}
+		srv.AfterPublish = oracle.Autosave(*autosaveDir, *autosaveKeep, logger)
 	}
 	srv.Publish(snap)
 

@@ -1,21 +1,23 @@
-// Command covergate compares `go test -cover ./...` output against
-// committed per-package coverage floors and fails on regression. It is
-// benchgate's sibling: the same dependency-free stdin comparator shape,
-// applied to statement coverage instead of allocations.
+// Command covergate compares per-package statement coverage, read from a
+// merged coverage profile, against committed per-package floors and fails
+// on regression. It is benchgate's sibling: the same dependency-free stdin
+// comparator shape, applied to statement coverage instead of allocations.
 //
 // Usage:
 //
-//	go test -cover ./... | covergate -baseline COVERAGE.json
-//	go test -cover ./... | covergate -baseline COVERAGE.json -update
+//	go test -coverpkg=./... -coverprofile=cover.out ./...
+//	covergate -baseline COVERAGE.json < cover.out
+//	covergate -baseline COVERAGE.json -update < cover.out
 //
-// The baseline maps each package to its coverage floor in percentage
-// points. On compare, a package measuring below its floor fails, and a
-// package present in the baseline but absent from the input fails too —
-// deleting a test file turns its package's "ok ... coverage: N%" line
-// into a bare 0.0% build line, which lands below any floor, and deleting
-// the package entirely trips the missing-package check, so coverage can
-// never silently disappear. Packages not in the baseline are reported as
-// new without failing (record them with -update).
+// The profile is measured module-wide: a statement counts as covered when
+// any package's tests ran it, so a package is credited with the root
+// package's sweeps that exercise it, and deleting such a sweep trips the
+// floor of the package it covered. The baseline maps each package to its
+// coverage floor in percentage points. On compare, a package measuring
+// below its floor fails, and a package present in the baseline but absent
+// from the input fails too (deleting the package trips it), so coverage
+// can never silently disappear. Packages not in the baseline are reported
+// as new without failing (record them with -update).
 //
 // -update writes floor = measured − margin (default 2 points, clamped at
 // 0): the slack absorbs run-to-run jitter from timing-dependent branches
@@ -31,7 +33,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,18 +72,14 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 		return 2
 	}
 	if len(cur) == 0 {
-		fmt.Fprintln(stderr, "covergate: no coverage lines on stdin")
+		fmt.Fprintln(stderr, "covergate: no coverage profile on stdin")
 		return 2
 	}
 
 	if *update {
 		floors := make(map[string]float64, len(cur))
 		for pkg, pct := range cur {
-			f := pct - *margin
-			if f < 0 {
-				f = 0
-			}
-			floors[pkg] = f
+			floors[pkg] = max(0, math.Round(10*(pct-*margin))/10)
 		}
 		buf, err := json.MarshalIndent(&baseline{Floors: floors}, "", "  ")
 		if err != nil {
@@ -143,47 +143,54 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 	return 0
 }
 
-// parseCover reads `go test -cover` text output and returns package →
-// measured coverage. Two line shapes carry a package name:
+// parseCover reads a coverage profile — the merged one `go test
+// -coverpkg=./... -coverprofile` writes for the whole module — and returns
+// package → statement coverage in percent, to one decimal. A profile line
+// is
 //
-//	ok  	repro/internal/graph	0.040s	coverage: 90.8% of statements
-//	    	repro/examples/quickstart		coverage: 0.0% of statements
+//	repro/internal/graph/graph.go:54.41,55.40 1 3
 //
-// The second is a package with no test files, reported at 0.0% so a
-// deleted test file shows up as a floor violation rather than a vanished
-// line. Bare "coverage: N% of statements" lines (printed under a FAIL
-// banner without a package name) and everything else are skipped.
+// (block, statements, count). Each test binary contributes one line per
+// block it was built with, so a block appears once per binary; it counts
+// as covered when any binary ran it. Coverage is thus credited to the
+// package that holds the code, whichever package's tests ran it. "mode:"
+// lines and blank lines are skipped.
 func parseCover(sc *bufio.Scanner) (map[string]float64, error) {
-	res := make(map[string]float64)
+	stmts, hit := map[string]int{}, map[string]bool{} // per block
 	for sc.Scan() {
-		line := sc.Text()
-		idx := strings.Index(line, "coverage:")
-		if idx < 0 || !strings.Contains(line, "% of statements") {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "mode:") {
 			continue
 		}
-		head := strings.Fields(line[:idx])
-		var pkg string
-		switch {
-		case len(head) >= 2 && head[0] == "ok":
-			pkg = head[1]
-		case len(head) == 1 && head[0] != "ok" && head[0] != "FAIL":
-			pkg = head[0]
-		default:
-			continue // bare coverage line under a FAIL banner, or noise
+		f := strings.Fields(line)
+		if len(f) != 3 || !strings.Contains(f[0], ":") {
+			return nil, fmt.Errorf("bad profile line %q", line)
 		}
-		rest := strings.TrimSpace(strings.TrimPrefix(line[idx:], "coverage:"))
-		pctStr, _, ok := strings.Cut(rest, "%")
-		if !ok {
-			continue
+		n, err1 := strconv.Atoi(f[1])
+		count, err2 := strconv.Atoi(f[2])
+		if err1 != nil || err2 != nil || n < 0 || count < 0 {
+			return nil, fmt.Errorf("bad counts in profile line %q", line)
 		}
-		pct, err := strconv.ParseFloat(strings.TrimSpace(pctStr), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad coverage value in %q", line)
-		}
-		res[pkg] = pct
+		stmts[f[0]] = n
+		hit[f[0]] = hit[f[0]] || count > 0
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	total, covered := map[string]int{}, map[string]int{}
+	for pos, n := range stmts {
+		file, _, _ := strings.Cut(pos, ":")
+		pkg := path.Dir(file)
+		total[pkg] += n
+		if hit[pos] {
+			covered[pkg] += n
+		}
+	}
+	res := make(map[string]float64, len(total))
+	for pkg, n := range total {
+		if n > 0 {
+			res[pkg] = math.Round(1000*float64(covered[pkg])/float64(n)) / 10
+		}
 	}
 	return res, nil
 }

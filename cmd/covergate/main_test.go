@@ -3,45 +3,55 @@ package main
 import (
 	"bufio"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-const coverSample = `ok  	repro	2.229s	coverage: 84.4% of statements
-ok  	repro/cmd/graphgen	0.016s	coverage: 72.3% of statements
-	repro/examples/quickstart		coverage: 0.0% of statements
-ok  	repro/internal/graph	(cached)	coverage: 90.8% of statements
---- FAIL: TestSomething (0.00s)
-FAIL
-coverage: 84.9% of statements
-FAIL	repro/internal/broken	0.560s
-ok  	repro/internal/notests	0.002s [no test files]
-PASS
+// coverSample is a merged profile of two test binaries: the graph
+// package's first block is missed by one and run by the other.
+const coverSample = `mode: set
+repro/api.go:10.2,12.3 3 1
+repro/api.go:14.2,15.3 1 0
+repro/internal/graph/graph.go:20.2,22.3 4 0
+repro/internal/graph/graph.go:24.2,25.3 6 1
+repro/internal/graph/graph.go:30.2,31.3 2 0
+repro/cmd/graphgen/main.go:5.2,9.3 5 0
+repro/cmd/graphgen/main.go:11.2,12.3 5 0
+repro/api.go:10.2,12.3 3 0
+repro/api.go:14.2,15.3 1 0
+repro/internal/graph/graph.go:20.2,22.3 4 1
+repro/internal/graph/graph.go:24.2,25.3 6 0
+repro/internal/graph/graph.go:30.2,31.3 2 0
+repro/cmd/graphgen/main.go:5.2,9.3 5 1
+repro/cmd/graphgen/main.go:11.2,12.3 5 0
 `
 
 func TestParseCover(t *testing.T) {
-	res, err := parseCover(bufio.NewScanner(strings.NewReader(coverSample)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		"repro":                     84.4,
-		"repro/cmd/graphgen":        72.3,
-		"repro/examples/quickstart": 0.0,
-		"repro/internal/graph":      90.8,
-	}
-	if len(res) != len(want) {
-		t.Fatalf("parsed %v, want %v", res, want)
-	}
-	for pkg, pct := range want {
-		if res[pkg] != pct {
-			t.Errorf("%s = %v, want %v", pkg, res[pkg], pct)
+	for _, c := range []struct {
+		name, profile string
+		want          map[string]float64
+		bad           bool
+	}{
+		{"merged binaries", coverSample, map[string]float64{"repro": 75, "repro/internal/graph": 83.3, "repro/cmd/graphgen": 50}, false},
+		{"count mode", "mode: count\nrepro/x/a.go:1.1,2.2 2 7\nrepro/x/a.go:3.1,4.2 1 0\n", map[string]float64{"repro/x": 66.7}, false},
+		{"block counted once", "mode: set\nrepro/x/a.go:1.1,2.2 2 1\nrepro/x/a.go:1.1,2.2 2 1\nrepro/x/a.go:3.1,4.2 2 0\n", map[string]float64{"repro/x": 50}, false},
+		{"no statements", "mode: set\nrepro/x/a.go:1.1,2.2 0 0\n", map[string]float64{}, false},
+		{"mode only", "mode: atomic\n", map[string]float64{}, false},
+		{"short line", "mode: set\nrepro/x/a.go:1.1,2.2 2\n", nil, true},
+		{"bad count", "mode: set\nrepro/x/a.go:1.1,2.2 2 x\n", nil, true},
+		{"no position", "mode: set\nrepro/x/a.go 2 1\n", nil, true},
+	} {
+		res, err := parseCover(bufio.NewScanner(strings.NewReader(c.profile)))
+		if (err != nil) != c.bad {
+			t.Errorf("%s: err = %v, want error %v", c.name, err, c.bad)
+			continue
 		}
-	}
-	if _, ok := res["repro/internal/broken"]; ok {
-		t.Error("bare coverage line under FAIL banner attributed to a package")
+		if !c.bad && !maps.Equal(res, c.want) {
+			t.Errorf("%s: parsed %v, want %v", c.name, res, c.want)
+		}
 	}
 }
 
@@ -64,7 +74,7 @@ func TestUpdateThenPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), "\"repro/internal/graph\": 88.8") {
+	if !strings.Contains(string(raw), "\"repro/internal/graph\": 81.3") {
 		t.Fatalf("floor not measured−margin:\n%s", raw)
 	}
 	// The run that produced the baseline must pass its own gate.
@@ -72,7 +82,7 @@ func TestUpdateThenPass(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("self-comparison exit %d:\n%s", code, out)
 	}
-	if !strings.Contains(out, "ok   repro/internal/graph: 90.8% (floor 88.8%)") {
+	if !strings.Contains(out, "ok   repro/internal/graph: 83.3% (floor 81.3%)") {
 		t.Fatalf("ok line missing:\n%s", out)
 	}
 }
@@ -82,12 +92,12 @@ func TestRegressionFails(t *testing.T) {
 	if code, _ := gateRun(t, coverSample, baseline, "-update"); code != 0 {
 		t.Fatal("update failed")
 	}
-	dropped := strings.Replace(coverSample, "coverage: 90.8% of statements", "coverage: 41.0% of statements", 1)
+	dropped := strings.Replace(coverSample, "graph.go:20.2,22.3 4 1", "graph.go:20.2,22.3 4 0", 1)
 	code, out := gateRun(t, dropped, baseline)
 	if code != 1 {
 		t.Fatalf("regression exit %d, want 1:\n%s", code, out)
 	}
-	if !strings.Contains(out, "FAIL repro/internal/graph: 41.0% < floor 88.8%") {
+	if !strings.Contains(out, "FAIL repro/internal/graph: 50.0% < floor 81.3%") {
 		t.Fatalf("FAIL line missing:\n%s", out)
 	}
 }
@@ -117,7 +127,7 @@ func TestNewPackageReportsWithoutFailing(t *testing.T) {
 	if code, _ := gateRun(t, coverSample, baseline, "-update"); code != 0 {
 		t.Fatal("update failed")
 	}
-	grown := coverSample + "ok  	repro/internal/fresh	0.01s	coverage: 50.0% of statements\n"
+	grown := coverSample + "repro/internal/fresh/f.go:1.1,2.2 2 1\nrepro/internal/fresh/f.go:3.1,4.2 2 0\n"
 	code, out := gateRun(t, grown, baseline)
 	if code != 0 {
 		t.Fatalf("new package should not fail the gate, exit %d:\n%s", code, out)
@@ -141,7 +151,7 @@ func TestUsageAndParseErrors(t *testing.T) {
 	if code, _ := gateRun(t, coverSample, filepath.Join(t.TempDir(), "missing.json")); code != 2 {
 		t.Error("missing baseline not exit 2")
 	}
-	if code, _ := gateRun(t, "ok  	repro	0.1s	coverage: nope% of statements\n", baseline); code != 2 {
-		t.Error("bad percentage not exit 2")
+	if code, _ := gateRun(t, "mode: set\nrepro/a.go:1.1,2.2 1 nope\n", baseline); code != 2 {
+		t.Error("bad count not exit 2")
 	}
 }

@@ -4,7 +4,7 @@
 // delay. It is the reliability layer that restores request semantics over
 // a faulty substrate (internal/httpfault) — the serving-layer analogue of
 // the engine's α-synchronizer shim — and the primitive the oracle-cluster
-// router (ROADMAP item 1) fans out and hedges with.
+// router fans out and hedges with.
 //
 // The contract mirrors the engine shim's: given an idempotent GET/POST
 // query endpoint, Do either returns a response the server actually
@@ -14,8 +14,9 @@
 // surprise at the caller.
 //
 // Randomized decisions (backoff jitter) are drawn from a seeded splitmix
-// counter, so a single-goroutine request sequence is fully deterministic
-// — the property the E-CHAOS experiment's fixed-seed assertions stand on.
+// counter, so a single-goroutine request sequence without hedging is fully
+// deterministic — the property E-CHAOS's serial rows stand on
+// (TestChaosSerialRowsDeterministic in internal/experiments pins it).
 package client
 
 import (

@@ -87,9 +87,9 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// All is the standard chaos plan used by the E-CHAOS experiment and the
-// "all" CLI shorthand: 20%% of requests delayed up to 2ms, 10%% reset, 5%%
-// each of 500s and 503s, 5%% truncated, 2%% blackholed.
+// All is the standard chaos plan of the E-CHAOS and E-CLUSTER drills and
+// the "all" CLI shorthand: 20% of requests delayed up to 2ms, 10% reset,
+// 5% each of 500s and 503s, 5% truncated, 2% blackholed.
 func All(seed int64) Plan {
 	return Plan{
 		Seed: seed, MaxDelay: 2 * time.Millisecond, DelayP: 0.2,

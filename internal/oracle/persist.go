@@ -241,6 +241,24 @@ func SaveToDir(dir string, snap *Snapshot) (string, error) {
 	return path, nil
 }
 
+// Autosave is the AfterPublish hook of a server that keeps its snapshots
+// in dir: every published generation is saved atomically and dir is
+// pruned to the keep newest. Failures degrade durability, never serving:
+// they are logged on log and the next publish tries again.
+func Autosave(dir string, keep int, log *slog.Logger) func(*Snapshot) {
+	return func(snap *Snapshot) {
+		path, err := SaveToDir(dir, snap)
+		if err != nil {
+			log.Error("autosave failed", "err", err, "gen", snap.Gen())
+			return
+		}
+		if err := Prune(dir, keep); err != nil {
+			log.Warn("autosave prune", "err", err)
+		}
+		log.Info("autosaved snapshot", "path", path, "gen", snap.Gen())
+	}
+}
+
 // listSnapshots returns dir's snapshot files, newest first (by modtime,
 // then name).
 func listSnapshots(dir string) ([]string, error) {

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"hash/fnv"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -301,6 +303,49 @@ func TestPruneKeepsNewest(t *testing.T) {
 	}
 	if left, _ = listSnapshots(dir); len(left) != 2 {
 		t.Fatal("Prune(keep<=0) must be a no-op")
+	}
+}
+
+// TestAutosaveHook drives the daemon's AfterPublish hook: a save that
+// cannot land is logged and leaves the published generation serving, and
+// a working dir keeps only the newest generations.
+func TestAutosaveHook(t *testing.T) {
+	g, _, in := testInput(t, 8, 24, 3, []int{0, 5})
+	var logged bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&logged, nil))
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{Store: &Store{}, AfterPublish: Autosave(filepath.Join(blocker, "dir"), 2, log)}
+	snap, err := Build(g, in, BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen := srv.Publish(snap); gen != 1 {
+		t.Fatalf("Publish = gen %d, want 1", gen)
+	}
+	if !strings.Contains(logged.String(), "autosave failed") {
+		t.Fatalf("failed save not logged: %q", logged.String())
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/dist?src=5&dst=1", nil))
+	if rec.Code != http.StatusOK || rec.Header().Get(GenHeader) != "1" {
+		t.Fatalf("after a failed save /dist answered %d at gen %q, want 200 at gen 1", rec.Code, rec.Header().Get(GenHeader))
+	}
+
+	dir := t.TempDir()
+	srv.AfterPublish = Autosave(dir, 2, log)
+	for i := 0; i < 3; i++ {
+		snap, err := Build(g, in, BuildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Publish(snap)
+	}
+	left, err := listSnapshots(dir)
+	if err != nil || len(left) != 2 || !strings.HasSuffix(left[0], "-g4.snap") {
+		t.Fatalf("autosave dir holds %v (%v), want the 2 newest ending at gen 4", left, err)
 	}
 }
 
