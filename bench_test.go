@@ -20,6 +20,7 @@ import (
 	fam "repro/internal/family"
 	"repro/internal/faults"
 	"repro/internal/graph"
+	"repro/internal/hssp"
 	"repro/internal/httpfault"
 	"repro/internal/key"
 	"repro/internal/obs"
@@ -314,6 +315,33 @@ func benchEngineWorkersAdaptive(b *testing.B, workers int) {
 
 func BenchmarkEngineWorkersAdaptive1(b *testing.B) { benchEngineWorkersAdaptive(b, 1) }
 func BenchmarkEngineWorkersAdaptive8(b *testing.B) { benchEngineWorkersAdaptive(b, 8) }
+
+// BenchmarkEngineComposition runs Algorithm 3 (hssp.Run, H: 4) on the
+// sim_blocker family at n = 48: ~100 short engine runs on one
+// communication graph, alternating it with its reverse, with Step 4's
+// gather and pipelined broadcast on top. Its B/op and allocs/op are the
+// per-run set-up the engine recycles across a composition and the
+// relaying the tree primitives do; every answer is checked against
+// graph.APSP.
+func BenchmarkEngineComposition(b *testing.B) {
+	n := 48
+	g := graph.Random(n, 4*n, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.25, Directed: true})
+	ref := graph.APSP(g)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := hssp.Run(g, hssp.Opts{H: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for s, row := range res.Dist {
+			for v, d := range row {
+				if d != ref[s][v] {
+					b.Fatalf("d(%d,%d) = %d, want %d", s, v, d, ref[s][v])
+				}
+			}
+		}
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Scheduler benchmarks: dense (every node stepped every round) vs the

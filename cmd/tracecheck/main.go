@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -27,21 +28,29 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and streams: it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracecheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		slack     = flag.Duration("slack", 100*time.Microsecond, "nesting tolerance for microsecond-rounded timestamps")
-		minTraces = flag.Int("min-traces", 1, "fail unless at least this many traces are present")
-		verbose   = flag.Bool("v", false, "print a per-trace summary")
+		slack     = fs.Duration("slack", 100*time.Microsecond, "nesting tolerance for microsecond-rounded timestamps")
+		minTraces = fs.Int("min-traces", 1, "fail unless at least this many traces are present")
+		verbose   = fs.Bool("v", false, "print a per-trace summary")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-slack D] [-min-traces N] [-v] trace.jsonl")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	f, err := os.Open(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: tracecheck [-slack D] [-min-traces N] [-v] trace.jsonl")
+		return 2
+	}
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracecheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tracecheck: %v\n", err)
+		return 2
 	}
 	defer f.Close()
 
@@ -57,8 +66,8 @@ func main() {
 		}
 		var r trace.SpanRecord
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			fmt.Fprintf(os.Stderr, "tracecheck: %s:%d: bad span record: %v\n", flag.Arg(0), line, err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "tracecheck: %s:%d: bad span record: %v\n", fs.Arg(0), line, err)
+			return 2
 		}
 		if _, seen := byTrace[r.TraceID]; !seen {
 			order = append(order, r.TraceID)
@@ -66,31 +75,32 @@ func main() {
 		byTrace[r.TraceID] = append(byTrace[r.TraceID], r)
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "tracecheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tracecheck: %v\n", err)
+		return 2
 	}
 
 	violations := 0
 	complain := func(traceID, format string, args ...any) {
 		violations++
-		fmt.Fprintf(os.Stderr, "tracecheck: trace %s: %s\n", traceID, fmt.Sprintf(format, args...))
+		fmt.Fprintf(stderr, "tracecheck: trace %s: %s\n", traceID, fmt.Sprintf(format, args...))
 	}
 	for _, id := range order {
 		spans := byTrace[id]
 		checkTrace(id, spans, *slack, complain)
 		if *verbose {
-			fmt.Printf("trace %s: %d spans, root %q\n", id, len(spans), rootName(spans))
+			fmt.Fprintf(stdout, "trace %s: %d spans, root %q\n", id, len(spans), rootName(spans))
 		}
 	}
 	if len(byTrace) < *minTraces {
-		fmt.Fprintf(os.Stderr, "tracecheck: %d trace(s), want at least %d\n", len(byTrace), *minTraces)
+		fmt.Fprintf(stderr, "tracecheck: %d trace(s), want at least %d\n", len(byTrace), *minTraces)
 		violations++
 	}
 	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "tracecheck: %d violation(s) across %d trace(s)\n", violations, len(byTrace))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tracecheck: %d violation(s) across %d trace(s)\n", violations, len(byTrace))
+		return 1
 	}
-	fmt.Printf("tracecheck: ok — %d trace(s), %d span(s)\n", len(byTrace), totalSpans(byTrace))
+	fmt.Fprintf(stdout, "tracecheck: ok — %d trace(s), %d span(s)\n", len(byTrace), totalSpans(byTrace))
+	return 0
 }
 
 // checkTrace enforces the span-tree invariants for one trace.

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -50,6 +54,56 @@ func TestCheckTrace(t *testing.T) {
 			if !strings.Contains(got[i], w) {
 				t.Errorf("%s: complaint %d is %q, want %q", tc.name, i, got[i], w)
 			}
+		}
+	}
+}
+
+// TestRunExitStatus drives the command end to end: 0 for a well-formed
+// file, 1 for a violation (too few traces), 2 for unreadable input (a
+// malformed record) and for a usage error (no file argument).
+func TestRunExitStatus(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, lines ...string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	record := func(s trace.SpanRecord) string {
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	good := write("good.jsonl",
+		record(trace.SpanRecord{TraceID: "t1", SpanID: "r", Name: "root", StartUS: 1000, DurUS: 500}),
+		record(trace.SpanRecord{TraceID: "t1", SpanID: "a", Parent: "r", Name: "child", StartUS: 1100, DurUS: 100}))
+	malformed := write("malformed.jsonl", record(trace.SpanRecord{TraceID: "t1", SpanID: "r", Name: "root", StartUS: 1, DurUS: 5}), "{not json")
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		status int
+		stdout string // substring of stdout; "" for none
+		stderr string // substring of stderr; "" for none
+	}{
+		{"good file", []string{"-v", good}, 0, "tracecheck: ok — 1 trace(s), 2 span(s)", ""},
+		{"malformed record", []string{malformed}, 2, "", "malformed.jsonl:2: bad span record"},
+		{"too few traces", []string{"-min-traces", "2", good}, 1, "", "1 trace(s), want at least 2"},
+		{"missing argument", nil, 2, "", "usage: tracecheck"},
+		{"unknown flag", []string{"-bogus", good}, 2, "", "flag provided but not defined"},
+		{"missing file", []string{filepath.Join(dir, "absent.jsonl")}, 2, "", "absent.jsonl"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := run(tc.args, &stdout, &stderr); got != tc.status {
+			t.Errorf("%s: exit status %d, want %d (stderr %q)", tc.name, got, tc.status, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), tc.stdout) {
+			t.Errorf("%s: stdout %q, want it to contain %q", tc.name, stdout.String(), tc.stdout)
+		}
+		if !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%s: stderr %q, want it to contain %q", tc.name, stderr.String(), tc.stderr)
 		}
 	}
 }

@@ -224,13 +224,46 @@ func Sum(g *graph.Graph, tr *Tree, vals []int64, cfg congest.Config) (int64, con
 	return nodes[tr.Root].val, stats, nil
 }
 
+// relayQueue is a relay's FIFO of received payloads. It keeps the Payload
+// a message arrived with, so a value is boxed once, where it enters the
+// stream, and every later hop forwards that same interface value. It
+// drains by a head index and rewinds to the front of its array whenever it
+// empties, so a relay that forwards as fast as it receives never grows it.
+type relayQueue struct {
+	items []congest.Payload
+	head  int
+}
+
+// boxed returns vs as the Payloads a relay queue holds, one box per value.
+func boxed(vs []Vec) []congest.Payload {
+	ps := make([]congest.Payload, len(vs))
+	for i, v := range vs {
+		ps[i] = v
+	}
+	return ps
+}
+
+func (q *relayQueue) len() int { return len(q.items) - q.head }
+
+func (q *relayQueue) push(p congest.Payload) { q.items = append(q.items, p) }
+
+func (q *relayQueue) pop() congest.Payload {
+	p := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return p
+}
+
 // pipeNode relays a stream of Vec values down the tree in pipeline order.
 type pipeNode struct {
 	id    int
 	tree  *Tree
 	src   []Vec // only at root
 	sentI int
-	queue []Vec // received, to forward next round
+	queue relayQueue // received, not yet forwarded
 	got   []Vec
 }
 
@@ -238,19 +271,17 @@ func (p *pipeNode) Init(*congest.Context) {}
 
 func (p *pipeNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	for _, m := range inbox {
-		v := m.Payload.(Vec)
-		p.got = append(p.got, v)
-		p.queue = append(p.queue, v)
+		p.got = append(p.got, m.Payload.(Vec))
+		p.queue.push(m.Payload)
 	}
-	var out Vec
+	var out congest.Payload
 	if p.id == p.tree.Root {
 		if p.sentI < len(p.src) {
 			out = p.src[p.sentI]
 			p.sentI++
 		}
-	} else if len(p.queue) > 0 {
-		out = p.queue[0]
-		p.queue = p.queue[1:]
+	} else if p.queue.len() > 0 {
+		out = p.queue.pop()
 	}
 	if out != nil {
 		for _, c := range p.tree.Children[p.id] {
@@ -263,19 +294,13 @@ func (p *pipeNode) Quiescent() bool {
 	if p.id == p.tree.Root {
 		return p.sentI >= len(p.src)
 	}
-	return len(p.queue) == 0
+	return p.queue.len() == 0
 }
 
 // NextWake implements congest.Waker: the root streams one value per round
 // until its list is exhausted; relays act while their queue drains.
 func (p *pipeNode) NextWake() int {
-	if p.id == p.tree.Root {
-		if p.sentI < len(p.src) {
-			return 1
-		}
-		return congest.WakeOnReceive
-	}
-	if len(p.queue) > 0 {
+	if !p.Quiescent() {
 		return 1
 	}
 	return congest.WakeOnReceive
@@ -290,6 +315,10 @@ func Broadcast(g *graph.Graph, tr *Tree, values []Vec, cfg congest.Config) ([][]
 		nodes[v] = &pipeNode{id: v, tree: tr}
 		if v == tr.Root {
 			nodes[v].src = values
+		} else {
+			// Every relay receives exactly len(values) items; capacity is
+			// bookkeeping, not protocol state.
+			nodes[v].got = make([]Vec, 0, len(values))
 		}
 		return nodes[v]
 	}, cfg)
@@ -313,7 +342,7 @@ func Broadcast(g *graph.Graph, tr *Tree, values []Vec, cfg congest.Config) ([][]
 type gatherNode struct {
 	id    int
 	tree  *Tree
-	queue []Vec
+	queue relayQueue
 	got   []Vec
 }
 
@@ -321,24 +350,22 @@ func (gn *gatherNode) Init(*congest.Context) {}
 
 func (gn *gatherNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	for _, m := range inbox {
-		v := m.Payload.(Vec)
-		gn.got = append(gn.got, v)
+		gn.got = append(gn.got, m.Payload.(Vec))
 		if gn.id != gn.tree.Root {
-			gn.queue = append(gn.queue, v)
+			gn.queue.push(m.Payload)
 		}
 	}
-	if gn.id != gn.tree.Root && len(gn.queue) > 0 {
-		ctx.Send(gn.tree.Parent[gn.id], gn.queue[0])
-		gn.queue = gn.queue[1:]
+	if gn.id != gn.tree.Root && gn.queue.len() > 0 {
+		ctx.Send(gn.tree.Parent[gn.id], gn.queue.pop())
 	}
 }
 
-func (gn *gatherNode) Quiescent() bool { return gn.id == gn.tree.Root || len(gn.queue) == 0 }
+func (gn *gatherNode) Quiescent() bool { return gn.id == gn.tree.Root || gn.queue.len() == 0 }
 
 // NextWake implements congest.Waker: a non-root node forwards one queued
 // item per round; the root only receives.
 func (gn *gatherNode) NextWake() int {
-	if gn.id != gn.tree.Root && len(gn.queue) > 0 {
+	if !gn.Quiescent() {
 		return 1
 	}
 	return congest.WakeOnReceive
@@ -348,9 +375,20 @@ func (gn *gatherNode) NextWake() int {
 // root's received items (origin must be encoded in the Vec by the caller).
 func Gather(g *graph.Graph, tr *Tree, items [][]Vec, cfg congest.Config) ([]Vec, congest.Stats, error) {
 	nodes := make([]*gatherNode, g.N())
+	incoming := 0 // items the root receives
+	for v, it := range items {
+		if v != tr.Root {
+			incoming += len(it)
+		}
+	}
 	stats, err := congest.Run(g, func(v int) congest.Node {
-		nodes[v] = &gatherNode{id: v, tree: tr, queue: append([]Vec(nil), items[v]...)}
-		return nodes[v]
+		// Each item is boxed here, once; relays forward that Payload.
+		gn := &gatherNode{id: v, tree: tr, queue: relayQueue{items: boxed(items[v])}}
+		if v == tr.Root {
+			gn.got = make([]Vec, 0, incoming)
+		}
+		nodes[v] = gn
+		return gn
 	}, cfg)
 	if err != nil {
 		return nil, stats, fmt.Errorf("bcast: Gather: %w", err)

@@ -1,6 +1,7 @@
 package bcast
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/congest"
@@ -205,5 +206,45 @@ func TestGather(t *testing.T) {
 	}
 	if limit := total + tr.Height + 1; stats.Rounds > limit {
 		t.Fatalf("Gather rounds = %d, want ≤ %d", stats.Rounds, limit)
+	}
+}
+
+// TestBroadcastAllocsLinearInNodes guards the relays' bookkeeping: a
+// relay's received list is presized, its queue drains by index without
+// growing, and it forwards the Payload it received instead of boxing the
+// value again, so a Broadcast of L values down a path costs a fixed number
+// of allocations per node plus one box per value at the root — O(n + L),
+// not O(n·log L) or O(n·L). The guard compares the per-node cost (the
+// difference between paths of 2n and n nodes) at two list lengths.
+func TestBroadcastAllocsLinearInNodes(t *testing.T) {
+	perNode := func(L int) float64 {
+		values := make([]Vec, L)
+		for i := range values {
+			values[i] = Vec{int64(i)}
+		}
+		var cost [2]float64
+		for i, n := range []int{32, 64} {
+			g := graph.Path(n, graph.GenOpts{Seed: 1, MaxW: 1})
+			tr := buildTestTree(t, g, 0)
+			cfg := congest.Config{Workers: 1}
+			// The cheapest of several runs: one whose engine came from the
+			// pool (a fresh engine only adds).
+			cost[i] = math.Inf(1)
+			for try := 0; try < 10; try++ {
+				cost[i] = min(cost[i], testing.AllocsPerRun(1, func() {
+					if _, _, err := Broadcast(g, tr, values, cfg); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+		}
+		return cost[1] - cost[0]
+	}
+	// The two costs agree exactly in a normal build; under the race
+	// detector a run now and then counts two more. The slack is far below
+	// the 32·log2(1024/16) = 192 that relays growing their lists by
+	// doubling would add.
+	if short, long := perNode(16), perNode(1024); math.Abs(long-short) > 4 {
+		t.Fatalf("32 more path nodes cost %v allocations for 16 values but %v for 1024: a relay's cost grows with the list", short, long)
 	}
 }

@@ -42,17 +42,34 @@ func (a *aggNode) State(c *congest.Codec) error {
 	return nil
 }
 
+// walkQueue walks a relay queue's pending values, items[head:], as the
+// []Vec the relay nodes have always checkpointed; decoding re-boxes each
+// value once and rewinds the head.
+func walkQueue(c *congest.Codec, q *relayQueue) {
+	var vs []Vec
+	if !c.Decoding() {
+		vs = make([]Vec, q.len())
+		for i, p := range q.items[q.head:] {
+			vs[i] = p.(Vec)
+		}
+	}
+	walkVecs(c, &vs)
+	if c.Decoding() {
+		q.items, q.head = boxed(vs), 0
+	}
+}
+
 // State implements congest.Stateful.
 func (p *pipeNode) State(c *congest.Codec) error {
 	c.Int(&p.sentI)
-	walkVecs(c, &p.queue)
+	walkQueue(c, &p.queue)
 	walkVecs(c, &p.got)
 	return nil
 }
 
 // State implements congest.Stateful.
 func (gn *gatherNode) State(c *congest.Codec) error {
-	walkVecs(c, &gn.queue)
+	walkQueue(c, &gn.queue)
 	walkVecs(c, &gn.got)
 	return nil
 }

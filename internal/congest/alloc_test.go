@@ -13,6 +13,7 @@
 package congest_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bellman"
@@ -107,5 +108,59 @@ func TestAllocFreeRoundsPipelined(t *testing.T) {
 			}
 			measureSteadyState(t, st, 60, 80)
 		})
+	}
+}
+
+// onceNode broadcasts one shared payload in round 1 and is quiescent from
+// then on.
+type onceNode struct{ sent bool }
+
+var onePayload congest.Payload = intWord(1)
+
+func (o *onceNode) Init(*congest.Context) { o.sent = false }
+func (o *onceNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
+	if !o.sent {
+		o.sent = true
+		ctx.Broadcast(onePayload)
+	}
+}
+func (o *onceNode) Quiescent() bool { return o.sent }
+
+// TestRunAllocsIndependentOfSize guards plane recycling: a repeated Run on
+// one graph takes its planes from the previous run, so what it allocates
+// is a constant of the engine, not a function of n. The nodes are reused
+// too, so the trivial protocol adds nothing. Each size keeps the cheapest
+// of several single runs: the pool may drop an engine at a collection
+// (and, under the race detector, at random), and a fresh one only adds.
+func TestRunAllocsIndependentOfSize(t *testing.T) {
+	base := -1.0
+	for _, n := range []int{64, 512} {
+		g := graph.Ring(n, graph.GenOpts{Seed: 3})
+		nodes := make([]onceNode, n)
+		mk := func(v int) congest.Node { return &nodes[v] }
+		allocs := math.Inf(1)
+		for try := 0; try < 10; try++ {
+			allocs = min(allocs, testing.AllocsPerRun(1, func() {
+				st, err := congest.Run(g, mk, congest.Config{Workers: 1})
+				if err != nil || st.Messages != int64(2*n) {
+					t.Fatalf("n=%d: %+v, %v", n, st, err)
+				}
+			}))
+		}
+		fresh := testing.AllocsPerRun(1, func() {
+			if _, err := congest.RunFresh(g, mk, congest.Config{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("n=%d: %v allocations recycled, %v fresh", n, allocs, fresh)
+		if allocs >= fresh {
+			t.Errorf("n=%d: a recycled run makes %v allocations, a fresh one %v: the planes were not recycled", n, allocs, fresh)
+		}
+		if base < 0 {
+			base = allocs
+		}
+		if allocs != base {
+			t.Errorf("n=%d: a recycled run makes %v allocations, n=64 made %v", n, allocs, base)
+		}
 	}
 }

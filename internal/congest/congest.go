@@ -39,6 +39,13 @@
 // cursors, not n append-grown slices. Steady-state rounds allocate
 // nothing; protocols that also want allocation-free payloads use the
 // pooled payload path (Pool, Context.PayloadReuse).
+//
+// The planes are also reused across runs: a run hands its engine to a
+// pool when it ends, and the next run on a graph of the same shape (node
+// count and communication-degree sequence) under the same scheduler, with
+// no Network, takes it over and resets only its per-run state. A
+// composition such as Algorithm 3, ~200 runs on one communication graph,
+// allocates its planes once.
 package congest
 
 import (
@@ -80,7 +87,11 @@ type Message struct {
 //
 // Inbox slices are views into an engine-owned plane reused across rounds:
 // nodes must not retain the slice — or the Payload values it carries —
-// past the Round call that delivered them.
+// past the Round call that delivered them. The planes and the Contexts are
+// reused across runs as well, so a node must not keep its *Context or an
+// inbox slice after Run returns; no node in this repository does. (A
+// payload's value may outlive the run when its sender never recycles it:
+// the bcast relays keep the Vec values they were sent.)
 //
 // Quiescent must report true when the node will send no further messages
 // unless it first receives one; the engine halts when every node is
@@ -414,10 +425,11 @@ func (h *wakeHeap) remove(i int) {
 // quantity is a parallel slice indexed by node ID (activity flags,
 // quiescence cache, wake rounds, send counters, inbox cursors), message
 // storage is flat arenas reused across rounds, and the Contexts themselves
-// live in one contiguous slice.
+// live in one contiguous slice. An engine outlives its run: see planes.
 type engine struct {
 	g     *graph.Graph
 	cfg   Config
+	sched Scheduler // the planes' scheduler, kept across recycling
 	obs   Observer
 	net   Network
 	nodes []Node
@@ -508,43 +520,32 @@ func (e *engine) inboxOf(v int) []Message {
 	return e.recvCur[end-l : end]
 }
 
-// newEngine builds and initializes an engine: nodes constructed and
-// Init-ed (the model's round 0), planes carved, scheduler state seeded.
-func newEngine(g *graph.Graph, mk func(v int) Node, cfg Config) (*engine, error) {
+// planes holds engines whose runs have ended, so that the next run on a
+// same-shaped graph reuses their planes instead of allocating them: a
+// composition such as Algorithm 3 makes ~200 runs on one communication
+// graph. sync.Pool lets the collector drop idle engines, so nothing stays
+// pinned between compositions.
+var planes sync.Pool
+
+// claim returns an engine whose planes fit a run on g under cfg: a pooled
+// one, reset, when it is reusable; otherwise a freshly allocated one. A run
+// over a Network always gets fresh planes: its delivery path sizes the
+// receive plane itself.
+func claim(g *graph.Graph, cfg Config) *engine {
+	if cfg.Network == nil {
+		if e, _ := planes.Get().(*engine); e != nil && e.reusable(g, cfg) {
+			e.reset()
+			return e
+		}
+	}
+	return allocEngine(g, cfg.Scheduler)
+}
+
+// start begins a run on e's planes: nodes constructed and Init-ed (the
+// model's round 0), Contexts carved, scheduler state seeded.
+func (e *engine) start(g *graph.Graph, mk func(v int) Node, cfg Config) error {
 	n := g.N()
-	e := &engine{
-		g:         g,
-		cfg:       cfg,
-		obs:       cfg.Observer,
-		net:       cfg.Network,
-		nodes:     make([]Node, n),
-		ctxs:      make([]Context, n),
-		sendOff:   make([]int32, n+1),
-		inEnd:     make([]int32, n),
-		inLen:     make([]int32, n),
-		nxtEnd:    make([]int32, n),
-		nxtLen:    make([]int32, n),
-		nodeSends: make([]int, n),
-		seenStamp: make([]int, n),
-		quiescent: make([]bool, n),
-	}
-	for v := 0; v < n; v++ {
-		e.sendOff[v+1] = e.sendOff[v] + int32(g.Degree(v))
-		e.seenStamp[v] = -1
-	}
-	deg2 := int(e.sendOff[n]) // sum of degrees = 2m undirected arcs
-	e.outBuf = make([]Message, deg2)
-	e.outLi = make([]int32, deg2)
-	e.linkLoad = make([]int32, deg2)
-	// Receive planes and routing scratch, sized for the model's worst case
-	// up front (≤1 message per arc per round, ≤n destinations): the steady
-	// state never grows them, so rounds never re-allocate — the property
-	// the allocation guards in alloc_test.go enforce.
-	e.recvCur = make([]Message, 0, deg2)
-	e.recvNxt = make([]Message, 0, deg2)
-	e.recvList = make([]int, 0, n)
-	e.recvNext = make([]int, 0, n)
-	e.work = make([]int, 0, n)
+	e.g, e.cfg, e.obs, e.net = g, cfg, cfg.Observer, cfg.Network
 	for v := 0; v < n; v++ {
 		e.nodes[v] = mk(v)
 		lo, hi := e.sendOff[v], e.sendOff[v+1]
@@ -566,10 +567,10 @@ func newEngine(g *graph.Graph, mk func(v int) Node, cfg Config) (*engine, error)
 	for v := 0; v < n; v++ {
 		e.nodes[v].Init(&e.ctxs[v])
 		if err := e.ctxs[v].err; err != nil {
-			return e, fmt.Errorf("congest: node %d failed in Init: %w", v, err)
+			return fmt.Errorf("congest: node %d failed in Init: %w", v, err)
 		}
 		if len(e.ctxs[v].out) != 0 {
-			return e, fmt.Errorf("congest: node %d sent during Init (the model's round 0 has no sends)", v)
+			return fmt.Errorf("congest: node %d sent during Init (the model's round 0 has no sends)", v)
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -578,21 +579,7 @@ func newEngine(g *graph.Graph, mk func(v int) Node, cfg Config) (*engine, error)
 			e.quiCount++
 		}
 	}
-
-	e.allNodes = make([]int, n)
-	for v := range e.allNodes {
-		e.allNodes[v] = v
-	}
 	if cfg.Scheduler != SchedulerDense {
-		e.wakers = make([]Waker, n)
-		e.wakeAt = make([]int, n)
-		e.alwaysOn = make([]bool, n)
-		e.mark = make([]int, n)
-		e.wakes.items = make([]wakeItem, 0, n)
-		e.wakes.pos = make([]int, n)
-		for v := range e.wakes.pos {
-			e.wakes.pos[v] = -1
-		}
 		for v := 0; v < n; v++ {
 			if w, ok := e.nodes[v].(Waker); ok {
 				e.wakers[v] = w
@@ -603,7 +590,123 @@ func newEngine(g *graph.Graph, mk func(v int) Node, cfg Config) (*engine, error)
 			}
 		}
 	}
-	return e, nil
+	return nil
+}
+
+// allocEngine allocates the planes for g under the given scheduler, in
+// the state reset leaves a recycled engine in.
+func allocEngine(g *graph.Graph, sched Scheduler) *engine {
+	n := g.N()
+	e := &engine{
+		sched:     sched,
+		nodes:     make([]Node, n),
+		ctxs:      make([]Context, n),
+		sendOff:   make([]int32, n+1),
+		inEnd:     make([]int32, n),
+		inLen:     make([]int32, n),
+		nxtEnd:    make([]int32, n),
+		nxtLen:    make([]int32, n),
+		nodeSends: make([]int, n),
+		seenStamp: make([]int, n),
+		quiescent: make([]bool, n),
+		allNodes:  make([]int, n),
+	}
+	for v := 0; v < n; v++ {
+		e.sendOff[v+1] = e.sendOff[v] + int32(g.Degree(v))
+		e.seenStamp[v] = -1
+		e.allNodes[v] = v
+	}
+	deg2 := int(e.sendOff[n]) // sum of degrees = 2m undirected arcs
+	e.outBuf = make([]Message, deg2)
+	e.outLi = make([]int32, deg2)
+	e.linkLoad = make([]int32, deg2)
+	// Receive planes and routing scratch, sized for the model's worst case
+	// up front (≤1 message per arc per round, ≤n destinations): the steady
+	// state never grows them, so rounds never re-allocate — the property
+	// the allocation guards in alloc_test.go enforce.
+	e.recvCur = make([]Message, 0, deg2)
+	e.recvNxt = make([]Message, 0, deg2)
+	e.recvList = make([]int, 0, n)
+	e.recvNext = make([]int, 0, n)
+	e.work = make([]int, 0, n)
+	if sched != SchedulerDense {
+		e.wakers = make([]Waker, n)
+		e.wakeAt = make([]int, n)
+		e.alwaysOn = make([]bool, n)
+		e.mark = make([]int, n)
+		e.wakes.items = make([]wakeItem, 0, n)
+		e.wakes.pos = make([]int, n)
+		for v := range e.wakes.pos {
+			e.wakes.pos[v] = -1
+		}
+	}
+	return e
+}
+
+// reusable reports whether e's planes fit a run on g under cfg: the same
+// node count, the same communication-degree sequence (which fixes every
+// plane's size and the send offsets) and the same scheduler. The key is
+// the degree sequence, not the graph: a graph and its reverse share one
+// communication graph, and Algorithm 3 alternates between the two.
+func (e *engine) reusable(g *graph.Graph, cfg Config) bool {
+	if cfg.Scheduler != e.sched || len(e.nodes) != g.N() {
+		return false
+	}
+	for v := range e.nodes {
+		if e.sendOff[v+1]-e.sendOff[v] != int32(g.Degree(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// reset clears the per-run state a previous run can leave behind on a
+// recycled engine — counters, congestion, inbox lengths, stamps, the wake
+// heap and the always-on list — back to what allocEngine leaves. What
+// every run writes before it reads (the inbox end cursors, the receive
+// planes' lengths, the routing and work lists) carries over, and so do
+// the work-list marks: epoch only grows, so every stale mark is below it.
+// Payload references were dropped by release.
+func (e *engine) reset() {
+	clear(e.linkLoad)
+	clear(e.inLen)
+	clear(e.nxtLen)
+	clear(e.nodeSends)
+	clear(e.quiescent)
+	for v := range e.seenStamp {
+		e.seenStamp[v] = -1
+	}
+	e.recvList = e.recvList[:0]
+	e.quiCount, e.inflight = 0, 0
+	if e.sched != SchedulerDense {
+		clear(e.wakeAt)
+		clear(e.alwaysOn)
+		e.wakes.items = e.wakes.items[:0]
+		for v := range e.wakes.pos {
+			e.wakes.pos[v] = -1
+		}
+		e.alwaysList = e.alwaysList[:0]
+	}
+	e.stats = Stats{}
+}
+
+// release hands e to the pool once its run has ended, dropping every
+// reference into protocol memory — staged and delivered payloads, nodes,
+// Contexts, the graph, the configuration — so a pooled engine keeps no
+// run alive. A run over a Network never takes pooled planes (see claim),
+// so its engine is left to the collector rather than pooled.
+func (e *engine) release() {
+	if e.net != nil {
+		return
+	}
+	clear(e.outBuf)
+	clear(e.recvCur[:cap(e.recvCur)])
+	clear(e.recvNxt[:cap(e.recvNxt)])
+	clear(e.nodes)
+	clear(e.ctxs)
+	clear(e.wakers)
+	e.g, e.cfg, e.obs, e.crash = nil, Config{}, nil, nil
+	planes.Put(e)
 }
 
 // Run executes the algorithm created by mk (called once per node, in node
@@ -611,13 +714,21 @@ func newEngine(g *graph.Graph, mk func(v int) Node, cfg Config) (*engine, error)
 // until cfg.MaxRounds is exceeded.
 func Run(g *graph.Graph, mk func(v int) Node, cfg Config) (Stats, error) {
 	cfg = cfg.withDefaults()
+	return claim(g, cfg).run(g, mk, cfg)
+}
+
+// run is one engine run on e's planes, which go back to the pool on exit.
+func (e *engine) run(g *graph.Graph, mk func(v int) Node, cfg Config) (Stats, error) {
 	pol := cfg.Checkpoint
 	runIdx := 0
 	if pol != nil {
 		runIdx = pol.beginRun()
 	}
-	e, err := newEngine(g, mk, cfg)
-	if e != nil && e.obs != nil {
+	err := e.start(g, mk, cfg)
+	// Deferred calls run last first: RunDone fires, then the planes go
+	// back to the pool.
+	defer e.release()
+	if e.obs != nil {
 		// RunDone fires on every exit path — normal quiescence, MaxRounds
 		// and algorithm failures alike — with the stats accumulated so far.
 		defer func() { e.obs.RunDone(e.stats) }()

@@ -11,14 +11,22 @@ type Stepper struct {
 	r int
 }
 
-// NewStepper builds and Init-s an engine without starting the round loop.
+// NewStepper builds and Init-s an engine on fresh planes without starting
+// the round loop.
 func NewStepper(g *graph.Graph, mk func(v int) Node, cfg Config) (*Stepper, error) {
 	cfg = cfg.withDefaults()
-	e, err := newEngine(g, mk, cfg)
-	if err != nil {
+	e := allocEngine(g, cfg.Scheduler)
+	if err := e.start(g, mk, cfg); err != nil {
 		return nil, err
 	}
 	return &Stepper{e: e}, nil
+}
+
+// RunFresh is Run on freshly allocated planes, never a pooled engine's:
+// the reference the recycling tests compare every recycled run with.
+func RunFresh(g *graph.Graph, mk func(v int) Node, cfg Config) (Stats, error) {
+	cfg = cfg.withDefaults()
+	return allocEngine(g, cfg.Scheduler).run(g, mk, cfg)
 }
 
 // StepRound executes the next round (idle rounds included — no
