@@ -7,7 +7,7 @@ GO ?= go
 FUZZTIME ?= 10s
 # The engine benchmark set, shared by bench-engine, bench-gate and
 # bench-baseline so the three cannot drift apart.
-ENGINE_BENCH = BenchmarkEngineWorkers|BenchmarkEngineComposition|BenchmarkEngineScheduler|BenchmarkEngineFaults|BenchmarkEngineCheckpoint|BenchmarkComputeBackend|BenchmarkOracleServeDist|BenchmarkRouter
+ENGINE_BENCH = BenchmarkEngineWorkers|BenchmarkEngineComposition|BenchmarkEngineScheduler|BenchmarkEngineFaults|BenchmarkEngineCheckpoint|BenchmarkComputeBackend|BenchmarkOracleServeDist|BenchmarkOracleSnapshot|BenchmarkRouter
 
 .PHONY: all build test race cover cover-gate cover-baseline bench bench-engine cluster-smoke bench-gate bench-baseline ledger-build experiments fuzz trace-demo crash-demo race-crash serve-demo serve-smoke trace-smoke chaos-smoke clean
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -722,6 +724,66 @@ func BenchmarkOracleServeDist(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
+}
+
+// benchShard computes a shard-shaped snapshot: k = n/3 source rows with
+// hops and parents, as each of rebuild_sparse's three shards holds, at a
+// quarter of its n so that the bench gate stays quick.
+func benchShard(b *testing.B) (*graph.Graph, *oracle.Snapshot) {
+	b.Helper()
+	const n = 384
+	g := graph.Random(n, 4*n, graph.GenOpts{MaxW: 8, ZeroFrac: 0.25, Seed: 1, Directed: true})
+	sources := make([]int, n/3)
+	for i := range sources {
+		sources[i] = i
+	}
+	in, err := oracle.Compute(context.Background(), g, oracle.ComputeSpec{Alg: "pipeline", Backend: "parallel", Sources: sources})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := oracle.Build(g, in, oracle.BuildOpts{Fingerprint: checkpoint.Fingerprint(g)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, snap
+}
+
+// BenchmarkOracleSnapshotSave measures one autosave of a shard: the
+// header, the three columns written as they lie in memory, the checksum,
+// fsync and rename. Its B/op is the header and the temp file's
+// bookkeeping: it grows with the k source IDs in the meta, never with the
+// k·n cells.
+func BenchmarkOracleSnapshotSave(b *testing.B) {
+	_, snap := benchShard(b)
+	path := filepath.Join(b.TempDir(), "shard.snap")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := oracle.SaveSnapshot(path, snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOracleSnapshotLoad measures a boot-time load of the same shard.
+// Its B/op is about one file-sized buffer (reported as B/file): the
+// columns are adopted from the read buffer, not decoded into new ones.
+func BenchmarkOracleSnapshotLoad(b *testing.B) {
+	g, snap := benchShard(b)
+	path := filepath.Join(b.TempDir(), "shard.snap")
+	if err := oracle.SaveSnapshot(path, snap); err != nil {
+		b.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := oracle.LoadSnapshot(path, g, snap.Fingerprint()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(info.Size()), "B/file")
 }
 
 // --- Cluster router layer ---------------------------------------------

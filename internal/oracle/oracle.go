@@ -10,12 +10,12 @@
 // and parent pointers (int32) — indexed row·n+v. It is the layout the
 // parallel backend's kernels write and the snapshot file holds, so Build
 // validates and adopts a computed matrix rather than copying it, and a
-// saved snapshot decodes straight into it. A Snapshot is never mutated
-// after Build; the serving Store swaps whole snapshots through one atomic
-// pointer, so queries take no lock, see exactly one generation end-to-end,
-// and a background recompute can publish a replacement with zero failed or
-// mixed-generation queries (the hot-swap gate in swap_test.go holds the
-// receipt).
+// saved snapshot's columns load back as the file's own bytes. A Snapshot
+// is never mutated after Build; the serving Store swaps whole snapshots
+// through one atomic pointer, so queries take no lock, see exactly one
+// generation end-to-end, and a background recompute can publish a
+// replacement with zero failed or mixed-generation queries (the hot-swap
+// gate in swap_test.go holds the receipt).
 //
 // Path queries lazily materialize the recorded path by the hardened
 // core.WalkParents walker (shared error taxonomy with ReconstructPath),

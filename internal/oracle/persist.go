@@ -5,14 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 
 	"repro/internal/checkpoint"
 	"repro/internal/compute"
@@ -21,16 +22,27 @@ import (
 	"repro/internal/graph"
 )
 
-// Snapshot container format (little-endian):
+// Snapshot container format, version 2 (little-endian):
 //
 //	magic    [8]byte  "APSPSNAP"
-//	version  u32      1
+//	version  u32      2
 //	metaLen  u32
 //	meta     JSON     snapMeta (alg, n, k, sources, fingerprint, columns)
+//	pad      zeros    up to the next multiple of 8 bytes from the file start
 //	dist     k·n i64
 //	hops     k·n i32  (present iff meta.HasHops)
 //	parent   k·n i32  (present iff meta.HasPaths)
-//	checksum u64      FNV-64a over every preceding byte
+//	checksum u64      CRC-32C (Castagnoli) over every preceding byte
+//
+// The three columns are the store's memory image: SaveSnapshot writes the
+// compute.Matrix slices as they lie in memory, and LoadSnapshot hands the
+// read buffer's column ranges to Build as the columns, with no per-cell
+// encode or decode either way. That makes the format little-endian only;
+// a big-endian host refuses every snapshot with ErrBigEndianHost.
+//
+// Version 1 is read-only: the same layout with no padding and an FNV-64a
+// checksum. Its columns sit wherever the meta JSON ended, so they are
+// copied into fresh ones rather than adopted; every save writes version 2.
 //
 // This is the oracle's own autosave format — deliberately separate from
 // the engine checkpoint container (internal/checkpoint), which snapshots
@@ -39,12 +51,16 @@ import (
 // ErrCorruptSnapshot instead of silently wrong distances.
 const (
 	snapMagic   = "APSPSNAP"
-	snapVersion = 1
+	snapVersion = 2
 	snapSuffix  = ".snap"
 	// QuarantineSuffix is appended to unreadable snapshot files by
 	// RecoverDir so they never shadow an older valid generation again.
 	QuarantineSuffix = ".corrupt"
 )
+
+// castagnoli is the CRC-32C table; hash/crc32 computes it in hardware
+// where the CPU has an instruction for it.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorruptSnapshot is wrapped by every load failure caused by the file
 // contents (bad magic, truncation, checksum mismatch, malformed meta) —
@@ -54,6 +70,14 @@ var ErrCorruptSnapshot = errors.New("oracle: corrupt snapshot")
 // ErrSnapshotMismatch is wrapped when a structurally valid snapshot was
 // built against a different graph than the one it is being loaded for.
 var ErrSnapshotMismatch = errors.New("oracle: snapshot/graph mismatch")
+
+// ErrBigEndianHost is returned by SaveSnapshot, LoadSnapshot and
+// RecoverDir on a big-endian host: snapshot columns are little-endian
+// memory images, which such a host can neither write nor adopt.
+var ErrBigEndianHost = errors.New("oracle: snapshot files are little-endian, this host is big-endian")
+
+// bigEndianHost reports whether this host stores integers big-endian.
+var bigEndianHost = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
 
 // snapMeta is the JSON header of a persisted snapshot.
 type snapMeta struct {
@@ -73,6 +97,9 @@ type snapMeta struct {
 // directory is fsynced — after a crash at any instant, path either holds
 // the complete new snapshot or whatever was there before, never a tear.
 func SaveSnapshot(path string, snap *Snapshot) error {
+	if bigEndianHost {
+		return ErrBigEndianHost
+	}
 	err := checkpoint.WriteAtomic(path, func(f *os.File) error { return writeSnapshot(f, snap) })
 	if err != nil {
 		return fmt.Errorf("oracle: saving snapshot: %w", err)
@@ -91,52 +118,31 @@ func writeSnapshot(f *os.File, snap *Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("encoding snapshot meta: %w", err)
 	}
-	sum := fnv.New64a()
-	w := io.MultiWriter(f, sum)
-
-	hdr := make([]byte, 0, 16+len(mj))
-	hdr = append(hdr, snapMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, snapVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(mj)))
-	hdr = append(hdr, mj...)
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("writing snapshot header: %w", err)
-	}
-
-	// The columns as they lie in memory, one buffered row at a time; an
-	// absent column is empty and writes nothing.
-	n := m.N
-	buf := make([]byte, 0, n*8)
-	for lo := 0; lo < len(m.Dist); lo += n {
-		buf = buf[:0]
-		for _, d := range m.Dist[lo : lo+n] {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(d))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("writing distance row %d: %w", lo/n, err)
-		}
-	}
-	for _, col := range []struct {
-		what  string
-		cells []int32
-	}{{"hop", m.Hops}, {"parent", m.Parent}} {
-		for lo := 0; lo < len(col.cells); lo += n {
-			buf = buf[:0]
-			for _, x := range col.cells[lo : lo+n] {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
-			}
-			if _, err := w.Write(buf); err != nil {
-				return fmt.Errorf("writing %s row %d: %w", col.what, lo/n, err)
-			}
+	hdr := make([]byte, columnsAt(len(mj))) // ends in the zero padding
+	copy(hdr, snapMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], snapVersion)
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(mj)))
+	copy(hdr[16:], mj)
+	// The columns as they lie in memory; an absent column is empty and
+	// writes nothing.
+	var sum uint32
+	for _, b := range [][]byte{hdr, recast[byte](m.Dist), recast[byte](m.Hops), recast[byte](m.Parent)} {
+		sum = crc32.Update(sum, castagnoli, b)
+		if _, err := f.Write(b); err != nil {
+			return fmt.Errorf("writing snapshot: %w", err)
 		}
 	}
 	var tail [8]byte
-	binary.LittleEndian.PutUint64(tail[:], sum.Sum64())
+	binary.LittleEndian.PutUint64(tail[:], uint64(sum))
 	if _, err := f.Write(tail[:]); err != nil {
 		return fmt.Errorf("writing snapshot checksum: %w", err)
 	}
 	return nil
 }
+
+// columnsAt is the file offset of the first v2 column after a metaLen-byte
+// meta: the header rounded up to the next multiple of 8.
+func columnsAt(metaLen int) int { return (16 + metaLen + 7) &^ 7 }
 
 // LoadSnapshot reads, checksums, and revalidates a persisted snapshot
 // against g. expectFP, when non-zero, must match the stored graph
@@ -145,6 +151,9 @@ func writeSnapshot(f *os.File, snap *Snapshot) error {
 // wrapping ErrCorruptSnapshot; a load never yields a partially-filled or
 // silently wrong snapshot.
 func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, error) {
+	if bigEndianHost {
+		return nil, ErrBigEndianHost
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: reading snapshot: %w", err)
@@ -156,19 +165,31 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 		return nil, corrupt("file is %d bytes, too short for the container", len(data))
 	}
 	body, tail := data[:len(data)-8], data[len(data)-8:]
-	sum := fnv.New64a()
-	sum.Write(body)
-	if got, want := sum.Sum64(), binary.LittleEndian.Uint64(tail); got != want {
-		return nil, corrupt("checksum %016x, file says %016x", got, want)
+	// The version picks the checksum; nothing else is read before it holds.
+	version := binary.LittleEndian.Uint32(body[8:12])
+	var sum uint64
+	switch version {
+	case 1:
+		h := fnv.New64a()
+		h.Write(body)
+		sum = h.Sum64()
+	case snapVersion:
+		sum = uint64(crc32.Checksum(body, castagnoli))
+	default:
+		return nil, corrupt("unsupported version %d", version)
+	}
+	if want := binary.LittleEndian.Uint64(tail); sum != want {
+		return nil, corrupt("checksum %016x, file says %016x", sum, want)
 	}
 	if string(body[:8]) != snapMagic {
 		return nil, corrupt("bad magic %q", body[:8])
 	}
-	if v := binary.LittleEndian.Uint32(body[8:12]); v != snapVersion {
-		return nil, corrupt("unsupported version %d", v)
-	}
 	metaLen := int(binary.LittleEndian.Uint32(body[12:16]))
-	if metaLen < 0 || 16+metaLen > len(body) {
+	colsAt := 16 + metaLen
+	if version == snapVersion {
+		colsAt = columnsAt(metaLen)
+	}
+	if metaLen < 0 || colsAt > len(body) {
 		return nil, corrupt("meta length %d exceeds file", metaLen)
 	}
 	var meta snapMeta
@@ -193,24 +214,20 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 	if meta.HasPaths {
 		want += cells * 4
 	}
-	cols := body[16+metaLen:]
+	cols := body[colsAt:]
 	if len(cols) != want {
 		return nil, corrupt("column bytes %d, want %d", len(cols), want)
 	}
 
-	// Each column decodes once, into the layout Build adopts.
 	in := BuildInput{Alg: meta.Alg, Stats: meta.Stats, Phys: meta.Phys,
-		Matrix: compute.Matrix{Sources: meta.Sources, N: meta.N, Dist: make([]int64, cells)}}
-	for c := range in.Dist {
-		in.Dist[c] = int64(binary.LittleEndian.Uint64(cols[c*8:]))
-	}
+		Matrix: compute.Matrix{Sources: meta.Sources, N: meta.N, Dist: column[int64](cols[:cells*8])}}
 	cols = cols[cells*8:]
 	if meta.HasHops {
-		in.Hops = decodeInt32s(cols[:cells*4])
+		in.Hops = column[int32](cols[:cells*4])
 		cols = cols[cells*4:]
 	}
 	if meta.HasPaths {
-		in.Parent = decodeInt32s(cols)
+		in.Parent = column[int32](cols)
 	}
 	snap, err := Build(g, in, BuildOpts{Fingerprint: meta.Fingerprint})
 	if err != nil {
@@ -221,13 +238,30 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 	return snap, nil
 }
 
-// decodeInt32s decodes a little-endian int32 column.
-func decodeInt32s(b []byte) []int32 {
-	col := make([]int32, len(b)/4)
-	for c := range col {
-		col[c] = int32(binary.LittleEndian.Uint32(b[c*4:]))
+// column returns b's cells as a column: b itself when it is aligned for
+// T, as every v2 column in the read buffer is, else a fresh copy (a v1
+// column starts wherever its meta JSON ended).
+func column[T int64 | int32](b []byte) []T {
+	var cell T
+	if uintptr(unsafe.Pointer(unsafe.SliceData(b)))%unsafe.Alignof(cell) == 0 {
+		return recast[T](b)
 	}
+	col := make([]T, len(b)/int(unsafe.Sizeof(cell)))
+	copy(recast[byte](col), b)
 	return col
+}
+
+// recast views s's memory as a slice of To, in whichever direction: a
+// column as the bytes a save writes, or the bytes a load read as a
+// column. It is the snapshot's one reinterpretation of memory; the caller
+// supplies whole cells, aligned for To.
+func recast[To, From byte | int32 | int64](s []From) []To {
+	if len(s) == 0 {
+		return nil
+	}
+	var from From
+	var to To
+	return unsafe.Slice((*To)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(from))/int(unsafe.Sizeof(to)))
 }
 
 // SaveToDir saves snap under dir with a name that sorts newest-first by
@@ -301,6 +335,11 @@ func listSnapshots(dir string) ([]string, error) {
 // place (they are valid, just for a different input). Returns (nil, "",
 // nil) when dir holds no usable snapshot — a cold boot, not an error.
 func RecoverDir(dir string, g *graph.Graph, expectFP uint64, log *slog.Logger) (*Snapshot, string, error) {
+	if bigEndianHost {
+		// Before the listing: every file would fail to load, and a valid
+		// snapshot must never be quarantined for the host's byte order.
+		return nil, "", ErrBigEndianHost
+	}
 	paths, err := listSnapshots(dir)
 	if err != nil {
 		if os.IsNotExist(err) {

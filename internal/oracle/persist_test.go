@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"log/slog"
 	"net/http"
@@ -14,6 +16,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/graph"
@@ -90,74 +93,115 @@ func TestSnapshotSaveLoadDistOnly(t *testing.T) {
 	assertSameAnswers(t, want, got)
 }
 
+// sweepFile is a snapshot file's bytes and the graph it loads against.
+type sweepFile struct {
+	whole []byte
+	g     *graph.Graph
+}
+
+// sweepFiles are the files the corruption sweeps cut and flip: a version 2
+// save, and the version 1 fixture that the reader must still take.
+func sweepFiles(t *testing.T) map[string]sweepFile {
+	g, _, in := testInput(t, 8, 24, 3, []int{0, 5})
+	_, _, path := saveLoadPair(t, in, g, 7)
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat", "oracle-v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]sweepFile{"v2": {v2, g}, "v1": {v1, compatGraph()}}
+}
+
 // TestSnapshotTornWriteSweep truncates the file at EVERY byte boundary
 // and requires each load to fail loudly with ErrCorruptSnapshot — a torn
 // write (crash mid-save without the rename discipline) must never parse
 // as a shorter-but-plausible snapshot.
 func TestSnapshotTornWriteSweep(t *testing.T) {
-	g, _, in := testInput(t, 8, 24, 3, []int{0, 5})
-	_, _, path := saveLoadPair(t, in, g, 7)
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := filepath.Join(t.TempDir(), "torn.snap")
-	for cut := 0; cut < len(whole); cut++ {
-		if err := os.WriteFile(torn, whole[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, lerr := LoadSnapshot(torn, g, 0); !errors.Is(lerr, ErrCorruptSnapshot) {
-			t.Fatalf("truncation at byte %d of %d: err = %v, want ErrCorruptSnapshot", cut, len(whole), lerr)
+	for version, f := range sweepFiles(t) {
+		torn := filepath.Join(t.TempDir(), "torn.snap")
+		for cut := 0; cut < len(f.whole); cut++ {
+			if err := os.WriteFile(torn, f.whole[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, lerr := LoadSnapshot(torn, f.g, 0); !errors.Is(lerr, ErrCorruptSnapshot) {
+				t.Fatalf("%s: truncation at byte %d of %d: err = %v, want ErrCorruptSnapshot", version, cut, len(f.whole), lerr)
+			}
 		}
 	}
 }
 
 func TestSnapshotBitFlipSweep(t *testing.T) {
-	g, _, in := testInput(t, 8, 24, 3, []int{0, 5})
-	_, _, path := saveLoadPair(t, in, g, 7)
-	whole, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := filepath.Join(t.TempDir(), "flip.snap")
-	// Flip one bit in every 7th byte (a full per-bit sweep is slow and
-	// adds nothing: the checksum catches any single flip the same way).
-	for off := 0; off < len(whole); off += 7 {
-		mut := append([]byte(nil), whole...)
-		mut[off] ^= 1 << (off % 8)
-		if err := os.WriteFile(flipped, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, lerr := LoadSnapshot(flipped, g, 0); !errors.Is(lerr, ErrCorruptSnapshot) {
-			t.Fatalf("bit flip at byte %d: err = %v, want ErrCorruptSnapshot", off, lerr)
+	for version, f := range sweepFiles(t) {
+		flipped := filepath.Join(t.TempDir(), "flip.snap")
+		// Flip one bit in every 7th byte (a full per-bit sweep is slow and
+		// adds nothing: the checksum catches any single flip the same way).
+		for off := 0; off < len(f.whole); off += 7 {
+			mut := append([]byte(nil), f.whole...)
+			mut[off] ^= 1 << (off % 8)
+			if err := os.WriteFile(flipped, mut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, lerr := LoadSnapshot(flipped, f.g, 0); !errors.Is(lerr, ErrCorruptSnapshot) {
+				t.Fatalf("%s: bit flip at byte %d: err = %v, want ErrCorruptSnapshot", version, off, lerr)
+			}
 		}
 	}
 }
 
+// seal replaces data's trailing checksum with the one its header's
+// version calls for: FNV-64a for version 1, CRC-32C otherwise.
+func seal(data []byte) []byte {
+	body := data[:len(data)-8]
+	var sum uint64
+	if len(body) >= 12 && binary.LittleEndian.Uint32(body[8:12]) == 1 {
+		h := fnv.New64a()
+		h.Write(body)
+		sum = h.Sum64()
+	} else {
+		sum = uint64(crc32.Checksum(body, castagnoli))
+	}
+	return binary.LittleEndian.AppendUint64(append([]byte(nil), body...), sum)
+}
+
+// asV1 rewrites a version 2 file as the version 1 file of the same
+// snapshot: version 1, no padding after the meta, an FNV-64a seal.
+func asV1(v2 []byte) []byte {
+	metaLen := int(binary.LittleEndian.Uint32(v2[12:16]))
+	v1 := append([]byte(nil), v2[:16+metaLen]...)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	return seal(append(v1, v2[columnsAt(metaLen):]...))
+}
+
 // FuzzLoadSnapshot feeds arbitrary bytes to the reader that runs at boot
 // over whatever the disk kept. Seeds: a saved snapshot with hops and
-// parents, a distance-only one, and a truncation and a bit flip of each.
-// The bytes as given must either be refused with a typed error or answer
-// exactly like the snapshot that was saved. The same bytes with the
-// trailing checksum recomputed get past the checksum into the meta and
-// column parsing, where a different-but-valid snapshot is legitimate: there
-// the property is a typed error or a snapshot every cell of which can be
-// read and walked without a panic.
+// parents, a distance-only one, the version 1 file of each, and a
+// truncation and a bit flip of all four. The bytes as given must either be
+// refused with a typed error or answer exactly like the snapshot that was
+// saved. The same bytes resealed with the checksum of the version they
+// name get past the checksum into the meta and column parsing, where a
+// different-but-valid snapshot is legitimate: there the property is a
+// typed error or a snapshot every cell of which can be read and walked
+// without a panic.
 func FuzzLoadSnapshot(f *testing.F) {
 	g, _, in := testInput(f, 8, 24, 3, []int{0, 5})
 	full, _, fullPath := saveLoadPair(f, in, g, 7)
 	in.Hops, in.Parent = nil, nil
 	distOnly, _, distPath := saveLoadPair(f, in, g, 7)
 	for _, p := range []string{fullPath, distPath} {
-		raw, err := os.ReadFile(p)
+		v2, err := os.ReadFile(p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		flip := append([]byte(nil), raw...)
-		flip[len(flip)/3] ^= 0x10
-		f.Add(raw)
-		f.Add(raw[:len(raw)/2])
-		f.Add(flip)
+		for _, raw := range [][]byte{v2, asV1(v2)} {
+			flip := append([]byte(nil), raw...)
+			flip[len(flip)/3] ^= 0x10
+			f.Add(raw)
+			f.Add(raw[:len(raw)/2])
+			f.Add(flip)
+		}
 	}
 	path := filepath.Join(f.TempDir(), "fuzz.snap")
 	load := func(t *testing.T, data []byte) *Snapshot {
@@ -181,10 +225,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if len(data) < 8 {
 			return
 		}
-		sum := fnv.New64a()
-		sum.Write(data[:len(data)-8])
-		resealed := binary.LittleEndian.AppendUint64(append([]byte(nil), data[:len(data)-8]...), sum.Sum64())
-		if got := load(t, resealed); got != nil {
+		if got := load(t, seal(data)); got != nil {
 			for row := 0; row < got.K(); row++ {
 				for v := 0; v < got.N(); v++ {
 					_ = got.DistAt(row, v)
@@ -367,61 +408,160 @@ func TestSaveSnapshotLeavesNoTempDebris(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatCompat holds the file format and the answers to files
-// written before Build adopted the kernels' columns, when it still copied
-// [][] rows into its own: testdata/compat/oracle-v1.snap (parallel backend,
-// hops and parents) and oracle-v1-blocker.snap (distance only). Each must
-// load, answer every cell as a fresh computation of the same spec does,
-// and re-save byte for byte — as must the fresh snapshot itself.
+// compatGraph is the graph the testdata/compat/oracle-v*.snap fixtures
+// were computed on.
+func compatGraph() *graph.Graph {
+	return graph.Random(24, 80, graph.GenOpts{MaxW: 8, ZeroFrac: 0.25, Seed: 28, Directed: true})
+}
+
+// compatSpecs are the computations behind the fixtures, keyed by the
+// fixture name with its version left out: oracle-v%d.snap (parallel
+// backend, hops and parents) and oracle-v%d-blocker.snap (distance only).
+var compatSpecs = map[string]ComputeSpec{
+	"oracle-v%d.snap":         {Alg: "pipeline", Backend: "parallel", Sources: []int{0, 5, 11, 17, 23}},
+	"oracle-v%d-blocker.snap": {Alg: "blocker", Sources: []int{0, 5, 11, 17, 23}, H: 3},
+}
+
+// TestSnapshotFormatCompat holds the file format and the answers to the
+// fixtures in testdata/compat. The version 1 files were written before
+// Build adopted the kernels' columns, when it still copied [][] rows into
+// its own; the version 2 files are the first written verbatim from the
+// columns. Every fixture must load and answer every cell as a fresh
+// computation of the same spec does. Saving the loaded snapshot of either
+// version, or the fresh one, must give the version 2 file byte for byte,
+// and the version 1 file must be that file with version 1's header and
+// checksum: the columns did not change between the versions.
 func TestSnapshotFormatCompat(t *testing.T) {
-	g := graph.Random(24, 80, graph.GenOpts{MaxW: 8, ZeroFrac: 0.25, Seed: 28, Directed: true})
+	g := compatGraph()
 	fp := checkpoint.Fingerprint(g)
-	sources := []int{0, 5, 11, 17, 23}
-	for file, sp := range map[string]ComputeSpec{
-		"oracle-v1.snap":         {Alg: "pipeline", Backend: "parallel", Sources: sources},
-		"oracle-v1-blocker.snap": {Alg: "blocker", Sources: sources, H: 3},
-	} {
-		path := filepath.Join("..", "..", "testdata", "compat", file)
-		whole, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadSnapshot(path, g, fp)
-		if err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
+	for pattern, sp := range compatSpecs {
 		in, err := Compute(context.Background(), g, sp)
 		if err != nil {
-			t.Fatalf("%s: %v", file, err)
+			t.Fatalf("%s: %v", pattern, err)
 		}
 		fresh, err := Build(g, in, BuildOpts{Fingerprint: fp})
 		if err != nil {
-			t.Fatalf("%s: %v", file, err)
+			t.Fatalf("%s: %v", pattern, err)
 		}
-		if loaded.Alg() != fresh.Alg() || loaded.Stats() != fresh.Stats() ||
-			loaded.HasHops() != fresh.HasHops() || loaded.HasPaths() != fresh.HasPaths() ||
-			!slices.Equal(loaded.Sources(), fresh.Sources()) {
-			t.Fatalf("%s: identity %s %+v hops=%v paths=%v, fresh %s %+v hops=%v paths=%v", file,
-				loaded.Alg(), loaded.Stats(), loaded.HasHops(), loaded.HasPaths(),
-				fresh.Alg(), fresh.Stats(), fresh.HasHops(), fresh.HasPaths())
-		}
-		for row := 0; row < fresh.K(); row++ {
-			for v := 0; v < fresh.N(); v++ {
-				if loaded.DistAt(row, v) != fresh.DistAt(row, v) ||
-					fresh.HasHops() && loaded.hopAt(row, v) != fresh.hopAt(row, v) ||
-					fresh.HasPaths() && loaded.parentAt(row, v) != fresh.parentAt(row, v) {
-					t.Fatalf("%s: cell (%d,%d) differs from a fresh computation", file, row, v)
+		snaps := map[string]*Snapshot{"fresh": fresh}
+		files := map[int][]byte{}
+		for _, version := range []int{1, 2} {
+			file := fmt.Sprintf(pattern, version)
+			path := filepath.Join("..", "..", "testdata", "compat", file)
+			if files[version], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadSnapshot(path, g, fp)
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			snaps[file] = loaded
+			if loaded.Alg() != fresh.Alg() || loaded.Stats() != fresh.Stats() ||
+				loaded.HasHops() != fresh.HasHops() || loaded.HasPaths() != fresh.HasPaths() ||
+				!slices.Equal(loaded.Sources(), fresh.Sources()) {
+				t.Fatalf("%s: identity %s %+v hops=%v paths=%v, fresh %s %+v hops=%v paths=%v", file,
+					loaded.Alg(), loaded.Stats(), loaded.HasHops(), loaded.HasPaths(),
+					fresh.Alg(), fresh.Stats(), fresh.HasHops(), fresh.HasPaths())
+			}
+			for row := 0; row < fresh.K(); row++ {
+				for v := 0; v < fresh.N(); v++ {
+					if loaded.DistAt(row, v) != fresh.DistAt(row, v) ||
+						fresh.HasHops() && loaded.hopAt(row, v) != fresh.hopAt(row, v) ||
+						fresh.HasPaths() && loaded.parentAt(row, v) != fresh.parentAt(row, v) {
+						t.Fatalf("%s: cell (%d,%d) differs from a fresh computation", file, row, v)
+					}
 				}
 			}
 		}
-		for name, snap := range map[string]*Snapshot{"loaded": loaded, "fresh": fresh} {
-			out := filepath.Join(t.TempDir(), file)
+		for name, snap := range snaps {
+			out := filepath.Join(t.TempDir(), "out.snap")
 			if err := SaveSnapshot(out, snap); err != nil {
 				t.Fatal(err)
 			}
-			if again, _ := os.ReadFile(out); !bytes.Equal(again, whole) {
-				t.Errorf("%s: the %s snapshot saves %d bytes that differ from the file's %d", file, name, len(again), len(whole))
+			if again, _ := os.ReadFile(out); !bytes.Equal(again, files[2]) {
+				t.Errorf("%s: the %s snapshot saves %d bytes that differ from the version 2 file's %d", pattern, name, len(again), len(files[2]))
 			}
 		}
+		if !bytes.Equal(asV1(files[2]), files[1]) {
+			t.Errorf("%s: the version 2 file with version 1's header and checksum is not the version 1 file", pattern)
+		}
+	}
+}
+
+// TestRecoverDirMixedVersions is the upgrade path: an autosave dir that
+// holds a version 1 file from before the upgrade and a newer version 2
+// save. Recovery serves the newer file, and once it is gone the older
+// one; neither is quarantined.
+func TestRecoverDirMixedVersions(t *testing.T) {
+	g := compatGraph()
+	fp := checkpoint.Fingerprint(g)
+	dir := t.TempDir()
+	v1, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat", "oracle-v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "snap-00000000000000000001-g1.snap")
+	if err := os.WriteFile(old, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hourAgo := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(old, hourAgo, hourAgo); err != nil {
+		t.Fatal(err)
+	}
+	in, err := Compute(context.Background(), g, compatSpecs["oracle-v%d.snap"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Build(g, in, BuildOpts{Fingerprint: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	(&Store{}).Publish(fresh)
+	newer, err := SaveToDir(dir, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{newer, old} {
+		got, path, err := RecoverDir(dir, g, fp, nil)
+		if err != nil || got == nil || path != want {
+			t.Fatalf("RecoverDir = (%v, %q, %v), want %q", got != nil, path, err, want)
+		}
+		assertSameAnswers(t, fresh, got)
+		if q, _ := filepath.Glob(filepath.Join(dir, "*"+QuarantineSuffix)); len(q) != 0 {
+			t.Fatalf("quarantined %v", q)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBigEndianHostRefuses takes the branch a big-endian host runs: every
+// entry point refuses by name, and recovery leaves a valid file in place
+// instead of quarantining it.
+func TestBigEndianHostRefuses(t *testing.T) {
+	g, _, in := testInput(t, 8, 24, 3, []int{0, 5})
+	snap, err := Build(g, in, BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path, err := SaveToDir(dir, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigEndianHost = true
+	defer func() { bigEndianHost = false }()
+	if err := SaveSnapshot(filepath.Join(dir, "b.snap"), snap); !errors.Is(err, ErrBigEndianHost) {
+		t.Fatalf("SaveSnapshot err = %v, want ErrBigEndianHost", err)
+	}
+	if _, err := LoadSnapshot(path, g, 0); !errors.Is(err, ErrBigEndianHost) {
+		t.Fatalf("LoadSnapshot err = %v, want ErrBigEndianHost", err)
+	}
+	if got, _, err := RecoverDir(dir, g, 0, nil); got != nil || !errors.Is(err, ErrBigEndianHost) {
+		t.Fatalf("RecoverDir = (%v, %v), want ErrBigEndianHost", got != nil, err)
+	}
+	if left, err := listSnapshots(dir); err != nil || len(left) != 1 || left[0] != path {
+		t.Fatalf("dir holds %v (%v) after a refused recovery, want only %s", left, err, path)
 	}
 }
