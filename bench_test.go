@@ -255,9 +255,9 @@ func BenchmarkEngineWorkers8Observed(b *testing.B) {
 
 // BenchmarkComputeBackend* is the CONGEST-vs-centralized pair: the same
 // saturated all-sources APSP instance through the simulated engine and
-// through internal/compute's two kernels at 8 workers. BENCH_engine.json
+// through internal/compute's kernel at 8 workers. BENCH_engine.json
 // gates each one's allocation budget like every other entry; how much
-// faster the kernels are is a ledger question (sim_apsp's op_ms against
+// faster the kernel is is a ledger question (sim_apsp's op_ms against
 // rebuild_*'s compute.apsp_s, benchmark/README.md).
 func benchComputeBackend(b *testing.B, run func(g *graph.Graph, sources []int) error) {
 	n := 128
@@ -283,14 +283,7 @@ func BenchmarkComputeBackendEngine8(b *testing.B) {
 
 func BenchmarkComputeBackendDijkstra8(b *testing.B) {
 	benchComputeBackend(b, func(g *graph.Graph, sources []int) error {
-		_, err := compute.APSP(g, compute.Opts{Workers: 8, Kernel: compute.Dijkstra})
-		return err
-	})
-}
-
-func BenchmarkComputeBackendFloyd8(b *testing.B) {
-	benchComputeBackend(b, func(g *graph.Graph, sources []int) error {
-		_, err := compute.APSP(g, compute.Opts{Workers: 8, Kernel: compute.Floyd})
+		_, err := compute.APSP(g, compute.Opts{Workers: 8})
 		return err
 	})
 }

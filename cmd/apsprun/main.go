@@ -26,10 +26,10 @@
 // -backend selects the compute substrate: "congest" (default) simulates
 // the message-passing engine round by round; "parallel" runs the
 // shared-memory backend of internal/compute (work-stealing per-source
-// Dijkstra or cache-blocked Floyd–Warshall, auto-picked by density) for
-// the same exact distances at production sizes. The parallel backend has
-// no rounds, faults, or checkpoints; flags that configure those are
-// rejected rather than ignored.
+// Dijkstra over packed (dist, hops) keys) for the same exact distances at
+// production sizes. The parallel backend has no rounds, faults, or
+// checkpoints; flags that configure those are rejected rather than
+// ignored.
 //
 // -workers sets the per-round goroutine count; it leaves results and
 // CONGEST costs bit-identical.

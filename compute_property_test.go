@@ -12,8 +12,8 @@ import (
 )
 
 // Property-based differential sweep over structurally distinct graph
-// classes: for every instance the shared-memory compute backend (both
-// kernels), the pipelined CONGEST engine and CONGEST Bellman–Ford must
+// classes: for every instance the shared-memory compute backend, the
+// pipelined CONGEST engine and CONGEST Bellman–Ford must
 // produce identical distances; compute and the engine must agree on hop
 // counts; and every reachable compute parent entry must walk back to its
 // source through tight arcs. The class generators deliberately cover the
@@ -41,13 +41,9 @@ func checkComputeProperty(g *graph.Graph, sources []int, h int) error {
 		h = 1
 	}
 
-	dij, err := compute.APSP(g, compute.Opts{Sources: sources, Kernel: compute.Dijkstra})
+	dij, err := compute.APSP(g, compute.Opts{Sources: sources})
 	if err != nil {
-		return fmt.Errorf("compute dijkstra: %v", err)
-	}
-	fw, err := compute.APSP(g, compute.Opts{Sources: sources, Kernel: compute.Floyd})
-	if err != nil {
-		return fmt.Errorf("compute floyd: %v", err)
+		return fmt.Errorf("compute: %v", err)
 	}
 	eng, err := core.Run(g, core.Opts{Sources: sources, H: h})
 	if err != nil {
@@ -64,40 +60,31 @@ func checkComputeProperty(g *graph.Graph, sources []int, h int) error {
 			if dij.Dist[c] != eng.Dist[i][v] {
 				return fmt.Errorf("dist(%d->%d): dijkstra %d, engine %d", src, v, dij.Dist[c], eng.Dist[i][v])
 			}
-			if fw.Dist[c] != eng.Dist[i][v] {
-				return fmt.Errorf("dist(%d->%d): floyd %d, engine %d", src, v, fw.Dist[c], eng.Dist[i][v])
-			}
 			if bf.Dist[i][v] != eng.Dist[i][v] {
 				return fmt.Errorf("dist(%d->%d): bellman-ford %d, engine %d", src, v, bf.Dist[i][v], eng.Dist[i][v])
 			}
 			if int64(dij.Hops[c]) != eng.Hops[i][v] {
 				return fmt.Errorf("hops(%d->%d): dijkstra %d, engine %d", src, v, dij.Hops[c], eng.Hops[i][v])
 			}
-			if int64(fw.Hops[c]) != eng.Hops[i][v] {
-				return fmt.Errorf("hops(%d->%d): floyd %d, engine %d", src, v, fw.Hops[c], eng.Hops[i][v])
-			}
 		}
 	}
 
-	// Parent trees: both kernels' parent matrices must pass the walker's
+	// Parent tree: the compute parent matrix must pass the walker's
 	// tightness validation (dist[p]+w == dist[v], hops[p]+1 == hops[v])
 	// on every reachable pair.
-	for _, res := range []*compute.Result{dij, fw} {
-		res := res
-		pv := core.PathView{
-			Sources: res.Sources,
-			Dist:    func(i, v int) int64 { return res.Dist[i*n+v] },
-			Hops:    func(i, v int) int64 { return int64(res.Hops[i*n+v]) },
-			Parent:  func(i, v int) int { return int(res.Parent[i*n+v]) },
-		}
-		for i := range sources {
-			for v := 0; v < n; v++ {
-				if res.Dist[i*n+v] >= graph.Inf {
-					continue
-				}
-				if _, err := core.WalkParents(g, pv, i, v); err != nil {
-					return fmt.Errorf("%s parent walk: %v", res.Kernel, err)
-				}
+	pv := core.PathView{
+		Sources: dij.Sources,
+		Dist:    func(i, v int) int64 { return dij.Dist[i*n+v] },
+		Hops:    func(i, v int) int64 { return int64(dij.Hops[i*n+v]) },
+		Parent:  func(i, v int) int { return int(dij.Parent[i*n+v]) },
+	}
+	for i := range sources {
+		for v := 0; v < n; v++ {
+			if dij.Dist[i*n+v] >= graph.Inf {
+				continue
+			}
+			if _, err := core.WalkParents(g, pv, i, v); err != nil {
+				return fmt.Errorf("dijkstra parent walk: %v", err)
 			}
 		}
 	}

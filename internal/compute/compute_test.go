@@ -14,7 +14,7 @@ import (
 )
 
 // testGraphs is the unit-test corpus: one representative per structural
-// class the kernels have to get right (sparse/dense, directed/undirected,
+// class the kernel has to get right (sparse/dense, directed/undirected,
 // zero weights, disconnection).
 func testGraphs(tb testing.TB) map[string]*graph.Graph {
 	tb.Helper()
@@ -73,19 +73,19 @@ func checkAgainstSequential(t *testing.T, g *graph.Graph, res *compute.Result) {
 		_, wantH := graph.HHopDistHops(g, src, n)
 		for v := 0; v < n; v++ {
 			if res.Dist[i*n+v] != wantD[v] {
-				t.Fatalf("kernel %s: dist[%d][%d] = %d, want %d", res.Kernel, src, v, res.Dist[i*n+v], wantD[v])
+				t.Fatalf("dist[%d][%d] = %d, want %d", src, v, res.Dist[i*n+v], wantD[v])
 			}
 			if int(res.Hops[i*n+v]) != wantH[v] {
-				t.Fatalf("kernel %s: hops[%d][%d] = %d, want %d", res.Kernel, src, v, res.Hops[i*n+v], wantH[v])
+				t.Fatalf("hops[%d][%d] = %d, want %d", src, v, res.Hops[i*n+v], wantH[v])
 			}
 			if wantD[v] >= graph.Inf {
 				if res.Parent[i*n+v] != -1 {
-					t.Fatalf("kernel %s: unreachable (%d,%d) has parent %d", res.Kernel, src, v, res.Parent[i*n+v])
+					t.Fatalf("unreachable (%d,%d) has parent %d", src, v, res.Parent[i*n+v])
 				}
 				continue
 			}
 			if _, err := core.WalkParents(g, pv, i, v); err != nil {
-				t.Fatalf("kernel %s: invalid parent tree at (%d,%d): %v", res.Kernel, src, v, err)
+				t.Fatalf("invalid parent tree at (%d,%d): %v", src, v, err)
 			}
 		}
 	}
@@ -93,16 +93,11 @@ func checkAgainstSequential(t *testing.T, g *graph.Graph, res *compute.Result) {
 
 func TestKernelsAgainstSequential(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		for _, kern := range []compute.Kernel{compute.Dijkstra, compute.Floyd} {
-			res, err := compute.APSP(g, compute.Opts{Kernel: kern, Workers: 4})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, kern, err)
-			}
-			if res.Kernel != kern {
-				t.Fatalf("%s: asked for kernel %s, ran %s", name, kern, res.Kernel)
-			}
-			checkAgainstSequential(t, g, res)
+		res, err := compute.APSP(g, compute.Opts{Workers: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		checkAgainstSequential(t, g, res)
 	}
 }
 
@@ -120,19 +115,17 @@ func TestBitIdenticalToPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: core.Run: %v", name, err)
 		}
-		for _, kern := range []compute.Kernel{compute.Dijkstra, compute.Floyd} {
-			res, err := compute.APSP(g, compute.Opts{Kernel: kern})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, kern, err)
-			}
-			for i := 0; i < n; i++ {
-				for v := 0; v < n; v++ {
-					if res.Dist[i*n+v] != ref.Dist[i][v] {
-						t.Fatalf("%s/%s: dist[%d][%d] = %d, pipeline %d", name, kern, i, v, res.Dist[i*n+v], ref.Dist[i][v])
-					}
-					if int64(res.Hops[i*n+v]) != ref.Hops[i][v] {
-						t.Fatalf("%s/%s: hops[%d][%d] = %d, pipeline %d", name, kern, i, v, res.Hops[i*n+v], ref.Hops[i][v])
-					}
+		res, err := compute.APSP(g, compute.Opts{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < n; i++ {
+			for v := 0; v < n; v++ {
+				if res.Dist[i*n+v] != ref.Dist[i][v] {
+					t.Fatalf("%s: dist[%d][%d] = %d, pipeline %d", name, i, v, res.Dist[i*n+v], ref.Dist[i][v])
+				}
+				if int64(res.Hops[i*n+v]) != ref.Hops[i][v] {
+					t.Fatalf("%s: hops[%d][%d] = %d, pipeline %d", name, i, v, res.Hops[i*n+v], ref.Hops[i][v])
 				}
 			}
 		}
@@ -142,20 +135,18 @@ func TestBitIdenticalToPipeline(t *testing.T) {
 func TestSourceSubset(t *testing.T) {
 	g := graph.Random(30, 90, graph.GenOpts{Seed: 9, MaxW: 6, Directed: true})
 	srcs := []int{7, 0, 29, 7} // unordered, duplicate: rows are independent
-	for _, kern := range []compute.Kernel{compute.Dijkstra, compute.Floyd} {
-		res, err := compute.APSP(g, compute.Opts{Sources: srcs, Kernel: kern})
-		if err != nil {
-			t.Fatalf("%s: %v", kern, err)
-		}
-		n := g.N()
-		if len(res.Dist) != len(srcs)*n {
-			t.Fatalf("%s: %d cells, want %d rows of %d", kern, len(res.Dist), len(srcs), n)
-		}
-		checkAgainstSequential(t, g, res)
-		for v := 0; v < n; v++ {
-			if res.Dist[v] != res.Dist[3*n+v] {
-				t.Fatalf("%s: duplicate source rows differ at %d", kern, v)
-			}
+	res, err := compute.APSP(g, compute.Opts{Sources: srcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	if len(res.Dist) != len(srcs)*n {
+		t.Fatalf("%d cells, want %d rows of %d", len(res.Dist), len(srcs), n)
+	}
+	checkAgainstSequential(t, g, res)
+	for v := 0; v < n; v++ {
+		if res.Dist[v] != res.Dist[3*n+v] {
+			t.Fatalf("duplicate source rows differ at %d", v)
 		}
 	}
 }
@@ -171,83 +162,30 @@ func TestErrors(t *testing.T) {
 	if _, err := compute.APSP(nil, compute.Opts{}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	if _, err := compute.APSP(g, compute.Opts{Kernel: "quantum"}); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
 }
 
-// TestAutoKernelPick pins pick where it was measured (n = 768 and 1536,
-// all sources, 2 workers, interleaved with the previous kernels; the table
-// is on pick and in CHANGES.md): packed Dijkstra and packed Floyd cross at
-// arcs ≈ 0.59·n² and ≈ 0.65·n², so Floyd runs from 8·k·arcs = 5·n³ up.
-func TestAutoKernelPick(t *testing.T) {
-	dense := func(n, arcs int, maxW int64) *graph.Graph {
-		return graph.Random(n, arcs, graph.GenOpts{Seed: 2, MaxW: maxW, Directed: true})
-	}
-	all := []int(nil)
-	for _, c := range []struct {
-		name    string
-		g       *graph.Graph
-		sources []int
-		want    compute.Kernel // "": refused with ErrKeyRange
-	}{
-		{"above the crossover, arcs = 3n²/4", dense(64, 64*48, 5), all, compute.Floyd},
-		{"below the crossover, arcs = n²/2", dense(64, 64*32, 5), all, compute.Dijkstra},
-		{"undirected counts both arcs, 2m = 3n²/4", graph.Random(64, 64*24, graph.GenOpts{Seed: 2, MaxW: 5}), all, compute.Floyd},
-		// rebuild_dense: Dijkstra 0.12 s, Floyd 0.20 s.
-		{"ledger dense, n = 768, arcs = n²/4", dense(768, 768*768/4, 64), all, compute.Dijkstra},
-		// rebuild_sparse, one of three shards.
-		{"ledger sparse, n = 1536, m = 4n, k = n/3", dense(1536, 4*1536, 8), allSources(512), compute.Dijkstra},
-		// k = n/2 at arcs = 3n²/4: Dijkstra's side halves, Floyd's does not.
-		{"half the sources", dense(64, 64*48, 5), allSources(32), compute.Dijkstra},
-		{"two sources", dense(64, 64*48, 5), []int{0, 1}, compute.Dijkstra},
-		// Weights up to 2⁴⁸, 63 of them ≥ 2⁵²: no packed key, so no
-		// kernel, however dense.
-		{"dense, does not pack", dense(64, 64*60, 1<<48), all, ""},
-	} {
-		res, err := compute.APSP(c.g, compute.Opts{Sources: c.sources})
-		if c.want == "" {
-			if !errors.Is(err, compute.ErrKeyRange) {
-				t.Errorf("%s: err = %v, want compute.ErrKeyRange", c.name, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if res.Kernel != c.want {
-			t.Errorf("%s: picked %s, want %s", c.name, res.Kernel, c.want)
-		}
-	}
-}
-
-// TestWorkerClamp: sources are the unit of Dijkstra's fan-out only. Floyd
-// closes the whole n×n matrix whatever k is, over tiles, so a one-source
-// run keeps every worker it was given.
+// TestWorkerClamp: sources are the unit of the fan-out, so a one-source
+// run uses one worker however many it was given.
 func TestWorkerClamp(t *testing.T) {
 	g := graph.Random(30, 90, graph.GenOpts{Seed: 9, MaxW: 6, Directed: true})
-	for kern, want := range map[compute.Kernel]int{compute.Dijkstra: 1, compute.Floyd: 4} {
-		res, err := compute.APSP(g, compute.Opts{Sources: []int{0}, Kernel: kern, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Workers != want {
-			t.Errorf("%s over one source with Workers: 4 ran on %d, want %d", kern, res.Workers, want)
-		}
+	res, err := compute.APSP(g, compute.Opts{Sources: []int{0}, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Workers != 1 {
+		t.Errorf("one source with Workers: 4 ran on %d, want 1", res.Workers)
 	}
 }
 
 // TestRefusesOverflowingPathSums: each weight is legal, their sum reaches
 // graph.Inf, and d(0,2) used to come back as exactly that — "unreachable"
-// — from every kernel and from the reference they are checked against.
+// — from the kernel and from the reference it is checked against.
 func TestRefusesOverflowingPathSums(t *testing.T) {
 	g := graph.New(3, true)
 	g.MustAddEdge(0, 1, 1<<60)
 	g.MustAddEdge(1, 2, 1<<60)
-	for _, kern := range []compute.Kernel{compute.Auto, compute.Dijkstra, compute.Floyd} {
-		if _, err := compute.APSP(g, compute.Opts{Kernel: kern}); !errors.Is(err, graph.ErrPathOverflow) {
-			t.Errorf("%s: err = %v, want graph.ErrPathOverflow", kern, err)
-		}
+	if _, err := compute.APSP(g, compute.Opts{}); !errors.Is(err, graph.ErrPathOverflow) {
+		t.Errorf("err = %v, want graph.ErrPathOverflow", err)
 	}
 }
 
@@ -266,79 +204,67 @@ func resultHash(res *compute.Result) uint64 {
 	return h.Sum64()
 }
 
-// TestKernelsPinned holds each packed kernel to the matrices — parents
-// included — of the unpacked kernel it replaced: the hashes were taken
-// from commit 049f08e, whose Floyd kept dist, hops and parent in three
-// planes and whose only Dijkstra was the wide one. n = 150 gives three
-// tile rows with a ragged last one; the zero-heavy weights give ties for
-// the parents to break.
+// TestKernelsPinned holds the packed kernel to the matrices — parents
+// included — of the unpacked Dijkstra it replaced: the hash was taken from
+// commit 049f08e, whose only Dijkstra was the wide one. The zero-heavy
+// weights give ties for the parents to break.
 func TestKernelsPinned(t *testing.T) {
 	g := graph.ZeroHeavy(150, 900, 0.4, graph.GenOpts{Seed: 18, MaxW: 9, Directed: true})
-	for kern, want := range map[compute.Kernel]uint64{
-		compute.Dijkstra: 0x6bd82af2e0c67ce7,
-		compute.Floyd:    0x24c193edf6c9cf59,
-	} {
-		res, err := compute.APSP(g, compute.Opts{Kernel: kern, Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := resultHash(res); got != want {
-			t.Errorf("%s: FNV-64a of (dist, hops, parent) = %#016x, want %#016x", kern, got, want)
-		}
+	res, err := compute.APSP(g, compute.Opts{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resultHash(res), uint64(0x6bd82af2e0c67ce7); got != want {
+		t.Errorf("FNV-64a of (dist, hops, parent) = %#016x, want %#016x", got, want)
 	}
 }
 
 // TestAllocsIndependentOfSize is the deterministic form of the ledger's
 // compute.alloc_mb_per_op: for a fixed worker count APSP makes the same
 // number of allocations whatever n and k are — flat matrices, one slab of
-// per-worker scratch, one set of goroutines — never one per source, row
-// or tile phase. (The graphs are sparse enough that no Dijkstra heap
-// outgrows the n entries it starts with; growth is the one allocation that
-// follows the input.)
+// per-worker scratch, one set of goroutines — never one per source or
+// row. (The graphs are sparse enough that no heap outgrows the n entries
+// it starts with; growth is the one allocation that follows the input.)
 func TestAllocsIndependentOfSize(t *testing.T) {
-	for _, kern := range []compute.Kernel{compute.Dijkstra, compute.Floyd} {
-		var base float64
-		for _, n := range []int{72, 150} {
-			g := graph.Random(n, 4*n, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.25, Directed: true})
-			for _, sources := range [][]int{allSources(n), allSources(n / 4)} {
-				// The runtime's own occasional allocations only add.
-				allocs := math.Inf(1)
-				for try := 0; try < 3; try++ {
-					allocs = min(allocs, testing.AllocsPerRun(3, func() {
-						if _, err := compute.APSP(g, compute.Opts{Sources: sources, Kernel: kern, Workers: 3}); err != nil {
-							t.Fatal(err)
-						}
-					}))
-				}
-				if base == 0 {
-					base = allocs
-				}
-				if allocs != base {
-					t.Errorf("%s n=%d k=%d: %v allocations, n=72 k=72 made %v", kern, n, len(sources), allocs, base)
-				}
+	var base float64
+	for _, n := range []int{72, 150} {
+		g := graph.Random(n, 4*n, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.25, Directed: true})
+		for _, sources := range [][]int{allSources(n), allSources(n / 4)} {
+			// The runtime's own occasional allocations only add.
+			allocs := math.Inf(1)
+			for try := 0; try < 3; try++ {
+				allocs = min(allocs, testing.AllocsPerRun(3, func() {
+					if _, err := compute.APSP(g, compute.Opts{Sources: sources, Workers: 3}); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			if base == 0 {
+				base = allocs
+			}
+			if allocs != base {
+				t.Errorf("n=%d k=%d: %v allocations, n=72 k=72 made %v", n, len(sources), allocs, base)
 			}
 		}
 	}
 }
 
 // TestDeterministicAcrossWorkers pins the determinism contract: the same
-// matrices regardless of worker count, for both kernels.
+// matrices regardless of worker count.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	g := graph.Random(48, 48*10, graph.GenOpts{Seed: 11, MaxW: 9, ZeroFrac: 0.2, Directed: true})
-	for _, kern := range []compute.Kernel{compute.Dijkstra, compute.Floyd} {
-		base, err := compute.APSP(g, compute.Opts{Kernel: kern, Workers: 1})
+	base, err := compute.APSP(g, compute.Opts{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 8, 64} {
+		got, err := compute.APSP(g, compute.Opts{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{2, 8, 64} {
-			got, err := compute.APSP(g, compute.Opts{Kernel: kern, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c := range base.Dist {
-				if base.Dist[c] != got.Dist[c] || base.Hops[c] != got.Hops[c] || base.Parent[c] != got.Parent[c] {
-					t.Fatalf("%s: workers=%d diverges at (%d,%d)", kern, w, c/g.N(), c%g.N())
-				}
+		for c := range base.Dist {
+			if base.Dist[c] != got.Dist[c] || base.Hops[c] != got.Hops[c] || base.Parent[c] != got.Parent[c] {
+				t.Fatalf("workers=%d diverges at (%d,%d)", w, c/g.N(), c%g.N())
 			}
 		}
 	}

@@ -7,15 +7,17 @@ import (
 
 	"repro/internal/bellman"
 	"repro/internal/compute"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
 // FuzzParallelDijkstra: random graph bytes (the repository text format)
-// are decoded, capped to a tractable size, and both compute kernels are
-// differentially checked against CONGEST Bellman–Ford — the slow-but-safe
-// baseline that is indifferent to zero weights. Any divergence, panic, or
-// parent matrix the walker rejects is a finding. The kernels may refuse a
-// decoded graph in exactly two ways, and only together: with
+// are decoded, capped to a tractable size, and the compute kernel is
+// differentially checked: distances against CONGEST Bellman–Ford — the
+// slow-but-safe baseline that is indifferent to zero weights — and hop
+// counts against the sequential h-hop table graph.HHopDistHops with h = n.
+// Any divergence, panic, or parent matrix the walker rejects is a finding.
+// The kernel may refuse a decoded graph in exactly two ways: with
 // graph.ErrPathOverflow when path weights can reach Inf, and with
 // compute.ErrKeyRange when they do not fit a packed key.
 func FuzzParallelDijkstra(f *testing.F) {
@@ -39,18 +41,12 @@ func FuzzParallelDijkstra(f *testing.F) {
 		for v := range sources {
 			sources[v] = v
 		}
-		dij, err := compute.APSP(g, compute.Opts{Sources: sources, Kernel: compute.Dijkstra})
-		fw, ferr := compute.APSP(g, compute.Opts{Sources: sources, Kernel: compute.Floyd})
-		for _, refusal := range []error{graph.ErrPathOverflow, compute.ErrKeyRange} {
-			if errors.Is(err, refusal) && errors.Is(ferr, refusal) {
-				return
-			}
+		dij, err := compute.APSP(g, compute.Opts{Sources: sources})
+		if errors.Is(err, graph.ErrPathOverflow) || errors.Is(err, compute.ErrKeyRange) {
+			return
 		}
 		if err != nil {
-			t.Fatalf("dijkstra kernel rejected a decoded graph: %v", err)
-		}
-		if ferr != nil {
-			t.Fatalf("floyd kernel rejected a decoded graph: %v", ferr)
+			t.Fatalf("kernel rejected a decoded graph: %v", err)
 		}
 		h := n - 1
 		if h < 1 {
@@ -60,20 +56,29 @@ func FuzzParallelDijkstra(f *testing.F) {
 		if err != nil {
 			t.Fatalf("bellman-ford baseline: %v", err)
 		}
-		for i := 0; i < n; i++ {
+		pv := core.PathView{
+			Sources: dij.Sources,
+			Dist:    func(i, v int) int64 { return dij.Dist[i*n+v] },
+			Hops:    func(i, v int) int64 { return int64(dij.Hops[i*n+v]) },
+			Parent:  func(i, v int) int { return int(dij.Parent[i*n+v]) },
+		}
+		for i, src := range sources {
+			_, wantH := graph.HHopDistHops(g, src, n)
 			for v := 0; v < n; v++ {
 				c := i*n + v
 				if dij.Dist[c] != bf.Dist[i][v] {
 					t.Fatalf("dist(%d->%d): dijkstra %d, bellman-ford %d\ngraph:\n%s",
 						i, v, dij.Dist[c], bf.Dist[i][v], input)
 				}
-				if fw.Dist[c] != bf.Dist[i][v] {
-					t.Fatalf("dist(%d->%d): floyd %d, bellman-ford %d\ngraph:\n%s",
-						i, v, fw.Dist[c], bf.Dist[i][v], input)
+				if int(dij.Hops[c]) != wantH[v] {
+					t.Fatalf("hops(%d->%d): dijkstra %d, sequential %d\ngraph:\n%s",
+						i, v, dij.Hops[c], wantH[v], input)
 				}
-				if dij.Hops[c] != fw.Hops[c] {
-					t.Fatalf("hops(%d->%d): dijkstra %d, floyd %d\ngraph:\n%s",
-						i, v, dij.Hops[c], fw.Hops[c], input)
+				if dij.Dist[c] >= graph.Inf {
+					continue
+				}
+				if _, err := core.WalkParents(g, pv, i, v); err != nil {
+					t.Fatalf("parent walk (%d->%d): %v\ngraph:\n%s", i, v, err, input)
 				}
 			}
 		}

@@ -10,8 +10,8 @@ import (
 // A packed key is one (dist, hops) pair in a machine word, dist<<shift |
 // hops — Algorithm 1's κ = d·γ + l with γ = 2^shift. While no hop sum
 // reaches γ, integer order on keys is the lexicographic (dist, hops)
-// order and adding two keys adds both components, so the kernels compare
-// once and add once per relaxation.
+// order and adding two keys adds both components, so the kernel compares
+// once and adds once per relaxation.
 //
 // infKey marks "unreachable". Bit 62 rather than the top bit, so that
 // infKey + infKey still fits a uint64 and infKey + x ≥ infKey for every
@@ -25,23 +25,21 @@ type keyLayout struct {
 }
 
 // layoutFor sizes the hop field for an n-node graph and refuses, with
-// ErrKeyRange, a graph that does not pack: one where some sum a kernel
+// ErrKeyRange, a graph that does not pack: one where some sum the kernel
 // forms could reach infKey. maxPath bounds the weight of a simple path,
 // (n−1)·maxW (graph.MaxPathWeight).
 //
 // Every finished entry is the key of a simple path: at most n−1 hops and
-// at most maxPath weight. Dijkstra adds one arc to a finished entry.
-// Blocked Floyd–Warshall adds up to three finished entries: between two
-// pivot blocks every entry is finished; inside a block's phases 2 and 3 an
-// entry is either still that or the sum of two finished entries — and not
-// always the key of a simple path, so its hops can pass n−1: in phase 2
-// the closed diagonal operand may already run through pivots the sweep
-// has not reached (i→c→v→b→v→j with b, c pivots of the block, b first,
-// is what pivot b leaves in (i,j) when i's only arc goes to c). A phase-2
-// candidate adds one more closed entry to such a sum. So no hop sum
-// exceeds 3(n−1) < 4n ≤ 2^shift, and no key exceeds
-// 3·(maxPath<<shift | n−1), which stays below infKey when
-// maxPath < 2^(60−shift).
+// at most maxPath weight. The kernel forms one kind of sum, a finished
+// entry plus one arc, so no hop sum exceeds n and no key exceeds
+// (maxPath+maxW)<<shift | n, which stays below 2^61 and so below infKey.
+// The field and the limit are wider than that bound needs: 2^shift ≥ 4n
+// and maxPath < 2^(60−shift) leave room for sums of three finished
+// entries, which the blocked Floyd–Warshall this package used to carry
+// formed. They stay so on purpose: narrowing either would move the n and
+// the weight at which a graph is refused with ErrKeyRange, which
+// TestRepresentationBoundaries (n = 64 and 65) and FuzzParallelDijkstra's
+// seeds pin — a change of behaviour, not of proof, for a change of its own.
 func layoutFor(n int, maxPath int64) (keyLayout, error) {
 	lay := keyLayout{shift: uint(bits.Len(uint(4*n - 1)))}
 	if maxPath>>(60-lay.shift) != 0 {

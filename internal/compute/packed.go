@@ -1,6 +1,7 @@
 package compute
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -58,6 +59,25 @@ func packedDijkstra(g *graph.Graph, lay keyLayout, res *Result) {
 		}
 	})
 }
+
+// spmd runs body(0), …, body(workers−1) concurrently — body(0) on the
+// calling goroutine — and returns when all have returned.
+func spmd(workers int, body func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			body(w)
+		}(w)
+	}
+	body(0)
+	wg.Wait()
+}
+
+// claim draws the next ticket (0, 1, 2, …) from a shared counter; workers
+// that loop on it until it passes their task count share the tasks.
+func claim(next *atomic.Int64) int { return int(next.Add(1)) - 1 }
 
 // oneSourcePacked fills one row. Key order is lexicographic (dist, hops)
 // order, which stays monotone under relaxation because weights are

@@ -29,7 +29,7 @@ func zeroHeavyUpTo(n int, maxW int64) *graph.Graph {
 	return g
 }
 
-// sameCells compares a kernel's (dist, hops) with core.Run's rows.
+// sameCells compares the kernel's (dist, hops) with core.Run's rows.
 func sameCells(t *testing.T, what string, a *Result, b *core.Result) {
 	t.Helper()
 	for i := range b.Dist {
@@ -66,9 +66,9 @@ func walkAll(t *testing.T, what string, g *graph.Graph, res *Result) {
 // TestRepresentationBoundaries sits on either side of the two limits the
 // layout has: the hop field gains a bit between n = 64 and n = 65, and a
 // graph stops packing one unit of weight above the largest maxW that fits
-// beside it. On the packing side both kernels answer as core.Run does and
-// record parents the walker accepts; one unit above, APSP refuses the
-// graph by name whichever kernel is asked for.
+// beside it. On the packing side the kernel answers as core.Run does and
+// records parents the walker accepts; one unit above, APSP refuses the
+// graph by name.
 func TestRepresentationBoundaries(t *testing.T) {
 	for _, n := range []int{63, 64, 65} {
 		lay, _ := layoutFor(n, 0)
@@ -80,10 +80,8 @@ func TestRepresentationBoundaries(t *testing.T) {
 			for shape, g := range map[string]*graph.Graph{"zero-path": zeroPath(n, maxW), "zero-heavy": zeroHeavyUpTo(n, maxW)} {
 				name := fmt.Sprintf("n=%d/maxW=%d/%s", n, maxW, shape)
 				if maxW > fits {
-					for _, kern := range []Kernel{Auto, Dijkstra, Floyd} {
-						if _, err := APSP(g, Opts{Kernel: kern}); !errors.Is(err, ErrKeyRange) {
-							t.Fatalf("%s: %s on a graph that does not pack: err = %v, want ErrKeyRange", name, kern, err)
-						}
+					if _, err := APSP(g, Opts{}); !errors.Is(err, ErrKeyRange) {
+						t.Fatalf("%s: a graph that does not pack: err = %v, want ErrKeyRange", name, err)
 					}
 					continue
 				}
@@ -91,14 +89,12 @@ func TestRepresentationBoundaries(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: core.Run: %v", name, err)
 				}
-				for _, kern := range []Kernel{Dijkstra, Floyd} {
-					res, err := APSP(g, Opts{Kernel: kern, Workers: 2})
-					if err != nil {
-						t.Fatalf("%s: %s: %v", name, kern, err)
-					}
-					sameCells(t, fmt.Sprintf("%s: %s and core.Run", name, kern), res, ref)
-					walkAll(t, fmt.Sprintf("%s %s", name, kern), g, res)
+				res, err := APSP(g, Opts{Workers: 2})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
+				sameCells(t, name+": APSP and core.Run", res, ref)
+				walkAll(t, name, g, res)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ import (
 type Spec struct {
 	Alg string // the family (see Names)
 	// Backend is "" or "congest" for the simulated engine, "parallel" for
-	// the shared-memory kernels of internal/compute (see runParallel).
+	// the shared-memory kernel of internal/compute (see runParallel).
 	Backend string
 	Sources []int // nil = every node
 	// H is the raw hop parameter, 0 = the family's default; checkpoint
@@ -48,7 +48,7 @@ type Spec struct {
 // the oracle adopts. Hops and Parent are nil where the family records none
 // (blocker, scaling: no parents; bellman: no hops).
 type Result struct {
-	Alg string // the family name, or "parallel/<kernel>"
+	Alg string // the family name, or "parallel/dijkstra"
 	compute.Matrix
 	Stats  congest.Stats
 	Detail string // the family's own summary ("bound=… late=… maxList=…")
@@ -192,9 +192,9 @@ func Run(g *graph.Graph, sp Spec) (Result, error) {
 // runParallel is Backend "parallel": the same exact unrestricted matrices
 // as the pipeline family, with no rounds — so a spec asking for anything
 // only rounds carry is refused rather than silently losing it, and so is a
-// graph whose path weights do not fit the kernels' packed key
+// graph whose path weights do not fit the kernel's packed key
 // (compute.ErrKeyRange; the congest backend runs it). Engine.Observer sees
-// no events, Engine.Ctx is checked once on entry (the kernels are not
+// no events, Engine.Ctx is checked once on entry (the kernel is not
 // cancelable), and the result carries zero Stats.
 func runParallel(g *graph.Graph, sp Spec) (Result, error) {
 	const why = "the parallel backend computes unrestricted exact APSP with no simulated rounds"
@@ -216,13 +216,13 @@ func runParallel(g *graph.Graph, sp Spec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Alg: "parallel/" + string(r.Kernel), Matrix: r.Matrix,
-		Detail: fmt.Sprintf("kernel=%s workers=%d", r.Kernel, r.Workers)}, nil
+	return Result{Alg: "parallel/dijkstra", Matrix: r.Matrix,
+		Detail: fmt.Sprintf("kernel=dijkstra workers=%d", r.Workers)}, nil
 }
 
 // FromRows converts a CONGEST family's per-source rows into the store
 // layout — the one copy a row-shaped result makes on its way to the oracle
-// (the parallel backend's kernels write the layout directly and make none).
+// (the parallel backend's kernel writes the layout directly and makes none).
 // A nil row set gives a nil column; a row of the wrong length gives a column
 // of the wrong length, which oracle.Build refuses.
 func FromRows(sources []int, n int, dist, hops [][]int64, parent [][]int) compute.Matrix {

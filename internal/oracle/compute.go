@@ -62,7 +62,7 @@ func (sp ComputeSpec) run() (family.Spec, *faults.Network, error) {
 // form, ready for Build. Families without parent records (blocker,
 // scaling) yield distance-only inputs: /dist and /batch serve them, /path
 // reports a typed error. Backend "parallel" labels its input
-// "parallel/<kernel>" and carries zero engine Stats.
+// "parallel/dijkstra" and carries zero engine Stats.
 func Compute(ctx context.Context, g *graph.Graph, sp ComputeSpec) (BuildInput, error) {
 	if exact := family.Names(true); sp.Backend != "parallel" && !slices.Contains(exact, sp.Alg) {
 		return BuildInput{}, fmt.Errorf("oracle: -alg %q is not an exact family (want %s)", sp.Alg, strings.Join(exact, " | "))

@@ -8,7 +8,7 @@
 // The stored form is an immutable column store, compute.Matrix: three flat
 // row-major columns over the k source rows — distances (int64), hop counts
 // and parent pointers (int32) — indexed row·n+v. It is the layout the
-// parallel backend's kernels write and the snapshot file holds, so Build
+// parallel backend's kernel writes and the snapshot file holds, so Build
 // validates and adopts a computed matrix rather than copying it, and a
 // saved snapshot's columns load back as the file's own bytes. A Snapshot
 // is never mutated after Build; the serving Store swaps whole snapshots
