@@ -77,9 +77,11 @@ type PipelineResult = core.Result
 
 // PipelinedHKSSP computes h-hop shortest paths from k sources
 // (Theorem I.1(i): 2√(khΔ) + k + h rounds). The list discipline is the
-// Pareto frontier; the paper's literal ν-gate and eviction rules lose
-// distances and are not reachable from this package (internal/core's
-// RunLiteral serves the ablation experiments).
+// Pareto frontier and the send rule is the ≥ form of ⌈κ⌉+pos = r: no
+// paper-literal rule is reachable through it. The literal ν-gate and
+// eviction rules lose distances (internal/core's RunLiteral serves the
+// ablation experiments), and the equality send rule exists only as
+// PositiveWeightOpts.Strict, for the A-LIST ablation.
 func PipelinedHKSSP(g *Graph, opts PipelineOpts) (*PipelineResult, error) {
 	return core.Run(g, opts)
 }

@@ -72,6 +72,16 @@ func TestPublicShortRange(t *testing.T) {
 	}
 }
 
+func TestPublicShortRangeRefusesBadSeed(t *testing.T) {
+	// A short or negative Seed row is an error, not a panic in node Init.
+	g := GridGraph(1, 3, GenOpts{Seed: 1, MaxW: 2})
+	for _, row := range [][]int64{{0}, {0, -1, 2}} {
+		if _, err := ShortRangeKSource(g, ShortRangeOpts{Sources: []int{0}, H: 2, Seed: [][]int64{row}}); err == nil {
+			t.Fatalf("Seed row %v accepted", row)
+		}
+	}
+}
+
 func TestPublicCSSSPAndBlocker(t *testing.T) {
 	g := RandomGraph(18, 54, GenOpts{Seed: 7, MaxW: 5, ZeroFrac: 0.3, Directed: true})
 	coll, err := BuildCSSSP(g, []int{0, 6, 12}, 3, 0)

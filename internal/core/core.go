@@ -28,12 +28,12 @@
 // "send Z when ⌈Z.κ + pos(Z)⌉ = r". Because pos(Z) can grow by more than
 // one between consecutive rounds (several inserts below Z while an eviction
 // lands above it), a literal implementation can skip past the equality
-// moment. This implementation therefore defaults to the lenient rule —
-// send the earliest-scheduled unsent entry whose schedule time has arrived,
-// one per round — and counts both late sends and same-round schedule
-// collisions, so the experiments quantify how often the strict rule would
-// have misfired (experiment E-INV). Opts.Strict selects the literal rule
-// for the ablation.
+// moment. This implementation therefore uses the lenient rule — send the
+// earliest-scheduled unsent entry whose schedule time has arrived, one per
+// round — and counts both late sends and same-round schedule collisions, so
+// the experiments quantify how often the equality rule would have misfired
+// (experiment E-INV). It is the only send rule here; the strict one
+// survives in internal/posweight, for the A-LIST ablation.
 package core
 
 import (
@@ -54,17 +54,6 @@ type Opts struct {
 	// the safe upper bound H·maxWeight is used (correct, but a larger Δ
 	// weakens γ and costs rounds — the paper assumes Δ is known).
 	Delta int64
-	// Seed, if non-nil, gives initial known distances per source index
-	// (graph.Inf = unknown): the extension variant of Sec. II-C lifted to
-	// the multi-entry algorithm. Seeded nodes start with an entry
-	// (Seed[i][v], 0) — an already-computed distance with zero additional
-	// hops — and the run extends those by up to H further hops. A source's
-	// own entry remains (0,0) unless a smaller seed is given. Delta must
-	// then bound seed+extension distances; the auto bound accounts for the
-	// largest finite seed.
-	Seed [][]int64
-	// Strict selects the paper's literal equality-only send rule.
-	Strict bool
 	// Audit enables per-round Invariant 2 verification and, under
 	// RunLiteral, per-insert Invariant 1 verification (costs time;
 	// violations are counted in the Result). Run's Pareto inserts are not
@@ -118,9 +107,8 @@ type Result struct {
 	Delta int64
 
 	// Schedule diagnostics (see package comment).
-	LateSends  int // sends after their scheduled round (lenient mode)
+	LateSends  int // sends after their scheduled round
 	Collisions int // rounds at a node where ≥2 entries were due simultaneously
-	Missed     int // strict mode: due entries that could not be sent in their round
 
 	// Invariant audit (populated when Opts.Audit).
 	Inv1Violations int // RunLiteral inserts with r ≥ ⌈κ⌉ + pos (Lemma II.12)
@@ -189,23 +177,14 @@ type node struct {
 
 func (nd *node) Init(ctx *congest.Context) {
 	nd.pl.Init(nd.id, nd.gamma, nd.opts.Sources, nd.opts.Prealloc)
-	nd.pl.Configure(nd.opts.Strict, nd.opts.Trace)
+	nd.pl.trace = nd.opts.Trace
 	if ctx.PayloadReuse() {
 		nd.pool.Prewarm(4)
 	}
 	nd.inFrom, nd.inWt = graph.MinInArcs(ctx.InEdges())
-	for i := range nd.opts.Sources {
-		d := int64(-1)
-		if nd.opts.Sources[i] == nd.id {
-			d = 0
-		}
-		if nd.opts.Seed != nil {
-			if s := nd.opts.Seed[i][nd.id]; s < graph.Inf && (d < 0 || s < d) {
-				d = s
-			}
-		}
-		if d >= 0 {
-			nd.pl.Seed(i, d)
+	for i, s := range nd.opts.Sources {
+		if s == nd.id {
+			nd.pl.Seed(i, 0)
 		}
 	}
 }
@@ -375,27 +354,8 @@ func run(g *graph.Graph, opts Opts, wrap func(*node) congest.Node) (*Result, err
 		}
 		seen[s] = true
 	}
-	if opts.Seed != nil && len(opts.Seed) != len(opts.Sources) {
-		return nil, fmt.Errorf("core: Seed rows %d != sources %d", len(opts.Seed), len(opts.Sources))
-	}
-	var maxSeed int64
-	if opts.Seed != nil {
-		for i := range opts.Seed {
-			if len(opts.Seed[i]) != g.N() {
-				return nil, fmt.Errorf("core: Seed row %d has %d entries, want %d", i, len(opts.Seed[i]), g.N())
-			}
-			for _, s := range opts.Seed[i] {
-				if s < 0 {
-					return nil, fmt.Errorf("core: negative seed distance %d", s)
-				}
-				if s < graph.Inf && s > maxSeed {
-					maxSeed = s
-				}
-			}
-		}
-	}
 	if opts.Delta == 0 {
-		opts.Delta = int64(opts.H)*g.MaxWeight() + maxSeed
+		opts.Delta = int64(opts.H) * g.MaxWeight()
 		if opts.Delta < 1 {
 			opts.Delta = 1
 		}
@@ -461,7 +421,6 @@ func run(g *graph.Graph, opts Opts, wrap func(*node) congest.Node) (*Result, err
 		c := &nd.pl.Counters
 		res.LateSends += c.Late
 		res.Collisions += c.Collisions
-		res.Missed += c.Missed
 		res.Inv1Violations += nd.inv1
 		res.Inv2Violations += nd.inv2
 		res.MaxListLen = max(res.MaxListLen, c.MaxList)

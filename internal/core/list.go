@@ -134,7 +134,6 @@ type List struct {
 	id      int
 	gamma   key.Gamma
 	sources []int
-	strict  bool // Opts.Strict
 	// trace is Opts.Trace. Hot-path callers must check it for nil BEFORE
 	// building the call: passing integers through the variadic
 	// ...interface{} boxes them onto the heap at the call site even when
@@ -161,10 +160,10 @@ type List struct {
 
 // Counters is the list's diagnostics, reported through core.Result.
 type Counters struct {
-	Late, Collisions, Missed int // see Result.LateSends, Collisions, Missed
-	MaxList, MaxPer          int
-	Inserts, Evicts          int64
-	NuDrops, DupDrops        int64 // entries refused: dominated / ν-gated, exact duplicates (literal rules only)
+	Late, Collisions  int // see Result.LateSends, Collisions
+	MaxList, MaxPer   int
+	Inserts, Evicts   int64
+	NuDrops, DupDrops int64 // entries refused: dominated / ν-gated, exact duplicates (literal rules only)
 }
 
 // Send is the entry NextSend selected for broadcast this round.
@@ -201,12 +200,6 @@ func (pl *List) Init(id int, gamma key.Gamma, sources []int, prealloc int) {
 	for i := range pl.bests {
 		pl.bests[i] = best{d: graph.Inf, l: -1, parent: -1}
 	}
-}
-
-// Configure selects the strict send rule (Opts.Strict) and the list-event
-// trace sink (Opts.Trace); both default off.
-func (pl *List) Configure(strict bool, trace func(format string, args ...interface{})) {
-	pl.strict, pl.trace = strict, trace
 }
 
 // Seed installs the origin entry (d, 0) for source index i: an already
@@ -419,14 +412,6 @@ func (pl *List) NextSend(r int) (Send, bool) {
 			pl.schedule(z) // schedule moved into the future; re-arm
 			continue
 		}
-		if pl.strict && sched < int64(r) {
-			// Missed its equality moment; it may become due again if its
-			// position grows, so keep probing each round.
-			pl.Missed++
-			pl.seq++
-			requeue = append(requeue, sendItem{time: int64(r) + 1, seq: pl.seq, e: z})
-			continue
-		}
 		if candidate == nil {
 			candidate, candSched = z, sched
 			continue
@@ -468,19 +453,7 @@ func (pl *List) NextSend(r int) (Send, bool) {
 }
 
 // Quiescent reports whether no entry can be sent without a further Offer.
-func (pl *List) Quiescent() bool {
-	if !pl.strict {
-		return pl.pending == 0
-	}
-	// Strict: a pending entry can fire later only with a future schedule;
-	// overdue entries re-fire only if their position grows via a receive.
-	for _, z := range pl.list {
-		if z.needSend && z.ceilK+int64(z.idx)+1 > int64(pl.cur) {
-			return false
-		}
-	}
-	return true
-}
+func (pl *List) Quiescent() bool { return pl.pending == 0 }
 
 // NextWake is the list's half of congest.Waker: the round its earliest
 // heap item comes due, or congest.WakeOnReceive. Sends, late sends and

@@ -25,12 +25,15 @@ func init() {
 
 // State implements congest.Stateful. The diagnostics follow the list in
 // their historical checkpoint order (testdata/compat/core-*.ckpt pin it).
+// The third slot is a retired counter that the pinned layout keeps: it is
+// written as 0 and read into a discard.
 func (nd *node) State(c *congest.Codec) error {
 	if err := nd.pl.State(c); err != nil {
 		return err
 	}
 	pc := &nd.pl.Counters
-	for _, x := range []*int{&pc.Late, &pc.Collisions, &pc.Missed, &nd.inv1, &nd.inv2, &pc.MaxList, &pc.MaxPer} {
+	var missed int
+	for _, x := range []*int{&pc.Late, &pc.Collisions, &missed, &nd.inv1, &nd.inv2, &pc.MaxList, &pc.MaxPer} {
 		c.Int(x)
 	}
 	for _, x := range []*int64{&pc.Inserts, &pc.Evicts, &pc.NuDrops, &pc.DupDrops} {

@@ -217,20 +217,14 @@ func shrinkCheckpoint(cur FaultInput, fails ShrinkCheck) FaultInput {
 	return cur
 }
 
-// shrinkEvents is ddmin over the fault script: drop halves while that
-// still fails, then drop single events to a fixpoint.
+// shrinkEvents is DDMin over the fault script. Each candidate gets its own
+// copy of the input, as every other shrinking step's does.
 func shrinkEvents(cur FaultInput, fails ShrinkCheck) FaultInput {
-	for chunk := len(cur.Events) / 2; chunk >= 1; chunk /= 2 {
-		for start := 0; start+chunk <= len(cur.Events); {
-			cand := cur.Clone()
-			cand.Events = append(cand.Events[:start], cand.Events[start+chunk:]...)
-			if fails(cand) {
-				cur = cand // keep start: the tail shifted into place
-			} else {
-				start += chunk
-			}
-		}
-	}
+	cur.Events = DDMin(cur.Events, func(evs []faults.Event) bool {
+		cand := cur.Clone()
+		cand.Events = append(cand.Events[:0], evs...)
+		return fails(cand)
+	})
 	return cur
 }
 

@@ -38,9 +38,8 @@ type Spec struct {
 	ListTrace func(format string, args ...interface{})
 	// Engine is the engine environment, handed to the family whole:
 	// Workers, Scheduler, Observer, Network, Checkpoint and Ctx reach every
-	// engine run it starts. MaxRounds and MaxWordsPerMessage are not taken
-	// from here — Run clears them, so each family runs under its own proven
-	// bound and the engine's default bandwidth.
+	// engine run it starts. MaxRounds is not taken from here — Run clears
+	// it, so each family runs under its own proven bound.
 	Engine congest.Config
 }
 
@@ -180,7 +179,7 @@ func Run(g *graph.Graph, sp Spec) (Result, error) {
 		default:
 			sp.H = f.defaultH
 		}
-		sp.Engine.MaxRounds, sp.Engine.MaxWordsPerMessage = 0, 0
+		sp.Engine.MaxRounds = 0
 		if err := f.run(g, sp, &res); err != nil {
 			return Result{}, err
 		}

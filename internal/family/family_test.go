@@ -277,6 +277,46 @@ func TestEngineEnvironmentIsOneField(t *testing.T) {
 	}
 }
 
+// TestOptionCensus pins the complete field list of the engine
+// environment and of the seven family Opts. The rule: no option survives
+// that only a test sets — a field stays only if a command, experiment,
+// family table row or the benchmark sets it, so an option can come back
+// only through a visible edit of this table. The kept exceptions, each
+// with its reason:
+//   - congest.Config.Scheduler: the dense scheduler is the reference the
+//     equivalence sweeps compare the active one against;
+//   - core.Opts.Prealloc: the allocation guard's only lever;
+//   - core.Opts.Obs and hssp.Opts.Obs: benchmark/sim.go names them;
+//   - posweight.Opts.Strict: the A-LIST ablation measures it.
+//
+// Outside this table, faults.Network keeps Unreliable (the shrinker
+// tests' divergence source) and ArrivalOrder (the delivery-order test's
+// mutation witness) on the same terms.
+func TestOptionCensus(t *testing.T) {
+	for _, c := range []struct {
+		opts interface{}
+		want []string
+	}{
+		{congest.Config{}, []string{"MaxRounds", "Workers", "Scheduler", "Network", "Observer", "Checkpoint", "Ctx"}},
+		{core.Opts{}, []string{"Sources", "H", "Delta", "Audit", "Prealloc", "Engine", "Trace", "Obs", "SnapshotRounds"}},
+		{hssp.Opts{}, []string{"Sources", "H", "Delta", "Engine", "Obs"}},
+		{posweight.Opts{}, []string{"Sources", "MaxDist", "Strict", "Engine"}},
+		{shortrange.Opts{}, []string{"Sources", "H", "Delta", "Seed", "Delays", "Engine"}},
+		{bellman.Opts{}, []string{"Sources", "H", "Engine"}},
+		{scaling.Opts{}, []string{"Sources", "Engine"}},
+		{approx.Opts{}, []string{"Sources", "Eps", "Engine"}},
+	} {
+		typ := reflect.TypeOf(c.opts)
+		got := make([]string, typ.NumField())
+		for i := range got {
+			got[i] = typ.Field(i).Name
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%v: fields %v, want %v", typ, got, c.want)
+		}
+	}
+}
+
 // TestHopDefaults pins the table's hop rule per family: what H == 0
 // resolves to, and which families an explicit H caps.
 func TestHopDefaults(t *testing.T) {

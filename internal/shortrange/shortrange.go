@@ -58,8 +58,6 @@ type Opts struct {
 	// source executions concurrently. Shared (public) randomness is the
 	// standard assumption for the framework. Length must match Sources.
 	Delays []int64
-	// Strict selects the literal equality-only send rule.
-	Strict bool
 	// Engine is the engine environment, handed to congest.Run whole.
 	// MaxRounds == 0 means a slack multiple of the snapshot round.
 	Engine congest.Config
@@ -80,7 +78,9 @@ type Result struct {
 	// Stats: engine report; Stats.MaxLinkCongestion is the paper's
 	// congestion measure (claimed ≤ √h per source, so ≤ k·√h total).
 	Stats congest.Stats
-	// LateSends / Missed as in package core.
+	// LateSends counts sends after their scheduled round; Missed counts
+	// estimates due in a round that had already chosen its one send (the
+	// same-round collisions the paper's equality rule would drop).
 	LateSends int
 	Missed    int
 }
@@ -183,12 +183,8 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 			} else {
 				nd.missed++
 			}
-		} else if s < int64(r) {
-			if nd.opts.Strict {
-				nd.missed++
-			} else if send < 0 {
-				send, sendSched = i, s
-			}
+		} else if s < int64(r) && send < 0 {
+			send, sendSched = i, s
 		}
 	}
 	if send >= 0 {
@@ -224,8 +220,7 @@ func (nd *node) order() []int {
 }
 
 // NextWake implements congest.Waker: the earliest pending-entry schedule
-// (clamped to the next round by the engine when overdue, so strict-mode
-// missed accounting is per-round, as in the dense engine), and the snapshot
+// (clamped to the next round by the engine when overdue), and the snapshot
 // round, which must be stepped exactly so the T_snap copy happens.
 func (nd *node) NextWake() int {
 	next := congest.WakeOnReceive
@@ -249,14 +244,8 @@ func (nd *node) Quiescent() bool {
 	if int64(nd.cur) < nd.snapAt {
 		return false
 	}
-	for i, ns := range nd.needSend {
-		if !ns {
-			continue
-		}
-		if !nd.opts.Strict {
-			return false
-		}
-		if nd.sched(i) > int64(nd.cur) {
+	for _, ns := range nd.needSend {
+		if ns {
 			return false
 		}
 	}
@@ -278,6 +267,16 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	}
 	if opts.Seed != nil && len(opts.Seed) != len(opts.Sources) {
 		return nil, fmt.Errorf("shortrange: Seed rows %d != sources %d", len(opts.Seed), len(opts.Sources))
+	}
+	for i, row := range opts.Seed {
+		if len(row) != g.N() {
+			return nil, fmt.Errorf("shortrange: Seed row %d has %d entries, want %d", i, len(row), g.N())
+		}
+		for _, d := range row {
+			if d < 0 {
+				return nil, fmt.Errorf("shortrange: negative seed distance %d", d)
+			}
+		}
 	}
 	if opts.Delays != nil && len(opts.Delays) != len(opts.Sources) {
 		return nil, fmt.Errorf("shortrange: Delays length %d != sources %d", len(opts.Delays), len(opts.Sources))

@@ -159,4 +159,15 @@ func TestValidation(t *testing.T) {
 	if _, err := Extension(g, map[int]int64{0: -1}, 2); err == nil {
 		t.Fatal("negative seed accepted")
 	}
+	inf := graph.Inf
+	for _, seed := range [][][]int64{
+		{nil, nil},       // one row per source
+		{{0, 1}},         // short row
+		{{0, 1, inf, 3}}, // long row
+		{{0, -2, inf}},   // negative distance
+	} {
+		if _, err := Run(g, Opts{Sources: []int{0}, H: 2, Seed: seed}); err == nil {
+			t.Fatalf("Seed %v accepted", seed)
+		}
+	}
 }

@@ -45,8 +45,6 @@ type Options struct {
 	// CaptureErrors tail-captures any trace whose spans recorded an
 	// error, regardless of the head decision.
 	CaptureErrors bool
-	// MaxSpans caps recorded spans per trace (0 = DefaultMaxSpans).
-	MaxSpans int
 	// Seed keys the deterministic ID sequence.
 	Seed uint64
 	// Sinks receive every emitted trace, in order.
@@ -86,7 +84,6 @@ type Tracer struct {
 	sampleEvery int
 	slow        time.Duration
 	capErrors   bool
-	maxSpans    int
 	seed        uint64
 	sinks       []Sink
 
@@ -106,10 +103,6 @@ func New(opts Options) *Tracer {
 	if opts.SampleEvery <= 0 && opts.SlowThreshold <= 0 && !opts.CaptureErrors {
 		return nil
 	}
-	maxSpans := opts.MaxSpans
-	if maxSpans <= 0 {
-		maxSpans = DefaultMaxSpans
-	}
 	now := opts.Now
 	if now == nil {
 		now = time.Now
@@ -118,7 +111,6 @@ func New(opts Options) *Tracer {
 		sampleEvery: opts.SampleEvery,
 		slow:        opts.SlowThreshold,
 		capErrors:   opts.CaptureErrors,
-		maxSpans:    maxSpans,
 		seed:        opts.Seed,
 		sinks:       opts.Sinks,
 		now:         now,
@@ -231,7 +223,7 @@ func (tr *trace) newSpan(name, parent string) *Span {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	tr.nspans++
-	if len(tr.spans) >= tr.tracer.maxSpans {
+	if len(tr.spans) >= DefaultMaxSpans {
 		tr.dropped++
 		return nil
 	}

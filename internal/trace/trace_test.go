@@ -223,15 +223,15 @@ func TestSpanTreeShape(t *testing.T) {
 }
 
 func TestMaxSpansCap(t *testing.T) {
-	tr, sink := newTestTracer(t, Options{SampleEvery: 1, MaxSpans: 4, Seed: 1})
+	tr, sink := newTestTracer(t, Options{SampleEvery: 1, Seed: 1})
 	_, root := tr.StartRequest(context.Background(), "req", "")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultMaxSpans+6; i++ {
 		root.Child(fmt.Sprintf("c%d", i)).End()
 	}
 	root.End()
 	spans := sink.traces[0]
-	if len(spans) != 4 {
-		t.Fatalf("recorded %d spans, want cap 4", len(spans))
+	if len(spans) != DefaultMaxSpans {
+		t.Fatalf("recorded %d spans, want cap %d", len(spans), DefaultMaxSpans)
 	}
 	if spans[0].Attrs["droppedSpans"] != "7" {
 		t.Fatalf("droppedSpans attr = %q, want 7", spans[0].Attrs["droppedSpans"])

@@ -48,39 +48,38 @@ func cmpErr(dense, active error) (done bool, err error) {
 }
 
 func TestSchedulerEquivalenceCore(t *testing.T) {
-	for _, strict := range []bool{false, true} {
-		strict := strict
-		t.Run(fmt.Sprintf("strict=%v", strict), func(t *testing.T) {
-			difftest.Search(t, difftest.Space{SeedsPerSize: 8}, func(in difftest.Instance) error {
-				mk := func(s congest.Scheduler) (*core.Result, error) {
-					return core.Run(in.G, core.Opts{
-						Sources: in.Sources, H: in.H, Strict: strict,
-						SnapshotRounds: []int{2, 5},
-						Engine:         congest.Config{Scheduler: s},
-					})
-				}
-				d, derr := mk(congest.SchedulerDense)
-				a, aerr := mk(congest.SchedulerActive)
-				if done, err := cmpErr(derr, aerr); done {
-					return err
-				}
-				if err := cmpStats(d.Stats, a.Stats); err != nil {
-					return err
-				}
-				if !reflect.DeepEqual(d.Dist, a.Dist) || !reflect.DeepEqual(d.Hops, a.Hops) || !reflect.DeepEqual(d.Parent, a.Parent) {
-					return fmt.Errorf("results diverge")
-				}
-				if !reflect.DeepEqual(d.Snapshots, a.Snapshots) {
-					return fmt.Errorf("snapshots diverge: dense %v, active %v", d.Snapshots, a.Snapshots)
-				}
-				if d.LateSends != a.LateSends || d.Collisions != a.Collisions || d.Missed != a.Missed {
-					return fmt.Errorf("schedule diagnostics diverge: dense (late=%d coll=%d missed=%d), active (late=%d coll=%d missed=%d)",
-						d.LateSends, d.Collisions, d.Missed, a.LateSends, a.Collisions, a.Missed)
-				}
-				return nil
-			})
+	// One subtest, named as before: the lenient ≥ rule is core's only send
+	// rule, and the name keeps the sweep's identity stable.
+	t.Run("strict=false", func(t *testing.T) {
+		difftest.Search(t, difftest.Space{SeedsPerSize: 8}, func(in difftest.Instance) error {
+			mk := func(s congest.Scheduler) (*core.Result, error) {
+				return core.Run(in.G, core.Opts{
+					Sources: in.Sources, H: in.H,
+					SnapshotRounds: []int{2, 5},
+					Engine:         congest.Config{Scheduler: s},
+				})
+			}
+			d, derr := mk(congest.SchedulerDense)
+			a, aerr := mk(congest.SchedulerActive)
+			if done, err := cmpErr(derr, aerr); done {
+				return err
+			}
+			if err := cmpStats(d.Stats, a.Stats); err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(d.Dist, a.Dist) || !reflect.DeepEqual(d.Hops, a.Hops) || !reflect.DeepEqual(d.Parent, a.Parent) {
+				return fmt.Errorf("results diverge")
+			}
+			if !reflect.DeepEqual(d.Snapshots, a.Snapshots) {
+				return fmt.Errorf("snapshots diverge: dense %v, active %v", d.Snapshots, a.Snapshots)
+			}
+			if d.LateSends != a.LateSends || d.Collisions != a.Collisions {
+				return fmt.Errorf("schedule diagnostics diverge: dense (late=%d coll=%d), active (late=%d coll=%d)",
+					d.LateSends, d.Collisions, a.LateSends, a.Collisions)
+			}
+			return nil
 		})
-	}
+	})
 }
 
 func TestSchedulerEquivalencePosweight(t *testing.T) {
