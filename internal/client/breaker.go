@@ -93,58 +93,3 @@ func (b *breakerSet) report(key string, ok bool, cell *statCell) {
 		}
 	}
 }
-
-// latWindow is a fixed-size ring of recent attempt latencies; quantile
-// sorts a copy on demand (the ring is small and hedge decisions are not
-// on the per-request fast path once HedgeDelay is explicit).
-type latWindow struct {
-	mu   sync.Mutex
-	buf  []time.Duration
-	next int
-	full bool
-}
-
-func newLatWindow(size int) *latWindow {
-	return &latWindow{buf: make([]time.Duration, size)}
-}
-
-func (w *latWindow) observe(d time.Duration) {
-	w.mu.Lock()
-	w.buf[w.next] = d
-	w.next++
-	if w.next == len(w.buf) {
-		w.next = 0
-		w.full = true
-	}
-	w.mu.Unlock()
-}
-
-// quantile returns the q-quantile of the window (0 when empty).
-func (w *latWindow) quantile(q float64) time.Duration {
-	w.mu.Lock()
-	n := w.next
-	if w.full {
-		n = len(w.buf)
-	}
-	if n == 0 {
-		w.mu.Unlock()
-		return 0
-	}
-	cp := make([]time.Duration, n)
-	copy(cp, w.buf[:n])
-	w.mu.Unlock()
-	// Insertion sort: n <= 256 and the call is off the hot path.
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	i := int(q*float64(len(cp))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(cp) {
-		i = len(cp) - 1
-	}
-	return cp[i]
-}

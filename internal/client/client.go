@@ -76,16 +76,13 @@ type Options struct {
 	// breakerCooloff one probe is let through (half-open) and its outcome
 	// closes or re-opens the circuit.
 	BreakerTrip int
-	// HedgeDelay, when positive, launches a second (hedged) attempt if
-	// the first has not answered within the delay; 0 derives the delay
-	// from the observed attempt-latency quantile (DefaultHedgeQuantile,
-	// floored at DefaultMinHedgeDelay). MaxHedges == 0 disables hedging
-	// whatever the delay.
+	// Hedge launches one extra (hedged) attempt per attempt round when
+	// the first has not answered within the hedge delay.
+	Hedge bool
+	// HedgeDelay, when positive, is the hedge delay; 0 derives it from the
+	// observed attempt-latency quantile (DefaultHedgeQuantile, floored at
+	// DefaultMinHedgeDelay). Without Hedge it has no effect.
 	HedgeDelay time.Duration
-	// MaxHedges is the number of extra attempts a hedge may add per
-	// attempt round (0 disables hedging; 1 is the standard tail-latency
-	// hedge).
-	MaxHedges int
 }
 
 // ErrBreakerOpen is returned (wrapped) when an endpoint's circuit
@@ -297,12 +294,12 @@ func retryAfterOf(resp *Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// hedgedAttempt races the primary attempt against up to MaxHedges hedges
-// launched after the hedge delay. The first outcome that is a usable
-// response wins; losers are canceled. With hedging disabled it is one
-// plain attempt.
+// hedgedAttempt races the primary attempt against one hedge launched
+// after the hedge delay. The first outcome that is a usable response
+// wins; the loser is canceled. With hedging disabled it is one plain
+// attempt.
 func (c *Client) hedgedAttempt(ctx context.Context, method, url, contentType string, body []byte) (*Response, error) {
-	if c.opts.MaxHedges <= 0 {
+	if !c.opts.Hedge {
 		return c.attempt(ctx, method, url, contentType, body)
 	}
 	type outcome struct {
@@ -311,7 +308,7 @@ func (c *Client) hedgedAttempt(ctx context.Context, method, url, contentType str
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch := make(chan outcome, 1+c.opts.MaxHedges)
+	ch := make(chan outcome, 2)
 	launch := func() {
 		go func() {
 			r, err := c.attempt(actx, method, url, contentType, body)
@@ -319,7 +316,7 @@ func (c *Client) hedgedAttempt(ctx context.Context, method, url, contentType str
 		}()
 	}
 	launch()
-	launched, pending := 1, 1
+	hedged, pending := false, 1
 	hedge := time.NewTimer(c.hedgeDelay())
 	defer hedge.Stop()
 	var firstErr error
@@ -330,8 +327,8 @@ func (c *Client) hedgedAttempt(ctx context.Context, method, url, contentType str
 			pending--
 			ok := o.err == nil && !retryableStatus(o.resp.Status)
 			if ok {
-				if launched > 1 {
-					// Did a hedge produce this? The primary reports first on
+				if hedged {
+					// Did the hedge produce this? The primary reports first on
 					// the channel only if it finished first; any win after a
 					// hedge launch counts the race as hedged either way —
 					// what matters for accounting is that the hedge fired.
@@ -345,14 +342,11 @@ func (c *Client) hedgedAttempt(ctx context.Context, method, url, contentType str
 			if pending == 0 {
 				return firstResp, firstErr
 			}
-		case <-hedge.C:
-			if launched <= c.opts.MaxHedges {
-				c.cell.hedges.Add(1)
-				launch()
-				launched++
-				pending++
-				hedge.Reset(c.hedgeDelay())
-			}
+		case <-hedge.C: // fires at most once: the timer is never re-armed
+			c.cell.hedges.Add(1)
+			launch()
+			hedged = true
+			pending++
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}

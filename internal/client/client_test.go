@@ -3,8 +3,10 @@ package client
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -228,7 +230,7 @@ func TestHedgeWinsOverDelayedPrimary(t *testing.T) {
 		{Req: 0, Kind: httpfault.DelayEvent, Arg: int64(500 * time.Millisecond)},
 	}}
 	opts := fastOpts(ft)
-	opts.MaxHedges = 1
+	opts.Hedge = true
 	opts.HedgeDelay = 5 * time.Millisecond
 	c := New(opts)
 	start := time.Now()
@@ -326,5 +328,60 @@ func TestLatWindowQuantile(t *testing.T) {
 	}
 	if q := w.quantile(0.99); q != 10*time.Millisecond {
 		t.Fatalf("p99 = %v, want 10ms (max of window)", q)
+	}
+}
+
+// sortedCopyQuantile is the rule the sorted shadow replaced: sort a copy
+// of the window, then take index int(q·n+0.5)−1, clamped.
+func sortedCopyQuantile(window []time.Duration, q float64) time.Duration {
+	if len(window) == 0 {
+		return 0
+	}
+	cp := slices.Clone(window)
+	slices.Sort(cp)
+	return cp[min(max(int(q*float64(len(cp))+0.5)-1, 0), len(cp)-1)]
+}
+
+// TestLatWindowMatchesSortedCopy replays random observations — drawn
+// from a few values, so duplicates are the rule, and wrapping each ring
+// more than ten times — and checks every quantile read against
+// sortedCopyQuantile after every observe.
+func TestLatWindowMatchesSortedCopy(t *testing.T) {
+	const observations = 12*256 + 7
+	for _, size := range []int{1, 8, 256} {
+		rng := rand.New(rand.NewPCG(uint64(size), 36))
+		w := newLatWindow(size)
+		var seen []time.Duration
+		for k := 0; k < observations; k++ {
+			d := time.Duration(rng.IntN(12)) * time.Millisecond
+			if rng.IntN(8) == 0 {
+				d = time.Duration(rng.Int64N(int64(time.Second)))
+			}
+			w.observe(d)
+			seen = append(seen, d)
+			window := seen[max(len(seen)-size, 0):]
+			for _, q := range []float64{0, 0.5, 0.99, 1} {
+				if got, want := w.quantile(q), sortedCopyQuantile(window, q); got != want {
+					t.Fatalf("size %d, after %d observations: quantile(%v) = %v, want %v", size, k+1, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestHedgeDelayAllocatesNothing guards the per-request hedge trigger:
+// reading the delay from a full window must not copy it, and recording a
+// latency must not grow it.
+func TestHedgeDelayAllocatesNothing(t *testing.T) {
+	c := New(Options{Hedge: true})
+	for i := 0; i < 300; i++ {
+		c.lat.observe(time.Duration(i%37) * time.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.hedgeDelay() }); allocs != 0 {
+		t.Fatalf("hedgeDelay allocates %v times per call, want 0", allocs)
+	}
+	k := 0
+	if allocs := testing.AllocsPerRun(100, func() { k++; c.lat.observe(time.Duration(k%53) * time.Millisecond) }); allocs != 0 {
+		t.Fatalf("observe allocates %v times per call, want 0", allocs)
 	}
 }

@@ -34,8 +34,8 @@ type Options struct {
 	Inner http.RoundTripper
 	// AttemptTimeout, MaxAttempts, HedgeDelay, and Seed tune the per-shard
 	// internal/client instances (zero = that package's defaults; hedging
-	// is always on for queries with MaxHedges=1 and always off for admin
-	// calls — the router never hedges a mutation).
+	// is always on for queries and always off for admin calls — the
+	// router never hedges a mutation).
 	AttemptTimeout time.Duration
 	MaxAttempts    int
 	HedgeDelay     time.Duration
@@ -114,9 +114,9 @@ func NewRouter(opts Options) (*Router, error) {
 				Transport:      rt,
 				AttemptTimeout: opts.AttemptTimeout,
 				MaxAttempts:    opts.MaxAttempts,
+				Hedge:          true,
 				HedgeDelay:     opts.HedgeDelay,
 				Seed:           opts.Seed + int64(s.ID),
-				MaxHedges:      1,
 			}),
 			// Admin calls: one attempt, no hedge, no breaker, physical
 			// addressing — a mutation must reach each backend exactly as

@@ -57,7 +57,7 @@ func eChaos(cfg Config) (*Table, error) {
 	serial := client.Options{AttemptTimeout: 50 * time.Millisecond, MaxAttempts: 4, BaseBackoff: 500 * time.Microsecond,
 		MaxBackoff: 4 * time.Millisecond, CapRetryAfter: 2 * time.Millisecond, Seed: cfg.Seed, BreakerTrip: -1}
 	crash := serial
-	crash.MaxAttempts, crash.MaxHedges, crash.BreakerTrip = 6, 1, 0
+	crash.MaxAttempts, crash.Hedge, crash.BreakerTrip = 6, true, 0
 	w := client.DefaultBreakerTrip // enough callers to trip the breaker when the backend dies
 	err = d.phases([]phase{
 		{"clean", "", serial, 0, []op{{kind: "query", a: -1, b: q}}},

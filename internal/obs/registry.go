@@ -204,32 +204,6 @@ func (h Histogram) Count() int64 {
 	return n + h.ins.inf.Load()
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts,
-// attributing each bucket's mass to its upper bound — the usual
-// histogram_quantile upper-bound estimate. Returns 0 with no data; the
-// last bound when the quantile lands in the +Inf bucket.
-func (h Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.ins.counts {
-		cum += h.ins.counts[i].Load()
-		if cum >= rank {
-			return h.bounds[i]
-		}
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // restore installs pre-accumulated bucket state (package-internal; the
 // engine Metrics sink accumulates during Emit and installs once at Close).
 func (h Histogram) restore(raw []int64, inf int64, sum float64) {

@@ -87,11 +87,11 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 	reg.Gauge("y_total", "y")
 }
 
-func TestHistogramQuantile(t *testing.T) {
+func TestHistogramCount(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("q_seconds", "q", []float64{1, 2, 4, 8})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", got)
+	h := reg.Histogram("c_seconds", "c", []float64{1, 2, 4, 8})
+	if got := h.Count(); got != 0 {
+		t.Fatalf("empty histogram count = %d, want 0", got)
 	}
 	for i := 0; i < 90; i++ {
 		h.Observe(0.5) // le=1
@@ -100,15 +100,6 @@ func TestHistogramQuantile(t *testing.T) {
 		h.Observe(3) // le=4
 	}
 	h.Observe(100) // +Inf
-	if got := h.Quantile(0.5); got != 1 {
-		t.Errorf("p50 = %v, want 1", got)
-	}
-	if got := h.Quantile(0.95); got != 4 {
-		t.Errorf("p95 = %v, want 4", got)
-	}
-	if got := h.Quantile(0.999); got != 8 {
-		t.Errorf("p99.9 (in +Inf) = %v, want last bound 8", got)
-	}
 	if got := h.Count(); got != 100 {
 		t.Errorf("count = %d, want 100", got)
 	}
