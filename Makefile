@@ -110,13 +110,17 @@ trace-demo:
 # Crash-recovery demo: a scripted crash-stop fault on node 3 at round 10
 # (restarting one round later) under periodic checkpointing. The supervisor
 # restores the latest snapshot and the run completes bit-identically to a
-# fault-free run; the final checkpoint lands in out/crash.ckpt. The second
-# line is the same drill on the multi-run blocker family (every engine run
-# takes the periodic checkpoint, the parent re-selection run included).
+# fault-free run; the final checkpoint lands in out/crash.ckpt, and the
+# second line resumes from that file (same -crash plan: the fault plan is
+# part of the checkpoint's identity). The third line is the same drill on
+# the multi-run blocker family (every engine run takes the periodic
+# checkpoint, the parent re-selection run included).
 crash-demo:
 	mkdir -p out
 	$(GO) run ./cmd/apsprun -alg pipeline -n 48 -m 160 -quiet -check \
 		-crash 3@10+1 -checkpoint-every 8 -checkpoint out/crash.ckpt
+	$(GO) run ./cmd/apsprun -alg pipeline -n 48 -m 160 -quiet -check \
+		-crash 3@10+1 -resume out/crash.ckpt
 	$(GO) run ./cmd/apsprun -alg blocker -n 48 -m 160 -quiet -check \
 		-crash 3@10+1 -checkpoint-every 8
 

@@ -335,3 +335,39 @@ func TestCheckpointFixtureRoundTripFile(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointBitFlipSweep re-saves every fixture in the sealed
+// container and flips one bit at every byte offset (bit offset mod 8):
+// Load must refuse each file as corrupt. The unsealed version 1 fixtures
+// themselves resumed to wrong distances under many such flips.
+func TestCheckpointBitFlipSweep(t *testing.T) {
+	dir := t.TempDir()
+	flipped := filepath.Join(dir, "flip.ckpt")
+	flips := 0
+	for _, c := range compatCases() {
+		meta, snap, err := checkpoint.Load(compatPath(c))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sealed := filepath.Join(dir, c.name+".ckpt")
+		if err := checkpoint.Save(sealed, meta, snap); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(sealed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := range raw {
+			mut := append([]byte(nil), raw...)
+			mut[off] ^= 1 << (off % 8)
+			if err := os.WriteFile(flipped, mut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := checkpoint.Load(flipped); !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Fatalf("%s: bit flip at byte %d of %d: err = %v, want checkpoint.ErrCorrupt", c.name, off, len(raw), err)
+			}
+			flips++
+		}
+	}
+	t.Logf("%d bit flips refused", flips)
+}

@@ -459,13 +459,6 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err := gotMeta.ValidateAgainst(in.G, in.Sources, in.H, "drop=0.2", snap.Sched); err == nil {
 		t.Fatal("metadata validated against a different fault plan")
 	}
-	probe, err := checkpoint.ReadMetaOnly(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.Graph != meta.Graph || probe.Alg != "core" {
-		t.Fatalf("ReadMetaOnly returned %+v", probe)
-	}
 	res, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H,
 		Engine: congest.Config{Checkpoint: &congest.CheckpointPolicy{Resume: snap}}})
 	if err != nil {

@@ -173,8 +173,8 @@ func TestDaemonLoadsCheckpoint(t *testing.T) {
 	stopDaemon(t, errc)
 }
 
-// TestDaemonRejectsBadCheckpoint: -load against the wrong graph must die
-// at startup, not serve wrong answers.
+// TestDaemonRejectsBadCheckpoint: -load against the wrong graph, or of a
+// file with a flipped bit, must die at startup, not serve wrong answers.
 func TestDaemonRejectsBadCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	g := graph.Random(20, 64, graph.GenOpts{MaxW: 8, ZeroFrac: 0.25, Seed: 9, Directed: true})
@@ -193,6 +193,20 @@ func TestDaemonRejectsBadCheckpoint(t *testing.T) {
 		"-load", ckptPath, "-sources", "0"}, io.Discard, io.Discard, nil)
 	if err == nil || !strings.Contains(err.Error(), "graph mismatch") {
 		t.Fatalf("wrong-graph checkpoint accepted: %v", err)
+	}
+	// The right graph, but one bit of the snapshot flipped on disk.
+	raw, err := os.ReadFile(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-9] ^= 0x01 // the snapshot's last byte, just before the checksum
+	if err := os.WriteFile(ckptPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-addr", "127.0.0.1:0", "-n", "20", "-m", "64", "-seed", "9",
+		"-load", ckptPath, "-sources", "0"}, io.Discard, io.Discard, nil)
+	if !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("bit-flipped checkpoint: err = %v, want a checksum error", err)
 	}
 }
 

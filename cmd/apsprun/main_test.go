@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/cli"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -246,7 +244,7 @@ func TestRunStatsJSONAndPhases(t *testing.T) {
 // TestRunCheckpointStopResume drives the kill-and-resume drill through the
 // CLI on the scaling family (whose snapshot is core.List's): a run stopped
 // at a barrier and resumed prints the same summary as a straight run, and
-// a checkpoint file with a corrupt length field is an error, not a panic.
+// a checkpoint file with a flipped bit is refused by its checksum.
 func TestRunCheckpointStopResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	base := []string{"-alg", "scaling", "-n", "30", "-m", "100", "-seed", "4", "-quiet", "-log", "off"}
@@ -275,13 +273,12 @@ func TestRunCheckpointStopResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bodyLenAt := len(checkpoint.Magic) + 8 + int(binary.LittleEndian.Uint32(raw[len(checkpoint.Magic)+4:]))
-	binary.LittleEndian.PutUint64(raw[bodyLenAt:], 1<<63)
+	raw[len(raw)-9] ^= 0x04 // the snapshot's last byte, just before the checksum
 	if err := os.WriteFile(ckpt, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append([]string{"-resume", ckpt}, base...), io.Discard, io.Discard); err == nil {
-		t.Fatal("corrupt checkpoint resumed")
+	if err := run(append([]string{"-resume", ckpt}, base...), io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("resuming a checkpoint with a flipped bit: err = %v, want a checksum error", err)
 	}
 }
 

@@ -1,13 +1,16 @@
 // Package checkpoint persists engine snapshots (congest.Snapshot) to disk
 // and supervises crash-restart loops.
 //
-// A checkpoint file is a versioned container: magic, a JSON metadata
-// header identifying the computation (algorithm, graph fingerprint,
-// sources, fault plan, scheduler, disarmed crash events), and the binary
-// snapshot. Load validates the container; matching the metadata against
-// the computation being resumed is the caller's job (ValidateAgainst
-// covers the common checks). Save writes atomically (temp file + rename)
-// so a crash mid-write never corrupts the previous checkpoint.
+// A checkpoint file is a sealed container (WriteSealed, shared with the
+// oracle's snapshot files): magic, a JSON metadata header identifying the
+// computation (algorithm, graph fingerprint, sources, fault plan,
+// scheduler, disarmed crash events), the binary snapshot, and a CRC-32C
+// over all of it. Load refuses any file whose checksum does not hold, so
+// a torn or bit-flipped checkpoint is an error, never a wrong resume;
+// unsealed version 1 files still load. Matching the metadata against the
+// computation being resumed is the caller's job (ValidateAgainst covers
+// the common checks). Save writes atomically (writeAtomic) so a crash
+// mid-write never corrupts the previous checkpoint.
 //
 // Supervise implements the crash-restart loop: run the computation, and
 // when it dies with a recoverable crash (congest.CrashError with
@@ -22,20 +25,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"os"
 	"time"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
-// Magic identifies a checkpoint file.
+// Magic identifies a checkpoint file. Its container is versioned by
+// WriteSealed, the snapshot payload by congest.SnapshotVersion.
 const Magic = "APSPCKPT"
-
-// FileVersion guards the container layout (the snapshot payload is
-// versioned separately by congest.SnapshotVersion).
-const FileVersion = 1
 
 // Meta identifies the computation a snapshot belongs to. All fields are
 // informative except the ones ValidateAgainst checks.
@@ -105,8 +103,8 @@ func Save(path string, meta *Meta, snap *congest.Snapshot) error {
 	return err
 }
 
-// save is Save, reporting the container size (header + meta + body) so the
-// Keeper's OnSave hook can account bytes without re-marshalling.
+// save is Save, reporting the container size so the Keeper's OnSave hook
+// can account bytes without re-marshalling.
 func save(path string, meta *Meta, snap *congest.Snapshot) (int64, error) {
 	body, err := snap.MarshalBinary()
 	if err != nil {
@@ -116,80 +114,45 @@ func save(path string, meta *Meta, snap *congest.Snapshot) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: marshal meta: %w", err)
 	}
-	hdr := make([]byte, 0, len(Magic)+8+len(mb)+8)
-	hdr = append(hdr, Magic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, FileVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(mb)))
-	hdr = append(hdr, mb...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(body)))
-	err = WriteAtomic(path, func(f *os.File) error {
-		if _, err := f.Write(hdr); err != nil {
-			return err
-		}
-		_, err := f.Write(body)
-		return err
-	})
+	n, err := WriteSealed(path, Magic, mb, body)
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
-	return int64(len(hdr) + len(body)), nil
+	return n, nil
 }
 
-// Load reads and validates a checkpoint file.
+// Load reads a checkpoint file: a sealed container, or a version 1 file.
 func Load(path string) (*Meta, *congest.Snapshot, error) {
-	raw, err := os.ReadFile(path)
+	mb, body, err := ReadSealed(path, Magic, readV1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	r := raw
-	// Lengths come from the file: compare them unsigned against the bytes
-	// that remain, so a corrupt field can neither go negative nor overrun.
-	take := func(n uint64) ([]byte, error) {
-		if uint64(len(r)) < n {
-			return nil, fmt.Errorf("checkpoint: %s: truncated file", path)
-		}
-		b := r[:n]
-		r = r[n:]
-		return b, nil
-	}
-	magic, err := take(uint64(len(Magic)))
-	if err != nil {
-		return nil, nil, err
-	}
-	if string(magic) != Magic {
-		return nil, nil, fmt.Errorf("checkpoint: %s is not a checkpoint file", path)
-	}
-	hdr, err := take(8)
-	if err != nil {
-		return nil, nil, err
-	}
-	if v := binary.LittleEndian.Uint32(hdr[:4]); v != FileVersion {
-		return nil, nil, fmt.Errorf("checkpoint: %s: unsupported file version %d (want %d)", path, v, FileVersion)
-	}
-	mb, err := take(uint64(binary.LittleEndian.Uint32(hdr[4:])))
-	if err != nil {
-		return nil, nil, err
 	}
 	meta := &Meta{}
 	if err := json.Unmarshal(mb, meta); err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %s: bad metadata: %w", path, err)
-	}
-	lb, err := take(8)
-	if err != nil {
-		return nil, nil, err
-	}
-	body, err := take(binary.LittleEndian.Uint64(lb))
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(r) != 0 {
-		return nil, nil, fmt.Errorf("checkpoint: %s: %d trailing bytes", path, len(r))
 	}
 	snap := &congest.Snapshot{}
 	if err := snap.UnmarshalBinary(body); err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
 	return meta, snap, nil
+}
+
+// readV1 parses the unsealed version 1 layout (magic, version, metaLen
+// u32, meta, bodyLen u64, body) that every committed fixture is in. The
+// lengths come from the file: they are compared unsigned against the
+// bytes that remain, so a corrupt field can neither go negative nor
+// overrun.
+func readV1(data []byte) (meta, body []byte, err error) {
+	metaLen, r := uint64(binary.LittleEndian.Uint32(data[12:16])), data[16:]
+	if uint64(len(r)) < metaLen+8 {
+		return nil, nil, fmt.Errorf("meta length %d exceeds the file", metaLen)
+	}
+	meta, r = r[:metaLen], r[metaLen:]
+	if bodyLen := binary.LittleEndian.Uint64(r); bodyLen != uint64(len(r)-8) {
+		return nil, nil, fmt.Errorf("body length %d, %d bytes follow", bodyLen, len(r)-8)
+	}
+	return meta, r[8:], nil
 }
 
 // Keeper is a checkpoint sink that retains the latest snapshot in memory
@@ -265,39 +228,4 @@ func Supervise(pol *congest.CheckpointPolicy, keeper *Keeper, attempts int, fn f
 		latest, _ := keeper.Latest()
 		pol.Rearm(latest) // nil latest = clean re-execution from round 1
 	}
-}
-
-// ReadMetaOnly is a cheap header probe: it decodes the metadata without
-// unmarshalling the (possibly large) snapshot body.
-func ReadMetaOnly(path string) (*Meta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	hdr := make([]byte, len(Magic)+8)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: truncated file", path)
-	}
-	if string(hdr[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("checkpoint: %s is not a checkpoint file", path)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[len(Magic):]); v != FileVersion {
-		return nil, fmt.Errorf("checkpoint: %s: unsupported file version %d (want %d)", path, v, FileVersion)
-	}
-	metaLen := int64(binary.LittleEndian.Uint32(hdr[len(Magic)+4:]))
-	if st, err := f.Stat(); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	} else if metaLen > st.Size()-int64(len(hdr)) {
-		return nil, fmt.Errorf("checkpoint: %s: truncated metadata", path)
-	}
-	mb := make([]byte, metaLen)
-	if _, err := io.ReadFull(f, mb); err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: truncated metadata", path)
-	}
-	meta := &Meta{}
-	if err := json.Unmarshal(mb, meta); err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: bad metadata: %w", path, err)
-	}
-	return meta, nil
 }

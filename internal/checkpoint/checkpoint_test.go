@@ -3,9 +3,11 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/congest"
@@ -45,10 +47,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotMeta, meta) {
 		t.Fatalf("meta %+v, want %+v", gotMeta, meta)
 	}
-	probe, err := ReadMetaOnly(path)
-	if err != nil || !reflect.DeepEqual(probe, meta) {
-		t.Fatalf("ReadMetaOnly = %+v, %v; want %+v", probe, err, meta)
-	}
 	// Saving what was loaded reproduces the file byte for byte, and leaves
 	// nothing but the file behind.
 	again := filepath.Join(filepath.Dir(path), "again.ckpt")
@@ -70,10 +68,29 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadBadLengths corrupts the two length fields. A body length with
-// the top bit set used to go negative through int() and panic on r[:n].
+// v1File returns a committed version 1 checkpoint (unsealed: its length
+// fields are all that stands between a corrupt file and a wrong resume).
+func v1File(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat", "core-active.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestLoadBadLengths corrupts the two length fields of a version 1 file.
+// A body length with the top bit set used to go negative through int()
+// and panic on r[:n].
 func TestLoadBadLengths(t *testing.T) {
-	path, _, raw := savedFile(t)
+	raw := v1File(t)
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Load(path); err != nil {
+		t.Fatalf("the intact version 1 file: %v", err)
+	}
 	metaLenAt := len(Magic) + 4
 	bodyLenAt := len(Magic) + 8 + int(binary.LittleEndian.Uint32(raw[metaLenAt:]))
 	cases := []struct {
@@ -97,8 +114,8 @@ func TestLoadBadLengths(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Load(path); err == nil {
-			t.Errorf("%s: Load accepted the file", c.name)
+		if _, _, err := Load(path); err == nil || !strings.Contains(err.Error(), "length") {
+			t.Errorf("%s: Load = %v, want a length error", c.name, err)
 		}
 	}
 	// The 26-byte reproduction: header, empty-object metadata, huge body
@@ -111,48 +128,52 @@ func TestLoadBadLengths(t *testing.T) {
 	if _, _, err := Load(path); err == nil {
 		t.Error("26-byte file with a negative body length loaded")
 	}
-	// ReadMetaOnly must not allocate a metadata buffer the file cannot fill.
-	binary.LittleEndian.PutUint32(short[metaLenAt:], ^uint32(0))
-	if err := os.WriteFile(path, short, 0o644); err != nil {
+	// A sealed file's meta length is only read once the checksum holds;
+	// resealed, an impossible one is still refused.
+	_, _, v2 := savedFile(t)
+	binary.LittleEndian.PutUint32(v2[metaLenAt:], ^uint32(0))
+	sealed := v2[:len(v2)-8]
+	v2 = binary.LittleEndian.AppendUint64(sealed, uint64(crc32.Checksum(sealed, castagnoli)))
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMetaOnly(path); err == nil {
-		t.Error("ReadMetaOnly accepted a 4 GiB metadata length in a 26-byte file")
+	if _, _, err := Load(path); err == nil || !strings.Contains(err.Error(), "meta length") {
+		t.Errorf("resealed 4 GiB meta length: Load = %v, want a meta length error", err)
 	}
 }
 
-// TestLoadEveryPrefixFails cuts the file at every byte: each prefix must
-// be an error from both readers (ReadMetaOnly once the metadata is cut),
-// never a panic and never a shorter-but-plausible checkpoint.
+// TestLoadEveryPrefixFails cuts a sealed and a version 1 file at every
+// byte: each prefix must be an error, never a panic and never a
+// shorter-but-plausible checkpoint.
 func TestLoadEveryPrefixFails(t *testing.T) {
-	path, _, raw := savedFile(t)
-	metaEnd := len(Magic) + 8 + int(binary.LittleEndian.Uint32(raw[len(Magic)+4:]))
-	for cut := 0; cut < len(raw); cut++ {
-		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := Load(path); err == nil {
-			t.Fatalf("prefix of %d/%d bytes loaded", cut, len(raw))
-		}
-		if _, err := ReadMetaOnly(path); (err == nil) != (cut >= metaEnd) {
-			t.Fatalf("ReadMetaOnly on %d bytes (metadata ends at %d): err=%v", cut, metaEnd, err)
+	path, _, v2 := savedFile(t)
+	for version, raw := range map[string][]byte{"v1": v1File(t), "v2": v2} {
+		for cut := 0; cut < len(raw); cut++ {
+			if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Load(path); err == nil {
+				t.Fatalf("%s: prefix of %d/%d bytes loaded", version, cut, len(raw))
+			}
 		}
 	}
 }
 
-// FuzzCheckpointLoad feeds arbitrary bytes to both readers: any outcome
-// but a panic is fine, and whatever Load accepts must survive a re-save.
+// FuzzCheckpointLoad feeds arbitrary bytes to Load: any outcome but a
+// panic is fine, and whatever Load accepts must survive a re-save.
 func FuzzCheckpointLoad(f *testing.F) {
 	_, _, raw := savedFile(f)
-	f.Add(raw)
-	f.Add(raw[:len(raw)/2])
+	v1 := v1File(f)
+	for _, b := range [][]byte{raw, v1} {
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+	}
 	f.Add(binary.LittleEndian.AppendUint64(append([]byte(Magic), 1, 0, 0, 0, 2, 0, 0, 0, '{', '}'), 1<<63))
 	path := filepath.Join(f.TempDir(), "fuzz.ckpt")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = ReadMetaOnly(path)
 		meta, snap, err := Load(path)
 		if err != nil {
 			return

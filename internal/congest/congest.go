@@ -171,15 +171,8 @@ func (c *Context) ID() int { return c.id }
 // standard in the CONGEST model).
 func (c *Context) N() int { return c.g.N() }
 
-// OutEdges returns the weighted arcs leaving this node.
-func (c *Context) OutEdges() []graph.Edge { return c.g.Out(c.id) }
-
 // InEdges returns the weighted arcs entering this node.
 func (c *Context) InEdges() []graph.Edge { return c.g.In(c.id) }
-
-// Neighbors returns this node's neighbors in the communication graph,
-// ascending (a view cached at engine init; callers must not mutate it).
-func (c *Context) Neighbors() []int { return c.nbrs }
 
 // Degree returns the communication degree of this node.
 func (c *Context) Degree() int { return len(c.nbrs) }

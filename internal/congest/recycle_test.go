@@ -56,6 +56,7 @@ type cues struct {
 	failInit  bool // fail in Init
 	panicStep int  // panic on this step; 0: never
 	breakStep int  // send twice on one link on this step; 0: never
+	breakTo   int  // the neighbor the breakStep sends go to
 }
 
 // probe wraps a node: it logs the rounds the node is stepped in, fires the
@@ -87,9 +88,8 @@ func (p probe) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 		case p.c.panicStep:
 			panic("drill panic")
 		case p.c.breakStep:
-			to := ctx.Neighbors()[0]
-			ctx.Send(to, intWord(1))
-			ctx.Send(to, intWord(2))
+			ctx.Send(p.c.breakTo, intWord(1))
+			ctx.Send(p.c.breakTo, intWord(2))
 		}
 	}
 	p.Node.Round(ctx, r, inbox)
@@ -193,7 +193,7 @@ func runScenario(t *testing.T, run func(*graph.Graph, func(int) congest.Node, co
 	g *graph.Graph, p protocol, sc scenario, snap *congest.Snapshot) outcome {
 	t.Helper()
 	out := outcome{steps: make([][]int, g.N())}
-	d := &drill{log: &eventLog{}, cues: cues{node: 3}, abortAt: p.abortAt, snap: snap}
+	d := &drill{log: &eventLog{}, cues: cues{node: 3, breakTo: g.CommNeighbors(3)[0]}, abortAt: p.abortAt, snap: snap}
 	d.cfg = congest.Config{Observer: d.log, Workers: 1}
 	sc.setup(d)
 	if d.cfg.Checkpoint != nil && d.cfg.Checkpoint.Resume == nil {

@@ -168,17 +168,3 @@ func ReconstructPath(g *graph.Graph, res *Result, i, v int) ([]int, error) {
 	}
 	return WalkParents(g, pv, i, v)
 }
-
-// PathWeight sums the arc weights along path (using minimum parallel
-// weights), returning an error if an arc is missing.
-func PathWeight(g *graph.Graph, path []int) (int64, error) {
-	var total int64
-	for j := 0; j+1 < len(path); j++ {
-		w, ok := g.Weight(path[j], path[j+1])
-		if !ok {
-			return 0, fmt.Errorf("core: no arc (%d,%d)", path[j], path[j+1])
-		}
-		total += w
-	}
-	return total, nil
-}

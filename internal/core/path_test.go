@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -25,9 +26,9 @@ func TestReconstructPathUnrestricted(t *testing.T) {
 				if path[0] != s || path[len(path)-1] != v {
 					t.Fatalf("path endpoints %v", path)
 				}
-				w, err := PathWeight(g, path)
+				w, err := pathWeight(g, path)
 				if err != nil {
-					t.Fatalf("PathWeight: %v", err)
+					t.Fatalf("pathWeight: %v", err)
 				}
 				if w != res.Dist[s][v] {
 					t.Fatalf("path weight %d != dist %d", w, res.Dist[s][v])
@@ -89,4 +90,18 @@ func TestReconstructPathErrors(t *testing.T) {
 	if _, err := ReconstructPath(g, res2, 0, 3); err == nil {
 		t.Fatal("unreachable node accepted")
 	}
+}
+
+// pathWeight sums the arc weights along path (using minimum parallel
+// weights), returning an error if an arc is missing.
+func pathWeight(g *graph.Graph, path []int) (int64, error) {
+	var total int64
+	for j := 0; j+1 < len(path); j++ {
+		w, ok := g.Weight(path[j], path[j+1])
+		if !ok {
+			return 0, fmt.Errorf("core: no arc (%d,%d)", path[j], path[j+1])
+		}
+		total += w
+	}
+	return total, nil
 }

@@ -143,25 +143,7 @@ func Run(id string, cfg Config) (*Table, error) {
 	return r(cfg)
 }
 
-// RunAll executes every experiment in ID order. markdown selects Markdown
-// output instead of aligned text.
-func RunAll(cfg Config, w io.Writer, markdown bool) error {
-	for _, id := range IDs() {
-		t, err := Run(id, cfg)
-		if err != nil {
-			return fmt.Errorf("experiment %s: %w", id, err)
-		}
-		if markdown {
-			t.Markdown(w)
-		} else {
-			t.Format(w)
-		}
-	}
-	return nil
-}
-
-// Collect executes every experiment in ID order and returns the tables
-// (the collecting counterpart of RunAll, for serialization).
+// Collect executes every experiment in ID order and returns the tables.
 func Collect(cfg Config) ([]*Table, error) {
 	tables := make([]*Table, 0, len(registry))
 	for _, id := range IDs() {

@@ -59,12 +59,6 @@ func NewRatio(num, den int64) Gamma {
 	return g
 }
 
-// Num returns the numerator of γ².
-func (g Gamma) Num() int64 { return g.num }
-
-// Den returns the denominator of γ².
-func (g Gamma) Den() int64 { return g.den }
-
 // Approx returns a float64 estimate of γ for display purposes only.
 func (g Gamma) Approx() float64 { return g.approx }
 
@@ -158,13 +152,6 @@ func (g Gamma) geCSquared(c, d int64) bool {
 	rhs := new(big.Int).Mul(big.NewInt(d), big.NewInt(d))
 	rhs.Mul(rhs, big.NewInt(g.num))
 	return lhs.Cmp(rhs) >= 0
-}
-
-// Schedule returns the send round ⌈κ⌉ + pos = ⌈d·γ⌉ + l + pos for an entry
-// at list position pos, per Step 1 of Algorithm 1 (pos is an integer, so
-// ⌈κ + pos⌉ = ⌈κ⌉ + pos).
-func (g Gamma) Schedule(d, l int64, pos int) int64 {
-	return g.CeilKappa(d, l) + int64(pos)
 }
 
 // Bound returns the paper's round bound for Algorithm 1 with these

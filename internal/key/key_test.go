@@ -57,8 +57,8 @@ func TestFractionalGamma(t *testing.T) {
 
 func TestNewClampsDelta(t *testing.T) {
 	g := New(3, 5, 0) // Δ=0 clamped to 1 → γ = √15
-	if g.Num() != 15 || g.Den() != 1 {
-		t.Fatalf("gamma = √(%d/%d), want √(15/1)", g.Num(), g.Den())
+	if g.num != 15 || g.den != 1 {
+		t.Fatalf("gamma = √(%d/%d), want √(15/1)", g.num, g.den)
 	}
 }
 
@@ -77,9 +77,11 @@ func TestNewPanicsOnBadArgs(t *testing.T) {
 
 func TestScheduleMatchesDefinition(t *testing.T) {
 	g := New(4, 9, 7) // γ = √(36/7)
-	// Schedule = ⌈dγ⌉ + l + pos.
-	if got, want := g.Schedule(3, 2, 5), g.CeilKappa(3, 2)+5; got != want {
-		t.Fatalf("Schedule = %d, want %d", got, want)
+	// Step 1 of Algorithm 1 sends the entry at list position pos in round
+	// ⌈κ⌉ + pos = ⌈dγ⌉ + l + pos: d=3, l=2 gives ⌈√(324/7)⌉ + 2 = 7 + 2,
+	// so position 5 sends in round 14.
+	if got := g.CeilKappa(3, 2) + 5; got != 14 {
+		t.Fatalf("send round = %d, want 14", got)
 	}
 }
 

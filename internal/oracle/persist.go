@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"log/slog"
 	"os"
@@ -22,45 +21,31 @@ import (
 	"repro/internal/graph"
 )
 
-// Snapshot container format, version 2 (little-endian):
+// A snapshot file is a sealed container (checkpoint.WriteSealed, the
+// format engine checkpoints are in too) with magic "APSPSNAP":
 //
-//	magic    [8]byte  "APSPSNAP"
-//	version  u32      2
-//	metaLen  u32
 //	meta     JSON     snapMeta (alg, n, k, sources, fingerprint, columns)
-//	pad      zeros    up to the next multiple of 8 bytes from the file start
-//	dist     k·n i64
-//	hops     k·n i32  (present iff meta.HasHops)
-//	parent   k·n i32  (present iff meta.HasPaths)
-//	checksum u64      CRC-32C (Castagnoli) over every preceding byte
+//	body     dist     k·n i64
+//	         hops     k·n i32  (present iff meta.HasHops)
+//	         parent   k·n i32  (present iff meta.HasPaths)
 //
-// The three columns are the store's memory image: SaveSnapshot writes the
-// compute.Matrix slices as they lie in memory, and LoadSnapshot hands the
-// read buffer's column ranges to Build as the columns, with no per-cell
-// encode or decode either way. That makes the format little-endian only;
-// a big-endian host refuses every snapshot with ErrBigEndianHost.
+// The three columns are the store's memory image: SaveSnapshot hands the
+// compute.Matrix slices to the container as they lie in memory, and
+// LoadSnapshot hands the read buffer's column ranges, 8-aligned by the
+// container, to Build as the columns, with no per-cell encode or decode
+// either way. That makes the format little-endian only; a big-endian host
+// refuses every snapshot with ErrBigEndianHost.
 //
-// Version 1 is read-only: the same layout with no padding and an FNV-64a
-// checksum. Its columns sit wherever the meta JSON ended, so they are
-// copied into fresh ones rather than adopted; every save writes version 2.
-//
-// This is the oracle's own autosave format — deliberately separate from
-// the engine checkpoint container (internal/checkpoint), which snapshots
-// an in-flight computation; this snapshots a finished, serving answer
-// set. The trailing checksum makes every torn or bit-flipped file a loud
-// ErrCorruptSnapshot instead of silently wrong distances.
+// Version 1 is read-only (readV1): the same meta and columns with no
+// padding and an FNV-64a checksum. Its columns sit wherever the meta JSON
+// ended, so they are copied into fresh ones rather than adopted.
 const (
-	snapMagic   = "APSPSNAP"
-	snapVersion = 2
-	snapSuffix  = ".snap"
+	snapMagic  = "APSPSNAP"
+	snapSuffix = ".snap"
 	// QuarantineSuffix is appended to unreadable snapshot files by
 	// RecoverDir so they never shadow an older valid generation again.
 	QuarantineSuffix = ".corrupt"
 )
-
-// castagnoli is the CRC-32C table; hash/crc32 computes it in hardware
-// where the CPU has an instruction for it.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorruptSnapshot is wrapped by every load failure caused by the file
 // contents (bad magic, truncation, checksum mismatch, malformed meta) —
@@ -100,49 +85,22 @@ func SaveSnapshot(path string, snap *Snapshot) error {
 	if bigEndianHost {
 		return ErrBigEndianHost
 	}
-	err := checkpoint.WriteAtomic(path, func(f *os.File) error { return writeSnapshot(f, snap) })
+	m := snap.m
+	mj, err := json.Marshal(snapMeta{
+		Alg: snap.alg, N: m.N, K: len(m.Sources), Sources: m.Sources,
+		Fingerprint: snap.fp, HasHops: m.Hops != nil, HasPaths: m.Parent != nil,
+		Stats: snap.stats, Phys: snap.phys,
+	})
+	if err != nil {
+		return fmt.Errorf("oracle: encoding snapshot meta: %w", err)
+	}
+	// An absent column is empty and writes nothing.
+	_, err = checkpoint.WriteSealed(path, snapMagic, mj, recast[byte](m.Dist), recast[byte](m.Hops), recast[byte](m.Parent))
 	if err != nil {
 		return fmt.Errorf("oracle: saving snapshot: %w", err)
 	}
 	return nil
 }
-
-func writeSnapshot(f *os.File, snap *Snapshot) error {
-	m := snap.m
-	meta := snapMeta{
-		Alg: snap.alg, N: m.N, K: len(m.Sources), Sources: m.Sources,
-		Fingerprint: snap.fp, HasHops: m.Hops != nil, HasPaths: m.Parent != nil,
-		Stats: snap.stats, Phys: snap.phys,
-	}
-	mj, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("encoding snapshot meta: %w", err)
-	}
-	hdr := make([]byte, columnsAt(len(mj))) // ends in the zero padding
-	copy(hdr, snapMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], snapVersion)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(mj)))
-	copy(hdr[16:], mj)
-	// The columns as they lie in memory; an absent column is empty and
-	// writes nothing.
-	var sum uint32
-	for _, b := range [][]byte{hdr, recast[byte](m.Dist), recast[byte](m.Hops), recast[byte](m.Parent)} {
-		sum = crc32.Update(sum, castagnoli, b)
-		if _, err := f.Write(b); err != nil {
-			return fmt.Errorf("writing snapshot: %w", err)
-		}
-	}
-	var tail [8]byte
-	binary.LittleEndian.PutUint64(tail[:], uint64(sum))
-	if _, err := f.Write(tail[:]); err != nil {
-		return fmt.Errorf("writing snapshot checksum: %w", err)
-	}
-	return nil
-}
-
-// columnsAt is the file offset of the first v2 column after a metaLen-byte
-// meta: the header rounded up to the next multiple of 8.
-func columnsAt(metaLen int) int { return (16 + metaLen + 7) &^ 7 }
 
 // LoadSnapshot reads, checksums, and revalidates a persisted snapshot
 // against g. expectFP, when non-zero, must match the stored graph
@@ -154,46 +112,18 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 	if bigEndianHost {
 		return nil, ErrBigEndianHost
 	}
-	data, err := os.ReadFile(path)
+	mj, cols, err := checkpoint.ReadSealed(path, snapMagic, readV1)
+	if errors.Is(err, checkpoint.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("oracle: reading snapshot: %w", err)
 	}
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s: %s", ErrCorruptSnapshot, path, fmt.Sprintf(format, args...))
 	}
-	if len(data) < len(snapMagic)+8+8 {
-		return nil, corrupt("file is %d bytes, too short for the container", len(data))
-	}
-	body, tail := data[:len(data)-8], data[len(data)-8:]
-	// The version picks the checksum; nothing else is read before it holds.
-	version := binary.LittleEndian.Uint32(body[8:12])
-	var sum uint64
-	switch version {
-	case 1:
-		h := fnv.New64a()
-		h.Write(body)
-		sum = h.Sum64()
-	case snapVersion:
-		sum = uint64(crc32.Checksum(body, castagnoli))
-	default:
-		return nil, corrupt("unsupported version %d", version)
-	}
-	if want := binary.LittleEndian.Uint64(tail); sum != want {
-		return nil, corrupt("checksum %016x, file says %016x", sum, want)
-	}
-	if string(body[:8]) != snapMagic {
-		return nil, corrupt("bad magic %q", body[:8])
-	}
-	metaLen := int(binary.LittleEndian.Uint32(body[12:16]))
-	colsAt := 16 + metaLen
-	if version == snapVersion {
-		colsAt = columnsAt(metaLen)
-	}
-	if metaLen < 0 || colsAt > len(body) {
-		return nil, corrupt("meta length %d exceeds file", metaLen)
-	}
 	var meta snapMeta
-	if err := json.Unmarshal(body[16:16+metaLen], &meta); err != nil {
+	if err := json.Unmarshal(mj, &meta); err != nil {
 		return nil, corrupt("bad meta JSON: %v", err)
 	}
 	if meta.N <= 0 || meta.K <= 0 || len(meta.Sources) != meta.K {
@@ -214,7 +144,6 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 	if meta.HasPaths {
 		want += cells * 4
 	}
-	cols := body[colsAt:]
 	if len(cols) != want {
 		return nil, corrupt("column bytes %d, want %d", len(cols), want)
 	}
@@ -236,6 +165,22 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 		return nil, corrupt("revalidation failed: %v", err)
 	}
 	return snap, nil
+}
+
+// readV1 checks a version 1 snapshot file, the v2 layout with no padding
+// and an FNV-64a checksum, and returns its meta and columns.
+func readV1(data []byte) (meta, cols []byte, err error) {
+	sealed := data[:len(data)-8]
+	h := fnv.New64a()
+	h.Write(sealed)
+	if sum, want := h.Sum64(), binary.LittleEndian.Uint64(data[len(sealed):]); sum != want {
+		return nil, nil, fmt.Errorf("checksum %016x, file says %016x", sum, want)
+	}
+	metaLen := uint64(binary.LittleEndian.Uint32(sealed[12:16]))
+	if 16+metaLen > uint64(len(sealed)) {
+		return nil, nil, fmt.Errorf("meta length %d exceeds the file", metaLen)
+	}
+	return sealed[16 : 16+metaLen], sealed[16+metaLen:], nil
 }
 
 // column returns b's cells as a column: b itself when it is aligned for

@@ -161,7 +161,7 @@ func seal(data []byte) []byte {
 		h.Write(body)
 		sum = h.Sum64()
 	} else {
-		sum = uint64(crc32.Checksum(body, castagnoli))
+		sum = uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	}
 	return binary.LittleEndian.AppendUint64(append([]byte(nil), body...), sum)
 }
@@ -172,7 +172,7 @@ func asV1(v2 []byte) []byte {
 	metaLen := int(binary.LittleEndian.Uint32(v2[12:16]))
 	v1 := append([]byte(nil), v2[:16+metaLen]...)
 	binary.LittleEndian.PutUint32(v1[8:], 1)
-	return seal(append(v1, v2[columnsAt(metaLen):]...))
+	return seal(append(v1, v2[(16+metaLen+7)&^7:]...))
 }
 
 // FuzzLoadSnapshot feeds arbitrary bytes to the reader that runs at boot
