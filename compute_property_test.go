@@ -15,10 +15,12 @@ import (
 // classes: for every instance the shared-memory compute backend, the
 // pipelined CONGEST engine and CONGEST Bellman–Ford must
 // produce identical distances; compute and the engine must agree on hop
-// counts; and every reachable compute parent entry must walk back to its
-// source through tight arcs. The class generators deliberately cover the
-// shapes the uniform difftest families under-sample — grids, heavy-tailed
-// degree, disconnection, zero-weight edges, a single node, a star. A
+// counts and on parents (both keep Algorithm 1's Step 9 rule, the
+// smallest-ID tight neighbour); and every reachable compute parent entry
+// must walk back to its source through tight arcs. The class generators
+// deliberately cover the shapes the uniform difftest families
+// under-sample — grids, heavy-tailed degree, disconnection, zero-weight
+// edges, parallel arcs, a single node, a star. A
 // failing instance is ddmin-shrunk before being reported, so the fixture
 // in the failure message is locally minimal.
 
@@ -65,6 +67,9 @@ func checkComputeProperty(g *graph.Graph, sources []int, h int) error {
 			}
 			if int64(dij.Hops[c]) != eng.Hops[i][v] {
 				return fmt.Errorf("hops(%d->%d): dijkstra %d, engine %d", src, v, dij.Hops[c], eng.Hops[i][v])
+			}
+			if int(dij.Parent[c]) != eng.Parent[i][v] {
+				return fmt.Errorf("parent(%d->%d): dijkstra %d, engine %d", src, v, dij.Parent[c], eng.Parent[i][v])
 			}
 		}
 	}
@@ -133,6 +138,17 @@ func splitComponents(n int, seed int64) *graph.Graph {
 	return g
 }
 
+// multiArc returns a directed random graph in which every arc has a
+// parallel twin, half of them of equal weight, so one neighbour can
+// deliver the same record twice and another a worse one beside it.
+func multiArc(n int, seed int64) *graph.Graph {
+	g := graph.Random(n, 3*n, graph.GenOpts{Seed: seed, MaxW: 4, ZeroFrac: 0.3, Directed: true})
+	for i, e := range g.Edges() {
+		g.MustAddEdge(e.From, e.To, e.W+int64(i%2))
+	}
+	return g
+}
+
 func TestComputePropertySweep(t *testing.T) {
 	classes := []struct {
 		name string
@@ -149,6 +165,12 @@ func TestComputePropertySweep(t *testing.T) {
 		}},
 		{"zero-heavy", func(seed int64) *graph.Graph {
 			return graph.ZeroHeavy(13, 40, 0.6, graph.GenOpts{Seed: seed, MaxW: 5, Directed: true})
+		}},
+		{"zero-heavy-undirected", func(seed int64) *graph.Graph {
+			return graph.ZeroHeavy(12, 30, 0.6, graph.GenOpts{Seed: seed, MaxW: 3})
+		}},
+		{"multi-arc", func(seed int64) *graph.Graph {
+			return multiArc(12, seed)
 		}},
 		{"single-node", func(seed int64) *graph.Graph {
 			return graph.New(1, true)

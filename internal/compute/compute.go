@@ -4,11 +4,12 @@
 // reference the CONGEST families are differentially validated against.
 //
 // The kernel is a work-stealing per-source parallel Dijkstra: sources are
-// fanned out over an atomic counter, each worker owns one 4-ary heap and a
-// key plane, relaxes over a CSR adjacency, and writes its finished
-// dist/hops/parent rows into the shared result (rows are disjoint, so
-// there is no synchronization on the hot path). It costs about k·arcs for
-// k sources — the k per-source rows the paper's Algorithm 1 computes.
+// fanned out over an atomic counter, each worker owns one monotone radix
+// queue and a key plane, relaxes over a CSR adjacency, and writes its
+// finished dist/hops/parent rows into the shared result (rows are
+// disjoint, so there is no synchronization on the hot path). It costs
+// about k·arcs for k sources — the k per-source rows the paper's
+// Algorithm 1 computes.
 //
 // It works on packed keys: one (dist, hops) pair per machine word,
 // dist<<shift | hops, so a relaxation is one add and one compare (key.go
@@ -19,12 +20,13 @@
 // separate words, still run it.
 //
 // The kernel computes lexicographic (distance, hops) minima — exactly the
-// quantity the pipelined CONGEST families of the paper produce — so the
-// output is bit-identical to core.Run on dist and hops, and the parent
-// matrix passes the same core.WalkParents tightness validation. It writes
-// straight into a Matrix, the store layout oracle.Build adopts and oracle
-// snapshots are saved from and loaded into, so a computed row is never
-// copied on its way to being served.
+// quantity the pipelined CONGEST families of the paper produce — and
+// records Algorithm 1's Step 9 parent, the smallest-ID neighbour that
+// delivers the final (distance, hops), so the output is bit-identical to
+// core.Run on dist, hops and parents. It writes straight into a Matrix,
+// the store layout oracle.Build adopts and oracle snapshots are saved
+// from and loaded into, so a computed row is never copied on its way to
+// being served.
 package compute
 
 import (
@@ -65,10 +67,9 @@ type Matrix struct {
 
 // Result is the computed Matrix with all three columns. The source's own
 // entry is (0, 0, src). Dist and Hops are bit-identical to the CONGEST
-// pipeline family (lexicographic (distance, hops) minima); Parent is a
-// valid shortest-path tree under core.WalkParents tightness but not
-// necessarily the same tree the distributed run records (tie-broken paths
-// may differ).
+// pipeline family (lexicographic (distance, hops) minima), and Parent is
+// identical to core.Run's: each cell holds the smallest-ID neighbour that
+// delivers the cell's (distance, hops), Algorithm 1's Step 9 rule.
 type Result struct {
 	Matrix
 	// Workers records the worker count actually used.

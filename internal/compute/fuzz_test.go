@@ -16,7 +16,10 @@ import (
 // differentially checked: distances against CONGEST Bellman–Ford — the
 // slow-but-safe baseline that is indifferent to zero weights — and hop
 // counts against the sequential h-hop table graph.HHopDistHops with h = n.
-// Any divergence, panic, or parent matrix the walker rejects is a finding.
+// Parents are checked against Algorithm 1's Step 9 rule by brute force:
+// the smallest-ID tail of an arc that is tight in both dist and hops,
+// each undirected edge scanned both ways. Any divergence, panic, or
+// parent matrix the walker rejects is a finding.
 // The kernel may refuse a decoded graph in exactly two ways: with
 // graph.ErrPathOverflow when path weights can reach Inf, and with
 // compute.ErrKeyRange when they do not fit a packed key.
@@ -26,6 +29,8 @@ func FuzzParallelDijkstra(f *testing.F) {
 	f.Add("n 4 directed\ne 0 1 0\ne 1 2 0\ne 2 3 0\ne 0 3 1\n")
 	f.Add("n 5 undirected\ne 0 1 3\ne 1 2 4\ne 3 4 2\n")
 	f.Add("n 2 directed\ne 0 1 9\ne 0 1 2\n")
+	f.Add("n 4 undirected\ne 0 2 1\ne 0 1 1\ne 2 3 0\ne 1 3 0\n")                 // 3's tight neighbours 1 and 2, reached
+	f.Add("n 4 undirected\ne 0 1 1\ne 0 2 1\ne 1 3 0\ne 2 3 0\n")                 // in both orders
 	f.Add("n 3 directed\ne 0 1 1152921504606846976\ne 1 2 1152921504606846976\n") // 2·2⁶⁰ ≥ Inf
 	f.Add("n 3 directed\ne 0 1 288230376151711744\ne 1 2 5\ne 0 2 6\n")           // 2⁵⁸: too wide to pack
 	f.Fuzz(func(t *testing.T, input string) {
@@ -62,8 +67,11 @@ func FuzzParallelDijkstra(f *testing.F) {
 			Hops:    func(i, v int) int64 { return int64(dij.Hops[i*n+v]) },
 			Parent:  func(i, v int) int { return int(dij.Parent[i*n+v]) },
 		}
+		edges := g.Edges()
 		for i, src := range sources {
 			_, wantH := graph.HHopDistHops(g, src, n)
+			wantP := step9Parents(edges, g.Directed(), n, src,
+				dij.Dist[i*n:(i+1)*n], dij.Hops[i*n:(i+1)*n])
 			for v := 0; v < n; v++ {
 				c := i*n + v
 				if dij.Dist[c] != bf.Dist[i][v] {
@@ -74,6 +82,10 @@ func FuzzParallelDijkstra(f *testing.F) {
 					t.Fatalf("hops(%d->%d): dijkstra %d, sequential %d\ngraph:\n%s",
 						i, v, dij.Hops[c], wantH[v], input)
 				}
+				if dij.Parent[c] != wantP[v] {
+					t.Fatalf("parent(%d->%d): dijkstra %d, smallest tight neighbour %d\ngraph:\n%s",
+						i, v, dij.Parent[c], wantP[v], input)
+				}
 				if dij.Dist[c] >= graph.Inf {
 					continue
 				}
@@ -83,4 +95,29 @@ func FuzzParallelDijkstra(f *testing.F) {
 			}
 		}
 	})
+}
+
+// step9Parents is one row's parents by Step 9's definition, from the
+// row's own (dist, hops): the source is its own parent, an unreachable
+// node has none (-1), and any other node's is the smallest p with an arc
+// p→v of weight w where dist[p]+w = dist[v] and hops[p]+1 = hops[v].
+func step9Parents(edges []graph.Edge, directed bool, n, src int, dist []int64, hops []int32) []int32 {
+	want := make([]int32, n)
+	for v := range want {
+		want[v] = -1
+	}
+	tight := func(p, v int, w int64) {
+		if v != src && dist[p] < graph.Inf && dist[p]+w == dist[v] && hops[p]+1 == hops[v] &&
+			(want[v] < 0 || int32(p) < want[v]) {
+			want[v] = int32(p)
+		}
+	}
+	for _, e := range edges {
+		tight(e.From, e.To, e.W)
+		if !directed {
+			tight(e.To, e.From, e.W)
+		}
+	}
+	want[src] = int32(src)
+	return want
 }

@@ -1,6 +1,7 @@
 package compute
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -42,19 +43,15 @@ func newCSR(g *graph.Graph, lay keyLayout) csr {
 func packedDijkstra(g *graph.Graph, lay keyLayout, res *Result) {
 	n := g.N()
 	adj := newCSR(g, lay)
-	// One slab each for the workers' key planes and heaps. A heap that
-	// outgrows its n entries (lazy deletion can hold one per relaxation)
-	// reallocates on its own.
 	planes := make([]uint64, res.Workers*n)
-	heapK := make([]uint64, res.Workers*n)
-	heapV := make([]int32, res.Workers*n)
 	var next atomic.Int64
 	spmd(res.Workers, func(w int) {
 		keys := planes[w*n : (w+1)*n]
-		h := keyHeap{k: heapK[w*n : w*n : (w+1)*n], v: heapV[w*n : w*n : (w+1)*n]}
+		q := queues.Get().(*radixQueue)
+		defer queues.Put(q)
 		for i := claim(&next); i < len(res.Sources); i = claim(&next) {
 			lo, hi := i*n, (i+1)*n
-			oneSourcePacked(adj, res.Sources[i], keys, res.Parent[lo:hi], &h)
+			oneSourcePacked(adj, res.Sources[i], keys, res.Parent[lo:hi], q)
 			lay.unpackRow(keys, res.Dist[lo:hi], res.Hops[lo:hi])
 		}
 	})
@@ -85,108 +82,98 @@ func claim(next *atomic.Int64) int { return int(next.Add(1)) - 1 }
 // the minimal hop count among minimum-distance paths — the quantity the
 // pipelined CONGEST family records — and every recorded parent tight in
 // both dist and hops. Entries are pushed on strict improvement only, so
-// each reachable node is expanded exactly once (stale heap entries compare
+// each reachable node is expanded exactly once (stale queue entries compare
 // unequal and are skipped).
-func oneSourcePacked(adj csr, src int, keys []uint64, parent []int32, h *keyHeap) {
+//
+// The parent is Algorithm 1's Step 9 choice, the smallest-ID neighbour
+// that delivers the final (dist, hops) — the rule core.List.Offer keeps.
+// Every such neighbour p has key[p] < key[u] (an arc adds a hop), so p is
+// expanded before u and its arc to u is scanned, whatever order the queue
+// pops equal keys in: the tie branch below sees each one.
+func oneSourcePacked(adj csr, src int, keys []uint64, parent []int32, q *radixQueue) {
 	for v := range keys {
 		keys[v] = infKey
 		parent[v] = -1
 	}
 	keys[src], parent[src] = 0, int32(src)
-	h.push(0, int32(src))
-	for len(h.k) > 0 {
-		k, v := h.pop()
+	q.last = 0
+	q.push(0, int32(src))
+	for q.size > 0 {
+		k, v := q.pop()
 		if k != keys[v] {
 			continue // stale entry, already improved
 		}
 		to, inc := adj.to[adj.off[v]:adj.off[v+1]], adj.inc[adj.off[v]:adj.off[v+1]]
 		for a, u := range to {
-			if nk := k + inc[a]; nk < keys[u] {
-				keys[u], parent[u] = nk, v
-				h.push(nk, u)
-			}
-		}
-	}
-}
-
-// keyHeap is a 4-ary min-heap over (key, node) entries: sift-down does one
-// extra compare per level but the tree is half as deep as a binary one,
-// and the four children share a cache line. Entries are never decreased in
-// place — improvements push a fresh entry and stale ones are skipped on
-// pop (lazy deletion), so the heap is two flat slices with no position
-// index. The sift rules decide which of several equal keys leaves first,
-// and with it which tight predecessor a row records as parent
-// (TestKernelsPinned): sift up while strictly smaller than the parent,
-// sift down to the first smallest child while it is strictly smaller. The
-// moving entry is held out and written once rather than swapped level by
-// level, and the smallest of four children is found without branches — the
-// compares are data-dependent coin flips, and mispredicting them was most
-// of a pop.
-type keyHeap struct {
-	k []uint64
-	v []int32
-}
-
-func (h *keyHeap) push(k uint64, v int32) {
-	h.k = append(h.k, k)
-	h.v = append(h.v, v)
-	i := len(h.k) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if k >= h.k[p] {
-			break
-		}
-		h.k[i], h.v[i] = h.k[p], h.v[p]
-		i = p
-	}
-	h.k[i], h.v[i] = k, v
-}
-
-// pop removes and returns the smallest entry.
-func (h *keyHeap) pop() (uint64, int32) {
-	topK, topV := h.k[0], h.v[0]
-	last := len(h.k) - 1
-	k, v := h.k[last], h.v[last]
-	h.k, h.v = h.k[:last], h.v[:last]
-	if last == 0 {
-		return topK, topV
-	}
-	i := 0
-	for {
-		first := i<<2 + 1
-		if first >= last {
-			break
-		}
-		m, mk := first, h.k[first]
-		if first+4 <= last {
-			// All four children: a branch-free tournament. Strict
-			// compares send ties left, to the first smallest.
-			c := h.k[first : first+4 : first+4]
-			l, r := b2i(c[1] < c[0]), b2i(c[3] < c[2])
-			lk, rk := min(c[0], c[1]), min(c[2], c[3])
-			right := b2i(rk < lk)
-			m, mk = first+[2]int{l, 2 + r}[right&1], min(lk, rk)
-		} else {
-			for c := first + 1; c < last; c++ {
-				if h.k[c] < mk {
-					m, mk = c, h.k[c]
+			// One compare decides the common case, an arc that does
+			// not tie or improve: on dense rows that is nearly every arc.
+			if nk := k + inc[a]; nk <= keys[u] {
+				if nk < keys[u] {
+					keys[u], parent[u] = nk, v
+					q.push(nk, u)
+				} else if v < parent[u] {
+					parent[u] = v
 				}
 			}
 		}
-		if mk >= k {
-			break
-		}
-		h.k[i], h.v[i] = mk, h.v[m]
-		i = m
 	}
-	h.k[i], h.v[i] = k, v
-	return topK, topV
 }
 
-// b2i is 1 for true, 0 for false; it compiles to a flag set, not a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
+// radixQueue is a monotone priority queue over packed keys (a radix heap):
+// it needs every push to be at least the last key popped, which the kernel
+// guarantees — a pushed key is a popped one plus an arc's w<<shift | 1.
+// An entry lives in bucket bits.Len64(k ^ last), so bucket 0 holds keys
+// equal to the last pop and bucket i keys that first differ from it at bit
+// i−1; keys stay below infKey = 2^62, so 63 buckets cover them. pop takes
+// from bucket 0 and, when that is empty, moves the lowest non-empty
+// bucket's minimum into last and redistributes that bucket into lower
+// ones, so an entry moves down at most 62 times over its life. Improvements
+// push a fresh entry and stale ones are skipped on pop (lazy deletion).
+// Buckets keep their capacity from row to row, and queues are recycled
+// across calls (queues), so a warm queue allocates nothing.
+type radixQueue struct {
+	last uint64
+	size int
+	b    [63][]qEntry
+}
+
+type qEntry struct {
+	k uint64
+	v int32
+}
+
+// queues recycles radixQueues, buckets and all, across APSP calls.
+var queues = sync.Pool{New: func() any { return new(radixQueue) }}
+
+func (q *radixQueue) push(k uint64, v int32) {
+	i := bits.Len64(k ^ q.last)
+	q.b[i] = append(q.b[i], qEntry{k, v})
+	q.size++
+}
+
+// pop removes and returns an entry with the smallest key; among equal
+// keys the order is unspecified. The queue must not be empty.
+func (q *radixQueue) pop() (uint64, int32) {
+	if len(q.b[0]) == 0 {
+		i := 1
+		for len(q.b[i]) == 0 {
+			i++
+		}
+		b := q.b[i]
+		m := b[0].k
+		for _, e := range b[1:] {
+			m = min(m, e.k)
+		}
+		q.last = m
+		for _, e := range b {
+			j := bits.Len64(e.k ^ m)
+			q.b[j] = append(q.b[j], e)
+		}
+		q.b[i] = b[:0]
 	}
-	return 0
+	b0 := q.b[0]
+	e := b0[len(b0)-1]
+	q.b[0] = b0[:len(b0)-1]
+	q.size--
+	return e.k, e.v
 }

@@ -3,6 +3,8 @@ package compute
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -106,4 +108,93 @@ func allNodes(n int) []int {
 		s[v] = v
 	}
 	return s
+}
+
+// TestRadixQueueMatchesSortedCopy drives the queue with seeded monotone
+// scripts — every push at or above the last pop, as the kernel's are —
+// and after every pop checks it against a sort-a-copy oracle: the key is
+// the smallest pending one, and the entry is one that was pushed with
+// it. The scripts push runs of equal keys; half of them start just below
+// 2^61, so their keys cross bit 61 — the top bucket, one bit below
+// infKey; and they drain the queue completely before refilling it, both
+// from the last pop and, as a new row does, from the start.
+func TestRadixQueueMatchesSortedCopy(t *testing.T) {
+	type entry struct {
+		k uint64
+		v int32
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := uint64(0)
+		if seed%2 == 1 {
+			base = 1<<61 - 1<<20
+		}
+		q := new(radixQueue)
+		q.last = base
+		var pending []entry
+		next := int32(0)
+		push := func(k uint64) {
+			if k >= infKey {
+				t.Fatalf("seed %d: script pushed %#x, not below infKey", seed, k)
+			}
+			q.push(k, next)
+			pending = append(pending, entry{k, next})
+			next++
+		}
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 5 || len(pending) == 0:
+				// Push at the last pop plus a delta: zero, small, or a
+				// span that reaches the high buckets.
+				var d uint64
+				switch rng.Intn(4) {
+				case 1:
+					d = uint64(rng.Intn(8))
+				case 2:
+					d = uint64(rng.Int63n(1 << 20))
+				case 3:
+					d = uint64(rng.Int63n(int64(infKey-q.last)/4 + 1))
+				}
+				for reps := 1 + rng.Intn(3); reps > 0; reps-- {
+					push(q.last + d) // equal keys when reps > 1
+				}
+			case r < 9:
+				keys := make([]uint64, len(pending))
+				for i, e := range pending {
+					keys[i] = e.k
+				}
+				slices.Sort(keys)
+				k, v := q.pop()
+				if k != keys[0] {
+					t.Fatalf("seed %d step %d: pop = %#x, smallest pending %#x", seed, step, k, keys[0])
+				}
+				i := slices.Index(pending, entry{k, v})
+				if i < 0 {
+					t.Fatalf("seed %d step %d: pop = (%#x, %d), never pushed or popped twice", seed, step, k, v)
+				}
+				pending = slices.Delete(pending, i, i+1)
+			default:
+				// Drain in order, then refill: from the last pop, or
+				// from zero as oneSourcePacked starts a row.
+				for prev := q.last; len(pending) > 0; {
+					k, v := q.pop()
+					if k < prev {
+						t.Fatalf("seed %d step %d: drain popped %#x after %#x", seed, step, k, prev)
+					}
+					prev = k
+					i := slices.Index(pending, entry{k, v})
+					if i < 0 {
+						t.Fatalf("seed %d step %d: drain popped (%#x, %d), not pending", seed, step, k, v)
+					}
+					pending = slices.Delete(pending, i, i+1)
+				}
+				if q.size != 0 {
+					t.Fatalf("seed %d step %d: drained queue reports %d entries", seed, step, q.size)
+				}
+				if rng.Intn(2) == 0 {
+					q.last = base
+				}
+			}
+		}
+	}
 }

@@ -721,7 +721,10 @@ func (d *drill) check(q oracle.Query, gen uint64, a oracle.Answer) string {
 
 // fits reports whether a answers q right in version ver. A path is judged
 // by validity — it runs from src to dst over arcs tight in ver — not by
-// parent equality: kernels break ties differently.
+// parent equality. The compute kernel and core.Run record the same Step 9
+// parents, but an autosave written before the kernel took that rule holds
+// parents from its old tie order, and a server that recovers from it
+// serves those valid paths until its next rebuild; such a path is right.
 func fits(ver *version, q oracle.Query, a oracle.Answer) bool {
 	want, p := ver.dist[q.Src][q.Dst], a.Path
 	switch {
