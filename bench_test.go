@@ -127,10 +127,6 @@ func BenchmarkScalingStudy(b *testing.B) { benchExperiment(b, "E-BIG") }
 // (experiment E-DELTA).
 func BenchmarkDeltaSensitivity(b *testing.B) { benchExperiment(b, "E-DELTA") }
 
-// BenchmarkCrashRecovery measures checkpoint cost and crash-restart
-// recovery (experiment E-CRASH).
-func BenchmarkCrashRecovery(b *testing.B) { benchExperiment(b, "E-CRASH") }
-
 // BenchmarkChaosResilience runs the serving-layer resilience drill:
 // closed-loop load through the fault injector with the retrying client,
 // plus an abrupt kill + autosave recovery (experiment E-CHAOS).

@@ -368,40 +368,69 @@ func TestCheckpointPanicBecomesCrashError(t *testing.T) {
 }
 
 // TestCheckpointSupervisedRestart drives the full crash-stop story: a
-// scripted crash kills node 1 at round 4 with a restart offset, the
-// supervisor re-arms from the latest per-round checkpoint, and the
-// restarted computation completes with the fault-free answer. The
-// faults.Network is shared across attempts, so the fired crash stays
-// disarmed.
+// scripted crash kills node 1 with a restart offset, the supervisor
+// re-arms from the latest checkpoint the cadence left, and the restarted
+// computation completes with the fault-free answer — distances, parents
+// and Stats bit-identical. At Every 4 the crash lands between
+// checkpoints, so recovery replays from an older snapshot. The rows with
+// no crash pin that periodic checkpointing alone leaves the result
+// untouched at every cadence. The faults.Network is shared across
+// attempts, so the fired crash stays disarmed.
 func TestCheckpointSupervisedRestart(t *testing.T) {
 	in := ckptInstance(13)
 	base, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H})
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := faults.New(faults.Plan{})
-	net.Script = []faults.Event{{Round: 4, From: 1, Kind: faults.CrashEvent, Arg: 1}}
-	k := &checkpoint.Keeper{}
-	pol := &congest.CheckpointPolicy{Every: 1, Sink: k.Sink}
-	var res *core.Result
-	restarts, err := checkpoint.Supervise(pol, k, 3, func() error {
-		r, ferr := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Network: net, Checkpoint: pol}})
-		if ferr == nil {
-			res = r
+	mid := base.Stats.Rounds/2 | 1 // odd, so never on an Every-4 barrier
+	for _, c := range []struct {
+		every, crashAt int // crashAt 0: no crash, no fault shim
+	}{{1, 4}, {4, mid}, {1, 0}, {8, 0}, {32, 0}} {
+		name := fmt.Sprintf("every=%d crash@%d", c.every, c.crashAt)
+		var net congest.Network
+		var fnet *faults.Network
+		if c.crashAt > 0 {
+			fnet = faults.New(faults.Plan{})
+			fnet.Script = []faults.Event{{Round: c.crashAt, From: 1, Kind: faults.CrashEvent, Arg: 1}}
+			net = fnet
 		}
-		return ferr
-	})
-	if err != nil {
-		t.Fatalf("supervised run failed after %d restarts: %v", restarts, err)
-	}
-	if restarts != 1 {
-		t.Fatalf("restarts = %d, want 1", restarts)
-	}
-	if disarmed := net.DisarmedCrashes(); len(disarmed) != 1 || disarmed[0] != 0 {
-		t.Fatalf("DisarmedCrashes = %v, want [0]", disarmed)
-	}
-	if res.Stats != base.Stats || !reflect.DeepEqual(res.Dist, base.Dist) || !reflect.DeepEqual(res.Parent, base.Parent) {
-		t.Fatal("supervised result diverges from the fault-free run")
+		k := &checkpoint.Keeper{}
+		pol := &congest.CheckpointPolicy{Every: c.every, Sink: k.Sink}
+		var res *core.Result
+		restarts, err := checkpoint.Supervise(pol, k, 3, func() error {
+			r, ferr := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Network: net, Checkpoint: pol}})
+			if ferr == nil {
+				res = r
+			}
+			return ferr
+		})
+		if err != nil {
+			t.Fatalf("%s: supervised run failed after %d restarts: %v", name, restarts, err)
+		}
+		if fnet == nil {
+			if restarts != 0 || pol.Resume != nil {
+				t.Fatalf("%s: %d restarts with no crash scripted", name, restarts)
+			}
+			if _, saves := k.Latest(); saves < base.Stats.Rounds/c.every || saves > base.Stats.Rounds/c.every+1 {
+				t.Fatalf("%s: %d checkpoints over %d rounds", name, saves, base.Stats.Rounds)
+			}
+		} else {
+			if restarts != 1 {
+				t.Fatalf("%s: restarts = %d, want 1", name, restarts)
+			}
+			if disarmed := fnet.DisarmedCrashes(); len(disarmed) != 1 || disarmed[0] != 0 {
+				t.Fatalf("%s: DisarmedCrashes = %v, want [0]", name, disarmed)
+			}
+			if pol.Resume == nil {
+				t.Fatalf("%s: restarted without a checkpoint", name)
+			}
+			if want := c.crashAt - c.crashAt%c.every; pol.Resume.Round != want {
+				t.Fatalf("%s: resumed from round %d, want the checkpoint at %d", name, pol.Resume.Round, want)
+			}
+		}
+		if res.Stats != base.Stats || !reflect.DeepEqual(res.Dist, base.Dist) || !reflect.DeepEqual(res.Parent, base.Parent) {
+			t.Fatalf("%s: supervised result diverges from the fault-free run", name)
+		}
 	}
 }
 

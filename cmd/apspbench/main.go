@@ -8,12 +8,13 @@
 //	apspbench -small       # reduced sizes (what the benchmarks use)
 //	apspbench -exp E-BIG   # a single experiment
 //	apspbench -list        # list experiment IDs
-//	apspbench -json out.json  # additionally persist the tables as JSON
-//	apspbench -exp E-BIG -workers 8 -cpuprofile cpu.pprof
+//	apspbench -md          # Markdown tables (to refresh EXPERIMENTS.md)
+//	apspbench -exp E-BIG -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// -workers bounds the engine goroutines per round in the scale-sensitive
-// experiments; -cpuprofile/-memprofile write pprof profiles covering the
-// experiment run (inspect with `go tool pprof`).
+// -cpuprofile/-memprofile write pprof profiles covering the experiment run
+// (inspect with `go tool pprof`). The tables do not depend on the number
+// of engine workers, which follows GOMAXPROCS: `GOMAXPROCS=1 apspbench
+// -exp E-BIG` profiles a single-worker run.
 package main
 
 import (
@@ -36,7 +37,7 @@ func main() {
 
 // run is the command body, factored so tests can drive it with arbitrary
 // arguments and capture the output. Tables go to stdout; progress notes
-// (profile and JSON paths) go to stderr.
+// (profile paths) go to stderr.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("apspbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -46,10 +47,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		list       = fs.Bool("list", false, "list experiment IDs and exit")
 		seed       = fs.Int64("seed", 1, "deterministic seed")
 		md         = fs.Bool("md", false, "emit Markdown tables (for EXPERIMENTS.md)")
-		jsonPath   = fs.String("json", "", "also write the result tables as JSON to this path")
-		workers    = fs.Int("workers", 0, "engine worker goroutines per round (0 = automatic)")
-		faultsArg  = fs.String("faults", "", `restrict E-FAULTS to one adversarial plan (e.g. "all" or "delay=4,drop=0.2")`)
-		faultSeed  = fs.Int64("fault-seed", 0, "fault PRF seed for E-FAULTS (when the plan has no seed term)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the experiment run here")
 		memProfile = fs.String("memprofile", "", "write a heap profile taken after the run here")
 	)
@@ -67,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
-	cfg := experiments.Config{Small: *small, Seed: *seed, Workers: *workers, Faults: *faultsArg, FaultSeed: *faultSeed}
+	cfg := experiments.Config{Small: *small, Seed: *seed}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -105,20 +102,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		} else {
 			t.Format(stdout)
 		}
-	}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := experiments.WriteJSON(f, tables); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "tables: %s\n", *jsonPath)
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)

@@ -45,26 +45,26 @@ func TestListIsDeterministicAndComplete(t *testing.T) {
 }
 
 // TestSingleExperimentRunsAndPersists: one small experiment runs through
-// the extracted run() body, prints its table, and lands in the JSON file.
+// the extracted run() body, prints its table, and leaves both pprof
+// profiles on disk with their paths noted on stderr.
 func TestSingleExperimentRunsAndPersists(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "tables.json")
+	dir := t.TempDir()
+	cpuPath, memPath := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	var out, errOut bytes.Buffer
-	args := []string{"-exp", "E-BIG", "-small", "-seed", "3", "-workers", "2", "-json", jsonPath}
+	args := []string{"-exp", "E-BIG", "-small", "-seed", "3", "-cpuprofile", cpuPath, "-memprofile", memPath}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatalf("run(%v): %v", args, err)
 	}
 	if !strings.Contains(out.String(), "E-BIG") || !strings.Contains(out.String(), "rounds/n") {
 		t.Fatalf("table output unexpected:\n%s", out.String())
 	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("json not written: %v", err)
-	}
-	if !strings.Contains(string(raw), "E-BIG") {
-		t.Fatalf("json content missing table id: %s", raw)
-	}
-	if !strings.Contains(errOut.String(), jsonPath) {
-		t.Fatalf("json path note missing on stderr:\n%s", errOut.String())
+	for _, path := range []string{cpuPath, memPath} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s not written (%v)", path, err)
+		}
+		if !strings.Contains(errOut.String(), path) {
+			t.Fatalf("profile path %s missing on stderr:\n%s", path, errOut.String())
+		}
 	}
 	// Markdown mode renders the same table with pipe separators.
 	var mdOut bytes.Buffer
@@ -87,6 +87,16 @@ func TestFlagErrors(t *testing.T) {
 		{"-exp", "E-SERVE"},
 		{"-exp", "E-TRACE"},
 		{"-exp", "E-XOVER"},
+		// The fault and crash tables moved to the gated root sweeps
+		// (TestFaultConformance*, TestCheckpointConformance*,
+		// TestCheckpointSupervisedRestart), and the knobs that served
+		// them went with them; the JSON dump is the ledger's job.
+		{"-exp", "E-FAULTS"},
+		{"-exp", "E-CRASH"},
+		{"-faults", "all"},
+		{"-fault-seed", "1"},
+		{"-workers", "2"},
+		{"-json", "x"},
 		{"-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir", "x.pprof"), "-exp", "E-BIG", "-small"},
 	}
 	for _, args := range cases {

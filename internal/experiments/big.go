@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/compute"
-	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -41,14 +40,14 @@ func eBig(cfg Config) (*Table, error) {
 		for v := range sources {
 			sources[v] = v
 		}
-		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: delta, Engine: congest.Config{Workers: cfg.Workers}})
+		res, err := core.Run(g, core.Opts{Sources: sources, H: n - 1, Delta: delta})
 		if err != nil {
 			return nil, err
 		}
 		// One parallel-backend reference matrix for the whole size: at
 		// n=4096 this replaces 4096 sequential Dijkstra runs and also
 		// cross-checks hop counts, which graph.APSP never recorded.
-		want, err := compute.APSP(g, compute.Opts{Workers: cfg.Workers})
+		want, err := compute.APSP(g, compute.Opts{})
 		if err != nil {
 			return nil, err
 		}

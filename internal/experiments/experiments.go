@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -20,25 +19,15 @@ type Config struct {
 	Small bool
 	// Seed makes every experiment deterministic.
 	Seed int64
-	// Workers bounds the engine goroutines per round in the scale-sensitive
-	// experiments (E-BIG); 0 keeps the engine default. Results and CONGEST
-	// costs are worker-count independent, only wall clock moves.
-	Workers int
-	// Faults, if non-empty, restricts E-FAULTS to the given plan (the
-	// faults.Parse syntax, e.g. "all" or "delay=4,drop=0.2").
-	Faults string
-	// FaultSeed keys the fault PRF in E-FAULTS when the plan carries no
-	// seed term.
-	FaultSeed int64
 }
 
 // Table is a printable experiment result.
 type Table struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
+	ID      string
+	Title   string
+	Headers []string
+	Rows    [][]string
+	Notes   []string
 }
 
 // AddRow appends a row of stringified cells.
@@ -154,16 +143,6 @@ func Collect(cfg Config) ([]*Table, error) {
 		tables = append(tables, t)
 	}
 	return tables, nil
-}
-
-// WriteJSON serializes tables as an indented JSON array — the
-// machine-readable counterpart of Format/Markdown, so a benchmark sweep's
-// per-phase numbers can be persisted and diffed across commits
-// (cmd/apspbench -json).
-func WriteJSON(w io.Writer, tables []*Table) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tables)
 }
 
 // ratio formats a/b with two decimals, guarding division by zero.

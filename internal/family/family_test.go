@@ -17,6 +17,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/cssp"
+	"repro/internal/experiments"
 	"repro/internal/family"
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -278,7 +279,8 @@ func TestEngineEnvironmentIsOneField(t *testing.T) {
 }
 
 // TestOptionCensus pins the complete field list of the engine
-// environment and of the seven family Opts. The rule: no option survives
+// environment, of the seven family Opts and of the experiment runner's
+// Config. The rule: no option survives
 // that only a test sets — a field stays only if a command, experiment,
 // family table row or the benchmark sets it, so an option can come back
 // only through a visible edit of this table. The kept exceptions, each
@@ -305,6 +307,7 @@ func TestOptionCensus(t *testing.T) {
 		{bellman.Opts{}, []string{"Sources", "H", "Engine"}},
 		{scaling.Opts{}, []string{"Sources", "Engine"}},
 		{approx.Opts{}, []string{"Sources", "Eps", "Engine"}},
+		{experiments.Config{}, []string{"Small", "Seed"}},
 	} {
 		typ := reflect.TypeOf(c.opts)
 		got := make([]string, typ.NumField())
