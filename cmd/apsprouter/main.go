@@ -25,8 +25,9 @@
 // X-Apsp-Generation response header and never assembles a /batch answer
 // from mixed generations: lagging shards are retried once, then the
 // request is refused with 503 + Retry-After. POST /admin/recompute rolls
-// the cluster shard-by-shard — one backend rebuilds at a time while the
-// rest keep serving.
+// the cluster shard-by-shard — one backend computes at a time while the
+// rest keep serving, and each saves its new generation while the next
+// computes; the rollout ends when every backend has saved.
 //
 // Operational parity with apspd: drains gracefully on SIGINT/SIGTERM,
 // writes -addr-file only after /healthz answers through the real listener,

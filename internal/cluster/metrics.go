@@ -36,7 +36,7 @@ type Metrics struct {
 	GenRetries obs.Counter
 	// Rollouts counts /admin/recompute fan-outs started; RolloutActive is
 	// 1 while one is draining shard-by-shard; RolloutFails counts
-	// rollouts that aborted before every shard republished.
+	// rollouts that aborted before every shard republished and saved.
 	Rollouts      obs.Counter
 	RolloutActive obs.Gauge
 	RolloutFails  obs.Counter
@@ -68,7 +68,7 @@ func newMetrics(nShards int) *Metrics {
 	m.GenRetries = reg.Counter("router_generation_retries_total", "lagging sub-batches re-issued to reach one generation")
 	m.Rollouts = reg.Counter("router_rollouts_total", "shard-by-shard recompute fan-outs started")
 	m.RolloutActive = reg.Gauge("router_rollout_active", "1 while a rollout is draining shard-by-shard")
-	m.RolloutFails = reg.Counter("router_rollout_failures_total", "rollouts aborted before every shard republished")
+	m.RolloutFails = reg.Counter("router_rollout_failures_total", "rollouts aborted before every shard republished and saved")
 	m.attempts = reg.Counter("router_client_attempts_total", "backend HTTP attempts (incl. hedges)")
 	m.retries = reg.Counter("router_client_retries_total", "backend retries")
 	m.hedges = reg.Counter("router_client_hedges_total", "hedged backend attempts launched")

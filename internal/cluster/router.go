@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -41,9 +42,11 @@ type Options struct {
 	HedgeDelay     time.Duration
 	Seed           int64
 	// RolloutPoll and RolloutTimeout pace the shard-by-shard recompute
-	// drain: after triggering a shard the router polls its /healthz every
-	// RolloutPoll until the generation advances, giving up (and aborting
-	// the rollout) after RolloutTimeout per shard.
+	// drain: after triggering a replica the router polls its /healthz every
+	// RolloutPoll until the generation advances, and once every replica
+	// has published, polls each again until its recompute flag clears
+	// (the new generation is saved). Either wait gives up, aborting the
+	// rollout, after RolloutTimeout per replica.
 	RolloutPoll    time.Duration
 	RolloutTimeout time.Duration
 	// Log receives operational records (nil = silent).
@@ -553,9 +556,11 @@ func (r *Router) syncClientStats() {
 // flight: a second trigger while one drains answers 409. The router walks
 // the shards in order, triggering each backend's recompute and waiting for
 // its generation to advance before moving on — at most one shard is
-// rebuilding at any moment, so the cluster keeps (N-1)/N of its capacity
+// computing at any moment, so the cluster keeps (N-1)/N of its capacity
 // and /batch answers stay single-generation except for the brief window a
-// shard republishes in (which the mixed-generation retry absorbs).
+// shard republishes in (which the mixed-generation retry absorbs). A
+// backend saves its new generation while the next one computes; the
+// rollout ends once every triggered backend has saved.
 func (r *Router) handleRecompute(w http.ResponseWriter, req *http.Request) {
 	if !r.rolling.CompareAndSwap(false, true) {
 		r.met.Errors.Inc()
@@ -568,74 +573,143 @@ func (r *Router) handleRecompute(w http.ResponseWriter, req *http.Request) {
 	oracle.WriteJSON(w, http.StatusAccepted, map[string]string{"status": "rollout started"})
 }
 
+// rolled is one replica that published during a rollout: its shard, its
+// physical base URL, and the generation the router saw it publish.
+type rolled struct {
+	sc   *shardClient
+	base string
+	gen  uint64
+}
+
+// rollout runs in two phases. Publish: each replica in turn is triggered
+// and the router moves on as soon as it serves a new generation, so one
+// replica's autosave runs while the next computes. Settle: every replica
+// that published must report that generation or a newer one with its
+// recompute (publish and autosave) done. Only then is the rollout over.
 func (r *Router) rollout() {
 	defer func() {
 		r.rolling.Store(false)
 		r.met.RolloutActive.Set(0)
 	}()
 	start := time.Now()
+	var done []rolled
+	var err error
+publish:
 	for _, sc := range r.shards {
-		if err := r.rolloutShard(sc); err != nil {
-			r.met.RolloutFails.Inc()
-			r.logAt(slog.LevelError, "rollout aborted",
-				slog.Int("shard", sc.shard.ID), slog.Any("err", err))
-			return
+		for _, base := range sc.shard.Replicas {
+			var gen uint64
+			if gen, err = r.rolloutReplica(sc, base); err != nil {
+				break publish
+			}
+			done = append(done, rolled{sc, base, gen})
 		}
 	}
-	r.logAt(slog.LevelInfo, "rollout finished", slog.Duration("dur", time.Since(start)))
-}
-
-// rolloutShard rolls one shard: each replica in turn is told to
-// recompute (one POST, physically addressed, never hedged or retried)
-// and polled on /healthz until a new generation is published and the
-// rebuild flag clears. Replicas roll sequentially too, so a two-replica
-// shard keeps a serving replica throughout its own rollout.
-func (r *Router) rolloutShard(sc *shardClient) error {
-	for _, base := range sc.shard.Replicas {
-		if err := r.rolloutReplica(sc, base); err != nil {
-			return err
+	published := time.Now()
+	// Settle even after an aborted publish phase: the replicas that did
+	// publish are saving, and the next rollout must not trigger one
+	// mid-save.
+	for _, rr := range done {
+		if serr := r.settleReplica(rr); err == nil {
+			err = serr
 		}
 	}
-	return nil
+	if err != nil {
+		r.met.RolloutFails.Inc()
+		r.logAt(slog.LevelError, "rollout aborted", slog.Any("err", err))
+		return
+	}
+	r.logAt(slog.LevelInfo, "rollout finished", slog.Duration("dur", time.Since(start)),
+		slog.Duration("publish_dur", published.Sub(start)), slog.Duration("settle_dur", time.Since(published)))
 }
 
-func (r *Router) rolloutReplica(sc *shardClient, base string) error {
+// rolloutReplica tells one replica to recompute (one POST, physically
+// addressed, never hedged or retried) and polls its /healthz until it
+// serves a new generation, which it returns. It does not wait for the
+// replica's autosave; settleReplica does.
+func (r *Router) rolloutReplica(sc *shardClient, base string) (uint64, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RolloutTimeout)
 	defer cancel()
 	var pre oracle.Health
 	if _, err := sc.admin.GetJSON(ctx, base+"/healthz", &pre); err != nil {
-		return fmt.Errorf("pre-rollout health of %s: %w", base, err)
+		return 0, fmt.Errorf("pre-rollout health of %s (shard %d): %w", base, sc.shard.ID, err)
 	}
 	resp, err := sc.admin.Do(ctx, http.MethodPost, base+"/admin/recompute", "", nil)
 	if err != nil {
-		return fmt.Errorf("trigger %s: %w", base, err)
+		return 0, fmt.Errorf("trigger %s (shard %d): %w", base, sc.shard.ID, err)
 	}
 	// 202 = started; 409 = one already running (count it as ours and wait).
 	if resp.Status != http.StatusAccepted && resp.Status != http.StatusConflict {
-		return fmt.Errorf("trigger %s answered HTTP %d", base, resp.Status)
+		return 0, fmt.Errorf("trigger %s (shard %d) answered HTTP %d", base, sc.shard.ID, resp.Status)
 	}
-	t := time.NewTicker(r.opts.RolloutPoll)
-	defer t.Stop()
-	for {
+	bh, err := r.pollReplica(ctx, sc, base, r.opts.RolloutPoll, func(bh oracle.Health) (bool, error) {
+		if bh.Status == "stale" {
+			return false, fmt.Errorf("%s (shard %d) recompute failed (serving stale gen %d)", base, sc.shard.ID, bh.Gen)
+		}
+		return bh.Gen > pre.Gen, nil
+	})
+	if errors.Is(err, context.DeadlineExceeded) {
+		return 0, fmt.Errorf("%s (shard %d) did not republish within %v (still gen %d)",
+			base, sc.shard.ID, r.opts.RolloutTimeout, pre.Gen)
+	}
+	if err != nil {
+		return 0, err
+	}
+	r.logAt(slog.LevelInfo, "replica rolled",
+		slog.Int("shard", sc.shard.ID), slog.String("replica", base), slog.Uint64("gen", bh.Gen))
+	return bh.Gen, nil
+}
+
+// settleReplica polls a replica that published rr.gen until its recompute
+// is over: oracle.Health.Recomputing stays true until the published
+// snapshot's autosave returns. A replica that reports an older generation
+// restarted after its publish, so that generation may never have reached
+// its disk: the rollout fails at once rather than waiting out the timeout.
+func (r *Router) settleReplica(rr rolled) error {
+	ctx, cancel := context.WithTimeout(context.Background(), r.opts.RolloutTimeout)
+	defer cancel()
+	id := rr.sc.shard.ID
+	bh, err := r.pollReplica(ctx, rr.sc, rr.base, 0, func(bh oracle.Health) (bool, error) {
+		switch {
+		case bh.Gen < rr.gen:
+			return false, fmt.Errorf("%s (shard %d) published gen %d, then came back at gen %d: restarted before its save",
+				rr.base, id, rr.gen, bh.Gen)
+		case bh.Status == "stale":
+			return false, fmt.Errorf("%s (shard %d) recompute failed after publishing gen %d (serving stale gen %d)",
+				rr.base, id, rr.gen, bh.Gen)
+		}
+		return !bh.Recomputing, nil
+	})
+	if errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("%s (shard %d) did not finish saving gen %d within %v", rr.base, id, rr.gen, r.opts.RolloutTimeout)
+	}
+	if err != nil {
+		return err
+	}
+	r.logAt(slog.LevelInfo, "replica settled",
+		slog.Int("shard", id), slog.String("replica", rr.base), slog.Uint64("gen", bh.Gen))
+	return nil
+}
+
+// pollReplica probes base's /healthz, first after the given delay and then
+// every RolloutPoll, until done accepts an answer or fails it, or ctx ends
+// (its error is returned). A probe that fails or answers other than 200 is
+// transient: the poll goes on until the deadline.
+func (r *Router) pollReplica(ctx context.Context, sc *shardClient, base string, first time.Duration,
+	done func(oracle.Health) (bool, error)) (oracle.Health, error) {
+	for wait := first; ; wait = r.opts.RolloutPoll {
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("%s (shard %d) did not republish within %v (still gen %d)",
-				base, sc.shard.ID, r.opts.RolloutTimeout, pre.Gen)
-		case <-t.C:
+			return oracle.Health{}, ctx.Err()
+		case <-time.After(wait):
 		}
 		var bh oracle.Health
 		resp, err := sc.admin.GetJSON(ctx, base+"/healthz", &bh)
 		if err != nil || resp.Status != http.StatusOK {
-			continue // transient probe failure: keep polling until the deadline
+			continue
 		}
-		if bh.Status == "stale" {
-			return fmt.Errorf("%s (shard %d) recompute failed (serving stale gen %d)", base, sc.shard.ID, bh.Gen)
-		}
-		if bh.Gen > pre.Gen && !bh.Recomputing {
-			r.noteGen(sc, resp.Header)
-			r.logAt(slog.LevelInfo, "replica rolled",
-				slog.Int("shard", sc.shard.ID), slog.String("replica", base), slog.Uint64("gen", bh.Gen))
-			return nil
+		r.noteGen(sc, resp.Header)
+		if ok, err := done(bh); ok || err != nil {
+			return bh, err
 		}
 	}
 }

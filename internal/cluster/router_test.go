@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +27,7 @@ type testCluster struct {
 	m       *Map
 	servers [][]*oracle.Server   // [shard][replica]
 	back    [][]*httptest.Server // [shard][replica]
+	live    [][]*swapHandler     // [shard][replica]: the process behind back
 	router  *Router
 	front   *httptest.Server
 }
@@ -67,6 +69,7 @@ func startCluster(t *testing.T, n, nShards, replicas int, opts Options) *testClu
 		snap := buildShardSnap(t, tc.g, k, nShards)
 		var srvs []*oracle.Server
 		var backs []*httptest.Server
+		var lives []*swapHandler
 		for r := 0; r < replicas; r++ {
 			k := k
 			srv := &oracle.Server{
@@ -77,14 +80,18 @@ func startCluster(t *testing.T, n, nShards, replicas int, opts Options) *testClu
 				},
 			}
 			srv.Publish(snap)
-			ts := httptest.NewServer(srv.Handler())
+			h := &swapHandler{}
+			h.set(srv.Handler())
+			ts := httptest.NewServer(h)
 			t.Cleanup(ts.Close)
 			srvs = append(srvs, srv)
 			backs = append(backs, ts)
+			lives = append(lives, h)
 			replicaSets[k] = append(replicaSets[k], ts.URL)
 		}
 		tc.servers = append(tc.servers, srvs)
 		tc.back = append(tc.back, backs)
+		tc.live = append(tc.live, lives)
 	}
 	m, err := NewContiguous(n, fmt.Sprintf("%016x", checkpoint.Fingerprint(tc.g)), replicaSets)
 	if err != nil {
@@ -103,6 +110,16 @@ func startCluster(t *testing.T, n, nShards, replicas int, opts Options) *testClu
 	tc.front = httptest.NewServer(router.Handler())
 	t.Cleanup(tc.front.Close)
 	return tc
+}
+
+// swapHandler is a backend's process behind its listener: a test replaces
+// it to kill and restart the backend at the same address.
+type swapHandler struct{ h atomic.Pointer[http.Handler] }
+
+func (s *swapHandler) set(h http.Handler) { s.h.Store(&h) }
+
+func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	(*s.h.Load()).ServeHTTP(w, r)
 }
 
 func getJSON(t *testing.T, url string, out any) (int, http.Header) {
@@ -348,15 +365,7 @@ func TestRouterRollout(t *testing.T) {
 	tc := startCluster(t, 12, 3, 1, Options{
 		RolloutPoll: 5 * time.Millisecond, RolloutTimeout: 10 * time.Second,
 	})
-	resp, err := http.Post(tc.front.URL+"/admin/recompute", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("recompute trigger status %d, want 202", resp.StatusCode)
-	}
+	postRecompute(t, tc)
 
 	deadline := time.Now().Add(15 * time.Second)
 	for {

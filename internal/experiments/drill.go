@@ -134,7 +134,7 @@ func (d *drill) phases(phases []phase, row func(phase, *tally)) error {
 		case r.wrong.Load() != 0:
 			return fmt.Errorf("%s phase: %d wrong answers, first: %s", ph.name, r.wrong.Load(), *r.firstWrong.Load())
 		case r.aborted.Load() != 0:
-			return fmt.Errorf("%s phase: the rollout aborted before every shard republished", ph.name)
+			return fmt.Errorf("%s phase: the rollout aborted before every shard republished and saved", ph.name)
 		case r.queries.Load()-r.ok.Load() > int64(ph.maxErrors):
 			return fmt.Errorf("%s phase: %d of %d queries failed, bound %d", ph.name, r.queries.Load()-r.ok.Load(), r.queries.Load(), ph.maxErrors)
 		}

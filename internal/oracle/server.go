@@ -107,7 +107,10 @@ type Server struct {
 	Recompute func(ctx context.Context) (*Snapshot, error)
 	// AfterPublish, when set, observes every published snapshot (the
 	// daemon's autosave hook). Called synchronously after the swap; a slow
-	// hook delays the Publish caller, never queries.
+	// hook delays the Publish caller, never queries. For a snapshot built
+	// by Recompute, /healthz keeps reporting Recomputing until the hook
+	// returns: a cluster router reads the cleared flag as "the new
+	// generation is saved".
 	AfterPublish func(*Snapshot)
 	// Log receives operational and per-query records (nil = silent). Wrap
 	// the handler with trace.LogHandler so records carry trace IDs.
@@ -485,14 +488,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, snap *Snaps
 // is valid and serving but the most recent recompute failed — degraded,
 // not down; orchestrators should alert, not restart.
 type Health struct {
-	Status       string `json:"status"` // "ok" | "loading" | "stale"
-	Gen          uint64 `json:"gen"`
-	Alg          string `json:"alg,omitempty"`
-	N            int    `json:"n,omitempty"`
-	K            int    `json:"k,omitempty"`
-	Shard        string `json:"shard,omitempty"`
-	Fingerprint  string `json:"fingerprint,omitempty"`
-	HasPaths     bool   `json:"has_paths"`
+	Status      string `json:"status"` // "ok" | "loading" | "stale"
+	Gen         uint64 `json:"gen"`
+	Alg         string `json:"alg,omitempty"`
+	N           int    `json:"n,omitempty"`
+	K           int    `json:"k,omitempty"`
+	Shard       string `json:"shard,omitempty"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+	HasPaths    bool   `json:"has_paths"`
+	// Recomputing is true from an accepted POST /admin/recompute until
+	// its run is over: a failed recompute, or a publish whose
+	// AfterPublish hook has returned. Gen advances at the publish, so
+	// Gen new and Recomputing still true means the new generation serves
+	// but its autosave has not finished.
 	Recomputing  bool   `json:"recomputing"`
 	DegradeLevel int    `json:"degrade_level,omitempty"`
 	LastError    string `json:"last_recompute_error,omitempty"`

@@ -297,6 +297,49 @@ func TestServerRecomputeSingleFlight(t *testing.T) {
 	}
 }
 
+// TestServerRecomputingCoversAfterPublish pins the contract a cluster
+// router reads as durability: after a recompute publishes, /healthz
+// reports the new generation at once but keeps Recomputing true until the
+// AfterPublish hook (the autosave) returns.
+func TestServerRecomputingCoversAfterPublish(t *testing.T) {
+	ts, srv, snap := newTestServer(t, nil)
+	g, _, in := testInput(t, 16, 48, 21, []int{0, 2, 5, 9})
+	srv.Recompute = func(ctx context.Context) (*Snapshot, error) { return Build(g, in, BuildOpts{}) }
+	saving := make(chan uint64, 1)
+	release := make(chan struct{})
+	srv.AfterPublish = func(s *Snapshot) {
+		saving <- s.Gen()
+		<-release
+	}
+	resp, err := http.Post(ts.URL+"/admin/recompute", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("recompute status %d, want 202", resp.StatusCode)
+	}
+	if gen := <-saving; gen != snap.Gen()+1 {
+		t.Fatalf("AfterPublish saw gen %d, want %d", gen, snap.Gen()+1)
+	}
+	var h Health
+	if status := getJSON(t, ts.URL+"/healthz", &h); status != http.StatusOK || h.Gen != snap.Gen()+1 || !h.Recomputing {
+		close(release)
+		t.Fatalf("healthz inside AfterPublish: status %d, %+v; want the new gen with recomputing set", status, h)
+	}
+	close(release)
+	for deadline := time.Now().Add(5 * time.Second); h.Recomputing; {
+		if time.Now().After(deadline) {
+			t.Fatalf("recomputing never cleared after AfterPublish returned: %+v", h)
+		}
+		time.Sleep(time.Millisecond)
+		getJSON(t, ts.URL+"/healthz", &h)
+	}
+	if h.Gen != snap.Gen()+1 {
+		t.Fatalf("healthz after the hook: %+v, want gen %d", h, snap.Gen()+1)
+	}
+}
+
 func TestServerRecomputeUnavailable(t *testing.T) {
 	ts, _, _ := newTestServer(t, nil)
 	resp, err := http.Post(ts.URL+"/admin/recompute", "application/json", nil)
