@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -243,8 +244,9 @@ func TestRunStatsJSONAndPhases(t *testing.T) {
 
 // TestRunCheckpointStopResume drives the kill-and-resume drill through the
 // CLI on the scaling family (whose snapshot is core.List's): a run stopped
-// at a barrier and resumed prints the same summary as a straight run, and
-// a checkpoint file with a flipped bit is refused by its checksum.
+// at a barrier and resumed prints the same summary as a straight run, a
+// checkpoint file with a flipped bit is refused by its checksum, and one
+// headed as the unsealed version 1 of older builds is refused by name.
 func TestRunCheckpointStopResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	base := []string{"-alg", "scaling", "-n", "30", "-m", "100", "-seed", "4", "-quiet", "-log", "off"}
@@ -273,12 +275,23 @@ func TestRunCheckpointStopResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)-9] ^= 0x04 // the snapshot's last byte, just before the checksum
-	if err := os.WriteFile(ckpt, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append([]string{"-resume", ckpt}, base...), io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("resuming a checkpoint with a flipped bit: err = %v, want a checksum error", err)
+	for _, c := range []struct {
+		name, want string
+		edit       func([]byte)
+	}{
+		// The snapshot's last byte, just before the checksum.
+		{"checksum", "checksum", func(b []byte) { b[len(b)-9] ^= 0x04 }},
+		// The container version word, set to the unsealed layout of older builds.
+		{"version 1", "unsupported version 1", func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 1) }},
+	} {
+		bad := append([]byte(nil), raw...)
+		c.edit(bad)
+		if err := os.WriteFile(ckpt, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append([]string{"-resume", ckpt}, base...), io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("resuming a checkpoint with a %s edit: err = %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

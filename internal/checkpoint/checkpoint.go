@@ -6,8 +6,9 @@
 // computation (algorithm, graph fingerprint, sources, fault plan,
 // scheduler, disarmed crash events), the binary snapshot, and a CRC-32C
 // over all of it. Load refuses any file whose checksum does not hold, so
-// a torn or bit-flipped checkpoint is an error, never a wrong resume;
-// unsealed version 1 files still load. Matching the metadata against the
+// a torn or bit-flipped checkpoint is an error, never a wrong resume. The
+// container has one layout: the unsealed version 1 files of older builds
+// are refused by their version, not read. Matching the metadata against the
 // computation being resumed is the caller's job (ValidateAgainst covers
 // the common checks). Save writes atomically (writeAtomic) so a crash
 // mid-write never corrupts the previous checkpoint.
@@ -20,7 +21,6 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -121,9 +121,9 @@ func save(path string, meta *Meta, snap *congest.Snapshot) (int64, error) {
 	return n, nil
 }
 
-// Load reads a checkpoint file: a sealed container, or a version 1 file.
+// Load reads a checkpoint file.
 func Load(path string) (*Meta, *congest.Snapshot, error) {
-	mb, body, err := ReadSealed(path, Magic, readV1)
+	mb, body, err := ReadSealed(path, Magic)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -136,23 +136,6 @@ func Load(path string) (*Meta, *congest.Snapshot, error) {
 		return nil, nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
 	return meta, snap, nil
-}
-
-// readV1 parses the unsealed version 1 layout (magic, version, metaLen
-// u32, meta, bodyLen u64, body) that every committed fixture is in. The
-// lengths come from the file: they are compared unsigned against the
-// bytes that remain, so a corrupt field can neither go negative nor
-// overrun.
-func readV1(data []byte) (meta, body []byte, err error) {
-	metaLen, r := uint64(binary.LittleEndian.Uint32(data[12:16])), data[16:]
-	if uint64(len(r)) < metaLen+8 {
-		return nil, nil, fmt.Errorf("meta length %d exceeds the file", metaLen)
-	}
-	meta, r = r[:metaLen], r[metaLen:]
-	if bodyLen := binary.LittleEndian.Uint64(r); bodyLen != uint64(len(r)-8) {
-		return nil, nil, fmt.Errorf("body length %d, %d bytes follow", bodyLen, len(r)-8)
-	}
-	return meta, r[8:], nil
 }
 
 // Keeper is a checkpoint sink that retains the latest snapshot in memory

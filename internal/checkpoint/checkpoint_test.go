@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -68,73 +70,30 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// v1File returns a committed version 1 checkpoint (unsealed: its length
-// fields are all that stands between a corrupt file and a wrong resume).
-func v1File(t testing.TB) []byte {
+// fixture returns a committed checkpoint from testdata/compat.
+func fixture(t testing.TB, name string) []byte {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat", "core-active.ckpt"))
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw
 }
 
-// TestLoadBadLengths corrupts the two length fields of a version 1 file.
-// A body length with the top bit set used to go negative through int()
-// and panic on r[:n].
+// reseal replaces raw's trailing checksum with the one its other bytes
+// call for, so a test can get an edited header past the checksum.
+func reseal(raw []byte) []byte {
+	sealed := raw[:len(raw)-8]
+	return binary.LittleEndian.AppendUint64(sealed, uint64(crc32.Checksum(sealed, castagnoli)))
+}
+
+// TestLoadBadLengths gives a sealed file an impossible meta length and
+// reseals it: the length is only read once the checksum holds, and even
+// then it is compared unsigned against the file, never trusted.
 func TestLoadBadLengths(t *testing.T) {
-	raw := v1File(t)
-	path := filepath.Join(t.TempDir(), "v1.ckpt")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Load(path); err != nil {
-		t.Fatalf("the intact version 1 file: %v", err)
-	}
-	metaLenAt := len(Magic) + 4
-	bodyLenAt := len(Magic) + 8 + int(binary.LittleEndian.Uint32(raw[metaLenAt:]))
-	cases := []struct {
-		name string
-		at   int
-		put  func([]byte)
-	}{
-		{"body length top bit", bodyLenAt, func(b []byte) { binary.LittleEndian.PutUint64(b, 1<<63) }},
-		{"body length max", bodyLenAt, func(b []byte) { binary.LittleEndian.PutUint64(b, ^uint64(0)) }},
-		{"body length one over", bodyLenAt, func(b []byte) {
-			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
-		}},
-		{"body length one under", bodyLenAt, func(b []byte) {
-			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)-1)
-		}},
-		{"meta length max", metaLenAt, func(b []byte) { binary.LittleEndian.PutUint32(b, ^uint32(0)) }},
-	}
-	for _, c := range cases {
-		bad := append([]byte(nil), raw...)
-		c.put(bad[c.at:])
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := Load(path); err == nil || !strings.Contains(err.Error(), "length") {
-			t.Errorf("%s: Load = %v, want a length error", c.name, err)
-		}
-	}
-	// The 26-byte reproduction: header, empty-object metadata, huge body
-	// length, nothing after it.
-	short := append([]byte(Magic), 1, 0, 0, 0, 2, 0, 0, 0, '{', '}')
-	short = binary.LittleEndian.AppendUint64(short, 1<<63)
-	if err := os.WriteFile(path, short, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Load(path); err == nil {
-		t.Error("26-byte file with a negative body length loaded")
-	}
-	// A sealed file's meta length is only read once the checksum holds;
-	// resealed, an impossible one is still refused.
-	_, _, v2 := savedFile(t)
-	binary.LittleEndian.PutUint32(v2[metaLenAt:], ^uint32(0))
-	sealed := v2[:len(v2)-8]
-	v2 = binary.LittleEndian.AppendUint64(sealed, uint64(crc32.Checksum(sealed, castagnoli)))
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
+	path, _, raw := savedFile(t)
+	binary.LittleEndian.PutUint32(raw[len(Magic)+4:], ^uint32(0))
+	if err := os.WriteFile(path, reseal(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Load(path); err == nil || !strings.Contains(err.Error(), "meta length") {
@@ -142,33 +101,51 @@ func TestLoadBadLengths(t *testing.T) {
 	}
 }
 
-// TestLoadEveryPrefixFails cuts a sealed and a version 1 file at every
-// byte: each prefix must be an error, never a panic and never a
-// shorter-but-plausible checkpoint.
+// TestReadSealedRefusesOtherVersions holds the container to its one
+// layout: a file whose version word is anything but 2, resealed so that
+// only the version is wrong, is refused as ErrCorrupt by its version. The
+// unsealed version 1 of older builds is among them.
+func TestReadSealedRefusesOtherVersions(t *testing.T) {
+	path, _, raw := savedFile(t)
+	for _, version := range []uint32{0, 1, 3} {
+		bad := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(bad[len(Magic):], version)
+		if err := os.WriteFile(path, reseal(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := ReadSealed(path, Magic)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", version)) {
+			t.Errorf("version %d: ReadSealed = %v, want ErrCorrupt naming the version", version, err)
+		}
+	}
+}
+
+// TestLoadEveryPrefixFails cuts a sealed file at every byte: each prefix
+// must be an error, never a panic and never a shorter-but-plausible
+// checkpoint.
 func TestLoadEveryPrefixFails(t *testing.T) {
-	path, _, v2 := savedFile(t)
-	for version, raw := range map[string][]byte{"v1": v1File(t), "v2": v2} {
-		for cut := 0; cut < len(raw); cut++ {
-			if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := Load(path); err == nil {
-				t.Fatalf("%s: prefix of %d/%d bytes loaded", version, cut, len(raw))
-			}
+	path, _, raw := savedFile(t)
+	for cut := 0; cut < len(raw); cut++ {
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Load(path); err == nil {
+			t.Fatalf("prefix of %d/%d bytes loaded", cut, len(raw))
 		}
 	}
 }
 
 // FuzzCheckpointLoad feeds arbitrary bytes to Load: any outcome but a
-// panic is fine, and whatever Load accepts must survive a re-save.
+// panic is fine, and whatever Load accepts must survive a re-save. The
+// seeds are a fresh save and two pinned fixtures whose bodies hold many
+// node kinds (core with a fault network and an observer blob; the blocker
+// family), each whole and halved.
 func FuzzCheckpointLoad(f *testing.F) {
 	_, _, raw := savedFile(f)
-	v1 := v1File(f)
-	for _, b := range [][]byte{raw, v1} {
+	for _, b := range [][]byte{raw, fixture(f, "core-chaos-obs-active.ckpt"), fixture(f, "blocker-score-active.ckpt")} {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 	}
-	f.Add(binary.LittleEndian.AppendUint64(append([]byte(Magic), 1, 0, 0, 0, 2, 0, 0, 0, '{', '}'), 1<<63))
 	path := filepath.Join(f.TempDir(), "fuzz.ckpt")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {

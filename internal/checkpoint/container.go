@@ -23,9 +23,8 @@ import (
 // The padding puts the body at an 8-aligned offset of the read buffer, so
 // a reader can adopt fixed-width columns in place. The checksum makes
 // every torn or bit-flipped file a loud ErrCorrupt instead of a silently
-// wrong resume or answer. Version 1 files (no padding; a checkpoint has no
-// checksum, a snapshot an FNV-64a one) are read by each kind's own v1
-// reader and never written.
+// wrong resume or answer. It is the only layout read: a file of any other
+// version (the unsealed version 1 included) is refused as ErrCorrupt.
 const sealedVersion = 2
 
 // castagnoli is the CRC-32C table; hash/crc32 computes it in hardware
@@ -67,12 +66,12 @@ func WriteSealed(path, magic string, meta []byte, body ...[]byte) (int64, error)
 	})
 }
 
-// ReadSealed reads the container at path and returns its meta and body as
-// subslices of the read buffer. A version 2 file's checksum is checked
-// before any length in it is read. A version 1 file is handed whole to v1,
-// the file kind's own reader. Every failure caused by the contents wraps
+// ReadSealed reads the version 2 container at path and returns its meta
+// and body as subslices of the read buffer, the body 8-aligned. The
+// checksum is checked before any length in the file is read. Every
+// failure caused by the contents, a version other than 2 included, wraps
 // ErrCorrupt.
-func ReadSealed(path, magic string, v1 func(data []byte) (meta, body []byte, err error)) (meta, body []byte, err error) {
+func ReadSealed(path, magic string) (meta, body []byte, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -86,14 +85,7 @@ func ReadSealed(path, magic string, v1 func(data []byte) (meta, body []byte, err
 	if string(data[:8]) != magic {
 		return nil, nil, corrupt("magic %q, want %q", data[:8], magic)
 	}
-	version := binary.LittleEndian.Uint32(data[8:12])
-	if version == 1 {
-		if meta, body, err = v1(data); err != nil {
-			return nil, nil, corrupt("version 1: %v", err)
-		}
-		return meta, body, nil
-	}
-	if version != sealedVersion {
+	if version := binary.LittleEndian.Uint32(data[8:12]); version != sealedVersion {
 		return nil, nil, corrupt("unsupported version %d", version)
 	}
 	sealed, tail := data[:len(data)-8], data[len(data)-8:]

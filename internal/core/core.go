@@ -77,7 +77,7 @@ type Opts struct {
 	Trace func(format string, args ...interface{})
 	// Obs is a second spelling of Engine.Observer; Run tees the two. It
 	// exists for benchmark/sim.go, which names it in a keyed literal, and
-	// goes with the benchmark-archetype follow-up of ROADMAP 7(c).
+	// goes when that file hands its observer in Engine instead.
 	Obs congest.Observer
 	// SnapshotRounds, if non-empty, records each node's best distances at
 	// the end of the given rounds (ascending), exposing the algorithm's
@@ -363,7 +363,7 @@ func run(g *graph.Graph, opts Opts, wrap func(*node) congest.Node) (*Result, err
 	k := len(opts.Sources)
 	bound := key.Bound(k, opts.H, opts.Delta)
 	cfg := opts.Engine
-	if opts.Obs != nil { // benchmark/sim.go still says Obs (ROADMAP 7c)
+	if opts.Obs != nil { // the benchmark's Obs field (benchmark/sim.go)
 		cfg.Observer = congest.Tee(cfg.Observer, opts.Obs)
 	}
 	if cfg.MaxRounds == 0 {

@@ -80,8 +80,8 @@ func newProbe(stopAt, cancelAt int) (*probe, congest.Config) {
 	}
 }
 
-// TestNoEntryDropsAnEngineHook is the guard for the bug class ROADMAP item
-// 3 cites (cssp once dropped a hook): every entry point that accepts an
+// TestNoEntryDropsAnEngineHook is the guard for a bug class cssp once
+// showed (it dropped a hook): every entry point that accepts an
 // engine environment — the family table's rows and the building blocks
 // that take a congest.Config — must hand all of it to every engine run it
 // starts. A field deleted from any one Config ↔ Opts copy on the way
@@ -222,8 +222,8 @@ func TestNoEntryDropsAnEngineHook(t *testing.T) {
 // the engine environment is the one field Engine congest.Config, handed on
 // whole, so no Opts may grow a field of an engine type (or one named like
 // Config's two ints) beside it. The exception is Obs on core and hssp,
-// which benchmark/sim.go names in keyed literals (ROADMAP 7c); both must
-// still reach every engine run next to Engine.Observer.
+// the benchmark's field (benchmark/sim.go names it in keyed literals);
+// both must still reach every engine run next to Engine.Observer.
 func TestEngineEnvironmentIsOneField(t *testing.T) {
 	engineType := map[reflect.Type]bool{
 		reflect.TypeOf(congest.Config{}):                 true,

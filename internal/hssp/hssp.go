@@ -46,7 +46,7 @@ type Opts struct {
 	Engine congest.Config
 	// Obs is a second spelling of Engine.Observer; Run tees the two. It
 	// exists for benchmark/sim.go, which names it in a keyed literal, and
-	// goes with the benchmark-archetype follow-up of ROADMAP 7(c).
+	// goes when that file hands its observer in Engine instead.
 	Obs congest.Observer
 }
 
@@ -118,7 +118,7 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	}
 	res := &Result{Sources: append([]int(nil), sources...), H: h, PhaseRounds: make(map[string]int)}
 	engineCfg := opts.Engine
-	if opts.Obs != nil { // benchmark/sim.go still says Obs (ROADMAP 7c)
+	if opts.Obs != nil { // the benchmark's Obs field (benchmark/sim.go)
 		engineCfg.Observer = congest.Tee(engineCfg.Observer, opts.Obs)
 	}
 

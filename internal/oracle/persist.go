@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -34,11 +33,9 @@ import (
 // LoadSnapshot hands the read buffer's column ranges, 8-aligned by the
 // container, to Build as the columns, with no per-cell encode or decode
 // either way. That makes the format little-endian only; a big-endian host
-// refuses every snapshot with ErrBigEndianHost.
-//
-// Version 1 is read-only (readV1): the same meta and columns with no
-// padding and an FNV-64a checksum. Its columns sit wherever the meta JSON
-// ended, so they are copied into fresh ones rather than adopted.
+// refuses every snapshot with ErrBigEndianHost. A version 1 file (no
+// padding, an FNV-64a checksum) from an older build is refused by its
+// version as corrupt, and RecoverDir quarantines it.
 const (
 	snapMagic  = "APSPSNAP"
 	snapSuffix = ".snap"
@@ -112,7 +109,7 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 	if bigEndianHost {
 		return nil, ErrBigEndianHost
 	}
-	mj, cols, err := checkpoint.ReadSealed(path, snapMagic, readV1)
+	mj, cols, err := checkpoint.ReadSealed(path, snapMagic)
 	if errors.Is(err, checkpoint.ErrCorrupt) {
 		return nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 	}
@@ -149,14 +146,14 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 	}
 
 	in := BuildInput{Alg: meta.Alg, Stats: meta.Stats, Phys: meta.Phys,
-		Matrix: compute.Matrix{Sources: meta.Sources, N: meta.N, Dist: column[int64](cols[:cells*8])}}
+		Matrix: compute.Matrix{Sources: meta.Sources, N: meta.N, Dist: recast[int64](cols[:cells*8])}}
 	cols = cols[cells*8:]
 	if meta.HasHops {
-		in.Hops = column[int32](cols[:cells*4])
+		in.Hops = recast[int32](cols[:cells*4])
 		cols = cols[cells*4:]
 	}
 	if meta.HasPaths {
-		in.Parent = column[int32](cols)
+		in.Parent = recast[int32](cols)
 	}
 	snap, err := Build(g, in, BuildOpts{Fingerprint: meta.Fingerprint})
 	if err != nil {
@@ -165,35 +162,6 @@ func LoadSnapshot(path string, g *graph.Graph, expectFP uint64) (*Snapshot, erro
 		return nil, corrupt("revalidation failed: %v", err)
 	}
 	return snap, nil
-}
-
-// readV1 checks a version 1 snapshot file, the v2 layout with no padding
-// and an FNV-64a checksum, and returns its meta and columns.
-func readV1(data []byte) (meta, cols []byte, err error) {
-	sealed := data[:len(data)-8]
-	h := fnv.New64a()
-	h.Write(sealed)
-	if sum, want := h.Sum64(), binary.LittleEndian.Uint64(data[len(sealed):]); sum != want {
-		return nil, nil, fmt.Errorf("checksum %016x, file says %016x", sum, want)
-	}
-	metaLen := uint64(binary.LittleEndian.Uint32(sealed[12:16]))
-	if 16+metaLen > uint64(len(sealed)) {
-		return nil, nil, fmt.Errorf("meta length %d exceeds the file", metaLen)
-	}
-	return sealed[16 : 16+metaLen], sealed[16+metaLen:], nil
-}
-
-// column returns b's cells as a column: b itself when it is aligned for
-// T, as every v2 column in the read buffer is, else a fresh copy (a v1
-// column starts wherever its meta JSON ended).
-func column[T int64 | int32](b []byte) []T {
-	var cell T
-	if uintptr(unsafe.Pointer(unsafe.SliceData(b)))%unsafe.Alignof(cell) == 0 {
-		return recast[T](b)
-	}
-	col := make([]T, len(b)/int(unsafe.Sizeof(cell)))
-	copy(recast[byte](col), b)
-	return col
 }
 
 // recast views s's memory as a slice of To, in whichever direction: a

@@ -5,9 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -99,20 +97,16 @@ type sweepFile struct {
 	g     *graph.Graph
 }
 
-// sweepFiles are the files the corruption sweeps cut and flip: a version 2
-// save, and the version 1 fixture that the reader must still take.
+// sweepFiles are the files the corruption sweeps cut and flip: a fresh
+// save, and the pinned fixture with hops and parents.
 func sweepFiles(t *testing.T) map[string]sweepFile {
 	g, _, in := testInput(t, 8, 24, 3, []int{0, 5})
 	_, _, path := saveLoadPair(t, in, g, 7)
-	v2, err := os.ReadFile(path)
+	saved, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat", "oracle-v1.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]sweepFile{"v2": {v2, g}, "v1": {v1, compatGraph()}}
+	return map[string]sweepFile{"saved": {saved, g}, "oracle-v2.snap": {compatFile(t, "oracle-v2.snap"), compatGraph()}}
 }
 
 // TestSnapshotTornWriteSweep truncates the file at EVERY byte boundary
@@ -120,21 +114,21 @@ func sweepFiles(t *testing.T) map[string]sweepFile {
 // write (crash mid-save without the rename discipline) must never parse
 // as a shorter-but-plausible snapshot.
 func TestSnapshotTornWriteSweep(t *testing.T) {
-	for version, f := range sweepFiles(t) {
+	for name, f := range sweepFiles(t) {
 		torn := filepath.Join(t.TempDir(), "torn.snap")
 		for cut := 0; cut < len(f.whole); cut++ {
 			if err := os.WriteFile(torn, f.whole[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if _, lerr := LoadSnapshot(torn, f.g, 0); !errors.Is(lerr, ErrCorruptSnapshot) {
-				t.Fatalf("%s: truncation at byte %d of %d: err = %v, want ErrCorruptSnapshot", version, cut, len(f.whole), lerr)
+				t.Fatalf("%s: truncation at byte %d of %d: err = %v, want ErrCorruptSnapshot", name, cut, len(f.whole), lerr)
 			}
 		}
 	}
 }
 
 func TestSnapshotBitFlipSweep(t *testing.T) {
-	for version, f := range sweepFiles(t) {
+	for name, f := range sweepFiles(t) {
 		flipped := filepath.Join(t.TempDir(), "flip.snap")
 		// Flip one bit in every 7th byte (a full per-bit sweep is slow and
 		// adds nothing: the checksum catches any single flip the same way).
@@ -145,43 +139,35 @@ func TestSnapshotBitFlipSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, lerr := LoadSnapshot(flipped, f.g, 0); !errors.Is(lerr, ErrCorruptSnapshot) {
-				t.Fatalf("%s: bit flip at byte %d: err = %v, want ErrCorruptSnapshot", version, off, lerr)
+				t.Fatalf("%s: bit flip at byte %d: err = %v, want ErrCorruptSnapshot", name, off, lerr)
 			}
 		}
 	}
 }
 
-// seal replaces data's trailing checksum with the one its header's
-// version calls for: FNV-64a for version 1, CRC-32C otherwise.
+// seal replaces data's trailing checksum with the CRC-32C of the bytes
+// before it.
 func seal(data []byte) []byte {
 	body := data[:len(data)-8]
-	var sum uint64
-	if len(body) >= 12 && binary.LittleEndian.Uint32(body[8:12]) == 1 {
-		h := fnv.New64a()
-		h.Write(body)
-		sum = h.Sum64()
-	} else {
-		sum = uint64(crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	}
-	return binary.LittleEndian.AppendUint64(append([]byte(nil), body...), sum)
+	sum := crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))
+	return binary.LittleEndian.AppendUint64(append([]byte(nil), body...), uint64(sum))
 }
 
-// asV1 rewrites a version 2 file as the version 1 file of the same
-// snapshot: version 1, no padding after the meta, an FNV-64a seal.
-func asV1(v2 []byte) []byte {
-	metaLen := int(binary.LittleEndian.Uint32(v2[12:16]))
-	v1 := append([]byte(nil), v2[:16+metaLen]...)
-	binary.LittleEndian.PutUint32(v1[8:], 1)
-	return seal(append(v1, v2[(16+metaLen+7)&^7:]...))
+// withVersion returns a copy of raw with its container version word set
+// to version and its checksum left as it was.
+func withVersion(raw []byte, version uint32) []byte {
+	out := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(out[8:], version)
+	return out
 }
 
 // FuzzLoadSnapshot feeds arbitrary bytes to the reader that runs at boot
 // over whatever the disk kept. Seeds: a saved snapshot with hops and
-// parents, a distance-only one, the version 1 file of each, and a
-// truncation and a bit flip of all four. The bytes as given must either be
-// refused with a typed error or answer exactly like the snapshot that was
-// saved. The same bytes resealed with the checksum of the version they
-// name get past the checksum into the meta and column parsing, where a
+// parents and a distance-only one, and of each a truncation, a bit flip,
+// the version 1 header of older builds, a checkpoint's magic, and a body
+// four bytes short. The bytes as given must either be refused with a typed
+// error or answer exactly like the snapshot that was saved. The same bytes
+// resealed get past the checksum into the meta and column parsing, where a
 // different-but-valid snapshot is legitimate: there the property is a
 // typed error or a snapshot every cell of which can be read and walked
 // without a panic.
@@ -191,16 +177,16 @@ func FuzzLoadSnapshot(f *testing.F) {
 	in.Hops, in.Parent = nil, nil
 	distOnly, _, distPath := saveLoadPair(f, in, g, 7)
 	for _, p := range []string{fullPath, distPath} {
-		v2, err := os.ReadFile(p)
+		raw, err := os.ReadFile(p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, raw := range [][]byte{v2, asV1(v2)} {
-			flip := append([]byte(nil), raw...)
-			flip[len(flip)/3] ^= 0x10
-			f.Add(raw)
-			f.Add(raw[:len(raw)/2])
-			f.Add(flip)
+		flip := append([]byte(nil), raw...)
+		flip[len(flip)/3] ^= 0x10
+		kind := append([]byte(checkpoint.Magic), raw[len(checkpoint.Magic):]...)
+		short := append(append([]byte(nil), raw[:len(raw)-12]...), raw[len(raw)-8:]...)
+		for _, seed := range [][]byte{raw, raw[:len(raw)/2], flip, withVersion(raw, 1), kind, short} {
+			f.Add(seed)
 		}
 	}
 	path := filepath.Join(f.TempDir(), "fuzz.snap")
@@ -408,107 +394,97 @@ func TestSaveSnapshotLeavesNoTempDebris(t *testing.T) {
 	}
 }
 
-// compatGraph is the graph the testdata/compat/oracle-v*.snap fixtures
+// compatGraph is the graph the testdata/compat/oracle-v2*.snap fixtures
 // were computed on.
 func compatGraph() *graph.Graph {
 	return graph.Random(24, 80, graph.GenOpts{MaxW: 8, ZeroFrac: 0.25, Seed: 28, Directed: true})
 }
 
+// compatFile returns the bytes of a fixture under testdata/compat.
+func compatFile(t testing.TB, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // compatSpecs are the computations behind the fixtures, keyed by the
-// fixture name with its version left out: oracle-v%d.snap (parallel
-// backend, hops and parents) and oracle-v%d-blocker.snap (distance only).
+// fixture name: oracle-v2.snap (parallel backend, hops and parents) and
+// oracle-v2-blocker.snap (distance only).
 var compatSpecs = map[string]ComputeSpec{
-	"oracle-v%d.snap":         {Alg: "pipeline", Backend: "parallel", Sources: []int{0, 5, 11, 17, 23}},
-	"oracle-v%d-blocker.snap": {Alg: "blocker", Sources: []int{0, 5, 11, 17, 23}, H: 3},
+	"oracle-v2.snap":         {Alg: "pipeline", Backend: "parallel", Sources: []int{0, 5, 11, 17, 23}},
+	"oracle-v2-blocker.snap": {Alg: "blocker", Sources: []int{0, 5, 11, 17, 23}, H: 3},
 }
 
 // TestSnapshotFormatCompat holds the file format and the answers to the
-// fixtures in testdata/compat. The version 1 files were written before
-// Build adopted the kernels' columns, when it still copied [][] rows into
-// its own; the version 2 files are the first written verbatim from the
-// columns. Every fixture must load and answer every cell as a fresh
-// computation of the same spec does. Saving the loaded snapshot of either
-// version, or the fresh one, must give the version 2 file byte for byte,
-// and the version 1 file must be that file with version 1's header and
-// checksum: the columns did not change between the versions.
+// fixtures in testdata/compat, the first files written verbatim from the
+// kernels' columns. Every fixture must load and answer every cell as a
+// fresh computation of the same spec does, and saving the loaded snapshot
+// or the fresh one must give the fixture byte for byte.
 func TestSnapshotFormatCompat(t *testing.T) {
 	g := compatGraph()
 	fp := checkpoint.Fingerprint(g)
-	for pattern, sp := range compatSpecs {
+	for file, sp := range compatSpecs {
 		in, err := Compute(context.Background(), g, sp)
 		if err != nil {
-			t.Fatalf("%s: %v", pattern, err)
+			t.Fatalf("%s: %v", file, err)
 		}
 		fresh, err := Build(g, in, BuildOpts{Fingerprint: fp})
 		if err != nil {
-			t.Fatalf("%s: %v", pattern, err)
+			t.Fatalf("%s: %v", file, err)
 		}
-		snaps := map[string]*Snapshot{"fresh": fresh}
-		files := map[int][]byte{}
-		for _, version := range []int{1, 2} {
-			file := fmt.Sprintf(pattern, version)
-			path := filepath.Join("..", "..", "testdata", "compat", file)
-			if files[version], err = os.ReadFile(path); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := LoadSnapshot(path, g, fp)
-			if err != nil {
-				t.Fatalf("%s: %v", file, err)
-			}
-			snaps[file] = loaded
-			if loaded.Alg() != fresh.Alg() || loaded.Stats() != fresh.Stats() ||
-				loaded.HasHops() != fresh.HasHops() || loaded.HasPaths() != fresh.HasPaths() ||
-				!slices.Equal(loaded.Sources(), fresh.Sources()) {
-				t.Fatalf("%s: identity %s %+v hops=%v paths=%v, fresh %s %+v hops=%v paths=%v", file,
-					loaded.Alg(), loaded.Stats(), loaded.HasHops(), loaded.HasPaths(),
-					fresh.Alg(), fresh.Stats(), fresh.HasHops(), fresh.HasPaths())
-			}
-			for row := 0; row < fresh.K(); row++ {
-				for v := 0; v < fresh.N(); v++ {
-					if loaded.DistAt(row, v) != fresh.DistAt(row, v) ||
-						fresh.HasHops() && loaded.hopAt(row, v) != fresh.hopAt(row, v) ||
-						fresh.HasPaths() && loaded.parentAt(row, v) != fresh.parentAt(row, v) {
-						t.Fatalf("%s: cell (%d,%d) differs from a fresh computation", file, row, v)
-					}
+		pinned := compatFile(t, file)
+		loaded, err := LoadSnapshot(filepath.Join("..", "..", "testdata", "compat", file), g, fp)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if loaded.Alg() != fresh.Alg() || loaded.Stats() != fresh.Stats() ||
+			loaded.HasHops() != fresh.HasHops() || loaded.HasPaths() != fresh.HasPaths() ||
+			!slices.Equal(loaded.Sources(), fresh.Sources()) {
+			t.Fatalf("%s: identity %s %+v hops=%v paths=%v, fresh %s %+v hops=%v paths=%v", file,
+				loaded.Alg(), loaded.Stats(), loaded.HasHops(), loaded.HasPaths(),
+				fresh.Alg(), fresh.Stats(), fresh.HasHops(), fresh.HasPaths())
+		}
+		for row := 0; row < fresh.K(); row++ {
+			for v := 0; v < fresh.N(); v++ {
+				if loaded.DistAt(row, v) != fresh.DistAt(row, v) ||
+					fresh.HasHops() && loaded.hopAt(row, v) != fresh.hopAt(row, v) ||
+					fresh.HasPaths() && loaded.parentAt(row, v) != fresh.parentAt(row, v) {
+					t.Fatalf("%s: cell (%d,%d) differs from a fresh computation", file, row, v)
 				}
 			}
 		}
-		for name, snap := range snaps {
+		for name, snap := range map[string]*Snapshot{"fresh": fresh, "loaded": loaded} {
 			out := filepath.Join(t.TempDir(), "out.snap")
 			if err := SaveSnapshot(out, snap); err != nil {
 				t.Fatal(err)
 			}
-			if again, _ := os.ReadFile(out); !bytes.Equal(again, files[2]) {
-				t.Errorf("%s: the %s snapshot saves %d bytes that differ from the version 2 file's %d", pattern, name, len(again), len(files[2]))
+			if again, _ := os.ReadFile(out); !bytes.Equal(again, pinned) {
+				t.Errorf("%s: the %s snapshot saves %d bytes that differ from the fixture's %d", file, name, len(again), len(pinned))
 			}
-		}
-		if !bytes.Equal(asV1(files[2]), files[1]) {
-			t.Errorf("%s: the version 2 file with version 1's header and checksum is not the version 1 file", pattern)
 		}
 	}
 }
 
-// TestRecoverDirMixedVersions is the upgrade path: an autosave dir that
-// holds a version 1 file from before the upgrade and a newer version 2
-// save. Recovery serves the newer file, and once it is gone the older
-// one; neither is quarantined.
+// TestRecoverDirMixedVersions is the one-way upgrade: an autosave dir
+// that holds a version 1 file from an older build and a newer version 2
+// save. Recovery serves the newer file; once it is gone, the version 1
+// file is refused by its version, quarantined, and the boot is cold.
 func TestRecoverDirMixedVersions(t *testing.T) {
 	g := compatGraph()
 	fp := checkpoint.Fingerprint(g)
 	dir := t.TempDir()
-	v1, err := os.ReadFile(filepath.Join("..", "..", "testdata", "compat", "oracle-v1.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	old := filepath.Join(dir, "snap-00000000000000000001-g1.snap")
-	if err := os.WriteFile(old, v1, 0o644); err != nil {
+	if err := os.WriteFile(old, withVersion(compatFile(t, "oracle-v2.snap"), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	hourAgo := time.Now().Add(-time.Hour)
 	if err := os.Chtimes(old, hourAgo, hourAgo); err != nil {
 		t.Fatal(err)
 	}
-	in, err := Compute(context.Background(), g, compatSpecs["oracle-v%d.snap"])
+	in, err := Compute(context.Background(), g, compatSpecs["oracle-v2.snap"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,18 +497,27 @@ func TestRecoverDirMixedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{newer, old} {
-		got, path, err := RecoverDir(dir, g, fp, nil)
-		if err != nil || got == nil || path != want {
-			t.Fatalf("RecoverDir = (%v, %q, %v), want %q", got != nil, path, err, want)
-		}
-		assertSameAnswers(t, fresh, got)
-		if q, _ := filepath.Glob(filepath.Join(dir, "*"+QuarantineSuffix)); len(q) != 0 {
-			t.Fatalf("quarantined %v", q)
-		}
-		if err := os.Remove(path); err != nil {
-			t.Fatal(err)
-		}
+	var logged bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&logged, nil))
+	got, path, err := RecoverDir(dir, g, fp, log)
+	if err != nil || got == nil || path != newer {
+		t.Fatalf("RecoverDir = (%v, %q, %v), want %q", got != nil, path, err, newer)
+	}
+	assertSameAnswers(t, fresh, got)
+	if q, _ := filepath.Glob(filepath.Join(dir, "*"+QuarantineSuffix)); len(q) != 0 {
+		t.Fatalf("quarantined %v while a newer save was served", q)
+	}
+	if err := os.Remove(newer); err != nil {
+		t.Fatal(err)
+	}
+	if got, path, err := RecoverDir(dir, g, fp, log); got != nil || path != "" || err != nil {
+		t.Fatalf("RecoverDir over a version 1 file = (%v, %q, %v), want a cold boot", got != nil, path, err)
+	}
+	if _, err := os.Stat(old + QuarantineSuffix); err != nil {
+		t.Fatalf("version 1 file not quarantined: %v", err)
+	}
+	if !strings.Contains(logged.String(), "unsupported version 1") {
+		t.Fatalf("quarantine log does not name the version:\n%s", logged.String())
 	}
 }
 
