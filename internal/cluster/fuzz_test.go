@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/graph"
+	"repro/internal/inproc"
 	"repro/internal/oracle"
 )
 
@@ -66,23 +67,9 @@ func FuzzMapLoad(f *testing.F) {
 	})
 }
 
-// hostHandlers is a socket-free transport: each request is served by the
-// handler registered for its host.
-type hostHandlers map[string]http.Handler
-
-func (h hostHandlers) RoundTrip(req *http.Request) (*http.Response, error) {
-	handler, ok := h[req.URL.Host]
-	if !ok {
-		return nil, fmt.Errorf("no backend for %q", req.URL.Host)
-	}
-	rec := httptest.NewRecorder()
-	handler.ServeHTTP(rec, req)
-	return rec.Result(), nil
-}
-
 // FuzzBatchBody posts arbitrary /batch bodies, in process, to a backend
 // serving every source and to a router over two shard backends it reaches
-// through hostHandlers. Neither handler may panic or answer with a status
+// on an inproc.Net. Neither handler may panic or answer with a status
 // its /batch path does not produce. A body that does not decode as a whole
 // is refused; every 200 must decode to one result per query in query order,
 // each carrying its own query's src and dst back.
@@ -101,18 +88,18 @@ func FuzzBatchBody(f *testing.F) {
 		srv.Publish(snap)
 		return srv
 	}
-	backends := hostHandlers{}
+	var backends inproc.Net
 	var replicaSets [][]string
 	for k := 0; k < 2; k++ {
 		host := fmt.Sprintf("apsp-shard-%d:80", k)
-		backends[host] = serve(k, 2).Handler()
+		backends.Set(host, serve(k, 2).Handler())
 		replicaSets = append(replicaSets, []string{"http://" + host})
 	}
 	m, err := NewContiguous(n, fmt.Sprintf("%016x", checkpoint.Fingerprint(g)), replicaSets)
 	if err != nil {
 		f.Fatal(err)
 	}
-	router, err := NewRouter(Options{Map: m, Inner: backends, Seed: 1})
+	router, err := NewRouter(Options{Map: m, Inner: &backends, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -206,7 +193,9 @@ func FuzzShardHeaders(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	router, err := NewRouter(Options{Map: m, Inner: hostHandlers{"apsp-shard-0:80": backend}, Seed: 1})
+	var backends inproc.Net
+	backends.Set("apsp-shard-0:80", backend)
+	router, err := NewRouter(Options{Map: m, Inner: &backends, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}

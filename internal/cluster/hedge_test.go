@@ -4,30 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/httpfault"
 )
-
-// hostFaultTransport routes requests to one faulty host through an
-// httpfault injector and everything else straight through — the test
-// topology for "one replica is sick, the other is fine".
-type hostFaultTransport struct {
-	faulty string // host:port whose traffic is chaos-wrapped
-	ft     *httpfault.Transport
-	inner  http.RoundTripper
-}
-
-func (t *hostFaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Host == t.faulty {
-		return t.ft.RoundTrip(req)
-	}
-	return t.inner.RoundTrip(req)
-}
 
 // TestRouterHedgesAcrossReplicas is the cross-replica hedging gate
 // (satellite of the cluster PR): with one of a shard's two replicas
@@ -36,33 +17,20 @@ func (t *hostFaultTransport) RoundTrip(req *http.Request) (*http.Response, error
 // and the router's HedgeWins accounting shows the rescue. A blackholed
 // replica costs one hedge delay, not an attempt timeout.
 func TestRouterHedgesAcrossReplicas(t *testing.T) {
-	tc := startCluster(t, 8, 1, 2, Options{}) // placeholder: rebuilt below with a faulty inner
-	// startCluster wired both replicas healthy; rebuild the router with an
-	// inner transport that blackholes every request to replica 0.
-	inner := &http.Transport{}
-	defer inner.CloseIdleConnections()
-	faulty := strings.TrimPrefix(tc.back[0][0].URL, "http://")
-	ft := &httpfault.Transport{Plan: httpfault.Plan{Seed: 3, Blackhole: 1}, Inner: inner}
-	router, err := NewRouter(Options{
-		Map:            tc.m,
-		Inner:          &hostFaultTransport{faulty: faulty, ft: ft, inner: inner},
-		AttemptTimeout: 2 * time.Second,
-		MaxAttempts:    3,
-		HedgeDelay:     5 * time.Millisecond,
-		Seed:           11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(router.Handler())
-	defer front.Close()
+	tc := startCluster(t, 8, 1, 2, Options{AttemptTimeout: 2 * time.Second, MaxAttempts: 3, HedgeDelay: 5 * time.Millisecond, Seed: 11})
+	// Replica 0 blackholes every request: it takes it and never answers.
+	var blackholes atomic.Int64
+	tc.net.Set(tc.backs[0][0].Host, http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		blackholes.Add(1)
+		<-r.Context().Done()
+	}))
 
 	for i := 0; i < 8; i++ {
 		start := time.Now()
 		var d struct {
 			Gen uint64 `json:"gen"`
 		}
-		status, _ := getJSON(t, fmt.Sprintf("%s/dist?src=%d&dst=0", front.URL, i), &d)
+		status, _ := tc.get(t, fmt.Sprintf("/dist?src=%d&dst=0", i), &d)
 		if status != http.StatusOK || d.Gen != 1 {
 			t.Fatalf("dist(%d,0) through a half-blackholed shard: status %d gen %d", i, status, d.Gen)
 		}
@@ -72,13 +40,13 @@ func TestRouterHedgesAcrossReplicas(t *testing.T) {
 			t.Fatalf("dist(%d,0) took %v — hedging did not rescue the blackholed primary", i, dur)
 		}
 	}
-	if bh := ft.Snapshot().Blackholes; bh == 0 {
+	if blackholes.Load() == 0 {
 		t.Fatal("the faulty replica was never hit — the test proved nothing")
 	}
 
 	// The rescue is visible in the router's own accounting, via the same
 	// /metrics surface operators scrape.
-	resp, err := http.Get(front.URL + "/metrics")
+	resp, err := tc.http.Get("http://router/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,54 +86,15 @@ func (h *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // same replicas. The counting handlers are installed before any traffic
 // flows, so the counts are exhaustive.
 func TestRouterNeverHedgesMutations(t *testing.T) {
-	tc := startCluster(t, 8, 1, 2, Options{})
-	// startCluster's backends are discarded; fresh ones wrap the same
-	// oracle servers in trigger-counting handlers.
-	for r := 0; r < 2; r++ {
-		tc.back[0][r].Close()
-	}
+	tc := startCluster(t, 8, 1, 2, Options{HedgeDelay: time.Millisecond, Seed: 5,
+		RolloutPoll: 5 * time.Millisecond, RolloutTimeout: 10 * time.Second})
 	counters := make([]*countingHandler, 2)
-	bases := make([]string, 2)
-	for r := 0; r < 2; r++ {
-		counters[r] = &countingHandler{inner: tc.servers[0][r].Handler()}
-		ts := httptest.NewServer(counters[r])
-		defer ts.Close()
-		bases[r] = ts.URL
+	for r, b := range tc.backs[0] {
+		counters[r] = &countingHandler{inner: b.Server().Handler()}
+		tc.net.Set(b.Host, counters[r])
 	}
-	m, err := NewContiguous(8, tc.m.Fingerprint, [][]string{bases})
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, err := NewRouter(Options{
-		Map: m, HedgeDelay: time.Millisecond, Seed: 5,
-		RolloutPoll: 5 * time.Millisecond, RolloutTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(router.Handler())
-	defer front.Close()
-
-	resp, err := http.Post(front.URL+"/admin/recompute", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("trigger status %d", resp.StatusCode)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		var h clusterHealth
-		status, _ := getJSON(t, front.URL+"/healthz", &h)
-		if status == http.StatusOK && !h.Rollout && len(h.Shards) == 1 && h.Shards[0].Gen >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rollout never completed: %+v", h)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	postRecompute(t, tc)
+	tc.awaitRollout(t, func(h clusterHealth) bool { return len(h.Shards) == 1 && h.Shards[0].Gen >= 2 })
 	for r, c := range counters {
 		if got := c.recomputes.Load(); got != 1 {
 			t.Fatalf("recompute reached replica %d %d times, want exactly 1 (mutations must never hedge or retry)", r, got)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -14,32 +13,30 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/graph"
+	"repro/internal/inproc"
 	"repro/internal/oracle"
 )
-
-// within waits up to d for cond, polling every millisecond.
-func within(d time.Duration, cond func() bool) bool {
-	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			return false
-		}
-	}
-	return true
-}
 
 // postRecompute triggers a rollout at the router and requires the 202.
 func postRecompute(t *testing.T, tc *testCluster) {
 	t.Helper()
-	resp, err := http.Post(tc.front.URL+"/admin/recompute", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	if status, _ := tc.do(t, http.MethodPost, "/admin/recompute", "", nil); status != http.StatusAccepted {
+		t.Fatalf("recompute trigger status %d, want 202", status)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("recompute trigger status %d, want 202", resp.StatusCode)
+}
+
+// awaitRollout waits up to 15 s for /healthz to answer 200 with no rollout
+// running and done(health) true.
+func (tc *testCluster) awaitRollout(t *testing.T, done func(clusterHealth) bool) {
+	t.Helper()
+	var h clusterHealth
+	if inproc.Await(15*time.Second, func() bool {
+		h = clusterHealth{}
+		status, _ := tc.get(t, "/healthz", &h)
+		return status == http.StatusOK && !h.Rollout && done(h)
+	}) != nil {
+		t.Fatalf("rollout never completed: %+v", h)
 	}
 }
 
@@ -52,8 +49,8 @@ func TestRouterRolloutOverlapsAutosave(t *testing.T) {
 	saving := make([]chan uint64, 3)
 	release := make([]func(), 3)
 	triggered := make([]chan struct{}, 3)
-	for k, srvs := range tc.servers {
-		srv := srvs[0]
+	for k, backs := range tc.backs {
+		srv := backs[0].Server()
 		saving[k], triggered[k] = make(chan uint64, 1), make(chan struct{}, 1)
 		gate := make(chan struct{})
 		release[k] = sync.OnceFunc(func() { close(gate) })
@@ -89,7 +86,7 @@ func TestRouterRolloutOverlapsAutosave(t *testing.T) {
 	}
 	rolling := func() bool {
 		var h clusterHealth
-		getJSON(t, tc.front.URL+"/healthz", &h)
+		tc.get(t, "/healthz", &h)
 		return h.Rollout && tc.router.Metrics().RolloutActive.Value() == 1
 	}
 
@@ -110,12 +107,12 @@ func TestRouterRolloutOverlapsAutosave(t *testing.T) {
 		}
 	}
 	release[2]()
-	if !within(5*time.Second, func() bool { return !rolling() }) {
+	if inproc.Await(5*time.Second, func() bool { return !rolling() }) != nil {
 		t.Fatal("rollout still active after every save returned")
 	}
 	// (c) Every shard serves the new generation; nothing failed.
 	var h clusterHealth
-	if status, _ := getJSON(t, tc.front.URL+"/healthz", &h); status != http.StatusOK {
+	if status, _ := tc.get(t, "/healthz", &h); status != http.StatusOK {
 		t.Fatalf("healthz after the rollout: %d %+v", status, h)
 	}
 	for _, sh := range h.Shards {
@@ -147,47 +144,32 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// TestRouterRolloutCrashBeforeSave kills shard 0 inside its AfterPublish
-// (published, not saved) during a router rollout and restarts it from its
-// autosave dir, as apspd boots. The later shards roll anyway; the settle
-// phase sees the replica back at an older generation and fails the
-// rollout at once, not at the timeout; the restart serves the previous
-// generation; and no answer through the router is wrong.
+// TestRouterRolloutCrashBeforeSave kills shard 0 between its publish and
+// its autosave during a router rollout and restarts it from its autosave
+// dir, as apspd boots. The later shards roll anyway; the settle phase sees
+// the replica back at an older generation and fails the rollout at once,
+// not at the timeout; the restart serves the previous generation; and no
+// answer through the router is wrong.
 func TestRouterRolloutCrashBeforeSave(t *testing.T) {
 	var logs syncBuffer
 	const timeout = 10 * time.Second
 	tc := startCluster(t, 24, 3, 1, Options{RolloutPoll: 5 * time.Millisecond, RolloutTimeout: timeout,
 		Log: slog.New(slog.NewTextHandler(&logs, nil))})
-	fp := checkpoint.Fingerprint(tc.g)
-	dir := t.TempDir()
-	autosave := oracle.Autosave(dir, 2, slog.New(slog.DiscardHandler))
-	autosave(tc.servers[0][0].Store.Current())
-
-	// The process that replaces shard 0: apspd's boot from its autosave dir.
-	restarted := make(chan time.Time, 1)
-	boot := func() {
-		snap, _, err := oracle.RecoverDir(dir, tc.g, fp, slog.New(slog.DiscardHandler))
-		if err != nil || snap == nil {
-			t.Errorf("restart from %s: snapshot %v, err %v", dir, snap != nil, err)
-			return
-		}
-		srv := &oracle.Server{Store: &oracle.Store{}, Cache: oracle.NewPathCache(1024), Met: oracle.NewMetrics(),
-			ShardID: FormatShardID(0, 3), Recompute: tc.servers[0][0].Recompute, AfterPublish: autosave}
-		srv.Publish(snap)
-		tc.live[0][0].set(srv.Handler())
-		restarted <- time.Now()
-	}
+	b := tc.backs[0][0]
 	laterRolled := func() bool {
-		return tc.servers[1][0].Store.Current().Gen() == 2 && tc.servers[2][0].Store.Current().Gen() == 2
+		return tc.backs[1][0].Server().Store.Current().Gen() == 2 && tc.backs[2][0].Server().Store.Current().Gen() == 2
 	}
-	tc.servers[0][0].AfterPublish = func(*oracle.Snapshot) {
-		if !within(5*time.Second, laterRolled) {
+	// Shard 0 sits between its publish and its save until the later shards
+	// rolled, then its armed hook kills it in place of the save.
+	srv := b.Server()
+	die := srv.AfterPublish
+	srv.AfterPublish = func(s *oracle.Snapshot) {
+		if inproc.Await(5*time.Second, laterRolled) != nil {
 			t.Error("shards 1 and 2 did not roll while shard 0 sat between its publish and its save")
 		}
-		tc.live[0][0].set(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) }))
-		time.Sleep(20 * time.Millisecond) // a few failed polls while the replica is down
-		boot()
+		die(s)
 	}
+	b.Crash()
 
 	// A reader beside the rollout; every answer it gets must be right.
 	want := make([][]int64, tc.g.N())
@@ -218,13 +200,15 @@ func TestRouterRolloutCrashBeforeSave(t *testing.T) {
 	}()
 
 	postRecompute(t, tc)
-	var at time.Time
-	select {
-	case at = <-restarted:
-	case <-time.After(timeout):
-		t.Fatal("shard 0 never restarted")
+	if inproc.Await(timeout, func() bool { return b.Server() == nil }) != nil {
+		t.Fatal("shard 0 never died")
 	}
-	if !within(timeout/2, func() bool { return tc.router.Metrics().RolloutActive.Value() == 0 }) {
+	time.Sleep(20 * time.Millisecond) // a few failed polls while the replica is down
+	if recovered, err := b.Restart(tc.g); err != nil || !recovered {
+		t.Fatalf("restart from %s: recovered %v, err %v", b.Dir, recovered, err)
+	}
+	at := time.Now()
+	if inproc.Await(timeout/2, func() bool { return tc.router.Metrics().RolloutActive.Value() == 0 }) != nil {
 		t.Fatal("rollout still active long after shard 0 came back at an older generation")
 	}
 	if d := time.Since(at); d > timeout/4 {
@@ -234,17 +218,17 @@ func TestRouterRolloutCrashBeforeSave(t *testing.T) {
 	if v := tc.router.Metrics().RolloutFails.Value(); v != 1 {
 		t.Fatalf("RolloutFails = %v, want 1", v)
 	}
-	if rec := logs.String(); !strings.Contains(rec, "rollout aborted") || !strings.Contains(rec, tc.back[0][0].URL) ||
+	if rec := logs.String(); !strings.Contains(rec, "rollout aborted") || !strings.Contains(rec, "http://"+b.Host) ||
 		!strings.Contains(rec, "restarted before its save") {
 		t.Fatalf("abort record does not name the lost replica:\n%s", rec)
 	}
 
 	// The restart serves the autosave of gen 1; the gen-2 save never ran.
-	if saved, _ := filepath.Glob(filepath.Join(dir, "*-g2.snap")); len(saved) != 0 {
+	if saved, _ := filepath.Glob(filepath.Join(b.Dir, "*-g2.snap")); len(saved) != 0 {
 		t.Fatalf("gen 2 reached the disk: %v", saved)
 	}
 	var h clusterHealth
-	getJSON(t, tc.front.URL+"/healthz", &h)
+	tc.get(t, "/healthz", &h)
 	for _, sh := range h.Shards {
 		if wantGen := map[bool]uint64{true: 1, false: 2}[sh.ID == 0]; sh.Gen != wantGen {
 			t.Fatalf("shard %d at gen %d after the aborted rollout, want %d", sh.ID, sh.Gen, wantGen)
@@ -265,7 +249,7 @@ func TestRouterRolloutCrashBeforeSave(t *testing.T) {
 // checkDist asks the router for dist(src, dst) and returns why the answer
 // is wrong, or "" (a refusal or a failed request states no fact).
 func checkDist(tc *testCluster, want [][]int64, src, dst int) string {
-	resp, err := http.Get(fmt.Sprintf("%s/dist?src=%d&dst=%d", tc.front.URL, src, dst))
+	resp, err := tc.http.Get(fmt.Sprintf("http://router/dist?src=%d&dst=%d", src, dst))
 	if err != nil {
 		return ""
 	}

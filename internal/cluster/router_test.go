@@ -1,35 +1,35 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
-	"net/http/httptest"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/family"
 	"repro/internal/graph"
+	"repro/internal/inproc"
 	"repro/internal/oracle"
 )
 
-// testCluster is an in-process cluster: real oracle servers behind real
-// httptest listeners, fronted by a Router behind its own listener —
-// everything the production topology has except separate processes.
+// testCluster is an in-process cluster on an inproc.Net: oracle backends
+// with autosave dirs, fronted by a Router on the same network, reached
+// through one client — the production topology without sockets or
+// separate processes. The router's real-socket coverage is cmd/apsprouter's
+// tests and make cluster-smoke.
 type testCluster struct {
-	g       *graph.Graph
-	m       *Map
-	servers [][]*oracle.Server   // [shard][replica]
-	back    [][]*httptest.Server // [shard][replica]
-	live    [][]*swapHandler     // [shard][replica]: the process behind back
-	router  *Router
-	front   *httptest.Server
+	g      *graph.Graph
+	m      *Map
+	net    *inproc.Net
+	backs  [][]*inproc.Backend // [shard][replica]
+	router *Router             // host "router"
+	http   *http.Client
 }
 
 // buildShardSnapE computes shard k's snapshot with the reference solver:
@@ -58,84 +58,70 @@ func buildShardSnap(t *testing.T, g *graph.Graph, k, nShards int) *oracle.Snapsh
 	return snap
 }
 
-// startCluster boots nShards shards with `replicas` servers each over a
-// seeded random graph, and a router over them. opts.Map and opts.Seed are
-// filled in; everything else is the caller's.
+// startCluster boots nShards shards with `replicas` backends each over a
+// seeded random graph, and a router over them. opts.Map, opts.Inner and a
+// zero opts.Seed are filled in; everything else is the caller's.
 func startCluster(t *testing.T, n, nShards, replicas int, opts Options) *testCluster {
 	t.Helper()
-	tc := &testCluster{g: graph.Random(n, 4*n, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.25, Directed: true})}
+	tc := &testCluster{g: graph.Random(n, 4*n, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.25, Directed: true}), net: &inproc.Net{}}
+	tc.http = &http.Client{Transport: tc.net}
 	replicaSets := make([][]string, nShards)
-	for k := 0; k < nShards; k++ {
-		snap := buildShardSnap(t, tc.g, k, nShards)
-		var srvs []*oracle.Server
-		var backs []*httptest.Server
-		var lives []*swapHandler
-		for r := 0; r < replicas; r++ {
-			k := k
-			srv := &oracle.Server{
-				Store: &oracle.Store{}, Cache: oracle.NewPathCache(1024),
-				Met: oracle.NewMetrics(), ShardID: FormatShardID(k, nShards),
-				Recompute: func(ctx context.Context) (*oracle.Snapshot, error) {
-					return buildShardSnapE(tc.g, k, nShards)
-				},
+	for k := range nShards {
+		tc.backs = append(tc.backs, nil)
+		for r := range replicas {
+			b := &inproc.Backend{Net: tc.net, Host: fmt.Sprintf("s%dr%d", k, r), Dir: t.TempDir(), ShardID: FormatShardID(k, nShards),
+				Log:   slog.New(slog.NewTextHandler(io.Discard, nil)),
+				Build: func(g *graph.Graph) (*oracle.Snapshot, error) { return buildShardSnapE(g, k, nShards) },
+				Next:  func(uint64) *graph.Graph { return tc.g }}
+			if _, err := b.Restart(tc.g); err != nil {
+				t.Fatal(err)
 			}
-			srv.Publish(snap)
-			h := &swapHandler{}
-			h.set(srv.Handler())
-			ts := httptest.NewServer(h)
-			t.Cleanup(ts.Close)
-			srvs = append(srvs, srv)
-			backs = append(backs, ts)
-			lives = append(lives, h)
-			replicaSets[k] = append(replicaSets[k], ts.URL)
+			t.Cleanup(func() { b.Kill() })
+			tc.backs[k] = append(tc.backs[k], b)
+			replicaSets[k] = append(replicaSets[k], "http://"+b.Host)
 		}
-		tc.servers = append(tc.servers, srvs)
-		tc.back = append(tc.back, backs)
-		tc.live = append(tc.live, lives)
 	}
 	m, err := NewContiguous(n, fmt.Sprintf("%016x", checkpoint.Fingerprint(tc.g)), replicaSets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc.m = m
-	opts.Map = m
+	opts.Map, opts.Inner = m, tc.net
 	if opts.Seed == 0 {
 		opts.Seed = 42
 	}
-	router, err := NewRouter(opts)
-	if err != nil {
+	if tc.router, err = NewRouter(opts); err != nil {
 		t.Fatal(err)
 	}
-	tc.router = router
-	tc.front = httptest.NewServer(router.Handler())
-	t.Cleanup(tc.front.Close)
+	tc.net.Set("router", tc.router.Handler())
 	return tc
 }
 
-// swapHandler is a backend's process behind its listener: a test replaces
-// it to kill and restart the backend at the same address.
-type swapHandler struct{ h atomic.Pointer[http.Handler] }
-
-func (s *swapHandler) set(h http.Handler) { s.h.Store(&h) }
-
-func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	(*s.h.Load()).ServeHTTP(w, r)
-}
-
-func getJSON(t *testing.T, url string, out any) (int, http.Header) {
+// do sends one request to the router and decodes its JSON answer into out
+// (nil: the body is discarded).
+func (tc *testCluster) do(t *testing.T, method, path, body string, out any) (int, http.Header) {
 	t.Helper()
-	resp, err := http.Get(url)
+	req, err := http.NewRequest(method, "http://router"+path, strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		t.Fatal(err)
+	}
+	resp, err := tc.http.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
+	raw, _ := io.ReadAll(resp.Body)
 	if out != nil {
-		if err := json.Unmarshal(body, out); err != nil {
-			t.Fatalf("GET %s: bad JSON %q: %v", url, body, err)
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatalf("%s %s: bad JSON %q: %v", method, path, raw, err)
 		}
 	}
 	return resp.StatusCode, resp.Header
+}
+
+func (tc *testCluster) get(t *testing.T, path string, out any) (int, http.Header) {
+	t.Helper()
+	return tc.do(t, http.MethodGet, path, "", out)
 }
 
 // TestRouterRoutesQueries: every (src, dst) answered through the router
@@ -151,7 +137,7 @@ func TestRouterRoutesQueries(t *testing.T) {
 				Dist      *int64 `json:"dist"`
 				Gen       uint64 `json:"gen"`
 			}
-			status, hdr := getJSON(t, fmt.Sprintf("%s/dist?src=%d&dst=%d", tc.front.URL, src, dst), &d)
+			status, hdr := tc.get(t, fmt.Sprintf("/dist?src=%d&dst=%d", src, dst), &d)
 			if status != http.StatusOK {
 				t.Fatalf("dist(%d,%d) status %d", src, dst, status)
 			}
@@ -178,13 +164,13 @@ func TestRouterRoutesQueries(t *testing.T) {
 		Path []int `json:"path"`
 		Dist int64 `json:"dist"`
 	}
-	if status, _ := getJSON(t, tc.front.URL+"/path?src=20&dst=3", &p); status != http.StatusOK && status != http.StatusNotFound {
+	if status, _ := tc.get(t, "/path?src=20&dst=3", &p); status != http.StatusOK && status != http.StatusNotFound {
 		t.Fatalf("path status %d", status)
 	}
 
 	// Cluster health: all shards up, fingerprints agree.
 	var h clusterHealth
-	if status, _ := getJSON(t, tc.front.URL+"/healthz", &h); status != http.StatusOK || h.Status != "ok" {
+	if status, _ := tc.get(t, "/healthz", &h); status != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("healthz: status %d body %+v", status, h)
 	}
 	if len(h.Shards) != 3 {
@@ -204,15 +190,6 @@ func TestRouterBatchScatter(t *testing.T) {
 	}
 	qs := []q{{Src: 0, Dst: 5}, {Src: 23, Dst: 1}, {Src: 9, Dst: 9}, {Src: 99, Dst: 0}, {Kind: "path", Src: 15, Dst: 2}, {Src: 3, Dst: 17}}
 	body, _ := json.Marshal(map[string]any{"queries": qs})
-	resp, err := http.Post(tc.front.URL+"/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
-	}
 	var out struct {
 		Gen     uint64 `json:"gen"`
 		Results []struct {
@@ -224,8 +201,9 @@ func TestRouterBatchScatter(t *testing.T) {
 			Status int    `json:"status"`
 		} `json:"results"`
 	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatalf("batch answer %q: %v", raw, err)
+	status, hdr := tc.do(t, http.MethodPost, "/batch", string(body), &out)
+	if status != http.StatusOK {
+		t.Fatalf("batch status %d: %+v", status, out)
 	}
 	if out.Gen != 1 || len(out.Results) != len(qs) {
 		t.Fatalf("batch gen=%d results=%d, want gen=1 results=%d", out.Gen, len(out.Results), len(qs))
@@ -251,8 +229,8 @@ func TestRouterBatchScatter(t *testing.T) {
 			t.Fatalf("path query %d came back without a path: %+v", i, r)
 		}
 	}
-	if resp.Header.Get(oracle.GenHeader) != "1" {
-		t.Fatalf("batch gen header %q", resp.Header.Get(oracle.GenHeader))
+	if hdr.Get(oracle.GenHeader) != "1" {
+		t.Fatalf("batch gen header %q", hdr.Get(oracle.GenHeader))
 	}
 }
 
@@ -263,10 +241,10 @@ func TestRouterShardFailure(t *testing.T) {
 	tc := startCluster(t, 12, 3, 1, Options{
 		AttemptTimeout: 200 * time.Millisecond, MaxAttempts: 2,
 	})
-	tc.back[1][0].Close() // shard 1 (sources 4..7) goes dark
+	tc.backs[1][0].Kill() // shard 1 (sources 4..7) goes dark
 
 	var probe struct{}
-	status, _ := getJSON(t, fmt.Sprintf("%s/dist?src=5&dst=0", tc.front.URL), &probe)
+	status, _ := tc.get(t, "/dist?src=5&dst=0", &probe)
 	if status != http.StatusBadGateway {
 		t.Fatalf("dist on a dead shard: status %d, want 502", status)
 	}
@@ -274,11 +252,6 @@ func TestRouterShardFailure(t *testing.T) {
 	body, _ := json.Marshal(map[string]any{"queries": []map[string]int{
 		{"src": 0, "dst": 1}, {"src": 5, "dst": 1}, {"src": 10, "dst": 1},
 	}})
-	resp, err := http.Post(tc.front.URL+"/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var out struct {
 		Results []struct {
 			Src    int    `json:"src"`
@@ -286,11 +259,8 @@ func TestRouterShardFailure(t *testing.T) {
 			Status int    `json:"status"`
 		} `json:"results"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || len(out.Results) != 3 {
-		t.Fatalf("batch status %d results %+v", resp.StatusCode, out.Results)
+	if status, _ := tc.do(t, http.MethodPost, "/batch", string(body), &out); status != http.StatusOK || len(out.Results) != 3 {
+		t.Fatalf("batch status %d results %+v", status, out.Results)
 	}
 	for i, r := range out.Results {
 		deadShard := r.Src == 5
@@ -303,7 +273,7 @@ func TestRouterShardFailure(t *testing.T) {
 	}
 
 	var h clusterHealth
-	status, _ = getJSON(t, tc.front.URL+"/healthz", &h)
+	status, _ = tc.get(t, "/healthz", &h)
 	if status != http.StatusServiceUnavailable || h.Status != "degraded" {
 		t.Fatalf("healthz with a dead shard: status %d body %+v", status, h)
 	}
@@ -319,16 +289,11 @@ func TestRouterMixedGenRefusal(t *testing.T) {
 		body, _ := json.Marshal(map[string]any{"queries": []map[string]int{
 			{"src": 0, "dst": 1}, {"src": 11, "dst": 1},
 		}})
-		resp, err := http.Post(tc.front.URL+"/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
 		var out struct {
 			Gen uint64 `json:"gen"`
 		}
-		_ = json.NewDecoder(resp.Body).Decode(&out)
-		return resp.StatusCode, out.Gen, resp.Header
+		status, hdr := tc.do(t, http.MethodPost, "/batch", string(body), &out)
+		return status, out.Gen, hdr
 	}
 
 	if status, gen, _ := batch(); status != http.StatusOK || gen != 1 {
@@ -336,7 +301,7 @@ func TestRouterMixedGenRefusal(t *testing.T) {
 	}
 
 	// Shard 1 moves to generation 2; shard 0 lags.
-	tc.servers[1][0].Publish(buildShardSnap(t, tc.g, 1, 2))
+	tc.backs[1][0].Server().Publish(buildShardSnap(t, tc.g, 1, 2))
 	status, _, hdr := batch()
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("mixed-generation batch answered %d, want 503", status)
@@ -352,7 +317,7 @@ func TestRouterMixedGenRefusal(t *testing.T) {
 	}
 
 	// Laggard catches up: the same batch serves again, single generation.
-	tc.servers[0][0].Publish(buildShardSnap(t, tc.g, 0, 2))
+	tc.backs[0][0].Server().Publish(buildShardSnap(t, tc.g, 0, 2))
 	if status, gen, _ := batch(); status != http.StatusOK || gen != 2 {
 		t.Fatalf("post-rollout batch: status %d gen %d, want 200 gen 2", status, gen)
 	}
@@ -367,26 +332,9 @@ func TestRouterRollout(t *testing.T) {
 	})
 	postRecompute(t, tc)
 
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		var h clusterHealth
-		status, _ := getJSON(t, tc.front.URL+"/healthz", &h)
-		done := status == http.StatusOK && !h.Rollout
-		if done {
-			for _, sh := range h.Shards {
-				if sh.Gen != 2 {
-					done = false
-				}
-			}
-		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rollout never completed: %+v", h)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	tc.awaitRollout(t, func(h clusterHealth) bool {
+		return !slices.ContainsFunc(h.Shards, func(sh shardHealth) bool { return sh.Gen != 2 })
+	})
 	if v := tc.router.Metrics().Rollouts.Value(); v != 1 {
 		t.Fatalf("Rollouts = %v, want 1", v)
 	}
@@ -407,18 +355,13 @@ func TestRouterInputErrors(t *testing.T) {
 		{"/dist?src=99&dst=0", http.StatusNotFound},
 		{"/dist?src=-1&dst=0", http.StatusNotFound},
 	} {
-		if status, _ := getJSON(t, tc.front.URL+c.path, nil); status != c.want {
+		if status, _ := tc.get(t, c.path, nil); status != c.want {
 			t.Errorf("%s: status %d, want %d", c.path, status, c.want)
 		}
 	}
 	post := func(body string) int {
-		resp, err := http.Post(tc.front.URL+"/batch", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
+		status, _ := tc.do(t, http.MethodPost, "/batch", body, nil)
+		return status
 	}
 	if status := post("{not json"); status != http.StatusBadRequest {
 		t.Errorf("bad body: %d", status)

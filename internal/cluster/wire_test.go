@@ -12,12 +12,13 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/family"
 	"repro/internal/graph"
+	"repro/internal/inproc"
 	"repro/internal/oracle"
 )
 
 // wireTranscript drives the query surface of a whole-graph backend, a
 // distance-only backend and a two-shard router (in process, through
-// hostHandlers) with every answer and refusal the query path can give
+// an inproc.Net) with every answer and refusal the query path can give
 // without load, and records each exchange: request, status, the headers a
 // client acts on, and the body byte for byte.
 func wireTranscript(t *testing.T) string {
@@ -29,18 +30,18 @@ func wireTranscript(t *testing.T) string {
 		srv.Publish(snap)
 		return srv.Handler()
 	}
-	backends := hostHandlers{}
+	var backends inproc.Net
 	var replicaSets [][]string
 	for k := 0; k < 2; k++ {
 		host := fmt.Sprintf("apsp-shard-%d:80", k)
-		backends[host] = serve(buildShardSnap(t, g, k, 2), FormatShardID(k, 2))
+		backends.Set(host, serve(buildShardSnap(t, g, k, 2), FormatShardID(k, 2)))
 		replicaSets = append(replicaSets, []string{"http://" + host})
 	}
 	m, err := NewContiguous(n, fmt.Sprintf("%016x", checkpoint.Fingerprint(g)), replicaSets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := NewRouter(Options{Map: m, Inner: backends, Seed: 1})
+	router, err := NewRouter(Options{Map: m, Inner: &backends, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/httpfault"
+	"repro/internal/inproc"
 	"repro/internal/key"
 	"repro/internal/oracle"
 )
@@ -188,13 +188,10 @@ type version struct {
 	dist [][]int64
 }
 
-// replica is one backend of the drill; srv is nil while it is down.
+// replica is one backend of the drill and the shard it serves.
 type replica struct {
-	shard     int
-	host, dir string
-	srv       *oracle.Server
-	saved     int  // content version of its newest autosave
-	crash     bool // die at the next publish, before the autosave
+	inproc.Backend
+	shard int
 }
 
 // drill is one in-process serving tier: shards × replicas oracle backends
@@ -206,7 +203,7 @@ type drill struct {
 	base      *graph.Graph
 	m         *cluster.Map // the source ranges, shared by every router's map
 	reps      []*replica
-	net       hostNet
+	net       inproc.Net
 	faults    atomic.Pointer[httpfault.Transport]
 	retired   atomic.Uint64 // faults injected by replaced transports
 	admin     *http.Client  // recompute triggers, unjudged
@@ -232,21 +229,25 @@ func newDrill(n, m int, seed int64, shards, replicas int, routed bool) (*drill, 
 		base:   graph.Random(n, m, graph.GenOpts{Seed: seed, MaxW: 8, ZeroFrac: 0.25, Directed: true}),
 		census: map[string]int{}, gens: make([]map[uint64][]int, shards), sets: make([][]string, shards)}
 	d.log = slog.New(slog.NewTextHandler(&d.errs, &slog.HandlerOptions{Level: slog.LevelError}))
-	d.net.hosts = map[string]*liveHost{}
 	d.admin = &http.Client{Transport: &d.net}
 	d.faults.Store(&httpfault.Transport{Inner: &d.net})
 	for i := range shards * replicas {
-		rep := &replica{shard: i / replicas, host: fmt.Sprintf("s%dr%d", i/replicas, i%replicas)}
-		rep.dir = filepath.Join(root, rep.host)
-		d.reps = append(d.reps, rep)
-		d.gens[rep.shard] = map[uint64][]int{}
-		d.sets[rep.shard] = append(d.sets[rep.shard], "http://"+rep.host)
+		k, host := i/replicas, fmt.Sprintf("s%dr%d", i/replicas, i%replicas)
+		d.reps = append(d.reps, &replica{shard: k, Backend: inproc.Backend{Net: &d.net, Host: host, Dir: filepath.Join(root, host),
+			ShardID: cluster.FormatShardID(k, shards), Log: d.log,
+			Build: func(g *graph.Graph) (*oracle.Snapshot, error) { return d.build(k, g) },
+			Next: func(gen uint64) *graph.Graph {
+				var v int
+				d.locked(func() { v = d.target })
+				d.noteGen(k, gen, v)
+				return d.version(v).g
+			}}})
+		d.gens[k] = map[uint64][]int{}
+		d.sets[k] = append(d.sets[k], "http://"+host)
 	}
 	d.m, err = cluster.NewContiguous(n, "", d.sets)
 	for i := 0; i < len(d.reps) && err == nil; i++ {
-		if err = os.Mkdir(d.reps[i].dir, 0o755); err == nil {
-			_, err = d.restart(d.reps[i])
-		}
+		_, err = d.restart(d.reps[i])
 	}
 	if err == nil && routed {
 		err = d.route(d.sets)
@@ -260,9 +261,9 @@ func newDrill(n, m int, seed int64, shards, replicas int, routed bool) (*drill, 
 
 func (d *drill) close() {
 	for _, rep := range d.reps {
-		d.kill(rep)
+		rep.Kill()
 	}
-	d.net.set("router", nil)
+	d.net.Set("router", nil)
 	os.RemoveAll(d.root)
 }
 
@@ -302,19 +303,18 @@ func (d *drill) version(v int) (ver *version) {
 	return ver
 }
 
-// build computes shard k's snapshot of version v on the parallel backend.
-func (d *drill) build(k, v int) (*oracle.Snapshot, error) {
-	ver := d.version(v)
+// build computes shard k's snapshot of g on the parallel backend.
+func (d *drill) build(k int, g *graph.Graph) (*oracle.Snapshot, error) {
 	sh := d.m.Shards[k]
 	sources := make([]int, 0, sh.K())
 	for s := sh.Lo; s < sh.Hi; s++ {
 		sources = append(sources, s)
 	}
-	in, err := oracle.Compute(context.Background(), ver.g, oracle.ComputeSpec{Alg: "pipeline", Backend: "parallel", Sources: sources})
+	in, err := oracle.Compute(context.Background(), g, oracle.ComputeSpec{Alg: "pipeline", Backend: "parallel", Sources: sources})
 	if err != nil {
 		return nil, err
 	}
-	return oracle.Build(ver.g, in, oracle.BuildOpts{Fingerprint: ver.fp})
+	return oracle.Build(g, in, oracle.BuildOpts{Fingerprint: checkpoint.Fingerprint(g)})
 }
 
 // noteGen records that shard k serves version v under generation gen. It
@@ -328,59 +328,15 @@ func (d *drill) noteGen(k int, gen uint64, v int) {
 	})
 }
 
-// restart follows apspd's boot: recover the newest loadable autosave of the
-// version rep last saved (oracle.RecoverDir quarantines corrupt files),
-// compute that version when none loads, publish on a fresh server wired
-// with the daemon's own autosave hook, and go on the network. It reports
+// restart boots rep the way apspd boots (inproc.Backend.Restart) with the
+// version it last saved, the base graph before its first save. It reports
 // whether the snapshot came from the autosave dir.
 func (d *drill) restart(rep *replica) (recovered bool, err error) {
-	d.kill(rep)
+	saved := rep.Saved()
 	var v int
-	d.locked(func() { v = rep.saved })
-	ver := d.version(v)
-	snap, _, err := oracle.RecoverDir(rep.dir, ver.g, ver.fp, d.log)
-	recovered = snap != nil
-	if err == nil && snap == nil {
-		snap, err = d.build(rep.shard, v)
-	}
-	if err != nil {
-		return false, err
-	}
+	d.locked(func() { v = max(slices.IndexFunc(d.versions, func(ver *version) bool { return ver.g == saved }), 0) })
 	d.noteGen(rep.shard, 1, v)
-	srv := &oracle.Server{Store: &oracle.Store{}, Cache: oracle.NewPathCache(4096), Met: oracle.NewMetrics(),
-		ShardID: cluster.FormatShardID(rep.shard, d.shards)}
-	srv.Recompute = func(context.Context) (*oracle.Snapshot, error) {
-		var v int
-		d.locked(func() { v = d.target })
-		d.noteGen(rep.shard, srv.Store.Current().Gen()+1, v)
-		return d.build(rep.shard, v)
-	}
-	// A killed server's late publish saves nothing: a dead process cannot.
-	autosave := oracle.Autosave(rep.dir, 2, d.log)
-	srv.AfterPublish = func(s *oracle.Snapshot) {
-		var live, crash bool
-		d.locked(func() { live = rep.srv == srv; crash = live && rep.crash; rep.crash = rep.crash && !crash })
-		switch {
-		case crash:
-			d.kill(rep)
-		case live:
-			autosave(s)
-			d.locked(func() {
-				rep.saved = slices.IndexFunc(d.versions, func(ver *version) bool { return ver.g == s.Graph() })
-			})
-		}
-	}
-	d.locked(func() { rep.srv = srv })
-	srv.Publish(snap)
-	d.net.set(rep.host, srv.Handler())
-	return recovered, nil
-}
-
-// kill takes rep off the network and reports whether it was up.
-func (d *drill) kill(rep *replica) (up bool) {
-	d.locked(func() { up, rep.srv = rep.srv != nil, nil })
-	d.net.set(rep.host, nil)
-	return up
+	return rep.Restart(d.version(v).g)
 }
 
 // recompute starts a new content version and asks host to build it.
@@ -409,16 +365,7 @@ func (d *drill) route(sets [][]string) error {
 		return err
 	}
 	d.locked(func() { d.router, d.sets = r, sets })
-	d.net.set("router", r.Handler())
-	return nil
-}
-
-func (d *drill) await(cond func() bool) error {
-	for deadline := time.Now().Add(time.Minute); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("still waiting after a minute")
-		}
-	}
+	d.net.Set("router", r.Handler())
 	return nil
 }
 
@@ -505,34 +452,33 @@ func (d *drill) run(script []op, co client.Options) (*tally, error) {
 				}()
 			}
 		case "await":
-			err = d.await(func() bool { return done.Load() >= launched.Load()/2 })
+			err = inproc.Await(time.Minute, func() bool { return done.Load() >= launched.Load()/2 })
 		case "rollout":
 			met := d.router.Metrics()
 			fails := met.RolloutFails.Value()
 			if err = d.recompute("router"); err == nil {
-				err = d.await(func() bool { return met.RolloutActive.Value() == 0 })
+				err = inproc.Await(time.Minute, func() bool { return met.RolloutActive.Value() == 0 })
 			}
 			if met.RolloutFails.Value() != fails {
 				t.aborted.Add(1)
 			}
 		case "kill":
-			took = d.kill(rep)
+			took = rep.Kill()
 		case "restart":
 			var recovered bool
 			if recovered, err = d.restart(rep); err == nil && !recovered {
 				name = "restart cold"
 				if o.b == 1 {
-					err = fmt.Errorf("nothing in %s's autosave dir loaded", rep.host)
+					err = fmt.Errorf("nothing in %s's autosave dir loaded", rep.Host)
 				}
 			}
 		case "crash":
-			d.locked(func() { took = rep.srv != nil; rep.crash = took })
-			if took {
-				_ = d.recompute(rep.host) // the 202 may die with the replica; the wait below is the check
-				err = d.await(func() (down bool) { d.locked(func() { down = rep.srv == nil }); return down })
+			if took = rep.Crash(); took {
+				_ = d.recompute(rep.Host) // the 202 may die with the replica; the wait below is the check
+				err = inproc.Await(time.Minute, func() bool { return rep.Server() == nil })
 			}
 		case "corrupt":
-			took, err = corruptNewest(rep.dir)
+			took, err = corruptNewest(rep.Dir)
 		case "faults":
 			d.setFaults(o.a, o.b)
 		case "remap":
@@ -540,7 +486,7 @@ func (d *drill) run(script []op, co client.Options) (*tally, error) {
 			sets[o.a] = nil
 			for i, rep := range d.reps {
 				if rep.shard == o.a && o.b>>(i%(len(d.reps)/d.shards))&1 == 1 {
-					sets[o.a] = append(sets[o.a], "http://"+rep.host)
+					sets[o.a] = append(sets[o.a], "http://"+rep.Host)
 				}
 			}
 			err = d.route(sets)
@@ -580,7 +526,7 @@ func (l *errLog) Write(p []byte) (int, error) {
 func (d *drill) stream(target int, key uint64) (host string, next func() oracle.Query) {
 	host, lo, hi := "router", 0, d.n
 	if rep := d.reps[max(target, 0)]; target >= 0 || !d.routed {
-		host, lo, hi = rep.host, d.m.Shards[rep.shard].Lo, d.m.Shards[rep.shard].Hi
+		host, lo, hi = rep.Host, d.m.Shards[rep.shard].Lo, d.m.Shards[rep.shard].Hi
 	}
 	x := uint64(d.seed)*0x9e3779b97f4a7c15 + (key+1)*0xbf58476d1ce4e5b9
 	return host, func() oracle.Query {
@@ -756,55 +702,4 @@ type backends struct{ d *drill }
 
 func (b backends) RoundTrip(req *http.Request) (*http.Response, error) {
 	return b.d.faults.Load().RoundTrip(req)
-}
-
-// hostNet is the drill's socket-free network: a request is served in
-// process by the handler registered for its host. Killing a host refuses
-// new requests and fails the ones in flight, as closing a listener and its
-// connections does, with no port to re-bind.
-type hostNet struct {
-	mu    sync.Mutex
-	hosts map[string]*liveHost
-}
-
-type liveHost struct {
-	h      http.Handler
-	ctx    context.Context
-	cancel context.CancelFunc
-}
-
-// set puts h on the network as host, or takes host off when h is nil,
-// killing whatever served it before.
-func (n *hostNet) set(host string, h http.Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if old := n.hosts[host]; old != nil {
-		old.cancel()
-	}
-	delete(n.hosts, host)
-	if h != nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		n.hosts[host] = &liveHost{h, ctx, cancel}
-	}
-}
-
-func (n *hostNet) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Body != nil {
-		defer req.Body.Close()
-	}
-	n.mu.Lock()
-	lh := n.hosts[req.URL.Host]
-	n.mu.Unlock()
-	if lh == nil {
-		return nil, fmt.Errorf("dial %s: connection refused", req.URL.Host)
-	}
-	ctx, cancel := context.WithCancel(req.Context())
-	defer cancel()
-	defer context.AfterFunc(lh.ctx, cancel)()
-	rec := httptest.NewRecorder()
-	lh.h.ServeHTTP(rec, req.WithContext(ctx))
-	if lh.ctx.Err() != nil {
-		return nil, fmt.Errorf("%s: connection reset: host killed mid-request", req.URL.Host)
-	}
-	return rec.Result(), nil
 }

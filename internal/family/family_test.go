@@ -22,6 +22,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/hssp"
+	"repro/internal/inproc"
 	"repro/internal/posweight"
 	"repro/internal/scaling"
 	"repro/internal/shortrange"
@@ -279,8 +280,9 @@ func TestEngineEnvironmentIsOneField(t *testing.T) {
 }
 
 // TestOptionCensus pins the complete field list of the engine
-// environment, of the seven family Opts and of the experiment runner's
-// Config. The rule: no option survives
+// environment, of the seven family Opts, of the experiment runner's
+// Config and of the in-process serving tier's Backend (whose every
+// exported field both of its users set). The rule: no option survives
 // that only a test sets — a field stays only if a command, experiment,
 // family table row or the benchmark sets it, so an option can come back
 // only through a visible edit of this table. The kept exceptions, each
@@ -308,6 +310,7 @@ func TestOptionCensus(t *testing.T) {
 		{scaling.Opts{}, []string{"Sources", "Engine"}},
 		{approx.Opts{}, []string{"Sources", "Eps", "Engine"}},
 		{experiments.Config{}, []string{"Small", "Seed"}},
+		{inproc.Backend{}, []string{"Net", "Host", "Dir", "ShardID", "Log", "Build", "Next", "mu", "srv", "saved", "crash"}},
 	} {
 		typ := reflect.TypeOf(c.opts)
 		got := make([]string, typ.NumField())
