@@ -65,9 +65,9 @@ bench-engine:
 # -benchmem and compare B/op and allocs/op against the committed
 # BENCH_engine.json baseline via cmd/benchgate. Nothing here reads time:
 # a wall-clock claim is made with the ledger procedure (benchmark/README.md
-# — two checkouts, interleaved pairs). -cpu 1 pins GOMAXPROCS, which the
-# engine's per-round fork would otherwise turn into allocations on a
-# multi-P host; rows that ask for 4 or 8 workers still spawn them. The
+# — two checkouts, interleaved pairs). -cpu 1 pins GOMAXPROCS, which caps
+# the engine's per-round fork width: no round forks, so no row's
+# allocations depend on how long its rounds took on this host. The
 # intermediate file (gitignored) is kept for post-mortems and because sh
 # make recipes have no pipefail — a crashed bench run must not feed an
 # empty stream to the gate.

@@ -231,9 +231,9 @@ func benchEngineWorkers(b *testing.B, workers int, mkObs func() congest.Observer
 
 // BenchmarkEngineWorkers* measure the engine's intra-round parallel
 // speedup (results are bit-identical across worker counts; see
-// core.TestDeterministicAcrossWorkers). They run with no observer — the
-// engine's nil-observer fast path — and are the baseline for the guard
-// below.
+// TestDeterministicAcrossWorkers* in internal/congest). They run with no
+// observer — the engine's nil-observer fast path — and are the baseline
+// for the guard below.
 func BenchmarkEngineWorkers1(b *testing.B) { benchEngineWorkers(b, 1, nil) }
 func BenchmarkEngineWorkers4(b *testing.B) { benchEngineWorkers(b, 4, nil) }
 func BenchmarkEngineWorkers8(b *testing.B) { benchEngineWorkers(b, 8, nil) }
@@ -286,11 +286,12 @@ func BenchmarkComputeBackendDijkstra8(b *testing.B) {
 
 // benchEngineWorkersAdaptive runs the sparse active-set workload (most
 // rounds step only a handful of nodes) at a given Workers setting. The
-// engine sizes its fork to the round being stepped — one worker per 64
-// active nodes, serial below that — so the 8-worker variant must match the
-// 1-worker variant here: a high Workers cap costs nothing on rounds too
-// small to parallelize. A static fork (or the old whole-graph n<128
-// cutoff) would pay goroutine fork/join on thousands of near-empty rounds.
+// engine sizes its fork to the round being stepped — one worker per 100 µs
+// of predicted node-step time, serial below two — so the 8-worker variant
+// must match the 1-worker variant here: a high Workers cap costs nothing
+// on rounds too cheap to parallelize. A static fork (or the old whole-graph
+// n<128 cutoff) would pay goroutine fork/join on thousands of near-empty
+// rounds.
 func benchEngineWorkersAdaptive(b *testing.B, workers int) {
 	n := 256
 	g := graph.Random(n, 4*n, graph.GenOpts{Seed: 9, MaxW: 4096, MinW: 1, Directed: true})
@@ -347,9 +348,9 @@ func BenchmarkEngineComposition(b *testing.B) {
 // node is idle — the workload the active-set scheduler exists for. (With all
 // n sources the per-round Pareto-merge work dominates and both schedulers
 // cost the same; sparse activity, not source count, is what the scheduler
-// exploits.) One worker: the pair compares schedulers, and the dense one
-// would otherwise fork goroutines in every round on a host with two Ps —
-// 5 allocations a round, and 1.5× slower than on one.
+// exploits.) One worker: the pair compares schedulers, and with two Ps
+// either one could fork the rounds whose measured work pays for it, a
+// timing-dependent 5 allocations each.
 func benchSchedulerSparse(b *testing.B, s congest.Scheduler) {
 	n := 256
 	g := graph.Random(n, 4*n, graph.GenOpts{Seed: 9, MaxW: 4096, MinW: 1, Directed: true})

@@ -9,10 +9,10 @@
 //	go test -run '^$' -bench ... -benchmem -cpu 1 -count 2 . | benchgate -baseline BENCH_engine.json -update
 //
 // The baseline records, per benchmark, the minimum B/op and allocs/op over
-// the input's -count repetitions. Both are functions of the code and of
-// GOMAXPROCS (the engine forks per round when it has the Ps), not of the
-// host's speed or load, so with -cpu pinned a row repeats to ±1 allocation
-// anywhere. On compare:
+// the input's -count repetitions. Under -cpu 1 both are functions of the
+// code alone, not of the host's speed or load (the engine forks a round
+// only when it has a second P and the round's measured work pays for the
+// barrier), so a row repeats to ±1 allocation anywhere. On compare:
 //
 //   - A row whose B/op or allocs/op exceeds the baseline by more than
 //     -threshold (default 15%) fails. A zero baseline gates any increase.

@@ -9,7 +9,7 @@
 //
 // The guards run the serial step path (Workers: 1): the parallel path
 // allocates its fork/join goroutines by design, which is why the engine
-// only forks when a round's active set is large enough to pay for it.
+// only forks when a round's measured work is large enough to pay for it.
 package congest_test
 
 import (

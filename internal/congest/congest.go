@@ -55,6 +55,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -221,11 +222,11 @@ type Config struct {
 	// their bound plus slack so runaway bugs surface as errors.
 	MaxRounds int
 	// Workers bounds the goroutines stepping nodes within a round. The
-	// default is GOMAXPROCS; the effective parallelism is adaptive per
-	// round — the engine shards the round's active list (not the ID
-	// space) and steps small lists serially (one worker per
-	// workersPerChunk active nodes), so huge graphs with tiny active sets
-	// never pay the parallel-barrier tax (see BenchmarkEngineWorkers*).
+	// default is GOMAXPROCS, and GOMAXPROCS also caps it. A round forks
+	// only when its predicted node-step time (the run's measured time per
+	// stepped node times the round's work-list size) pays for the
+	// fork/join barrier: one worker per 100 µs of predicted work, so a
+	// round forks in two from 200 µs and is serial below (see step).
 	// Results are bit-identical regardless.
 	Workers int
 	// Scheduler selects the stepping strategy (default SchedulerActive).
@@ -267,14 +268,25 @@ func (c Config) withDefaults() Config {
 // is O(log n) bits, i.e. O(1) words of log n bits.
 const maxWordsPerMessage = 8
 
-// workersPerChunk is the minimum number of active nodes per worker: a
-// round with fewer than 2·workersPerChunk active nodes runs serially,
-// because the fork/join barrier costs more than the per-node work. This
-// is the per-round adaptive replacement for the old static "parallel only
-// when n ≥ 128" cutoff — the decision now follows the round's active-set
-// size, so a 100k-node graph whose rounds touch 30 nodes steps them on
-// one goroutine.
-const workersPerChunk = 64
+// chunkNs is the predicted node-step time, in nanoseconds, that one
+// worker of a forked round must have to carry: a round forks in two only
+// when its predicted serial node-step time is at least 2·chunkNs. On a
+// 2-vCPU host, rounds of the sim_blocker and sim_apsp workloads stepped
+// serially and forked in two break even between 100 and 200 µs of serial
+// work, and the fork wins by 8–17 % from 250 µs (DESIGN.md, "Engine
+// scheduling", has the per-bucket table this was read from).
+const chunkNs = 100_000
+
+// forced, when set, overrides the fork rule with a fixed width (still
+// capped by Config.Workers and by the work list) and counts the rounds
+// that fork: the seam through which tests make the parallel path run
+// whatever the host and the timings (export_test.go). Nil outside tests.
+var forced atomic.Pointer[forcedFork]
+
+type forcedFork struct {
+	width int
+	forks atomic.Int64
+}
 
 // Stats reports the cost of a run in the model's terms.
 type Stats struct {
@@ -487,6 +499,14 @@ type engine struct {
 	crashMu sync.Mutex
 	crash   *CrashError
 
+	// Fork sizing (see step). procs is min(Workers, GOMAXPROCS) for the
+	// run; nsPerNode is the last executed round's node-step time per
+	// stepped node, 0 at run start, so a run's first round is serial; busy
+	// sums a forked round's per-worker chunk times.
+	procs     int
+	nsPerNode int64
+	busy      atomic.Int64
+
 	stats Stats
 }
 
@@ -536,6 +556,7 @@ func claim(g *graph.Graph, cfg Config) *engine {
 func (e *engine) start(g *graph.Graph, mk func(v int) Node, cfg Config) error {
 	n := g.N()
 	e.g, e.cfg, e.obs, e.net = g, cfg, cfg.Observer, cfg.Network
+	e.procs, e.nsPerNode = min(cfg.Workers, runtime.GOMAXPROCS(0)), 0
 	for v := 0; v < n; v++ {
 		e.nodes[v] = mk(v)
 		lo, hi := e.sendOff[v], e.sendOff[v+1]
@@ -967,47 +988,73 @@ func (e *engine) stepNode(v, r int) {
 	e.nodes[v].Round(&e.ctxs[v], r, e.inboxOf(v))
 }
 
+// forkWidth returns how many goroutines step a round of n nodes:
+// min(Workers, GOMAXPROCS, nsPerNode·n/chunkNs), capped at n. Below 2 the
+// round is serial.
+func (e *engine) forkWidth(n int) int {
+	w := e.procs
+	if f := forced.Load(); f != nil {
+		w = min(e.cfg.Workers, f.width, n)
+		if w > 1 {
+			f.forks.Add(1)
+		}
+		return w
+	}
+	if w > 1 {
+		w = min(w, int(e.nsPerNode*int64(n)/chunkNs), n)
+	}
+	return w
+}
+
 // step runs one synchronous round over the given work list (all nodes under
 // the dense scheduler, the active set otherwise): each listed node consumes
 // its inbox and stages sends; the engine then validates and routes the
 // sends into the next round's receive plane. Returns the number of
 // messages sent this round and the number of nodes that sent.
+//
+// The node steps fork across goroutines only when the round's predicted
+// work pays for the fork/join barrier (see forkWidth). The prediction is
+// the previous executed round's node-step time per stepped node, measured
+// on every round: a serial round times its loop; a forked round sums the
+// time each worker spends on its own chunk, so fork and wake latency never
+// feeds back into the estimate. Under a testing/synctest bubble the clock
+// stands still, the estimate stays 0 and every round steps serially, which
+// changes nothing observable: results do not depend on the worker count.
 func (e *engine) step(r int, work []int, dense bool) (int, int, error) {
-	workers := e.cfg.Workers
-	// Shard the work list, not the ID space: active nodes cluster, and a
-	// static lo..hi split over 0..n would leave most workers idle. The
-	// worker count adapts to the round's active-set size — small lists
-	// stay serial, because the fork/join barrier costs more than the
-	// per-node work (see workersPerChunk and BenchmarkEngineWorkers*).
-	if workers > 1 {
-		if maxW := (len(work) + workersPerChunk - 1) / workersPerChunk; workers > maxW {
-			workers = maxW
+	if width := e.forkWidth(len(work)); width < 2 {
+		var t0 time.Time
+		if e.procs > 1 {
+			t0 = time.Now()
 		}
-	}
-	if workers <= 1 {
 		for _, v := range work {
 			e.stepNode(v, r)
 		}
+		if e.procs > 1 && len(work) > 0 {
+			e.nsPerNode = int64(time.Since(t0)) / int64(len(work))
+		}
 	} else {
+		// Shard the work list, not the ID space: active nodes cluster, and
+		// a static lo..hi split over 0..n would leave most workers idle.
+		// Every chunk runs on a spawned goroutine, none on this one: a
+		// goroutine spawned before the caller stepped a chunk itself would
+		// wait in this P's run-next slot until the caller blocked,
+		// serialising the round.
+		e.busy.Store(0)
 		var wg sync.WaitGroup
-		chunk := (len(work) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(work) {
-				hi = len(work)
-			}
-			if lo >= hi {
-				break
-			}
+		chunk := (len(work) + width - 1) / width
+		for lo := 0; lo < len(work); lo += chunk {
 			wg.Add(1)
 			go func(part []int) {
 				defer wg.Done()
+				t0 := time.Now()
 				for _, v := range part {
 					e.stepNode(v, r)
 				}
-			}(work[lo:hi])
+				e.busy.Add(int64(time.Since(t0)))
+			}(work[lo:min(lo+chunk, len(work))])
 		}
 		wg.Wait()
+		e.nsPerNode = e.busy.Load() / int64(len(work))
 	}
 	if e.crash != nil {
 		ce := e.crash

@@ -106,13 +106,17 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		return out, stats
 	}
 	d1, s1 := run(1)
+	stop := ForceFork(4)
 	d8, s8 := run(8)
+	if forks := stop(); forks == 0 {
+		t.Fatal("no round forked: the parallel path went untested")
+	}
 	for v := range d1 {
 		if d1[v] != d8[v] {
 			t.Fatalf("worker-count changed result at node %d: %d vs %d", v, d1[v], d8[v])
 		}
 	}
-	if s1.Rounds != s8.Rounds || s1.Messages != s8.Messages {
+	if s1 != s8 {
 		t.Fatalf("worker-count changed stats: %+v vs %+v", s1, s8)
 	}
 }

@@ -2,6 +2,21 @@ package congest
 
 import "repro/internal/graph"
 
+// ForceFork makes every round of every run fork into width goroutines
+// (capped by Config.Workers and by the round's work list), whatever its
+// measured work and GOMAXPROCS, until the returned stop is called. stop
+// reports how many rounds forked meanwhile. The determinism tests use it:
+// on their small graphs the cost rule alone would never fork, and under
+// -cpu 1 the GOMAXPROCS cap never would.
+func ForceFork(width int) (stop func() int64) {
+	f := &forcedFork{width: width}
+	forced.Store(f)
+	return func() int64 {
+		forced.Store(nil)
+		return f.forks.Load()
+	}
+}
+
 // Stepper drives an engine one round at a time. Test-only: the allocation
 // guards and worker-adaptivity benchmarks need to execute individual
 // rounds inside testing.AllocsPerRun / b.N loops, which the all-in-one Run

@@ -97,36 +97,6 @@ func TestQuickFrontierBound(t *testing.T) {
 	quickcheck.Check(t, f, 80)
 }
 
-// Determinism: results and stats are identical across worker counts
-// (the engine parallelizes within rounds; outcomes must not depend on it).
-func TestDeterministicAcrossWorkers(t *testing.T) {
-	g := graph.ZeroHeavy(30, 100, 0.5, graph.GenOpts{Seed: 17, MaxW: 8, Directed: true})
-	sources := []int{0, 10, 20}
-	h := 9
-	delta := graph.HHopDelta(g, sources, h)
-	run := func(workers int) *Result {
-		res, err := Run(g, Opts{Sources: sources, H: h, Delta: delta, Engine: congest.Config{Workers: workers}})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return res
-	}
-	base := run(1)
-	for _, w := range []int{2, 8} {
-		res := run(w)
-		if res.Stats != base.Stats {
-			t.Fatalf("workers=%d changed stats: %+v vs %+v", w, res.Stats, base.Stats)
-		}
-		for i := range sources {
-			for v := 0; v < g.N(); v++ {
-				if res.Dist[i][v] != base.Dist[i][v] || res.Parent[i][v] != base.Parent[i][v] {
-					t.Fatalf("workers=%d changed result at [%d][%d]", w, i, v)
-				}
-			}
-		}
-	}
-}
-
 // The MaxRounds guard must fire as an error, not hang, when set too low.
 func TestMaxRoundsGuard(t *testing.T) {
 	g := graph.Random(20, 60, graph.GenOpts{Seed: 1, MaxW: 5, Directed: true})
