@@ -49,8 +49,9 @@ cover-baseline:
 	$(GO) test -coverpkg=./... -coverprofile=cover.out ./... > cover_test.out
 	$(GO) run ./cmd/covergate -baseline COVERAGE.json -update < cover.out
 
-# One iteration of every benchmark (each regenerates a paper table/figure
-# at reduced size and self-validates against the sequential oracles).
+# One iteration of every benchmark: the engine, kernel and serving
+# micro-benchmarks. The paper's tables are regenerated by apspbench
+# (`make experiments`, or `apspbench -exp <id>` for one).
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x ./...
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/compute"
 	"repro/internal/congest"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	fam "repro/internal/family"
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -29,114 +28,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/trace"
 )
-
-// Every table and figure of the paper has a benchmark that regenerates it
-// (at reduced size; run cmd/apspbench for the full sweep). The benchmarks
-// double as regression detectors: each experiment validates its algorithms
-// against the sequential oracle internally and fails on any wrong distance.
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, experiments.Config{Small: true, Seed: 1}); err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-}
-
-// BenchmarkTable1ExactAPSP regenerates Table I's exact-APSP comparison
-// (experiment T1-exact).
-func BenchmarkTable1ExactAPSP(b *testing.B) { benchExperiment(b, "T1-exact") }
-
-// BenchmarkTable1ApproxAPSP regenerates Table I's (1+ε)-APSP comparison
-// (experiment T1-approx).
-func BenchmarkTable1ApproxAPSP(b *testing.B) { benchExperiment(b, "T1-approx") }
-
-// BenchmarkFig1CSSSP regenerates Figure 1's phenomenon and the CSSSP
-// repair (experiment F1).
-func BenchmarkFig1CSSSP(b *testing.B) { benchExperiment(b, "F1") }
-
-// BenchmarkThmI1Rounds sweeps (h,k,Δ) against Theorem I.1's bound
-// (experiment E-T11).
-func BenchmarkThmI1Rounds(b *testing.B) { benchExperiment(b, "E-T11") }
-
-// BenchmarkInvariantAudit audits Invariants 1–2 / Lemma II.11
-// (experiment E-INV).
-func BenchmarkInvariantAudit(b *testing.B) { benchExperiment(b, "E-INV") }
-
-// BenchmarkShortRange measures Algorithm 2's dilation and congestion
-// claims (experiment E-SR, Lemma II.15).
-func BenchmarkShortRange(b *testing.B) { benchExperiment(b, "E-SR") }
-
-// BenchmarkCSSSP verifies Definition III.3 and Lemma III.5's cost
-// (experiment E-CSSSP).
-func BenchmarkCSSSP(b *testing.B) { benchExperiment(b, "E-CSSSP") }
-
-// BenchmarkBlockerSet measures blocker sizes and Algorithm 4's cost
-// (experiment E-BLK).
-func BenchmarkBlockerSet(b *testing.B) { benchExperiment(b, "E-BLK") }
-
-// BenchmarkThmI2I3Crossover sweeps W for the Corollary I.4 crossover
-// (experiment E-T1213).
-func BenchmarkThmI2I3Crossover(b *testing.B) { benchExperiment(b, "E-T1213") }
-
-// BenchmarkApproxAPSP sweeps ε for Theorem I.5 (experiment E-APX).
-func BenchmarkApproxAPSP(b *testing.B) { benchExperiment(b, "E-APX") }
-
-// BenchmarkZeroWeightAblation measures the classical schedule's failure on
-// zero weights (experiment A-ZERO).
-func BenchmarkZeroWeightAblation(b *testing.B) { benchExperiment(b, "A-ZERO") }
-
-// BenchmarkMultiEntryAblation compares multi-entry lists against the
-// single-estimate pipeline (experiment A-LIST).
-func BenchmarkMultiEntryAblation(b *testing.B) { benchExperiment(b, "A-LIST") }
-
-// BenchmarkPaperLiteralAblation measures the paper-literal list rules
-// against the Pareto discipline (experiment A-LIT).
-func BenchmarkPaperLiteralAblation(b *testing.B) { benchExperiment(b, "A-LIT") }
-
-// BenchmarkScalingExtension measures the implemented future work —
-// pipelining + Gabow scaling (experiment E-SCALE).
-func BenchmarkScalingExtension(b *testing.B) { benchExperiment(b, "E-SCALE") }
-
-// BenchmarkKSSPSweep measures the k-SSP bounds (Theorem I.1(iii) and
-// friends) across source counts (experiment E-KSSP).
-func BenchmarkKSSPSweep(b *testing.B) { benchExperiment(b, "E-KSSP") }
-
-// BenchmarkSchedulerComparison compares the deterministic γ-schedule with
-// Ghaffari-style random-delay scheduling (experiment E-SCHED).
-func BenchmarkSchedulerComparison(b *testing.B) { benchExperiment(b, "E-SCHED") }
-
-// BenchmarkConvergence measures Algorithm 1's anytime behaviour
-// (experiment E-CONV).
-func BenchmarkConvergence(b *testing.B) { benchExperiment(b, "E-CONV") }
-
-// BenchmarkStep1Ablation compares CSSSP construction via Algorithm 1
-// against the Θ(n·h) Bellman–Ford method of [3] (experiment E-STEP1).
-func BenchmarkStep1Ablation(b *testing.B) { benchExperiment(b, "E-STEP1") }
-
-// BenchmarkScorecard runs the per-claim verdict table (experiment
-// SCORECARD).
-func BenchmarkScorecard(b *testing.B) { benchExperiment(b, "SCORECARD") }
-
-// BenchmarkScalingStudy measures rounds vs n at reduced size (experiment
-// E-BIG; cmd/apspbench runs it up to n=256).
-func BenchmarkScalingStudy(b *testing.B) { benchExperiment(b, "E-BIG") }
-
-// BenchmarkDeltaSensitivity probes the Δ promise Theorem I.1 assumes
-// (experiment E-DELTA).
-func BenchmarkDeltaSensitivity(b *testing.B) { benchExperiment(b, "E-DELTA") }
-
-// BenchmarkChaosResilience runs the serving-layer resilience drill:
-// closed-loop load through the fault injector with the retrying client,
-// plus an abrupt kill + autosave recovery (experiment E-CHAOS).
-func BenchmarkChaosResilience(b *testing.B) { benchExperiment(b, "E-CHAOS") }
-
-// BenchmarkClusterResilience runs the multi-process cluster drill:
-// scatter-gather routing, a backend kill under chaos, and a
-// generation-aware rollout, all differentially validated
-// (experiment E-CLUSTER).
-func BenchmarkClusterResilience(b *testing.B) { benchExperiment(b, "E-CLUSTER") }
 
 // ---------------------------------------------------------------------------
 // Micro-benchmarks: the substrate's raw cost, with rounds reported as a
@@ -338,7 +229,7 @@ func BenchmarkEngineComposition(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Scheduler benchmarks: dense (every node stepped every round) vs the
 // active-set scheduler, on the two activity extremes. Both produce
-// bit-identical results and Stats (see TestSchedulerEquivalence*); only wall
+// bit-identical results and Stats (see TestDeliveryConformance); only wall
 // clock may differ.
 
 // benchSchedulerSparse runs Algorithm 1 (k-SSP instantiation, 4 sources) on

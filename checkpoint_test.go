@@ -6,264 +6,19 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/approx"
 	"repro/internal/bellman"
 	"repro/internal/checkpoint"
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/hssp"
 	"repro/internal/obs"
-	"repro/internal/posweight"
-	"repro/internal/scaling"
-	"repro/internal/shortrange"
-	"repro/internal/unweighted"
 )
 
-// These tests are the crash/restore conformance gate: killing a run at an
-// arbitrary round barrier, serializing the snapshot, and resuming it in a
-// fresh engine must reproduce the uninterrupted run bit-exactly —
-// distances, parents, logical Stats and the observer stream — for every
-// protocol family, on both schedulers, with and without an adversarial
-// delivery substrate underneath.
-
-// ckptRun executes one protocol invocation: sched and net configure the
-// engine, pol is the checkpoint policy under test (nil = none). It returns
-// a deep-comparable result payload plus the logical Stats.
-type ckptRun func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error)
-
-// difftestInstance is the fixed instance a conformance sweep runs on.
-type difftestInstance struct {
-	G       *graph.Graph
-	Sources []int
-	H       int
-}
-
-func ckptInstance(seed int64) difftestInstance {
-	return difftestInstance{
-		G:       graph.Random(20, 60, graph.GenOpts{Seed: seed, MaxW: 6, ZeroFrac: 0.2, Directed: true}),
-		Sources: []int{0, 7, 13},
-		H:       6,
-	}
-}
-
-// ckptProbe is one (engine run index, checkpoint round) cell.
-type ckptProbe struct{ run, round int }
-
-var (
-	// singleRunProbes cover protocols with one engine run; multiRunProbes
-	// add later engine runs of multi-phase pipelines (the resume
-	// re-executes the earlier phases deterministically first).
-	singleRunProbes = []ckptProbe{{0, 1}, {0, 2}, {0, 5}}
-	multiRunProbes  = []ckptProbe{{0, 1}, {0, 2}, {0, 5}, {1, 1}, {1, 3}, {2, 1}, {2, 2}}
-)
-
-// sweepCheckpointConformance runs the kill/restore matrix for one protocol:
-// scheduler × {no substrate, all-faults substrate} × probe cells, each cell
-// compared bit-exactly against the fault-free dense baseline. Cells whose
-// checkpoint never fires (the probed engine run terminates before the
-// probed round) are skipped, but at least three cells must fire.
-func sweepCheckpointConformance(t *testing.T, in difftestInstance, probes []ckptProbe, run ckptRun) {
-	t.Helper()
-	base, baseStats, err := run(in, congest.SchedulerDense, nil, nil)
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	plans := []*faults.Plan{nil, faultPlanAll(41)}
-	netOf := func(p *faults.Plan) congest.Network {
-		if p == nil {
-			return nil
-		}
-		return faults.New(*p)
-	}
-	fired := 0
-	for _, sched := range []congest.Scheduler{congest.SchedulerDense, congest.SchedulerActive} {
-		for _, plan := range plans {
-			for _, pr := range probes {
-				cell := fmt.Sprintf("sched=%v plan=%s run=%d round=%d", sched, planName(plan), pr.run, pr.round)
-				k := &checkpoint.Keeper{}
-				pol := &congest.CheckpointPolicy{AtRound: pr.round, Run: pr.run, Stop: true, Sink: k.Sink}
-				_, _, err := run(in, sched, netOf(plan), pol)
-				if err == nil {
-					continue // probed run never reached the probed round
-				}
-				if !errors.Is(err, congest.ErrCheckpointStop) {
-					t.Fatalf("%s: kill: want ErrCheckpointStop, got %v", cell, err)
-				}
-				snap, saves := k.Latest()
-				if snap == nil || saves != 1 {
-					t.Fatalf("%s: %d snapshots delivered", cell, saves)
-				}
-				if snap.Round != pr.round || snap.RunIdx != pr.run {
-					t.Fatalf("%s: snapshot at run=%d round=%d", cell, snap.RunIdx, snap.Round)
-				}
-				fired++
-				// The resumed engine must accept the snapshot only through
-				// its serialized form: the disk format is the contract.
-				b, err := snap.MarshalBinary()
-				if err != nil {
-					t.Fatalf("%s: marshal: %v", cell, err)
-				}
-				snap2 := &congest.Snapshot{}
-				if err := snap2.UnmarshalBinary(b); err != nil {
-					t.Fatalf("%s: unmarshal: %v", cell, err)
-				}
-				res, stats, err := run(in, sched, netOf(plan), &congest.CheckpointPolicy{Resume: snap2})
-				if err != nil {
-					t.Fatalf("%s: resume: %v", cell, err)
-				}
-				if stats != baseStats {
-					t.Fatalf("%s: resumed stats diverge: %+v vs baseline %+v", cell, stats, baseStats)
-				}
-				if !reflect.DeepEqual(res, base) {
-					t.Fatalf("%s: resumed results diverge from uninterrupted run", cell)
-				}
-			}
-		}
-	}
-	if fired < 3 {
-		t.Fatalf("only %d checkpoint cells fired; the probe rounds no longer exercise this protocol", fired)
-	}
-}
-
-func TestCheckpointConformanceCore(t *testing.T) {
-	sweepCheckpointConformance(t, ckptInstance(3), singleRunProbes,
-		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
-			if err != nil {
-				return nil, congest.Stats{}, err
-			}
-			return []interface{}{res.Dist, res.Hops, res.Parent, res.LateSends, res.Collisions}, res.Stats, nil
-		})
-}
-
-func TestCheckpointConformancePosweight(t *testing.T) {
-	in := ckptInstance(4)
-	in.G = graph.Random(20, 60, graph.GenOpts{Seed: 4, MaxW: 6, MinW: 1, Directed: true})
-	sweepCheckpointConformance(t, in, singleRunProbes,
-		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := posweight.Run(in.G, posweight.Opts{Sources: in.Sources, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
-			if err != nil {
-				return nil, congest.Stats{}, err
-			}
-			return []interface{}{res.Dist, res.Parent, res.LateSends, res.MissedSends}, res.Stats, nil
-		})
-}
-
-func TestCheckpointConformanceUnweighted(t *testing.T) {
-	sweepCheckpointConformance(t, ckptInstance(5), singleRunProbes,
-		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := unweighted.KSource(in.G, in.Sources, congest.Config{Scheduler: sched, Network: net, Checkpoint: pol})
-			if err != nil {
-				return nil, congest.Stats{}, err
-			}
-			return []interface{}{res.Dist, res.Parent}, res.Stats, nil
-		})
-}
-
-func TestCheckpointConformanceBellman(t *testing.T) {
-	sweepCheckpointConformance(t, ckptInstance(6), singleRunProbes,
-		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
-			if err != nil {
-				return nil, congest.Stats{}, err
-			}
-			return []interface{}{res.Dist, res.Parent}, res.Stats, nil
-		})
-}
-
-func TestCheckpointConformanceShortRange(t *testing.T) {
-	sweepCheckpointConformance(t, ckptInstance(7), singleRunProbes,
-		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := shortrange.Run(in.G, shortrange.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
-			if err != nil {
-				return nil, congest.Stats{}, err
-			}
-			return []interface{}{res.Dist, res.Hops, res.Snap}, res.Stats, nil
-		})
-}
-
-func TestCheckpointConformanceScaling(t *testing.T) {
-	sweepCheckpointConformance(t, ckptInstance(8), multiRunProbes,
-		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := scaling.Run(in.G, scaling.Opts{Sources: in.Sources, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
-			if err != nil {
-				return nil, congest.Stats{}, err
-			}
-			return []interface{}{res.Dist, res.PhaseRounds}, res.Stats, nil
-		})
-}
-
-// TestCheckpointConformanceBlockerAPSP covers the full multi-phase
-// pipeline (cssp → blocker → per-blocker SSSP → broadcast): a checkpoint
-// in a later engine run resumes by re-executing the earlier phases
-// deterministically, then restoring mid-phase.
-func TestCheckpointConformanceBlockerAPSP(t *testing.T) {
-	in := ckptInstance(9)
-	in.G = graph.Random(14, 42, graph.GenOpts{Seed: 9, MaxW: 6, ZeroFrac: 0.2, Directed: true})
-	sweepCheckpointConformance(t, in, multiRunProbes,
-		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := hssp.Run(in.G, hssp.Opts{Sources: in.Sources, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
-			if err != nil {
-				return nil, congest.Stats{}, err
-			}
-			return []interface{}{res.Dist, res.Q, res.H, res.PhaseRounds}, res.Stats, nil
-		})
-}
-
-func TestCheckpointConformanceApprox(t *testing.T) {
-	in := ckptInstance(10)
-	in.G = graph.Random(14, 42, graph.GenOpts{Seed: 10, MaxW: 6, ZeroFrac: 0.2, Directed: true})
-	sweepCheckpointConformance(t, in, multiRunProbes,
-		func(in difftestInstance, sched congest.Scheduler, net congest.Network, pol *congest.CheckpointPolicy) (interface{}, congest.Stats, error) {
-			res, err := approx.Run(in.G, approx.Opts{Sources: in.Sources, Eps: 0.5, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
-			if err != nil {
-				return nil, congest.Stats{}, err
-			}
-			return []interface{}{res.Scaled, res.Scales, res.PhaseRounds}, res.Stats, nil
-		})
-}
-
-// TestCheckpointObserverSplice asserts the strongest stream invariant: the
-// killed run's observer stream concatenated with the resumed run's stream
-// equals the uninterrupted run's stream event-for-event — the restore
-// really does continue at the exact barrier, on both schedulers.
-func TestCheckpointObserverSplice(t *testing.T) {
-	in := ckptInstance(11)
-	for _, sched := range []congest.Scheduler{congest.SchedulerDense, congest.SchedulerActive} {
-		run := func(pol *congest.CheckpointPolicy) *streamRecorder {
-			rec := &streamRecorder{}
-			_, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Scheduler: sched, Observer: rec, Checkpoint: pol}})
-			if pol != nil && pol.Stop {
-				if !errors.Is(err, congest.ErrCheckpointStop) {
-					t.Fatalf("sched=%v: want ErrCheckpointStop, got %v", sched, err)
-				}
-			} else if err != nil {
-				t.Fatalf("sched=%v: %v", sched, err)
-			}
-			return rec
-		}
-		baseRec := run(nil)
-		const R = 4
-		k := &checkpoint.Keeper{}
-		killRec := run(&congest.CheckpointPolicy{AtRound: R, Stop: true, Sink: k.Sink})
-		snap, _ := k.Latest()
-		if snap == nil {
-			t.Fatalf("sched=%v: no snapshot", sched)
-		}
-		resRec := run(&congest.CheckpointPolicy{Resume: snap})
-		spliced := append(append([]congest.RoundEvent(nil), killRec.rounds...), resRec.rounds...)
-		if !reflect.DeepEqual(spliced, baseRec.rounds) {
-			t.Fatalf("sched=%v: RoundDone splice diverges: %d+%d events vs %d",
-				sched, len(killRec.rounds), len(resRec.rounds), len(baseRec.rounds))
-		}
-		sends := append(append([][3]int(nil), killRec.sends...), resRec.sends...)
-		if !reflect.DeepEqual(sends, baseRec.sends) {
-			t.Fatalf("sched=%v: NodeSends splice diverges", sched)
-		}
-	}
-}
+// The crash/restore paths the conformance table (conformance_test.go)
+// does not sweep: observer state behind a Tee, substrate state across a
+// double resume, node panics, supervised restarts, the disk container and
+// the fuzzed round trip.
 
 // TestCheckpointTeeCarriesObserverState: a Recorder behind a congest.Tee
 // checkpoints and restores like a bare one — the snapshot carries its
@@ -274,7 +29,7 @@ func TestCheckpointTeeCarriesObserverState(t *testing.T) {
 	executed := func(pol *congest.CheckpointPolicy) int {
 		rec := obs.NewRecorder()
 		_, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H,
-			Engine: congest.Config{Observer: congest.Tee(rec, &streamRecorder{}), Checkpoint: pol}})
+			Engine: congest.Config{Observer: congest.Tee(rec, &stream{}), Checkpoint: pol}})
 		if err != nil && !errors.Is(err, congest.ErrCheckpointStop) {
 			t.Fatal(err)
 		}
@@ -518,23 +273,18 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		case 1:
 			plan = &faults.Plan{Seed: seed}
 		case 2:
-			plan = faultPlanAll(seed)
-		}
-		netOf := func() congest.Network {
-			if plan == nil {
-				return nil
-			}
-			return faults.New(*plan)
+			all := faults.All(seed)
+			plan = &all
 		}
 		run := func(net congest.Network, pol *congest.CheckpointPolicy) (*bellman.Result, error) {
 			return bellman.Run(g, bellman.Opts{Sources: sources, H: 5, Engine: congest.Config{Scheduler: sched, Network: net, Checkpoint: pol}})
 		}
-		base, err := run(netOf(), nil)
+		base, err := run(netOf(plan), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		k := &checkpoint.Keeper{}
-		_, err = run(netOf(), &congest.CheckpointPolicy{AtRound: R, Stop: true, Sink: k.Sink})
+		_, err = run(netOf(plan), &congest.CheckpointPolicy{AtRound: R, Stop: true, Sink: k.Sink})
 		if err == nil {
 			return // run finished before round R; nothing to resume
 		}
@@ -550,12 +300,12 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if err := snap2.UnmarshalBinary(b); err != nil {
 			t.Fatal(err)
 		}
-		res, err := run(netOf(), &congest.CheckpointPolicy{Resume: snap2})
+		res, err := run(netOf(plan), &congest.CheckpointPolicy{Resume: snap2})
 		if err != nil {
 			t.Fatalf("R=%d: resume: %v", R, err)
 		}
 		if res.Stats != base.Stats || !reflect.DeepEqual(res.Dist, base.Dist) || !reflect.DeepEqual(res.Parent, base.Parent) {
-			t.Fatalf("R=%d sched=%v plan=%s: resumed run diverges", R, sched, planName(plan))
+			t.Fatalf("R=%d sched=%v plan=%v: resumed run diverges", R, sched, plan)
 		}
 	})
 }

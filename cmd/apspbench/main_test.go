@@ -88,7 +88,7 @@ func TestFlagErrors(t *testing.T) {
 		{"-exp", "E-TRACE"},
 		{"-exp", "E-XOVER"},
 		// The fault and crash tables moved to the gated root sweeps
-		// (TestFaultConformance*, TestCheckpointConformance*,
+		// (TestDeliveryConformance, TestCheckpointConformance,
 		// TestCheckpointSupervisedRestart), and the knobs that served
 		// them went with them; the JSON dump is the ledger's job.
 		{"-exp", "E-FAULTS"},

@@ -1,6 +1,6 @@
 // Package bcast provides the global-communication substrate that the
 // paper's composite algorithms assume from [3]: a BFS spanning tree of the
-// communication graph, convergecast aggregation (max with arg, sum),
+// communication graph, convergecast aggregation (max with arg),
 // root-to-all broadcast, and pipelined broadcast of value lists.
 //
 // These are the standard CONGEST building blocks used by the blocker-set
@@ -150,8 +150,8 @@ func BuildTree(g *graph.Graph, root int, cfg congest.Config) (*Tree, congest.Sta
 	return tr, stats, nil
 }
 
-// aggNode convergecasts one (value, arg) pair up the tree, combining with a
-// binary operation.
+// aggNode convergecasts one (value, arg) pair up the tree, keeping the
+// maximum value and the smallest arg attaining it.
 type aggNode struct {
 	id      int
 	tree    *Tree
@@ -159,7 +159,6 @@ type aggNode struct {
 	arg     int64
 	pending int // children not yet reported
 	sent    bool
-	combine func(v1 int64, a1 int64, v2 int64, a2 int64) (int64, int64)
 }
 
 func (a *aggNode) Init(*congest.Context) { a.pending = len(a.tree.Children[a.id]) }
@@ -167,7 +166,9 @@ func (a *aggNode) Init(*congest.Context) { a.pending = len(a.tree.Children[a.id]
 func (a *aggNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	for _, m := range inbox {
 		p := m.Payload.(Vec)
-		a.val, a.arg = a.combine(a.val, a.arg, p[0], p[1])
+		if p[0] > a.val || (p[0] == a.val && p[1] < a.arg) {
+			a.val, a.arg = p[0], p[1]
+		}
 		a.pending--
 	}
 	if !a.sent && a.pending == 0 && a.id != a.tree.Root {
@@ -192,15 +193,9 @@ func (a *aggNode) NextWake() int {
 // and the run stats. Only the root's view is returned (a follow-up
 // Broadcast distributes it when needed).
 func MaxArg(g *graph.Graph, tr *Tree, vals []int64, cfg congest.Config) (int64, int64, congest.Stats, error) {
-	combine := func(v1, a1, v2, a2 int64) (int64, int64) {
-		if v2 > v1 || (v2 == v1 && a2 < a1) {
-			return v2, a2
-		}
-		return v1, a1
-	}
 	nodes := make([]*aggNode, g.N())
 	stats, err := congest.Run(g, func(v int) congest.Node {
-		nodes[v] = &aggNode{id: v, tree: tr, val: vals[v], arg: int64(v), combine: combine}
+		nodes[v] = &aggNode{id: v, tree: tr, val: vals[v], arg: int64(v)}
 		return nodes[v]
 	}, cfg)
 	if err != nil {
@@ -208,20 +203,6 @@ func MaxArg(g *graph.Graph, tr *Tree, vals []int64, cfg congest.Config) (int64, 
 	}
 	root := nodes[tr.Root]
 	return root.val, root.arg, stats, nil
-}
-
-// Sum aggregates the sum of vals to the tree root.
-func Sum(g *graph.Graph, tr *Tree, vals []int64, cfg congest.Config) (int64, congest.Stats, error) {
-	combine := func(v1, a1, v2, a2 int64) (int64, int64) { return v1 + v2, 0 }
-	nodes := make([]*aggNode, g.N())
-	stats, err := congest.Run(g, func(v int) congest.Node {
-		nodes[v] = &aggNode{id: v, tree: tr, val: vals[v], combine: combine}
-		return nodes[v]
-	}, cfg)
-	if err != nil {
-		return 0, stats, fmt.Errorf("bcast: Sum: %w", err)
-	}
-	return nodes[tr.Root].val, stats, nil
 }
 
 // relayQueue is a relay's FIFO of received payloads. It keeps the Payload

@@ -120,24 +120,6 @@ func TestMaxArgTieBreaksSmallestNode(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	g := graph.RandomTree(30, graph.GenOpts{Seed: 8, MaxW: 4})
-	tr := buildTestTree(t, g, 5)
-	vals := make([]int64, g.N())
-	var want int64
-	for v := range vals {
-		vals[v] = int64(v)
-		want += int64(v)
-	}
-	got, _, err := Sum(g, tr, vals, congest.Config{})
-	if err != nil {
-		t.Fatalf("Sum: %v", err)
-	}
-	if got != want {
-		t.Fatalf("Sum = %d, want %d", got, want)
-	}
-}
-
 func TestBroadcastPipelined(t *testing.T) {
 	g := graph.Path(6, graph.GenOpts{Seed: 1, MaxW: 1})
 	tr := buildTestTree(t, g, 0)

@@ -20,6 +20,7 @@ package blocker
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bcast"
 	"repro/internal/congest"
@@ -58,40 +59,43 @@ const (
 	kindSub
 )
 
-// outItem is a queued message to a specific neighbor.
-type outItem struct {
-	to int
-	m  msg
-}
-
 // queueNode is shared plumbing: per-neighbor FIFO queues, one send per
-// neighbor per round.
+// neighbor per round, flushed in ascending neighbor order so the engine's
+// LinkPeak events repeat from run to run.
 type queueNode struct {
-	q map[int][]msg
+	nbrs []int   // g.CommNeighbors(id)
+	q    [][]msg // q[i] queues for nbrs[i]; nil until the first enqueue
+	busy int     // non-empty FIFOs
 }
 
 func (qn *queueNode) enqueue(to int, m msg) {
-	if qn.q == nil {
-		qn.q = make(map[int][]msg)
+	i, ok := slices.BinarySearch(qn.nbrs, to)
+	if !ok {
+		panic(fmt.Sprintf("blocker: no link to %d", to))
 	}
-	qn.q[to] = append(qn.q[to], m)
+	if qn.q == nil {
+		qn.q = make([][]msg, len(qn.nbrs))
+	}
+	if len(qn.q[i]) == 0 {
+		qn.busy++
+	}
+	qn.q[i] = append(qn.q[i], m)
 }
 
 func (qn *queueNode) flush(ctx *congest.Context) {
-	for to, items := range qn.q {
+	for i, items := range qn.q {
 		if len(items) == 0 {
 			continue
 		}
-		ctx.Send(to, items[0])
+		ctx.Send(qn.nbrs[i], items[0])
+		qn.q[i] = items[1:]
 		if len(items) == 1 {
-			delete(qn.q, to)
-		} else {
-			qn.q[to] = items[1:]
+			qn.busy--
 		}
 	}
 }
 
-func (qn *queueNode) empty() bool { return len(qn.q) == 0 }
+func (qn *queueNode) empty() bool { return qn.busy == 0 }
 
 // claimNode implements children discovery.
 type claimNode struct {
@@ -302,7 +306,7 @@ func Compute(g *graph.Graph, coll *cssp.Collection, cfg congest.Config) (*Result
 	// Phase 1: children discovery.
 	claims := make([]*claimNode, n)
 	st, err := congest.Run(g, func(v int) congest.Node {
-		claims[v] = &claimNode{id: v, coll: coll}
+		claims[v] = &claimNode{queueNode: queueNode{nbrs: g.CommNeighbors(v)}, id: v, coll: coll}
 		return claims[v]
 	}, cfg)
 	res.Stats.Add(st)
@@ -318,7 +322,7 @@ func Compute(g *graph.Graph, coll *cssp.Collection, cfg congest.Config) (*Result
 	// Phase 2: score initialization.
 	scores := make([]*scoreNode, n)
 	st, err = congest.Run(g, func(v int) congest.Node {
-		scores[v] = &scoreNode{id: v, coll: coll, children: children[v]}
+		scores[v] = &scoreNode{queueNode: queueNode{nbrs: g.CommNeighbors(v)}, id: v, coll: coll, children: children[v]}
 		return scores[v]
 	}, cfg)
 	res.Stats.Add(st)
@@ -370,7 +374,7 @@ func Compute(g *graph.Graph, coll *cssp.Collection, cfg congest.Config) (*Result
 		// Score updates at descendants (Algorithm 4) and ancestors.
 		updates := make([]*updateNode, n)
 		st, err = congest.Run(g, func(v int) congest.Node {
-			updates[v] = &updateNode{id: v, coll: coll, children: children[v], score: score[v], c: c}
+			updates[v] = &updateNode{queueNode: queueNode{nbrs: g.CommNeighbors(v)}, id: v, coll: coll, children: children[v], score: score[v], c: c}
 			return updates[v]
 		}, cfg)
 		res.Stats.Add(st)

@@ -113,14 +113,14 @@ func TestScoresMatchCentral(t *testing.T) {
 		scores := make([]*scoreNode, g.N())
 		claims := make([]*claimNode, g.N())
 		_, err := runPhase(g, func(v int) *claimNode {
-			claims[v] = &claimNode{id: v, coll: coll}
+			claims[v] = &claimNode{queueNode: queueNode{nbrs: g.CommNeighbors(v)}, id: v, coll: coll}
 			return claims[v]
 		})
 		if err != nil {
 			t.Fatalf("claims: %v", err)
 		}
 		_, err = runScorePhase(g, func(v int) *scoreNode {
-			scores[v] = &scoreNode{id: v, coll: coll, children: claims[v].children}
+			scores[v] = &scoreNode{queueNode: queueNode{nbrs: g.CommNeighbors(v)}, id: v, coll: coll, children: claims[v].children}
 			return scores[v]
 		})
 		if err != nil {
@@ -141,7 +141,7 @@ func TestChildrenClaimsMatchCollection(t *testing.T) {
 	g, coll := buildCollection(t, 3, 18, 54, 3, 0.3, 3)
 	claims := make([]*claimNode, g.N())
 	_, err := runPhase(g, func(v int) *claimNode {
-		claims[v] = &claimNode{id: v, coll: coll}
+		claims[v] = &claimNode{queueNode: queueNode{nbrs: g.CommNeighbors(v)}, id: v, coll: coll}
 		return claims[v]
 	})
 	if err != nil {

@@ -1,11 +1,12 @@
 // Checkpoint support: congest.Stateful for the blocker-phase node kinds.
-// The per-neighbor FIFO queues are maps, so they are walked in sorted
-// neighbor order; the collection, children lists and the chosen blocker
-// are configuration rebuilt by Compute's phase drivers.
+// The per-neighbor FIFO queues are walked in ascending neighbor order; the
+// collection, neighbor lists, children lists and the chosen blocker are
+// configuration rebuilt by Compute's phase drivers.
 package blocker
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/congest"
 )
@@ -20,14 +21,34 @@ func walkMsg(c *congest.Codec, m *msg) {
 	c.Int64(&m.val)
 }
 
-// queues walks the per-neighbor FIFO queues.
+// queues walks the non-empty FIFOs as a congest.Map keyed by neighbor (the
+// layout of the map they once were); decoding replaces what Init queued.
 func (qn *queueNode) queues(c *congest.Codec) {
-	congest.Map(c, &qn.q, func(to *int, items *[]msg) {
+	m := make(map[int][]msg, qn.busy)
+	for i, items := range qn.q {
+		if len(items) > 0 {
+			m[qn.nbrs[i]] = items
+		}
+	}
+	congest.Map(c, &m, func(to *int, items *[]msg) {
 		c.Int(to)
 		for i := range congest.Slice(c, items) {
 			walkMsg(c, &(*items)[i])
 		}
 	})
+	if !c.Decoding() || c.Err() != nil {
+		return
+	}
+	qn.q, qn.busy = nil, 0
+	for to, items := range m {
+		if _, ok := slices.BinarySearch(qn.nbrs, to); !ok {
+			c.Fail(fmt.Errorf("blocker: snapshot queues messages to %d, not a neighbor", to))
+			return
+		}
+		for _, x := range items {
+			qn.enqueue(to, x)
+		}
+	}
 }
 
 // State implements congest.Stateful.

@@ -47,7 +47,8 @@ type Space struct {
 	SeedsPerSize int64
 	// MaxK bounds the source counts swept (default 3).
 	MaxK int
-	// H is the hop budget (default 4).
+	// H is the hop budget (default 4). A negative H gives every instance
+	// H = 0, for families that choose their own hop parameter (hssp).
 	H int
 	// MaxW and ZeroFrac shape the weights (defaults 5 and 0.2).
 	MaxW     int64
@@ -103,7 +104,7 @@ func Search(t *testing.T, space Space, check Check) int {
 				for i := 0; i < k; i++ {
 					sources = append(sources, (i*n)/k)
 				}
-				in := Instance{G: g, Sources: sources, H: space.H, Seed: seed}
+				in := Instance{G: g, Sources: sources, H: max(space.H, 0), Seed: seed}
 				count++
 				if err := check(in); err != nil {
 					t.Fatalf("difftest: first failing instance (after %d checks): %v\n%s", count, err, in.Dump())

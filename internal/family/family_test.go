@@ -162,10 +162,6 @@ func TestNoEntryDropsAnEngineHook(t *testing.T) {
 			_, _, _, err := bcast.MaxArg(g, tree, vals, cfg)
 			return err
 		}},
-		entry{"bcast.Sum", true, func(cfg congest.Config) error {
-			_, _, err := bcast.Sum(g, tree, vals, cfg)
-			return err
-		}},
 		entry{"bcast.Broadcast", true, func(cfg congest.Config) error {
 			_, _, err := bcast.Broadcast(g, tree, []bcast.Vec{{1}, {2}, {3}}, cfg)
 			return err

@@ -14,8 +14,8 @@
 // cumulatively acknowledged. Because the barrier completes before the next
 // logical round starts and inboxes are reassembled in canonical
 // (sender, sequence) order, every unmodified protocol computes bit-identical
-// distances, parents and logical Stats under any fault plan — the
-// conformance sweep in faults_test.go verifies exactly that, on both the
+// distances, parents and logical Stats under any fault plan — the root
+// package's TestDeliveryConformance verifies exactly that, on both the
 // dense and active-set schedulers.
 //
 // Fault decisions are drawn from a Plan: a keyed PRF of

@@ -191,7 +191,7 @@ type attrKV struct{ k, v string }
 // incoming W3C header value ("" for none): a valid header pins the trace
 // ID and its sampled flag wins the head decision; otherwise the tracer
 // assigns the next deterministic ID and head-samples 1-in-SampleEvery.
-// The returned context carries the root span for Start and for log
+// The returned context carries the root span for FromContext and for log
 // stamping. Ending the root span emits the trace (or discards it, per the
 // sampling decision).
 func (t *Tracer) StartRequest(ctx context.Context, name, traceparent string) (context.Context, *Span) {
@@ -236,21 +236,6 @@ func (tr *trace) newSpan(name, parent string) *Span {
 	}
 	tr.spans = append(tr.spans, sp)
 	return sp
-}
-
-// Start opens a child of the context's current span and returns a context
-// carrying the child. With no span in ctx (tracing off, or an untraced
-// code path) both returns are no-ops.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	sp := parent.tr.newSpan(name, parent.id)
-	if sp == nil {
-		return ctx, nil
-	}
-	return ContextWith(ctx, sp), sp
 }
 
 // Child opens a child span without threading a context — for tight loops

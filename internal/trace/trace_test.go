@@ -74,8 +74,8 @@ func TestNilTracerIsFreeAndSilent(t *testing.T) {
 	if tr.Enabled() || tr.Emitted() != 0 || tr.Err() != nil || tr.Close() != nil {
 		t.Fatal("nil tracer is not fully inert")
 	}
-	if _, sp := Start(ctx, "child"); sp != nil {
-		t.Fatal("Start minted a span from an untraced context")
+	if sp := FromContext(ctx).Child("child"); sp != nil {
+		t.Fatal("Child minted a span from an untraced context")
 	}
 }
 
@@ -143,7 +143,7 @@ func TestTailCaptureSlowAndError(t *testing.T) {
 		t.Fatal("healthy trace emitted without head sampling")
 	}
 	ctx, root := tr2.StartRequest(context.Background(), "bad", "")
-	_, child := Start(ctx, "inner")
+	child := FromContext(ctx).Child("inner")
 	child.Error(errors.New("boom"))
 	child.End()
 	root.End()
@@ -170,11 +170,11 @@ func TestSpanTreeShape(t *testing.T) {
 	tr, sink := newTestTracer(t, Options{SampleEvery: 1, Seed: 7, Now: clock})
 	ctx, root := tr.StartRequest(context.Background(), "serve.path", "")
 	root.SetInt("gen", 3)
-	cctx, probe := Start(ctx, "cache.probe")
+	probe := FromContext(ctx).Child("cache.probe")
 	probe.Set("hit", "false")
 	probe.End()
-	if FromContext(cctx) != probe {
-		t.Fatal("Start did not thread the child through the context")
+	if FromContext(ContextWith(ctx, probe)) != probe {
+		t.Fatal("ContextWith did not thread the child through the context")
 	}
 	walk := root.Child("walk")
 	walk.End()
@@ -297,7 +297,7 @@ func TestJSONLSink(t *testing.T) {
 	sink := NewJSONL(&buf)
 	tr := New(Options{SampleEvery: 1, Seed: 9, Sinks: []Sink{sink}})
 	ctx, root := tr.StartRequest(context.Background(), "req", "")
-	_, child := Start(ctx, "step")
+	child := FromContext(ctx).Child("step")
 	child.End()
 	root.End()
 	if err := tr.Close(); err != nil {
@@ -321,7 +321,7 @@ func TestChromeSinkSharesTimeline(t *testing.T) {
 	dst := obs.NewChrome(&buf)
 	tr := New(Options{SampleEvery: 1, Seed: 3, Sinks: []Sink{NewChrome(dst)}})
 	ctx, root := tr.StartRequest(context.Background(), "serve.dist", "")
-	_, sp := Start(ctx, "lookup")
+	sp := FromContext(ctx).Child("lookup")
 	sp.End()
 	root.End()
 	if err := tr.Close(); err != nil {
@@ -416,7 +416,7 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			ctx, root := tr.StartRequest(context.Background(), "req", "")
 			for j := 0; j < 4; j++ {
-				_, sp := Start(ctx, "step")
+				sp := FromContext(ctx).Child("step")
 				sp.SetInt("j", int64(j))
 				sp.End()
 			}
