@@ -25,9 +25,8 @@ var censusAllow = map[string]string{
 	"repro/internal/graph.KSourceHHop":   "sequential reference: tests use it as an oracle",
 	"repro/internal/graph.ZeroClosure":   "sequential reference: tests use it as an oracle",
 
-	"repro/internal/bellman.NewNode":      "test seam: congest's allocation and recycle guards step the bellman node through it",
-	"repro/internal/checkpoint.Save":      "the fixture re-seal step (Load, then Save); Keeper saves through the unexported save",
-	"repro/internal/httpfault.ParseEvent": "inverse of Event.String, pinned by FuzzHTTPFaultEvent; no program parses events yet",
+	"repro/internal/bellman.NewNode": "test seam: congest's allocation and recycle guards step the bellman node through it",
+	"repro/internal/checkpoint.Save": "the fixture re-seal step (Load, then Save); Keeper saves through the unexported save",
 }
 
 // TestSymbolCensus fails on an exported package-level function that no

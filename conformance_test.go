@@ -64,6 +64,12 @@ func familyRows() []familyRow {
 		g := graph.Random(14, 42, graph.GenOpts{Seed: seed, MaxW: 6, ZeroFrac: 0.2, Directed: true})
 		return []difftest.Instance{{G: g, Sources: []int{0, 7, 13}, Seed: seed}} // H 0: hssp picks h
 	}
+	step4 := small(9)[0]
+	step4.H = 2
+	var step4Probes []ckptProbe
+	for k := 1; k <= 8; k++ {
+		step4Probes = append(step4Probes, ckptProbe{19, k}, ckptProbe{20, k})
+	}
 	posIn := ckptInstance(4)
 	posIn.G = graph.Random(20, 60, graph.GenOpts{Seed: 4, MaxW: 6, MinW: 1, Directed: true})
 	posweightRun := func(strict bool) func(difftest.Instance, congest.Config) (any, error) {
@@ -115,10 +121,13 @@ func familyRows() []familyRow {
 	}, {
 		// The whole pipeline (cssp → blocker → per-blocker SSSP → broadcast).
 		// H = 0 lets hssp choose h; H = 4 has a non-empty blocker set Q.
+		// The H = 2 checkpoint instance (|Q| = 2) ends in Step 4's gather
+		// (run 19, 4 rounds) and the broadcast every node folds into its
+		// row (run 20, 8 rounds): both are killed at every round.
 		name: "BlockerAPSP", space: difftest.Space{SeedsPerSize: 2, H: -1}, faultSeeds: 2,
 		extra: []difftest.Instance{allPairs(32, 11, 0)},
 		large: []difftest.Instance{allPairs(64, 7, 0), allPairs(64, 7, 4)},
-		ckpt:  small(9), probes: multi,
+		ckpt:  append(small(9), step4), probes: append(multi, step4Probes...),
 		run: func(in difftest.Instance, cfg congest.Config) (any, error) {
 			return hssp.Run(in.G, hssp.Opts{Sources: in.Sources, H: in.H, Engine: cfg})
 		},

@@ -1,14 +1,16 @@
 // Package bcast provides the global-communication substrate that the
 // paper's composite algorithms assume from [3]: a BFS spanning tree of the
-// communication graph, convergecast aggregation (max with arg),
-// root-to-all broadcast, and pipelined broadcast of value lists.
+// communication graph, convergecast aggregation (max with arg), pipelined
+// gathering of value lists at the root, and pipelined broadcast of a value
+// list that every node folds into its own row as the values arrive.
 //
 // These are the standard CONGEST building blocks used by the blocker-set
 // greedy selection (Sec. III-B: "the new blocker node c can be identified as
-// one with the maximum score") and by Steps 3–4 of Algorithm 3 (per-blocker
-// distance broadcast). Each primitive is a separate engine run; state flows
-// between phases through per-node arrays, which never moves information
-// between nodes — it only carries a node's own state into its next phase.
+// one with the maximum score") and by Steps 4–5 of Algorithm 3 (per-blocker
+// distance broadcast, combined at each node). Each primitive is a separate
+// engine run; state flows between phases through per-node arrays, which
+// never moves information between nodes — it only carries a node's own
+// state into its next phase.
 package bcast
 
 import (
@@ -238,26 +240,30 @@ func (q *relayQueue) pop() congest.Payload {
 	return p
 }
 
-// pipeNode relays a stream of Vec values down the tree in pipeline order.
+// pipeNode relays a stream of Vec values down the tree in pipeline order
+// and folds each value into its own row: a relay as the value arrives, the
+// root as it sends it.
 type pipeNode struct {
 	id    int
 	tree  *Tree
 	src   []Vec // only at root
 	sentI int
 	queue relayQueue // received, not yet forwarded
-	got   []Vec
+	row   []int64
+	fold  func(v int, row []int64, x Vec)
 }
 
 func (p *pipeNode) Init(*congest.Context) {}
 
 func (p *pipeNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	for _, m := range inbox {
-		p.got = append(p.got, m.Payload.(Vec))
+		p.fold(p.id, p.row, m.Payload.(Vec))
 		p.queue.push(m.Payload)
 	}
 	var out congest.Payload
 	if p.id == p.tree.Root {
 		if p.sentI < len(p.src) {
+			p.fold(p.id, p.row, p.src[p.sentI])
 			out = p.src[p.sentI]
 			p.sentI++
 		}
@@ -287,34 +293,28 @@ func (p *pipeNode) NextWake() int {
 	return congest.WakeOnReceive
 }
 
-// Broadcast pipelines the given values from the tree root to every node.
-// Every node receives all values in order; rounds ≤ len(values) + tree
-// height. Returns each node's received list (the root's is the input).
-func Broadcast(g *graph.Graph, tr *Tree, values []Vec, cfg congest.Config) ([][]Vec, congest.Stats, error) {
+// Broadcast pipelines the given values from the tree root to every node;
+// rounds ≤ len(values) + tree height. Node v keeps no list: it starts from
+// the row rows[v] and applies fold(v, row, x) to each value x in stream
+// order, as x arrives (the root as it sends x). fold may touch only row and
+// read-only inputs, since nodes run on concurrent workers. Returns rows,
+// with each node's final row in place of its seed.
+func Broadcast(g *graph.Graph, tr *Tree, values []Vec, rows [][]int64, fold func(v int, row []int64, x Vec), cfg congest.Config) ([][]int64, congest.Stats, error) {
 	nodes := make([]*pipeNode, g.N())
 	stats, err := congest.Run(g, func(v int) congest.Node {
-		nodes[v] = &pipeNode{id: v, tree: tr}
+		nodes[v] = &pipeNode{id: v, tree: tr, row: rows[v], fold: fold}
 		if v == tr.Root {
 			nodes[v].src = values
-		} else {
-			// Every relay receives exactly len(values) items; capacity is
-			// bookkeeping, not protocol state.
-			nodes[v].got = make([]Vec, 0, len(values))
 		}
 		return nodes[v]
 	}, cfg)
 	if err != nil {
 		return nil, stats, fmt.Errorf("bcast: Broadcast: %w", err)
 	}
-	out := make([][]Vec, g.N())
-	for v := range nodes {
-		if v == tr.Root {
-			out[v] = values
-		} else {
-			out[v] = nodes[v].got
-		}
+	for v, p := range nodes {
+		rows[v] = p.row
 	}
-	return out, stats, nil
+	return rows, stats, nil
 }
 
 // Gather pipelines every node's value list up to the root (a convergecast
@@ -324,15 +324,16 @@ type gatherNode struct {
 	id    int
 	tree  *Tree
 	queue relayQueue
-	got   []Vec
+	got   []Vec // only at root
 }
 
 func (gn *gatherNode) Init(*congest.Context) {}
 
 func (gn *gatherNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	for _, m := range inbox {
-		gn.got = append(gn.got, m.Payload.(Vec))
-		if gn.id != gn.tree.Root {
+		if gn.id == gn.tree.Root {
+			gn.got = append(gn.got, m.Payload.(Vec))
+		} else {
 			gn.queue.push(m.Payload)
 		}
 	}

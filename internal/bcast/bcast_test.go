@@ -2,6 +2,8 @@ package bcast
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/congest"
@@ -120,22 +122,30 @@ func TestMaxArgTieBreaksSmallestNode(t *testing.T) {
 	}
 }
 
+// TestBroadcastPipelined checks that every node folds every value exactly
+// once and in stream order (the fold is an order-sensitive hash), the root
+// included.
 func TestBroadcastPipelined(t *testing.T) {
 	g := graph.Path(6, graph.GenOpts{Seed: 1, MaxW: 1})
 	tr := buildTestTree(t, g, 0)
 	values := []Vec{{1, 10}, {2, 20}, {3, 30}, {4, 40}}
-	got, stats, err := Broadcast(g, tr, values, congest.Config{})
+	seed := func(v int) []int64 { return []int64{int64(v), 0} }
+	fold := func(_ int, row []int64, x Vec) { row[0], row[1] = row[0]*31+x[0], row[1]+x[1] }
+	rows := make([][]int64, g.N())
+	for v := range rows {
+		rows[v] = seed(v)
+	}
+	got, stats, err := Broadcast(g, tr, values, rows, fold, congest.Config{})
 	if err != nil {
 		t.Fatalf("Broadcast: %v", err)
 	}
 	for v := 0; v < g.N(); v++ {
-		if len(got[v]) != len(values) {
-			t.Fatalf("node %d got %d values", v, len(got[v]))
+		want := seed(v)
+		for _, x := range values {
+			fold(v, want, x)
 		}
-		for i := range values {
-			if got[v][i][0] != values[i][0] || got[v][i][1] != values[i][1] {
-				t.Fatalf("node %d value %d = %v, want %v", v, i, got[v][i], values[i])
-			}
+		if !slices.Equal(got[v], want) {
+			t.Fatalf("node %d row = %v, want %v", v, got[v], want)
 		}
 	}
 	// Pipelining: rounds ≤ len(values) + height.
@@ -147,7 +157,8 @@ func TestBroadcastPipelined(t *testing.T) {
 func TestBroadcastEmptyList(t *testing.T) {
 	g := graph.Path(3, graph.GenOpts{Seed: 1, MaxW: 1})
 	tr := buildTestTree(t, g, 0)
-	got, stats, err := Broadcast(g, tr, nil, congest.Config{})
+	rows := [][]int64{{7}, {7}, {7}}
+	got, stats, err := Broadcast(g, tr, nil, rows, func(_ int, row []int64, _ Vec) { row[0]++ }, congest.Config{})
 	if err != nil {
 		t.Fatalf("Broadcast: %v", err)
 	}
@@ -155,8 +166,8 @@ func TestBroadcastEmptyList(t *testing.T) {
 		t.Fatalf("empty broadcast used %d rounds", stats.Rounds)
 	}
 	for v := range got {
-		if len(got[v]) != 0 {
-			t.Fatalf("node %d received phantom values", v)
+		if got[v][0] != 7 {
+			t.Fatalf("node %d folded phantom values: %v", v, got[v])
 		}
 	}
 }
@@ -191,42 +202,59 @@ func TestGather(t *testing.T) {
 	}
 }
 
-// TestBroadcastAllocsLinearInNodes guards the relays' bookkeeping: a
-// relay's received list is presized, its queue drains by index without
-// growing, and it forwards the Payload it received instead of boxing the
-// value again, so a Broadcast of L values down a path costs a fixed number
-// of allocations per node plus one box per value at the root — O(n + L),
-// not O(n·log L) or O(n·L). The guard compares the per-node cost (the
-// difference between paths of 2n and n nodes) at two list lengths.
+// TestBroadcastAllocsLinearInNodes guards the relays' bookkeeping: a relay
+// keeps a fixed row instead of a list of what it received, its queue
+// drains by index without growing, and it forwards the Payload it received
+// instead of boxing the value again, so a Broadcast of L values down a path
+// costs a fixed number of allocations and bytes per node plus one box per
+// value at the root — O(n + L), not O(n·log L) or O(n·L). The guard
+// compares the per-node cost (the difference between paths of 2n and n
+// nodes) at two list lengths.
 func TestBroadcastAllocsLinearInNodes(t *testing.T) {
-	perNode := func(L int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perNode := func(L int) (allocs, bytes float64) {
 		values := make([]Vec, L)
 		for i := range values {
 			values[i] = Vec{int64(i)}
 		}
-		var cost [2]float64
+		fold := func(_ int, row []int64, x Vec) { row[0] += x[0] }
+		var cost [2][2]float64
 		for i, n := range []int{32, 64} {
 			g := graph.Path(n, graph.GenOpts{Seed: 1, MaxW: 1})
 			tr := buildTestTree(t, g, 0)
 			cfg := congest.Config{Workers: 1}
+			rows := make([][]int64, n)
+			for v := range rows {
+				rows[v] = make([]int64, 1)
+			}
 			// The cheapest of several runs: one whose engine came from the
 			// pool (a fresh engine only adds).
-			cost[i] = math.Inf(1)
+			cost[i] = [2]float64{math.Inf(1), math.Inf(1)}
 			for try := 0; try < 10; try++ {
-				cost[i] = min(cost[i], testing.AllocsPerRun(1, func() {
-					if _, _, err := Broadcast(g, tr, values, cfg); err != nil {
-						t.Fatal(err)
-					}
-				}))
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, _, err := Broadcast(g, tr, values, rows, fold, cfg); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				cost[i][0] = min(cost[i][0], float64(after.Mallocs-before.Mallocs))
+				cost[i][1] = min(cost[i][1], float64(after.TotalAlloc-before.TotalAlloc))
 			}
 		}
-		return cost[1] - cost[0]
+		return cost[1][0] - cost[0][0], cost[1][1] - cost[0][1]
 	}
-	// The two costs agree exactly in a normal build; under the race
+	shortA, shortB := perNode(16)
+	longA, longB := perNode(1024)
+	// The two counts agree exactly in a normal build; under the race
 	// detector a run now and then counts two more. The slack is far below
 	// the 32·log2(1024/16) = 192 that relays growing their lists by
 	// doubling would add.
-	if short, long := perNode(16), perNode(1024); math.Abs(long-short) > 4 {
-		t.Fatalf("32 more path nodes cost %v allocations for 16 values but %v for 1024: a relay's cost grows with the list", short, long)
+	if math.Abs(longA-shortA) > 4 {
+		t.Fatalf("32 more path nodes cost %v allocations for 16 values but %v for 1024: a relay's cost grows with the list", shortA, longA)
+	}
+	// Likewise the bytes: 1 KiB of slack against the 32·1008·24 B ≈ 774 KB
+	// that relays keeping what they received would add.
+	if math.Abs(longB-shortB) > 1024 {
+		t.Fatalf("32 more path nodes cost %v bytes for 16 values but %v for 1024: a relay's memory grows with the list", shortB, longB)
 	}
 }

@@ -1,7 +1,7 @@
 // Checkpoint support: congest.Stateful for the five tree-primitive node
-// kinds. Tree topology, root and the root's source list are configuration
-// (rebuilt by the phase driver); only the per-run dynamic state
-// round-trips.
+// kinds. Tree topology, root, the root's source list and the broadcast's
+// fold are configuration (rebuilt by the phase driver); only the per-run
+// dynamic state round-trips.
 package bcast
 
 import "repro/internal/congest"
@@ -63,7 +63,7 @@ func walkQueue(c *congest.Codec, q *relayQueue) {
 func (p *pipeNode) State(c *congest.Codec) error {
 	c.Int(&p.sentI)
 	walkQueue(c, &p.queue)
-	walkVecs(c, &p.got)
+	c.Int64s(&p.row)
 	return nil
 }
 

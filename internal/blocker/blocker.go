@@ -362,8 +362,13 @@ func Compute(g *graph.Graph, coll *cssp.Collection, cfg congest.Config) (*Result
 			return res, nil
 		}
 		c := int(arg)
-		// Announce c (a one-value broadcast down the BFS tree).
-		_, st, err = bcast.Broadcast(g, tree, []bcast.Vec{{int64(c)}}, cfg)
+		// Announce c (a one-value broadcast down the BFS tree): each node
+		// keeps the pick it received in a one-entry row.
+		picks := make([][]int64, n)
+		for v := range picks {
+			picks[v] = []int64{-1}
+		}
+		picks, st, err = bcast.Broadcast(g, tree, []bcast.Vec{{arg}}, picks, func(_ int, row []int64, x bcast.Vec) { row[0] = x[0] }, cfg)
 		res.Stats.Add(st)
 		res.PhaseRounds["select"] += st.Rounds
 		if err != nil {
@@ -374,7 +379,7 @@ func Compute(g *graph.Graph, coll *cssp.Collection, cfg congest.Config) (*Result
 		// Score updates at descendants (Algorithm 4) and ancestors.
 		updates := make([]*updateNode, n)
 		st, err = congest.Run(g, func(v int) congest.Node {
-			updates[v] = &updateNode{queueNode: queueNode{nbrs: g.CommNeighbors(v)}, id: v, coll: coll, children: children[v], score: score[v], c: c}
+			updates[v] = &updateNode{queueNode: queueNode{nbrs: g.CommNeighbors(v)}, id: v, coll: coll, children: children[v], score: score[v], c: int(picks[v][0])}
 			return updates[v]
 		}, cfg)
 		res.Stats.Add(st)

@@ -163,7 +163,7 @@ func TestNoEntryDropsAnEngineHook(t *testing.T) {
 			return err
 		}},
 		entry{"bcast.Broadcast", true, func(cfg congest.Config) error {
-			_, _, err := bcast.Broadcast(g, tree, []bcast.Vec{{1}, {2}, {3}}, cfg)
+			_, _, err := bcast.Broadcast(g, tree, []bcast.Vec{{1}, {2}, {3}}, make([][]int64, g.N()), func(int, []int64, bcast.Vec) {}, cfg)
 			return err
 		}},
 		entry{"bcast.Gather", true, func(cfg congest.Config) error {

@@ -8,7 +8,8 @@
 //	Step 3  for each c ∈ Q in sequence: exact SSSP from c and to c
 //	        (distributed Bellman–Ford, as in [3])
 //	Step 4  broadcast δ(x,c) for every source x and blocker c
-//	Step 5  local: δ(x,v) = min(short-range value, min_c δ(x,c)+δ(c,v))
+//	Step 5  local, at each node v as Step 4 delivers each δ(x,c):
+//	        δ(x,v) = min(short-range value, min_c δ(x,c)+δ(c,v))
 //
 // Round complexity (Lemma III.2): O(n·q + √(Δhk)) with q = |Q| =
 // O((n log n)/h); choosing h per Theorems I.2/I.3 yields the headline
@@ -187,39 +188,31 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hssp: step 4 gather: %w", err)
 	}
-	_, st, err = bcast.Broadcast(g, tree, gathered, engineCfg)
+
+	// Step 5, at each node as Step 4 delivers: node v's row starts at its
+	// ≤2h-hop short-range values and folds in δ(x_i,c_j) + δ(c_j,v).
+	rows, st, err := bcast.Broadcast(g, tree, gathered, transpose(coll.RawDist), func(v int, row []int64, x bcast.Vec) {
+		if d := fromC[x[1]][v]; d < graph.Inf {
+			row[x[0]] = min(row[x[0]], x[2]+d)
+		}
+	}, engineCfg)
 	res.Stats.Add(st)
 	res.PhaseRounds["broadcast"] += st.Rounds
 	if err != nil {
 		return nil, fmt.Errorf("hssp: step 4 broadcast: %w", err)
 	}
-	srcToC := make([][]int64, k) // δ(x_i, c_j), now known everywhere
-	for i := range srcToC {
-		srcToC[i] = make([]int64, q)
-		for j := range srcToC[i] {
-			srcToC[i][j] = graph.Inf
-		}
-	}
-	for _, it := range gathered {
-		srcToC[it[0]][it[1]] = it[2]
-	}
-
-	// Step 5: local combination.
-	res.Dist = make([][]int64, k)
-	for i := range sources {
-		res.Dist[i] = make([]int64, n)
-		for v := 0; v < n; v++ {
-			best := coll.RawDist[i][v] // ≤2h-hop short-range value
-			for j := range blk.Q {
-				if srcToC[i][j] >= graph.Inf || fromC[j][v] >= graph.Inf {
-					continue
-				}
-				if d := srcToC[i][j] + fromC[j][v]; d < best {
-					best = d
-				}
-			}
-			res.Dist[i][v] = best
-		}
-	}
+	res.Dist = transpose(rows)
 	return res, nil
+}
+
+// transpose returns the columns of the non-empty matrix m as rows.
+func transpose(m [][]int64) [][]int64 {
+	t := make([][]int64, len(m[0]))
+	for v := range t {
+		t[v] = make([]int64, len(m))
+		for i := range m {
+			t[v][i] = m[i][v]
+		}
+	}
+	return t
 }

@@ -1,9 +1,13 @@
 package hssp
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/bcast"
+	"repro/internal/congest"
 	"repro/internal/difftest"
+	"repro/internal/faults"
 	"repro/internal/graph"
 )
 
@@ -129,5 +133,69 @@ func TestValidation(t *testing.T) {
 	g := graph.Path(4, graph.GenOpts{Seed: 1, MaxW: 3})
 	if _, err := Run(g, Opts{Sources: []int{}}); err == nil {
 		t.Fatal("empty source slice accepted")
+	}
+}
+
+// oneRun routes engine run number run of a multi-run protocol through net
+// and every other run through wire, counting the runs as they start.
+type oneRun struct {
+	congest.Network
+	run, runs int
+	net, wire congest.Network
+}
+
+func (o *oneRun) Reset(n int) {
+	o.Network = o.wire
+	if o.runs == o.run {
+		o.Network = o.net
+	}
+	o.runs++
+	o.Network.Reset(n)
+}
+
+// TestStep5UsesWhatTheNodeReceived removes one Step 4 delivery at one leaf
+// v of the broadcast tree, for each round of the broadcast run in turn. Step
+// 5 runs at each node from what the broadcast delivered to it, so some drop
+// must change v's distances, and no drop may change another node's.
+func TestStep5UsesWhatTheNodeReceived(t *testing.T) {
+	g := graph.Random(20, 60, graph.GenOpts{Seed: 3, MaxW: 6, Directed: true})
+	opts := Opts{Sources: []int{0, 7, 13}, H: 2}
+	count := &oneRun{run: -1, wire: faults.New(faults.Plan{})}
+	opts.Engine.Network = count
+	base, err := Run(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Q) == 0 {
+		t.Fatal("empty blocker set: Step 4 broadcasts nothing")
+	}
+	tree, _, err := bcast.BuildTree(g, 0, congest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := slices.IndexFunc(tree.Children, func(c []int) bool { return len(c) == 0 })
+	changed := 0
+	for r := 1; r <= base.PhaseRounds["broadcast"]; r++ {
+		drop := &faults.Network{Unreliable: true, Script: []faults.Event{{Round: r, From: tree.Parent[v], To: v, Kind: faults.DropEvent}}}
+		opts.Engine.Network = &oneRun{run: count.runs - 1, net: drop, wire: faults.New(faults.Plan{})}
+		res, err := Run(g, opts)
+		if err != nil {
+			t.Fatalf("drop in round %d: %v", r, err)
+		}
+		for u := 0; u < g.N(); u++ {
+			same := true
+			for i := range res.Dist {
+				same = same && res.Dist[i][u] == base.Dist[i][u]
+			}
+			switch {
+			case u == v && !same:
+				changed++
+			case u != v && !same:
+				t.Fatalf("dropping round %d's delivery to %d changed node %d's distances", r, v, u)
+			}
+		}
+	}
+	if changed == 0 {
+		t.Fatalf("no dropped Step 4 delivery to node %d changed its distances: Step 5 does not read what the node received", v)
 	}
 }

@@ -3,8 +3,6 @@ package httpfault
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/key"
 )
 
 // Kind classifies a single explicit HTTP fault event.
@@ -39,16 +37,6 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// ParseKind is the inverse of Kind.String.
-func ParseKind(s string) (Kind, error) {
-	for i, n := range kindNames {
-		if s == n {
-			return Kind(i), nil
-		}
-	}
-	return 0, fmt.Errorf("httpfault: unknown event kind %q", s)
-}
-
 // Event is one explicit fault applied to the Req-th request seen by the
 // Transport (0-based, in admission order). A Transport with a non-nil
 // Script injects exactly the scripted events and nothing else — the
@@ -63,28 +51,14 @@ type Event struct {
 	Arg int64
 }
 
-// String renders the event in the fixture form ParseEvent accepts:
-// "req=N kind=K" with " arg=N" appended when non-zero.
+// String renders the event as "req=N kind=K", with " arg=N" appended
+// when non-zero.
 func (e Event) String() string {
 	s := fmt.Sprintf("req=%d kind=%s", e.Req, e.Kind)
 	if e.Arg != 0 {
 		s += fmt.Sprintf(" arg=%d", e.Arg)
 	}
 	return s
-}
-
-// ParseEvent is the inverse of Event.String.
-func ParseEvent(s string) (Event, error) {
-	var e Event
-	err := key.Scan("httpfault", "event field", s, "", key.Vocab{
-		"req":  {Need: true, Set: key.Into(&e.Req, key.Uint64)},
-		"kind": {Need: true, Set: key.Into(&e.Kind, ParseKind)},
-		"arg":  {Set: key.Into(&e.Arg, key.Int64)},
-	})
-	if err != nil {
-		return Event{}, err
-	}
-	return e, nil
 }
 
 // fate is the resolved fault assignment for one request. The zero fate is

@@ -46,23 +46,3 @@ func FuzzHTTPFaultPlan(f *testing.F) {
 		}
 	})
 }
-
-// FuzzHTTPFaultEvent is FuzzFaultEvent for the HTTP event grammar.
-func FuzzHTTPFaultEvent(f *testing.F) {
-	f.Add(uint64(17), 2, int64(0), "req=17 kind=err500")
-	f.Add(uint64(0), 0, int64(1500), "req=1 req=2 kind=reset")
-	f.Add(uint64(1<<63), 1, int64(-1), "kind=reset arg=1 req=3")
-	f.Fuzz(func(t *testing.T, req uint64, kind int, arg int64, s string) {
-		e := Event{Req: req, Kind: Kind(uint(kind) % uint(len(kindNames))), Arg: arg}
-		if got, err := ParseEvent(e.String()); err != nil || got != e {
-			t.Fatalf("ParseEvent(%q) = %+v, %v; want %+v", e.String(), got, err, e)
-		}
-		e, err := ParseEvent(s)
-		if err != nil {
-			return
-		}
-		if got, err := ParseEvent(e.String()); err != nil || got != e {
-			t.Fatalf("%q parsed to %+v, whose form %q parses to %+v, %v", s, e, e.String(), got, err)
-		}
-	})
-}

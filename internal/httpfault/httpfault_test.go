@@ -242,25 +242,17 @@ func TestParseStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEventRoundTrip(t *testing.T) {
-	evs := []Event{
-		{Req: 0, Kind: ResetEvent},
-		{Req: 3, Kind: ResetEvent, Arg: 1},
-		{Req: 9, Kind: DelayEvent, Arg: 1500},
-		{Req: 12, Kind: BlackholeEvent},
-	}
-	for _, e := range evs {
-		got, err := ParseEvent(e.String())
-		if err != nil {
-			t.Fatalf("ParseEvent(%q): %v", e, err)
-		}
-		if got != e {
-			t.Fatalf("round trip %v -> %v", e, got)
-		}
-	}
-	for _, bad := range []string{"", "req=1", "kind=reset", "req=1 kind=nope", "req=1 req=2 kind=reset"} {
-		if _, err := ParseEvent(bad); err == nil {
-			t.Fatalf("ParseEvent(%q) accepted", bad)
+// TestEventString pins the form a script prints in: "req=N kind=K", with
+// " arg=N" only when Arg is set.
+func TestEventString(t *testing.T) {
+	for e, want := range map[Event]string{
+		{Req: 0, Kind: ResetEvent}:            "req=0 kind=reset",
+		{Req: 3, Kind: ResetEvent, Arg: 1}:    "req=3 kind=reset arg=1",
+		{Req: 9, Kind: DelayEvent, Arg: 1500}: "req=9 kind=delay arg=1500",
+		{Req: 12, Kind: Kind(9)}:              "req=12 kind=kind(9)",
+	} {
+		if got := e.String(); got != want {
+			t.Errorf("%#v.String() = %q, want %q", e, got, want)
 		}
 	}
 }

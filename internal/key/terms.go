@@ -37,10 +37,9 @@ func Into[T any](dst *T, parse func(string) (T, error)) func(string) error {
 	}
 }
 
-// Int64, Uint64 and Float are the base-10 / 64-bit parsers in the shape
-// Into takes (strconv.Atoi, time.ParseDuration etc. already have it).
+// Int64 and Float are the base-10 / 64-bit parsers in the shape Into
+// takes (strconv.Atoi, time.ParseDuration etc. already have it).
 func Int64(v string) (int64, error)   { return strconv.ParseInt(v, 10, 64) }
-func Uint64(v string) (uint64, error) { return strconv.ParseUint(v, 10, 64) }
 func Float(v string) (float64, error) { return strconv.ParseFloat(v, 64) }
 
 // Prob renders a probability in the shortest form that parses back to the
