@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/approx"
@@ -11,10 +12,12 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/congest"
 	"repro/internal/core"
+	"repro/internal/cssp"
 	"repro/internal/difftest"
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/hssp"
+	"repro/internal/obs"
 	"repro/internal/posweight"
 	"repro/internal/scaling"
 	"repro/internal/shortrange"
@@ -37,9 +40,11 @@ type familyRow struct {
 	space        difftest.Space
 	faultSeeds   int64
 	extra, large []difftest.Instance
-	// ckpt and probes are the checkpoint sweep's instances and kill points.
-	ckpt   []difftest.Instance
-	probes []ckptProbe
+	// ckpt and probes are the checkpoint sweep's instances and kill points;
+	// unreliable adds cells under ckptPlan in Unreliable mode.
+	ckpt       []difftest.Instance
+	probes     []ckptProbe
+	unreliable bool
 	// sssp, when set, extracts the baseline distances difftest.SSSPOracle checks.
 	sssp func(res any) [][]int64
 }
@@ -47,10 +52,10 @@ type familyRow struct {
 // ckptProbe is one (engine run index, checkpoint round) kill point.
 type ckptProbe struct{ run, round int }
 
-// probeGrid is every kill point up to round rounds of the first runs engine
-// runs: dense, as a dropped state field shows only where it is live.
-func probeGrid(runs, rounds int) (ps []ckptProbe) {
-	for r := range runs {
+// probeGrid is every kill point up to round rounds of engine runs first to
+// last: dense, as a dropped state field shows only where it is live.
+func probeGrid(first, last, rounds int) (ps []ckptProbe) {
+	for r := first; r <= last; r++ {
 		for k := 1; k <= rounds; k++ {
 			ps = append(ps, ckptProbe{r, k})
 		}
@@ -59,19 +64,14 @@ func probeGrid(runs, rounds int) (ps []ckptProbe) {
 }
 
 func familyRows() []familyRow {
-	single, multi := probeGrid(1, 32), probeGrid(4, 5)
+	single, multi := probeGrid(0, 0, 32), probeGrid(0, 3, 5)
 	small := func(seed int64) []difftest.Instance {
 		g := graph.Random(14, 42, graph.GenOpts{Seed: seed, MaxW: 6, ZeroFrac: 0.2, Directed: true})
 		return []difftest.Instance{{G: g, Sources: []int{0, 7, 13}, Seed: seed}} // H 0: hssp picks h
 	}
-	step4 := small(9)[0]
+	step4 := small(6)[0]
 	step4.H = 2
-	var step4Probes []ckptProbe
-	for k := 1; k <= 8; k++ {
-		step4Probes = append(step4Probes, ckptProbe{19, k}, ckptProbe{20, k})
-	}
-	posIn := ckptInstance(4)
-	posIn.G = graph.Random(20, 60, graph.GenOpts{Seed: 4, MaxW: 6, MinW: 1, Directed: true})
+	posIn := ckptInstance(4) // zero weights: posweight sends late (lenient) or misses (strict)
 	posweightRun := func(strict bool) func(difftest.Instance, congest.Config) (any, error) {
 		return func(in difftest.Instance, cfg congest.Config) (any, error) {
 			return posweight.Run(in.G, posweight.Opts{Sources: in.Sources, Strict: strict, Engine: cfg})
@@ -83,9 +83,18 @@ func familyRows() []familyRow {
 	}
 	return []familyRow{{
 		name: "Core", space: difftest.Space{SeedsPerSize: 8}, faultSeeds: 3,
-		ckpt: []difftest.Instance{ckptInstance(3), ckptInstance(11)}, probes: single,
+		ckpt: []difftest.Instance{ckptInstance(3), ckptInstance(11)}, probes: single, unreliable: true,
 		run: func(in difftest.Instance, cfg congest.Config) (any, error) {
 			return core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H, SnapshotRounds: []int{2, 5}, Engine: cfg})
+		},
+	}, {
+		// The paper's literal list rules lose h-hop distances (core.Literal),
+		// but deterministically: every environment must agree on what they
+		// compute. They are Z.ν's only reader.
+		name: "CoreLiteral", space: difftest.Space{SeedsPerSize: 2}, faultSeeds: 1,
+		ckpt: []difftest.Instance{ckptInstance(3)}, probes: single,
+		run: func(in difftest.Instance, cfg congest.Config) (any, error) {
+			return core.RunLiteral(in.G, core.Opts{Sources: in.Sources, H: in.H, Engine: cfg}, core.Literal{})
 		},
 	}, {
 		// Lenient posweight is correct unrestricted SSSP. Strict mode is the
@@ -121,15 +130,27 @@ func familyRows() []familyRow {
 	}, {
 		// The whole pipeline (cssp → blocker → per-blocker SSSP → broadcast).
 		// H = 0 lets hssp choose h; H = 4 has a non-empty blocker set Q.
-		// The H = 2 checkpoint instance (|Q| = 2) ends in Step 4's gather
-		// (run 19, 4 rounds) and the broadcast every node folds into its
-		// row (run 20, 8 rounds): both are killed at every round.
+		// Both checkpoint instances are killed in runs 4–8: the tree BFS,
+		// the claim, the convergecast, the pipelined broadcast and the
+		// score update of the first blocker pick. The H = 2 instance
+		// (|Q| = 2) re-selects a parent (run 1 lasts 5 rounds) and ends in
+		// Step 4's gather (run 19, 4 rounds) and the broadcast every node
+		// folds into its row (run 20, 9 rounds): both are killed at every
+		// round.
 		name: "BlockerAPSP", space: difftest.Space{SeedsPerSize: 2, H: -1}, faultSeeds: 2,
 		extra: []difftest.Instance{allPairs(32, 11, 0)},
 		large: []difftest.Instance{allPairs(64, 7, 0), allPairs(64, 7, 4)},
-		ckpt:  append(small(9), step4), probes: append(multi, step4Probes...),
+		ckpt:  append(small(9), step4), probes: slices.Concat(multi, probeGrid(4, 8, 4), probeGrid(19, 20, 9)),
 		run: func(in difftest.Instance, cfg congest.Config) (any, error) {
 			return hssp.Run(in.G, hssp.Opts{Sources: in.Sources, H: in.H, Engine: cfg})
+		},
+	}, {
+		// Build alone, killed in its parent re-selection run on a graph
+		// where the re-selection cascades (cascadeGraph).
+		name: "CSSSP", space: difftest.Space{SeedsPerSize: 2}, faultSeeds: 1,
+		ckpt: []difftest.Instance{{G: cascadeGraph(), Sources: []int{0, 1}, H: 3}}, probes: probeGrid(1, 1, 6),
+		run: func(in difftest.Instance, cfg congest.Config) (any, error) {
+			return cssp.Build(in.G, in.Sources, in.H, 0, cfg)
 		},
 	}, {
 		name: "Approx", space: difftest.Space{SeedsPerSize: 2}, faultSeeds: 2, ckpt: small(10), probes: multi,
@@ -137,6 +158,34 @@ func familyRows() []familyRow {
 			return approx.Run(in.G, approx.Opts{Sources: in.Sources, Eps: 0.5, Engine: cfg})
 		},
 	}}
+}
+
+// cascadeGraph is a 15-node graph on which cssp.Build(sources {0, 1},
+// h = 3) re-selects in a cascade. Each source s reaches node 2 by one arc
+// of weight 10 and by a 6-arc chain of weight 6, so 2's best record is
+// the 6-hop one, which h truncates. Node 3 (behind 2) keeps its 2-hop
+// record but loses its only candidate and invalidates both sources, one
+// per round; node 4 (behind 3) then invalidates both in turn. Kills in
+// the re-selection run find invalidations in flight and one queued.
+func cascadeGraph() *graph.Graph {
+	g := graph.New(15, true)
+	arc := func(u, v int, w int64) {
+		if err := g.AddEdge(u, v, w); err != nil {
+			panic(err)
+		}
+	}
+	for s, chain := range []int{5, 10} {
+		arc(s, 2, 10)
+		prev := s
+		for v := chain; v < chain+5; v++ {
+			arc(prev, v, 1)
+			prev = v
+		}
+		arc(prev, 2, 1)
+	}
+	arc(2, 3, 1)
+	arc(3, 4, 1)
+	return g
 }
 
 // ckptInstance is the checkpoint sweeps' 20-node instance.
@@ -197,6 +246,8 @@ type outcome struct {
 	res    any
 	err    error
 	events stream
+	rec    *recording     // faulty checkpoint cells only
+	faults []faults.Event // unreliable checkpoint cells only: the plan's recorded faults
 }
 
 func (f familyRow) exec(in difftest.Instance, cfg congest.Config) (o outcome) {
@@ -228,6 +279,9 @@ func (o outcome) diverges(base outcome) error {
 	}
 	if len(o.events) != len(base.events) {
 		return fmt.Errorf("%d observer events, baseline %d", len(o.events), len(base.events))
+	}
+	if !slices.Equal(o.faults, base.faults) {
+		return fmt.Errorf("recorded faults %v, baseline %v", o.faults, base.faults)
 	}
 	return nil
 }
@@ -291,29 +345,166 @@ func TestDeliveryConformance(t *testing.T) {
 	}
 }
 
+// ckptCell is one kill point of the checkpoint sweep: a probe under one
+// scheduler and network.
+type ckptCell struct {
+	sched congest.Scheduler
+	net   ckptNet
+	pr    ckptProbe
+}
+
+// ckptNet is a checkpoint cell's network column.
+type ckptNet int
+
+const (
+	netPerfect    ckptNet = iota // no network
+	netFaulty                    // ckptPlan, with an obs.Recorder observing
+	netUnreliable                // ckptPlan in Unreliable mode: synchrony broken on purpose
+)
+
+// ckptPlan is the faulty and unreliable cells' plan: every fault at once.
+var ckptPlan = faults.All(41)
+
+func (f familyRow) ckptCells() (cs []ckptCell) {
+	nets := []ckptNet{netPerfect, netFaulty}
+	if f.unreliable {
+		nets = append(nets, netUnreliable)
+	}
+	for _, sched := range schedulers {
+		for _, net := range nets {
+			for _, pr := range f.probes {
+				cs = append(cs, ckptCell{sched, net, pr})
+			}
+		}
+	}
+	return cs
+}
+
+// ckptBases are one checkpoint instance's uninterrupted runs. Perfect and
+// faulty cells must reproduce the fault-free dense run's Result and
+// observer stream; per scheduler, faulty cells must also reproduce the
+// faulty run's Recorder, and unreliable cells the whole unreliable run.
+type ckptBases struct {
+	dense      outcome
+	rec, unrel map[congest.Scheduler]outcome
+}
+
+func (f familyRow) ckptBases(in difftest.Instance) (b ckptBases, err error) {
+	b.dense = f.exec(in, congest.Config{Scheduler: congest.SchedulerDense})
+	if b.dense.err != nil {
+		return b, fmt.Errorf("baseline: %v", b.dense.err)
+	}
+	b.rec, b.unrel = map[congest.Scheduler]outcome{}, map[congest.Scheduler]outcome{}
+	for _, sched := range schedulers {
+		r := f.cell(in, ckptCell{sched: sched, net: netFaulty}, nil)
+		if err := r.diverges(b.dense); err != nil {
+			return b, fmt.Errorf("sched=%v faulty baseline: %v", sched, err)
+		}
+		b.rec[sched] = r
+		if f.unreliable {
+			b.unrel[sched] = f.cell(in, ckptCell{sched: sched, net: netUnreliable}, nil)
+		}
+	}
+	return b, nil
+}
+
+// cell runs in in c's environment under checkpoint policy pol. A faulty
+// cell's Recorder observes beside the stream (congest.Tee carries its
+// state through a snapshot) and is the network's physical-cost sink.
+func (f familyRow) cell(in difftest.Instance, c ckptCell, pol *congest.CheckpointPolicy) outcome {
+	cfg := congest.Config{Scheduler: c.sched, Checkpoint: pol}
+	switch c.net {
+	case netPerfect:
+		return f.exec(in, cfg)
+	case netUnreliable:
+		net := faults.New(ckptPlan)
+		net.Unreliable = true
+		cfg.Network = net
+		o := f.exec(in, cfg)
+		o.faults = net.Recorded()
+		return o
+	}
+	var o outcome
+	var st stamps
+	rec := obs.NewRecorder(&st)
+	net := faults.New(ckptPlan)
+	net.Sink = rec
+	cfg.Network, cfg.Observer = net, congest.Tee(rec, &o.events)
+	o.res, o.err = f.run(in, cfg)
+	phases := rec.Breakdown()
+	for i := range phases {
+		phases[i].Wall = 0 // wall clock: no two runs agree on it
+	}
+	phys, seen := rec.TotalPhys()
+	o.rec = &recording{phases, rec.Total(), phys, seen, rec.Runs(), st}
+	return o
+}
+
+// recording is a faulty cell's Recorder at the end of the run: its
+// accounting and the (run, global round) stamp of every event it emitted.
+type recording struct {
+	phases   []obs.PhaseBreakdown
+	total    congest.Stats
+	phys     faults.PhysStats
+	physSeen bool
+	runs     int
+	stamps   stamps
+}
+
+// stamps is an obs.Sink keeping the stamps of a Recorder's events.
+type stamps [][2]int
+
+func (s *stamps) Emit(e obs.Event) error { *s = append(*s, [2]int{e.Run, e.GlobalRound}); return nil }
+func (s *stamps) Close() error           { return nil }
+
+// diverges reports how a Recorder resumed in engine run k differs from
+// the uninterrupted one: in accounting, or in the stamps it emitted after
+// run k started (the events before re-execute earlier runs; the resumed
+// run skips the rounds the snapshot covers, so its tail must match the
+// baseline's).
+func (r *recording) diverges(base *recording, k int) error {
+	if !reflect.DeepEqual(r.phases, base.phases) || r.total != base.total || r.runs != base.runs {
+		return fmt.Errorf("recorder accounting %+v total %+v runs %d, baseline %+v total %+v runs %d",
+			r.phases, r.total, r.runs, base.phases, base.total, base.runs)
+	}
+	if !reflect.DeepEqual(r.phys, base.phys) || r.physSeen != base.physSeen {
+		return fmt.Errorf("recorder physical cost %+v (seen %v), baseline %+v (seen %v)", r.phys, r.physSeen, base.phys, base.physSeen)
+	}
+	tail := r.stamps
+	for i, s := range r.stamps {
+		if s[0] == k+1 { // run k's run_start
+			tail = r.stamps[i+1:]
+			break
+		}
+	}
+	if len(tail) > len(base.stamps) || !slices.Equal(tail, base.stamps[len(base.stamps)-len(tail):]) {
+		return fmt.Errorf("recorder stamps after the resume diverge from the baseline's")
+	}
+	return nil
+}
+
 // TestCheckpointConformance kills each family's run at every probe, both
-// schedulers × {no network, all faults}, and resumes it from the serialized
-// snapshot. A probe past its run's end does not fire; three per instance must.
+// schedulers × {no network, all faults with a Recorder, and for Core all
+// faults in Unreliable mode}, and resumes it from the serialized
+// snapshot. A probe past its run's end does not fire; three per instance
+// must.
 func TestCheckpointConformance(t *testing.T) {
 	for _, f := range familyRows() {
 		t.Run(f.name, func(t *testing.T) {
 			t.Parallel()
 			named(t, f.ckpt, func(in difftest.Instance) error {
-				base, fired := f.exec(in, congest.Config{Scheduler: congest.SchedulerDense}), 0
-				if base.err != nil {
-					return fmt.Errorf("baseline: %v", base.err)
+				bases, err := f.ckptBases(in)
+				if err != nil {
+					return err
 				}
-				for _, sched := range schedulers {
-					for _, plan := range []*faults.Plan{nil, faultSweepPlans(41)[0]} { // no network, all faults
-						for _, pr := range f.probes {
-							ok, err := f.killAndResume(in, sched, plan, pr, base)
-							if err != nil {
-								return fmt.Errorf("sched=%v plan=%v run=%d round=%d: %v", sched, plan, pr.run, pr.round, err)
-							}
-							if ok {
-								fired++
-							}
-						}
+				fired := 0
+				for _, c := range f.ckptCells() {
+					ok, err := f.killAndResume(in, c, bases)
+					if err != nil {
+						return err
+					}
+					if ok {
+						fired++
 					}
 				}
 				if fired < 3 {
@@ -325,35 +516,70 @@ func TestCheckpointConformance(t *testing.T) {
 	}
 }
 
-// killAndResume kills one run at probe pr, resumes it in a fresh run, and
-// compares that with the baseline; fired is false if pr is past the run.
-func (f familyRow) killAndResume(in difftest.Instance, sched congest.Scheduler, plan *faults.Plan, pr ckptProbe, base outcome) (fired bool, err error) {
-	k := &checkpoint.Keeper{}
-	killed := f.exec(in, congest.Config{Scheduler: sched, Network: netOf(plan),
-		Checkpoint: &congest.CheckpointPolicy{AtRound: pr.round, Run: pr.run, Stop: true, Sink: k.Sink}})
-	if killed.err == nil {
-		return false, nil
+// killAndResume kills one run at cell c, resumes it in a fresh run, and
+// compares that with the baselines; fired is false if c's probe is past
+// the run.
+func (f familyRow) killAndResume(in difftest.Instance, c ckptCell, bases ckptBases) (fired bool, err error) {
+	k, err := f.kill(in, c)
+	if k == nil || err != nil {
+		return err != nil, err
 	}
-	if !errors.Is(killed.err, congest.ErrCheckpointStop) {
-		return true, fmt.Errorf("kill: want ErrCheckpointStop, got %v", killed.err)
+	return true, f.resume(in, c, k, bases)
+}
+
+// killed is a run killed at a cell's probe: what it observed, and its
+// snapshot's bytes.
+type killed struct {
+	outcome
+	snap []byte
+}
+
+// kill runs in c's environment until c's probe kills it; it returns nil,
+// nil if the probe is past the run.
+func (f familyRow) kill(in difftest.Instance, c ckptCell) (*killed, error) {
+	k := &checkpoint.Keeper{}
+	o := f.cell(in, c, &congest.CheckpointPolicy{AtRound: c.pr.round, Run: c.pr.run, Stop: true, Sink: k.Sink})
+	if o.err == nil {
+		return nil, nil
+	}
+	if !errors.Is(o.err, congest.ErrCheckpointStop) {
+		return nil, c.errorf("kill: want ErrCheckpointStop, got %v", o.err)
 	}
 	snap, saves := k.Latest()
-	if snap == nil || saves != 1 || snap.Round != pr.round || snap.RunIdx != pr.run {
-		return true, fmt.Errorf("%d snapshots, the last at %+v", saves, snap)
+	if snap == nil || saves != 1 || snap.Round != c.pr.round || snap.RunIdx != c.pr.run {
+		return nil, c.errorf("%d snapshots, the last at %+v", saves, snap)
 	}
 	b, err := snap.MarshalBinary()
-	snap = &congest.Snapshot{}
-	if err == nil {
-		err = snap.UnmarshalBinary(b)
-	}
 	if err != nil {
-		return true, fmt.Errorf("snapshot round trip: %v", err)
+		return nil, c.errorf("snapshot: %v", err)
 	}
-	resumed := f.exec(in, congest.Config{Scheduler: sched, Network: netOf(plan),
-		Checkpoint: &congest.CheckpointPolicy{Resume: snap}})
-	resumed.events = append(killed.events, resumed.events.after(pr.run)...)
+	return &killed{o, b}, nil
+}
+
+// resume restores k's snapshot in a fresh run and compares that with the
+// baselines.
+func (f familyRow) resume(in difftest.Instance, c ckptCell, k *killed, bases ckptBases) error {
+	snap := &congest.Snapshot{}
+	if err := snap.UnmarshalBinary(k.snap); err != nil {
+		return c.errorf("snapshot round trip: %v", err)
+	}
+	resumed := f.cell(in, c, &congest.CheckpointPolicy{Resume: snap})
+	resumed.events = slices.Concat(k.events, resumed.events.after(c.pr.run))
+	base := bases.dense
+	if c.net == netUnreliable {
+		base = bases.unrel[c.sched]
+	}
 	if err := resumed.diverges(base); err != nil {
-		return true, fmt.Errorf("resumed run: %w", err)
+		return c.errorf("resumed run: %v", err)
 	}
-	return true, nil
+	if c.net == netFaulty {
+		if err := resumed.rec.diverges(bases.rec[c.sched].rec, c.pr.run); err != nil {
+			return c.errorf("resumed run: %v", err)
+		}
+	}
+	return nil
+}
+
+func (c ckptCell) errorf(format string, args ...any) error {
+	return fmt.Errorf("sched=%v net=%d run=%d round=%d: %s", c.sched, c.net, c.pr.run, c.pr.round, fmt.Sprintf(format, args...))
 }

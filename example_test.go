@@ -333,7 +333,7 @@ func Example_blockertour() {
 	deep := 0
 	for i := range sources {
 		for v := 0; v < g.N(); v++ {
-			if coll.Depth[i][v] == h {
+			if coll.Hops[i][v] == int64(h) {
 				deep++
 			}
 		}

@@ -26,9 +26,10 @@ func (t *treeNode) State(c *congest.Codec) error {
 	return nil
 }
 
-// State implements congest.Stateful.
+// State implements congest.Stateful. Children are not stored: claims are
+// sent in round 1 and received in round 2, the run's last, so the list is
+// empty at every barrier.
 func (c *claimNode) State(cd *congest.Codec) error {
-	cd.Ints(&c.children)
 	cd.Bool(&c.sent)
 	return nil
 }

@@ -5,11 +5,15 @@
 //
 // For k sources and hop bound h the sources are round-robined over slots:
 // in round r = (t−1)·k + j (block t ∈ 1..h, slot j ∈ 1..k) every node whose
-// estimate for source j changed since its last broadcast sends it. One
-// relaxation wave per source per block yields exactly the ≤h-hop distances
-// in at most h·k + 1 rounds, zero-weight edges included (Bellman–Ford is
-// indifferent to zero weights — it is slow, not wrong, which is why it is
-// the safe baseline).
+// estimate for source j changed since its last broadcast sends it. A
+// source-j estimate is sent only in a slot-j round and arrives in the
+// round after it, so between one slot-j round and the next a node's
+// source-j estimate changes only in the round right after the earlier one:
+// each block is exactly one relaxation wave per source without freezing
+// anything, and h blocks yield exactly the ≤h-hop distances in at most
+// h·k + 1 rounds, zero-weight edges included (Bellman–Ford is indifferent
+// to zero weights — it is slow, not wrong, which is why it is the safe
+// baseline).
 package bellman
 
 import (
@@ -52,18 +56,16 @@ type node struct {
 	opts *Opts
 	pool congest.Pool[estimate] // sender-owned: broadcasts allocate nothing in steady state
 
-	dist      []int64 // live merged estimates
-	snap      []int64 // snapshot at the start of the current block: d^(t-1)
-	snapBlock int     // block whose start snap reflects
-	lastSent  []int64 // last broadcast value per source (Inf = never)
-	parent    []int
+	dist     []int64 // merged estimates
+	lastSent []int64 // last broadcast value per source (Inf = never)
+	parent   []int
 	// srcOf is the shared source-ID → index table (see core for the
 	// rationale); inFrom/inWt the sorted min-weight in-arcs, merge-joined
 	// against the sender-sorted inbox instead of probing a map per message.
 	srcOf  []int32
 	inFrom []int32
 	inWt   []int64
-	cur    int // last round executed
+	cur    int // the round being or last executed
 }
 
 func (nd *node) Init(ctx *congest.Context) {
@@ -72,7 +74,6 @@ func (nd *node) Init(ctx *congest.Context) {
 	}
 	k := len(nd.opts.Sources)
 	nd.dist = make([]int64, k)
-	nd.snap = make([]int64, k)
 	nd.lastSent = make([]int64, k)
 	nd.parent = make([]int, k)
 	for i, s := range nd.opts.Sources {
@@ -84,33 +85,24 @@ func (nd *node) Init(ctx *congest.Context) {
 			nd.parent[i] = nd.id
 		}
 	}
-	copy(nd.snap, nd.dist)
-	// Round 1's inbox is necessarily empty, so this copy IS block 1's
-	// snapshot.
-	nd.snapBlock = 1
 	nd.inFrom, nd.inWt = graph.MinInArcs(ctx.InEdges())
 }
 
-// Round implements one slot of the round-robin schedule. The snapshot taken
-// at each block start makes every block exactly one synchronous relaxation
-// wave (iteration t broadcasts d^(t-1) values only), so after H blocks the
-// estimates are exactly the ≤H-hop distances — values never leak between
-// slots of the same block, which would let a path advance several hops per
-// block and undershoot the h-hop semantics.
+// Round implements one slot of the round-robin schedule: merge, then send
+// slot j's estimate if it changed. Block t sends exactly d^(t-1), so every
+// block is one synchronous relaxation wave and after H blocks the
+// estimates are exactly the ≤H-hop distances. The slot argument: a
+// source-j estimate is sent only in a slot-j round and arrives in the
+// next round, which is at or before the next block's start (slot j = k
+// arrives in the start round itself, merged before its send). So from
+// block t's start to its slot-j round nothing changes dist[j], and the
+// value sent is the one block t started with. No estimate leaks from one
+// slot into a later slot of the same block, which would let a path
+// advance several hops per block and undershoot the h-hop semantics, and
+// no block start needs to freeze a copy.
 func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	nd.cur = r
 	k := len(nd.opts.Sources)
-	// The active-set scheduler may skip a block-start round (nothing to
-	// receive, nothing due to send). dist only changes on a receive, so the
-	// skipped start would have frozen exactly the values dist still holds —
-	// but this round's inbox was sent *after* that start, so when entering
-	// a block mid-way, freeze before merging. At a block-start round itself
-	// the inbox is last block's traffic and dense order is merge-then-
-	// freeze, handled below.
-	if t := (r-1)/k + 1; r <= nd.opts.H*k && t > nd.snapBlock && (r-1)%k != 0 {
-		copy(nd.snap, nd.dist)
-		nd.snapBlock = t
-	}
 	inPos := 0
 	for _, m := range inbox {
 		est := m.Payload.(*estimate)
@@ -134,26 +126,25 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	if r > nd.opts.H*k {
 		return // all H relaxation waves dispatched; keep merging only
 	}
-	if (r-1)%k == 0 {
-		copy(nd.snap, nd.dist) // block start: freeze d^(t-1)
-		nd.snapBlock = (r-1)/k + 1
-	}
-	j := (r - 1) % k
-	if nd.snap[j] < graph.Inf && nd.snap[j] != nd.lastSent[j] {
+	if j := (r - 1) % k; nd.unsent(j) {
 		p := nd.pool.Get(ctx, r)
 		p.src = nd.opts.Sources[j]
-		p.d = nd.snap[j]
+		p.d = nd.dist[j]
 		ctx.Broadcast(p)
-		nd.lastSent[j] = nd.snap[j]
+		nd.lastSent[j] = nd.dist[j]
 	}
 }
+
+// unsent reports whether slot j has a finite estimate its last broadcast
+// did not carry.
+func (nd *node) unsent(j int) bool { return nd.dist[j] < graph.Inf && nd.dist[j] != nd.lastSent[j] }
 
 func (nd *node) Quiescent() bool {
 	if nd.cur >= nd.opts.H*len(nd.opts.Sources) {
 		return true
 	}
 	for i := range nd.dist {
-		if nd.dist[i] != nd.lastSent[i] && nd.dist[i] < graph.Inf {
+		if nd.unsent(i) {
 			return false
 		}
 	}
@@ -161,12 +152,11 @@ func (nd *node) Quiescent() bool {
 }
 
 // NextWake implements congest.Waker: the next slot round at which this node
-// will broadcast. Absent further receives, the value slot j carries in a
-// future block is today's dist[j] (that block's start freezes it), and in
-// the current block it is the frozen snap[j] — so the next send round is
-// exactly computable. A node whose only unsent values can no longer fire
-// (their slots in the final block have passed) wakes at round H·k, where it
-// turns quiescent just as it does under dense stepping.
+// will broadcast. Absent further receives, slot j's next round sends
+// today's dist[j], so the next send round is exactly computable. A node
+// whose only unsent values can no longer fire (their slots in the final
+// block have passed) wakes at round H·k, where it turns quiescent just as
+// it does under dense stepping.
 func (nd *node) NextWake() int {
 	k := len(nd.opts.Sources)
 	hk := nd.opts.H * k
@@ -176,28 +166,17 @@ func (nd *node) NextWake() int {
 	next := congest.WakeOnReceive
 	pending := false
 	for j := range nd.dist {
+		if !nd.unsent(j) {
+			continue
+		}
+		pending = true
 		// Earliest round with slot j strictly after cur.
 		r0 := j + 1
 		if r0 <= nd.cur {
 			r0 += ((nd.cur-r0)/k + 1) * k
 		}
-		v := nd.dist[j]
-		if nd.snapBlock >= (r0-1)/k+1 {
-			v = nd.snap[j] // this block is already frozen
-		}
-		if v < graph.Inf && v != nd.lastSent[j] {
-			if r0 <= hk && (next == congest.WakeOnReceive || r0 < next) {
-				next = r0
-			}
-		} else if nd.dist[j] < graph.Inf && nd.dist[j] != nd.lastSent[j] {
-			// Not sendable this block (dist moved after the freeze); the
-			// next block's start picks it up.
-			if r1 := r0 + k; r1 <= hk && (next == congest.WakeOnReceive || r1 < next) {
-				next = r1
-			}
-		}
-		if nd.dist[j] < graph.Inf && nd.dist[j] != nd.lastSent[j] {
-			pending = true
+		if r0 <= hk && (next == congest.WakeOnReceive || r0 < next) {
+			next = r0
 		}
 	}
 	if next == congest.WakeOnReceive && pending {
@@ -207,10 +186,9 @@ func (nd *node) NextWake() int {
 }
 
 // NewNode returns the engine node factory for one run with the given
-// options (Sources and H set). Stepwise engine drivers — the congest
-// allocation guards and benchmarks — use it directly; Run remains the
-// standard entry point. The factory shares opts, which must not change
-// during the run.
+// options (Sources and H set): Run's, and that of stepwise engine drivers
+// (the congest allocation guards and benchmarks). The factory shares
+// opts, which must not change during the run.
 func NewNode(opts *Opts) func(v int) congest.Node {
 	srcOf := sourceIndex(opts.Sources)
 	return func(v int) congest.Node {
@@ -251,10 +229,11 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 		}
 	}
 	nodes := make([]*node, g.N())
-	srcOf := sourceIndex(opts.Sources)
+	mk := NewNode(&opts)
 	stats, err := congest.Run(g, func(v int) congest.Node {
-		nodes[v] = &node{id: v, opts: &opts, srcOf: srcOf}
-		return nodes[v]
+		nd := mk(v)
+		nodes[v] = nd.(*node)
+		return nd
 	}, opts.Engine)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,10 @@
 // Checkpoint support: congest.Stateful for the round-robin Bellman–Ford
-// node. The block snapshot (snap, snapBlock) is part of the protocol
-// state — a restored node must keep broadcasting the frozen d^(t-1)
-// values of its current block, not its live estimates.
+// node: the estimates, the last broadcast values and the parents. No
+// block snapshot is needed: by the slot argument (bellman.go) the value a
+// slot sends is the one its block started with, so a restored node sends
+// exactly what the killed one would have. The round a node
+// last executed is not stored either: Quiescent and NextWake read it only
+// after a Round has set it.
 package bellman
 
 import (
@@ -26,14 +29,11 @@ func init() {
 
 // State implements congest.Stateful.
 func (nd *node) State(c *congest.Codec) error {
-	c.Int(&nd.cur)
-	c.Int(&nd.snapBlock)
 	c.Int64s(&nd.dist)
-	c.Int64s(&nd.snap)
 	c.Int64s(&nd.lastSent)
 	c.Ints(&nd.parent)
 	k := len(nd.opts.Sources)
-	if c.Decoding() && c.Err() == nil && (len(nd.dist) != k || len(nd.snap) != k || len(nd.lastSent) != k || len(nd.parent) != k) {
+	if c.Decoding() && c.Err() == nil && (len(nd.dist) != k || len(nd.lastSent) != k || len(nd.parent) != k) {
 		return fmt.Errorf("bellman: snapshot arity mismatch (want %d sources)", k)
 	}
 	return nil

@@ -103,7 +103,6 @@ type claimNode struct {
 	id       int
 	coll     *cssp.Collection
 	children [][]int // per tree
-	started  bool
 }
 
 func (nd *claimNode) Init(ctx *congest.Context) {
@@ -155,7 +154,7 @@ func (nd *scoreNode) Init(ctx *congest.Context) {
 	nd.pending = make([]int, k)
 	nd.reported = make([]bool, k)
 	for i := range nd.coll.Sources {
-		if nd.coll.Depth[i][nd.id] == nd.coll.H {
+		if nd.coll.Hops[i][nd.id] == int64(nd.coll.H) {
 			nd.score[i] = 1
 		}
 		nd.pending[i] = len(nd.children[i])
@@ -231,8 +230,7 @@ type updateNode struct {
 	coll     *cssp.Collection
 	children [][]int
 	score    []int64
-	c        int     // the chosen blocker
-	cScore   []int64 // c's pre-pick scores (only at c)
+	c        int // the chosen blocker
 }
 
 func (nd *updateNode) Init(ctx *congest.Context) {
@@ -402,11 +400,12 @@ func VerifyCoverage(coll *cssp.Collection, q []int) []string {
 	var bad []string
 	for i := range coll.Sources {
 		for v := range coll.Parent[i] {
-			if coll.Depth[i][v] != coll.H {
+			path := coll.PathTo(i, v)
+			if len(path)-1 != coll.H {
 				continue
 			}
 			covered := false
-			for _, u := range coll.PathTo(i, v) {
+			for _, u := range path {
 				if inQ[u] {
 					covered = true
 					break

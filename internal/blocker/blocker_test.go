@@ -27,7 +27,7 @@ func centralScores(coll *cssp.Collection, n int) [][]int64 {
 	}
 	for i := 0; i < k; i++ {
 		for v := 0; v < n; v++ {
-			if coll.Depth[i][v] != coll.H {
+			if len(coll.PathTo(i, v))-1 != coll.H {
 				continue
 			}
 			for _, u := range coll.PathTo(i, v) {
@@ -71,7 +71,7 @@ func centralGreedy(coll *cssp.Collection, n int) []int {
 		}
 		for i := 0; i < k; i++ {
 			for v := 0; v < n; v++ {
-				if coll.Depth[i][v] != coll.H {
+				if len(coll.PathTo(i, v))-1 != coll.H {
 					continue
 				}
 				path := coll.PathTo(i, v)

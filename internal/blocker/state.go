@@ -57,7 +57,6 @@ func (nd *claimNode) State(c *congest.Codec) error {
 	for i := range congest.Slice(c, &nd.children) {
 		c.Ints(&nd.children[i])
 	}
-	c.Bool(&nd.started)
 	if c.Decoding() && c.Err() == nil && len(nd.children) != len(nd.coll.Sources) {
 		return fmt.Errorf("blocker: snapshot has %d trees, want %d", len(nd.children), len(nd.coll.Sources))
 	}
@@ -84,7 +83,6 @@ func (nd *updateNode) State(c *congest.Codec) error {
 	nd.queues(c)
 	score := nd.score
 	c.Int64s(&score)
-	c.Int64s(&nd.cScore)
 	if c.Decoding() && c.Err() == nil {
 		if len(score) != len(nd.score) {
 			return fmt.Errorf("blocker: snapshot score arity mismatch (want %d trees)", len(nd.score))

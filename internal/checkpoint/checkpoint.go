@@ -10,7 +10,7 @@
 // container has one layout: the unsealed version 1 files of older builds
 // are refused by their version, not read. Matching the metadata against the
 // computation being resumed is the caller's job (ValidateAgainst covers
-// the common checks). Save writes atomically (writeAtomic) so a crash
+// the common checks). Save writes atomically (WriteAtomic) so a crash
 // mid-write never corrupts the previous checkpoint.
 //
 // Supervise implements the crash-restart loop: run the computation, and

@@ -36,7 +36,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var ErrCorrupt = errors.New("corrupt file")
 
 // WriteSealed writes a version 2 container to path atomically
-// (writeAtomic), streaming the body parts to the file as they are, and
+// (WriteAtomic), streaming the body parts to the file as they are, and
 // returns the file's size.
 func WriteSealed(path, magic string, meta []byte, body ...[]byte) (int64, error) {
 	hdr := make([]byte, (16+len(meta)+7)&^7) // ends in the zero padding
@@ -48,7 +48,7 @@ func WriteSealed(path, magic string, meta []byte, body ...[]byte) (int64, error)
 	for _, b := range body {
 		size += int64(len(b))
 	}
-	return size, writeAtomic(path, func(f *os.File) error {
+	return size, WriteAtomic(path, func(f *os.File) error {
 		sum := crc32.Update(0, castagnoli, hdr)
 		if _, err := f.Write(hdr); err != nil {
 			return err
@@ -100,7 +100,7 @@ func ReadSealed(path, magic string) (meta, body []byte, err error) {
 	return sealed[16 : 16+metaLen], sealed[bodyAt:], nil
 }
 
-// writeAtomic replaces path with what body writes, durably: a temp file in
+// WriteAtomic replaces path with what body writes, durably: a temp file in
 // path's directory is written by body, fsynced, closed and renamed over
 // path, and the parent directory is fsynced (the rename is only durable
 // once the directory entry is on disk — without that, a power cut can
@@ -108,7 +108,7 @@ func ReadSealed(path, magic string) (meta, body []byte, err error) {
 // crash at any instant, path holds either the complete new contents or
 // whatever was there before, never a tear. On error the temp file is
 // removed and path is untouched.
-func writeAtomic(path string, body func(*os.File) error) (err error) {
+func WriteAtomic(path string, body func(*os.File) error) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -15,6 +15,8 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
+
+	"repro/internal/checkpoint"
 )
 
 // ServeConfig describes one daemon's HTTP edge.
@@ -73,7 +75,7 @@ func Serve(cfg ServeConfig) error {
 				return err
 			}
 			if cfg.AddrFile != "" {
-				if err := os.WriteFile(cfg.AddrFile, []byte(bound+"\n"), 0o644); err != nil {
+				if err := publishAddr(cfg.AddrFile, bound); err != nil {
 					httpSrv.Close()
 					return err
 				}
@@ -136,4 +138,17 @@ func waitReady(addr string, timeout time.Duration, ready func(status int) bool) 
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// publishAddr writes the bound address to path with checkpoint.WriteAtomic,
+// so a poller finds either no file or the whole address, never an empty or
+// partial one.
+func publishAddr(path, bound string) error {
+	return checkpoint.WriteAtomic(path, func(f *os.File) error {
+		if err := f.Chmod(0o644); err != nil {
+			return err
+		}
+		_, err := f.WriteString(bound + "\n")
+		return err
+	})
 }

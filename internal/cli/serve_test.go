@@ -100,6 +100,64 @@ func TestServeGateAddrFileDrain(t *testing.T) {
 	}
 }
 
+// TestServeAddrFileAtomic polls the address file while Serve starts: every
+// read finds no file or the whole address line, never an empty or partial
+// one.
+func TestServeAddrFileAtomic(t *testing.T) {
+	var probes atomic.Int32
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if probes.Add(1) <= 3 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+	})
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- Serve(ServeConfig{
+			Addr: "127.0.0.1:0", AddrFile: addrFile, Handler: handler,
+			Ready: func(status int) bool { return status == http.StatusOK },
+			Drain: 5 * time.Second, Log: quiet,
+			Serving: func(string) {}, ReadyCh: ready,
+		})
+	}()
+	var addr string
+	reads := 0
+	for addr == "" {
+		select {
+		case addr = <-ready:
+		case err := <-done:
+			t.Fatalf("Serve returned before ready: %v", err)
+		default:
+		}
+		b, err := os.ReadFile(addrFile)
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
+		reads++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := string(b); !strings.HasSuffix(s, "\n") || strings.Count(s, "\n") != 1 {
+			t.Fatalf("poll %d read %q: not a whole address line", reads, s)
+		} else if _, _, err := net.SplitHostPort(strings.TrimSpace(s)); err != nil {
+			t.Fatalf("poll %d read %q: %v", reads, s, err)
+		}
+	}
+	if b, err := os.ReadFile(addrFile); err != nil || string(b) != addr+"\n" {
+		t.Fatalf("addr file %q, %v; want %q", b, err, addr)
+	}
+	if left, _ := filepath.Glob(addrFile + ".*"); len(left) != 0 {
+		t.Fatalf("temporary files left beside the address file: %v", left)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Serve after SIGTERM: %v", err)
+	}
+}
+
 // TestServeRestartsOnTheSamePort: a dead server is re-listened on the
 // bound address while the budget lasts, and its error is returned after.
 func TestServeRestartsOnTheSamePort(t *testing.T) {

@@ -3,8 +3,10 @@ package congest
 import (
 	"cmp"
 	"fmt"
-	"math"
+	"runtime"
 	"slices"
+	"strconv"
+	"sync/atomic"
 )
 
 // Codec walks a checkpointed layout in either direction over the
@@ -104,8 +106,8 @@ func (c *Codec) take(n int, what string) []byte {
 	return b
 }
 
-// Uint64 walks an unsigned varint.
-func (c *Codec) Uint64(x *uint64) {
+// walkUint64 is Uint64 without the walk hook (so are the other walkX).
+func (c *Codec) walkUint64(x *uint64) {
 	if !c.dec {
 		v := *x
 		for v >= 0x80 {
@@ -137,19 +139,17 @@ func (c *Codec) Uint64(x *uint64) {
 	}
 }
 
-// Int64 walks a signed (zigzag) varint.
-func (c *Codec) Int64(x *int64) {
+func (c *Codec) walkInt64(x *int64) {
 	u := uint64(*x)<<1 ^ uint64(*x>>63)
-	c.Uint64(&u)
+	c.walkUint64(&u)
 	if c.dec && c.err == nil {
 		*x = int64(u>>1) ^ -int64(u&1)
 	}
 }
 
-// Int walks a signed varint; decoding checks it fits an int.
-func (c *Codec) Int(x *int) {
+func (c *Codec) walkInt(x *int) {
 	v := int64(*x)
-	c.Int64(&v)
+	c.walkInt64(&v)
 	if c.dec && c.err == nil {
 		if int64(int(v)) != v {
 			c.failf("value %d overflows int", v)
@@ -159,11 +159,9 @@ func (c *Codec) Int(x *int) {
 	}
 }
 
-// Varint walks any integer type as a signed varint; decoding rejects a
-// value that overflows T.
-func Varint[T ~int | ~int8 | ~int16 | ~int32 | ~int64](c *Codec, x *T) {
+func varint[T ~int | ~int8 | ~int16 | ~int32 | ~int64](c *Codec, x *T) {
 	v := int64(*x)
-	c.Int64(&v)
+	c.walkInt64(&v)
 	if !c.dec || c.err != nil {
 		return
 	}
@@ -174,8 +172,7 @@ func Varint[T ~int | ~int8 | ~int16 | ~int32 | ~int64](c *Codec, x *T) {
 	*x = T(v)
 }
 
-// Bool walks one byte; decoding rejects anything but 0 and 1.
-func (c *Codec) Bool(x *bool) {
+func (c *Codec) walkBool(x *bool) {
 	if !c.dec {
 		var b byte
 		if *x {
@@ -195,32 +192,57 @@ func (c *Codec) Bool(x *bool) {
 	*x = b[0] == 1
 }
 
-// Float64 walks the IEEE-754 bits of x as a fixed-width little-endian
-// word (varints would not round-trip NaN payloads deterministically).
-func (c *Codec) Float64(x *float64) {
-	if !c.dec {
-		bits := math.Float64bits(*x)
-		for i := 0; i < 8; i++ {
-			c.buf = append(c.buf, byte(bits>>(8*i)))
-		}
+// Uint64 walks an unsigned varint.
+func (c *Codec) Uint64(x *uint64) { c.walkUint64(x); forget(c, x) }
+
+// Int64 walks a signed (zigzag) varint.
+func (c *Codec) Int64(x *int64) { c.walkInt64(x); forget(c, x) }
+
+// Int walks a signed varint; decoding checks it fits an int.
+func (c *Codec) Int(x *int) { c.walkInt(x); forget(c, x) }
+
+// Varint walks any integer type as a signed varint; decoding rejects a
+// value that overflows T.
+func Varint[T ~int | ~int8 | ~int16 | ~int32 | ~int64](c *Codec, x *T) { varint(c, x); forget(c, x) }
+
+// Bool walks one byte; decoding rejects anything but 0 and 1.
+func (c *Codec) Bool(x *bool) { c.walkBool(x); forget(c, x) }
+
+// walkHook is HookWalks' hook; nil outside the census, where a leaf walk
+// pays one atomic load for it.
+var walkHook atomic.Pointer[func(site string, decoding bool) bool]
+
+// HookWalks installs h until the returned restore is called. Every
+// exported leaf walk (Int, Bool, Varint, Ints, String, Blob, Stats, …)
+// then reports its caller's "file:line", and a decoding walk for which h
+// returns true leaves the zero value instead of the one it decoded.
+// Test seam: the root package's checkpoint census forgets one call site
+// at a time to find walked state no conformance cell tells from zero.
+// runtime.Caller runs only while a hook is set.
+func HookWalks(h func(site string, decoding bool) (forget bool)) (restore func()) {
+	walkHook.Store(&h)
+	return func() { walkHook.Store(nil) }
+}
+
+// forget ends every exported leaf walk: it hands the walk's call site to
+// the hook, if one is set, and zeroes *x if the hook asks.
+func forget[T any](c *Codec, x *T) {
+	h := walkHook.Load()
+	if h == nil || c.err != nil {
 		return
 	}
-	b := c.take(8, "float64")
-	if b == nil {
-		return
+	_, file, line, _ := runtime.Caller(2)
+	if (*h)(file+":"+strconv.Itoa(line), c.dec) && c.dec {
+		var zero T
+		*x = zero
 	}
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits |= uint64(b[i]) << (8 * i)
-	}
-	*x = math.Float64frombits(bits)
 }
 
 // ulen walks an unsigned length prefix; decoding checks it against the
 // bytes remaining (every element costs at least one byte).
 func (c *Codec) ulen(n *int) {
 	u := uint64(*n)
-	c.Uint64(&u)
+	c.walkUint64(&u)
 	if !c.dec || c.err != nil {
 		return
 	}
@@ -235,7 +257,7 @@ func (c *Codec) ulen(n *int) {
 // element count of a Slice or Map; decoding rejects a negative count and
 // one larger than the bytes remaining.
 func (c *Codec) Len(n *int) {
-	c.Int(n)
+	c.walkInt(n)
 	if c.dec && c.err == nil && (*n < 0 || *n > len(c.buf)-c.off) {
 		c.failf("length %d exceeds %d remaining bytes", *n, len(c.buf)-c.off)
 		*n = 0
@@ -251,6 +273,7 @@ func (c *Codec) String(s *string) {
 	} else if b := c.take(n, "string"); b != nil {
 		*s = string(b)
 	}
+	forget(c, s)
 }
 
 // Blob walks a length-prefixed byte slice; decoding copies it out of the
@@ -263,36 +286,41 @@ func (c *Codec) Blob(b *[]byte) {
 	} else if raw := c.take(n, "blob"); raw != nil {
 		*b = append([]byte(nil), raw...)
 	}
+	forget(c, b)
 }
 
 // Ints walks a length-prefixed []int (decoded nil when empty).
 func (c *Codec) Ints(xs *[]int) {
 	for i := range uslice(c, xs) {
-		c.Int(&(*xs)[i])
+		c.walkInt(&(*xs)[i])
 	}
+	forget(c, xs)
 }
 
 // Int64s walks a length-prefixed []int64 (decoded nil when empty).
 func (c *Codec) Int64s(xs *[]int64) {
 	for i := range uslice(c, xs) {
-		c.Int64(&(*xs)[i])
+		c.walkInt64(&(*xs)[i])
 	}
+	forget(c, xs)
 }
 
 // Bools walks a length-prefixed []bool (decoded nil when empty).
 func (c *Codec) Bools(xs *[]bool) {
 	for i := range uslice(c, xs) {
-		c.Bool(&(*xs)[i])
+		c.walkBool(&(*xs)[i])
 	}
+	forget(c, xs)
 }
 
 // Stats walks the logical cost counters.
 func (c *Codec) Stats(s *Stats) {
-	c.Int(&s.Rounds)
-	c.Int64(&s.Messages)
-	c.Int(&s.MaxWords)
-	c.Int(&s.MaxLinkCongestion)
-	c.Int(&s.MaxNodeSends)
+	c.walkInt(&s.Rounds)
+	c.walkInt64(&s.Messages)
+	c.walkInt(&s.MaxWords)
+	c.walkInt(&s.MaxLinkCongestion)
+	c.walkInt(&s.MaxNodeSends)
+	forget(c, s)
 }
 
 // Slice walks the Len prefix of a slice and returns the slice, whose

@@ -133,15 +133,16 @@ type Result struct {
 	DupDrops     int64 // exact duplicate entries dropped (RunLiteral)
 }
 
-// wire is the message payload M = (Z, Z.flag-d*, Z.ν) of Step 2.
+// wire is the message payload M = (Z, Z.ν) of Step 2. The paper's M also
+// carries Z.flag-d*; no receiver reads it (docs/FINDINGS.md), so it is
+// not sent.
 type wire struct {
 	d, l int64
-	src  int // source node ID (not index: IDs are what travel on the wire)
-	sp   bool
+	src  int   // source node ID (not index: IDs are what travel on the wire)
 	nu   int32 // Z.ν: entries for x at or below Z on the sender's list
 }
 
-// Words reports the CONGEST size: d, l, src, ν and the flag packed with ν.
+// Words reports the CONGEST size: d, l, src and ν.
 func (wire) Words() int { return 4 }
 
 type node struct {
@@ -243,7 +244,7 @@ func (nd *node) finish(ctx *congest.Context, r int) {
 	}
 	if s, ok := nd.pl.NextSend(r); ok {
 		w := nd.pool.Get(ctx, r)
-		w.d, w.l, w.src, w.sp, w.nu = s.D, s.L, nd.opts.Sources[s.SrcIdx], s.SP, s.Nu
+		w.d, w.l, w.src, w.nu = s.D, s.L, nd.opts.Sources[s.SrcIdx], s.Nu
 		ctx.Broadcast(w)
 	}
 	for _, sr := range nd.opts.SnapshotRounds {

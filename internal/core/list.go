@@ -11,19 +11,17 @@ import (
 
 // entry is one element Z of list_v (paper Table II): a path record
 // (κ, d, l, x) with κ = d·γ + l represented implicitly by (d, l) and
-// compared exactly through key.Gamma.
+// compared exactly through key.Gamma. Z.flag-d* is not stored: it is
+// List.isSP. The fields are ordered to fill Go's 48-byte size class.
 type entry struct {
 	d, l   int64 // weighted distance and hop length of the path
 	srcIdx int   // index of source x in Opts.Sources
-	parent int   // the neighbor the entry arrived from (source itself at origin)
+	idx    int   // current position in the list (0-based; pos = idx+1)
+	ceilK  int64 // cached ⌈κ⌉ = ⌈d·γ⌉ + l
 
-	flagSP   bool // Z.flag-d*: currently the shortest-path entry for x at v
-	needSend bool // scheduled but not yet sent
-	dead     bool // removed from the list (heap entries are lazy)
-
-	idx      int   // current position in the list (0-based; pos = idx+1)
-	ceilK    int64 // cached ⌈κ⌉ = ⌈d·γ⌉ + l
 	heapRefs int32 // live sendItems pointing here; recycling waits for 0
+	needSend bool  // scheduled but not yet sent
+	dead     bool  // removed from the list (heap entries are lazy)
 }
 
 // less is the total list order (κ, d, x): keys ascending, ties by distance,
@@ -119,6 +117,10 @@ type best struct {
 	e      *entry // the entry carrying flag-d*, nil until first reached
 }
 
+// isSP reports Z.flag-d*: whether z is the entry of its source's
+// shortest-path record.
+func (pl *List) isSP(z *entry) bool { return pl.bests[z.srcIdx].e == z }
+
 // List is list_v of Algorithm 1: one node's entries in (κ, d, x) order
 // with the ⌈κ⌉+pos send schedule, the per-source sets, the shortest-path
 // records and the lazy send heap. It is the one implementation of the
@@ -146,7 +148,7 @@ type List struct {
 	pending int // alive entries with needSend
 	h       sendHeap
 	seq     int64
-	cur     int // last round executed
+	cur     int // the round NextSend last ran for
 
 	Counters
 
@@ -170,7 +172,6 @@ type Counters struct {
 type Send struct {
 	SrcIdx int   // index into the sources given to Init
 	D, L   int64 // weighted distance and hop length
-	SP     bool  // Z.flag-d*
 	Nu     int32 // Z.ν: entries for the source at or below Z
 }
 
@@ -205,7 +206,7 @@ func (pl *List) Init(id int, gamma key.Gamma, sources []int, prealloc int) {
 // Seed installs the origin entry (d, 0) for source index i: an already
 // known distance with zero hops, the shortest-path record until beaten.
 func (pl *List) Seed(i int, d int64) {
-	z := &entry{d: d, l: 0, srcIdx: i, parent: pl.id, flagSP: true, needSend: true}
+	z := &entry{d: d, l: 0, srcIdx: i, needSend: true}
 	z.ceilK = pl.gamma.CeilKappa(d, 0)
 	pl.bests[i] = best{d: d, l: 0, parent: pl.id, e: z}
 	pl.insertAt(z, pl.searchPos(z))
@@ -345,9 +346,6 @@ func (pl *List) Offer(i int, d, l int64, from, r int) {
 		// would be identical, so no new entry is needed.
 		if from < b.parent {
 			b.parent = from
-			if b.e != nil {
-				b.e.parent = from
-			}
 		}
 		return
 	}
@@ -361,18 +359,14 @@ func (pl *List) Offer(i int, d, l int64, from, r int) {
 		}
 	}
 	z := pl.newEntry()
-	z.d, z.l, z.srcIdx, z.parent, z.needSend = d, l, i, from, true
+	z.d, z.l, z.srcIdx, z.needSend = d, l, i, true
 	z.ceilK = pl.gamma.CeilKappa(d, l)
 	if d < b.d || (d == b.d && l < b.l) {
-		if b.e != nil {
-			b.e.flagSP = false
-		}
-		z.flagSP = true
 		*b = best{d: d, l: l, parent: from, e: z}
 	}
 	pl.insertAt(z, pl.searchPos(z))
 	if pl.trace != nil {
-		pl.trace("r%d v%d INSERT pareto (d=%d l=%d src=%d) sp=%v", r, pl.id, d, l, pl.sources[i], z.flagSP)
+		pl.trace("r%d v%d INSERT pareto (d=%d l=%d src=%d) sp=%v", r, pl.id, d, l, pl.sources[i], pl.isSP(z))
 	}
 	// Remove the entries z dominates; they are strictly above z in the
 	// list order (κ(z) ≤ κ(e) with a strict component).
@@ -445,9 +439,9 @@ func (pl *List) NextSend(r int) (Send, bool) {
 	z := candidate
 	z.needSend = false
 	pl.pending--
-	s := Send{SrcIdx: z.srcIdx, D: z.d, L: z.l, SP: z.flagSP, Nu: int32(pl.nu(z))}
+	s := Send{SrcIdx: z.srcIdx, D: z.d, L: z.l, Nu: int32(pl.nu(z))}
 	if pl.trace != nil {
-		pl.trace("r%d v%d SEND (d=%d l=%d src=%d) sp=%v nu=%d sched=%d", r, pl.id, z.d, z.l, pl.sources[z.srcIdx], z.flagSP, s.Nu, candSched)
+		pl.trace("r%d v%d SEND (d=%d l=%d src=%d) sp=%v nu=%d sched=%d", r, pl.id, z.d, z.l, pl.sources[z.srcIdx], pl.isSP(z), s.Nu, candSched)
 	}
 	return s, true
 }
@@ -472,12 +466,13 @@ func (pl *List) NextWake() int {
 // order influences future stored order and must round-trip for bit-exact
 // resume), the shortest-path records and the lazy send heap in heap-array
 // order. Entry pointers travel as list indices (-1: none, or dead). The
-// cached ⌈κ⌉ is rebuilt, not stored; Counters are not included (core's
-// node stores them in its historical layout). Decoding discards whatever
-// Init and Seed built.
+// cached ⌈κ⌉ is rebuilt, not stored, and so is flag-d* (isSP reads it off
+// the best records). The round is not stored: only NextWake reads it,
+// after NextSend has set it. Counters are not included (core's node
+// stores them in its historical layout). Decoding discards whatever Init
+// and Seed built.
 func (pl *List) State(c *congest.Codec) error {
 	dec := c.Decoding()
-	c.Int(&pl.cur)
 	c.Int64(&pl.seq)
 	c.Int(&pl.pending)
 
@@ -489,8 +484,6 @@ func (pl *List) State(c *congest.Codec) error {
 		c.Int64(&z.d)
 		c.Int64(&z.l)
 		c.Int(&z.srcIdx)
-		c.Int(&z.parent)
-		c.Bool(&z.flagSP)
 		c.Bool(&z.needSend)
 	}
 	if err := c.Err(); err != nil {

@@ -77,7 +77,7 @@ func (nd *literalNode) Round(ctx *congest.Context, r int, inbox []congest.Messag
 func (nd *literalNode) offer(i int, d, l int64, from, r int, msg *wire) {
 	pl := &nd.pl
 	z := pl.newEntry()
-	z.d, z.l, z.srcIdx, z.parent = d, l, i, from
+	z.d, z.l, z.srcIdx = d, l, i
 	z.ceilK = nd.gamma.CeilKappa(d, l)
 	b := &pl.bests[i]
 	better := d < b.d ||
@@ -85,10 +85,6 @@ func (nd *literalNode) offer(i int, d, l int64, from, r int, msg *wire) {
 		(d == b.d && l == b.l && from < b.parent)
 	if better {
 		// Step 9–11: z is the new shortest-path entry.
-		if b.e != nil {
-			b.e.flagSP = false
-		}
-		z.flagSP = true
 		z.needSend = true
 		*b = best{d: d, l: l, parent: from, e: z}
 		nd.insert(z, r)
@@ -142,12 +138,12 @@ func (nd *literalNode) insert(z *entry, r int) {
 			nd.inv1++
 		}
 	}
-	if nd.lit.Evict != EvictNonSPInserts || !z.flagSP {
+	if nd.lit.Evict != EvictNonSPInserts || !pl.isSP(z) {
 		// Eviction: closest non-SP entry for x strictly above z (policy
 		// permitting; EvictOnlySent skips entries not yet broadcast).
 		var victim *entry
 		for _, e := range pl.perSrc[z.srcIdx] {
-			if e == z || e.flagSP || e.idx <= z.idx {
+			if e == z || pl.isSP(e) || e.idx <= z.idx {
 				continue
 			}
 			if nd.lit.Evict == EvictOnlySent && e.needSend {

@@ -8,8 +8,8 @@ package core
 import "repro/internal/congest"
 
 func init() {
-	// The codec name and field bytes predate the pooled *wire payload:
-	// keeping both identical keeps historical checkpoint files loading.
+	// The codec name predates the pooled *wire payload; a snapshot finds
+	// the codec by it.
 	congest.RegisterPayloadCodec("core.wire", func(c *congest.Codec, m **wire) {
 		if *m == nil {
 			*m = &wire{}
@@ -18,7 +18,6 @@ func init() {
 		c.Int64(&w.d)
 		c.Int64(&w.l)
 		c.Int(&w.src)
-		c.Bool(&w.sp)
 		congest.Varint(c, &w.nu)
 	})
 }

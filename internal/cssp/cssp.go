@@ -34,9 +34,6 @@ type Collection struct {
 	Hops [][]int64
 	// Children[i][v]: v's children in tree i (derived from Parent).
 	Children [][][]int
-	// Depth[i][v]: v's depth along parent pointers (equals Hops[i][v] for
-	// a well-formed collection); -1 outside the tree.
-	Depth [][]int
 	// RawDist[i][v] is the untruncated 2h-hop shortest distance from the
 	// underlying Algorithm 1 run (graph.Inf if unreachable in 2h hops):
 	// the short-range distances Algorithm 3 combines with the per-blocker
@@ -119,7 +116,6 @@ func build(g *graph.Graph, sources []int, h int, delta int64, useBF bool, cfg co
 		Dist:     make([][]int64, k),
 		Hops:     make([][]int64, k),
 		Children: make([][][]int, k),
-		Depth:    make([][]int, k),
 		Stats:    res.Stats,
 	}
 	c.RawDist = res.Dist
@@ -128,7 +124,6 @@ func build(g *graph.Graph, sources []int, h int, delta int64, useBF bool, cfg co
 		c.Dist[i] = make([]int64, n)
 		c.Hops[i] = make([]int64, n)
 		c.Children[i] = make([][]int, n)
-		c.Depth[i] = make([]int, n)
 		for v := 0; v < n; v++ {
 			if res.Hops[i][v] >= 0 && res.Hops[i][v] <= int64(h) {
 				c.Parent[i][v] = res.Parent[i][v]
@@ -139,7 +134,6 @@ func build(g *graph.Graph, sources []int, h int, delta int64, useBF bool, cfg co
 				c.Dist[i][v] = graph.Inf
 				c.Hops[i][v] = -1
 			}
-			c.Depth[i][v] = -1
 		}
 	}
 	s2, err := c.reselect(g, cfg)
@@ -165,28 +159,12 @@ func hopsFromDP(g *graph.Graph, sources []int, H int) [][]int64 {
 	return out
 }
 
-// derive fills Children and Depth from Parent.
+// derive fills Children from Parent.
 func (c *Collection) derive() {
-	for i := range c.Sources {
-		root := c.Sources[i]
-		n := len(c.Parent[i])
-		for v := 0; v < n; v++ {
-			p := c.Parent[i][v]
+	for i, root := range c.Sources {
+		for v, p := range c.Parent[i] {
 			if p >= 0 && v != root {
 				c.Children[i][p] = append(c.Children[i][p], v)
-			}
-		}
-		// Depth via BFS from the root along children.
-		if c.Parent[i][root] >= 0 {
-			c.Depth[i][root] = 0
-			queue := []int{root}
-			for len(queue) > 0 {
-				v := queue[0]
-				queue = queue[1:]
-				for _, ch := range c.Children[i][v] {
-					c.Depth[i][ch] = c.Depth[i][v] + 1
-					queue = append(queue, ch)
-				}
 			}
 		}
 	}

@@ -143,8 +143,8 @@ func TestChildrenAndDepthDerivation(t *testing.T) {
 		t.Fatalf("child links %d, want %d", count, inTree-1)
 	}
 	for v := 0; v < g.N(); v++ {
-		if c.Parent[0][v] >= 0 && int64(c.Depth[0][v]) != c.Hops[0][v] {
-			t.Fatalf("depth/hops mismatch at %d: %d vs %d", v, c.Depth[0][v], c.Hops[0][v])
+		if depth := len(c.PathTo(0, v)) - 1; c.Parent[0][v] >= 0 && int64(depth) != c.Hops[0][v] {
+			t.Fatalf("depth/hops mismatch at %d: %d vs %d", v, depth, c.Hops[0][v])
 		}
 	}
 }

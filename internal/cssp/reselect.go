@@ -44,12 +44,11 @@ type reselNode struct {
 	coll *Collection
 	k    int
 
-	inW     map[int]int64
-	nb      []map[int]nbVal // per source: announcing in-neighbor -> value
-	valid   []bool
-	invQ    []int // sources whose invalidation is pending broadcast
-	checked bool
-	cur     int
+	inW   map[int]int64
+	nb    []map[int]nbVal // per source: announcing in-neighbor -> value
+	valid []bool
+	invQ  []int // sources whose invalidation is pending broadcast
+	cur   int
 }
 
 func (nd *reselNode) Init(ctx *congest.Context) {
@@ -118,10 +117,10 @@ func (nd *reselNode) Round(ctx *congest.Context, r int, inbox []congest.Message)
 		}
 		return
 	}
-	if !nd.checked {
+	if r == nd.k+1 {
 		// All announcements (sent by round k) have been processed by the
-		// start of round k+1: run the initial validity check once.
-		nd.checked = true
+		// start of round k+1, which every node executes (NextWake): run
+		// the initial validity check.
 		for i := 0; i < nd.k; i++ {
 			nd.recheck(i)
 		}
@@ -137,7 +136,7 @@ func (nd *reselNode) Round(ctx *congest.Context, r int, inbox []congest.Message)
 }
 
 func (nd *reselNode) Quiescent() bool {
-	return nd.cur > nd.k && nd.checked && len(nd.invQ) == 0
+	return nd.cur > nd.k && len(nd.invQ) == 0
 }
 
 // NextWake implements congest.Waker: the node acts in every round of the

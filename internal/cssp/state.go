@@ -1,7 +1,8 @@
 // Checkpoint support: congest.Stateful for the parent re-selection node.
 // The announcement tables are maps, so they are walked in sorted neighbor
 // order; the collection, k and the in-arc weights are configuration
-// rebuilt by Init.
+// rebuilt by Init. The round the node last executed is not stored:
+// Quiescent and NextWake read it only after a Round has set it.
 package cssp
 
 import (
@@ -21,8 +22,6 @@ func init() {
 
 // State implements congest.Stateful.
 func (nd *reselNode) State(c *congest.Codec) error {
-	c.Int(&nd.cur)
-	c.Bool(&nd.checked)
 	c.Bools(&nd.valid)
 	c.Ints(&nd.invQ)
 	if c.Decoding() && c.Err() == nil && len(nd.valid) != nd.k {

@@ -1,11 +1,12 @@
 // Checkpoint support: the Network's side of the congest.Stateful
 // contract. A snapshot is taken at a round barrier, where the reliability
 // shim's per-round scratch (outstanding windows, in-air flights,
-// acceptance logs) is provably empty; what must survive is the state that
-// carries meaning across rounds — per-link sequence numbers, cumulative
-// ACK and delivery frontiers, holdback buffers, the queued (delayed)
-// logical deliveries, the PRF flight cursor, and the cumulative physical
-// statistics and recorded event log.
+// acceptance logs, holdback buffers) is provably empty, and every link's
+// window is delivered and acknowledged, so its ACK and delivery frontiers
+// both equal its last sequence number. What must survive is the state
+// that carries meaning across rounds — per-link sequence numbers, the
+// queued (delayed) logical deliveries, the PRF flight cursor, and the
+// cumulative physical statistics and recorded event log.
 //
 // The fired-crash bookkeeping is deliberately NOT part of the snapshot:
 // see Network.fired.
@@ -38,7 +39,7 @@ func (nw *Network) State(c *congest.Codec) error {
 			*lp = &link{}
 		}
 		l := *lp
-		if len(l.out) != 0 || len(l.got) != 0 {
+		if len(l.out) != 0 || len(l.got) != 0 || len(l.hold) != 0 || l.ackedTo != l.nextSeq || l.delivered != l.nextSeq {
 			c.Fail(fmt.Errorf("faults: snapshot of link %d→%d mid-barrier (outstanding window)", l.from, l.to))
 			return
 		}
@@ -50,12 +51,7 @@ func (nw *Network) State(c *congest.Codec) error {
 		}
 		*k = linkKey(l.from, l.to)
 		c.Int64(&l.nextSeq)
-		c.Int64(&l.ackedTo)
-		c.Int64(&l.delivered)
-		congest.Map(c, &l.hold, func(seq *int64, m *congest.Message) {
-			c.Int64(seq)
-			nw.message(c, m)
-		})
+		l.ackedTo, l.delivered = l.nextSeq, l.nextSeq
 	})
 
 	// Queued logical deliveries, in due-round order.

@@ -1,10 +1,12 @@
 // Checkpoint support: the Recorder's side of the congest.Stateful
 // contract, so phase-attributed accounting survives an engine
 // checkpoint/restore bit-exactly. The snapshot covers the accounting
-// state (per-phase breakdowns, totals, run and round counters, current
+// state (per-phase breakdowns, totals, run counter and run base, current
 // phase) but not the sinks: a restored Recorder keeps its own sinks and
 // start time, and the resumed run's events flow into them from the
-// resume point on.
+// resume point on. Nor does it cover the global round: a snapshot is taken
+// at the top of a round the resumed run executes, and that round's
+// RoundDone rewrites the global round before any RunStart reads it.
 package obs
 
 import (
@@ -33,7 +35,6 @@ func (r *Recorder) State(c *congest.Codec) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c.Int(&r.runs)
-	c.Int(&r.globalRound)
 	c.Int(&r.runBase)
 	cur := ""
 	if r.cur != nil {

@@ -1,7 +1,9 @@
 // Checkpoint support: congest.Stateful for the single-estimate pipelined
 // node. Derived fields (srcIdx, inW) are rebuilt by Init; everything that
 // evolves across rounds — estimates, parents, the (dist, src)-sorted send
-// list, pending flags and schedule diagnostics — round-trips here.
+// list, pending flags and schedule diagnostics — round-trips here. The
+// round the node last executed does not: Quiescent reads it only after a
+// Round has set it.
 package posweight
 
 import (
@@ -19,7 +21,6 @@ func init() {
 
 // State implements congest.Stateful.
 func (nd *node) State(c *congest.Codec) error {
-	c.Int(&nd.curRound)
 	c.Int(&nd.late)
 	c.Int(&nd.missed)
 	c.Int64s(&nd.dist)

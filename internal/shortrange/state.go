@@ -1,6 +1,8 @@
 // Checkpoint support: congest.Stateful for the Algorithm 2 node. The
 // T_snap copy (snap) is recorded state, not derivable: a restore after
-// the snapshot round must reproduce exactly what was frozen then.
+// the snapshot round must reproduce exactly what was frozen then. The
+// round the node last executed is not stored: Quiescent and NextWake read
+// it only after a Round has set it.
 package shortrange
 
 import (
@@ -19,7 +21,6 @@ func init() {
 
 // State implements congest.Stateful.
 func (nd *node) State(c *congest.Codec) error {
-	c.Int(&nd.cur)
 	c.Int(&nd.late)
 	c.Int(&nd.missed)
 	c.Int64s(&nd.dist)
