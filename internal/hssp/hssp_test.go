@@ -1,6 +1,7 @@
 package hssp
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -197,5 +198,28 @@ func TestStep5UsesWhatTheNodeReceived(t *testing.T) {
 	}
 	if changed == 0 {
 		t.Fatalf("no dropped Step 4 delivery to node %d changed its distances: Step 5 does not read what the node received", v)
+	}
+}
+
+// TestSimBlockerCostsPinned pins the logical costs of the benchmark's
+// sim_blocker instance (n = 128, m = 512, seed 5, H = 4): every Stats field,
+// every phase's rounds and |Q|. A change to any protocol Algorithm 3 runs
+// that moves one of them re-pins it here on purpose.
+func TestSimBlockerCostsPinned(t *testing.T) {
+	g := graph.Random(128, 512, graph.GenOpts{Seed: 5, MaxW: 8, ZeroFrac: 0.25, Directed: true})
+	res, err := Run(g, Opts{H: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := congest.Stats{Rounds: 7487, Messages: 1028732, MaxWords: 4, MaxLinkCongestion: 3906, MaxNodeSends: 42966}
+	if res.Stats != want {
+		t.Errorf("Stats = %+v, want %+v", res.Stats, want)
+	}
+	wantPhases := map[string]int{"cssp": 620, "blocker": 744, "sssp": 906, "broadcast": 5217}
+	if !maps.Equal(res.PhaseRounds, wantPhases) {
+		t.Errorf("PhaseRounds = %v, want %v", res.PhaseRounds, wantPhases)
+	}
+	if len(res.Q) != 31 {
+		t.Errorf("|Q| = %d, want 31", len(res.Q))
 	}
 }
