@@ -148,6 +148,102 @@ func TestSymbolCensus(t *testing.T) {
 	}
 }
 
+// protocolPkgs are the packages whose non-test code runs on a protocol's
+// path: each value a node holds there must come from the engine run.
+var protocolPkgs = []string{"bellman", "core", "cssp", "blocker", "hssp", "bcast",
+	"shortrange", "posweight", "scaling", "unweighted", "approx"}
+
+// oracleAllow names the protocol-package functions TestNoSequentialOracle
+// lets call internal/graph/seq.go, each with its reason.
+var oracleAllow = map[string]string{
+	"(*cssp.Collection).Verify": "checks a finished collection against Definition III.3 for the tests and " +
+		"E-CSSSP; no run reads what it computes",
+	"approx.CheckStretch": "measures a finished result's stretch against exact distances for apsprun -check " +
+		"and E-APPROX; no run reads what it computes",
+}
+
+// TestNoSequentialOracle fails on a non-test function of a protocol package
+// that refers to a sequential reference of internal/graph/seq.go (Dijkstra,
+// the h-hop DP, …): a value such a call fills in is one no node computed,
+// so the rounds a protocol reports would not pay for it.
+func TestNoSequentialOracle(t *testing.T) {
+	fset := token.NewFileSet()
+	seq, err := parser.ParseFile(fset, "internal/graph/seq.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracles := map[string]bool{}
+	for _, d := range seq.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+			oracles[fd.Name.Name] = true
+		}
+	}
+	excused := map[string]bool{}
+	for _, pkg := range protocolPkgs {
+		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("package %s: no files (%v)", pkg, err)
+		}
+		for _, p := range files {
+			if strings.HasSuffix(p, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphName := ""
+			for _, im := range f.Imports {
+				if im.Path.Value == `"repro/internal/graph"` {
+					graphName = "graph"
+					if im.Name != nil {
+						graphName = im.Name.Name
+					}
+				}
+			}
+			if graphName == "" {
+				continue
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				caller := pkg + "." + fd.Name.Name
+				if fd.Recv != nil {
+					recv := types.ExprString(fd.Recv.List[0].Type)
+					star := ""
+					if strings.HasPrefix(recv, "*") {
+						star, recv = "*", recv[1:]
+					}
+					caller = "(" + star + pkg + "." + recv + ")." + fd.Name.Name
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok || !oracles[sel.Sel.Name] {
+						return true
+					}
+					if x, ok := sel.X.(*ast.Ident); !ok || x.Name != graphName {
+						return true
+					}
+					if oracleAllow[caller] != "" {
+						excused[caller] = true
+						return true
+					}
+					t.Errorf("%s: %s calls the sequential reference graph.%s: compute the value in the run, "+
+						"or allowlist the caller with a reason", fset.Position(sel.Pos()), caller, sel.Sel.Name)
+					return true
+				})
+			}
+		}
+	}
+	for k := range oracleAllow {
+		if !excused[k] {
+			t.Errorf("oracleAllow entry %q excuses nothing; drop it", k)
+		}
+	}
+}
+
 // ckptAllow names the checkpoint walk sites TestCheckpointCensus excuses,
 // keyed "file: source line", each with the reason the state it walks is
 // live although no conformance cell tells it from zero, or is never

@@ -343,3 +343,28 @@ func TestRunMetricsMatchReportAfterRestart(t *testing.T) {
 		t.Errorf("histogram counted %d rounds, report %d: no round was re-executed, the drill tested nothing", executed, main.RoundsExecuted)
 	}
 }
+
+// TestRunCrashKeepsFaultPlan: -crash adds crash events to the fault
+// network's script, and a script of crashes alone must leave the -faults
+// plan in force. The supervised run still drops, delays and retransmits,
+// and still passes -check.
+func TestRunCrashKeepsFaultPlan(t *testing.T) {
+	var out, errOut bytes.Buffer
+	args := []string{"-alg", "pipeline", "-n", "48", "-m", "160", "-faults", "all", "-json", "-check",
+		"-log", "text", "-crash", "3@10+1", "-checkpoint-every", "8"}
+	if err := run(args, &out, &errOut); err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	var rep obs.Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("report: %v", err)
+	}
+	if rep.Phys == nil || rep.Phys.Retransmits == 0 || rep.Phys.DataDrops == 0 {
+		t.Fatalf("phys = %+v: the crash script switched the fault plan off", rep.Phys)
+	}
+	for _, want := range []string{"recovered via checkpoint restart", "wrong=0"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, errOut.String())
+		}
+	}
+}

@@ -14,6 +14,12 @@
 // h·k + 1 rounds, zero-weight edges included (Bellman–Ford is indifferent
 // to zero weights — it is slow, not wrong, which is why it is the safe
 // baseline).
+//
+// Estimates carry (d, l), a distance and its hop count, and relax
+// lexicographically, so block t holds the ≤t-hop distance with the fewest
+// hops that realize it: the pair Step 1's truncation reads. A node resends
+// only when d changes: a walk with fewer hops for the same d lay within an
+// earlier block, so a later block cannot bring one.
 package bellman
 
 import (
@@ -23,14 +29,14 @@ import (
 	"repro/internal/graph"
 )
 
-// estimate is the wire payload: a distance estimate for one source.
+// estimate is the wire payload: one source's distance estimate and its hops.
 type estimate struct {
-	src int
-	d   int64
+	src  int
+	d, l int64
 }
 
 // Words reports the message size in words.
-func (estimate) Words() int { return 2 }
+func (estimate) Words() int { return 3 }
 
 // Opts configures a run.
 type Opts struct {
@@ -47,6 +53,7 @@ type Opts struct {
 // Result is the outcome of a run.
 type Result struct {
 	Dist   [][]int64 // Dist[i][v]: ≤H-hop distance from Sources[i] to v
+	Hops   [][]int64 // fewest hops realizing Dist[i][v]; -1 if unreached
 	Parent [][]int   // predecessor of v for Sources[i]; -1 if none
 	Stats  congest.Stats
 }
@@ -57,7 +64,8 @@ type node struct {
 	pool congest.Pool[estimate] // sender-owned: broadcasts allocate nothing in steady state
 
 	dist     []int64 // merged estimates
-	lastSent []int64 // last broadcast value per source (Inf = never)
+	hops     []int64 // the hop count of each merged estimate (-1 = none)
+	lastSent []int64 // last broadcast distance per source (Inf = never)
 	parent   []int
 	// srcOf is the shared source-ID → index table (see core for the
 	// rationale); inFrom/inWt the sorted min-weight in-arcs, merge-joined
@@ -74,14 +82,17 @@ func (nd *node) Init(ctx *congest.Context) {
 	}
 	k := len(nd.opts.Sources)
 	nd.dist = make([]int64, k)
+	nd.hops = make([]int64, k)
 	nd.lastSent = make([]int64, k)
 	nd.parent = make([]int, k)
 	for i, s := range nd.opts.Sources {
 		nd.dist[i] = graph.Inf
+		nd.hops[i] = -1
 		nd.lastSent[i] = graph.Inf
 		nd.parent[i] = -1
 		if s == nd.id {
 			nd.dist[i] = 0
+			nd.hops[i] = 0
 			nd.parent[i] = nd.id
 		}
 	}
@@ -118,8 +129,8 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 			return
 		}
 		i := int(nd.srcOf[est.src])
-		if d := est.d + w; d < nd.dist[i] {
-			nd.dist[i] = d
+		if d, l := est.d+w, est.l+1; d < nd.dist[i] || (d == nd.dist[i] && l < nd.hops[i]) {
+			nd.dist[i], nd.hops[i] = d, l
 			nd.parent[i] = m.From
 		}
 	}
@@ -129,14 +140,14 @@ func (nd *node) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	if j := (r - 1) % k; nd.unsent(j) {
 		p := nd.pool.Get(ctx, r)
 		p.src = nd.opts.Sources[j]
-		p.d = nd.dist[j]
+		p.d, p.l = nd.dist[j], nd.hops[j]
 		ctx.Broadcast(p)
 		nd.lastSent[j] = nd.dist[j]
 	}
 }
 
-// unsent reports whether slot j has a finite estimate its last broadcast
-// did not carry.
+// unsent reports whether slot j has a finite distance its last broadcast
+// did not carry (l changes only with d: see the package comment).
 func (nd *node) unsent(j int) bool { return nd.dist[j] < graph.Inf && nd.dist[j] != nd.lastSent[j] }
 
 func (nd *node) Quiescent() bool {
@@ -240,14 +251,17 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	}
 	res := &Result{
 		Dist:   make([][]int64, len(opts.Sources)),
+		Hops:   make([][]int64, len(opts.Sources)),
 		Parent: make([][]int, len(opts.Sources)),
 		Stats:  stats,
 	}
 	for i := range opts.Sources {
 		res.Dist[i] = make([]int64, g.N())
+		res.Hops[i] = make([]int64, g.N())
 		res.Parent[i] = make([]int, g.N())
 		for v, nd := range nodes {
 			res.Dist[i][v] = nd.dist[i]
+			res.Hops[i][v] = nd.hops[i]
 			res.Parent[i][v] = nd.parent[i]
 		}
 	}

@@ -16,12 +16,12 @@ func TestHHopMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d h %d: %v", seed, h, err)
 			}
-			want := graph.KSourceHHop(g, sources, h)
-			for i := range sources {
+			for i, s := range sources {
+				wantD, wantL := graph.HHopDistHops(g, s, h)
 				for v := 0; v < g.N(); v++ {
-					if res.Dist[i][v] != want[i][v] {
-						t.Fatalf("seed %d h %d: dist[%d][%d] = %d, want %d",
-							seed, h, sources[i], v, res.Dist[i][v], want[i][v])
+					if res.Dist[i][v] != wantD[v] || res.Hops[i][v] != int64(wantL[v]) {
+						t.Fatalf("seed %d h %d: (d,l)[%d][%d] = (%d,%d), want (%d,%d)",
+							seed, h, s, v, res.Dist[i][v], res.Hops[i][v], wantD[v], wantL[v])
 					}
 				}
 			}

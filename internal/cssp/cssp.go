@@ -35,11 +35,11 @@ type Collection struct {
 	// Children[i][v]: v's children in tree i (derived from Parent).
 	Children [][][]int
 	// RawDist[i][v] is the untruncated 2h-hop shortest distance from the
-	// underlying Algorithm 1 run (graph.Inf if unreachable in 2h hops):
-	// the short-range distances Algorithm 3 combines with the per-blocker
+	// underlying Step 1 run (graph.Inf if unreachable in 2h hops): the
+	// short-range distances Algorithm 3 combines with the per-blocker
 	// values.
 	RawDist [][]int64
-	// Stats is the cost of the underlying Algorithm 1 run.
+	// Stats is the cost of the Step 1 run and the repair phase.
 	Stats congest.Stats
 }
 
@@ -61,52 +61,30 @@ type Collection struct {
 // engine knobs for both the Algorithm 1 run and the repair phase; its
 // Observer (may be nil) receives both phases' events.
 func Build(g *graph.Graph, sources []int, h int, delta int64, cfg congest.Config) (*Collection, error) {
-	return build(g, sources, h, delta, false, cfg)
+	r, err := core.Run(g, core.Opts{Sources: sources, H: 2 * h, Delta: delta, Engine: cfg})
+	if err != nil {
+		return nil, fmt.Errorf("cssp: Algorithm 1 run: %w", err)
+	}
+	return build(g, sources, h, r.Dist, r.Hops, r.Parent, r.Stats, cfg)
 }
 
 // BuildBellmanFord constructs the same collection but computes the 2h-hop
-// distances with distributed Bellman–Ford instead of Algorithm 1 — the
-// Θ(n·h)-round method of [3] that the paper's Sec. III replaces ("the
-// method in [3] takes Θ(n·h) rounds, which is too large for our
-// purposes"). Kept as the ablation baseline for experiment E-STEP1.
+// distances and their hop counts with hop-tagged distributed Bellman–Ford
+// instead of Algorithm 1 — the Θ(n·h)-round method of [3] that the paper's
+// Sec. III replaces ("the method in [3] takes Θ(n·h) rounds, which is too
+// large for our purposes"). Kept as the ablation baseline for experiment
+// E-STEP1; Stats is what its run and the repair phase measured.
 func BuildBellmanFord(g *graph.Graph, sources []int, h int, cfg congest.Config) (*Collection, error) {
-	return build(g, sources, h, 0, true, cfg)
+	r, err := bellman.Run(g, bellman.Opts{Sources: sources, H: 2 * h, Engine: cfg})
+	if err != nil {
+		return nil, fmt.Errorf("cssp: Bellman-Ford run: %w", err)
+	}
+	return build(g, sources, h, r.Dist, r.Hops, r.Parent, r.Stats, cfg)
 }
 
-func build(g *graph.Graph, sources []int, h int, delta int64, useBF bool, cfg congest.Config) (*Collection, error) {
-	if h <= 0 {
-		return nil, fmt.Errorf("cssp: h=%d must be positive", h)
-	}
-	var (
-		res *core.Result
-		err error
-	)
-	if useBF {
-		bf, bfErr := bellman.Run(g, bellman.Opts{Sources: sources, H: 2 * h, Engine: cfg})
-		if bfErr != nil {
-			return nil, fmt.Errorf("cssp: Bellman-Ford run: %w", bfErr)
-		}
-		// Bellman–Ford reports distances but not minimal hop counts, which
-		// the collection needs for truncation. A hop-tagged Bellman–Ford
-		// costs a second 2h·k-round sweep; we charge that cost (doubling
-		// the measured rounds — the quantity the ablation reports) and
-		// fill the hop values from the sequential oracle, which matches
-		// what the tagged sweep would compute.
-		res = &core.Result{
-			Sources: append([]int(nil), sources...),
-			Dist:    bf.Dist,
-			Parent:  bf.Parent,
-			Hops:    hopsFromDP(g, sources, 2*h),
-			Stats:   bf.Stats,
-		}
-		res.Stats.Rounds *= 2
-		res.Stats.Messages *= 2
-	} else {
-		res, err = core.Run(g, core.Opts{Sources: sources, H: 2 * h, Delta: delta, Engine: cfg})
-		if err != nil {
-			return nil, fmt.Errorf("cssp: Algorithm 1 run: %w", err)
-		}
-	}
+// build truncates Step 1's 2h-hop rows, as the run that produced them
+// recorded them, to h hops and runs the repair phase.
+func build(g *graph.Graph, sources []int, h int, dist, hops [][]int64, parent [][]int, stats congest.Stats, cfg congest.Config) (*Collection, error) {
 	k := len(sources)
 	n := g.N()
 	c := &Collection{
@@ -116,19 +94,19 @@ func build(g *graph.Graph, sources []int, h int, delta int64, useBF bool, cfg co
 		Dist:     make([][]int64, k),
 		Hops:     make([][]int64, k),
 		Children: make([][][]int, k),
-		Stats:    res.Stats,
+		RawDist:  dist,
+		Stats:    stats,
 	}
-	c.RawDist = res.Dist
 	for i := 0; i < k; i++ {
 		c.Parent[i] = make([]int, n)
 		c.Dist[i] = make([]int64, n)
 		c.Hops[i] = make([]int64, n)
 		c.Children[i] = make([][]int, n)
 		for v := 0; v < n; v++ {
-			if res.Hops[i][v] >= 0 && res.Hops[i][v] <= int64(h) {
-				c.Parent[i][v] = res.Parent[i][v]
-				c.Dist[i][v] = res.Dist[i][v]
-				c.Hops[i][v] = res.Hops[i][v]
+			if hops[i][v] >= 0 && hops[i][v] <= int64(h) {
+				c.Parent[i][v] = parent[i][v]
+				c.Dist[i][v] = dist[i][v]
+				c.Hops[i][v] = hops[i][v]
 			} else {
 				c.Parent[i][v] = -1
 				c.Dist[i][v] = graph.Inf
@@ -143,20 +121,6 @@ func build(g *graph.Graph, sources []int, h int, delta int64, useBF bool, cfg co
 	}
 	c.derive()
 	return c, nil
-}
-
-// hopsFromDP returns the minimal hop counts of H-hop shortest paths per
-// source (what a hop-tagged Bellman–Ford sweep would record).
-func hopsFromDP(g *graph.Graph, sources []int, H int) [][]int64 {
-	out := make([][]int64, len(sources))
-	for i, s := range sources {
-		_, l := graph.HHopDistHops(g, s, H)
-		out[i] = make([]int64, g.N())
-		for v, lv := range l {
-			out[i][v] = int64(lv)
-		}
-	}
-	return out
 }
 
 // derive fills Children from Parent.

@@ -26,7 +26,7 @@ func eStep1(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E-STEP1",
 		Title:   "Algorithm 3 Step 1: CSSSP via Algorithm 1 vs via Bellman–Ford ([3])",
-		Headers: []string{"h", "Alg1 rounds", "BF rounds", "~2h·k·2", "√(2·2h·k·Δ)·2", "speedup"},
+		Headers: []string{"h", "Alg1 rounds", "BF rounds", "~2h·k", "√(2·2h·k·Δ)·2", "speedup"},
 	}
 	g := graph.ZeroHeavy(n, m, 0.35, graph.GenOpts{Seed: cfg.Seed, MaxW: 6, Directed: true})
 	sources := make([]int, n)
@@ -62,10 +62,10 @@ func eStep1(cfg Config) (*Table, error) {
 		}
 		pipePred := int64(2 * math.Sqrt(float64(int64(2*2*h*n)*delta))) // 2√(2khΔ) with the 2h budget
 		t.AddRow(h, viaAlg1.Stats.Rounds, viaBF.Stats.Rounds,
-			2*2*h*n, pipePred,
+			2*h*n, pipePred,
 			ratio(int64(viaBF.Stats.Rounds), int64(viaAlg1.Stats.Rounds)))
 	}
-	t.Note("BF cost includes the hop-tagging second sweep (×2); its growth is linear in h·k, Alg1's is √(hkΔ)")
+	t.Note("Step 1 is bounded by 2h·k rounds via BF and √(hkΔ) via Alg1; both columns include the repair phase")
 	t.Note("both constructions yield identical collections (verified)")
 	return t, nil
 }

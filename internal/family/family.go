@@ -45,7 +45,7 @@ type Spec struct {
 
 // Result is what every family reports, its matrices in the store layout
 // the oracle adopts. Hops and Parent are nil where the family records none
-// (blocker, scaling: no parents; bellman: no hops).
+// (blocker, scaling).
 type Result struct {
 	Alg string // the family name, or "parallel/dijkstra"
 	compute.Matrix
@@ -130,7 +130,7 @@ func runShortrange(g *graph.Graph, sp Spec, res *Result) error {
 func runBellman(g *graph.Graph, sp Spec, res *Result) error {
 	r, err := bellman.Run(g, bellman.Opts{Sources: sp.Sources, H: sp.H, Engine: sp.Engine})
 	if err == nil {
-		res.Matrix, res.Stats = FromRows(sp.Sources, g.N(), r.Dist, nil, r.Parent), r.Stats
+		res.Matrix, res.Stats = FromRows(sp.Sources, g.N(), r.Dist, r.Hops, r.Parent), r.Stats
 	}
 	return err
 }
@@ -270,17 +270,23 @@ func LoadCheckpoint(path string, g *graph.Graph, sp *Spec) (*checkpoint.Meta, *c
 	return meta, snap, nil
 }
 
-// resolveSources expands nil to every node and range-checks the rest.
+// resolveSources expands nil to every node and range-checks the rest. It
+// refuses a repeated source: families index per-source state by source ID.
 func resolveSources(g *graph.Graph, sources []int) ([]int, error) {
 	if sources == nil {
 		for v := 0; v < g.N(); v++ {
 			sources = append(sources, v)
 		}
 	}
+	seen := make([]bool, g.N())
 	for _, s := range sources {
 		if s < 0 || s >= g.N() {
 			return nil, fmt.Errorf("source %d outside graph (n=%d)", s, g.N())
 		}
+		if seen[s] {
+			return nil, fmt.Errorf("duplicate source %d", s)
+		}
+		seen[s] = true
 	}
 	return sources, nil
 }

@@ -395,6 +395,24 @@ func TestRefusesOverflowingPathSums(t *testing.T) {
 	}
 }
 
+// TestRefusesDuplicateSources: the families index per-source state by
+// source ID, so a source named twice shares one row between two; bellman,
+// shortrange and scaling used to answer such a spec with wrong distances.
+// Run refuses it by name, for every family and the parallel backend.
+func TestRefusesDuplicateSources(t *testing.T) {
+	g := graph.Random(12, 40, graph.GenOpts{MaxW: 6, Seed: 3, Directed: true})
+	specs := []family.Spec{{Alg: "pipeline", Backend: "parallel"}}
+	for _, alg := range family.Names(false) {
+		specs = append(specs, family.Spec{Alg: alg})
+	}
+	for _, sp := range specs {
+		sp.Sources, sp.Eps = []int{2, 2, 5}, 0.5
+		if _, err := family.Run(g, sp); err == nil || !strings.Contains(err.Error(), "duplicate source 2") {
+			t.Errorf("%s/%s: err = %v, want a refusal naming duplicate source 2", sp.Alg, sp.Backend, err)
+		}
+	}
+}
+
 // TestParallelRefusesUnpackableWeights: one arc of 2⁵⁸ leaves no room for a
 // hop field beside the distance, so the parallel backend refuses the graph
 // by name; the pipeline family keeps dist and hops apart and solves it.

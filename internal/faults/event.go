@@ -52,9 +52,9 @@ func ParseKind(s string) (Kind, error) {
 // Event is one explicit fault: it applies to the first transmission
 // attempt of the message sent on link From→To in logical round Round (in
 // CONGEST a link direction carries at most one message per round, so the
-// triple identifies the message). A Network with a non-nil Script injects
-// exactly the scripted events and nothing else — the replayable,
-// shrinkable form of a fault plan (internal/difftest.Shrink minimizes
+// triple identifies the message). A Network whose Script holds a drop,
+// delay or duplicate injects exactly the scripted events and nothing else:
+// the replayable, shrinkable form of a fault plan (difftest.Shrink minimizes
 // event lists; the probabilistic Network records one Event per fault it
 // injects so any chaos run can be turned into a script).
 type Event struct {

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/congest"
@@ -45,9 +46,10 @@ type Network struct {
 	// engine's former implicit "delivery order equals send order"
 	// assumption, kept so tests can demonstrate it is wrong.
 	ArrivalOrder bool
-	// Script, when non-nil, replaces the probabilistic plan: exactly the
-	// listed events fire, each against the first transmission attempt of
-	// its (Round, From, To) message. Rounds are per engine run.
+	// Script, when it holds a drop, delay or duplicate event, replaces the
+	// probabilistic plan: exactly the listed events fire, each against the
+	// first transmission attempt of its (Round, From, To) message. Crash
+	// events leave the plan in force. Rounds are per engine run.
 	Script []Event
 	// Sink, if set, receives one PhysStats delta per logical round with
 	// traffic.
@@ -282,9 +284,14 @@ func (nw *Network) Recorded() []Event {
 
 func (nw *Network) record(e Event) { nw.recorded = append(nw.recorded, e) }
 
+// scripted reports whether Script replaces the plan.
+func (nw *Network) scripted() bool {
+	return slices.ContainsFunc(nw.Script, func(e Event) bool { return e.Kind != CrashEvent })
+}
+
 // dataFate judges one data transmission attempt.
 func (nw *Network) dataFate(r, from, to int, seq int64, attempt int) (drop bool, delay int, dup bool, dupDelay int) {
-	if nw.Script != nil {
+	if nw.scripted() {
 		if attempt == 0 {
 			f := scriptFateOf(nw.Script, r, from, to)
 			return f.drop, f.delay, f.dup, f.dupDelay
@@ -304,7 +311,7 @@ func (nw *Network) dataFate(r, from, to int, seq int64, attempt int) (drop bool,
 }
 
 func (nw *Network) ackFate(r int, l *link, attempt int) (drop bool, delay int) {
-	if nw.Script != nil {
+	if nw.scripted() {
 		return false, 0
 	}
 	p := nw.Plan
@@ -327,7 +334,7 @@ func (nw *Network) enqueue(due int, m congest.Message) {
 // its logical delivery directly, and every plan-injected fault is
 // recorded as a replayable Event.
 func (nw *Network) sendRaw(r int, batch []congest.Message, delta *PhysStats) {
-	record := nw.Script == nil
+	record := !nw.scripted()
 	for _, m := range batch {
 		drop, delay, dup, dupDelay := nw.dataFate(r, m.From, m.To, 0, 0)
 		delta.DataSends++

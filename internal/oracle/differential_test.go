@@ -31,7 +31,7 @@ func TestDifferentialAllFamilies(t *testing.T) {
 		{"blocker", 0, false, false},
 		{"scaling", 0, false, false},
 		{"shortrange", 0, true, true}, // h=0 → default 8: hop-limited but self-consistent
-		{"bellman", 0, true, false},
+		{"bellman", 0, true, true},
 	}
 	for _, fam := range families {
 		t.Run(fam.alg, func(t *testing.T) {
