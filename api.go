@@ -81,7 +81,7 @@ type PipelineResult = core.Result
 // paper-literal rule is reachable through it. The literal ν-gate and
 // eviction rules lose distances (internal/core's RunLiteral serves the
 // ablation experiments), and the equality send rule exists only as
-// PositiveWeightOpts.Strict, for the A-LIST ablation.
+// PositiveWeightOpts.Strict, for the A-ZERO ablation.
 func PipelinedHKSSP(g *Graph, opts PipelineOpts) (*PipelineResult, error) {
 	return core.Run(g, opts)
 }

@@ -153,6 +153,48 @@ func TestSymbolCensus(t *testing.T) {
 var protocolPkgs = []string{"bellman", "core", "cssp", "blocker", "hssp", "bcast",
 	"shortrange", "posweight", "scaling", "unweighted", "approx"}
 
+// protocolFile is one parsed non-test file of a protocol package.
+type protocolFile struct {
+	pkg string
+	f   *ast.File
+}
+
+// protocolFiles parses the non-test files of protocolPkgs.
+func protocolFiles(t *testing.T, fset *token.FileSet) []protocolFile {
+	var pfs []protocolFile
+	for _, pkg := range protocolPkgs {
+		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("package %s: no files (%v)", pkg, err)
+		}
+		for _, p := range files {
+			if strings.HasSuffix(p, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pfs = append(pfs, protocolFile{pkg, f})
+		}
+	}
+	return pfs
+}
+
+// importName returns the name f refers to the package at path by, or ""
+// if f does not import it.
+func importName(f *ast.File, path string) string {
+	for _, im := range f.Imports {
+		if p, _ := strconv.Unquote(im.Path.Value); p == path {
+			if im.Name != nil {
+				return im.Name.Name
+			}
+			return filepath.Base(path)
+		}
+	}
+	return ""
+}
+
 // oracleAllow names the protocol-package functions TestNoSequentialOracle
 // lets call internal/graph/seq.go, each with its reason.
 var oracleAllow = map[string]string{
@@ -179,68 +221,79 @@ func TestNoSequentialOracle(t *testing.T) {
 		}
 	}
 	excused := map[string]bool{}
-	for _, pkg := range protocolPkgs {
-		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("package %s: no files (%v)", pkg, err)
+	for _, pf := range protocolFiles(t, fset) {
+		graphName := importName(pf.f, "repro/internal/graph")
+		if graphName == "" {
+			continue
 		}
-		for _, p := range files {
-			if strings.HasSuffix(p, "_test.go") {
+		for _, d := range pf.f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
 				continue
 			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			graphName := ""
-			for _, im := range f.Imports {
-				if im.Path.Value == `"repro/internal/graph"` {
-					graphName = "graph"
-					if im.Name != nil {
-						graphName = im.Name.Name
-					}
+			caller := pf.pkg + "." + fd.Name.Name
+			if fd.Recv != nil {
+				recv := types.ExprString(fd.Recv.List[0].Type)
+				star := ""
+				if strings.HasPrefix(recv, "*") {
+					star, recv = "*", recv[1:]
 				}
+				caller = "(" + star + pf.pkg + "." + recv + ")." + fd.Name.Name
 			}
-			if graphName == "" {
-				continue
-			}
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				caller := pkg + "." + fd.Name.Name
-				if fd.Recv != nil {
-					recv := types.ExprString(fd.Recv.List[0].Type)
-					star := ""
-					if strings.HasPrefix(recv, "*") {
-						star, recv = "*", recv[1:]
-					}
-					caller = "(" + star + pkg + "." + recv + ")." + fd.Name.Name
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					sel, ok := n.(*ast.SelectorExpr)
-					if !ok || !oracles[sel.Sel.Name] {
-						return true
-					}
-					if x, ok := sel.X.(*ast.Ident); !ok || x.Name != graphName {
-						return true
-					}
-					if oracleAllow[caller] != "" {
-						excused[caller] = true
-						return true
-					}
-					t.Errorf("%s: %s calls the sequential reference graph.%s: compute the value in the run, "+
-						"or allowlist the caller with a reason", fset.Position(sel.Pos()), caller, sel.Sel.Name)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || !oracles[sel.Sel.Name] {
 					return true
-				})
-			}
+				}
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != graphName {
+					return true
+				}
+				if oracleAllow[caller] != "" {
+					excused[caller] = true
+					return true
+				}
+				t.Errorf("%s: %s calls the sequential reference graph.%s: compute the value in the run, "+
+					"or allowlist the caller with a reason", fset.Position(sel.Pos()), caller, sel.Sel.Name)
+				return true
+			})
 		}
 	}
 	for k := range oracleAllow {
 		if !excused[k] {
 			t.Errorf("oracleAllow entry %q excuses nothing; drop it", k)
 		}
+	}
+}
+
+// TestProtocolsForwardConfigWhole fails on a congest.Config composite
+// literal with a field set in non-test code of a protocol package. A
+// protocol hands its caller's engine environment on whole (adjusting
+// only the fields it owns, such as a MaxRounds default, on its copy); a
+// Config it rebuilds field by field drops each field it forgets — and
+// Scheduler and Workers, dropped, change no result or observer event, so
+// no run-time probe (TestNoEntryDropsAnEngineHook) can see them go. The
+// zero value is allowed: it starts an engine run that takes no
+// environment at all.
+func TestProtocolsForwardConfigWhole(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, pf := range protocolFiles(t, fset) {
+		congestName := importName(pf.f, "repro/internal/congest")
+		if congestName == "" {
+			continue
+		}
+		ast.Inspect(pf.f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok || len(lit.Elts) == 0 {
+				return true
+			}
+			if sel, ok := lit.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Config" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == congestName {
+					t.Errorf("%s: package %s builds a congest.Config of its own: hand the caller's Config on "+
+						"and set fields on that copy", fset.Position(lit.Pos()), pf.pkg)
+				}
+			}
+			return true
+		})
 	}
 }
 
@@ -393,7 +446,7 @@ func TestCheckpointCensus(t *testing.T) {
 			for _, c := range f.ckptCells() {
 				k, err := f.kill(in, c)
 				if err == nil && k != nil {
-					err = f.resume(in, c, k, bases)
+					err = f.resume(in, c, c.sched, k, bases)
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", f.name, err)
@@ -425,7 +478,7 @@ func TestCheckpointCensus(t *testing.T) {
 							}
 						}()
 						jb := jobs[j]
-						if err := jb.f.resume(jb.in, jb.c, jb.killed, jb.bases); err != nil {
+						if err := jb.f.resume(jb.in, jb.c, jb.c.sched, jb.killed, jb.bases); err != nil {
 							fails.Add(1)
 						}
 					}()

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bellman"
@@ -30,15 +31,16 @@ var updateCompat = flag.Bool("update-compat", false,
 // container around it was re-sealed later by Load then Save), and the
 // current engine must (a) load and resume it bit-exactly and (b) produce
 // byte-identical snapshot bytes when killed at the same barrier — the
-// on-disk format is an engine-internals-independent contract. Together
-// they pin every checkpointed layout: the 14 node kinds, core.List,
-// faults.Network, obs.Recorder and the 8 payload codecs.
+// on-disk format is an engine-internals-independent contract. Both hold
+// under either scheduler: a snapshot records no scheduler state, so the
+// "-active" in a fixture's name only says which scheduler wrote it.
+// Together they pin every checkpointed layout: the 14 node kinds,
+// core.List, faults.Network, obs.Recorder and the 8 payload codecs.
 
 // compatCase is one committed fixture: a protocol killed at round `round`
-// of engine run `runIdx` under a given scheduler.
+// of engine run `runIdx`.
 type compatCase struct {
 	name          string
-	sched         congest.Scheduler
 	runIdx, round int
 	// exec executes the protocol with the policy and returns a
 	// deep-comparable result payload plus the logical Stats.
@@ -76,24 +78,16 @@ func compatCases() []compatCase {
 		}
 		return []interface{}{res.Dist, res.Parent}, res.Stats, nil
 	}
-	var cs []compatCase
-	for _, sc := range []struct {
-		name  string
-		sched congest.Scheduler
-	}{{"dense", congest.SchedulerDense}, {"active", congest.SchedulerActive}} {
-		cs = append(cs,
-			compatCase{
-				name: "core-" + sc.name, sched: sc.sched, round: 5, exec: coreRun,
-				g: coreG, sources: coreSrc, h: coreH, alg: "core",
-			},
-			compatCase{
-				name: "bellman-" + sc.name, sched: sc.sched, round: 4, exec: bellRun,
-				g: bellG, sources: bellSrc, h: bellH, alg: "bellman",
-			})
-	}
+	cs := []compatCase{{
+		name: "core-active", round: 5, exec: coreRun,
+		g: coreG, sources: coreSrc, h: coreH, alg: "core",
+	}, {
+		name: "bellman-active", round: 4, exec: bellRun,
+		g: bellG, sources: bellSrc, h: bellH, alg: "bellman",
+	}}
 
-	// Every other layout, on one instance under the active scheduler. Each
-	// round is chosen so the killed run's inboxes are non-empty.
+	// Every other layout, on one instance. Each round is chosen so the
+	// killed run's inboxes are non-empty.
 	in := ckptInstance(11)
 	const hsspH = 3
 	hsspRun := func(pol *congest.CheckpointPolicy, sched congest.Scheduler) (interface{}, congest.Stats, error) {
@@ -119,7 +113,7 @@ func compatCases() []compatCase {
 		{"bcast-gather", 39, 4},
 	} {
 		cs = append(cs, compatCase{
-			name: hc.kind + "-active", sched: congest.SchedulerActive, runIdx: hc.runIdx, round: hc.round,
+			name: hc.kind + "-active", runIdx: hc.runIdx, round: hc.round,
 			exec: hsspRun, g: in.G, h: hsspH, alg: "hssp",
 		})
 	}
@@ -128,7 +122,7 @@ func compatCases() []compatCase {
 	}
 	cs = append(cs,
 		compatCase{
-			name: "posweight-active", sched: congest.SchedulerActive, round: 3, g: in.G, sources: in.Sources, alg: "posweight",
+			name: "posweight-active", round: 3, g: in.G, sources: in.Sources, alg: "posweight",
 			exec: func(pol *congest.CheckpointPolicy, sched congest.Scheduler) (interface{}, congest.Stats, error) {
 				res, err := posweight.Run(in.G, posweight.Opts{Sources: in.Sources, Engine: engine(sched, pol)})
 				if err != nil {
@@ -138,7 +132,7 @@ func compatCases() []compatCase {
 			},
 		},
 		compatCase{
-			name: "scaling-active", sched: congest.SchedulerActive, round: 3, g: in.G, sources: in.Sources, alg: "scaling",
+			name: "scaling-active", round: 3, g: in.G, sources: in.Sources, alg: "scaling",
 			exec: func(pol *congest.CheckpointPolicy, sched congest.Scheduler) (interface{}, congest.Stats, error) {
 				res, err := scaling.Run(in.G, scaling.Opts{Sources: in.Sources, Engine: engine(sched, pol)})
 				if err != nil {
@@ -148,7 +142,7 @@ func compatCases() []compatCase {
 			},
 		},
 		compatCase{
-			name: "shortrange-active", sched: congest.SchedulerActive, round: 3, g: in.G, sources: in.Sources, h: in.H, alg: "shortrange",
+			name: "shortrange-active", round: 3, g: in.G, sources: in.Sources, h: in.H, alg: "shortrange",
 			exec: func(pol *congest.CheckpointPolicy, sched congest.Scheduler) (interface{}, congest.Stats, error) {
 				res, err := shortrange.Run(in.G, shortrange.Opts{Sources: in.Sources, H: in.H, Engine: engine(sched, pol)})
 				if err != nil {
@@ -163,7 +157,7 @@ func compatCases() []compatCase {
 	// (queued deliveries, holdback buffers, event log) and obs.Recorder.
 	chaos := faults.All(41)
 	cs = append(cs, compatCase{
-		name: "core-chaos-obs-active", sched: congest.SchedulerActive, round: 6, g: in.G, sources: in.Sources, h: in.H,
+		name: "core-chaos-obs-active", round: 6, g: in.G, sources: in.Sources, h: in.H,
 		alg: "core", plan: chaos.String(), obs: true,
 		exec: func(pol *congest.CheckpointPolicy, sched congest.Scheduler) (interface{}, congest.Stats, error) {
 			rec := obs.NewRecorder()
@@ -184,13 +178,13 @@ func compatCases() []compatCase {
 	return cs
 }
 
-// killAt runs the case until the checkpoint at (c.runIdx, c.round) fires
-// and returns the captured snapshot.
-func killAt(t *testing.T, c compatCase) *congest.Snapshot {
+// killAt runs the case under sched until the checkpoint at (c.runIdx,
+// c.round) fires and returns the captured snapshot.
+func killAt(t *testing.T, c compatCase, sched congest.Scheduler) *congest.Snapshot {
 	t.Helper()
 	k := &checkpoint.Keeper{}
 	pol := &congest.CheckpointPolicy{AtRound: c.round, Run: c.runIdx, Stop: true, Sink: k.Sink}
-	_, _, err := c.exec(pol, c.sched)
+	_, _, err := c.exec(pol, sched)
 	if !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("%s: kill at run %d round %d: want ErrCheckpointStop, got %v", c.name, c.runIdx, c.round, err)
 	}
@@ -233,10 +227,10 @@ func TestCheckpointFixtureCompat(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			path := compatPath(c)
 			if _, err := os.Stat(path); os.IsNotExist(err) && *updateCompat {
-				snap := killAt(t, c)
+				snap := killAt(t, c, congest.SchedulerActive)
 				meta := &checkpoint.Meta{
 					Alg: c.alg, N: c.g.N(), M: c.g.M(), Graph: checkpoint.Fingerprint(c.g),
-					Sources: c.sources, H: c.h, Plan: c.plan, Sched: c.sched,
+					Sources: c.sources, H: c.h, Plan: c.plan,
 				}
 				if err := checkpoint.Save(path, meta, snap); err != nil {
 					t.Fatal(err)
@@ -249,7 +243,7 @@ func TestCheckpointFixtureCompat(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (a missing fixture is written by -update-compat; an existing one is never rewritten)", err)
 			}
-			if err := meta.ValidateAgainst(c.g, c.sources, c.h, c.plan, c.sched); err != nil {
+			if err := meta.ValidateAgainst(c.g, c.sources, c.h, c.plan); err != nil {
 				t.Fatal(err)
 			}
 			if snap.RunIdx != c.runIdx || snap.Round != c.round {
@@ -259,30 +253,32 @@ func TestCheckpointFixtureCompat(t *testing.T) {
 				t.Fatalf("fixture observer blob is %d bytes, want obs=%v", len(snap.Obs), c.obs)
 			}
 
-			// (a) The fixture must resume bit-exactly: same results and
-			// logical Stats as an uninterrupted run.
-			base, baseStats, err := c.exec(nil, c.sched)
+			base, baseStats, err := c.exec(nil, congest.SchedulerDense)
 			if err != nil {
 				t.Fatalf("uninterrupted run: %v", err)
 			}
-			res, stats, err := c.exec(&congest.CheckpointPolicy{Resume: snap}, c.sched)
-			if err != nil {
-				t.Fatalf("resume from fixture: %v", err)
-			}
-			if stats != baseStats {
-				t.Fatalf("resumed stats diverge: %+v vs %+v", stats, baseStats)
-			}
-			if !reflect.DeepEqual(res, base) {
-				t.Fatalf("resumed results diverge from uninterrupted run")
-			}
+			fixBytes := marshalSansObs(t, snap)
+			for _, sched := range schedulers {
+				// (a) The fixture must resume bit-exactly: same results and
+				// logical Stats as an uninterrupted run.
+				res, stats, err := c.exec(&congest.CheckpointPolicy{Resume: snap}, sched)
+				if err != nil {
+					t.Fatalf("sched=%v: resume from fixture: %v", sched, err)
+				}
+				if stats != baseStats {
+					t.Fatalf("sched=%v: resumed stats diverge: %+v vs %+v", sched, stats, baseStats)
+				}
+				if !reflect.DeepEqual(res, base) {
+					t.Fatalf("sched=%v: resumed results diverge from uninterrupted run", sched)
+				}
 
-			// (b) The current engine, killed at the same barrier, must
-			// produce byte-identical snapshot bytes — format stability in
-			// the write direction, not just the read direction.
-			curBytes, fixBytes := marshalSansObs(t, killAt(t, c)), marshalSansObs(t, snap)
-			if !bytes.Equal(curBytes, fixBytes) {
-				t.Fatalf("snapshot bytes drifted from the fixture: %d vs %d bytes (diff starts at offset %d)",
-					len(curBytes), len(fixBytes), firstDiff(curBytes, fixBytes))
+				// (b) The current engine, killed at the same barrier, must
+				// produce byte-identical snapshot bytes — format stability
+				// in the write direction, not just the read direction.
+				if cur := marshalSansObs(t, killAt(t, c, sched)); !bytes.Equal(cur, fixBytes) {
+					t.Fatalf("sched=%v: snapshot bytes drifted from the fixture: %d vs %d bytes (diff starts at offset %d)",
+						sched, len(cur), len(fixBytes), firstDiff(cur, fixBytes))
+				}
 			}
 			if c.obs {
 				again, err := reencodeObs(snap.Obs)
@@ -294,6 +290,25 @@ func TestCheckpointFixtureCompat(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckpointRefusesVersion1: the version 1 layout also carried the
+// scheduler, its wake rounds, the quiescence cache and the in-flight
+// count. A file of that version is refused by name before its body is
+// read.
+func TestCheckpointRefusesVersion1(t *testing.T) {
+	meta, snap, err := checkpoint.Load(compatPath(compatCases()[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Version = 1
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := checkpoint.Save(path, meta, snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := checkpoint.Load(path); err == nil || !strings.Contains(err.Error(), "snapshot version 1, want 2") {
+		t.Fatalf("version 1 file: err = %v, want a refusal naming the version", err)
 	}
 }
 

@@ -233,14 +233,14 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gotMeta.ValidateAgainst(in.G, in.Sources, in.H, "", snap.Sched); err != nil {
+	if err := gotMeta.ValidateAgainst(in.G, in.Sources, in.H, ""); err != nil {
 		t.Fatalf("metadata should validate against its own run: %v", err)
 	}
 	other := graph.Random(20, 60, graph.GenOpts{Seed: 99, MaxW: 6, Directed: true})
-	if err := gotMeta.ValidateAgainst(other, in.Sources, in.H, "", snap.Sched); err == nil {
+	if err := gotMeta.ValidateAgainst(other, in.Sources, in.H, ""); err == nil {
 		t.Fatal("metadata validated against a different graph")
 	}
-	if err := gotMeta.ValidateAgainst(in.G, in.Sources, in.H, "drop=0.2", snap.Sched); err == nil {
+	if err := gotMeta.ValidateAgainst(in.G, in.Sources, in.H, "drop=0.2"); err == nil {
 		t.Fatal("metadata validated against a different fault plan")
 	}
 	res, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H,

@@ -139,7 +139,7 @@ func TestDaemonLoadsCheckpoint(t *testing.T) {
 	ckptPath := filepath.Join(dir, "run.ckpt")
 	meta := &checkpoint.Meta{
 		Alg: "pipeline", N: g.N(), M: g.M(), Graph: checkpoint.Fingerprint(g),
-		Sources: sources, H: 0, Sched: congest.SchedulerActive,
+		Sources: sources, H: 0,
 	}
 	keeper := &checkpoint.Keeper{Path: ckptPath, Meta: meta}
 	pol := &congest.CheckpointPolicy{AtRound: 5, Stop: true, Sink: keeper.Sink}
@@ -181,7 +181,7 @@ func TestDaemonRejectsBadCheckpoint(t *testing.T) {
 	ckptPath := filepath.Join(dir, "run.ckpt")
 	meta := &checkpoint.Meta{
 		Alg: "pipeline", N: g.N(), M: g.M(), Graph: checkpoint.Fingerprint(g),
-		Sources: []int{0}, H: 0, Sched: congest.SchedulerActive,
+		Sources: []int{0}, H: 0,
 	}
 	keeper := &checkpoint.Keeper{Path: ckptPath, Meta: meta}
 	pol := &congest.CheckpointPolicy{AtRound: 3, Stop: true, Sink: keeper.Sink}

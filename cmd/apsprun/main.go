@@ -229,7 +229,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *ckptPath != "" || *ckptEvery > 0 || *ckptStop > 0 || *resumeArg != "" {
 		meta := &checkpoint.Meta{
 			Alg: spec.Alg, N: g.N(), M: g.M(), Graph: checkpoint.Fingerprint(g),
-			Sources: sources, H: spec.H, Plan: fnet.PlanString(), Sched: spec.Engine.Scheduler, Workers: spec.Engine.Workers,
+			Sources: sources, H: spec.H, Plan: fnet.PlanString(),
 		}
 		keeper = &checkpoint.Keeper{Path: *ckptPath, Meta: meta}
 		if fnet != nil {

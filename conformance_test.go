@@ -485,9 +485,9 @@ func (r *recording) diverges(base *recording, k int) error {
 
 // TestCheckpointConformance kills each family's run at every probe, both
 // schedulers × {no network, all faults with a Recorder, and for Core all
-// faults in Unreliable mode}, and resumes it from the serialized
-// snapshot. A probe past its run's end does not fire; three per instance
-// must.
+// faults in Unreliable mode}, and resumes it from the serialized snapshot
+// under each scheduler: a snapshot holds no scheduler state. A probe past
+// its run's end does not fire; three per instance must.
 func TestCheckpointConformance(t *testing.T) {
 	for _, f := range familyRows() {
 		t.Run(f.name, func(t *testing.T) {
@@ -516,15 +516,20 @@ func TestCheckpointConformance(t *testing.T) {
 	}
 }
 
-// killAndResume kills one run at cell c, resumes it in a fresh run, and
-// compares that with the baselines; fired is false if c's probe is past
-// the run.
+// killAndResume kills one run at cell c, resumes it in a fresh run under
+// each scheduler, and compares those with the baselines; fired is false if
+// c's probe is past the run.
 func (f familyRow) killAndResume(in difftest.Instance, c ckptCell, bases ckptBases) (fired bool, err error) {
 	k, err := f.kill(in, c)
 	if k == nil || err != nil {
 		return err != nil, err
 	}
-	return true, f.resume(in, c, k, bases)
+	for _, sched := range schedulers {
+		if err := f.resume(in, c, sched, k, bases); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
 }
 
 // killed is a run killed at a cell's probe: what it observed, and its
@@ -556,25 +561,27 @@ func (f familyRow) kill(in difftest.Instance, c ckptCell) (*killed, error) {
 	return &killed{o, b}, nil
 }
 
-// resume restores k's snapshot in a fresh run and compares that with the
-// baselines.
-func (f familyRow) resume(in difftest.Instance, c ckptCell, k *killed, bases ckptBases) error {
+// resume restores k's snapshot in a fresh run of c's environment under
+// sched and compares that with the baselines.
+func (f familyRow) resume(in difftest.Instance, c ckptCell, sched congest.Scheduler, k *killed, bases ckptBases) error {
 	snap := &congest.Snapshot{}
 	if err := snap.UnmarshalBinary(k.snap); err != nil {
 		return c.errorf("snapshot round trip: %v", err)
 	}
-	resumed := f.cell(in, c, &congest.CheckpointPolicy{Resume: snap})
+	rc := c
+	rc.sched = sched
+	resumed := f.cell(in, rc, &congest.CheckpointPolicy{Resume: snap})
 	resumed.events = slices.Concat(k.events, resumed.events.after(c.pr.run))
 	base := bases.dense
 	if c.net == netUnreliable {
-		base = bases.unrel[c.sched]
+		base = bases.unrel[sched]
 	}
 	if err := resumed.diverges(base); err != nil {
-		return c.errorf("resumed run: %v", err)
+		return c.errorf("resumed under sched=%v: %v", sched, err)
 	}
 	if c.net == netFaulty {
-		if err := resumed.rec.diverges(bases.rec[c.sched].rec, c.pr.run); err != nil {
-			return c.errorf("resumed run: %v", err)
+		if err := resumed.rec.diverges(bases.rec[sched].rec, c.pr.run); err != nil {
+			return c.errorf("resumed under sched=%v: %v", sched, err)
 		}
 	}
 	return nil

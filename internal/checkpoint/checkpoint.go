@@ -4,7 +4,7 @@
 // A checkpoint file is a sealed container (WriteSealed, shared with the
 // oracle's snapshot files): magic, a JSON metadata header identifying the
 // computation (algorithm, graph fingerprint, sources, fault plan,
-// scheduler, disarmed crash events), the binary snapshot, and a CRC-32C
+// disarmed crash events), the binary snapshot, and a CRC-32C
 // over all of it. Load refuses any file whose checksum does not hold, so
 // a torn or bit-flipped checkpoint is an error, never a wrong resume. The
 // container has one layout: the unsealed version 1 files of older builds
@@ -35,8 +35,11 @@ import (
 // WriteSealed, the snapshot payload by congest.SnapshotVersion.
 const Magic = "APSPCKPT"
 
-// Meta identifies the computation a snapshot belongs to. All fields are
-// informative except the ones ValidateAgainst checks.
+// Meta identifies the computation a snapshot belongs to. ValidateAgainst
+// checks the instance, the query and the fault plan, the resume gate
+// (family.LoadCheckpoint) checks Alg, and Disarmed is state the resuming
+// process applies. A snapshot resumes under either scheduler and at any
+// worker count, so Meta records neither.
 type Meta struct {
 	// Alg names the algorithm ("core", "hssp", ...; cmd/apsprun's -alg).
 	Alg string `json:"alg,omitempty"`
@@ -50,10 +53,6 @@ type Meta struct {
 	H       int   `json:"h,omitempty"`
 	// Plan is the fault plan in canonical string form ("" = none).
 	Plan string `json:"plan,omitempty"`
-	// Sched is the scheduler the snapshot was taken under.
-	Sched congest.Scheduler `json:"sched"`
-	// Workers is informative only (worker count never affects results).
-	Workers int `json:"workers,omitempty"`
 	// Disarmed lists the script indices of crash events that already
 	// fired (faults.Network.DisarmedCrashes): a resuming process must
 	// disarm them again or the same crash re-fires on the resumed run.
@@ -70,9 +69,8 @@ func Fingerprint(g *graph.Graph) uint64 {
 }
 
 // ValidateAgainst checks the metadata against the computation about to
-// resume: same graph, same sources, same hop parameter, same fault plan,
-// same scheduler.
-func (m *Meta) ValidateAgainst(g *graph.Graph, sources []int, h int, plan string, sched congest.Scheduler) error {
+// resume: same graph, same sources, same hop parameter, same fault plan.
+func (m *Meta) ValidateAgainst(g *graph.Graph, sources []int, h int, plan string) error {
 	if m.N != g.N() || m.M != g.M() || m.Graph != Fingerprint(g) {
 		return fmt.Errorf("checkpoint: graph mismatch (snapshot n=%d m=%d fp=%x)", m.N, m.M, m.Graph)
 	}
@@ -89,9 +87,6 @@ func (m *Meta) ValidateAgainst(g *graph.Graph, sources []int, h int, plan string
 	}
 	if m.Plan != plan {
 		return fmt.Errorf("checkpoint: fault plan mismatch (snapshot %q, run %q)", m.Plan, plan)
-	}
-	if m.Sched != sched {
-		return fmt.Errorf("checkpoint: scheduler mismatch (snapshot %d, run %d)", m.Sched, sched)
 	}
 	return nil
 }
@@ -169,7 +164,7 @@ func (k *Keeper) Sink(s *congest.Snapshot) error {
 	}
 	meta := k.Meta
 	if meta == nil {
-		meta = &Meta{N: s.N, Sched: s.Sched}
+		meta = &Meta{N: s.N}
 	}
 	if k.MetaFn != nil {
 		k.MetaFn(meta)

@@ -62,10 +62,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("directory holds %d entries after two saves, want 2", len(entries))
 	}
 	g := graph.Random(12, 36, graph.GenOpts{Seed: 5, MaxW: 6, ZeroFrac: 0.3})
-	if err := gotMeta.ValidateAgainst(g, meta.Sources, 5, "", congest.SchedulerActive); err != nil {
+	if err := gotMeta.ValidateAgainst(g, meta.Sources, 5, ""); err != nil {
 		t.Fatalf("ValidateAgainst the same run: %v", err)
 	}
-	if err := gotMeta.ValidateAgainst(g, meta.Sources, 6, "", congest.SchedulerActive); err == nil {
+	if err := gotMeta.ValidateAgainst(g, meta.Sources, 6, ""); err == nil {
 		t.Fatal("hop mismatch accepted")
 	}
 }

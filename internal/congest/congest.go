@@ -122,7 +122,8 @@ const WakeOnReceive = -1
 // there, and its results diverge from the dense engine's — which is exactly
 // what the scheduler-equivalence difftests detect. Returning a round that
 // is too early is always safe (the node is stepped, finds nothing due, and
-// is asked again). Returns ≤ the current round are clamped to the next
+// is asked again); the engine relies on it for stale wakes and for the
+// resume round, in which a restored engine steps every node. Returns ≤ the current round are clamped to the next
 // round. A node that is not Quiescent must not return WakeOnReceive unless
 // a message for it is already in flight.
 //
@@ -342,8 +343,7 @@ type wakeHeap struct {
 // stdlib API moves items through interface{} values, which boxes (heap-
 // allocates) a wakeItem on every push — on the engine's zero-alloc round
 // path that is the whole ballgame. (round, node) is a strict total order,
-// so the pop sequence is layout-independent and restore may rebuild the
-// array in any valid heap shape.
+// so the pop sequence is layout-independent.
 func (h *wakeHeap) less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
 	return a.round < b.round || (a.round == b.round && a.node < b.node)

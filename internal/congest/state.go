@@ -4,9 +4,11 @@
 // The engine state that matters at a barrier is small and explicit: the
 // per-node protocol state (walked by the nodes themselves via Stateful),
 // the inboxes staged for the next round, the logical Stats and congestion
-// counters, the active-set scheduler's wake requests, and — when a
-// delivery substrate or a phase-attributing observer is installed — their
-// opaque state, also via Stateful. Every layout is one Codec walk that
+// counters, and — when a delivery substrate or a phase-attributing
+// observer is installed — their opaque state, also via Stateful. Which
+// nodes the scheduler would step next is not part of it: a restored
+// engine steps every node in the resume round, and that step rebuilds the
+// scheduler's state (see restore). Every layout is one Codec walk that
 // both encodes and decodes it, so two snapshots of identical logical
 // states are byte-identical, and a snapshot round-trips through
 // MarshalBinary across processes.
@@ -23,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -31,7 +32,7 @@ import (
 // rejected on version mismatch — the format follows the engine's internal
 // state, so cross-version restore is out of scope by policy (see
 // DESIGN.md, "Crash faults & checkpointing").
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // Crasher is implemented by Networks that script crash-stop node faults
 // (internal/faults with CrashEvent entries). CrashDue reports a crash
@@ -175,33 +176,25 @@ func (p *CheckpointPolicy) nextDue(after, runIdx int) int {
 
 // Snapshot is one engine checkpoint, taken at the top of round Round
 // before that round's deliveries: everything a fresh engine over the same
-// (graph, protocol, config) needs to continue bit-exactly.
+// (graph, protocol, config) needs to continue bit-exactly. It holds no
+// scheduler state, so the bytes do not depend on the scheduler a run
+// used, and a snapshot resumes under either one.
 type Snapshot struct {
 	// Version guards the format (SnapshotVersion).
 	Version int
-	// Sched is the scheduler the snapshot was taken under; restore
-	// requires the same one (the wake heap exists only under the
-	// active-set scheduler).
-	Sched Scheduler
 	// N is the network size; RunIdx the engine-run index under the
 	// policy; Round the next round to execute.
 	N, RunIdx, Round int
 	// Stats is the logical cost accumulated so far.
 	Stats Stats
-	// NodeSends, LinkLoad, Quiescent and Inflight are the engine's
-	// congestion and termination counters.
+	// NodeSends and LinkLoad are the engine's congestion counters.
 	NodeSends []int
 	LinkLoad  [][]int32
-	Quiescent []bool
-	Inflight  int
 	// Nodes holds each node's Stateful encoding; Inbox each node's staged
 	// round-Round messages (nil = empty; always nil under a Network,
 	// whose queued traffic lives in Net instead).
 	Nodes [][]byte
 	Inbox [][]byte
-	// WakeAt is the active-set scheduler's pending wake round per node
-	// (0 = none); nil under the dense scheduler.
-	WakeAt []int
 	// Net and Obs are the opaque Stateful states of the delivery
 	// substrate and the observer (nil when absent or not snapshotting).
 	Net []byte
@@ -219,7 +212,6 @@ func (s *Snapshot) walk(c *Codec) error {
 	if c.dec && c.err == nil && s.Version != SnapshotVersion {
 		return fmt.Errorf("congest: snapshot version %d, want %d", s.Version, SnapshotVersion)
 	}
-	Varint(c, &s.Sched)
 	c.Int(&s.N)
 	c.Int(&s.RunIdx)
 	c.Int(&s.Round)
@@ -230,21 +222,10 @@ func (s *Snapshot) walk(c *Codec) error {
 			Varint(c, &s.LinkLoad[i][j])
 		}
 	}
-	c.Bools(&s.Quiescent)
-	c.Int(&s.Inflight)
 	for _, blobs := range []*[][]byte{&s.Nodes, &s.Inbox} {
 		for i := range uslice(c, blobs) {
 			c.Blob(&(*blobs)[i])
 		}
-	}
-	// WakeAt distinguishes nil (dense scheduler) from empty.
-	hasWake := s.WakeAt != nil
-	c.Bool(&hasWake)
-	c.Ints(&s.WakeAt)
-	if c.dec && !hasWake {
-		s.WakeAt = nil
-	} else if c.dec && s.WakeAt == nil {
-		s.WakeAt = []int{}
 	}
 	c.Blob(&s.Net)
 	c.Blob(&s.Obs)
@@ -338,14 +319,11 @@ func (e *engine) snapshot(r, runIdx int) (*Snapshot, error) {
 	n := len(e.nodes)
 	s := &Snapshot{
 		Version:   SnapshotVersion,
-		Sched:     e.cfg.Scheduler,
 		N:         n,
 		RunIdx:    runIdx,
 		Round:     r,
 		Stats:     e.stats,
 		NodeSends: append([]int(nil), e.nodeSends...),
-		Quiescent: append([]bool(nil), e.quiescent...),
-		Inflight:  e.inflight,
 		LinkLoad:  make([][]int32, n),
 		Nodes:     make([][]byte, n),
 		Inbox:     make([][]byte, n),
@@ -370,9 +348,6 @@ func (e *engine) snapshot(r, runIdx int) (*Snapshot, error) {
 				return nil, fmt.Errorf("congest: checkpoint: inbox of node %d: %w", v, err)
 			}
 		}
-	}
-	if e.cfg.Scheduler != SchedulerDense {
-		s.WakeAt = append([]int(nil), e.wakeAt...)
 	}
 	var err error
 	if st, ok := e.net.(Stateful); ok {
@@ -401,7 +376,11 @@ func (in *inbox) State(c *Codec) error {
 
 // restore loads a snapshot into a freshly initialized engine (mk and Init
 // have run; the snapshot overwrites all round-evolving state). The caller
-// starts the round loop at s.Round.
+// starts the round loop at s.Round, in which every node is due: the
+// snapshot holds no scheduler state, and a step that comes too early is
+// always safe (see Waker). That step refreshes each node's quiescence and
+// next wake, so the rounds after it schedule exactly as the original run
+// did, under either scheduler.
 func (e *engine) restore(s *Snapshot) error {
 	n := len(e.nodes)
 	if s.Version != SnapshotVersion {
@@ -410,15 +389,8 @@ func (e *engine) restore(s *Snapshot) error {
 	if s.N != n {
 		return fmt.Errorf("snapshot is for n=%d, engine has n=%d", s.N, n)
 	}
-	if s.Sched != e.cfg.Scheduler {
-		return fmt.Errorf("snapshot taken under scheduler %d, engine runs %d", s.Sched, e.cfg.Scheduler)
-	}
-	if len(s.Nodes) != n || len(s.NodeSends) != n || len(s.Quiescent) != n || len(s.LinkLoad) != n {
+	if len(s.Nodes) != n || len(s.NodeSends) != n || len(s.LinkLoad) != n {
 		return fmt.Errorf("snapshot field lengths do not match n=%d", n)
-	}
-	dense := e.cfg.Scheduler == SchedulerDense
-	if !dense && len(s.WakeAt) != n {
-		return fmt.Errorf("snapshot has %d wake entries, want %d", len(s.WakeAt), n)
 	}
 	for v := 0; v < n; v++ {
 		st, ok := e.nodes[v].(Stateful)
@@ -436,14 +408,6 @@ func (e *engine) restore(s *Snapshot) error {
 	}
 	e.stats = s.Stats
 	copy(e.nodeSends, s.NodeSends)
-	e.quiCount = 0
-	for v := 0; v < n; v++ {
-		e.quiescent[v] = s.Quiescent[v]
-		if s.Quiescent[v] {
-			e.quiCount++
-		}
-	}
-	e.inflight = s.Inflight
 	// Rebuild the receive plane: each node's staged messages are appended
 	// as one contiguous run (nodes visited ascending, so the plane layout
 	// matches what a live routing pass would have scattered) and the
@@ -473,39 +437,6 @@ func (e *engine) restore(s *Snapshot) error {
 			}
 		}
 	}
-	if !dense {
-		// Rebuild the wake heap from the per-node wake rounds. The heap
-		// pops in a total (round, node) order with at most one entry per
-		// node, so any rebuild is pop-order-identical to the original.
-		e.wakes.items = e.wakes.items[:0]
-		for v := range e.wakes.pos {
-			e.wakes.pos[v] = -1
-		}
-		copy(e.wakeAt, s.WakeAt)
-		for v := 0; v < n; v++ {
-			if e.wakeAt[v] > 0 {
-				e.wakes.items = append(e.wakes.items, wakeItem{round: e.wakeAt[v], node: v})
-			}
-		}
-		sort.Slice(e.wakes.items, func(i, j int) bool {
-			a, b := e.wakes.items[i], e.wakes.items[j]
-			return a.round < b.round || (a.round == b.round && a.node < b.node)
-		})
-		for i, it := range e.wakes.items {
-			e.wakes.pos[it.node] = i
-		}
-		// Non-Waker nodes rejoin the every-round list iff non-quiescent;
-		// stale always-list entries in the original engine were observably
-		// invisible (collectActive skips alwaysOn=false entries).
-		e.alwaysList = e.alwaysList[:0]
-		for v := 0; v < n; v++ {
-			on := e.wakers[v] == nil && !e.quiescent[v]
-			e.alwaysOn[v] = on
-			if on {
-				e.alwaysList = append(e.alwaysList, v)
-			}
-		}
-	}
 	if st, ok := e.net.(Stateful); ok != (s.Net != nil) {
 		if ok {
 			return fmt.Errorf("engine has a snapshotting network but the snapshot carries no network state")
@@ -520,6 +451,27 @@ func (e *engine) restore(s *Snapshot) error {
 		if err := Unmarshal(s.Obs, st); err != nil {
 			return fmt.Errorf("observer state: %w", err)
 		}
+	}
+
+	// No node counts as quiescent until it has stepped, so the run cannot
+	// end before the resume round. Wakers wake in it; every other node
+	// joins the every-round list, which its first quiescent step leaves.
+	clear(e.quiescent)
+	e.quiCount = 0
+	e.wakes.items = e.wakes.items[:0]
+	e.alwaysList = e.alwaysList[:0]
+	for v, w := range e.wakers { // nil under the dense scheduler, which steps every node
+		if w != nil {
+			e.wakeAt[v] = s.Round
+			e.wakes.push(wakeItem{round: s.Round, node: v})
+		} else {
+			e.alwaysOn[v] = true
+			e.alwaysList = append(e.alwaysList, v)
+		}
+	}
+	e.inflight = len(e.recvCur)
+	if e.net != nil {
+		e.inflight = e.net.Pending()
 	}
 	return nil
 }

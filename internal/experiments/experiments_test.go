@@ -173,6 +173,17 @@ func TestPaperClaimsPinned(t *testing.T) {
 	if n, err := strconv.Atoi(wrong[1]); variants[1] != "literal gate+evict" || err != nil || n <= 0 {
 		t.Errorf("A-LIT row 1: %q has %s wrong pairs, want the literal reading with > 0", variants[1], wrong[1])
 	}
+
+	// The literature's strict send rule is exact without zero edges and
+	// loses distances at every larger zero fraction.
+	zero := run("A-ZERO")
+	fracs, strict := column(t, zero, "zeroFrac"), column(t, zero, "strict wrong")
+	for r := range strict {
+		n, err := strconv.Atoi(strict[r])
+		if err != nil || (fracs[r] == "0.00") != (n == 0) {
+			t.Errorf("A-ZERO row %d: strict wrong = %s at zeroFrac %s, want 0 exactly at 0.00", r, strict[r], fracs[r])
+		}
+	}
 }
 
 func TestTableFormatting(t *testing.T) {

@@ -172,7 +172,7 @@ func aZero(cfg Config) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%.2f", zf), count(strict.Dist), count(lenient.Dist),
 			lenient.LateSends, count(a1.Dist), n*n)
 	}
-	t.Note("strict = the literature's equality-only send rule; its losses grow with the zero fraction")
+	t.Note("strict = the literature's equality-only send rule: exact without zero edges, lossy at every zero fraction above 0")
 	t.Note("Algorithm 1 (rightmost) is exact at every zero fraction")
 	return t, nil
 }

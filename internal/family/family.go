@@ -244,8 +244,9 @@ func flatten[D int64 | int32, S int64 | int](rows [][]S, n int) []D {
 
 // LoadCheckpoint reads a checkpoint file and checks that it was taken by
 // this run description: same family (adopted from the file when sp.Alg is
-// empty), graph, sources, raw hop parameter, fault plan and scheduler.
-// The caller arms its checkpoint policy with the returned snapshot.
+// empty), graph, sources, raw hop parameter and fault plan; the scheduler
+// may differ. The caller arms its checkpoint policy with the returned
+// snapshot.
 func LoadCheckpoint(path string, g *graph.Graph, sp *Spec) (*checkpoint.Meta, *congest.Snapshot, error) {
 	if sp.Backend == "parallel" {
 		return nil, nil, fmt.Errorf("checkpoints are engine snapshots; resuming %s needs the congest backend", path)
@@ -264,7 +265,7 @@ func LoadCheckpoint(path string, g *graph.Graph, sp *Spec) (*checkpoint.Meta, *c
 		return nil, nil, err
 	}
 	fnet, _ := sp.Engine.Network.(*faults.Network)
-	if err := meta.ValidateAgainst(g, sp.Sources, sp.H, fnet.PlanString(), sp.Engine.Scheduler); err != nil {
+	if err := meta.ValidateAgainst(g, sp.Sources, sp.H, fnet.PlanString()); err != nil {
 		return nil, nil, err
 	}
 	return meta, snap, nil

@@ -70,9 +70,8 @@ func newProbe(stopAt, cancelAt int) (*probe, congest.Config) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p.cancel = cancel
 	return p, congest.Config{
-		Scheduler: congest.SchedulerDense,
-		Observer:  p,
-		Network:   countingNet{faults.New(faults.Plan{}), p},
+		Observer: p,
+		Network:  countingNet{faults.New(faults.Plan{}), p},
 		Checkpoint: &congest.CheckpointPolicy{AtRound: 1, Run: stopAt, Stop: true, Sink: func(s *congest.Snapshot) error {
 			p.snap = s
 			return nil
@@ -88,10 +87,11 @@ func newProbe(stopAt, cancelAt int) (*probe, congest.Config) {
 // starts. A field deleted from any one Config ↔ Opts copy on the way
 // (family → core / hssp / scaling / approx / shortrange / bellman, hssp →
 // cssp → core / bellman, approx → unweighted / posweight, …) shows up
-// here as a count that disagrees, a snapshot under the wrong scheduler, a
-// run that outlives its cancelled context or its round budget. (Workers
-// is the one field with no effect observable from outside the engine —
-// results are bit-identical across worker counts by contract.)
+// here as a count that disagrees, a run that outlives its cancelled
+// context or its round budget. Scheduler and Workers have no effect
+// observable from outside the engine (results are bit-identical across
+// both by contract), so TestProtocolsForwardConfigWhole (census_test.go)
+// guards them statically: no protocol package builds a Config of its own.
 func TestNoEntryDropsAnEngineHook(t *testing.T) {
 	g := graph.Grid(3, 4, graph.GenOpts{MaxW: 6, ZeroFrac: 0.25, Seed: 5})
 	sources := []int{0, 5, 11}
@@ -187,15 +187,11 @@ func TestNoEntryDropsAnEngineHook(t *testing.T) {
 			for k := 0; k < runs; k++ {
 				// The policy numbers the runs it is handed to, so stopping at
 				// run k works for every k the observer counted only if no run
-				// up to k missed the policy — and the snapshot it takes there
-				// records the scheduler that run was given.
+				// up to k missed the policy.
 				p, cfg := newProbe(k, -1)
 				err := e.run(cfg)
 				if !errors.Is(err, congest.ErrCheckpointStop) || p.snap == nil || p.snap.RunIdx != k || p.runStarts != k+1 {
 					t.Fatalf("stop at engine run %d of %d: err = %v after %d runs — Checkpoint was dropped on the way to some run", k, runs, err, p.runStarts)
-				}
-				if p.snap.Sched != congest.SchedulerDense {
-					t.Fatalf("engine run %d snapshotted under scheduler %d — Scheduler was dropped", k, p.snap.Sched)
 				}
 				// A context cancelled as run k starts (k = 0: before round 1
 				// of the whole entry) lets no further round complete.
@@ -287,7 +283,7 @@ func TestEngineEnvironmentIsOneField(t *testing.T) {
 //     equivalence sweeps compare the active one against;
 //   - core.Opts.Prealloc: the allocation guard's only lever;
 //   - core.Opts.Obs and hssp.Opts.Obs: benchmark/sim.go names them;
-//   - posweight.Opts.Strict: the A-LIST ablation measures it.
+//   - posweight.Opts.Strict: the A-ZERO ablation measures it.
 //
 // Outside this table, faults.Network keeps Unreliable (the shrinker
 // tests' divergence source) and ArrivalOrder (the delivery-order test's
@@ -435,7 +431,8 @@ func TestParallelRefusesUnpackableWeights(t *testing.T) {
 
 // TestLoadCheckpoint: the resume gate adopts the family from the file,
 // hands back a snapshot the same description finishes bit-identically
-// from, and refuses a description the checkpoint was not taken by.
+// from under either scheduler, and refuses a description the checkpoint
+// was not taken by.
 func TestLoadCheckpoint(t *testing.T) {
 	g := graph.Random(16, 48, graph.GenOpts{MaxW: 6, ZeroFrac: 0.2, Seed: 8, Directed: true})
 	sp := family.Spec{Alg: "scaling", Sources: []int{0, 3}}
@@ -451,23 +448,24 @@ func TestLoadCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint drill: %v", err)
 	}
 
-	resumed := family.Spec{Sources: sp.Sources}
-	_, snap, err := family.LoadCheckpoint(path, g, &resumed)
-	if err != nil || resumed.Alg != "scaling" {
-		t.Fatalf("LoadCheckpoint: alg %q, %v", resumed.Alg, err)
-	}
-	resumed.Engine.Checkpoint = &congest.CheckpointPolicy{Resume: snap}
-	got, err := family.Run(g, resumed)
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed run diverges from the straight one (err %v)", err)
+	for _, sched := range []congest.Scheduler{congest.SchedulerActive, congest.SchedulerDense} {
+		resumed := family.Spec{Sources: sp.Sources, Engine: congest.Config{Scheduler: sched}}
+		_, snap, err := family.LoadCheckpoint(path, g, &resumed)
+		if err != nil || resumed.Alg != "scaling" {
+			t.Fatalf("sched=%v: LoadCheckpoint: alg %q, %v", sched, resumed.Alg, err)
+		}
+		resumed.Engine.Checkpoint = &congest.CheckpointPolicy{Resume: snap}
+		got, err := family.Run(g, resumed)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("sched=%v: resumed run diverges from the straight one (err %v)", sched, err)
+		}
 	}
 	for name, bad := range map[string]family.Spec{
-		"other family":    {Alg: "pipeline", Sources: sp.Sources},
-		"other sources":   {Sources: []int{0}},
-		"other hop":       {Sources: sp.Sources, H: 4},
-		"other plan":      {Sources: sp.Sources, Engine: congest.Config{Network: faults.New(faults.Plan{Drop: 0.1})}},
-		"other scheduler": {Sources: sp.Sources, Engine: congest.Config{Scheduler: congest.SchedulerDense}},
-		"other backend":   {Sources: sp.Sources, Backend: "parallel"},
+		"other family":  {Alg: "pipeline", Sources: sp.Sources},
+		"other sources": {Sources: []int{0}},
+		"other hop":     {Sources: sp.Sources, H: 4},
+		"other plan":    {Sources: sp.Sources, Engine: congest.Config{Network: faults.New(faults.Plan{Drop: 0.1})}},
+		"other backend": {Sources: sp.Sources, Backend: "parallel"},
 	} {
 		if _, _, err := family.LoadCheckpoint(path, g, &bad); err == nil {
 			t.Errorf("%s: checkpoint accepted", name)

@@ -54,16 +54,22 @@ func (nw *Network) State(c *congest.Codec) error {
 		l.ackedTo, l.delivered = l.nextSeq, l.nextSeq
 	})
 
-	// Queued logical deliveries, in due-round order.
+	// Queued logical deliveries, in due-round order. pending is their
+	// count: enqueue adds to it and Collect takes a due round's whole queue.
+	if c.Decoding() {
+		nw.pending = 0
+	}
 	congest.Map(c, &nw.ready, func(r *int, q *[]queued) {
 		c.Int(r)
 		for i := range congest.Slice(c, q) {
 			nw.message(c, &(*q)[i].m)
 			c.Uint64(&(*q)[i].key)
 		}
+		if c.Decoding() {
+			nw.pending += len(*q)
+		}
 	})
 
-	c.Int(&nw.pending)
 	c.Int64(&nw.flightCtr)
 
 	// Cumulative physical statistics and the recorded event log: a resumed

@@ -21,7 +21,7 @@ func writeMidRunCheckpoint(t *testing.T, g *graph.Graph, sources []int, atRound 
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	meta := &checkpoint.Meta{
 		Alg: "pipeline", N: g.N(), M: g.M(), Graph: checkpoint.Fingerprint(g),
-		Sources: sources, H: 0, Sched: congest.SchedulerActive,
+		Sources: sources, H: 0,
 	}
 	keeper := &checkpoint.Keeper{Path: path, Meta: meta}
 	pol := &congest.CheckpointPolicy{AtRound: atRound, Stop: true, Sink: keeper.Sink}
