@@ -808,7 +808,7 @@ func (e *engine) loop(startR, runIdx int) (Stats, error) {
 			}
 		}
 		if e.net != nil {
-			e.collectNet(r, dense)
+			e.collectNet(r)
 		}
 		work := e.allNodes
 		if !dense {
@@ -872,7 +872,7 @@ func (e *engine) loop(startR, runIdx int) (Stats, error) {
 // plane. The batch arrives sorted by (To, From) — the delivery-order
 // invariant — so each destination's messages are already a contiguous run
 // and the plane is filled by one sequential copy.
-func (e *engine) collectNet(r int, dense bool) {
+func (e *engine) collectNet(r int) {
 	batch := e.net.Collect(r)
 	if len(batch) == 0 {
 		return

@@ -52,7 +52,7 @@ func (s *Stepper) StepRound() (int, error) {
 	e := s.e
 	dense := e.cfg.Scheduler == SchedulerDense
 	if e.net != nil {
-		e.collectNet(s.r, dense)
+		e.collectNet(s.r)
 	}
 	work := e.allNodes
 	if !dense {
