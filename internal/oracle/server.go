@@ -418,12 +418,6 @@ func pathStatus(err error) int {
 	}
 }
 
-// batchResp is the /batch answer: one Answer per query, in query order.
-type batchResp struct {
-	Gen     uint64   `json:"gen"`
-	Results []Answer `json:"results"`
-}
-
 // BatchPartialError reports a /batch cut off after Done of Total queries.
 // Cause distinguishes the per-request deadline (context.DeadlineExceeded,
 // answered 504) from the client hanging up (context.Canceled, nothing to
@@ -453,7 +447,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, snap *Snaps
 	// query would blow the span budget and drown the tree. The 256-query
 	// segment is the tracing granularity.
 	qctx := trace.ContextWith(ctx, nil)
-	resp := batchResp{Gen: snap.Gen(), Results: make([]Answer, len(queries))}
+	answers := make([]Answer, len(queries))
 	var seg *trace.Span
 	for qi, q := range queries {
 		// The deadline AND the client's own context are checked between
@@ -476,10 +470,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, snap *Snaps
 			seg = sp.Child("batch.segment")
 			seg.SetInt("offset", int64(qi))
 		}
-		resp.Results[qi] = s.answer(qctx, snap, q)
+		answers[qi] = s.answer(qctx, snap, q)
 	}
 	seg.End()
-	return WriteJSON(w, http.StatusOK, resp)
+	body := AppendResults(make([]byte, 0, 96*len(answers)+32), snap.Gen(), len(answers), func(b []byte, i int) []byte {
+		return AppendAnswer(b, answers[i])
+	})
+	return WriteBody(w, http.StatusOK, body)
 }
 
 // Health is the /healthz body — the one declaration the server encodes
