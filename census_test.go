@@ -3,6 +3,7 @@ package apsp
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -11,20 +12,24 @@ import (
 	"path"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/congest"
 	"repro/internal/difftest"
 )
 
-// censusAllow names the exported functions that no non-test file needs to
-// call: a whole package ("repro/internal/difftest") or one function
-// ("repro/internal/graph.ZeroClosure"), each with its reason.
+// censusAllow names the exported surface that no non-test file needs: a
+// whole package ("repro/internal/difftest"), a function
+// ("repro/internal/graph.ZeroClosure"), a type's members
+// ("repro/internal/congest.NopObserver"), or one method or option field
+// ("repro/internal/congest.Config.Scheduler"), each with its reason.
 var censusAllow = map[string]string{
 	"repro":                     "the public apsp facade: its callers live outside the module",
 	"repro/internal/difftest":   "differential-testing harness: only tests call it",
@@ -36,18 +41,71 @@ var censusAllow = map[string]string{
 
 	"repro/internal/checkpoint.Save":   "the fixture re-seal step (Load, then Save); Keeper saves through the unexported save",
 	"repro/internal/congest.HookWalks": "test seam: TestCheckpointCensus forgets one checkpoint walk site at a time through it",
+	"repro/internal/congest.NopObserver": "the embeddable Observer: its one embedder, the benchmark's simObserver, " +
+		"overrides RunStart, RoundDone and RunDone",
+
+	"repro/internal/congest.Config.Scheduler": "the dense scheduler is the reference the equivalence sweeps " +
+		"compare the active one against",
+	"repro/internal/congest.CheckpointPolicy.Run": "kill probes after run 0: the conformance cells kill a " +
+		"multi-run family inside a later engine run",
+	"repro/internal/core.Opts.Prealloc": "the allocation guard's only lever",
+	"repro/internal/faults.Network.Unreliable": "the divergence injector: faults hit logical delivery, " +
+		"so the shrinker tests get a wrong result to shrink",
+	"repro/internal/faults.Network.ArrivalOrder": "the delivery-order test's mutation witness: inboxes in wire order",
+	"repro/internal/faults.Network.Recorded": "the shrinker's input: the faults an Unreliable run injected, " +
+		"as a script that replays it",
+	"repro/internal/httpfault.Transport.Script": "the client tests' exact-fault seam, and what TestScriptShrink shrinks",
+	"repro/internal/trace.Options.Now": "the fake clock: span timings and the tail-sampling decisions made " +
+		"from them are exact in tests",
 }
 
-// TestSymbolCensus fails on an exported package-level function that no
-// non-test file of the repository references (the nested benchmark module
-// included): code kept alive only by its own tests is dead weight.
+// censusOptionTypes are the structs, besides those named *Opts, *Options,
+// *Config, *Plan, *Policy or *Spec, whose exported fields are options.
+var censusOptionTypes = map[string]bool{
+	"repro/internal/faults.Network":      true,
+	"repro/internal/httpfault.Transport": true,
+	"repro/internal/httpfault.Listener":  true,
+}
+
+// censusConventions declares the standard library's method conventions:
+// a method with the name and signature of one of Conventions' methods is
+// called through the standard library, whoever converts its value.
+const censusConventions = `package conventions
+
+import ("container/heap"; "fmt"; "io"; "log/slog"; "net"; "net/http")
+
+type Conventions interface {
+	fmt.Stringer
+	error
+	Unwrap() error
+	heap.Interface
+	io.ReadWriteCloser
+	io.ReaderFrom
+	io.WriterTo
+	http.RoundTripper
+	net.Listener
+	net.Conn
+	slog.Handler
+}
+`
+
+// TestSymbolCensus fails on exported surface that only tests use, found
+// in one type-checked load of every non-test file of the repository, the
+// nested benchmark module included:
+//   - a package-level function that no non-test file refers to;
+//   - a method that no non-test file selects, unless non-test code
+//     converts its type to an interface that has the method, or the
+//     method has a standard-library convention's name and signature
+//     (censusConventions);
+//   - an exported field of an options struct (censusOptionTypes) that no
+//     non-test file sets: as a keyed literal's key, on an assignment's
+//     left-hand side, or by taking its address.
+//
+// Code kept alive only by its own tests is dead weight.
 func TestSymbolCensus(t *testing.T) {
+	start := time.Now()
 	fset := token.NewFileSet()
-	type file struct {
-		pkg string // import path
-		f   *ast.File
-	}
-	var files []file
+	src := map[string][]*ast.File{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -58,94 +116,478 @@ func TestSymbolCensus(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err == nil {
-			files = append(files, file{path.Join("repro", filepath.ToSlash(filepath.Dir(p))), f})
-		}
-		return err
+		return censusParse(fset, src, path.Join("repro", filepath.ToSlash(filepath.Dir(p))), p, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := newCensus(fset, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := c.findings()
+	for _, v := range censusVerdicts(findings, censusAllow) {
+		t.Error(v)
+	}
+	t.Logf("%d packages, %d findings, %v", len(src), len(findings), time.Since(start))
+}
 
-	declared := map[string]token.Pos{}
-	used := map[string]bool{}
-	for _, fl := range files {
-		for _, d := range fl.f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
-				declared[fl.pkg+"."+fd.Name.Name] = fd.Pos()
+// TestSymbolCensusCatchesPlanted runs the census over a package with one
+// method and one option field that only its test uses, beside members
+// each of the census's reasons keeps: exactly those two are reported, and
+// an allowlist row that excuses nothing fails.
+func TestSymbolCensusCatchesPlanted(t *testing.T) {
+	fset := token.NewFileSet()
+	src := map[string][]*ast.File{}
+	for name, text := range map[string]string{
+		"p/p.go": `package p
+
+import "fmt"
+
+type RunOpts struct {
+	Seed  int64
+	Depth int
+	Width int
+	Trace bool // planted: only the test sets it
+	Limit int
+}
+
+type Engine struct{ opts RunOpts }
+
+func New(o RunOpts) *Engine { return &Engine{opts: o} }
+
+func (e *Engine) Run() int { return e.opts.Depth + e.opts.Width }
+
+func (e *Engine) Walk() {}
+
+func (e *Engine) String() string { return fmt.Sprint(e.opts.Seed) }
+
+func (e *Engine) Reset() {} // planted: only the test calls it
+
+type walker interface{ Walk() }
+
+func init() {
+	o := RunOpts{Seed: 1}
+	o.Depth = 2
+	scan(&o.Width)
+	var w walker = New(o)
+	w.Walk()
+	fmt.Println(New(RunOpts{Limit: 3}).Run())
+}
+
+func scan(*int) {}
+`,
+		"p/p_test.go": `package p
+
+func use() {
+	e := New(RunOpts{Trace: true})
+	e.Reset()
+}
+`,
+	} {
+		if err := censusParse(fset, src, "p", name, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := newCensus(fset, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := c.findings()
+	var got []string
+	for _, f := range findings {
+		got = append(got, f.key)
+	}
+	if want := []string{"p.RunOpts.Trace", "p.Engine.Reset"}; !slices.Equal(got, want) {
+		t.Errorf("findings %q, want %q", got, want)
+	}
+	verdicts := censusVerdicts(findings, map[string]string{"p.Engine.Stop": "a row for a member that is gone"})
+	if len(verdicts) != 3 || !strings.Contains(verdicts[2], `"p.Engine.Stop" excuses nothing`) {
+		t.Errorf("verdicts %q: want the two findings and the stale row", verdicts)
+	}
+}
+
+// censusParse adds file name, holding src (nil: read the file), to the
+// files of the package at import path pkg. A test file is left out: the
+// census counts only what non-test code uses.
+func censusParse(fset *token.FileSet, pkgs map[string][]*ast.File, pkg, name string, src any) error {
+	if strings.HasSuffix(name, "_test.go") {
+		return nil
+	}
+	f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+	if err == nil {
+		pkgs[pkg] = append(pkgs[pkg], f)
+	}
+	return err
+}
+
+// census is one type-checked load of a set of packages.
+type census struct {
+	fset *token.FileSet
+	src  map[string][]*ast.File // import path → non-test files
+	std  types.Importer
+	pkgs map[string]*types.Package
+	info types.Info
+	conv types.Type // censusConventions' interface
+}
+
+// newCensus type-checks src in one load. A package of src imports another
+// from source, so each object has one identity across the load; every
+// other import comes from the standard library's export data.
+func newCensus(fset *token.FileSet, src map[string][]*ast.File) (*census, error) {
+	c := &census{fset: fset, src: src, std: importer.Default(), pkgs: map[string]*types.Package{}, info: types.Info{
+		Types:     map[ast.Expr]types.TypeAndValue{},
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Instances: map[*ast.Ident]types.Instance{},
+	}}
+	for p := range src {
+		if _, err := c.Import(p); err != nil {
+			return nil, err
+		}
+	}
+	f, err := parser.ParseFile(fset, "conventions.go", censusConventions, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: c.std}
+	conv, err := conf.Check("conventions", fset, []*ast.File{f}, nil)
+	if err != nil {
+		return nil, err
+	}
+	c.conv = conv.Scope().Lookup("Conventions").Type()
+	return c, nil
+}
+
+// Import type-checks a package of the load, once; any other package comes
+// from export data.
+func (c *census) Import(path string) (*types.Package, error) {
+	if p, ok := c.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := c.src[path]
+	if !ok {
+		return c.std.Import(path)
+	}
+	conf := types.Config{Importer: c}
+	p, err := conf.Check(path, c.fset, files, &c.info)
+	c.pkgs[path] = p
+	return p, err
+}
+
+// censusFinding is one exported member that no non-test file uses.
+type censusFinding struct {
+	pkg, owner, key string // import path; "pkg.Type" for a member; "pkg.Func", "pkg.Type.Method" or "pkg.Type.Field"
+	what            string
+	pos             token.Position
+}
+
+// findings runs the census's three checks over the load.
+func (c *census) findings() []censusFinding {
+	called := map[types.Object]bool{} // functions and methods non-test code refers to
+	set := map[types.Object]bool{}    // fields it sets
+	for _, obj := range c.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			called[fn.Origin()] = true
+		}
+	}
+	boxed := map[string]types.Type{}        // concrete types it converts to an interface
+	ifaces := map[string]*types.Interface{} // interfaces it converts to or asserts
+	iface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces[types.TypeString(it, nil)] = it
+		}
+	}
+	box := func(v, t types.Type) {
+		if v != nil && t != nil && types.IsInterface(t) && !types.IsInterface(v) {
+			boxed[types.TypeString(v, nil)] = v
+			iface(t)
+		}
+	}
+	for _, files := range c.src {
+		for _, f := range files {
+			c.walk(f, box, iface, func(obj types.Object) {
+				if v, ok := obj.(*types.Var); ok && v.IsField() {
+					set[v.Origin()] = true
+				}
+			})
+		}
+	}
+	// A type argument is converted to its parameter's constraint.
+	for id, inst := range c.info.Instances {
+		var tps *types.TypeParamList
+		switch o := c.info.Uses[id].(type) {
+		case *types.Func:
+			tps = o.Type().(*types.Signature).TypeParams()
+		case *types.TypeName:
+			if n, ok := o.Type().(*types.Named); ok {
+				tps = n.TypeParams()
 			}
 		}
-		imports := map[string]string{} // local name → import path
-		for _, im := range fl.f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			name := path.Base(p)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
+		for i := range tps.Len() {
+			box(inst.TypeArgs.At(i), tps.At(i).Constraint())
 		}
-		// A qualified identifier names a function of the imported package;
-		// a bare one, one of this package. Field names and composite-literal
-		// keys name neither.
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					used[imports[x.Name]+"."+n.Sel.Name] = true
-				}
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.KeyValueExpr:
-				if _, ok := n.Key.(*ast.Ident); !ok {
-					ast.Inspect(n.Key, visit)
-				}
-				ast.Inspect(n.Value, visit)
-				return false
-			case *ast.Field:
-				ast.Inspect(n.Type, visit)
-				return false
-			case *ast.FuncDecl: // its own name is no reference
-				ast.Inspect(n.Type, visit)
-				if n.Body != nil {
-					ast.Inspect(n.Body, visit)
-				}
-				return false
-			case *ast.Ident:
-				used[fl.pkg+"."+n.Name] = true
+	}
+	for _, v := range boxed {
+		for _, it := range ifaces {
+			if !types.Implements(v, it) {
+				continue
 			}
+			for i := range it.NumMethods() {
+				m := it.Method(i)
+				if obj, _, _ := types.LookupFieldOrMethod(v, true, m.Pkg(), m.Name()); obj != nil {
+					called[obj.(*types.Func).Origin()] = true
+				}
+			}
+		}
+	}
+
+	var out []censusFinding
+	add := func(pkg, owner, member, what string, obj types.Object) {
+		key := pkg + "." + member
+		if owner != "" {
+			owner = pkg + "." + owner
+			key = owner + "." + member
+		}
+		out = append(out, censusFinding{pkg, owner, key, what, c.fset.Position(obj.Pos())})
+	}
+	for path, p := range c.pkgs {
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			switch o := scope.Lookup(name).(type) {
+			case *types.Func:
+				if o.Exported() && !called[o] {
+					add(path, "", name, "is referred to by no non-test file", o)
+				}
+			case *types.TypeName:
+				named, ok := o.Type().(*types.Named)
+				if !ok || o.IsAlias() || types.IsInterface(named) {
+					continue
+				}
+				for i := range named.NumMethods() {
+					m := named.Method(i)
+					if m.Exported() && !called[m] && !c.conventional(m) {
+						add(path, name, m.Name(), "is selected by no non-test file, nor reached through an interface", m)
+					}
+				}
+				st, ok := named.Underlying().(*types.Struct)
+				if !ok || !censusOptions(path, name) {
+					continue
+				}
+				for i := range st.NumFields() {
+					if f := st.Field(i); f.Exported() && !set[f] {
+						add(path, name, f.Name(), "is set by no non-test file", f)
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].pos, out[j].pos
+		return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
+	})
+	return out
+}
+
+// censusOptions reports whether the struct type name of package pkg is an
+// options struct.
+func censusOptions(pkg, name string) bool {
+	for _, s := range []string{"Opts", "Options", "Config", "Plan", "Policy", "Spec"} {
+		if strings.HasSuffix(name, s) {
 			return true
 		}
-		ast.Inspect(fl.f, visit)
 	}
+	return censusOptionTypes[pkg+"."+name]
+}
 
+// conventional reports whether method m has the name and signature of a
+// standard-library convention's method.
+func (c *census) conventional(m *types.Func) bool {
+	obj, _, _ := types.LookupFieldOrMethod(c.conv, false, nil, m.Name())
+	return obj != nil && types.Identical(obj.Type(), m.Type())
+}
+
+// walk reports what file f does with values: box(v, t) for each value of
+// type v it hands to a slot of type t (an argument, an assigned or
+// declared variable, a result, a composite literal's element, a sent
+// value, an explicit conversion); assert(t) for each type it asserts to;
+// and set(obj) for each variable or field it sets (a keyed literal's key,
+// an assignment's left-hand side, an operand of &).
+func (c *census) walk(f *ast.File, box func(v, t types.Type), assert func(t types.Type), set func(types.Object)) {
+	typeOf := c.info.TypeOf
+	// flow hands the values of es, or of the one tuple es holds, to slots of types ts.
+	flow := func(ts []types.Type, es []ast.Expr) {
+		var vs []types.Type
+		if tup, ok := typeOf(es[0]).(*types.Tuple); len(es) == 1 && ok {
+			for i := range tup.Len() {
+				vs = append(vs, tup.At(i).Type())
+			}
+		} else {
+			for _, e := range es {
+				vs = append(vs, typeOf(e))
+			}
+		}
+		for i := range min(len(ts), len(vs)) {
+			box(vs[i], ts[i])
+		}
+	}
+	tuple := func(tup *types.Tuple) []types.Type {
+		var ts []types.Type
+		for i := range tup.Len() {
+			ts = append(ts, tup.At(i).Type())
+		}
+		return ts
+	}
+	setExpr := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			set(c.info.Uses[sel.Sel])
+		}
+	}
+	var stack []ast.Node // the enclosing nodes, for a return's function
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if len(n.Args) == 0 {
+				break
+			}
+			tv := c.info.Types[n.Fun]
+			if tv.IsType() {
+				flow([]types.Type{tv.Type}, n.Args)
+				break
+			}
+			sig, ok := tv.Type.Underlying().(*types.Signature)
+			if !ok {
+				break
+			}
+			ts := tuple(sig.Params())
+			if sig.Variadic() && !n.Ellipsis.IsValid() {
+				if s, ok := ts[len(ts)-1].Underlying().(*types.Slice); ok {
+					for ts = ts[:len(ts)-1]; len(ts) < len(n.Args); {
+						ts = append(ts, s.Elem())
+					}
+				}
+			}
+			flow(ts, n.Args)
+		case *ast.AssignStmt:
+			var ts []types.Type
+			for _, l := range n.Lhs {
+				setExpr(l)
+				ts = append(ts, typeOf(l))
+			}
+			if n.Tok == token.ASSIGN {
+				flow(ts, n.Rhs)
+			}
+		case *ast.IncDecStmt:
+			setExpr(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				setExpr(n.X)
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil && len(n.Values) > 0 {
+				ts := make([]types.Type, len(n.Names))
+				for i := range ts {
+					ts[i] = typeOf(n.Type)
+				}
+				flow(ts, n.Values)
+			}
+		case *ast.ReturnStmt:
+			if len(n.Results) == 0 {
+				break
+			}
+			for i := len(stack) - 1; i >= 0; i-- {
+				var sig types.Type
+				switch fn := stack[i].(type) {
+				case *ast.FuncLit:
+					sig = typeOf(fn)
+				case *ast.FuncDecl:
+					sig = c.info.Defs[fn.Name].Type()
+				default:
+					continue
+				}
+				flow(tuple(sig.(*types.Signature).Results()), n.Results)
+				break
+			}
+		case *ast.SendStmt:
+			if ch, ok := typeOf(n.Chan).Underlying().(*types.Chan); ok {
+				flow([]types.Type{ch.Elem()}, []ast.Expr{n.Value})
+			}
+		case *ast.CompositeLit:
+			t := typeOf(n)
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			for i, e := range n.Elts {
+				k, v := ast.Expr(nil), e
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					k, v = kv.Key, kv.Value
+				}
+				switch u := t.Underlying().(type) {
+				case *types.Struct:
+					field := u.Field(i)
+					if k != nil {
+						field = c.info.Uses[k.(*ast.Ident)].(*types.Var)
+					}
+					set(field)
+					box(typeOf(v), field.Type())
+				case *types.Slice:
+					box(typeOf(v), u.Elem())
+				case *types.Array:
+					box(typeOf(v), u.Elem())
+				case *types.Map:
+					box(typeOf(k), u.Key())
+					box(typeOf(v), u.Elem())
+				}
+			}
+		case *ast.TypeAssertExpr:
+			if n.Type != nil {
+				assert(typeOf(n.Type))
+			}
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				if tv := c.info.Types[e]; tv.IsType() {
+					assert(tv.Type)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// censusVerdicts judges findings against allow, whose rows name a member,
+// a type or a whole package: a finding no row excuses fails, and so does
+// a row that excuses nothing.
+func censusVerdicts(findings []censusFinding, allow map[string]string) []string {
+	var out []string
 	excused := map[string]bool{}
-	var dead []string
-	for sym, pos := range declared {
-		pkg := sym[:strings.LastIndex(sym, ".")]
+	for _, f := range findings {
 		switch {
-		case used[sym], strings.HasPrefix(pkg, "repro/benchmark"):
-		case censusAllow[sym] != "":
-			excused[sym] = true
-		case censusAllow[pkg] != "":
-			excused[pkg] = true
+		case allow[f.key] != "":
+			excused[f.key] = true
+		case allow[f.owner] != "":
+			excused[f.owner] = true
+		case allow[f.pkg] != "":
+			excused[f.pkg] = true
 		default:
-			dead = append(dead, fset.Position(pos).String()+": "+sym)
+			out = append(out, fmt.Sprintf("%s: %s %s: delete it, or allowlist it with a reason", f.pos, f.key, f.what))
 		}
 	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s is referenced by no non-test file: delete it, or allowlist it with a reason", d)
-	}
-	for k := range censusAllow {
+	var stale []string
+	for k := range allow {
 		if !excused[k] {
-			t.Errorf("censusAllow entry %q excuses nothing; drop it", k)
+			stale = append(stale, fmt.Sprintf("censusAllow entry %q excuses nothing; drop it", k))
 		}
 	}
+	sort.Strings(stale)
+	return append(out, stale...)
 }
 
 // protocolPkgs are the packages whose non-test code runs on a protocol's

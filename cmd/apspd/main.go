@@ -189,7 +189,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		chromeFile string
 	)
 	if *tracePath != "" {
-		jsonl, err := trace.CreateJSONL(*tracePath)
+		jsonl, err := obs.CreateJSONL(*tracePath)
 		if err != nil {
 			return err
 		}
@@ -204,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 			SlowThreshold: *slow,
 			CaptureErrors: true,
 			Seed:          uint64(rf.Seed),
-			Sinks:         []trace.Sink{jsonl, trace.NewChrome(chrome)},
+			Sinks:         []trace.Sink{trace.JSONL{JSONL: jsonl}, trace.NewChrome(chrome)},
 		})
 		engineRec = obs.NewRecorder(chrome)
 	}

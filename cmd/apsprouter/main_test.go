@@ -159,8 +159,12 @@ func TestRouterDaemonMapFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mapPath := filepath.Join(t.TempDir(), "map.json")
-	if err := m.Save(mapPath); err != nil {
+	if err := os.WriteFile(mapPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	url, errc := startRouter(t, "-map", mapPath)

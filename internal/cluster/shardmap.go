@@ -163,19 +163,6 @@ func Load(path string) (*Map, error) {
 	return &m, nil
 }
 
-// Save writes the map as indented JSON (atomicity is not needed: maps are
-// deployment artifacts, not runtime state).
-func (m *Map) Save(path string) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // FormatShardID renders the canonical shard identity "k/N" that apspd
 // -shard accepts and stamps into the ShardHeader.
 func FormatShardID(k, nShards int) string {

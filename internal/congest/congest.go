@@ -166,18 +166,8 @@ type Context struct {
 	err error
 }
 
-// ID returns this node's identifier in 0..N()-1.
-func (c *Context) ID() int { return c.id }
-
-// N returns the number of nodes in the network (known to all nodes, as is
-// standard in the CONGEST model).
-func (c *Context) N() int { return c.g.N() }
-
 // InEdges returns the weighted arcs entering this node.
 func (c *Context) InEdges() []graph.Edge { return c.g.In(c.id) }
-
-// Degree returns the communication degree of this node.
-func (c *Context) Degree() int { return len(c.nbrs) }
 
 // Send stages a message to neighbor "to" for delivery next round.
 func (c *Context) Send(to int, p Payload) {

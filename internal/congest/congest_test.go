@@ -249,7 +249,7 @@ func TestInitMayNotSend(t *testing.T) {
 	g := graph.Path(2, graph.GenOpts{Seed: 1, MaxW: 1})
 	_, err := Run(g, func(v int) Node {
 		return nodeFunc{
-			init:      func(ctx *Context) { ctx.Send(1-ctx.ID(), intPayload(0)) },
+			init:      func(ctx *Context) { ctx.Send(1-v, intPayload(0)) },
 			round:     func(*Context, int, []Message) {},
 			quiescent: func() bool { return true },
 		}

@@ -34,15 +34,6 @@ func (t *Timeline) Peak() int {
 	return p
 }
 
-// Total returns the total message count.
-func (t *Timeline) Total() int {
-	s := 0
-	for _, c := range t.Counts {
-		s += c
-	}
-	return s
-}
-
 var sparks = []rune("▁▂▃▄▅▆▇█")
 
 // Sparkline renders the timeline downsampled to at most width buckets

@@ -385,7 +385,7 @@ func (d *drill) setFaults(a, b int) {
 // injectedTotal sums an injector's fault events (Requests counts
 // admissions, not faults).
 func injectedTotal(s httpfault.Stats) uint64 {
-	return s.Delays + s.ResetsPre + s.ResetsPost + s.Err500s + s.Err503s + s.Truncations + s.Blackholes + s.ConnsKilled
+	return s.Delays + s.ResetsPre + s.ResetsPost + s.Err500s + s.Err503s + s.Truncations + s.Blackholes
 }
 
 // corruptNewest flips a byte in the middle of dir's newest snapshot file.

@@ -273,21 +273,11 @@ func TestEngineEnvironmentIsOneField(t *testing.T) {
 
 // TestOptionCensus pins the complete field list of the engine
 // environment, of the seven family Opts, of the experiment runner's
-// Config and of the in-process serving tier's Backend (whose every
-// exported field both of its users set). The rule: no option survives
-// that only a test sets — a field stays only if a command, experiment,
-// family table row or the benchmark sets it, so an option can come back
-// only through a visible edit of this table. The kept exceptions, each
-// with its reason:
-//   - congest.Config.Scheduler: the dense scheduler is the reference the
-//     equivalence sweeps compare the active one against;
-//   - core.Opts.Prealloc: the allocation guard's only lever;
-//   - core.Opts.Obs and hssp.Opts.Obs: benchmark/sim.go names them;
-//   - posweight.Opts.Strict: the A-ZERO ablation measures it.
-//
-// Outside this table, faults.Network keeps Unreliable (the shrinker
-// tests' divergence source) and ArrivalOrder (the delivery-order test's
-// mutation witness) on the same terms.
+// Config and of the in-process serving tier's Backend, so an option can
+// come back only through a visible edit of this table. That no option
+// survives which only a test sets is TestSymbolCensus's rule; its
+// censusAllow gives the reason for each field kept without a non-test
+// setter.
 func TestOptionCensus(t *testing.T) {
 	for _, c := range []struct {
 		opts interface{}

@@ -40,9 +40,7 @@ func (k Kind) String() string {
 // Event is one explicit fault applied to the Req-th request seen by the
 // Transport (0-based, in admission order). A Transport with a non-nil
 // Script injects exactly the scripted events and nothing else — the
-// replayable, shrinkable form of an HTTP fault plan (the probabilistic
-// Transport records one Event per fault it injects, so any chaos run can
-// be frozen into a script and minimized with difftest.DDMin).
+// exact, shrinkable form of an HTTP fault plan.
 type Event struct {
 	Req  uint64
 	Kind Kind
@@ -139,30 +137,4 @@ func scriptFate(script []Event, req uint64) fate {
 		f.truncate = false
 	}
 	return f
-}
-
-// events freezes a fate back into its explicit Event list (the recording
-// side of replayability).
-func (f fate) events(req uint64) []Event {
-	var evs []Event
-	if f.delay > 0 {
-		evs = append(evs, Event{Req: req, Kind: DelayEvent, Arg: int64(f.delay)})
-	}
-	switch {
-	case f.blackhole:
-		evs = append(evs, Event{Req: req, Kind: BlackholeEvent})
-	case f.reset:
-		var side int64
-		if f.resetAfter {
-			side = 1
-		}
-		evs = append(evs, Event{Req: req, Kind: ResetEvent, Arg: side})
-	case f.err500:
-		evs = append(evs, Event{Req: req, Kind: Err500Event})
-	case f.err503:
-		evs = append(evs, Event{Req: req, Kind: Err503Event})
-	case f.truncate:
-		evs = append(evs, Event{Req: req, Kind: TruncateEvent})
-	}
-	return evs
 }

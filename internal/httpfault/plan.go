@@ -12,9 +12,9 @@
 // response bodies and blackholes (the request hangs until the caller's
 // context gives up). Every decision is drawn from a keyed PRF of
 // (seed, kind, request index), so a run is a pure function of the plan
-// and the request order — independent of host scheduling — and any chaos
-// run can be frozen into an explicit Event script, replayed, and shrunk
-// with internal/difftest.DDMin.
+// and the request order — independent of host scheduling. An explicit
+// Event script injects exact faults instead, and shrinks with
+// internal/difftest.DDMin.
 //
 // The injector has two attachment points: Transport wraps an
 // http.RoundTripper (client side — faults on the way out and the way
@@ -173,9 +173,7 @@ const (
 )
 
 // prf draws the decision word for one (kind, request index) key under the
-// plan's seed — the shared internal/key discipline, bit-identical to the
-// pre-dedup local copy so recorded scripts and seeded tests replay
-// unchanged.
+// plan's seed — the shared internal/key discipline.
 func (p Plan) prf(kind, req uint64) uint64 {
 	return key.Mix64(key.PRF(p.Seed, kind) ^ req)
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -31,14 +30,12 @@ type Stats struct {
 	Err503s     uint64
 	Truncations uint64
 	Blackholes  uint64
-	ConnsKilled uint64 // listener-side connection kills
 }
 
 // statCell is the live atomic form of Stats.
 type statCell struct {
-	requests, delays, resetsPre, resetsPost atomic.Uint64
-	err500s, err503s, truncations           atomic.Uint64
-	blackholes, connsKilled                 atomic.Uint64
+	requests, delays, resetsPre, resetsPost   atomic.Uint64
+	err500s, err503s, truncations, blackholes atomic.Uint64
 }
 
 func (c *statCell) snapshot() Stats {
@@ -51,7 +48,6 @@ func (c *statCell) snapshot() Stats {
 		Err503s:     c.err503s.Load(),
 		Truncations: c.truncations.Load(),
 		Blackholes:  c.blackholes.Load(),
-		ConnsKilled: c.connsKilled.Load(),
 	}
 }
 
@@ -66,39 +62,13 @@ type Transport struct {
 	Script []Event
 	// Inner performs the real exchanges (nil = http.DefaultTransport).
 	Inner http.RoundTripper
-	// Record freezes every injected fault as an Event retrievable from
-	// Recorded — the replay bridge: run chaos once, shrink the script.
-	Record bool
 
-	seq   atomic.Uint64
-	cell  statCell
-	mu    sync.Mutex
-	saved []Event
+	seq  atomic.Uint64
+	cell statCell
 }
 
 // Snapshot returns the cumulative injection counts.
 func (t *Transport) Snapshot() Stats { return t.cell.snapshot() }
-
-// Recorded returns a copy of the events injected so far (Record must be
-// set).
-func (t *Transport) Recorded() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.saved...)
-}
-
-func (t *Transport) record(req uint64, f fate) {
-	if !t.Record {
-		return
-	}
-	evs := f.events(req)
-	if len(evs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.saved = append(t.saved, evs...)
-	t.mu.Unlock()
-}
 
 // RoundTrip implements http.RoundTripper: resolve the request's fate,
 // apply the delay, then either synthesize the fault or forward to Inner.
@@ -111,7 +81,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	} else {
 		f = t.Plan.planFate(i)
 	}
-	t.record(i, f)
 
 	ctx := req.Context()
 	if f.delay > 0 {
@@ -242,8 +211,7 @@ type Listener struct {
 	Plan  Plan
 	KillP float64
 
-	seq  atomic.Uint64
-	cell statCell
+	seq atomic.Uint64
 }
 
 // WrapListener wraps ln so that a KillP fraction of accepted connections
@@ -251,9 +219,6 @@ type Listener struct {
 func WrapListener(ln net.Listener, plan Plan, killP float64) *Listener {
 	return &Listener{Listener: ln, Plan: plan, KillP: killP}
 }
-
-// Snapshot returns the listener's cumulative kill count.
-func (l *Listener) Snapshot() Stats { return l.cell.snapshot() }
 
 // Accept implements net.Listener.
 func (l *Listener) Accept() (net.Conn, error) {
@@ -267,7 +232,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 	// Kill after 1..8 writes: late enough that a response may be mid-
 	// flight, early enough that every killed connection actually dies.
-	return &killedConn{Conn: c, writesLeft: int64(1 + l.Plan.prf(kindConnKill, ^i)%8), cell: &l.cell}, nil
+	return &killedConn{Conn: c, writesLeft: int64(1 + l.Plan.prf(kindConnKill, ^i)%8)}, nil
 }
 
 // killedConn aborts the connection on its n-th write. TCP connections get
@@ -277,7 +242,6 @@ type killedConn struct {
 	net.Conn
 	writesLeft int64
 	killed     atomic.Bool
-	cell       *statCell
 }
 
 func (c *killedConn) Write(p []byte) (int, error) {
@@ -295,7 +259,6 @@ func (c *killedConn) kill() {
 	if c.killed.Swap(true) {
 		return
 	}
-	c.cell.connsKilled.Add(1)
 	if tc, ok := c.Conn.(*net.TCPConn); ok {
 		tc.SetLinger(0)
 	}

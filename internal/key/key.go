@@ -24,7 +24,7 @@ type Gamma struct {
 	num, den int64
 	fastA    int64   // |a| bound for the int64 fast path on a²·num
 	fastB    int64   // |b| bound for the int64 fast path on b²·den
-	approx   float64 // float estimate of γ, for display only
+	approx   float64 // float estimate of γ, where ceilDGamma starts its exact search
 }
 
 // New returns γ = √(k·h/Δ), the key slope of Algorithm 1. Δ is clamped to at
@@ -58,12 +58,6 @@ func NewRatio(num, den int64) Gamma {
 	g.approx = math.Sqrt(float64(num) / float64(den))
 	return g
 }
-
-// Approx returns a float64 estimate of γ for display purposes only.
-func (g Gamma) Approx() float64 { return g.approx }
-
-// Float returns a float64 estimate of κ = d·γ + l for display purposes.
-func (g Gamma) Float(d, l int64) float64 { return float64(d)*g.approx + float64(l) }
 
 // signAGammaPlusB returns the sign of a·γ + b in {-1, 0, +1}, exactly.
 func (g Gamma) signAGammaPlusB(a, b int64) int {

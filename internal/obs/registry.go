@@ -195,15 +195,6 @@ func (h Histogram) ObserveExemplar(v float64, labels ...Label) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h Histogram) Count() int64 {
-	var n int64
-	for i := range h.ins.counts {
-		n += h.ins.counts[i].Load()
-	}
-	return n + h.ins.inf.Load()
-}
-
 // restore installs pre-accumulated bucket state (package-internal; the
 // engine Metrics sink accumulates during Emit and installs once at Close).
 func (h Histogram) restore(raw []int64, inf int64, sum float64) {

@@ -87,11 +87,27 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 	reg.Gauge("y_total", "y")
 }
 
+// countLine returns the exposition's "<name>_count" line.
+func countLine(t *testing.T, reg *Registry, name string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, name+"_count ") {
+			return line
+		}
+	}
+	t.Fatalf("no %s_count line in:\n%s", name, buf.String())
+	return ""
+}
+
 func TestHistogramCount(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("c_seconds", "c", []float64{1, 2, 4, 8})
-	if got := h.Count(); got != 0 {
-		t.Fatalf("empty histogram count = %d, want 0", got)
+	if got := countLine(t, reg, "c_seconds"); got != "c_seconds_count 0" {
+		t.Fatalf("empty histogram: %q, want count 0", got)
 	}
 	for i := 0; i < 90; i++ {
 		h.Observe(0.5) // le=1
@@ -100,8 +116,8 @@ func TestHistogramCount(t *testing.T) {
 		h.Observe(3) // le=4
 	}
 	h.Observe(100) // +Inf
-	if got := h.Count(); got != 100 {
-		t.Errorf("count = %d, want 100", got)
+	if got := countLine(t, reg, "c_seconds"); got != "c_seconds_count 100" {
+		t.Errorf("%q, want count 100", got)
 	}
 }
 
@@ -124,8 +140,8 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %v, want 8000", c.Value())
 	}
-	if h.Count() != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", h.Count())
+	if got := countLine(t, reg, "conc_seconds"); got != "conc_seconds_count 8000" {
+		t.Fatalf("%q, want histogram count 8000", got)
 	}
 }
 

@@ -1,69 +1,24 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"repro/internal/obs"
 )
 
-// JSONL streams every emitted span as one JSON line — the same
-// grep-friendly convention as the engine's obs.JSONL event trace, keyed by
-// trace ID instead of phase.
-type JSONL struct {
-	mu    sync.Mutex
-	enc   *json.Encoder
-	flush func() error
-	close func() error
-}
-
-// NewJSONL wraps an io.Writer. If w is also an io.Closer it is closed by
-// Close.
-func NewJSONL(w io.Writer) *JSONL {
-	bw := bufio.NewWriter(w)
-	j := &JSONL{enc: json.NewEncoder(bw), flush: bw.Flush}
-	if c, ok := w.(io.Closer); ok {
-		j.close = c.Close
-	}
-	return j
-}
-
-// CreateJSONL opens (truncating) path and returns a JSONL span sink.
-func CreateJSONL(path string) (*JSONL, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: create jsonl: %w", err)
-	}
-	return NewJSONL(f), nil
-}
+// JSONL streams every emitted span as one line of an obs.JSONL file —
+// the engine's event-trace convention, keyed by trace ID instead of
+// phase. A trace's spans are consecutive lines.
+type JSONL struct{ *obs.JSONL }
 
 // Trace implements Sink.
-func (j *JSONL) Trace(spans []SpanRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+func (j JSONL) Trace(spans []SpanRecord) error {
+	vs := make([]any, len(spans))
 	for i := range spans {
-		if err := j.enc.Encode(&spans[i]); err != nil {
-			return err
-		}
+		vs[i] = &spans[i]
 	}
-	return nil
-}
-
-// Close implements Sink.
-func (j *JSONL) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	err := j.flush()
-	if j.close != nil {
-		if cerr := j.close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return j.Encode(vs...)
 }
 
 // ServePID is the trace_event process ID for serving-request spans —

@@ -117,9 +117,6 @@ func New(opts Options) *Tracer {
 	}
 }
 
-// Enabled reports whether the tracer records anything at all.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Emitted returns how many traces reached the sinks.
 func (t *Tracer) Emitted() uint64 {
 	if t == nil {

@@ -71,7 +71,7 @@ func TestNilTracerIsFreeAndSilent(t *testing.T) {
 	if sp.TraceID() != "" || sp.ID() != "" || sp.Sampled() || sp.Traceparent() != "" {
 		t.Fatal("nil span leaked identity")
 	}
-	if tr.Enabled() || tr.Emitted() != 0 || tr.Err() != nil || tr.Close() != nil {
+	if tr.Emitted() != 0 || tr.Err() != nil || tr.Close() != nil {
 		t.Fatal("nil tracer is not fully inert")
 	}
 	if sp := FromContext(ctx).Child("child"); sp != nil {
@@ -294,7 +294,7 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	sink := NewJSONL(&buf)
+	sink := JSONL{obs.NewJSONL(&buf)}
 	tr := New(Options{SampleEvery: 1, Seed: 9, Sinks: []Sink{sink}})
 	ctx, root := tr.StartRequest(context.Background(), "req", "")
 	child := FromContext(ctx).Child("step")
@@ -313,6 +313,45 @@ func TestJSONLSink(t *testing.T) {
 	}
 	if rec.Name != "step" || rec.Parent == "" {
 		t.Fatalf("JSONL child record %+v", rec)
+	}
+}
+
+// TestJSONLSinkConcurrent: traces emitted at once from several goroutines
+// each land as consecutive lines of the shared file.
+func TestJSONLSinkConcurrent(t *testing.T) {
+	var buf bytes.Buffer
+	sink := JSONL{obs.NewJSONL(&buf)}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				id := fmt.Sprintf("%d-%d", g, i)
+				if err := sink.Trace([]SpanRecord{{TraceID: id, Name: "a"}, {TraceID: id, Name: "b"}, {TraceID: id, Name: "c"}}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 600 {
+		t.Fatalf("%d lines, want 600", len(lines))
+	}
+	for i := 0; i < len(lines); i += 3 {
+		var recs [3]SpanRecord
+		for k := range recs {
+			if err := json.Unmarshal([]byte(lines[i+k]), &recs[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if recs[1].TraceID != recs[0].TraceID || recs[2].TraceID != recs[0].TraceID {
+			t.Fatalf("lines %d-%d interleave traces: %+v", i, i+2, recs)
+		}
 	}
 }
 
