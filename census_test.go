@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/congest"
-	"repro/internal/difftest"
 )
 
 // censusAllow names the exported surface that no non-test file needs: a
@@ -844,10 +843,10 @@ func walkSites(t *testing.T) map[string]string {
 }
 
 // TestCheckpointCensus is the forget-a-field census over every checkpoint
-// walk. One recording pass runs TestCheckpointConformance's cells and
-// notes which leaf walk sites each kill encodes. Then, site by site, the
-// walk hook zeroes what the site decodes and the cells that encoded it
-// resume their kill's snapshot again: one must fail. A site no cell fails
+// walk. One recording pass kills TestCheckpointConformance's cells under
+// the active scheduler and notes which leaf walk sites each kill encodes.
+// Then, site by site, the walk hook zeroes what the site decodes and the
+// cells that encoded it resume their kill's snapshot again: one must fail. A site no cell fails
 // on (a survivor), or none reaches, walks state that is dead, derivable
 // or unprobed. It fails the census unless ckptAllow says why it is live,
 // and an entry that excuses nothing fails it too.
@@ -860,14 +859,8 @@ func TestCheckpointCensus(t *testing.T) {
 		return strings.TrimPrefix(strings.TrimPrefix(site, root+"/"), "repro/")
 	}
 
-	type job struct {
-		f      familyRow
-		in     difftest.Instance
-		c      ckptCell
-		killed *killed
-		bases  ckptBases
-	}
-	var jobs []job
+	start := time.Now()
+	var jobs []func() error     // each resumes one recorded kill under the active scheduler
 	reach := map[string][]int{} // relative site → the jobs whose kill encodes it
 	restore := congest.HookWalks(func(site string, decoding bool) bool {
 		if !decoding {
@@ -886,54 +879,54 @@ func TestCheckpointCensus(t *testing.T) {
 				t.Fatalf("%s: %v", f.name, err)
 			}
 			for _, c := range f.ckptCells() {
-				k, err := f.kill(in, c)
+				k, err := f.kill(in, c, congest.SchedulerActive)
+				job := func() error { return f.resume(in, c, congest.SchedulerActive, k, bases) }
 				if err == nil && k != nil {
-					err = f.resume(in, c, c.sched, k, bases)
+					err = job()
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", f.name, err)
 				}
 				if k != nil {
-					jobs = append(jobs, job{f, in, c, k, bases})
+					jobs = append(jobs, job)
 				}
 			}
 		}
 	}
 	restore()
+	recording := time.Since(start)
 
+	var slowest string // the site caught took longest on, and its time
+	var slowestTime time.Duration
 	// caught reports whether one of jobs js fails with site forgotten;
 	// workers stop at the first failure.
 	caught := func(site string, js []int) bool {
+		defer func(t0 time.Time) {
+			if d := time.Since(t0); d > slowestTime {
+				slowest, slowestTime = site, d
+			}
+		}(time.Now())
 		defer congest.HookWalks(func(s string, decoding bool) bool { return decoding && rel(s) == site })()
-		var fails atomic.Int32
-		next := make(chan int)
+		var fails, next atomic.Int32
 		var wg sync.WaitGroup
 		for range runtime.GOMAXPROCS(0) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for j := range next {
+				for j := int(next.Add(1)) - 1; j < len(js) && fails.Load() == 0; j = int(next.Add(1)) - 1 {
 					func() {
 						defer func() {
 							if recover() != nil { // a forgotten field may well crash the resumed run
 								fails.Add(1)
 							}
 						}()
-						jb := jobs[j]
-						if err := jb.f.resume(jb.in, jb.c, jb.c.sched, jb.killed, jb.bases); err != nil {
+						if jobs[js[j]]() != nil {
 							fails.Add(1)
 						}
 					}()
 				}
 			}()
 		}
-		for _, j := range js {
-			if fails.Load() > 0 {
-				break
-			}
-			next <- j
-		}
-		close(next)
 		wg.Wait()
 		return fails.Load() > 0
 	}
@@ -965,5 +958,6 @@ func TestCheckpointCensus(t *testing.T) {
 			t.Errorf("ckptAllow entry %q excuses nothing; drop it", label)
 		}
 	}
-	t.Logf("%d walk sites, %d recorded cells", len(sites), len(jobs))
+	t.Logf("%d walk sites, %d recorded cells; recording pass %v, slowest site %s %v",
+		len(sites), len(jobs), recording.Round(time.Millisecond), slowest, slowestTime.Round(time.Millisecond))
 }

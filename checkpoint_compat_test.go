@@ -200,15 +200,10 @@ func compatPath(c compatCase) string {
 }
 
 // marshalSansObs encodes s with its observer blob left out.
-func marshalSansObs(t *testing.T, s *congest.Snapshot) []byte {
-	t.Helper()
+func marshalSansObs(s *congest.Snapshot) ([]byte, error) {
 	c := *s
 	c.Obs = nil
-	b, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return c.MarshalBinary()
 }
 
 // reencodeObs decodes an obs.Recorder blob into a fresh Recorder and
@@ -257,7 +252,10 @@ func TestCheckpointFixtureCompat(t *testing.T) {
 			if err != nil {
 				t.Fatalf("uninterrupted run: %v", err)
 			}
-			fixBytes := marshalSansObs(t, snap)
+			fixBytes, err := marshalSansObs(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, sched := range schedulers {
 				// (a) The fixture must resume bit-exactly: same results and
 				// logical Stats as an uninterrupted run.
@@ -275,7 +273,11 @@ func TestCheckpointFixtureCompat(t *testing.T) {
 				// (b) The current engine, killed at the same barrier, must
 				// produce byte-identical snapshot bytes — format stability
 				// in the write direction, not just the read direction.
-				if cur := marshalSansObs(t, killAt(t, c, sched)); !bytes.Equal(cur, fixBytes) {
+				cur, err := marshalSansObs(killAt(t, c, sched))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(cur, fixBytes) {
 					t.Fatalf("sched=%v: snapshot bytes drifted from the fixture: %d vs %d bytes (diff starts at offset %d)",
 						sched, len(cur), len(fixBytes), firstDiff(cur, fixBytes))
 				}

@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -345,12 +346,11 @@ func TestDeliveryConformance(t *testing.T) {
 	}
 }
 
-// ckptCell is one kill point of the checkpoint sweep: a probe under one
-// scheduler and network.
+// ckptCell is one kill point of the checkpoint sweep: a probe on one
+// network. A snapshot holds no scheduler state, so a cell has no scheduler.
 type ckptCell struct {
-	sched congest.Scheduler
-	net   ckptNet
-	pr    ckptProbe
+	net ckptNet
+	pr  ckptProbe
 }
 
 // ckptNet is a checkpoint cell's network column.
@@ -370,11 +370,9 @@ func (f familyRow) ckptCells() (cs []ckptCell) {
 	if f.unreliable {
 		nets = append(nets, netUnreliable)
 	}
-	for _, sched := range schedulers {
-		for _, net := range nets {
-			for _, pr := range f.probes {
-				cs = append(cs, ckptCell{sched, net, pr})
-			}
+	for _, net := range nets {
+		for _, pr := range f.probes {
+			cs = append(cs, ckptCell{net, pr})
 		}
 	}
 	return cs
@@ -382,11 +380,11 @@ func (f familyRow) ckptCells() (cs []ckptCell) {
 
 // ckptBases are one checkpoint instance's uninterrupted runs. Perfect and
 // faulty cells must reproduce the fault-free dense run's Result and
-// observer stream; per scheduler, faulty cells must also reproduce the
-// faulty run's Recorder, and unreliable cells the whole unreliable run.
+// observer stream; faulty cells must also reproduce the faulty run's
+// Recorder, and unreliable cells the whole unreliable run. Each scheduler
+// runs the faulty and the unreliable baseline, and the two must agree.
 type ckptBases struct {
-	dense      outcome
-	rec, unrel map[congest.Scheduler]outcome
+	dense, rec, unrel outcome
 }
 
 func (f familyRow) ckptBases(in difftest.Instance) (b ckptBases, err error) {
@@ -394,25 +392,27 @@ func (f familyRow) ckptBases(in difftest.Instance) (b ckptBases, err error) {
 	if b.dense.err != nil {
 		return b, fmt.Errorf("baseline: %v", b.dense.err)
 	}
-	b.rec, b.unrel = map[congest.Scheduler]outcome{}, map[congest.Scheduler]outcome{}
-	for _, sched := range schedulers {
-		r := f.cell(in, ckptCell{sched: sched, net: netFaulty}, nil)
+	for i, sched := range schedulers {
+		r, u := f.cell(in, ckptCell{net: netFaulty}, sched, nil), outcome{}
+		if f.unreliable {
+			u = f.cell(in, ckptCell{net: netUnreliable}, sched, nil)
+		}
 		if err := r.diverges(b.dense); err != nil {
 			return b, fmt.Errorf("sched=%v faulty baseline: %v", sched, err)
 		}
-		b.rec[sched] = r
-		if f.unreliable {
-			b.unrel[sched] = f.cell(in, ckptCell{sched: sched, net: netUnreliable}, nil)
+		if i > 0 && !reflect.DeepEqual([]outcome{r, u}, []outcome{b.rec, b.unrel}) {
+			return b, fmt.Errorf("sched=%v faulty or unreliable baseline diverges from sched=%v's", sched, schedulers[0])
 		}
+		b.rec, b.unrel = r, u
 	}
 	return b, nil
 }
 
-// cell runs in in c's environment under checkpoint policy pol. A faulty
-// cell's Recorder observes beside the stream (congest.Tee carries its
-// state through a snapshot) and is the network's physical-cost sink.
-func (f familyRow) cell(in difftest.Instance, c ckptCell, pol *congest.CheckpointPolicy) outcome {
-	cfg := congest.Config{Scheduler: c.sched, Checkpoint: pol}
+// cell runs in in c's environment under sched and checkpoint policy pol.
+// A faulty cell's Recorder observes beside the stream (congest.Tee carries
+// its state through a snapshot) and is the network's physical-cost sink.
+func (f familyRow) cell(in difftest.Instance, c ckptCell, sched congest.Scheduler, pol *congest.CheckpointPolicy) outcome {
+	cfg := congest.Config{Scheduler: sched, Checkpoint: pol}
 	switch c.net {
 	case netPerfect:
 		return f.exec(in, cfg)
@@ -463,12 +463,9 @@ func (s *stamps) Close() error           { return nil }
 // run skips the rounds the snapshot covers, so its tail must match the
 // baseline's).
 func (r *recording) diverges(base *recording, k int) error {
-	if !reflect.DeepEqual(r.phases, base.phases) || r.total != base.total || r.runs != base.runs {
-		return fmt.Errorf("recorder accounting %+v total %+v runs %d, baseline %+v total %+v runs %d",
-			r.phases, r.total, r.runs, base.phases, base.total, base.runs)
-	}
-	if !reflect.DeepEqual(r.phys, base.phys) || r.physSeen != base.physSeen {
-		return fmt.Errorf("recorder physical cost %+v (seen %v), baseline %+v (seen %v)", r.phys, r.physSeen, base.phys, base.physSeen)
+	got, want := *r, *base
+	if got.stamps, want.stamps = nil, nil; !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("recorder accounting %+v, baseline %+v", got, want)
 	}
 	tail := r.stamps
 	for i, s := range r.stamps {
@@ -483,11 +480,12 @@ func (r *recording) diverges(base *recording, k int) error {
 	return nil
 }
 
-// TestCheckpointConformance kills each family's run at every probe, both
-// schedulers × {no network, all faults with a Recorder, and for Core all
-// faults in Unreliable mode}, and resumes it from the serialized snapshot
-// under each scheduler: a snapshot holds no scheduler state. A probe past
-// its run's end does not fire; three per instance must.
+// TestCheckpointConformance kills each family's run at every probe × {no
+// network, all faults with a Recorder, and for Core all faults in
+// Unreliable mode}, once under each scheduler: a snapshot holds no
+// scheduler state, so the two kills must write the same bytes. It resumes
+// that one snapshot under each scheduler. A probe past its run's end does
+// not fire; three per instance must.
 func TestCheckpointConformance(t *testing.T) {
 	for _, f := range familyRows() {
 		t.Run(f.name, func(t *testing.T) {
@@ -499,11 +497,16 @@ func TestCheckpointConformance(t *testing.T) {
 				}
 				fired := 0
 				for _, c := range f.ckptCells() {
-					ok, err := f.killAndResume(in, c, bases)
+					k, err := f.kill(in, c, schedulers...)
+					for _, sched := range schedulers {
+						if err == nil && k != nil {
+							err = f.resume(in, c, sched, k, bases)
+						}
+					}
 					if err != nil {
 						return err
 					}
-					if ok {
+					if k != nil {
 						fired++
 					}
 				}
@@ -516,49 +519,51 @@ func TestCheckpointConformance(t *testing.T) {
 	}
 }
 
-// killAndResume kills one run at cell c, resumes it in a fresh run under
-// each scheduler, and compares those with the baselines; fired is false if
-// c's probe is past the run.
-func (f familyRow) killAndResume(in difftest.Instance, c ckptCell, bases ckptBases) (fired bool, err error) {
-	k, err := f.kill(in, c)
-	if k == nil || err != nil {
-		return err != nil, err
-	}
-	for _, sched := range schedulers {
-		if err := f.resume(in, c, sched, k, bases); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
 // killed is a run killed at a cell's probe: what it observed, and its
-// snapshot's bytes.
+// snapshot's bytes, whole and with the Recorder blob left out.
 type killed struct {
 	outcome
-	snap []byte
+	snap, sansObs []byte
 }
 
-// kill runs in c's environment until c's probe kills it; it returns nil,
-// nil if the probe is past the run.
-func (f familyRow) kill(in difftest.Instance, c ckptCell) (*killed, error) {
-	k := &checkpoint.Keeper{}
-	o := f.cell(in, c, &congest.CheckpointPolicy{AtRound: c.pr.round, Run: c.pr.run, Stop: true, Sink: k.Sink})
-	if o.err == nil {
+// kill runs in c's environment under each of scheds until c's probe kills
+// it. The kills must observe the same and write the same snapshot,
+// Recorder blob aside (its wall clock differs). It returns the last kill,
+// or nil, nil if the probe is past the run.
+func (f familyRow) kill(in difftest.Instance, c ckptCell, scheds ...congest.Scheduler) (k *killed, err error) {
+	for i, sched := range scheds {
+		keep := &checkpoint.Keeper{}
+		prev := k
+		k = &killed{outcome: f.cell(in, c, sched, &congest.CheckpointPolicy{AtRound: c.pr.round, Run: c.pr.run, Stop: true, Sink: keep.Sink})}
+		if i > 0 {
+			if err := k.diverges(prev.outcome); err != nil {
+				return nil, c.errorf("the kill under sched=%v diverges from sched=%v's: %v", sched, scheds[i-1], err)
+			}
+		}
+		if k.err == nil {
+			continue
+		}
+		if !errors.Is(k.err, congest.ErrCheckpointStop) {
+			return nil, c.errorf("kill under sched=%v: want ErrCheckpointStop, got %v", sched, k.err)
+		}
+		snap, saves := keep.Latest()
+		if snap == nil || saves != 1 || snap.Round != c.pr.round || snap.RunIdx != c.pr.run {
+			return nil, c.errorf("sched=%v: %d snapshots, the last at %+v", sched, saves, snap)
+		}
+		k.snap, err = snap.MarshalBinary()
+		sansObs, errS := marshalSansObs(snap)
+		if err = errors.Join(err, errS); err != nil {
+			return nil, c.errorf("snapshot: %v", err)
+		}
+		if k.sansObs = sansObs; i > 0 && !bytes.Equal(sansObs, prev.sansObs) {
+			return nil, c.errorf("the snapshot killed under sched=%v differs from sched=%v's from byte %d on",
+				sched, scheds[i-1], firstDiff(sansObs, prev.sansObs))
+		}
+	}
+	if k.snap == nil {
 		return nil, nil
 	}
-	if !errors.Is(o.err, congest.ErrCheckpointStop) {
-		return nil, c.errorf("kill: want ErrCheckpointStop, got %v", o.err)
-	}
-	snap, saves := k.Latest()
-	if snap == nil || saves != 1 || snap.Round != c.pr.round || snap.RunIdx != c.pr.run {
-		return nil, c.errorf("%d snapshots, the last at %+v", saves, snap)
-	}
-	b, err := snap.MarshalBinary()
-	if err != nil {
-		return nil, c.errorf("snapshot: %v", err)
-	}
-	return &killed{o, b}, nil
+	return k, nil
 }
 
 // resume restores k's snapshot in a fresh run of c's environment under
@@ -568,19 +573,17 @@ func (f familyRow) resume(in difftest.Instance, c ckptCell, sched congest.Schedu
 	if err := snap.UnmarshalBinary(k.snap); err != nil {
 		return c.errorf("snapshot round trip: %v", err)
 	}
-	rc := c
-	rc.sched = sched
-	resumed := f.cell(in, rc, &congest.CheckpointPolicy{Resume: snap})
+	resumed := f.cell(in, c, sched, &congest.CheckpointPolicy{Resume: snap})
 	resumed.events = slices.Concat(k.events, resumed.events.after(c.pr.run))
 	base := bases.dense
 	if c.net == netUnreliable {
-		base = bases.unrel[sched]
+		base = bases.unrel
 	}
 	if err := resumed.diverges(base); err != nil {
 		return c.errorf("resumed under sched=%v: %v", sched, err)
 	}
 	if c.net == netFaulty {
-		if err := resumed.rec.diverges(bases.rec[sched].rec, c.pr.run); err != nil {
+		if err := resumed.rec.diverges(bases.rec.rec, c.pr.run); err != nil {
 			return c.errorf("resumed under sched=%v: %v", sched, err)
 		}
 	}
@@ -588,5 +591,5 @@ func (f familyRow) resume(in difftest.Instance, c ckptCell, sched congest.Schedu
 }
 
 func (c ckptCell) errorf(format string, args ...any) error {
-	return fmt.Errorf("sched=%v net=%d run=%d round=%d: %s", c.sched, c.net, c.pr.run, c.pr.round, fmt.Sprintf(format, args...))
+	return fmt.Errorf("net=%d run=%d round=%d: %s", c.net, c.pr.run, c.pr.round, fmt.Sprintf(format, args...))
 }

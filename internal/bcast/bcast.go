@@ -193,8 +193,12 @@ func (a *aggNode) NextWake() int {
 // MaxArg aggregates the maximum of vals with the smallest arg attaining it
 // to the tree root. args default to the node ID. Returns the max, its arg,
 // and the run stats. Only the root's view is returned (a follow-up
-// Broadcast distributes it when needed).
+// Broadcast distributes it when needed). The convergecast takes Height+1
+// rounds; MaxRounds == 0 means a slack multiple of that.
 func MaxArg(g *graph.Graph, tr *Tree, vals []int64, cfg congest.Config) (int64, int64, congest.Stats, error) {
+	if cfg.MaxRounds == 0 {
+		cfg.MaxRounds = 16*(tr.Height+1) + 1024
+	}
 	nodes := make([]*aggNode, g.N())
 	stats, err := congest.Run(g, func(v int) congest.Node {
 		nodes[v] = &aggNode{id: v, tree: tr, val: vals[v], arg: int64(v)}

@@ -1,6 +1,7 @@
 package bcast
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"slices"
@@ -121,6 +122,33 @@ func TestMaxArgTieBreaksSmallestNode(t *testing.T) {
 		t.Fatalf("arg = %d, want 2 (smallest node attaining the max)", arg)
 	}
 }
+
+// TestMaxArgRoundBudget hands MaxArg a tree whose Children list at node 1
+// omits leaf 3, which names 1 as its Parent: both leaves report in round
+// 1, node 1's pending count drops below zero, and it never sends nor
+// quiesces. MaxArg must stop at its convergecast budget, not the engine's
+// default.
+func TestMaxArgRoundBudget(t *testing.T) {
+	g := graph.New(4, false)
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(1, 2, 1)
+	g.MustAddEdge(1, 3, 1)
+	tr := &Tree{Root: 0, Parent: []int{0, 0, 1, 1}, Children: [][]int{{1}, {2}, nil, nil}, Depth: []int{0, 1, 2, 2}, Height: 2}
+	var last lastRound
+	_, _, _, err := MaxArg(g, tr, []int64{0, 1, 2, 3}, congest.Config{Observer: &last})
+	if want := 16*(tr.Height+1) + 1024; !errors.Is(err, congest.ErrMaxRounds) || int(last) != want {
+		t.Fatalf("MaxArg on a broken tree: last round %d, err %v; want ErrMaxRounds after round %d", last, err, want)
+	}
+}
+
+// lastRound is an observer keeping the last round a run finished.
+type lastRound int
+
+func (l *lastRound) RoundDone(e congest.RoundEvent) { *l = lastRound(e.Round) }
+func (*lastRound) RunStart(int)                     {}
+func (*lastRound) NodeSends(int, int, int)          {}
+func (*lastRound) LinkPeak(int, int, int, int)      {}
+func (*lastRound) RunDone(congest.Stats)            {}
 
 // TestBroadcastPipelined checks that every node folds every value exactly
 // once and in stream order (the fold is an order-sensitive hash), the root
