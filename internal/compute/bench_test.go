@@ -15,7 +15,9 @@ import (
 //
 // sparse is one of rebuild_sparse's three shards: n = 1536, m = 4n, the
 // first 512 sources. dense is rebuild_dense's single shard: n = 768,
-// m = n²/4, every source. Workers follow GOMAXPROCS (-cpu). It is not in
+// m = n²/4, every source. complete is the near-complete instance DESIGN.md
+// weighs against the deleted Floyd–Warshall: n = 768, m = n², every
+// source. Workers follow GOMAXPROCS (-cpu). It is not in
 // the Makefile's gated set: the gate reads allocations, and this is for
 // time.
 func BenchmarkKernelLedgerShapes(b *testing.B) {
@@ -26,6 +28,7 @@ func BenchmarkKernelLedgerShapes(b *testing.B) {
 	}{
 		{"sparse", 1536, 4 * 1536, 512, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.25, Directed: true}},
 		{"dense", 768, 768 * 768 / 4, 768, graph.GenOpts{Seed: 7, MaxW: 64, ZeroFrac: 0.1, Directed: true}},
+		{"complete", 768, 768 * 768, 768, graph.GenOpts{Seed: 7, MaxW: 64, ZeroFrac: 0.1, Directed: true}},
 	}
 	for _, s := range shapes {
 		g := graph.Random(s.n, s.m, s.gen)

@@ -7,9 +7,14 @@
 // fanned out over an atomic counter, each worker owns one monotone radix
 // queue and a key plane, relaxes over a CSR adjacency, and writes its
 // finished dist/hops/parent rows into the shared result (rows are
-// disjoint, so there is no synchronization on the hot path). It costs
-// about k·arcs for k sources — the k per-source rows the paper's
-// Algorithm 1 computes.
+// disjoint, so there is no synchronization on the hot path). A finished
+// row records which of its source's arcs are essential — the one-hop path
+// is that source's shortest to the arc's head — and a later row that
+// settles the source relaxes only those (packed.go has the rule and why
+// it is exact). So a row costs its unlearned nodes' arcs plus its learned
+// nodes' essential arcs: k·arcs for k sources at worst, the k per-source
+// rows the paper's Algorithm 1 computes, and on the dense ledger graph
+// (every source, 11 % of arcs essential) about 56 % of that.
 //
 // It works on packed keys: one (dist, hops) pair per machine word,
 // dist<<shift | hops, so a relaxation is one add and one compare (key.go

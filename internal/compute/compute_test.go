@@ -227,8 +227,8 @@ func TestKernelsPinned(t *testing.T) {
 // TestAllocsIndependentOfSize is the deterministic form of the ledger's
 // compute.alloc_mb_per_op: for a fixed worker count APSP makes the same
 // number of allocations whatever n and k are — flat matrices, one slab of
-// per-worker scratch, one set of goroutines — never one per source or
-// row. Queues come from a pool and keep their buckets' capacity, so
+// per-worker scratch, the essential-arc slab and its per-node counts, one
+// set of goroutines — never one per source or row. Queues come from a pool and keep their buckets' capacity, so
 // after AllocsPerRun's warm-up call a queue allocates nothing. Each size
 // keeps the cheapest of many single calls, as congest's plane test does:
 // the runtime's own occasional allocations only add, and so does a queue
@@ -274,6 +274,72 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		for c := range base.Dist {
 			if base.Dist[c] != got.Dist[c] || base.Hops[c] != got.Hops[c] || base.Parent[c] != got.Parent[c] {
 				t.Fatalf("workers=%d diverges at (%d,%d)", w, c/g.N(), c%g.N())
+			}
+		}
+	}
+}
+
+// essentialTestGraph is dense and zero-heavy, with parallel arcs beside a
+// third of its arcs — one of equal weight, one a unit heavier and one a
+// unit lighter when that is not negative — so that rows tie on zero
+// weights and on duplicate arcs, and some arcs lose to their own twin.
+// graph.AddEdge refuses self-loops, so no graph the kernel sees has one.
+func essentialTestGraph() *graph.Graph {
+	base := graph.ZeroHeavy(40, 40*24, 0.4, graph.GenOpts{Seed: 31, MaxW: 3, Directed: true})
+	g := graph.New(base.N(), true)
+	for i, e := range base.Edges() {
+		g.MustAddEdge(e.From, e.To, e.W)
+		if i%3 == 0 {
+			g.MustAddEdge(e.From, e.To, e.W)
+			g.MustAddEdge(e.From, e.To, e.W+1)
+			if e.W > 0 {
+				g.MustAddEdge(e.From, e.To, e.W-1)
+			}
+		}
+	}
+	return g
+}
+
+// TestEssentialArcsExact: a row relaxes only the arcs that finished rows
+// proved essential for their sources, and that must not change a cell.
+// Every source, a subset, and a subset with a repeated source (two
+// workers may finish the same row and race to record it), each under 1,
+// 2 and 8 workers: the cells equal the single worker's, whose dist and
+// hops match the sequential references, and every parent is Step 9's
+// brute-force smallest tight neighbour.
+func TestEssentialArcsExact(t *testing.T) {
+	g := essentialTestGraph()
+	n := g.N()
+	edges := g.Edges()
+	sets := map[string][]int{
+		"all":      allSources(n),
+		"subset":   {39, 3, 17, 8, 30, 1, 22, 11},
+		"repeated": {5, 12, 5, 0, 5, 27, 12},
+	}
+	for name, sources := range sets {
+		base, err := compute.APSP(g, compute.Opts{Sources: sources, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstSequential(t, g, base)
+		for i, src := range sources {
+			row := base.Parent[i*n : (i+1)*n]
+			want := step9Parents(edges, true, n, src, base.Dist[i*n:(i+1)*n], base.Hops[i*n:(i+1)*n])
+			for v := range want {
+				if row[v] != want[v] {
+					t.Fatalf("%s: parent[%d][%d] = %d, smallest tight neighbour %d", name, src, v, row[v], want[v])
+				}
+			}
+		}
+		for _, w := range []int{2, 8} {
+			got, err := compute.APSP(g, compute.Opts{Sources: sources, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := range base.Dist {
+				if base.Dist[c] != got.Dist[c] || base.Hops[c] != got.Hops[c] || base.Parent[c] != got.Parent[c] {
+					t.Fatalf("%s: workers=%d diverges from workers=1 at (%d,%d)", name, w, sources[c/n], c%n)
+				}
 			}
 		}
 	}

@@ -2,6 +2,9 @@ package compute_test
 
 import (
 	"errors"
+	"hash/fnv"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,6 +23,11 @@ import (
 // the smallest-ID tail of an arc that is tight in both dist and hops,
 // each undirected edge scanned both ways. Any divergence, panic, or
 // parent matrix the walker rejects is a finding.
+// The kernel's rows are a subset of the nodes with one source repeated,
+// drawn from the input's own bytes (fuzzSources), so which rows have
+// finished — and taught later rows their sources' essential arcs — when
+// a row runs varies from input to input, and two workers that finish
+// the repeated source together race to record its arcs.
 // The kernel may refuse a decoded graph in exactly two ways: with
 // graph.ErrPathOverflow when path weights can reach Inf, and with
 // compute.ErrKeyRange when they do not fit a packed key.
@@ -42,10 +50,7 @@ func FuzzParallelDijkstra(f *testing.F) {
 		if n == 0 || n > 64 || g.M() > 512 {
 			return // keep each execution cheap so the fuzzer explores
 		}
-		sources := make([]int, n)
-		for v := range sources {
-			sources[v] = v
-		}
+		sources := fuzzSources(input, n)
 		dij, err := compute.APSP(g, compute.Opts{Sources: sources})
 		if errors.Is(err, graph.ErrPathOverflow) || errors.Is(err, compute.ErrKeyRange) {
 			return
@@ -57,7 +62,7 @@ func FuzzParallelDijkstra(f *testing.F) {
 		if h < 1 {
 			h = 1
 		}
-		bf, err := bellman.Run(g, bellman.Opts{Sources: sources, H: h})
+		bf, err := bellman.Run(g, bellman.Opts{Sources: allSources(n), H: h})
 		if err != nil {
 			t.Fatalf("bellman-ford baseline: %v", err)
 		}
@@ -74,27 +79,46 @@ func FuzzParallelDijkstra(f *testing.F) {
 				dij.Dist[i*n:(i+1)*n], dij.Hops[i*n:(i+1)*n])
 			for v := 0; v < n; v++ {
 				c := i*n + v
-				if dij.Dist[c] != bf.Dist[i][v] {
+				if dij.Dist[c] != bf.Dist[src][v] {
 					t.Fatalf("dist(%d->%d): dijkstra %d, bellman-ford %d\ngraph:\n%s",
-						i, v, dij.Dist[c], bf.Dist[i][v], input)
+						src, v, dij.Dist[c], bf.Dist[src][v], input)
 				}
 				if int(dij.Hops[c]) != wantH[v] {
 					t.Fatalf("hops(%d->%d): dijkstra %d, sequential %d\ngraph:\n%s",
-						i, v, dij.Hops[c], wantH[v], input)
+						src, v, dij.Hops[c], wantH[v], input)
 				}
 				if dij.Parent[c] != wantP[v] {
 					t.Fatalf("parent(%d->%d): dijkstra %d, smallest tight neighbour %d\ngraph:\n%s",
-						i, v, dij.Parent[c], wantP[v], input)
+						src, v, dij.Parent[c], wantP[v], input)
 				}
 				if dij.Dist[c] >= graph.Inf {
 					continue
 				}
 				if _, err := core.WalkParents(g, pv, i, v); err != nil {
-					t.Fatalf("parent walk (%d->%d): %v\ngraph:\n%s", i, v, err, input)
+					t.Fatalf("parent walk (%d->%d): %v\ngraph:\n%s", src, v, err, input)
 				}
 			}
 		}
 	})
+}
+
+// fuzzSources draws the kernel's rows from the input's bytes: each node
+// in a shuffled order, kept with probability 3/4 (at least one kept),
+// then one kept node again at a random place.
+func fuzzSources(input string, n int) []int {
+	h := fnv.New64a()
+	h.Write([]byte(input))
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	var s []int
+	for _, v := range rng.Perm(n) {
+		if rng.Intn(4) != 0 {
+			s = append(s, v)
+		}
+	}
+	if len(s) == 0 {
+		s = append(s, rng.Intn(n))
+	}
+	return slices.Insert(s, rng.Intn(len(s)+1), s[rng.Intn(len(s))])
 }
 
 // step9Parents is one row's parents by Step 9's definition, from the

@@ -38,11 +38,14 @@ func newCSR(g *graph.Graph, lay keyLayout) csr {
 // claims the next unclaimed source (work stealing — a worker that draws
 // cheap rows simply claims more of them), relaxes in its own key plane and
 // unpacks it into the result row when the row is finished; parents go to
-// the result directly. Rows are disjoint and the only shared mutable state
-// is the counter, so the matrices are the same for any worker count.
+// the result directly. A finished row also teaches later rows which of its
+// source's arcs they need (essentialArcs). Rows are disjoint, and what one
+// row learns changes how much a later row scans, never what it computes,
+// so the matrices are the same for any worker count.
 func packedDijkstra(g *graph.Graph, lay keyLayout, res *Result) {
 	n := g.N()
 	adj := newCSR(g, lay)
+	ess := newEssentialArcs(adj)
 	planes := make([]uint64, res.Workers*n)
 	var next atomic.Int64
 	spmd(res.Workers, func(w int) {
@@ -51,10 +54,68 @@ func packedDijkstra(g *graph.Graph, lay keyLayout, res *Result) {
 		defer queues.Put(q)
 		for i := claim(&next); i < len(res.Sources); i = claim(&next) {
 			lo, hi := i*n, (i+1)*n
-			oneSourcePacked(adj, res.Sources[i], keys, res.Parent[lo:hi], q)
+			src := res.Sources[i]
+			oneSourcePacked(adj, ess, src, keys, res.Parent[lo:hi], q)
+			ess.learn(adj, src, keys)
 			lay.unpackRow(keys, res.Dist[lo:hi], res.Hops[lo:hi])
 		}
 	})
+}
+
+// essentialArcs records, per node s whose row has finished, the arcs of s
+// that a shortest path can use. Row keys are lexicographic (dist, hops)
+// minima, and a suffix of a minimal path is itself minimal, so an arc
+// (s,u) of key (w, 1) can be tight in any row only if (w, 1) is s's own
+// final key for u: the "essential subgraph" of Karger, Koller and
+// Phillips and of McGeoch. If some s⇝u path P had a smaller key, a row r
+// reaching u over (s,u) would do better over r⇝s then P — and removing
+// the cycles of that walk only lowers its key, since every cycle weighs
+// at least 0 and has at least one hop. So every arc that sets a final key
+// or ties for a Step 9 parent is essential; the others only ever set
+// tentative keys that a tight arc overwrites, and a row that relaxes only
+// the essential arcs of a learned node computes the same keys and
+// parents. Packed keys never overflow (key.go), so the test is an exact
+// integer compare.
+//
+// Node s's list is pos[off[s] : off[s]+count[s]], positions into the
+// csr: one slab of 4 bytes an arc per call, a third of what copies of the
+// (to, inc) pairs would hold. count[s] is unlearned until a worker claims
+// s, claimed while that worker writes the list, then the list's length,
+// published by an atomic store: a reader that loads a length sees the
+// list written. The claim keeps two workers that finish a repeated source
+// from writing the same region. Only requested sources are learned.
+type essentialArcs struct {
+	count []atomic.Int32
+	pos   []int32
+}
+
+const (
+	unlearned = -1
+	claimed   = -2
+)
+
+func newEssentialArcs(adj csr) essentialArcs {
+	e := essentialArcs{count: make([]atomic.Int32, len(adj.off)-1), pos: make([]int32, len(adj.to))}
+	for s := range e.count {
+		e.count[s].Store(unlearned)
+	}
+	return e
+}
+
+// learn records src's essential arcs from its finished key row.
+func (e essentialArcs) learn(adj csr, src int, keys []uint64) {
+	if !e.count[src].CompareAndSwap(unlearned, claimed) {
+		return // learned, or being learned by another worker
+	}
+	lo := adj.off[src]
+	c := lo
+	for p := lo; p < adj.off[src+1]; p++ {
+		if keys[adj.to[p]] == adj.inc[p] {
+			e.pos[c] = int32(p)
+			c++
+		}
+	}
+	e.count[src].Store(int32(c - lo))
 }
 
 // spmd runs body(0), …, body(workers−1) concurrently — body(0) on the
@@ -88,9 +149,10 @@ func claim(next *atomic.Int64) int { return int(next.Add(1)) - 1 }
 // The parent is Algorithm 1's Step 9 choice, the smallest-ID neighbour
 // that delivers the final (dist, hops) — the rule core.List.Offer keeps.
 // Every such neighbour p has key[p] < key[u] (an arc adds a hop), so p is
-// expanded before u and its arc to u is scanned, whatever order the queue
-// pops equal keys in: the tie branch below sees each one.
-func oneSourcePacked(adj csr, src int, keys []uint64, parent []int32, q *radixQueue) {
+// expanded before u and its arc to u is scanned — a tight arc is
+// essential, so a learned p keeps it — whatever order the queue pops
+// equal keys in: the tie branch below sees each one.
+func oneSourcePacked(adj csr, ess essentialArcs, src int, keys []uint64, parent []int32, q *radixQueue) {
 	for v := range keys {
 		keys[v] = infKey
 		parent[v] = -1
@@ -103,7 +165,23 @@ func oneSourcePacked(adj csr, src int, keys []uint64, parent []int32, q *radixQu
 		if k != keys[v] {
 			continue // stale entry, already improved
 		}
-		to, inc := adj.to[adj.off[v]:adj.off[v+1]], adj.inc[adj.off[v]:adj.off[v+1]]
+		lo := adj.off[v]
+		if c := ess.count[v].Load(); c >= 0 {
+			// v's row has finished: relax only the arcs it proved
+			// essential. The branch body is the loop's below.
+			for _, p := range ess.pos[lo : lo+int(c)] {
+				if u, nk := adj.to[p], k+adj.inc[p]; nk <= keys[u] {
+					if nk < keys[u] {
+						keys[u], parent[u] = nk, v
+						q.push(nk, u)
+					} else if v < parent[u] {
+						parent[u] = v
+					}
+				}
+			}
+			continue
+		}
+		to, inc := adj.to[lo:adj.off[v+1]], adj.inc[lo:adj.off[v+1]]
 		for a, u := range to {
 			// One compare decides the common case, an arc that does
 			// not tie or improve: on dense rows that is nearly every arc.
