@@ -234,10 +234,17 @@ func Run(g *graph.Graph, opts Opts) (*Result, error) {
 	if opts.H <= 0 {
 		return nil, fmt.Errorf("bellman: hop bound H=%d must be positive", opts.H)
 	}
+	seen := make([]bool, g.N())
 	for _, s := range opts.Sources {
 		if s < 0 || s >= g.N() {
 			return nil, fmt.Errorf("bellman: source %d out of range", s)
 		}
+		if seen[s] {
+			// sourceIndex maps a source ID to one row, so a repeated
+			// source would leave its other rows unfilled.
+			return nil, fmt.Errorf("bellman: duplicate source %d", s)
+		}
+		seen[s] = true
 	}
 	nodes := make([]*node, g.N())
 	mk := NewNode(&opts)

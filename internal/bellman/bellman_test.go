@@ -1,6 +1,7 @@
 package bellman
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/congest"
@@ -122,5 +123,8 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Run(g, Opts{Sources: []int{5}, H: 1}); err == nil {
 		t.Fatal("bad source accepted")
+	}
+	if _, err := Run(g, Opts{Sources: []int{2, 2}, H: 2}); err == nil || !strings.Contains(err.Error(), "duplicate source 2") {
+		t.Fatalf("repeated source: err = %v, want a refusal naming duplicate source 2", err)
 	}
 }

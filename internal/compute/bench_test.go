@@ -15,11 +15,13 @@ import (
 //
 // sparse is one of rebuild_sparse's three shards: n = 1536, m = 4n, the
 // first 512 sources. dense is rebuild_dense's single shard: n = 768,
-// m = n²/4, every source. complete is the near-complete instance DESIGN.md
-// weighs against the deleted Floyd–Warshall: n = 768, m = n², every
-// source. Workers follow GOMAXPROCS (-cpu). It is not in
-// the Makefile's gated set: the gate reads allocations, and this is for
-// time.
+// m = n²/4, every source; at every seed tried (7, 11, 23, 31, 41, 53)
+// its zero-weight arcs alone connect every pair, so each distance is 0
+// and only hops differ. dense-nozero is that shape with no zero-weight
+// arc, which times the kernel on real distances. complete is the near-complete instance DESIGN.md weighs against
+// the deleted Floyd–Warshall: n = 768, m = n², every source. Workers
+// follow GOMAXPROCS (-cpu). It is not in the Makefile's gated set: the
+// gate reads allocations, and this is for time.
 func BenchmarkKernelLedgerShapes(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -28,6 +30,7 @@ func BenchmarkKernelLedgerShapes(b *testing.B) {
 	}{
 		{"sparse", 1536, 4 * 1536, 512, graph.GenOpts{Seed: 7, MaxW: 8, ZeroFrac: 0.25, Directed: true}},
 		{"dense", 768, 768 * 768 / 4, 768, graph.GenOpts{Seed: 7, MaxW: 64, ZeroFrac: 0.1, Directed: true}},
+		{"dense-nozero", 768, 768 * 768 / 4, 768, graph.GenOpts{Seed: 7, MaxW: 64, Directed: true}},
 		{"complete", 768, 768 * 768, 768, graph.GenOpts{Seed: 7, MaxW: 64, ZeroFrac: 0.1, Directed: true}},
 	}
 	for _, s := range shapes {

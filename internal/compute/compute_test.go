@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/compute"
@@ -339,6 +340,84 @@ func TestEssentialArcsExact(t *testing.T) {
 			for c := range base.Dist {
 				if base.Dist[c] != got.Dist[c] || base.Hops[c] != got.Hops[c] || base.Parent[c] != got.Parent[c] {
 					t.Fatalf("%s: workers=%d diverges from workers=1 at (%d,%d)", name, w, sources[c/n], c%n)
+				}
+			}
+		}
+	}
+}
+
+// withRing adds the arcs v → v+1 (mod n) of weight w, which makes a
+// directed graph strongly connected: every node reaches every other.
+func withRing(g *graph.Graph, w int64) *graph.Graph {
+	for v := 0; v < g.N(); v++ {
+		g.MustAddEdge(v, (v+1)%g.N(), w)
+	}
+	return g
+}
+
+// withSource adds a node of in-degree 0 with arcs to every third node:
+// no other row reaches it.
+func withSource(g *graph.Graph) *graph.Graph {
+	h := graph.New(g.N()+1, true)
+	for _, e := range g.Edges() {
+		h.MustAddEdge(e.From, e.To, e.W)
+	}
+	for v := 0; v < g.N(); v += 3 {
+		h.MustAddEdge(g.N(), v, int64(v%4))
+	}
+	return h
+}
+
+// TestArcCutExact holds the arc cut to the references on both sides of
+// its switch. A scan stops at the queue's live-key bound only once a row
+// has reached every node, so on the strongly connected shapes — random
+// arcs, zero-heavy, near-complete, and parallel arcs of equal weight —
+// it cuts in every row, and with one node of in-degree 0 in none but
+// that node's own. Under 1, 2 and 8 workers the cells equal core.Run's
+// dist, hops and parents, the single worker's also match graph.Dijkstra,
+// graph.HHopDistHops and core.WalkParents, and each shape's unreachable
+// cells say which side of the switch its rows ran on.
+func TestArcCutExact(t *testing.T) {
+	shapes := map[string]struct {
+		g        *graph.Graph
+		cutsRows int // rows that reach every node
+	}{
+		"strongly-connected": {withRing(graph.Random(28, 28*6, graph.GenOpts{Seed: 41, MaxW: 9, Directed: true}), 9), 28},
+		"zero-heavy":         {withRing(graph.ZeroHeavy(28, 28*8, 0.5, graph.GenOpts{Seed: 42, MaxW: 3, Directed: true}), 3), 28},
+		"near-complete":      {graph.Complete(18, graph.GenOpts{Seed: 43, MaxW: 6, ZeroFrac: 0.2, Directed: true}), 18},
+		"parallel-equal":     {withRing(essentialTestGraph(), 3), 40},
+		"in-degree-0":        {withSource(withRing(graph.ZeroHeavy(24, 24*6, 0.4, graph.GenOpts{Seed: 44, MaxW: 5, Directed: true}), 5)), 1},
+	}
+	for name, s := range shapes {
+		g, n := s.g, s.g.N()
+		ref, err := core.Run(g, core.Opts{Sources: allSources(n), H: n - 1, Engine: congest.Config{Workers: 2}})
+		if err != nil {
+			t.Fatalf("%s: core.Run: %v", name, err)
+		}
+		cuts := 0
+		for i := range ref.Dist {
+			if !slices.Contains(ref.Dist[i], graph.Inf) {
+				cuts++
+			}
+		}
+		if cuts != s.cutsRows {
+			t.Fatalf("%s: %d rows reach every node, want %d", name, cuts, s.cutsRows)
+		}
+		for _, w := range []int{1, 2, 8} {
+			res, err := compute.APSP(g, compute.Opts{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w == 1 {
+				checkAgainstSequential(t, g, res)
+			}
+			for i := range ref.Dist {
+				for v := range ref.Dist[i] {
+					c := i*n + v
+					if res.Dist[c] != ref.Dist[i][v] || int64(res.Hops[c]) != ref.Hops[i][v] || int(res.Parent[c]) != ref.Parent[i][v] {
+						t.Fatalf("%s: workers=%d: (%d,%d) = (%d, %d, %d), core.Run (%d, %d, %d)", name, w, i, v,
+							res.Dist[c], res.Hops[c], res.Parent[c], ref.Dist[i][v], ref.Hops[i][v], ref.Parent[i][v])
+					}
 				}
 			}
 		}

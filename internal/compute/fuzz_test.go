@@ -28,6 +28,8 @@ import (
 // finished — and taught later rows their sources' essential arcs — when
 // a row runs varies from input to input, and two workers that finish
 // the repeated source together race to record its arcs.
+// The ring seed reaches every node from every source, so its rows cut
+// their arc scans at the queue's live-key bound (a learned list's too).
 // The kernel may refuse a decoded graph in exactly two ways: with
 // graph.ErrPathOverflow when path weights can reach Inf, and with
 // compute.ErrKeyRange when they do not fit a packed key.
@@ -41,6 +43,8 @@ func FuzzParallelDijkstra(f *testing.F) {
 	f.Add("n 4 undirected\ne 0 1 1\ne 0 2 1\ne 1 3 0\ne 2 3 0\n")                 // in both orders
 	f.Add("n 3 directed\ne 0 1 1152921504606846976\ne 1 2 1152921504606846976\n") // 2·2⁶⁰ ≥ Inf
 	f.Add("n 3 directed\ne 0 1 288230376151711744\ne 1 2 5\ne 0 2 6\n")           // 2⁵⁸: too wide to pack
+	// A ring with chords: every row reaches every node, and both scans cut.
+	f.Add("n 4 directed\ne 0 1 1\ne 1 2 1\ne 2 3 1\ne 3 0 1\ne 0 2 3\ne 1 0 9\ne 1 3 9\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := graph.Decode(strings.NewReader(input))
 		if err != nil {

@@ -3,6 +3,7 @@ package compute
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -112,38 +113,64 @@ func allNodes(n int) []int {
 
 // TestRadixQueueMatchesSortedCopy drives the queue with seeded monotone
 // scripts — every push at or above the last pop, as the kernel's are —
-// and after every pop checks it against a sort-a-copy oracle: the key is
-// the smallest pending one, and the entry is one that was pushed with
-// it. The scripts push runs of equal keys; half of them start just below
-// 2^61, so their keys cross bit 61 — the top bucket, one bit below
-// infKey; and they drain the queue completely before refilling it, both
-// from the last pop and, as a new row does, from the start.
+// over a key plane, and checks it against a sort-a-copy oracle of the
+// live entries. Like the kernel, a script improves a pending node: it
+// lowers the node's key in the plane and pushes the new key, which
+// leaves the old entry stale. After every pop the key is the smallest
+// live one and the entry is live and pending: pop never returns a stale
+// entry. The scripts push runs of equal keys; half of them start just
+// below 2^61, so their keys cross bit 61 — the top bucket, one bit below
+// infKey; they sometimes improve every pending node above the last pop
+// at once, which leaves whole buckets holding stale entries only, for
+// pop to empty and pass; and they drain the queue completely before
+// refilling it, both from the last pop and, as a new row does, from the
+// start. Once a script has started the live counts (bound), after every
+// step bound() is last | (2^j − 1) for the highest bucket j that holds a
+// live entry — at least every live key, and no looser.
 func TestRadixQueueMatchesSortedCopy(t *testing.T) {
-	type entry struct {
-		k uint64
-		v int32
-	}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		base := uint64(0)
 		if seed%2 == 1 {
 			base = 1<<61 - 1<<20
 		}
-		q := new(radixQueue)
+		keys := make([]uint64, 3*3000)
+		q := &radixQueue{keys: keys}
 		q.last = base
-		var pending []entry
+		var pending []int32 // nodes with a live entry; keys holds its key
 		next := int32(0)
 		push := func(k uint64) {
 			if k >= infKey {
 				t.Fatalf("seed %d: script pushed %#x, not below infKey", seed, k)
 			}
-			q.push(k, next)
-			pending = append(pending, entry{k, next})
+			keys[next] = k
+			q.push(infKey, k, next)
+			pending = append(pending, next)
 			next++
 		}
+		improve := func(v int32, k uint64) {
+			old := keys[v]
+			keys[v] = k
+			q.push(old, k, v)
+		}
+		popLive := func(step int) uint64 {
+			k, v, ok := q.pop()
+			if !ok {
+				t.Fatalf("seed %d step %d: pop found no entry, %d pending", seed, step, len(pending))
+			}
+			if keys[v] != k {
+				t.Fatalf("seed %d step %d: pop = (%#x, %d), stale: the plane holds %#x", seed, step, k, v, keys[v])
+			}
+			i := slices.Index(pending, v)
+			if i < 0 {
+				t.Fatalf("seed %d step %d: pop = (%#x, %d), not pending", seed, step, k, v)
+			}
+			pending = slices.Delete(pending, i, i+1)
+			return k
+		}
 		for step := 0; step < 3000; step++ {
-			switch r := rng.Intn(10); {
-			case r < 5 || len(pending) == 0:
+			switch r := rng.Intn(20); {
+			case r < 8 || len(pending) == 0:
 				// Push at the last pop plus a delta: zero, small, or a
 				// span that reaches the high buckets.
 				var d uint64
@@ -158,41 +185,61 @@ func TestRadixQueueMatchesSortedCopy(t *testing.T) {
 				for reps := 1 + rng.Intn(3); reps > 0; reps-- {
 					push(q.last + d) // equal keys when reps > 1
 				}
-			case r < 9:
-				keys := make([]uint64, len(pending))
-				for i, e := range pending {
-					keys[i] = e.k
+			case r < 11:
+				// Improve one pending node to a key in [last, its key).
+				if v := pending[rng.Intn(len(pending))]; keys[v] > q.last {
+					improve(v, q.last+uint64(rng.Int63n(int64(keys[v]-q.last))))
 				}
-				slices.Sort(keys)
-				k, v := q.pop()
-				if k != keys[0] {
-					t.Fatalf("seed %d step %d: pop = %#x, smallest pending %#x", seed, step, k, keys[0])
+			case r == 11:
+				// Improve every pending node above the last pop to
+				// within 8 of it: the buckets they were in hold only
+				// stale entries now.
+				for _, v := range pending {
+					if keys[v] > q.last {
+						improve(v, q.last+uint64(rng.Int63n(int64(min(keys[v]-q.last, 8)))))
+					}
 				}
-				i := slices.Index(pending, entry{k, v})
-				if i < 0 {
-					t.Fatalf("seed %d step %d: pop = (%#x, %d), never pushed or popped twice", seed, step, k, v)
+			case r == 12:
+				q.bound() // start the live counts, if they are not on
+			case r < 19:
+				ks := make([]uint64, len(pending))
+				for i, v := range pending {
+					ks[i] = keys[v]
 				}
-				pending = slices.Delete(pending, i, i+1)
+				want := slices.Min(ks)
+				if k := popLive(step); k != want {
+					t.Fatalf("seed %d step %d: pop = %#x, smallest live %#x", seed, step, k, want)
+				}
 			default:
 				// Drain in order, then refill: from the last pop, or
 				// from zero as oneSourcePacked starts a row.
 				for prev := q.last; len(pending) > 0; {
-					k, v := q.pop()
+					k := popLive(step)
 					if k < prev {
 						t.Fatalf("seed %d step %d: drain popped %#x after %#x", seed, step, k, prev)
 					}
 					prev = k
-					i := slices.Index(pending, entry{k, v})
-					if i < 0 {
-						t.Fatalf("seed %d step %d: drain popped (%#x, %d), not pending", seed, step, k, v)
-					}
-					pending = slices.Delete(pending, i, i+1)
 				}
-				if q.size != 0 {
-					t.Fatalf("seed %d step %d: drained queue reports %d entries", seed, step, q.size)
+				if _, v, ok := q.pop(); ok {
+					t.Fatalf("seed %d step %d: drained queue popped node %d", seed, step, v)
+				}
+				for i := range q.b {
+					if q.size != 0 || len(q.b[i]) != 0 {
+						t.Fatalf("seed %d step %d: drained queue holds %d entries, %d in bucket %d", seed, step, q.size, len(q.b[i]), i)
+					}
 				}
 				if rng.Intn(2) == 0 {
+					q.reset()
 					q.last = base
+				}
+			}
+			if q.counting {
+				want := q.last
+				for _, v := range pending {
+					want |= uint64(1)<<bits.Len64(keys[v]^q.last) - 1
+				}
+				if got := q.bound(); got != want {
+					t.Fatalf("seed %d step %d: bound = %#x, want %#x (last %#x)", seed, step, got, want, q.last)
 				}
 			}
 		}
