@@ -48,12 +48,6 @@ var censusAllow = map[string]string{
 	"repro/internal/congest.CheckpointPolicy.Run": "kill probes after run 0: the conformance cells kill a " +
 		"multi-run family inside a later engine run",
 	"repro/internal/core.Opts.Prealloc": "the allocation guard's only lever",
-	"repro/internal/faults.Network.Unreliable": "the divergence injector: faults hit logical delivery, " +
-		"so the shrinker tests get a wrong result to shrink",
-	"repro/internal/faults.Network.ArrivalOrder": "the delivery-order test's mutation witness: inboxes in wire order",
-	"repro/internal/faults.Network.Recorded": "the shrinker's input: the faults an Unreliable run injected, " +
-		"as a script that replays it",
-	"repro/internal/httpfault.Transport.Script": "the client tests' exact-fault seam, and what TestScriptShrink shrinks",
 	"repro/internal/trace.Options.Now": "the fake clock: span timings and the tail-sampling decisions made " +
 		"from them are exact in tests",
 }
@@ -749,19 +743,16 @@ var ckptAllow = map[string]string{
 	"internal/core/list.go: c.Int64(&it.time)": "a zeroed due time only makes its item pop at the next NextSend, " +
 		"which re-arms it at its entry's true schedule: the lazy heap heals it, up to the pop order pl.seq decides",
 	"internal/core/list.go: c.Int64(&it.seq)": "the per-item half of pl.seq's tie-break: same reach",
-	"internal/faults/state.go: c.Uint64(&(*q)[i].key)": "orders one round's Unreliable-mode deliveries before " +
-		"the stable (To, From) sort, so it decides only the order of messages one link delivers in one round; " +
-		"no cell's result depends on it, and ArrivalOrder, which exposes wire order, is test-only",
-	"internal/faults/state.go: c.Int64(&nw.flightCtr)": "keys the PRF of Reorder's arrival shuffle and of " +
-		"the Unreliable queue key: under the reliability shim inboxes are reassembled in canonical order, so only " +
-		"the test-only ArrivalOrder mode, and key's reach above, expose it",
+	"internal/faults/state.go: c.Int64(&nw.flightCtr)": "keys the PRF of Reorder's same-sub-round arrival " +
+		"shuffle. The shim accepts by sequence number and sends a sub-round's ACKs only after all its arrivals, " +
+		"so the order the shuffle picks reaches no inbox, ACK fate or PhysStats counter",
 	"internal/obs/state.go: congest.Varint(c, &p.Wall)": "wall-clock round time: no two runs agree on it, " +
 		"so no cell can compare it",
 }
 
 // leafWalks are the Codec walks that end in congest's walk hook.
 var leafWalks = map[string]bool{
-	"Uint64": true, "Int64": true, "Int": true, "Varint": true, "Bool": true,
+	"Int64": true, "Int": true, "Varint": true, "Bool": true,
 	"String": true, "Blob": true, "Ints": true, "Int64s": true, "Bools": true, "Stats": true,
 }
 

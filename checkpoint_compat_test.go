@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -297,20 +298,24 @@ func TestCheckpointFixtureCompat(t *testing.T) {
 
 // TestCheckpointRefusesVersion1: the version 1 layout also carried the
 // scheduler, its wake rounds, the quiescence cache and the in-flight
-// count. A file of that version is refused by name before its body is
-// read.
+// count; the version 2 layout also carried the fault network's mode flag,
+// event log and per-message queue keys. A file of either version is
+// refused by name before its body is read.
 func TestCheckpointRefusesVersion1(t *testing.T) {
 	meta, snap, err := checkpoint.Load(compatPath(compatCases()[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Version = 1
-	path := filepath.Join(t.TempDir(), "v1.ckpt")
-	if err := checkpoint.Save(path, meta, snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := checkpoint.Load(path); err == nil || !strings.Contains(err.Error(), "snapshot version 1, want 2") {
-		t.Fatalf("version 1 file: err = %v, want a refusal naming the version", err)
+	for _, v := range []int{1, 2} {
+		snap.Version = v
+		path := filepath.Join(t.TempDir(), "old.ckpt")
+		if err := checkpoint.Save(path, meta, snap); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("snapshot version %d, want %d", v, congest.SnapshotVersion)
+		if _, _, err := checkpoint.Load(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d file: err = %v, want a refusal naming the version", v, err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/approx"
@@ -42,7 +43,7 @@ type familyRow struct {
 	faultSeeds   int64
 	extra, large []difftest.Instance
 	// ckpt and probes are the checkpoint sweep's instances and kill points;
-	// unreliable adds cells under ckptPlan in Unreliable mode.
+	// unreliable adds cells under ckptPlan on a difftest.Unreliable network.
 	ckpt       []difftest.Instance
 	probes     []ckptProbe
 	unreliable bool
@@ -359,7 +360,7 @@ type ckptNet int
 const (
 	netPerfect    ckptNet = iota // no network
 	netFaulty                    // ckptPlan, with an obs.Recorder observing
-	netUnreliable                // ckptPlan in Unreliable mode: synchrony broken on purpose
+	netUnreliable                // ckptPlan on difftest.Unreliable: synchrony broken on purpose
 )
 
 // ckptPlan is the faulty and unreliable cells' plan: every fault at once.
@@ -417,8 +418,7 @@ func (f familyRow) cell(in difftest.Instance, c ckptCell, sched congest.Schedule
 	case netPerfect:
 		return f.exec(in, cfg)
 	case netUnreliable:
-		net := faults.New(ckptPlan)
-		net.Unreliable = true
+		net := &difftest.Unreliable{Plan: ckptPlan}
 		cfg.Network = net
 		o := f.exec(in, cfg)
 		o.faults = net.Recorded()
@@ -481,8 +481,8 @@ func (r *recording) diverges(base *recording, k int) error {
 }
 
 // TestCheckpointConformance kills each family's run at every probe × {no
-// network, all faults with a Recorder, and for Core all faults in
-// Unreliable mode}, once under each scheduler: a snapshot holds no
+// network, all faults with a Recorder, and for Core all faults on
+// difftest.Unreliable}, once under each scheduler: a snapshot holds no
 // scheduler state, so the two kills must write the same bytes. It resumes
 // that one snapshot under each scheduler. A probe past its run's end does
 // not fire; three per instance must.
@@ -517,6 +517,54 @@ func TestCheckpointConformance(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestCheckpointNetworkMismatch: a snapshot resumes only into the kind of
+// network that wrote it. Core's unreliable run, killed while a delayed
+// message is still queued, must not resume over the reliability shim, and
+// the faulty run killed at that barrier must not resume into
+// difftest.Unreliable: each restore fails with the network's error.
+func TestCheckpointNetworkMismatch(t *testing.T) {
+	f := familyRows()[0]
+	in := f.ckpt[0]
+	for _, pr := range f.probes {
+		u, err := f.kill(in, ckptCell{netUnreliable, pr}, congest.SchedulerActive)
+		if err != nil || u == nil {
+			t.Fatalf("probe %+v: killed %v, err %v", pr, u != nil, err)
+		}
+		snap := &congest.Snapshot{}
+		if err := snap.UnmarshalBinary(u.snap); err != nil {
+			t.Fatal(err)
+		}
+		queued := &difftest.Unreliable{}
+		queued.Reset(in.G.N())
+		if err := congest.Unmarshal(snap.Net, queued); err != nil {
+			t.Fatal(err)
+		}
+		if queued.NextDue(pr.round+1) == 0 {
+			continue // nothing delayed past the kill round
+		}
+		r, err := f.kill(in, ckptCell{netFaulty, pr}, congest.SchedulerActive)
+		if err != nil || r == nil {
+			t.Fatalf("probe %+v: faulty kill %v, err %v", pr, r != nil, err)
+		}
+		for _, x := range []struct {
+			k    *killed
+			into ckptNet
+			want string
+		}{{u, netFaulty, "faults: snapshot is for n="}, {r, netUnreliable, "difftest: snapshot is the reliability shim's"}} {
+			snap := &congest.Snapshot{}
+			if err := snap.UnmarshalBinary(x.k.snap); err != nil {
+				t.Fatal(err)
+			}
+			o := f.cell(in, ckptCell{net: x.into}, congest.SchedulerActive, &congest.CheckpointPolicy{Resume: snap})
+			if o.err == nil || !strings.Contains(o.err.Error(), x.want) {
+				t.Errorf("probe %+v resumed into net=%d: err %v, want one containing %q", pr, x.into, o.err, x.want)
+			}
+		}
+		return
+	}
+	t.Fatal("no probe killed Core's unreliable run with a delayed message queued")
 }
 
 // killed is a run killed at a cell's probe: what it observed, and its

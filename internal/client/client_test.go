@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/difftest"
 	"repro/internal/httpfault"
 )
 
@@ -42,7 +43,7 @@ func itoa(n uint64) string {
 	return string(b[i:])
 }
 
-func fastOpts(ft *httpfault.Transport) Options {
+func fastOpts(ft http.RoundTripper) Options {
 	return Options{
 		Transport:      ft,
 		AttemptTimeout: 2 * time.Second,
@@ -55,9 +56,9 @@ func fastOpts(ft *httpfault.Transport) Options {
 
 func TestRetryOn500ThenSuccess(t *testing.T) {
 	srv, hits := newEchoServer(t)
-	ft := &httpfault.Transport{Script: []httpfault.Event{
-		{Req: 0, Kind: httpfault.Err500Event},
-		{Req: 1, Kind: httpfault.Err500Event},
+	ft := &difftest.HTTPScript{Events: []difftest.HTTPEvent{
+		{Req: 0, Kind: difftest.HTTPErr500},
+		{Req: 1, Kind: difftest.HTTPErr500},
 	}}
 	c := New(fastOpts(ft))
 	var out struct {
@@ -81,8 +82,8 @@ func TestRetryOn500ThenSuccess(t *testing.T) {
 
 func TestTruncatedBodyRetried(t *testing.T) {
 	srv, _ := newEchoServer(t)
-	ft := &httpfault.Transport{Script: []httpfault.Event{
-		{Req: 0, Kind: httpfault.TruncateEvent},
+	ft := &difftest.HTTPScript{Events: []difftest.HTTPEvent{
+		{Req: 0, Kind: difftest.HTTPTruncate},
 	}}
 	c := New(fastOpts(ft))
 	var out struct {
@@ -102,8 +103,8 @@ func TestTruncatedBodyRetried(t *testing.T) {
 
 func TestResetRetried(t *testing.T) {
 	srv, _ := newEchoServer(t)
-	ft := &httpfault.Transport{Script: []httpfault.Event{
-		{Req: 0, Kind: httpfault.ResetEvent, Arg: 1}, // reset after: answer lost
+	ft := &difftest.HTTPScript{Events: []difftest.HTTPEvent{
+		{Req: 0, Kind: difftest.HTTPReset, Arg: 1}, // reset after: answer lost
 	}}
 	c := New(fastOpts(ft))
 	if _, err := c.Do(context.Background(), http.MethodGet, srv.URL+"/dist", "", nil); err != nil {
@@ -118,8 +119,8 @@ func TestRetryAfterHonored(t *testing.T) {
 	srv, _ := newEchoServer(t)
 	// The injected 503 carries Retry-After: 1 (second); the cap shrinks the
 	// honored wait into test scale while keeping it well above the backoff.
-	ft := &httpfault.Transport{Script: []httpfault.Event{
-		{Req: 0, Kind: httpfault.Err503Event},
+	ft := &difftest.HTTPScript{Events: []difftest.HTTPEvent{
+		{Req: 0, Kind: difftest.HTTPErr503},
 	}}
 	opts := fastOpts(ft)
 	opts.CapRetryAfter = 60 * time.Millisecond
@@ -141,7 +142,7 @@ func TestAttemptsExhausted(t *testing.T) {
 		http.Error(w, "down", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	opts := fastOpts(&httpfault.Transport{Script: []httpfault.Event{}})
+	opts := fastOpts(&httpfault.Transport{})
 	opts.MaxAttempts = 3
 	opts.BreakerTrip = -1
 	c := New(opts)
@@ -160,7 +161,7 @@ func TestNonRetryableStatusIsFinal(t *testing.T) {
 		http.Error(w, "no such pair", http.StatusNotFound)
 	}))
 	defer srv.Close()
-	c := New(fastOpts(&httpfault.Transport{Script: []httpfault.Event{}}))
+	c := New(fastOpts(&httpfault.Transport{}))
 	resp, err := c.Do(context.Background(), http.MethodGet, srv.URL+"/dist", "", nil)
 	if err != nil {
 		t.Fatalf("Do: %v", err)
@@ -184,7 +185,7 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 		w.Write([]byte(`{}`)) //nolint:errcheck
 	}))
 	defer srv.Close()
-	opts := fastOpts(&httpfault.Transport{Script: []httpfault.Event{}})
+	opts := fastOpts(&httpfault.Transport{})
 	opts.MaxAttempts = 2
 	opts.BreakerTrip = 3
 	c := New(opts)
@@ -226,8 +227,8 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 
 func TestHedgeWinsOverDelayedPrimary(t *testing.T) {
 	srv, _ := newEchoServer(t)
-	ft := &httpfault.Transport{Script: []httpfault.Event{
-		{Req: 0, Kind: httpfault.DelayEvent, Arg: int64(500 * time.Millisecond)},
+	ft := &difftest.HTTPScript{Events: []difftest.HTTPEvent{
+		{Req: 0, Kind: difftest.HTTPDelay, Arg: int64(500 * time.Millisecond)},
 	}}
 	opts := fastOpts(ft)
 	opts.Hedge = true
@@ -252,8 +253,8 @@ func TestHedgeWinsOverDelayedPrimary(t *testing.T) {
 
 func TestBlackholeBoundedByAttemptTimeout(t *testing.T) {
 	srv, _ := newEchoServer(t)
-	ft := &httpfault.Transport{Script: []httpfault.Event{
-		{Req: 0, Kind: httpfault.BlackholeEvent},
+	ft := &difftest.HTTPScript{Events: []difftest.HTTPEvent{
+		{Req: 0, Kind: difftest.HTTPBlackhole},
 	}}
 	opts := fastOpts(ft)
 	opts.AttemptTimeout = 30 * time.Millisecond

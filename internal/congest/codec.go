@@ -192,9 +192,6 @@ func (c *Codec) walkBool(x *bool) {
 	*x = b[0] == 1
 }
 
-// Uint64 walks an unsigned varint.
-func (c *Codec) Uint64(x *uint64) { c.walkUint64(x); forget(c, x) }
-
 // Int64 walks a signed (zigzag) varint.
 func (c *Codec) Int64(x *int64) { c.walkInt64(x); forget(c, x) }
 

@@ -18,8 +18,9 @@ package congest
 // A Network makes the invariant explicit: the order of Collect's batch
 // must be reconstructed from per-link sequence numbers ((To, From)
 // ascending, each link's messages in send order), never from physical
-// arrival order. internal/faults' test-only ArrivalOrder knob restores the
-// old implicit behavior precisely so tests can demonstrate it is wrong.
+// arrival order. The root package's TestDeliveryOrderInvariant hands one
+// inbox over in acceptance order to show that a late arrival then flips
+// a tie-broken parent pointer.
 //
 // A Network is driven by one engine run at a time; like an Observer, it
 // must not be shared by concurrent runs.

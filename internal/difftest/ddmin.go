@@ -10,7 +10,7 @@ package difftest
 //
 // The engine-level shrinker (Shrink) keeps its richer multi-dimension
 // reduction; DDMin is the reusable core for one-dimensional event lists,
-// e.g. internal/httpfault scripts.
+// e.g. HTTPScript's events.
 func DDMin[T any](items []T, fails func([]T) bool) []T {
 	cur := append([]T(nil), items...)
 	if !fails(cur) {

@@ -13,7 +13,7 @@ import (
 
 // FaultInput is a (graph, sources, fault-script) triple — the unit the
 // shrinker minimizes. The fault script is explicit (faults.Event), so a
-// probabilistic chaos run is first frozen via faults.Network.Recorded and
+// probabilistic chaos run is first frozen via Unreliable.Recorded and
 // then handed here.
 type FaultInput struct {
 	G       *graph.Graph

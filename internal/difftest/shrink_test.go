@@ -122,19 +122,15 @@ func TestShrinkRejectsNonFailure(t *testing.T) {
 }
 
 // bellmanDiverges is the standard regression-fixture predicate: replaying
-// the recorded fault script over raw (unreliable) delivery makes
+// the recorded fault script over raw (Unreliable) delivery makes
 // Bellman-Ford's <=H-hop distances differ from the fault-free run. Only
-// distances are compared — min-merges are arrival-order independent, so
-// the predicate does not depend on the reorder shuffle that produced the
-// original chaos run.
+// distances are compared: min-merges are inbox-order independent.
 func bellmanDiverges(in FaultInput) bool {
 	clean, err := bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H})
 	if err != nil {
 		return false
 	}
-	nw := faults.New(faults.Plan{})
-	nw.Unreliable = true
-	nw.Script = in.Events
+	nw := &Unreliable{Script: in.Events}
 	dirty, err := bellman.Run(in.G, bellman.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Network: nw}})
 	if err != nil {
 		return true // faults broke the run outright: also a divergence
@@ -188,8 +184,7 @@ func seedDivergence(t *testing.T) (FaultInput, int64) {
 	for seed := int64(1); seed <= 64; seed++ {
 		g := graph.Random(10, 28, graph.GenOpts{Seed: seed, MaxW: 6, Directed: true})
 		in := FaultInput{G: g, Sources: []int{0}, H: 4}
-		nw := faults.New(faults.Plan{Seed: seed, MaxDelay: 2, Drop: 0.3, Dup: 0.1, Reorder: true})
-		nw.Unreliable = true
+		nw := &Unreliable{Plan: faults.Plan{Seed: seed, MaxDelay: 2, Drop: 0.3, Dup: 0.1, Reorder: true}}
 		if _, err := bellman.Run(g, bellman.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Network: nw}}); err != nil {
 			continue
 		}

@@ -13,11 +13,11 @@ type Kind int
 const (
 	// DropEvent destroys the transmission.
 	DropEvent Kind = iota
-	// DelayEvent defers it by Arg sub-rounds (logical rounds in
-	// unreliable mode).
+	// DelayEvent defers it by Arg sub-rounds (logical rounds under
+	// internal/difftest's raw-delivery injector).
 	DelayEvent
 	// DupEvent injects one extra copy, deferred by Arg sub-rounds
-	// (logical rounds in unreliable mode).
+	// (logical rounds under that injector).
 	DupEvent
 	// CrashEvent crash-stops node From at the start of round Round (To is
 	// unused and must be 0): the engine aborts the run at the barrier with
@@ -55,8 +55,9 @@ func ParseKind(s string) (Kind, error) {
 // triple identifies the message). A Network whose Script holds a drop,
 // delay or duplicate injects exactly the scripted events and nothing else:
 // the replayable, shrinkable form of a fault plan (difftest.Shrink minimizes
-// event lists; the probabilistic Network records one Event per fault it
-// injects so any chaos run can be turned into a script).
+// event lists; internal/difftest's raw-delivery injector records one Event
+// per fault its plan injects, so any chaos run can be turned into a
+// script).
 type Event struct {
 	Round    int
 	From, To int
@@ -92,34 +93,22 @@ func ParseEvent(s string) (Event, error) {
 	return e, nil
 }
 
-// scriptFate aggregates the scripted events matching one message.
-type scriptFate struct {
-	drop     bool
-	delay    int
-	dup      bool
-	dupDelay int
-}
-
-// fateOf collects the scripted fate of the message sent on From→To in
-// round r. Multiple events for one message compose (e.g. Delay + Dup).
-func scriptFateOf(script []Event, r, from, to int) scriptFate {
-	var f scriptFate
+// scriptFateOf collects the scripted fate of the message sent on From→To
+// in round r. Multiple events for one message compose (e.g. Delay + Dup).
+func scriptFateOf(script []Event, r, from, to int) Fate {
+	var f Fate
 	for _, e := range script {
 		if e.Round != r || e.From != from || e.To != to {
 			continue
 		}
 		switch e.Kind {
 		case DropEvent:
-			f.drop = true
+			f.Drop = true
 		case DelayEvent:
-			if e.Arg > f.delay {
-				f.delay = e.Arg
-			}
+			f.Delay = max(f.Delay, e.Arg)
 		case DupEvent:
-			f.dup = true
-			if e.Arg > f.dupDelay {
-				f.dupDelay = e.Arg
-			}
+			f.Dup = true
+			f.DupDelay = max(f.DupDelay, e.Arg)
 		}
 	}
 	return f

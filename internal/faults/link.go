@@ -31,7 +31,7 @@ type link struct {
 	delivered int64                     // in-order delivery frontier
 	hold      map[int64]congest.Message // out-of-order holdback buffer
 	got       []congest.Message         // this round's deliveries, sequence order
-	ackPend   bool                      // data arrived this sub-round; owe an ACK
+	ackPend   bool                      // data landed this sub-round; owe an ACK
 }
 
 // accept processes one received data packet; it reports whether the
@@ -93,15 +93,15 @@ type PhysStats struct {
 	// AckSends counts cumulative-ACK transmissions.
 	AckSends int64 `json:"ackSends"`
 	// Delivered counts messages handed to logical inboxes; Dropped counts
-	// messages destroyed for good (unreliable mode only — under the shim
-	// it stays 0 by construction).
+	// messages destroyed for good, which the shim's retransmits rule
+	// out: it stays 0.
 	Delivered int64 `json:"delivered"`
 	Dropped   int64 `json:"dropped"`
 	// SubRounds counts simulated physical sub-rounds; the per-logical-
 	// round ratio is the synchronizer's latency overhead.
 	SubRounds int64 `json:"subRounds"`
 	// DelayHist[d] counts transmission attempts assigned d extra
-	// sub-rounds of latency (logical rounds in unreliable mode).
+	// sub-rounds of latency.
 	DelayHist []int64 `json:"delayHist,omitempty"`
 }
 

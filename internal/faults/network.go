@@ -8,12 +8,6 @@ import (
 	"repro/internal/congest"
 )
 
-// queued is one message awaiting logical delivery.
-type queued struct {
-	m   congest.Message
-	key uint64 // deterministic shuffle key (unreliable-mode reordering)
-}
-
 // flight is one physical transmission in the air during a round barrier.
 type flight struct {
 	ack      bool
@@ -24,10 +18,11 @@ type flight struct {
 }
 
 // Network implements congest.Network: a simulated physical network whose
-// per-transmission faults are drawn from Plan, under the reliability shim
-// that restores exact synchronous semantics (see the package comment).
-// Configure the exported fields before the first engine run; the zero
-// Plan is a perfect network.
+// per-transmission faults are drawn from Plan (or taken from Script),
+// under the reliability shim that restores exact synchronous semantics
+// (see the package comment): each round's batch is delivered whole, in
+// canonical order, in the next round. Configure the exported fields
+// before the first engine run; the zero Plan is a perfect network.
 //
 // Like a congest.Observer, a Network serves one engine run at a time (a
 // multi-phase algorithm's sequential runs are fine — physical statistics
@@ -35,17 +30,6 @@ type flight struct {
 type Network struct {
 	// Plan is the fault model.
 	Plan Plan
-	// Unreliable disables the reliability shim (test-only): faults hit
-	// logical delivery directly — drops lose messages for good, delays
-	// defer them by whole logical rounds, duplicates deliver twice. This
-	// is the divergence injector behind internal/difftest.Shrink; no
-	// synchronous protocol is expected to survive it.
-	Unreliable bool
-	// ArrivalOrder makes inboxes reflect physical acceptance order
-	// instead of the canonical (sender, sequence) order (test-only): the
-	// engine's former implicit "delivery order equals send order"
-	// assumption, kept so tests can demonstrate it is wrong.
-	ArrivalOrder bool
 	// Script, when it holds a drop, delay or duplicate event, replaces the
 	// probabilistic plan: exactly the listed events fire, each against the
 	// first transmission attempt of its (Round, From, To) message. Crash
@@ -55,13 +39,13 @@ type Network struct {
 	// traffic.
 	Sink Sink
 
-	n       int
-	links   map[uint64]*link
-	ready   map[int][]queued // due logical round -> batch
-	pending int
+	n     int
+	links map[uint64]*link
+	// staged is the batch the last barrier reassembled, due in round due.
+	due    int
+	staged []congest.Message
 
-	phys     PhysStats
-	recorded []Event
+	phys PhysStats
 
 	// fired marks script crash events (by index) that have already
 	// crashed the engine. It survives Reset and checkpoint restore alike:
@@ -72,8 +56,6 @@ type Network struct {
 	// Barrier scratch, reused across rounds.
 	active    []*link
 	flights   map[int64][]flight
-	arrive    [][]congest.Message // per-destination acceptance-order log
-	touched   []int               // destinations with acceptances this round
 	flightCtr int64
 }
 
@@ -180,15 +162,12 @@ func (nw *Network) PlanString() string {
 }
 
 // Reset implements congest.Network: per-run delivery state is discarded,
-// cumulative physical statistics and the recorded event log survive.
+// cumulative physical statistics survive.
 func (nw *Network) Reset(n int) {
 	nw.n = n
 	nw.links = make(map[uint64]*link)
-	nw.ready = make(map[int][]queued)
-	nw.pending = 0
+	nw.due, nw.staged = 0, nil
 	nw.flights = make(map[int64][]flight)
-	nw.arrive = make([][]congest.Message, n)
-	nw.touched = nw.touched[:0]
 	nw.active = nw.active[:0]
 	nw.flightCtr = 0
 }
@@ -209,12 +188,7 @@ func (nw *Network) Send(r int, batch []congest.Message) error {
 		return nil
 	}
 	var delta PhysStats
-	var err error
-	if nw.Unreliable {
-		nw.sendRaw(r, batch, &delta)
-	} else {
-		err = nw.barrier(r, batch, &delta)
-	}
+	err := nw.barrier(r, batch, &delta)
 	nw.phys.Add(delta)
 	if nw.Sink != nil {
 		nw.Sink.PhysRound(r, delta)
@@ -224,48 +198,24 @@ func (nw *Network) Send(r int, batch []congest.Message) error {
 
 // Collect implements congest.Network.
 func (nw *Network) Collect(r int) []congest.Message {
-	q := nw.ready[r]
-	if len(q) == 0 {
+	if r != nw.due {
 		return nil
 	}
-	delete(nw.ready, r)
-	nw.pending -= len(q)
-	if nw.Unreliable {
-		// Wire order within the round is adversarial when Reorder is set;
-		// group by destination (stable) and restore per-sender order
-		// unless ArrivalOrder deliberately exposes the wire order.
-		if nw.Plan.Reorder && len(q) > 1 {
-			sort.SliceStable(q, func(i, j int) bool { return q[i].key < q[j].key })
-		}
-		if nw.ArrivalOrder {
-			sort.SliceStable(q, func(i, j int) bool { return q[i].m.To < q[j].m.To })
-		} else {
-			sort.SliceStable(q, func(i, j int) bool {
-				a, b := q[i].m, q[j].m
-				return a.To < b.To || (a.To == b.To && a.From < b.From)
-			})
-		}
-	}
-	out := make([]congest.Message, len(q))
-	for i, x := range q {
-		out[i] = x.m
-	}
+	out := nw.staged
+	nw.due, nw.staged = 0, nil
 	return out
 }
 
 // NextDue implements congest.Network.
 func (nw *Network) NextDue(after int) int {
-	due := 0
-	for r := range nw.ready {
-		if r >= after && (due == 0 || r < due) {
-			due = r
-		}
+	if len(nw.staged) == 0 || nw.due < after {
+		return 0
 	}
-	return due
+	return nw.due
 }
 
 // Pending implements congest.Network.
-func (nw *Network) Pending() int { return nw.pending }
+func (nw *Network) Pending() int { return len(nw.staged) }
 
 // Phys returns the cumulative physical-delivery statistics across every
 // engine run since the Network was created.
@@ -275,43 +225,48 @@ func (nw *Network) Phys() PhysStats {
 	return s
 }
 
-// Recorded returns the faults the probabilistic plan injected in
-// unreliable mode, in injection order — a script that replays the run
-// exactly (rounds are per engine run, so replay a single-run protocol).
-func (nw *Network) Recorded() []Event {
-	return append([]Event(nil), nw.recorded...)
+// Fate is the fault assignment of one data transmission attempt: whether
+// the adversary destroys it, its extra latency, and whether it injects
+// one extra copy with a latency of its own. The zero Fate is a clean
+// transmission.
+type Fate struct {
+	Drop     bool
+	Delay    int
+	Dup      bool
+	DupDelay int
 }
 
-func (nw *Network) record(e Event) { nw.recorded = append(nw.recorded, e) }
-
-// scripted reports whether Script replaces the plan.
-func (nw *Network) scripted() bool {
-	return slices.ContainsFunc(nw.Script, func(e Event) bool { return e.Kind != CrashEvent })
-}
-
-// dataFate judges one data transmission attempt.
-func (nw *Network) dataFate(r, from, to int, seq int64, attempt int) (drop bool, delay int, dup bool, dupDelay int) {
-	if nw.scripted() {
+// DataFate judges one attempt at the data transmission of sequence
+// number seq on from→to in round r: by script when it holds a drop, delay
+// or duplicate event (an event hits attempt 0 only), else by p's PRF.
+// The reliability shim and internal/difftest's raw-delivery injector both
+// draw their fates here.
+func DataFate(p Plan, script []Event, r, from, to int, seq int64, attempt int) Fate {
+	if scripted(script) {
 		if attempt == 0 {
-			f := scriptFateOf(nw.Script, r, from, to)
-			return f.drop, f.delay, f.dup, f.dupDelay
+			return scriptFateOf(script, r, from, to)
 		}
-		return false, 0, false, 0
+		return Fate{}
 	}
-	p := nw.Plan
-	drop = p.Drop > 0 && u01(p.prf(kindDataDrop, r, from, to, seq, attempt)) < p.Drop
+	var f Fate
+	f.Drop = p.Drop > 0 && u01(p.prf(kindDataDrop, r, from, to, seq, attempt)) < p.Drop
 	if p.MaxDelay > 0 {
-		delay = int(p.prf(kindDataDelay, r, from, to, seq, attempt) % uint64(p.MaxDelay+1))
+		f.Delay = int(p.prf(kindDataDelay, r, from, to, seq, attempt) % uint64(p.MaxDelay+1))
 	}
-	dup = p.Dup > 0 && u01(p.prf(kindDataDup, r, from, to, seq, attempt)) < p.Dup
-	if dup && p.MaxDelay > 0 {
-		dupDelay = int(p.prf(kindDupDelay, r, from, to, seq, attempt) % uint64(p.MaxDelay+1))
+	f.Dup = p.Dup > 0 && u01(p.prf(kindDataDup, r, from, to, seq, attempt)) < p.Dup
+	if f.Dup && p.MaxDelay > 0 {
+		f.DupDelay = int(p.prf(kindDupDelay, r, from, to, seq, attempt) % uint64(p.MaxDelay+1))
 	}
-	return
+	return f
+}
+
+// scripted reports whether script replaces the plan.
+func scripted(script []Event) bool {
+	return slices.ContainsFunc(script, func(e Event) bool { return e.Kind != CrashEvent })
 }
 
 func (nw *Network) ackFate(r int, l *link, attempt int) (drop bool, delay int) {
-	if nw.scripted() {
+	if scripted(nw.Script) {
 		return false, 0
 	}
 	p := nw.Plan
@@ -320,47 +275,6 @@ func (nw *Network) ackFate(r int, l *link, attempt int) (drop bool, delay int) {
 		delay = int(p.prf(kindAckDelay, r, l.from, l.to, l.delivered, attempt) % uint64(p.MaxDelay+1))
 	}
 	return
-}
-
-// enqueue schedules a message for logical delivery in round due.
-func (nw *Network) enqueue(due int, m congest.Message) {
-	nw.flightCtr++
-	key := nw.Plan.prf(kindShuffle, due, m.From, m.To, nw.flightCtr, 0)
-	nw.ready[due] = append(nw.ready[due], queued{m: m, key: key})
-	nw.pending++
-}
-
-// sendRaw is unreliable mode: the fault fate of each message applies to
-// its logical delivery directly, and every plan-injected fault is
-// recorded as a replayable Event.
-func (nw *Network) sendRaw(r int, batch []congest.Message, delta *PhysStats) {
-	record := !nw.scripted()
-	for _, m := range batch {
-		drop, delay, dup, dupDelay := nw.dataFate(r, m.From, m.To, 0, 0)
-		delta.DataSends++
-		if drop {
-			delta.DataDrops++
-			delta.Dropped++
-			if record {
-				nw.record(Event{Round: r, From: m.From, To: m.To, Kind: DropEvent})
-			}
-		} else {
-			delta.delayed(delay)
-			delta.Delivered++
-			nw.enqueue(r+1+delay, m)
-			if delay > 0 && record {
-				nw.record(Event{Round: r, From: m.From, To: m.To, Kind: DelayEvent, Arg: delay})
-			}
-		}
-		if dup {
-			delta.DupCopies++
-			delta.Delivered++
-			nw.enqueue(r+1+dupDelay, m)
-			if record {
-				nw.record(Event{Round: r, From: m.From, To: m.To, Kind: DupEvent, Arg: dupDelay})
-			}
-		}
-	}
 }
 
 // launch puts one physical transmission in the air, arriving at sub-round
@@ -418,16 +332,16 @@ func (nw *Network) barrier(r int, batch []congest.Message, delta *PhysStats) err
 				} else {
 					delta.Retransmits++
 				}
-				drop, delay, dup, dupDelay := nw.dataFate(r, l.from, l.to, p.seq, attempt)
-				if drop {
+				f := DataFate(nw.Plan, nw.Script, r, l.from, l.to, p.seq, attempt)
+				if f.Drop {
 					delta.DataDrops++
 				} else {
-					delta.delayed(delay)
-					nw.launch(t+1+int64(delay), flight{from: l.from, to: l.to, seq: p.seq, msg: p.msg})
+					delta.delayed(f.Delay)
+					nw.launch(t+1+int64(f.Delay), flight{from: l.from, to: l.to, seq: p.seq, msg: p.msg})
 				}
-				if dup {
+				if f.Dup {
 					delta.DupCopies++
-					nw.launch(t+1+int64(dupDelay), flight{from: l.from, to: l.to, seq: p.seq, msg: p.msg})
+					nw.launch(t+1+int64(f.DupDelay), flight{from: l.from, to: l.to, seq: p.seq, msg: p.msg})
 				}
 			}
 			l.resendAt = t + rto
@@ -449,12 +363,7 @@ func (nw *Network) barrier(r int, batch []congest.Message, delta *PhysStats) err
 				}
 				continue
 			}
-			if l.accept(f.seq, f.msg) {
-				if len(nw.arrive[f.to]) == 0 {
-					nw.touched = append(nw.touched, f.to)
-				}
-				nw.arrive[f.to] = append(nw.arrive[f.to], f.msg)
-			} else {
+			if !l.accept(f.seq, f.msg) {
 				delta.DupDeliveries++
 			}
 			if !l.ackPend {
@@ -482,45 +391,27 @@ func (nw *Network) barrier(r int, batch []congest.Message, delta *PhysStats) err
 		delete(nw.flights, k)
 	}
 
-	// Reassemble round r+1's batch. Canonical order is reconstructed from
-	// (destination, sender, sequence) — the delivery-order invariant —
-	// unless ArrivalOrder deliberately exposes physical acceptance order.
-	total := 0
-	if nw.ArrivalOrder {
-		sort.Ints(nw.touched)
-		for _, v := range nw.touched {
-			for _, m := range nw.arrive[v] {
-				nw.enqueue(r+1, m)
-			}
-			total += len(nw.arrive[v])
-			nw.arrive[v] = nil
-		}
-	} else {
-		ls := make([]*link, len(active))
-		copy(ls, active)
-		sort.Slice(ls, func(i, j int) bool {
-			a, b := ls[i], ls[j]
-			return a.to < b.to || (a.to == b.to && a.from < b.from)
-		})
-		for _, l := range ls {
-			for _, m := range l.got {
-				nw.enqueue(r+1, m)
-			}
-			total += len(l.got)
-		}
-		for _, v := range nw.touched {
-			nw.arrive[v] = nil
-		}
-	}
-	nw.touched = nw.touched[:0]
-	for _, l := range active {
+	// Reassemble round r+1's batch in canonical order, reconstructed from
+	// (destination, sender, sequence): the delivery-order invariant.
+	ls := slices.Clone(active)
+	sort.Slice(ls, func(i, j int) bool {
+		a, b := ls[i], ls[j]
+		return a.to < b.to || (a.to == b.to && a.from < b.from)
+	})
+	staged := make([]congest.Message, 0, len(batch))
+	for _, l := range ls {
+		staged = append(staged, l.got...)
 		l.got = l.got[:0]
 	}
 	nw.active = active[:0]
-	delta.Delivered += int64(total)
-	if total != len(batch) {
-		return fmt.Errorf("faults: round %d delivered %d of %d messages despite the shim", r, total, len(batch))
+	// Each delivered message advances the flight cursor, which keys later
+	// rounds' Reorder shuffles.
+	nw.flightCtr += int64(len(staged))
+	delta.Delivered += int64(len(staged))
+	if len(staged) != len(batch) {
+		return fmt.Errorf("faults: round %d delivered %d of %d messages despite the shim", r, len(staged), len(batch))
 	}
+	nw.due, nw.staged = r+1, staged
 	return nil
 }
 

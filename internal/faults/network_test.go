@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/congest"
@@ -136,92 +137,8 @@ func TestBarrierUnsatisfiable(t *testing.T) {
 	}
 }
 
-func TestUnreliableScriptedFaults(t *testing.T) {
-	nw := New(Plan{})
-	nw.Unreliable = true
-	nw.Script = []Event{
-		{Round: 0, From: 0, To: 1, Kind: DropEvent},
-		{Round: 0, From: 1, To: 2, Kind: DelayEvent, Arg: 2},
-		{Round: 0, From: 2, To: 0, Kind: DupEvent},
-	}
-	nw.Reset(3)
-	batch := []congest.Message{
-		{From: 0, To: 1, Payload: word(1)},
-		{From: 1, To: 2, Payload: word(2)},
-		{From: 2, To: 0, Payload: word(3)},
-	}
-	if err := nw.Send(0, batch); err != nil {
-		t.Fatal(err)
-	}
-	// Round 1: the dropped message is gone, the delayed one absent, the
-	// duplicated one arrives twice.
-	got := nw.Collect(1)
-	want := []congest.Message{
-		{From: 2, To: 0, Payload: word(3)},
-		{From: 2, To: 0, Payload: word(3)},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("round 1 inbox = %v, want %v", got, want)
-	}
-	// Round 3: the delayed message lands.
-	if due := nw.NextDue(2); due != 3 {
-		t.Errorf("NextDue(2) = %d, want 3", due)
-	}
-	got = nw.Collect(3)
-	want = []congest.Message{{From: 1, To: 2, Payload: word(2)}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("round 3 inbox = %v, want %v", got, want)
-	}
-	if nw.Pending() != 0 {
-		t.Errorf("Pending = %d, want 0", nw.Pending())
-	}
-	phys := nw.Phys()
-	if phys.Dropped != 1 || phys.DupCopies != 1 || phys.Delivered != 3 {
-		t.Errorf("phys = %+v, want 1 dropped, 1 dup copy, 3 delivered", phys)
-	}
-}
-
-// TestUnreliableRecordedReplay: a probabilistic chaos run records its
-// faults as Events, and replaying them as a Script reproduces the exact
-// delivery schedule — the property difftest.Shrink is built on.
-func TestUnreliableRecordedReplay(t *testing.T) {
-	const n, rounds = 6, 8
-	run := func(nw *Network) map[int][]congest.Message {
-		nw.Unreliable = true
-		nw.Reset(n)
-		out := map[int][]congest.Message{}
-		for r := 0; r < rounds; r++ {
-			if err := nw.Send(r, testBatch(r, n)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for r := 1; r <= rounds+MaxMaxDelay; r++ {
-			if msgs := nw.Collect(r); len(msgs) > 0 {
-				out[r] = msgs
-			}
-		}
-		if nw.Pending() != 0 {
-			t.Fatalf("Pending = %d after draining", nw.Pending())
-		}
-		return out
-	}
-	chaos := New(All(23))
-	first := run(chaos)
-	recorded := chaos.Recorded()
-	if len(recorded) == 0 {
-		t.Fatal("chaos run recorded no events")
-	}
-
-	replay := New(Plan{Reorder: true, Seed: 23}) // keep the shuffle keys
-	replay.Script = recorded
-	second := run(replay)
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("script replay diverged from recorded chaos run:\n%v\nvs\n%v", first, second)
-	}
-}
-
-// TestResetRetainsPhys: per-run state clears, cumulative stats and the
-// event log survive (multi-phase algorithms run many engines).
+// TestResetRetainsPhys: per-run state clears, cumulative stats survive
+// (multi-phase algorithms run many engines).
 func TestResetRetainsPhys(t *testing.T) {
 	nw := New(Plan{Seed: 3, Drop: 0.3})
 	nw.Reset(4)
@@ -298,5 +215,57 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	s2, t2 := run()
 	if !reflect.DeepEqual(s1, s2) || t1 != t2 {
 		t.Errorf("two identical runs diverged:\n%+v\n%+v", s1, s2)
+	}
+}
+
+// TestDisarmCrashes: the disarm bookkeeping a checkpoint header carries
+// restores into a fresh Network. A crash that fired there neither fires
+// again nor bounds the fast-forward; the next armed one still does.
+func TestDisarmCrashes(t *testing.T) {
+	script := []Event{{Round: 4, From: 1, Kind: CrashEvent, Arg: 2}, {Round: 9, From: 0, Kind: CrashEvent}}
+	nw := &Network{Script: script}
+	if v, restart, ok := nw.CrashDue(4); !ok || v != 1 || restart != 6 {
+		t.Fatalf("CrashDue(4) = %d, %d, %v; want node 1 back at round 6", v, restart, ok)
+	}
+	fresh := &Network{Script: script}
+	fresh.DisarmCrashes(nw.DisarmedCrashes())
+	if _, _, ok := fresh.CrashDue(4); ok {
+		t.Error("a disarmed crash fired again after the restore")
+	}
+	if due := fresh.NextCrash(0); due != 9 {
+		t.Errorf("NextCrash(0) = %d after the restore, want 9", due)
+	}
+	if got := fresh.DisarmedCrashes(); !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("DisarmedCrashes = %v, want [0]", got)
+	}
+}
+
+// TestStateRefusesUnsafeSnapshots: a snapshot is taken only at a round
+// barrier, and decodes only into a network its links fit.
+func TestStateRefusesUnsafeSnapshots(t *testing.T) {
+	stuck := New(Plan{Seed: 9, Drop: 0.9999999999})
+	stuck.Reset(3)
+	if err := stuck.Send(0, []congest.Message{{From: 0, To: 1, Payload: word(1)}}); err == nil {
+		t.Fatal("Send succeeded under a ~certain-drop plan")
+	}
+	if _, err := congest.Marshal(stuck); err == nil || !strings.Contains(err.Error(), "mid-barrier") {
+		t.Errorf("snapshot of an unacknowledged window: err = %v, want a mid-barrier refusal", err)
+	}
+
+	nw := New(Plan{})
+	nw.Reset(5)
+	if err := nw.Send(0, testBatch(0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	nw.Collect(1)
+	nw.n = 3 // a snapshot whose links name nodes past its node count
+	blob, err := congest.Marshal(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := New(Plan{})
+	small.Reset(3)
+	if err := congest.Unmarshal(blob, small); err == nil || !strings.Contains(err.Error(), "outside n=3") {
+		t.Errorf("decoding links past n: err = %v, want an outside-n refusal", err)
 	}
 }

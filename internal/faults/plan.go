@@ -43,7 +43,8 @@ type Plan struct {
 	Seed int64
 	// MaxDelay bounds the extra latency of a transmission attempt: each
 	// copy is assigned a delay drawn uniformly from 0..MaxDelay physical
-	// sub-rounds (logical rounds in unreliable mode).
+	// sub-rounds (logical rounds under internal/difftest's raw-delivery
+	// injector).
 	MaxDelay int
 	// Drop is the per-attempt probability that a transmission vanishes.
 	// Must be < 1 or the reliability barrier cannot complete.

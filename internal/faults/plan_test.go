@@ -142,14 +142,14 @@ func TestScriptFateComposes(t *testing.T) {
 		{Round: 3, From: 0, To: 1, Kind: DropEvent},
 	}
 	f := scriptFateOf(script, 2, 0, 1)
-	if f.drop || f.delay != 2 || !f.dup {
+	if f.Drop || f.Delay != 2 || !f.Dup {
 		t.Errorf("round 2 fate = %+v, want delay=2 dup", f)
 	}
 	f = scriptFateOf(script, 3, 0, 1)
-	if !f.drop {
+	if !f.Drop {
 		t.Errorf("round 3 fate = %+v, want drop", f)
 	}
-	if f = scriptFateOf(script, 4, 0, 1); f != (scriptFate{}) {
+	if f = scriptFateOf(script, 4, 0, 1); f != (Fate{}) {
 		t.Errorf("round 4 fate = %+v, want none", f)
 	}
 }

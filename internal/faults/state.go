@@ -5,8 +5,8 @@
 // window is delivered and acknowledged, so its ACK and delivery frontiers
 // both equal its last sequence number. What must survive is the state
 // that carries meaning across rounds — per-link sequence numbers, the
-// queued (delayed) logical deliveries, the PRF flight cursor, and the
-// cumulative physical statistics and recorded event log.
+// staged batch the last barrier reassembled, the PRF flight cursor, and
+// the cumulative physical statistics.
 //
 // The fired-crash bookkeeping is deliberately NOT part of the snapshot:
 // see Network.fired.
@@ -19,19 +19,15 @@ import (
 )
 
 // State implements congest.Stateful. A restoring Network must be
-// configured identically to the snapshotted one (same Plan, Script,
-// Unreliable mode); only the dynamic state is restored.
+// configured identically to the snapshotted one (same Plan and Script);
+// only the dynamic state is restored. The node count comes first, and
+// internal/difftest's raw-delivery injector writes a negative one, so
+// neither network resumes the other's snapshot.
 func (nw *Network) State(c *congest.Codec) error {
-	n, unreliable := nw.n, nw.Unreliable
+	n := nw.n
 	c.Int(&n)
-	c.Bool(&unreliable)
-	if c.Decoding() && c.Err() == nil {
-		if n != nw.n {
-			return fmt.Errorf("faults: snapshot is for n=%d, network has n=%d", n, nw.n)
-		}
-		if unreliable != nw.Unreliable {
-			return fmt.Errorf("faults: snapshot Unreliable=%v, network has %v", unreliable, nw.Unreliable)
-		}
+	if c.Decoding() && c.Err() == nil && n != nw.n {
+		return fmt.Errorf("faults: snapshot is for n=%d, network has n=%d", n, nw.n)
 	}
 
 	congest.Map(c, &nw.links, func(k *uint64, lp **link) {
@@ -54,51 +50,31 @@ func (nw *Network) State(c *congest.Codec) error {
 		l.ackedTo, l.delivered = l.nextSeq, l.nextSeq
 	})
 
-	// Queued logical deliveries, in due-round order. pending is their
-	// count: enqueue adds to it and Collect takes a due round's whole queue.
-	if c.Decoding() {
-		nw.pending = 0
+	// The staged batch, due in round due.
+	c.Int(&nw.due)
+	for i := range congest.Slice(c, &nw.staged) {
+		m := &nw.staged[i]
+		c.Message(m)
+		if c.Decoding() && (!nw.node(m.From) || !nw.node(m.To)) {
+			c.Fail(fmt.Errorf("faults: snapshot message %d→%d outside n=%d", m.From, m.To, nw.n))
+		}
 	}
-	congest.Map(c, &nw.ready, func(r *int, q *[]queued) {
-		c.Int(r)
-		for i := range congest.Slice(c, q) {
-			nw.message(c, &(*q)[i].m)
-			c.Uint64(&(*q)[i].key)
-		}
-		if c.Decoding() {
-			nw.pending += len(*q)
-		}
-	})
+	if c.Decoding() && len(nw.staged) > 0 && nw.due <= 0 {
+		c.Fail(fmt.Errorf("faults: snapshot stages %d messages for round %d", len(nw.staged), nw.due))
+	}
 
 	c.Int64(&nw.flightCtr)
 
-	// Cumulative physical statistics and the recorded event log: a resumed
-	// run re-executes earlier phases (re-accumulating their physical cost
-	// identically), then this snapshot resets both to the original values,
-	// replacing the re-executed prefix with itself plus the skipped rounds.
+	// Cumulative physical statistics: a resumed run re-executes earlier
+	// phases (re-accumulating their physical cost identically), then this
+	// snapshot resets them to the original values, replacing the
+	// re-executed prefix with itself plus the skipped rounds.
 	nw.phys.Walk(c)
-	for i := range congest.Slice(c, &nw.recorded) {
-		e := &nw.recorded[i]
-		c.Int(&e.Round)
-		c.Int(&e.From)
-		c.Int(&e.To)
-		congest.Varint(c, &e.Kind)
-		c.Int(&e.Arg)
-	}
 	return nil
 }
 
 // node reports whether v is a node of this network.
 func (nw *Network) node(v int) bool { return v >= 0 && v < nw.n }
-
-// message walks one queued or held message; decoding checks that both
-// endpoints are nodes of this network.
-func (nw *Network) message(c *congest.Codec, m *congest.Message) {
-	c.Message(m)
-	if c.Decoding() && (!nw.node(m.From) || !nw.node(m.To)) {
-		c.Fail(fmt.Errorf("faults: snapshot message %d→%d outside n=%d", m.From, m.To, nw.n))
-	}
-}
 
 // Walk walks the counters through a checkpoint codec (the Network's state
 // and obs.Recorder's per-phase accounting both carry them).

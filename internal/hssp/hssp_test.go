@@ -177,7 +177,7 @@ func TestStep5UsesWhatTheNodeReceived(t *testing.T) {
 	v := slices.IndexFunc(tree.Children, func(c []int) bool { return len(c) == 0 })
 	changed := 0
 	for r := 1; r <= base.PhaseRounds["broadcast"]; r++ {
-		drop := &faults.Network{Unreliable: true, Script: []faults.Event{{Round: r, From: tree.Parent[v], To: v, Kind: faults.DropEvent}}}
+		drop := &difftest.Unreliable{Script: []faults.Event{{Round: r, From: tree.Parent[v], To: v, Kind: faults.DropEvent}}}
 		opts.Engine.Network = &oneRun{run: count.runs - 1, net: drop, wire: faults.New(faults.Plan{})}
 		res, err := Run(g, opts)
 		if err != nil {

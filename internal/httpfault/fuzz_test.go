@@ -40,8 +40,8 @@ func FuzzHTTPFaultPlan(f *testing.F) {
 			if f1 != f2 {
 				t.Fatalf("planFate(%d) unstable: %+v vs %+v", req, f1, f2)
 			}
-			if f1.delay < 0 || f1.delay > time.Second {
-				t.Fatalf("planFate(%d) delay %v out of range", req, f1.delay)
+			if f1.Delay < 0 || f1.Delay > time.Second {
+				t.Fatalf("planFate(%d) delay %v out of range", req, f1.Delay)
 			}
 		}
 	})

@@ -12,9 +12,9 @@
 // response bodies and blackholes (the request hangs until the caller's
 // context gives up). Every decision is drawn from a keyed PRF of
 // (seed, kind, request index), so a run is a pure function of the plan
-// and the request order — independent of host scheduling. An explicit
-// Event script injects exact faults instead, and shrinks with
-// internal/difftest.DDMin.
+// and the request order — independent of host scheduling. Tests that need
+// exact faults script them with internal/difftest's HTTPScript, which
+// applies each scripted Fate through Transport.Apply.
 //
 // The injector has two attachment points: Transport wraps an
 // http.RoundTripper (client side — faults on the way out and the way
@@ -176,6 +176,31 @@ const (
 // plan's seed — the shared internal/key discipline.
 func (p Plan) prf(kind, req uint64) uint64 {
 	return key.Mix64(key.PRF(p.Seed, kind) ^ req)
+}
+
+// planFate draws request req's fate from the probabilistic plan. At most
+// one terminal fault (reset/500/503/truncate/blackhole) applies, resolved
+// in a fixed precedence order so the per-kind probabilities stay
+// independent PRF draws; delay composes with any of them.
+func (p Plan) planFate(req uint64) Fate {
+	var f Fate
+	if p.DelayP > 0 && p.MaxDelay > 0 && u01(p.prf(kindDelay, req)) < p.DelayP {
+		f.Delay = time.Duration(1 + p.prf(kindDelayAmount, req)%uint64(p.MaxDelay))
+	}
+	switch {
+	case p.Blackhole > 0 && u01(p.prf(kindBlackhole, req)) < p.Blackhole:
+		f.Blackhole = true
+	case p.Reset > 0 && u01(p.prf(kindReset, req)) < p.Reset:
+		f.Reset = true
+		f.ResetAfter = p.prf(kindResetSide, req)&1 == 1
+	case p.Err500 > 0 && u01(p.prf(kindErr500, req)) < p.Err500:
+		f.Err500 = true
+	case p.Err503 > 0 && u01(p.prf(kindErr503, req)) < p.Err503:
+		f.Err503 = true
+	case p.Truncate > 0 && u01(p.prf(kindTruncate, req)) < p.Truncate:
+		f.Truncate = true
+	}
+	return f
 }
 
 // u01 maps a PRF word to [0, 1).

@@ -53,13 +53,11 @@ func (c *statCell) snapshot() Stats {
 
 // Transport is a fault-injecting http.RoundTripper. Faults are drawn per
 // request from the Plan's keyed PRF (request indices are assigned in
-// admission order), or taken verbatim from Script when it is non-nil.
-// The zero value with only Inner set is a transparent pass-through.
+// admission order). The zero value with only Inner set is a transparent
+// pass-through.
 type Transport struct {
-	// Plan is the probabilistic fault model (ignored when Script is set).
+	// Plan is the probabilistic fault model.
 	Plan Plan
-	// Script, when non-nil, injects exactly these events and nothing else.
-	Script []Event
 	// Inner performs the real exchanges (nil = http.DefaultTransport).
 	Inner http.RoundTripper
 
@@ -67,25 +65,37 @@ type Transport struct {
 	cell statCell
 }
 
+// Fate is the resolved fault assignment for one request. The zero Fate is
+// a clean pass-through.
+type Fate struct {
+	Delay      time.Duration
+	Reset      bool
+	ResetAfter bool // the reset fires after the exchange, not before
+	Err500     bool
+	Err503     bool
+	Truncate   bool
+	Blackhole  bool
+}
+
 // Snapshot returns the cumulative injection counts.
 func (t *Transport) Snapshot() Stats { return t.cell.snapshot() }
 
-// RoundTrip implements http.RoundTripper: resolve the request's fate,
-// apply the delay, then either synthesize the fault or forward to Inner.
+// RoundTrip implements http.RoundTripper: it draws the request's fate
+// from Plan and applies it.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	i := t.seq.Add(1) - 1
-	t.cell.requests.Add(1)
-	var f fate
-	if t.Script != nil {
-		f = scriptFate(t.Script, i)
-	} else {
-		f = t.Plan.planFate(i)
-	}
+	return t.Apply(req, i, t.Plan.planFate(i))
+}
 
+// Apply carries out fate f for request req, the i-th the caller admitted,
+// and counts it: it applies the delay, then either synthesizes the fault
+// or forwards the request to Inner.
+func (t *Transport) Apply(req *http.Request, i uint64, f Fate) (*http.Response, error) {
+	t.cell.requests.Add(1)
 	ctx := req.Context()
-	if f.delay > 0 {
+	if f.Delay > 0 {
 		t.cell.delays.Add(1)
-		timer := time.NewTimer(f.delay)
+		timer := time.NewTimer(f.Delay)
 		select {
 		case <-timer.C:
 		case <-ctx.Done():
@@ -95,20 +105,20 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 	switch {
-	case f.blackhole:
+	case f.Blackhole:
 		t.cell.blackholes.Add(1)
 		closeBody(req)
 		<-ctx.Done()
 		return nil, fmt.Errorf("httpfault: request %d blackholed: %w", i, ctx.Err())
-	case f.reset && !f.resetAfter:
+	case f.Reset && !f.ResetAfter:
 		t.cell.resetsPre.Add(1)
 		closeBody(req)
 		return nil, &net.OpError{Op: "write", Net: "tcp", Err: ErrReset}
-	case f.err500:
+	case f.Err500:
 		t.cell.err500s.Add(1)
 		closeBody(req)
 		return synthesize(req, http.StatusInternalServerError, nil), nil
-	case f.err503:
+	case f.Err503:
 		t.cell.err503s.Add(1)
 		closeBody(req)
 		return synthesize(req, http.StatusServiceUnavailable, http.Header{"Retry-After": {"1"}}), nil
@@ -123,12 +133,12 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	switch {
-	case f.reset: // resetAfter: the server did the work, the answer is lost
+	case f.Reset: // ResetAfter: the server did the work, the answer is lost
 		t.cell.resetsPost.Add(1)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		return nil, &net.OpError{Op: "read", Net: "tcp", Err: ErrReset}
-	case f.truncate:
+	case f.Truncate:
 		t.cell.truncations.Add(1)
 		resp.Body = truncateBody(resp.Body, resp.ContentLength)
 		return resp, nil
