@@ -155,7 +155,8 @@ func compatCases() []compatCase {
 
 	// core under every fault at once with a Recorder as both the engine
 	// observer and the network's physical-cost sink: pins faults.Network
-	// (queued deliveries, holdback buffers, event log) and obs.Recorder.
+	// (per-link sequence numbers, the staged batch, physical counters) and
+	// obs.Recorder.
 	chaos := faults.All(41)
 	cs = append(cs, compatCase{
 		name: "core-chaos-obs-active", round: 6, g: in.G, sources: in.Sources, h: in.H,
@@ -299,14 +300,15 @@ func TestCheckpointFixtureCompat(t *testing.T) {
 // TestCheckpointRefusesVersion1: the version 1 layout also carried the
 // scheduler, its wake rounds, the quiescence cache and the in-flight
 // count; the version 2 layout also carried the fault network's mode flag,
-// event log and per-message queue keys. A file of either version is
-// refused by name before its body is read.
+// event log and per-message queue keys; the version 3 layout also carried
+// the fault network's flight cursor and a physical drop counter. A file
+// of any of them is refused by name before its body is read.
 func TestCheckpointRefusesVersion1(t *testing.T) {
 	meta, snap, err := checkpoint.Load(compatPath(compatCases()[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, 2} {
+	for _, v := range []int{1, 2, 3} {
 		snap.Version = v
 		path := filepath.Join(t.TempDir(), "old.ckpt")
 		if err := checkpoint.Save(path, meta, snap); err != nil {

@@ -36,7 +36,7 @@
 //
 // -faults runs the engine over an adversarial physical network (see
 // internal/faults): "all" for the standard chaos plan, or a custom plan
-// like "delay=4,drop=0.2,dup=0.1,reorder". The reliability shim keeps
+// like "delay=4,drop=0.2,dup=0.1,seed=7". The reliability shim keeps
 // distances, parents and the logical CONGEST costs bit-identical to the
 // fault-free run; the extra physical-delivery work is reported separately
 // (and lands in -trace / -metrics / -json when enabled). -fault-seed keys

@@ -45,7 +45,7 @@ func (f *RunFlags) Register(fs *flag.FlagSet, exactOnly bool) {
 	fs.StringVar(&f.Sources, "sources", "", "comma-separated sources (empty = all)")
 	fs.IntVar(&f.H, "h", 0, "hop parameter (0 = per-algorithm default)")
 	fs.IntVar(&f.Workers, "workers", 0, "engine worker goroutines per round (0 = automatic)")
-	fs.StringVar(&f.Faults, "faults", "", `adversarial network plan: "all", or terms like "delay=4,drop=0.2,dup=0.1,reorder" (empty = perfect delivery)`)
+	fs.StringVar(&f.Faults, "faults", "", `adversarial network plan: "all", or terms like "delay=4,drop=0.2,dup=0.1,seed=7" (empty = perfect delivery)`)
 	fs.Int64Var(&f.FaultSeed, "fault-seed", 0, "fault PRF seed (used when the -faults plan has no seed term)")
 }
 

@@ -6,9 +6,9 @@ package congest
 // exactly once, in canonical order; a Network may instead simulate an
 // imperfect physical network underneath the round abstraction —
 // internal/faults implements a seeded adversarial one (bounded delay,
-// drops, duplication, reordering) together with the reliability shim
-// (per-link sequence numbers, ACK + retransmit, round barrier) that
-// restores exact synchronous semantics over it.
+// drops, duplication) together with the reliability shim (per-link
+// stop-and-wait with sequence numbers, ACK + retransmit, round barrier)
+// that restores exact synchronous semantics over it.
 //
 // # The delivery-order invariant
 //

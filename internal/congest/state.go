@@ -32,7 +32,7 @@ import (
 // rejected on version mismatch — the format follows the engine's internal
 // state, so cross-version restore is out of scope by policy (see
 // DESIGN.md, "Crash faults & checkpointing").
-const SnapshotVersion = 3
+const SnapshotVersion = 4
 
 // Crasher is implemented by Networks that script crash-stop node faults
 // (internal/faults with CrashEvent entries). CrashDue reports a crash

@@ -184,7 +184,7 @@ func seedDivergence(t *testing.T) (FaultInput, int64) {
 	for seed := int64(1); seed <= 64; seed++ {
 		g := graph.Random(10, 28, graph.GenOpts{Seed: seed, MaxW: 6, Directed: true})
 		in := FaultInput{G: g, Sources: []int{0}, H: 4}
-		nw := &Unreliable{Plan: faults.Plan{Seed: seed, MaxDelay: 2, Drop: 0.3, Dup: 0.1, Reorder: true}}
+		nw := &Unreliable{Plan: faults.Plan{Seed: seed, MaxDelay: 2, Drop: 0.3, Dup: 0.1}}
 		if _, err := bellman.Run(g, bellman.Opts{Sources: in.Sources, H: in.H, Engine: congest.Config{Network: nw}}); err != nil {
 			continue
 		}

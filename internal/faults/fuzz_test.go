@@ -11,7 +11,7 @@ import (
 func FuzzFaultPlan(f *testing.F) {
 	for _, s := range []string{
 		"", "none", "all",
-		"delay=4,drop=0.2,dup=0.1,reorder,seed=5",
+		"delay=4,drop=0.2,dup=0.1,seed=5",
 		"drop=0.999", "delay=64", "seed=-3,reorder",
 		"dup=1", " drop = 0.5 , delay = 2 ",
 		"drop=1e-300", "delay=65", "drop=1", "drop=nan",
@@ -63,10 +63,10 @@ func FuzzFaultEvent(f *testing.F) {
 // a satisfiable plan, Collect returns exactly the canonical batch, and no
 // transmission is left pending once the barrier returns.
 func FuzzReliableLink(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(5), uint8(4), uint16(200), uint16(100), true)
-	f.Add(int64(42), uint8(0), uint8(2), uint8(1), uint16(0), uint16(0), false)
-	f.Add(int64(-7), uint8(7), uint8(8), uint8(10), uint16(699), uint16(1000), true)
-	f.Fuzz(func(t *testing.T, seed int64, delayRaw, nRaw, roundsRaw uint8, dropRaw, dupRaw uint16, reorder bool) {
+	f.Add(int64(1), uint8(2), uint8(5), uint8(4), uint16(200), uint16(100))
+	f.Add(int64(42), uint8(0), uint8(2), uint8(1), uint16(0), uint16(0))
+	f.Add(int64(-7), uint8(7), uint8(8), uint8(10), uint16(699), uint16(1000))
+	f.Fuzz(func(t *testing.T, seed int64, delayRaw, nRaw, roundsRaw uint8, dropRaw, dupRaw uint16) {
 		plan := Plan{
 			Seed:     seed,
 			MaxDelay: int(delayRaw % 8),
@@ -74,9 +74,8 @@ func FuzzReliableLink(f *testing.F) {
 			// retransmit cycle, so per-cycle success stays >= (1-0.7)^2 ≈ 0.09
 			// and the barrier's sub-round budget is effectively never exhausted
 			// (at drop 0.899 the fuzzer genuinely found it running out).
-			Drop:    float64(dropRaw%700) / 1000,
-			Dup:     float64(dupRaw%1001) / 1000,
-			Reorder: reorder,
+			Drop: float64(dropRaw%700) / 1000,
+			Dup:  float64(dupRaw%1001) / 1000,
 		}
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("constructed invalid plan %+v: %v", plan, err)

@@ -4,73 +4,30 @@ import (
 	"repro/internal/congest"
 )
 
-// pkt is one sequence-numbered data packet awaiting acknowledgement.
-type pkt struct {
-	seq      int64
-	msg      congest.Message
-	attempts int // transmissions so far (attempt index keys the PRF)
-}
-
 // link is one direction of a communication link under the reliability
-// shim. Both endpoints' state lives here because the simulation is
-// global; the protocol it implements is strictly local: the sender
-// retransmits its unacknowledged window on a timeout, the receiver
-// deduplicates by sequence number, delivers in sequence order and returns
-// cumulative ACKs.
+// shim, which runs stop-and-wait: the engine sends at most one message per
+// link per round, and the barrier empties the air before the next round
+// starts, so a link carries one packet per round. Both endpoints' state
+// lives here because the simulation is global; the protocol it implements
+// is strictly local: the sender retransmits its packet on a timeout until
+// an ACK lands, the receiver keeps the first copy, discards the rest and
+// acknowledges every sub-round with arrivals.
 type link struct {
 	from, to int
+	// seq numbers the link's packets; the round's packet carries it. It
+	// keys the PRF of every data and ACK draw.
+	seq int64
 
 	// Sender state.
-	nextSeq  int64 // last assigned sequence number
-	out      []pkt // outstanding unACKed packets, sequence ascending
-	ackedTo  int64 // cumulative acknowledgement received
-	resendAt int64 // sub-round at which the window retransmits
-	ackTries int   // ACK transmissions this round (attempt PRF key)
+	msg      congest.Message // the round's packet
+	unacked  bool            // msg awaits its ACK
+	attempts int             // data transmissions this round (attempt PRF key)
+	resendAt int64           // sub-round at which msg is retransmitted
+	ackTries int             // ACK transmissions this round (attempt PRF key)
 
 	// Receiver state.
-	delivered int64                     // in-order delivery frontier
-	hold      map[int64]congest.Message // out-of-order holdback buffer
-	got       []congest.Message         // this round's deliveries, sequence order
-	ackPend   bool                      // data landed this sub-round; owe an ACK
-}
-
-// accept processes one received data packet; it reports whether the
-// packet was new (false = duplicate, already delivered or held).
-func (l *link) accept(seq int64, msg congest.Message) bool {
-	if seq <= l.delivered {
-		return false
-	}
-	if _, dup := l.hold[seq]; dup {
-		return false
-	}
-	if l.hold == nil {
-		l.hold = make(map[int64]congest.Message)
-	}
-	l.hold[seq] = msg
-	for {
-		m, ok := l.hold[l.delivered+1]
-		if !ok {
-			break
-		}
-		delete(l.hold, l.delivered+1)
-		l.delivered++
-		l.got = append(l.got, m)
-	}
-	return true
-}
-
-// ack processes one received cumulative acknowledgement and reports
-// whether it emptied the outstanding window.
-func (l *link) ack(cum int64) bool {
-	if cum <= l.ackedTo {
-		return false
-	}
-	l.ackedTo = cum
-	had := len(l.out) > 0
-	for len(l.out) > 0 && l.out[0].seq <= cum {
-		l.out = l.out[1:]
-	}
-	return had && len(l.out) == 0
+	got     bool // msg has landed
+	ackPend bool // data landed this sub-round; owe an ACK
 }
 
 // PhysStats counts physical-delivery work: what the adversary did to the
@@ -90,13 +47,10 @@ type PhysStats struct {
 	// DataDrops / AckDrops count transmissions the adversary destroyed.
 	DataDrops int64 `json:"dataDrops"`
 	AckDrops  int64 `json:"ackDrops"`
-	// AckSends counts cumulative-ACK transmissions.
+	// AckSends counts ACK transmissions.
 	AckSends int64 `json:"ackSends"`
-	// Delivered counts messages handed to logical inboxes; Dropped counts
-	// messages destroyed for good, which the shim's retransmits rule
-	// out: it stays 0.
+	// Delivered counts messages handed to logical inboxes.
 	Delivered int64 `json:"delivered"`
-	Dropped   int64 `json:"dropped"`
 	// SubRounds counts simulated physical sub-rounds; the per-logical-
 	// round ratio is the synchronizer's latency overhead.
 	SubRounds int64 `json:"subRounds"`
@@ -115,7 +69,6 @@ func (s *PhysStats) Add(d PhysStats) {
 	s.AckDrops += d.AckDrops
 	s.AckSends += d.AckSends
 	s.Delivered += d.Delivered
-	s.Dropped += d.Dropped
 	s.SubRounds += d.SubRounds
 	for i, c := range d.DelayHist {
 		for len(s.DelayHist) <= i {

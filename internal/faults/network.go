@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -8,13 +9,11 @@ import (
 	"repro/internal/congest"
 )
 
-// flight is one physical transmission in the air during a round barrier.
+// flight is one physical transmission in the air during a round barrier:
+// the round's packet on link l, or its ACK.
 type flight struct {
-	ack      bool
-	from, to int
-	seq      int64 // data: sequence number; ack: cumulative acknowledgement
-	msg      congest.Message
-	key      uint64 // deterministic shuffle key (Plan.Reorder)
+	l   *link
+	ack bool
 }
 
 // Network implements congest.Network: a simulated physical network whose
@@ -54,9 +53,8 @@ type Network struct {
 	fired map[int]bool
 
 	// Barrier scratch, reused across rounds.
-	active    []*link
-	flights   map[int64][]flight
-	flightCtr int64
+	active  []*link
+	flights map[int64][]flight
 }
 
 // CrashDue implements congest.Crasher: it reports a scripted crash-stop
@@ -169,7 +167,6 @@ func (nw *Network) Reset(n int) {
 	nw.due, nw.staged = 0, nil
 	nw.flights = make(map[int64][]flight)
 	nw.active = nw.active[:0]
-	nw.flightCtr = 0
 }
 
 func (nw *Network) linkFor(from, to int) *link {
@@ -270,9 +267,9 @@ func (nw *Network) ackFate(r int, l *link, attempt int) (drop bool, delay int) {
 		return false, 0
 	}
 	p := nw.Plan
-	drop = p.Drop > 0 && u01(p.prf(kindAckDrop, r, l.from, l.to, l.delivered, attempt)) < p.Drop
+	drop = p.Drop > 0 && u01(p.prf(kindAckDrop, r, l.from, l.to, l.seq, attempt)) < p.Drop
 	if p.MaxDelay > 0 {
-		delay = int(p.prf(kindAckDelay, r, l.from, l.to, l.delivered, attempt) % uint64(p.MaxDelay+1))
+		delay = int(p.prf(kindAckDelay, r, l.from, l.to, l.seq, attempt) % uint64(p.MaxDelay+1))
 	}
 	return
 }
@@ -280,29 +277,25 @@ func (nw *Network) ackFate(r int, l *link, attempt int) (drop bool, delay int) {
 // launch puts one physical transmission in the air, arriving at sub-round
 // at.
 func (nw *Network) launch(at int64, f flight) {
-	nw.flightCtr++
-	f.key = nw.Plan.prf(kindShuffle, int(at), f.from, f.to, nw.flightCtr, 0)
 	nw.flights[at] = append(nw.flights[at], f)
 }
 
 // barrier runs the reliability shim for one logical round: physical
 // sub-rounds of transmit → receive → acknowledge until every link's
-// outstanding window is cumulatively acknowledged, then reassembles the
-// (provably complete) batch for round r+1 in canonical order. The
-// simulation is deterministic: links transmit in canonical batch order,
-// arrivals are processed in launch order (or the plan's adversarial
-// shuffle), and no map is iterated.
+// packet is acknowledged, then reassembles the (provably complete) batch
+// for round r+1 in canonical order. The simulation is deterministic:
+// links transmit in batch order, arrivals are processed in launch order,
+// and no map is iterated.
 func (nw *Network) barrier(r int, batch []congest.Message, delta *PhysStats) error {
 	active := nw.active[:0]
 	for _, m := range batch {
 		l := nw.linkFor(m.From, m.To)
-		if len(l.out) != 0 {
+		if l.unacked {
 			return fmt.Errorf("faults: link %d→%d entered round %d with an unacknowledged window", m.From, m.To, r)
 		}
-		l.nextSeq++
-		l.out = append(l.out, pkt{seq: l.nextSeq, msg: m})
-		l.resendAt = 0
-		l.ackTries = 0
+		l.seq++
+		l.msg, l.unacked = m, true
+		l.attempts, l.resendAt, l.ackTries = 0, 0, 0
 		active = append(active, l)
 	}
 	nw.active = active
@@ -318,60 +311,58 @@ func (nw *Network) barrier(r int, batch []congest.Message, delta *PhysStats) err
 		if t >= maxSub {
 			return fmt.Errorf("faults: round %d barrier incomplete after %d physical sub-rounds (plan %q)", r, t, nw.Plan.String())
 		}
-		// Transmit: every link whose timeout expired re-sends its window.
+		// Transmit: every link whose timeout expired re-sends its packet.
 		for _, l := range active {
-			if len(l.out) == 0 || t < l.resendAt {
+			if !l.unacked || t < l.resendAt {
 				continue
 			}
-			for i := range l.out {
-				p := &l.out[i]
-				attempt := p.attempts
-				p.attempts++
-				if attempt == 0 {
-					delta.DataSends++
-				} else {
-					delta.Retransmits++
-				}
-				f := DataFate(nw.Plan, nw.Script, r, l.from, l.to, p.seq, attempt)
-				if f.Drop {
-					delta.DataDrops++
-				} else {
-					delta.delayed(f.Delay)
-					nw.launch(t+1+int64(f.Delay), flight{from: l.from, to: l.to, seq: p.seq, msg: p.msg})
-				}
-				if f.Dup {
-					delta.DupCopies++
-					nw.launch(t+1+int64(f.DupDelay), flight{from: l.from, to: l.to, seq: p.seq, msg: p.msg})
-				}
+			attempt := l.attempts
+			l.attempts++
+			if attempt == 0 {
+				delta.DataSends++
+			} else {
+				delta.Retransmits++
+			}
+			f := DataFate(nw.Plan, nw.Script, r, l.from, l.to, l.seq, attempt)
+			if f.Drop {
+				delta.DataDrops++
+			} else {
+				delta.delayed(f.Delay)
+				nw.launch(t+1+int64(f.Delay), flight{l: l})
+			}
+			if f.Dup {
+				delta.DupCopies++
+				nw.launch(t+1+int64(f.DupDelay), flight{l: l})
 			}
 			l.resendAt = t + rto
 		}
 		t++
 		delta.SubRounds++
-		// Receive: process this sub-round's arrivals.
+		// Receive: process this sub-round's arrivals. Every flight in the
+		// air belongs to this round, so an ACK acknowledges the link's
+		// packet and a data copy is that packet.
 		fl := nw.flights[t]
 		delete(nw.flights, t)
-		if nw.Plan.Reorder && len(fl) > 1 {
-			sort.SliceStable(fl, func(i, j int) bool { return fl[i].key < fl[j].key })
-		}
 		recvd = recvd[:0]
 		for _, f := range fl {
-			l := nw.linkFor(f.from, f.to)
+			l := f.l
 			if f.ack {
-				if l.ack(f.seq) {
+				if l.unacked {
+					l.unacked = false
 					outstanding--
 				}
 				continue
 			}
-			if !l.accept(f.seq, f.msg) {
+			if l.got {
 				delta.DupDeliveries++
 			}
+			l.got = true
 			if !l.ackPend {
 				l.ackPend = true
 				recvd = append(recvd, l)
 			}
 		}
-		// Acknowledge: one cumulative ACK per link with data arrivals.
+		// Acknowledge: one ACK per link with data arrivals.
 		for _, l := range recvd {
 			l.ackPend = false
 			attempt := l.ackTries
@@ -382,7 +373,7 @@ func (nw *Network) barrier(r int, batch []congest.Message, delta *PhysStats) err
 				delta.AckDrops++
 				continue
 			}
-			nw.launch(t+1+int64(delay), flight{ack: true, from: l.from, to: l.to, seq: l.delivered})
+			nw.launch(t+1+int64(delay), flight{l: l, ack: true})
 		}
 	}
 	// The barrier is complete; transmissions still in the air (stale ACKs,
@@ -391,22 +382,22 @@ func (nw *Network) barrier(r int, batch []congest.Message, delta *PhysStats) err
 		delete(nw.flights, k)
 	}
 
-	// Reassemble round r+1's batch in canonical order, reconstructed from
-	// (destination, sender, sequence): the delivery-order invariant.
-	ls := slices.Clone(active)
-	sort.Slice(ls, func(i, j int) bool {
-		a, b := ls[i], ls[j]
-		return a.to < b.to || (a.to == b.to && a.from < b.from)
+	// Reassemble round r+1's batch in canonical (destination, sender)
+	// order: the delivery-order invariant.
+	slices.SortFunc(active, func(a, b *link) int {
+		if c := cmp.Compare(a.to, b.to); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.from, b.from)
 	})
 	staged := make([]congest.Message, 0, len(batch))
-	for _, l := range ls {
-		staged = append(staged, l.got...)
-		l.got = l.got[:0]
+	for _, l := range active {
+		if l.got {
+			staged = append(staged, l.msg)
+			l.got = false
+		}
 	}
 	nw.active = active[:0]
-	// Each delivered message advances the flight cursor, which keys later
-	// rounds' Reorder shuffles.
-	nw.flightCtr += int64(len(staged))
 	delta.Delivered += int64(len(staged))
 	if len(staged) != len(batch) {
 		return fmt.Errorf("faults: round %d delivered %d of %d messages despite the shim", r, len(staged), len(batch))

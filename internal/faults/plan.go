@@ -1,19 +1,22 @@
 // Package faults is the adversarial-delivery layer for the CONGEST engine
 // (internal/congest): a seeded, fully deterministic fault injector for the
 // physical network underneath the round abstraction, plus the reliability
-// shim — per-link sequence numbers, cumulative ACKs, timeout retransmit
-// and a per-round delivery barrier — that restores exact synchronous
-// semantics over it.
+// shim — per-link stop-and-wait with sequence numbers, ACKs and timeout
+// retransmit, under a per-round delivery barrier — that restores exact
+// synchronous semantics over it.
 //
 // The paper's bounds (Theorems I.1–I.5) are statements about a perfectly
 // synchronous CONGEST network. Rather than hardening every protocol
 // individually, this package hardens the substrate: each logical round's
 // message batch is carried by simulated physical sub-rounds in which the
-// adversary may delay (bounded), drop, duplicate and reorder individual
-// transmissions, and the shim retransmits until every sequence number is
-// cumulatively acknowledged. Because the barrier completes before the next
-// logical round starts and inboxes are reassembled in canonical
-// (sender, sequence) order, every unmodified protocol computes bit-identical
+// adversary may delay (bounded), drop and duplicate individual
+// transmissions, and the shim retransmits until every packet is
+// acknowledged. CONGEST sends at most one message per link per round, and
+// the barrier empties the air before the next round starts, so each link
+// carries one packet per round and stop-and-wait is the whole protocol:
+// no holdback buffer, no window. Because the barrier completes before the
+// next logical round starts and inboxes are reassembled in canonical
+// (sender) order, every unmodified protocol computes bit-identical
 // distances, parents and logical Stats under any fault plan — the root
 // package's TestDeliveryConformance verifies exactly that, on both the
 // dense and active-set schedulers.
@@ -52,11 +55,6 @@ type Plan struct {
 	// Dup is the per-attempt probability that a transmission is
 	// duplicated; the extra copy gets an independent delay.
 	Dup float64
-	// Reorder scrambles the processing order of same-sub-round arrivals
-	// (deterministically). With MaxDelay > 0 arrival order is already
-	// scrambled across sub-rounds; Reorder makes it adversarial even at
-	// delay 0.
-	Reorder bool
 }
 
 // MaxMaxDelay bounds Plan.MaxDelay (a delay is "bounded" in the model's
@@ -79,13 +77,13 @@ func (p Plan) Validate() error {
 
 // All is the standard chaos plan used by the conformance sweep and the
 // -faults=all CLI shorthand: bounded delay ≤ 4, 20% drops, 10%
-// duplication, adversarial reordering.
+// duplication.
 func All(seed int64) Plan {
-	return Plan{Seed: seed, MaxDelay: 4, Drop: 0.2, Dup: 0.1, Reorder: true}
+	return Plan{Seed: seed, MaxDelay: 4, Drop: 0.2, Dup: 0.1}
 }
 
 // Parse decodes a plan from its textual form: comma-separated terms
-// "delay=N", "drop=P", "dup=P", "reorder" and "seed=N", in any order,
+// "delay=N", "drop=P", "dup=P" and "seed=N", in any order,
 // each at most once (a repeated key is an error, not last-wins).
 // The presets "" and "none" give the zero plan and "all" gives All(0).
 // Parse(p.String()) == p for every valid plan (FuzzFaultPlan).
@@ -98,11 +96,10 @@ func Parse(s string) (Plan, error) {
 		return All(0), nil
 	}
 	err := key.Scan("faults", "plan term", s, ",", key.Vocab{
-		"delay":   {Set: key.Into(&p.MaxDelay, strconv.Atoi)},
-		"drop":    {Set: key.Into(&p.Drop, key.Float)},
-		"dup":     {Set: key.Into(&p.Dup, key.Float)},
-		"reorder": {Bare: true, Set: func(string) error { p.Reorder = true; return nil }},
-		"seed":    {Set: key.Into(&p.Seed, key.Int64)},
+		"delay": {Set: key.Into(&p.MaxDelay, strconv.Atoi)},
+		"drop":  {Set: key.Into(&p.Drop, key.Float)},
+		"dup":   {Set: key.Into(&p.Dup, key.Float)},
+		"seed":  {Set: key.Into(&p.Seed, key.Int64)},
 	})
 	if err != nil {
 		return Plan{}, err
@@ -114,7 +111,7 @@ func Parse(s string) (Plan, error) {
 }
 
 // String renders the plan in the canonical form Parse accepts: active
-// terms in delay, drop, dup, reorder, seed order; "none" for the zero
+// terms in delay, drop, dup, seed order; "none" for the zero
 // plan.
 func (p Plan) String() string {
 	var terms []string
@@ -126,9 +123,6 @@ func (p Plan) String() string {
 	}
 	if p.Dup != 0 {
 		terms = append(terms, "dup="+key.Prob(p.Dup))
-	}
-	if p.Reorder {
-		terms = append(terms, "reorder")
 	}
 	if p.Seed != 0 {
 		terms = append(terms, fmt.Sprintf("seed=%d", p.Seed))
@@ -149,7 +143,6 @@ const (
 	kindDupDelay
 	kindAckDrop
 	kindAckDelay
-	kindShuffle
 )
 
 // prf draws the decision word for one (kind, round, link, seq, attempt)

@@ -1,12 +1,10 @@
 // Checkpoint support: the Network's side of the congest.Stateful
 // contract. A snapshot is taken at a round barrier, where the reliability
-// shim's per-round scratch (outstanding windows, in-air flights,
-// acceptance logs, holdback buffers) is provably empty, and every link's
-// window is delivered and acknowledged, so its ACK and delivery frontiers
-// both equal its last sequence number. What must survive is the state
-// that carries meaning across rounds — per-link sequence numbers, the
-// staged batch the last barrier reassembled, the PRF flight cursor, and
-// the cumulative physical statistics.
+// shim's per-round scratch (in-air flights, each link's packet) is
+// provably empty: every link's packet is delivered and acknowledged.
+// What must survive is the state that carries meaning across rounds —
+// per-link sequence numbers, the staged batch the last barrier
+// reassembled, and the cumulative physical statistics.
 //
 // The fired-crash bookkeeping is deliberately NOT part of the snapshot:
 // see Network.fired.
@@ -35,8 +33,8 @@ func (nw *Network) State(c *congest.Codec) error {
 			*lp = &link{}
 		}
 		l := *lp
-		if len(l.out) != 0 || len(l.got) != 0 || len(l.hold) != 0 || l.ackedTo != l.nextSeq || l.delivered != l.nextSeq {
-			c.Fail(fmt.Errorf("faults: snapshot of link %d→%d mid-barrier (outstanding window)", l.from, l.to))
+		if l.unacked || l.got {
+			c.Fail(fmt.Errorf("faults: snapshot of link %d→%d mid-barrier (unacknowledged packet)", l.from, l.to))
 			return
 		}
 		c.Int(&l.from)
@@ -46,8 +44,7 @@ func (nw *Network) State(c *congest.Codec) error {
 			return
 		}
 		*k = linkKey(l.from, l.to)
-		c.Int64(&l.nextSeq)
-		l.ackedTo, l.delivered = l.nextSeq, l.nextSeq
+		c.Int64(&l.seq)
 	})
 
 	// The staged batch, due in round due.
@@ -62,8 +59,6 @@ func (nw *Network) State(c *congest.Codec) error {
 	if c.Decoding() && len(nw.staged) > 0 && nw.due <= 0 {
 		c.Fail(fmt.Errorf("faults: snapshot stages %d messages for round %d", len(nw.staged), nw.due))
 	}
-
-	c.Int64(&nw.flightCtr)
 
 	// Cumulative physical statistics: a resumed run re-executes earlier
 	// phases (re-accumulating their physical cost identically), then this
@@ -80,7 +75,7 @@ func (nw *Network) node(v int) bool { return v >= 0 && v < nw.n }
 // and obs.Recorder's per-phase accounting both carry them).
 func (s *PhysStats) Walk(c *congest.Codec) {
 	for _, x := range []*int64{&s.DataSends, &s.Retransmits, &s.DupCopies, &s.DupDeliveries,
-		&s.DataDrops, &s.AckDrops, &s.AckSends, &s.Delivered, &s.Dropped, &s.SubRounds} {
+		&s.DataDrops, &s.AckDrops, &s.AckSends, &s.Delivered, &s.SubRounds} {
 		c.Int64(x)
 	}
 	c.Int64s(&s.DelayHist)

@@ -19,9 +19,6 @@ import (
 type Term struct {
 	// Set parses the value text into the grammar's target (see Into).
 	Set func(v string) error
-	// Bare marks a word that stands alone ("reorder"): it takes no
-	// "=value" and Set receives "".
-	Bare bool
 	// Need marks a word every input must carry.
 	Need bool
 }
@@ -49,9 +46,9 @@ func Prob(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // Scan splits s into terms (on sep, or on whitespace when sep is ""),
 // and feeds each to its vocabulary word. what names the term kind in
 // errors ("plan term", "event field"), every error carries pkg as its
-// prefix. A key outside the vocabulary, a key given twice, a bare word
-// with a value (or a valued word without one), a value its setter
-// rejects, and a missing Need word are all errors.
+// prefix. A key outside the vocabulary, a key given twice, a word
+// without "=value", a value its setter rejects, and a missing Need word
+// are all errors.
 func Scan(pkg, what, s, sep string, vocab Vocab) error {
 	terms := strings.Fields(s)
 	if sep != "" {
@@ -65,7 +62,7 @@ func Scan(pkg, what, s, sep string, vocab Vocab) error {
 		switch {
 		case !known && valued:
 			return fmt.Errorf("%s: unknown %s %q in %q", pkg, what, k, s)
-		case !known || t.Bare == valued:
+		case !known || !valued:
 			return fmt.Errorf("%s: bad %s %q in %q", pkg, what, strings.TrimSpace(term), s)
 		case seen[k]:
 			return fmt.Errorf("%s: repeated %s %q in %q", pkg, what, k, s)

@@ -7,34 +7,31 @@ import (
 )
 
 // TestScan pins the scanner's contract for both separators: trimming,
-// bare words, and one error per way a term list can be wrong — each
-// carrying the grammar's package prefix.
+// and one error per way a term list can be wrong — each carrying the
+// grammar's package prefix.
 func TestScan(t *testing.T) {
-	parse := func(s, sep string) (n int, p float64, on bool, err error) {
+	parse := func(s, sep string) (n int, p float64, err error) {
 		err = Scan("pkg", "term", s, sep, Vocab{
-			"n":  {Need: true, Set: Into(&n, strconv.Atoi)},
-			"p":  {Set: Into(&p, Float)},
-			"on": {Bare: true, Set: func(string) error { on = true; return nil }},
+			"n": {Need: true, Set: Into(&n, strconv.Atoi)},
+			"p": {Set: Into(&p, Float)},
 		})
 		return
 	}
-	if n, p, on, err := parse(" p = 0.25 , on,n=3", ","); err != nil || n != 3 || p != 0.25 || !on {
-		t.Fatalf("comma list: n=%d p=%v on=%v err=%v", n, p, on, err)
+	if n, p, err := parse(" p = 0.25 ,n=3", ","); err != nil || n != 3 || p != 0.25 {
+		t.Fatalf("comma list: n=%d p=%v err=%v", n, p, err)
 	}
-	if n, p, on, err := parse("n=4\tp=1e-3", ""); err != nil || n != 4 || p != 1e-3 || on {
-		t.Fatalf("field list: n=%d p=%v on=%v err=%v", n, p, on, err)
+	if n, p, err := parse("n=4\tp=1e-3", ""); err != nil || n != 4 || p != 1e-3 {
+		t.Fatalf("field list: n=%d p=%v err=%v", n, p, err)
 	}
 	for s, want := range map[string]string{
-		"n=1,n=2":   "repeated term",
-		"n=1,on,on": "repeated term",
-		"n=1,q=2":   "unknown term",
-		"n=1,p":     "bad term",
-		"n=1,on=1":  "bad term",
-		"n=1,":      "bad term",
-		"n=x":       `bad n "x"`,
-		"p=0.5":     "missing term n",
+		"n=1,n=2": "repeated term",
+		"n=1,q=2": "unknown term",
+		"n=1,p":   "bad term",
+		"n=1,":    "bad term",
+		"n=x":     `bad n "x"`,
+		"p=0.5":   "missing term n",
 	} {
-		_, _, _, err := parse(s, ",")
+		_, _, err := parse(s, ",")
 		if err == nil || !strings.HasPrefix(err.Error(), "pkg: ") || !strings.Contains(err.Error(), want) {
 			t.Errorf("Scan(%q) = %v, want a pkg: error mentioning %q", s, err, want)
 		}

@@ -140,7 +140,7 @@ func TestComputeUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty, err := Compute(context.Background(), g, ComputeSpec{Alg: "pipeline", Sources: sources,
-		Plan: "delay=2,drop=0.2,dup=0.1,reorder", FaultSeed: 7})
+		Plan: "delay=2,drop=0.2,dup=0.1", FaultSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
