@@ -48,8 +48,6 @@ var censusAllow = map[string]string{
 	"repro/internal/congest.CheckpointPolicy.Run": "kill probes after run 0: the conformance cells kill a " +
 		"multi-run family inside a later engine run",
 	"repro/internal/core.Opts.Prealloc": "the allocation guard's only lever",
-	"repro/internal/trace.Options.Now": "the fake clock: span timings and the tail-sampling decisions made " +
-		"from them are exact in tests",
 }
 
 // censusOptionTypes are the structs, besides those named *Opts, *Options,

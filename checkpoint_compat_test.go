@@ -185,7 +185,7 @@ func compatCases() []compatCase {
 func killAt(t *testing.T, c compatCase, sched congest.Scheduler) *congest.Snapshot {
 	t.Helper()
 	k := &checkpoint.Keeper{}
-	pol := &congest.CheckpointPolicy{AtRound: c.round, Run: c.runIdx, Stop: true, Sink: k.Sink}
+	pol := &congest.CheckpointPolicy{AtRound: c.round, Run: c.runIdx, Sink: k.Sink}
 	_, _, err := c.exec(pol, sched)
 	if !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("%s: kill at run %d round %d: want ErrCheckpointStop, got %v", c.name, c.runIdx, c.round, err)

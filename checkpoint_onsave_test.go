@@ -31,7 +31,7 @@ func TestKeeperOnSaveReportsDurationAndSize(t *testing.T) {
 		dur, size = d, b
 	}}
 	_, err := core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H,
-		Engine: congest.Config{Checkpoint: &congest.CheckpointPolicy{AtRound: 3, Stop: true, Sink: k.Sink}}})
+		Engine: congest.Config{Checkpoint: &congest.CheckpointPolicy{AtRound: 3, Sink: k.Sink}}})
 	if !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("want ErrCheckpointStop, got %v", err)
 	}
@@ -53,7 +53,7 @@ func TestKeeperOnSaveReportsDurationAndSize(t *testing.T) {
 	calls = 0
 	k2 := &checkpoint.Keeper{OnSave: func(time.Duration, int64) { calls++ }}
 	_, err = core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H,
-		Engine: congest.Config{Checkpoint: &congest.CheckpointPolicy{AtRound: 3, Stop: true, Sink: k2.Sink}}})
+		Engine: congest.Config{Checkpoint: &congest.CheckpointPolicy{AtRound: 3, Sink: k2.Sink}}})
 	if !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("want ErrCheckpointStop, got %v", err)
 	}

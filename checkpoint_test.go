@@ -41,7 +41,7 @@ func TestCheckpointTeeCarriesObserverState(t *testing.T) {
 	}
 	base := executed(nil)
 	k := &checkpoint.Keeper{}
-	executed(&congest.CheckpointPolicy{AtRound: 4, Stop: true, Sink: k.Sink})
+	executed(&congest.CheckpointPolicy{AtRound: 4, Sink: k.Sink})
 	snap, _ := k.Latest()
 	if snap == nil || len(snap.Obs) == 0 {
 		t.Fatal("a snapshot taken through a Tee carries no observer state")
@@ -71,14 +71,14 @@ func TestCheckpointResumeUnderChaos(t *testing.T) {
 		return snap
 	}
 	k6 := &checkpoint.Keeper{}
-	direct := snapAt(&congest.CheckpointPolicy{AtRound: 6, Stop: true, Sink: k6.Sink}, k6)
+	direct := snapAt(&congest.CheckpointPolicy{AtRound: 6, Sink: k6.Sink}, k6)
 	k3 := &checkpoint.Keeper{}
-	snap3 := snapAt(&congest.CheckpointPolicy{AtRound: 3, Stop: true, Sink: k3.Sink}, k3)
+	snap3 := snapAt(&congest.CheckpointPolicy{AtRound: 3, Sink: k3.Sink}, k3)
 	if len(snap3.Net) == 0 {
 		t.Fatal("round-3 snapshot carries no substrate state; the chaos plan is not exercising the network")
 	}
 	k63 := &checkpoint.Keeper{}
-	via := snapAt(&congest.CheckpointPolicy{Resume: snap3, AtRound: 6, Stop: true, Sink: k63.Sink}, k63)
+	via := snapAt(&congest.CheckpointPolicy{Resume: snap3, AtRound: 6, Sink: k63.Sink}, k63)
 	db, err := direct.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +102,7 @@ func (p *panicNode) Round(_ *congest.Context, r int, _ []congest.Message) {
 	}
 }
 func (p *panicNode) Quiescent() bool { return false }
+func (p *panicNode) NextWake() int   { return 0 } // never quiescent: stepped every round
 
 // TestCheckpointPanicBecomesCrashError: a panicking node must not take the
 // engine (or the process) down — it surfaces as a structured CrashError
@@ -225,7 +226,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 	k := &checkpoint.Keeper{Path: path, Meta: meta}
 	_, err = core.Run(in.G, core.Opts{Sources: in.Sources, H: in.H,
-		Engine: congest.Config{Checkpoint: &congest.CheckpointPolicy{AtRound: 3, Stop: true, Sink: k.Sink}}})
+		Engine: congest.Config{Checkpoint: &congest.CheckpointPolicy{AtRound: 3, Sink: k.Sink}}})
 	if !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("want ErrCheckpointStop, got %v", err)
 	}
@@ -284,7 +285,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		k := &checkpoint.Keeper{}
-		_, err = run(netOf(plan), &congest.CheckpointPolicy{AtRound: R, Stop: true, Sink: k.Sink})
+		_, err = run(netOf(plan), &congest.CheckpointPolicy{AtRound: R, Sink: k.Sink})
 		if err == nil {
 			return // run finished before round R; nothing to resume
 		}

@@ -130,7 +130,7 @@ func FuzzResumeState(f *testing.F) {
 		*bs[int(blob)%len(bs)] = data
 		// Refused, stopped at the next barrier or finished: all fine.
 		cases[i].exec(&congest.CheckpointPolicy{
-			Resume: &snap, Run: snap.RunIdx, AtRound: snap.Round + 1, Stop: true,
+			Resume: &snap, Run: snap.RunIdx, AtRound: snap.Round + 1,
 			Sink: func(*congest.Snapshot) error { return nil },
 		}, sched)
 	})

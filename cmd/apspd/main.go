@@ -202,7 +202,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		tracer = trace.New(trace.Options{
 			SampleEvery:   *traceSample,
 			SlowThreshold: *slow,
-			CaptureErrors: true,
 			Seed:          uint64(rf.Seed),
 			Sinks:         []trace.Sink{trace.JSONL{JSONL: jsonl}, trace.NewChrome(chrome)},
 		})

@@ -142,7 +142,7 @@ func TestDaemonLoadsCheckpoint(t *testing.T) {
 		Sources: sources, H: 0,
 	}
 	keeper := &checkpoint.Keeper{Path: ckptPath, Meta: meta}
-	pol := &congest.CheckpointPolicy{AtRound: 5, Stop: true, Sink: keeper.Sink}
+	pol := &congest.CheckpointPolicy{AtRound: 5, Sink: keeper.Sink}
 	if _, err := core.Run(g, core.Opts{Sources: sources, H: g.N() - 1, Engine: congest.Config{Checkpoint: pol}}); !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("checkpoint drill: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestDaemonRejectsBadCheckpoint(t *testing.T) {
 		Sources: []int{0}, H: 0,
 	}
 	keeper := &checkpoint.Keeper{Path: ckptPath, Meta: meta}
-	pol := &congest.CheckpointPolicy{AtRound: 3, Stop: true, Sink: keeper.Sink}
+	pol := &congest.CheckpointPolicy{AtRound: 3, Sink: keeper.Sink}
 	if _, err := core.Run(g, core.Opts{Sources: []int{0}, H: g.N() - 1, Engine: congest.Config{Checkpoint: pol}}); !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("checkpoint drill: %v", err)
 	}

@@ -240,7 +240,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// and the metrics dump (congest_checkpoint_write_* series).
 			keeper.OnSave = rec.CheckpointSave
 		}
-		pol = &congest.CheckpointPolicy{Every: *ckptEvery, AtRound: *ckptStop, Stop: *ckptStop > 0, Sink: keeper.Sink}
+		pol = &congest.CheckpointPolicy{Every: *ckptEvery, AtRound: *ckptStop, Sink: keeper.Sink}
 		spec.Engine.Checkpoint = pol
 	}
 	if *resumeArg != "" {

@@ -21,6 +21,11 @@
 //   - A benchmark not in the baseline is reported as new without failing
 //     (record it with -update).
 //
+// Before -update rewrites the baseline it prints one line per row whose
+// B/op or allocs/op differs from the file it replaces (old → new, rises
+// marked), so a re-record shows every row it moves, not only the one it
+// was run for.
+//
 // Wall-clock time is deliberately not read: it has one home, the ledger
 // (BENCHMARK.json, benchmark/README.md), whose interleaved two-checkout
 // procedure is what a timing claim needs on a shared host.
@@ -32,6 +37,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -78,6 +84,17 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 	}
 
 	if *update {
+		old, err := readBaseline(*baselinePath)
+		if errors.Is(err, os.ErrNotExist) {
+			old, err = map[string]*result{}, nil
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, "benchgate:", err)
+			return 2
+		}
+		for _, line := range changes(old, cur) {
+			fmt.Fprintln(stdout, line)
+		}
 		buf, err := json.MarshalIndent(&baseline{Benchmarks: cur}, "", "  ")
 		if err != nil {
 			fmt.Fprintln(stderr, "benchgate:", err)
@@ -92,20 +109,15 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 		return 0
 	}
 
-	raw, err := os.ReadFile(*baselinePath)
+	base, err := readBaseline(*baselinePath)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchgate:", err)
 		return 2
 	}
-	var base baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(stderr, "benchgate: %s: %v\n", *baselinePath, err)
-		return 2
-	}
 
 	failed := false
-	for _, name := range sortedNames(base.Benchmarks) {
-		b := base.Benchmarks[name]
+	for _, name := range sortedNames(base) {
+		b := base[name]
 		c, ok := cur[name]
 		if !ok {
 			fmt.Fprintf(stdout, "FAIL %s: present in baseline but not in input\n", name)
@@ -128,7 +140,7 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 		}
 	}
 	for _, name := range sortedNames(cur) {
-		if _, ok := base.Benchmarks[name]; !ok {
+		if _, ok := base[name]; !ok {
 			fmt.Fprintf(stdout, "new  %s: not in baseline (run with -update to record)\n", name)
 		}
 	}
@@ -136,6 +148,57 @@ func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
 		return 1
 	}
 	return 0
+}
+
+// readBaseline loads a baseline file's rows.
+func readBaseline(path string) (map[string]*result, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var base baseline
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	return base.Benchmarks, nil
+}
+
+// changes lists, one line per row and in name order, what re-recording
+// old as cur moves: each changed column as old → new, a rise marked, plus
+// rows that appear or disappear. A row whose columns both stay put gives
+// no line.
+func changes(old, cur map[string]*result) []string {
+	var lines []string
+	for _, name := range sortedNames(cur) {
+		c, o := cur[name], old[name]
+		if o == nil {
+			lines = append(lines, fmt.Sprintf("new     %s: B/op %d allocs/op %d", name, c.BOp, c.AllocsOp))
+			continue
+		}
+		var cols []string
+		for _, col := range []struct {
+			unit     string
+			was, now int64
+		}{{"B/op", o.BOp, c.BOp}, {"allocs/op", o.AllocsOp, c.AllocsOp}} {
+			if col.now == col.was {
+				continue
+			}
+			mark := ""
+			if col.now > col.was {
+				mark = " (rise)"
+			}
+			cols = append(cols, fmt.Sprintf("%s %d → %d%s", col.unit, col.was, col.now, mark))
+		}
+		if len(cols) > 0 {
+			lines = append(lines, fmt.Sprintf("changed %s: %s", name, strings.Join(cols, ", ")))
+		}
+	}
+	for _, name := range sortedNames(old) {
+		if cur[name] == nil {
+			lines = append(lines, fmt.Sprintf("dropped %s", name))
+		}
+	}
+	return lines
 }
 
 func sortedNames(m map[string]*result) []string {

@@ -161,6 +161,38 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestUpdateShowsChanges: -update prints one line per row it moves, old →
+// new with rises marked, and nothing for a row that stays put.
+func TestUpdateShowsChanges(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	first := benchLines([3]any{"Plane", 1000, 100}, [3]any{"Round", 4096, 20}, [3]any{"Gone", 8, 1})
+	code, out := gateRun(t, first, path, "-update")
+	if code != 0 {
+		t.Fatalf("first -update exit %d:\n%s", code, out)
+	}
+	if want := "new     Gone: B/op 8 allocs/op 1\nnew     Plane: B/op 1000 allocs/op 100\nnew     Round: B/op 4096 allocs/op 20\n" +
+		"benchgate: wrote " + path + " (3 benchmarks)\n"; out != want {
+		t.Fatalf("first -update printed\n%s\nwant\n%s", out, want)
+	}
+
+	second := benchLines([3]any{"Plane", 1000, 98}, [3]any{"Round", 4100, 19}, [3]any{"Fresh", 16, 2})
+	code, out = gateRun(t, second, path, "-update")
+	if code != 0 {
+		t.Fatalf("second -update exit %d:\n%s", code, out)
+	}
+	if want := "new     Fresh: B/op 16 allocs/op 2\n" +
+		"changed Plane: allocs/op 100 → 98\n" +
+		"changed Round: B/op 4096 → 4100 (rise), allocs/op 20 → 19\n" +
+		"dropped Gone\n" +
+		"benchgate: wrote " + path + " (3 benchmarks)\n"; out != want {
+		t.Fatalf("second -update printed\n%s\nwant\n%s", out, want)
+	}
+
+	if code, out = gateRun(t, second, path, "-update"); code != 0 || out != "benchgate: wrote "+path+" (3 benchmarks)\n" {
+		t.Fatalf("re-recording unchanged rows: exit %d, printed\n%s", code, out)
+	}
+}
+
 // TestUsageErrors: everything that is not a verdict exits 2.
 func TestUsageErrors(t *testing.T) {
 	dir := t.TempDir()
@@ -179,6 +211,7 @@ func TestUsageErrors(t *testing.T) {
 		{"baseline missing", row, filepath.Join(dir, "absent.json"), nil},
 		{"baseline not JSON", row, garbled, nil},
 		{"baseline not writable", row, filepath.Join(dir, "no", "such", "dir.json"), []string{"-update"}},
+		{"baseline to update not JSON", row, garbled, []string{"-update"}},
 		{"unknown flag", row, garbled, []string{"-bogus"}},
 	} {
 		if code, out := gateRun(t, c.input, c.baseline, c.extra...); code != 2 {

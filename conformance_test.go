@@ -581,7 +581,7 @@ func (f familyRow) kill(in difftest.Instance, c ckptCell, scheds ...congest.Sche
 	for i, sched := range scheds {
 		keep := &checkpoint.Keeper{}
 		prev := k
-		k = &killed{outcome: f.cell(in, c, sched, &congest.CheckpointPolicy{AtRound: c.pr.round, Run: c.pr.run, Stop: true, Sink: keep.Sink})}
+		k = &killed{outcome: f.cell(in, c, sched, &congest.CheckpointPolicy{AtRound: c.pr.round, Run: c.pr.run, Sink: keep.Sink})}
 		if i > 0 {
 			if err := k.diverges(prev.outcome); err != nil {
 				return nil, c.errorf("the kill under sched=%v diverges from sched=%v's: %v", sched, scheds[i-1], err)

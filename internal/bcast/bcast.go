@@ -72,7 +72,7 @@ func (t *treeNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 
 func (t *treeNode) Quiescent() bool { return !t.fresh }
 
-// NextWake implements congest.Waker: a freshly improved distance is
+// NextWake implements congest.Node: a freshly improved distance is
 // rebroadcast next round; otherwise only a better offer wakes the node.
 func (t *treeNode) NextWake() int {
 	if t.fresh {
@@ -102,7 +102,7 @@ func (c *claimNode) Round(ctx *congest.Context, r int, inbox []congest.Message) 
 }
 func (c *claimNode) Quiescent() bool { return c.sent }
 
-// NextWake implements congest.Waker: one spontaneous claim send, then the
+// NextWake implements congest.Node: one spontaneous claim send, then the
 // node only collects its children's claims.
 func (c *claimNode) NextWake() int {
 	if !c.sent {
@@ -181,7 +181,7 @@ func (a *aggNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 
 func (a *aggNode) Quiescent() bool { return a.sent || a.pending > 0 || a.id == a.tree.Root }
 
-// NextWake implements congest.Waker: a leaf (or a node whose last child
+// NextWake implements congest.Node: a leaf (or a node whose last child
 // just reported) sends once, spontaneously; everyone else acts on receive.
 func (a *aggNode) NextWake() int {
 	if !a.sent && a.pending == 0 && a.id != a.tree.Root {
@@ -288,7 +288,7 @@ func (p *pipeNode) Quiescent() bool {
 	return p.queue.len() == 0
 }
 
-// NextWake implements congest.Waker: the root streams one value per round
+// NextWake implements congest.Node: the root streams one value per round
 // until its list is exhausted; relays act while their queue drains.
 func (p *pipeNode) NextWake() int {
 	if !p.Quiescent() {
@@ -348,7 +348,7 @@ func (gn *gatherNode) Round(ctx *congest.Context, r int, inbox []congest.Message
 
 func (gn *gatherNode) Quiescent() bool { return gn.id == gn.tree.Root || gn.queue.len() == 0 }
 
-// NextWake implements congest.Waker: a non-root node forwards one queued
+// NextWake implements congest.Node: a non-root node forwards one queued
 // item per round; the root only receives.
 func (gn *gatherNode) NextWake() int {
 	if !gn.Quiescent() {

@@ -162,7 +162,7 @@ func (nd *node) Quiescent() bool {
 	return true
 }
 
-// NextWake implements congest.Waker: the next slot round at which this node
+// NextWake implements congest.Node: the next slot round at which this node
 // will broadcast. Absent further receives, slot j's next round sends
 // today's dist[j], so the next send round is exactly computable. A node
 // whose only unsent values can no longer fire (their slots in the final

@@ -128,7 +128,7 @@ func (nd *claimNode) Round(ctx *congest.Context, r int, inbox []congest.Message)
 
 func (nd *claimNode) Quiescent() bool { return nd.empty() }
 
-// NextWake implements congest.Waker: queued claims drain one per neighbor
+// NextWake implements congest.Node: queued claims drain one per neighbor
 // per round; after that, only incoming claims matter.
 func (nd *claimNode) NextWake() int {
 	if !nd.empty() {
@@ -191,7 +191,7 @@ func (nd *scoreNode) Round(ctx *congest.Context, r int, inbox []congest.Message)
 	nd.flush(ctx)
 }
 
-// NextWake implements congest.Waker: the node acts spontaneously while its
+// NextWake implements congest.Node: the node acts spontaneously while its
 // queues drain or while a finished (pending-zero) count is still to be
 // reported; otherwise only a child's report wakes it.
 func (nd *scoreNode) NextWake() int {
@@ -283,7 +283,7 @@ func (nd *updateNode) Round(ctx *congest.Context, r int, inbox []congest.Message
 
 func (nd *updateNode) Quiescent() bool { return nd.empty() }
 
-// NextWake implements congest.Waker: queued updates drain one per neighbor
+// NextWake implements congest.Node: queued updates drain one per neighbor
 // per round.
 func (nd *updateNode) NextWake() int {
 	if !nd.empty() {

@@ -26,7 +26,7 @@ func savedFile(t testing.TB) (path string, meta *Meta, raw []byte) {
 	path = filepath.Join(t.TempDir(), "run.ckpt")
 	meta = &Meta{Alg: "core", N: g.N(), M: g.M(), Graph: Fingerprint(g), Sources: sources, H: 5}
 	k := &Keeper{Path: path, Meta: meta}
-	pol := &congest.CheckpointPolicy{AtRound: 4, Stop: true, Sink: k.Sink}
+	pol := &congest.CheckpointPolicy{AtRound: 4, Sink: k.Sink}
 	if _, err := core.Run(g, core.Opts{Sources: sources, H: 5, Engine: congest.Config{Checkpoint: pol}}); err == nil {
 		t.Fatal("run survived its checkpoint-stop")
 	}

@@ -125,6 +125,16 @@ func (o *onceNode) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 	}
 }
 func (o *onceNode) Quiescent() bool { return o.sent }
+func (o *onceNode) NextWake() int   { return everyRound(o.Quiescent()) }
+
+// everyRound is the NextWake of a test node without a send schedule: it is
+// stepped every round until it is quiescent, and then only on a receive.
+func everyRound(quiescent bool) int {
+	if quiescent {
+		return congest.WakeOnReceive
+	}
+	return 0
+}
 
 // TestRunAllocsIndependentOfSize guards plane recycling: a repeated Run on
 // one graph takes its planes from the previous run, so what it allocates

@@ -19,12 +19,12 @@
 // only a handful of nodes have anything to do (the ⌈κ⌉+pos schedule tells
 // each node exactly when its next entry fires). The default active-set
 // scheduler therefore steps only the nodes that can act this round — nodes
-// with a non-empty inbox, nodes whose self-declared wake round (see Waker)
-// has arrived, and non-Waker nodes that are not quiescent — and
-// fast-forwards over rounds in which that set is empty. Stats, results and
-// the Observer event stream are bit-identical to the dense engine
-// (RoundEvent.Elapsed, wall clock, excepted); Config.Scheduler selects the
-// dense engine for differential testing.
+// with a non-empty inbox and nodes whose self-declared wake round (see
+// Node.NextWake) has arrived — and fast-forwards over rounds in which that
+// set is empty. Stats, results and the Observer event stream are
+// bit-identical to the dense engine (RoundEvent.Elapsed, wall clock,
+// excepted); Config.Scheduler selects the dense engine for differential
+// testing.
 //
 // # The message plane
 //
@@ -103,35 +103,32 @@ type Node interface {
 	Init(ctx *Context)
 	Round(ctx *Context, r int, inbox []Message)
 	Quiescent() bool
-}
 
-// WakeOnReceive is the Waker sentinel for "step me only when I receive a
-// message".
-const WakeOnReceive = -1
-
-// Waker is optionally implemented by Nodes whose send schedule is
-// predictable. After every step, the active-set scheduler asks the node for
-// the next round in which it may act spontaneously (send, or mutate state
-// in a round-dependent way, e.g. record a snapshot); until that round
-// arrives the node is stepped only when it receives a message. Returning
-// WakeOnReceive declares that only a receive can make the node act.
-//
-// The contract is strict, and a violation is a protocol error, not a
-// slowdown: if a node would have sent (or changed state) in a round earlier
-// than its declared wake, the active-set engine simply never steps it
-// there, and its results diverge from the dense engine's — which is exactly
-// what the scheduler-equivalence difftests detect. Returning a round that
-// is too early is always safe (the node is stepped, finds nothing due, and
-// is asked again); the engine relies on it for stale wakes and for the
-// resume round, in which a restored engine steps every node. Returns ≤ the current round are clamped to the next
-// round. A node that is not Quiescent must not return WakeOnReceive unless
-// a message for it is already in flight.
-//
-// Nodes that do not implement Waker are stepped every round while
-// non-quiescent (and on every receive), which is always correct.
-type Waker interface {
+	// NextWake declares the node's send schedule. After every step, the
+	// active-set scheduler asks the node for the next round in which it
+	// may act spontaneously (send, or mutate state in a round-dependent
+	// way, e.g. record a snapshot); until that round arrives the node is
+	// stepped only when it receives a message. Returning WakeOnReceive
+	// declares that only a receive can make the node act; return 0 to be
+	// stepped every round.
+	//
+	// The contract is strict, and a violation is a protocol error, not a
+	// slowdown: if a node would have sent (or changed state) in a round
+	// earlier than its declared wake, the active-set engine simply never
+	// steps it there, and its results diverge from the dense engine's —
+	// which is exactly what the scheduler-equivalence difftests detect.
+	// Returning a round that is too early is always safe (the node is
+	// stepped, finds nothing due, and is asked again); the engine relies on
+	// it for stale wakes and for the resume round, in which a restored
+	// engine steps every node. Returns ≤ the current round are clamped to
+	// the next round. A node that is not Quiescent must not return
+	// WakeOnReceive unless a message for it is already in flight.
 	NextWake() int
 }
+
+// WakeOnReceive is the Node.NextWake sentinel for "step me only when I
+// receive a message".
+const WakeOnReceive = -1
 
 // Scheduler selects the engine's stepping strategy.
 type Scheduler int
@@ -473,15 +470,12 @@ type engine struct {
 	inflight  int
 
 	// Active-set scheduler state.
-	wakers     []Waker // nil for non-Waker nodes
-	wakeAt     []int   // currently requested wake round per node; 0 = none
-	wakes      wakeHeap
-	alwaysOn   []bool // non-Waker node is on the every-round list
-	alwaysList []int
-	work       []int // the round's active list (sorted ascending)
-	mark       []int // epoch stamps deduplicating work-list inserts
-	epoch      int
-	allNodes   []int // 0..n-1, the dense scheduler's work list
+	wakeAt   []int // currently requested wake round per node; 0 = none
+	wakes    wakeHeap
+	work     []int // the round's active list (sorted ascending)
+	mark     []int // epoch stamps deduplicating work-list inserts
+	epoch    int
+	allNodes []int // 0..n-1, the dense scheduler's work list
 
 	// Crash isolation: panics inside a node's Round are recovered into
 	// CrashErrors (crashMu serializes worker-goroutine reports; the
@@ -582,13 +576,7 @@ func (e *engine) start(g *graph.Graph, mk func(v int) Node, cfg Config) error {
 	}
 	if cfg.Scheduler != SchedulerDense {
 		for v := 0; v < n; v++ {
-			if w, ok := e.nodes[v].(Waker); ok {
-				e.wakers[v] = w
-				e.arm(v, 0)
-			} else if !e.quiescent[v] {
-				e.alwaysOn[v] = true
-				e.alwaysList = append(e.alwaysList, v)
-			}
+			e.arm(v, 0)
 		}
 	}
 	return nil
@@ -631,9 +619,7 @@ func allocEngine(g *graph.Graph, sched Scheduler) *engine {
 	e.recvNext = make([]int, 0, n)
 	e.work = make([]int, 0, n)
 	if sched != SchedulerDense {
-		e.wakers = make([]Waker, n)
 		e.wakeAt = make([]int, n)
-		e.alwaysOn = make([]bool, n)
 		e.mark = make([]int, n)
 		e.wakes.items = make([]wakeItem, 0, n)
 		e.wakes.pos = make([]int, n)
@@ -662,11 +648,11 @@ func (e *engine) reusable(g *graph.Graph, cfg Config) bool {
 }
 
 // reset clears the per-run state a previous run can leave behind on a
-// recycled engine — counters, congestion, inbox lengths, stamps, the wake
-// heap and the always-on list — back to what allocEngine leaves. What
-// every run writes before it reads (the inbox end cursors, the receive
-// planes' lengths, the routing and work lists) carries over, and so do
-// the work-list marks: epoch only grows, so every stale mark is below it.
+// recycled engine — counters, congestion, inbox lengths, stamps and the
+// wake heap — back to what allocEngine leaves. What every run writes
+// before it reads (the inbox end cursors, the receive planes' lengths, the
+// routing and work lists) carries over, and so do the work-list marks:
+// epoch only grows, so every stale mark is below it.
 // Payload references were dropped by release.
 func (e *engine) reset() {
 	clear(e.linkLoad)
@@ -681,12 +667,10 @@ func (e *engine) reset() {
 	e.quiCount, e.inflight = 0, 0
 	if e.sched != SchedulerDense {
 		clear(e.wakeAt)
-		clear(e.alwaysOn)
 		e.wakes.items = e.wakes.items[:0]
 		for v := range e.wakes.pos {
 			e.wakes.pos[v] = -1
 		}
-		e.alwaysList = e.alwaysList[:0]
 	}
 	e.stats = Stats{}
 }
@@ -705,7 +689,6 @@ func (e *engine) release() {
 	clear(e.recvNxt[:cap(e.recvNxt)])
 	clear(e.nodes)
 	clear(e.ctxs)
-	clear(e.wakers)
 	e.g, e.cfg, e.obs, e.crash = nil, Config{}, nil, nil
 	planes.Put(e)
 }
@@ -890,7 +873,7 @@ func (e *engine) collectNet(r int) {
 // r (0 for the post-Init arm). Returns ≤ r are clamped to r+1; a previous
 // request is updated in place via the heap's node index.
 func (e *engine) arm(v, r int) {
-	w := e.wakers[v].NextWake()
+	w := e.nodes[v].NextWake()
 	if w < 0 {
 		// WakeOnReceive: only an incoming message steps v.
 		if p := e.wakes.pos[v]; p >= 0 {
@@ -923,10 +906,9 @@ func (e *engine) nextWake() int {
 }
 
 // collectActive assembles round r's active list: every node with a
-// non-empty inbox, every non-Waker node that was non-quiescent after its
-// last step, and every node whose wake round has arrived. Sorted ascending
-// so the routing pass visits senders in node order (the inbox-sorted-by-
-// sender delivery contract).
+// non-empty inbox and every node whose wake round has arrived. Sorted
+// ascending so the routing pass visits senders in node order (the
+// inbox-sorted-by-sender delivery contract).
 func (e *engine) collectActive(r int) []int {
 	e.epoch++
 	work := e.work[:0]
@@ -939,14 +921,6 @@ func (e *engine) collectActive(r int) []int {
 	for _, v := range e.recvList {
 		add(v)
 	}
-	kept := e.alwaysList[:0]
-	for _, v := range e.alwaysList {
-		if e.alwaysOn[v] {
-			kept = append(kept, v)
-			add(v)
-		}
-	}
-	e.alwaysList = kept
 	for len(e.wakes.items) > 0 && e.wakes.items[0].round <= r {
 		it := e.wakes.popMin()
 		e.wakeAt[it.node] = 0
@@ -1165,8 +1139,7 @@ func (e *engine) step(r int, work []int, dense bool) (int, int, error) {
 	}
 
 	// Refresh the cached quiescence of every stepped node and, for the
-	// active scheduler, its next wake (Wakers) or always-on membership
-	// (non-Wakers; removal is lazy, see collectActive).
+	// active scheduler, its next wake.
 	for _, v := range work {
 		q := e.nodes[v].Quiescent()
 		if q != e.quiescent[v] {
@@ -1177,25 +1150,13 @@ func (e *engine) step(r int, work []int, dense bool) (int, int, error) {
 				e.quiCount--
 			}
 		}
-		if dense {
-			continue
-		}
-		if e.wakers[v] != nil {
-			// A node with messages already routed to it is stepped next
-			// round regardless and re-armed after that step, so asking it
-			// for a wake now is pure overhead. Any wake left armed from an
-			// earlier step fires as a harmless extra step — the active set
-			// may exceed the dense set's busy nodes, never undershoot it.
-			if e.nxtLen[v] == 0 {
-				e.arm(v, r)
-			}
-		} else if q == e.alwaysOn[v] {
-			if q {
-				e.alwaysOn[v] = false
-			} else {
-				e.alwaysOn[v] = true
-				e.alwaysList = append(e.alwaysList, v)
-			}
+		// A node with messages already routed to it is stepped next round
+		// regardless and re-armed after that step, so asking it for a wake
+		// now is pure overhead. Any wake left armed from an earlier step
+		// fires as a harmless extra step — the active set may exceed the
+		// dense set's busy nodes, never undershoot it.
+		if !dense && e.nxtLen[v] == 0 {
+			e.arm(v, r)
 		}
 	}
 

@@ -44,6 +44,16 @@ func (f *floodNode) Round(ctx *Context, r int, inbox []Message) {
 }
 
 func (f *floodNode) Quiescent() bool { return !f.fresh }
+func (f *floodNode) NextWake() int   { return everyRound(f.Quiescent()) }
+
+// everyRound is the NextWake of a test node without a send schedule: it is
+// stepped every round until it is quiescent, and then only on a receive.
+func everyRound(quiescent bool) int {
+	if quiescent {
+		return WakeOnReceive
+	}
+	return 0
+}
 
 func TestFloodBFSOnPath(t *testing.T) {
 	g := graph.Path(6, graph.GenOpts{Seed: 1, MaxW: 1})
@@ -148,6 +158,7 @@ func (x *violator) Round(ctx *Context, r int, inbox []Message) {
 	}
 }
 func (x *violator) Quiescent() bool { return x.done }
+func (x *violator) NextWake() int   { return everyRound(x.Quiescent()) }
 
 type fatPayload struct{}
 
@@ -173,6 +184,7 @@ func (c *chatterer) Round(ctx *Context, r int, inbox []Message) {
 	}
 }
 func (c *chatterer) Quiescent() bool { return false }
+func (c *chatterer) NextWake() int   { return everyRound(c.Quiescent()) }
 
 func TestMaxRoundsEnforced(t *testing.T) {
 	g := graph.Path(2, graph.GenOpts{Seed: 1, MaxW: 1})
@@ -231,6 +243,7 @@ func (n nodeFunc) Init(ctx *Context) {
 }
 func (n nodeFunc) Round(ctx *Context, r int, inbox []Message) { n.round(ctx, r, inbox) }
 func (n nodeFunc) Quiescent() bool                            { return n.quiescent() }
+func (n nodeFunc) NextWake() int                              { return everyRound(n.quiescent()) }
 
 func TestNoSendsAtAllIsZeroRounds(t *testing.T) {
 	g := graph.Path(4, graph.GenOpts{Seed: 1, MaxW: 1})

@@ -61,9 +61,8 @@ type cues struct {
 
 // probe wraps a node: it logs the rounds the node is stepped in, fires the
 // drill's cues at the cued node, and records the address of node 0's
-// Context, which tells a recycled engine from a fresh one. A probe is not
-// a Waker, so the cued node runs on the non-Waker path; every other node
-// is wrapped in a wakeProbe unless the drill turns wakes off.
+// Context, which tells a recycled engine from a fresh one. NextWake is the
+// wrapped node's, by embedding.
 type probe struct {
 	congest.Node
 	v   int
@@ -96,10 +95,6 @@ func (p probe) Round(ctx *congest.Context, r int, inbox []congest.Message) {
 }
 
 func (p probe) State(c *congest.Codec) error { return p.Node.(congest.Stateful).State(c) }
-
-type wakeProbe struct{ probe }
-
-func (p wakeProbe) NextWake() int { return p.Node.(congest.Waker).NextWake() }
 
 type intWord int64
 
@@ -140,12 +135,11 @@ func recycleProtocols() []protocol {
 // drill is one run's set-up, which a scenario adjusts: each run gets its
 // own Config, Observer, cues, checkpoint policy and Network.
 type drill struct {
-	cfg      congest.Config
-	log      *eventLog
-	cues     cues
-	noWakers bool              // every node off the Waker path
-	abortAt  int               // the protocol's mid-run round
-	snap     *congest.Snapshot // the resume point
+	cfg     congest.Config
+	log     *eventLog
+	cues    cues
+	abortAt int               // the protocol's mid-run round
+	snap    *congest.Snapshot // the resume point
 }
 
 // scenario is one run of the sequence; wantErr is a substring of the error
@@ -168,14 +162,8 @@ func recycleScenarios() []scenario {
 			ctx, d.log.cancel = context.WithCancelCause(context.Background())
 			d.cfg.Ctx, d.log.cancelAt = ctx, d.abortAt
 		}},
-		// A run without Wakers arms no wake, so a wake round an aborted
-		// predecessor left behind would surface in its snapshot.
-		{"no-wakers", "stopped at checkpoint", func(d *drill) {
-			d.noWakers = true
-			d.cfg.Checkpoint = &congest.CheckpointPolicy{AtRound: d.abortAt, Stop: true}
-		}},
 		{"checkpoint-stop", "stopped at checkpoint", func(d *drill) {
-			d.cfg.Checkpoint = &congest.CheckpointPolicy{AtRound: d.abortAt, Stop: true}
+			d.cfg.Checkpoint = &congest.CheckpointPolicy{AtRound: d.abortAt}
 		}},
 		{"resume", "", func(d *drill) { d.cfg.Checkpoint = &congest.CheckpointPolicy{Resume: d.snap} }},
 		{"network", "", func(d *drill) {
@@ -207,11 +195,7 @@ func runScenario(t *testing.T, run func(*graph.Graph, func(int) congest.Node, co
 	nodes := make([]congest.Node, g.N())
 	stats, err := run(g, func(v int) congest.Node {
 		nodes[v] = mk(v)
-		pr := probe{Node: nodes[v], v: v, c: &d.cues, out: &out}
-		if v == d.cues.node || d.noWakers {
-			return pr
-		}
-		return wakeProbe{pr}
+		return probe{Node: nodes[v], v: v, c: &d.cues, out: &out}
 	}, d.cfg)
 	out.stats, out.events = stats, d.log.events
 	if err != nil {

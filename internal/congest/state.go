@@ -83,10 +83,10 @@ func (e *CrashError) Error() string {
 	return s
 }
 
-// ErrCheckpointStop is returned by Run when a CheckpointPolicy with Stop
-// set fired: the snapshot was taken and delivered to the Sink, and the
-// run was deliberately killed at the barrier (the testable stand-in for a
-// process kill).
+// ErrCheckpointStop is returned by Run when a CheckpointPolicy's AtRound
+// snapshot fired: the snapshot was taken and delivered to the Sink, and
+// the run was deliberately killed at the barrier (the testable stand-in
+// for a process kill).
 var ErrCheckpointStop = errors.New("congest: run stopped at checkpoint")
 
 // CheckpointPolicy tells the engine when to snapshot and what to resume
@@ -99,12 +99,10 @@ type CheckpointPolicy struct {
 	// every engine run).
 	Every int
 	// AtRound, when positive, snapshots at exactly that round of engine
-	// run Run (0-based across the policy's lifetime).
+	// run Run (0-based across the policy's lifetime), then kills the run
+	// (ErrCheckpointStop).
 	AtRound int
 	Run     int
-	// Stop kills the run (ErrCheckpointStop) right after the AtRound
-	// snapshot is delivered.
-	Stop bool
 	// Sink receives every snapshot. A nil Sink disables checkpointing.
 	Sink func(*Snapshot) error
 	// Resume, when set, restores this snapshot: engine runs before
@@ -147,7 +145,7 @@ func (p *CheckpointPolicy) due(runIdx, r int) (stop, due bool) {
 		return false, false
 	}
 	if p.AtRound == r && p.Run == runIdx {
-		return p.Stop, true
+		return true, true
 	}
 	if p.Every > 0 && r%p.Every == 0 {
 		return false, true
@@ -378,9 +376,9 @@ func (in *inbox) State(c *Codec) error {
 // have run; the snapshot overwrites all round-evolving state). The caller
 // starts the round loop at s.Round, in which every node is due: the
 // snapshot holds no scheduler state, and a step that comes too early is
-// always safe (see Waker). That step refreshes each node's quiescence and
-// next wake, so the rounds after it schedule exactly as the original run
-// did, under either scheduler.
+// always safe (see Node.NextWake). That step refreshes each node's
+// quiescence and next wake, so the rounds after it schedule exactly as the
+// original run did, under either scheduler.
 func (e *engine) restore(s *Snapshot) error {
 	n := len(e.nodes)
 	if s.Version != SnapshotVersion {
@@ -389,7 +387,7 @@ func (e *engine) restore(s *Snapshot) error {
 	if s.N != n {
 		return fmt.Errorf("snapshot is for n=%d, engine has n=%d", s.N, n)
 	}
-	if len(s.Nodes) != n || len(s.NodeSends) != n || len(s.LinkLoad) != n {
+	if len(s.Nodes) != n || len(s.NodeSends) != n || len(s.LinkLoad) != n || len(s.Inbox) != n {
 		return fmt.Errorf("snapshot field lengths do not match n=%d", n)
 	}
 	for v := 0; v < n; v++ {
@@ -418,7 +416,7 @@ func (e *engine) restore(s *Snapshot) error {
 	e.recvList = e.recvList[:0]
 	e.recvCur = e.recvCur[:0]
 	for v := 0; v < n; v++ {
-		if v < len(s.Inbox) && len(s.Inbox[v]) > 0 {
+		if len(s.Inbox[v]) > 0 {
 			var msgs inbox
 			if err := decode(s.Inbox[v], msgs.State); err != nil {
 				return fmt.Errorf("inbox of node %d: %w", v, err)
@@ -454,20 +452,13 @@ func (e *engine) restore(s *Snapshot) error {
 	}
 
 	// No node counts as quiescent until it has stepped, so the run cannot
-	// end before the resume round. Wakers wake in it; every other node
-	// joins the every-round list, which its first quiescent step leaves.
+	// end before the resume round, and every node wakes in it.
 	clear(e.quiescent)
 	e.quiCount = 0
 	e.wakes.items = e.wakes.items[:0]
-	e.alwaysList = e.alwaysList[:0]
-	for v, w := range e.wakers { // nil under the dense scheduler, which steps every node
-		if w != nil {
-			e.wakeAt[v] = s.Round
-			e.wakes.push(wakeItem{round: s.Round, node: v})
-		} else {
-			e.alwaysOn[v] = true
-			e.alwaysList = append(e.alwaysList, v)
-		}
+	for v := range e.wakeAt { // nil under the dense scheduler, which steps every node
+		e.wakeAt[v] = s.Round
+		e.wakes.push(wakeItem{round: s.Round, node: v})
 	}
 	e.inflight = len(e.recvCur)
 	if e.net != nil {

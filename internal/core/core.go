@@ -279,7 +279,7 @@ func (nd *node) auditInv2() {
 
 func (nd *node) Quiescent() bool { return nd.pl.Quiescent() }
 
-// NextWake implements congest.Waker. The node acts spontaneously only when
+// NextWake implements congest.Node. The node acts spontaneously only when
 // the list's earliest heap item comes due or a snapshot round arrives.
 // Audit mode re-checks Invariant 2 every round, so it keeps dense stepping.
 func (nd *node) NextWake() int {

@@ -449,7 +449,7 @@ func (pl *List) NextSend(r int) (Send, bool) {
 // Quiescent reports whether no entry can be sent without a further Offer.
 func (pl *List) Quiescent() bool { return pl.pending == 0 }
 
-// NextWake is the list's half of congest.Waker: the round its earliest
+// NextWake is the list's half of congest.Node.NextWake: the round its earliest
 // heap item comes due, or congest.WakeOnReceive. Sends, late sends and
 // requeued collisions are all gated on heap-pop time, so the heap top is
 // exact, and waking on a stale item (dead or re-armed entry) is harmless.

@@ -175,7 +175,7 @@ func TestReselectionCheckpointResume(t *testing.T) {
 		}
 		for round := 1; round <= len(sources)+3; round++ {
 			var snap *congest.Snapshot
-			pol := &congest.CheckpointPolicy{AtRound: round, Run: 1, Stop: true,
+			pol := &congest.CheckpointPolicy{AtRound: round, Run: 1,
 				Sink: func(s *congest.Snapshot) error { snap = s; return nil }}
 			if _, err := Build(g, sources, 3, 0, congest.Config{Checkpoint: pol}); err == nil {
 				continue // re-selection was over before this round

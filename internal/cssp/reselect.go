@@ -139,7 +139,7 @@ func (nd *reselNode) Quiescent() bool {
 	return nd.cur > nd.k && len(nd.invQ) == 0
 }
 
-// NextWake implements congest.Waker: the node acts in every round of the
+// NextWake implements congest.Node: the node acts in every round of the
 // announcement window 1..k and in round k+1 (the initial validity check),
 // then one round per queued invalidation broadcast.
 func (nd *reselNode) NextWake() int {

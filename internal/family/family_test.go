@@ -72,7 +72,7 @@ func newProbe(stopAt, cancelAt int) (*probe, congest.Config) {
 	return p, congest.Config{
 		Observer: p,
 		Network:  countingNet{faults.New(faults.Plan{}), p},
-		Checkpoint: &congest.CheckpointPolicy{AtRound: 1, Run: stopAt, Stop: true, Sink: func(s *congest.Snapshot) error {
+		Checkpoint: &congest.CheckpointPolicy{AtRound: 1, Run: stopAt, Sink: func(s *congest.Snapshot) error {
 			p.snap = s
 			return nil
 		}},
@@ -433,7 +433,7 @@ func TestLoadCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	keeper := &checkpoint.Keeper{Path: path, Meta: &checkpoint.Meta{Alg: sp.Alg, N: g.N(), M: g.M(),
 		Graph: checkpoint.Fingerprint(g), Sources: sp.Sources}}
-	sp.Engine.Checkpoint = &congest.CheckpointPolicy{AtRound: 5, Stop: true, Sink: keeper.Sink}
+	sp.Engine.Checkpoint = &congest.CheckpointPolicy{AtRound: 5, Sink: keeper.Sink}
 	if _, err := family.Run(g, sp); !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("checkpoint drill: %v", err)
 	}

@@ -24,7 +24,7 @@ func writeMidRunCheckpoint(t *testing.T, g *graph.Graph, sources []int, atRound 
 		Sources: sources, H: 0,
 	}
 	keeper := &checkpoint.Keeper{Path: path, Meta: meta}
-	pol := &congest.CheckpointPolicy{AtRound: atRound, Stop: true, Sink: keeper.Sink}
+	pol := &congest.CheckpointPolicy{AtRound: atRound, Sink: keeper.Sink}
 	_, err := core.Run(g, core.Opts{Sources: sources, H: g.N() - 1, Engine: congest.Config{Checkpoint: pol}})
 	if !errors.Is(err, congest.ErrCheckpointStop) {
 		t.Fatalf("checkpoint drill ended with %v, want ErrCheckpointStop", err)

@@ -212,7 +212,7 @@ func (nd *node) Quiescent() bool {
 	return true
 }
 
-// NextWake implements congest.Waker: the earliest schedule among pending
+// NextWake implements congest.Node: the earliest schedule among pending
 // entries. Overdue schedules are clamped to the next round by the engine,
 // so a strict-mode node with a missed entry is still stepped every round
 // and its per-round missed accounting matches the dense engine exactly.

@@ -144,7 +144,7 @@ func (nd *phaseNode) Round(ctx *congest.Context, r int, inbox []congest.Message)
 
 func (nd *phaseNode) Quiescent() bool { return nd.pl.Quiescent() }
 
-// NextWake implements congest.Waker.
+// NextWake implements congest.Node.
 func (nd *phaseNode) NextWake() int { return nd.pl.NextWake() }
 
 // Run computes exact APSP/k-SSP by bit scaling.

@@ -219,7 +219,7 @@ func (nd *node) order() []int {
 	return idx
 }
 
-// NextWake implements congest.Waker: the earliest pending-entry schedule
+// NextWake implements congest.Node: the earliest pending-entry schedule
 // (clamped to the next round by the engine when overdue), and the snapshot
 // round, which must be stepped exactly so the T_snap copy happens.
 func (nd *node) NextWake() int {

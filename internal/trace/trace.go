@@ -40,19 +40,13 @@ type Options struct {
 	// request, 0 = no head sampling — only tail capture emits).
 	SampleEvery int
 	// SlowThreshold tail-captures any trace whose root span takes at
-	// least this long, regardless of the head decision (0 = off).
+	// least this long, regardless of the head decision (0 = off). A trace
+	// whose spans recorded an error is always tail-captured.
 	SlowThreshold time.Duration
-	// CaptureErrors tail-captures any trace whose spans recorded an
-	// error, regardless of the head decision.
-	CaptureErrors bool
 	// Seed keys the deterministic ID sequence.
 	Seed uint64
 	// Sinks receive every emitted trace, in order.
 	Sinks []Sink
-	// Now overrides the wall clock (nil = time.Now). Tests inject a
-	// deterministic clock here so span timings — and the sampling
-	// decisions derived from them — are exact instead of slack-checked.
-	Now func() time.Time
 }
 
 // SpanRecord is one finished span in export form — what sinks consume and
@@ -83,11 +77,10 @@ type Sink interface {
 type Tracer struct {
 	sampleEvery int
 	slow        time.Duration
-	capErrors   bool
 	seed        uint64
 	sinks       []Sink
 
-	now func() time.Time
+	now func() time.Time // time.Now; tests install a deterministic clock
 
 	seq     atomic.Uint64 // root spans started (head-sampling counter)
 	emitted atomic.Uint64 // traces emitted to sinks
@@ -95,25 +88,17 @@ type Tracer struct {
 }
 
 // New builds a Tracer. Returns nil (the disabled tracer) when the options
-// can never emit anything — no sinks, or no sampling mode enabled.
+// name no sink.
 func New(opts Options) *Tracer {
 	if len(opts.Sinks) == 0 {
 		return nil
 	}
-	if opts.SampleEvery <= 0 && opts.SlowThreshold <= 0 && !opts.CaptureErrors {
-		return nil
-	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
 	return &Tracer{
 		sampleEvery: opts.SampleEvery,
 		slow:        opts.SlowThreshold,
-		capErrors:   opts.CaptureErrors,
 		seed:        opts.Seed,
 		sinks:       opts.Sinks,
-		now:         now,
+		now:         time.Now,
 	}
 }
 
@@ -261,7 +246,7 @@ func (sp *Span) SetInt(key string, value int64) {
 }
 
 // Error records err on the span (nil is ignored) and marks the trace for
-// tail capture when the tracer captures errors.
+// tail capture.
 func (sp *Span) Error(err error) {
 	if sp == nil || err == nil {
 		return
@@ -292,9 +277,7 @@ func (sp *Span) End() {
 		return
 	}
 	t := tr.tracer
-	emit := tr.headSampled ||
-		(t.slow > 0 && sp.dur >= t.slow) ||
-		(t.capErrors && tr.sawErr)
+	emit := tr.headSampled || tr.sawErr || (t.slow > 0 && sp.dur >= t.slow)
 	if !emit {
 		tr.mu.Unlock()
 		return

@@ -83,9 +83,6 @@ func TestNewReturnsDisabledWithoutSinksOrSampling(t *testing.T) {
 	if New(Options{SampleEvery: 1}) != nil {
 		t.Fatal("tracer without sinks should be disabled")
 	}
-	if New(Options{Sinks: []Sink{&memSink{}}}) != nil {
-		t.Fatal("tracer without any sampling mode should be disabled")
-	}
 }
 
 func TestDeterministicIDs(t *testing.T) {
@@ -136,7 +133,7 @@ func TestTailCaptureSlowAndError(t *testing.T) {
 		t.Fatal("slow trace was not tail-captured")
 	}
 
-	tr2, sink2 := newTestTracer(t, Options{CaptureErrors: true, Seed: 1})
+	tr2, sink2 := newTestTracer(t, Options{Seed: 1})
 	_, ok := tr2.StartRequest(context.Background(), "fine", "")
 	ok.End()
 	if sink2.count() != 0 {
@@ -167,7 +164,8 @@ func TestSpanTreeShape(t *testing.T) {
 		readings++
 		return base.Add(time.Duration(readings-1) * time.Millisecond)
 	}
-	tr, sink := newTestTracer(t, Options{SampleEvery: 1, Seed: 7, Now: clock})
+	tr, sink := newTestTracer(t, Options{SampleEvery: 1, Seed: 7})
+	tr.now = clock
 	ctx, root := tr.StartRequest(context.Background(), "serve.path", "")
 	root.SetInt("gen", 3)
 	probe := FromContext(ctx).Child("cache.probe")
